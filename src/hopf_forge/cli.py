@@ -29,6 +29,7 @@ DEFAULT_ORDER_3FOLD = 3
 DEFAULT_TIMEOUT_SECS = 900
 
 R_PRESETS = ("sl2", "so22", "nullplane")
+R_CHECKS = ("qybe", "intertwine", "triangular", "cybe", "cocommutator")
 
 CHECK_NAMES = (
     "consistency", "hopf", "casimir", "classical", "subalgebra",
@@ -93,6 +94,10 @@ def _verify_plan(check, algebra, args):
         return 2 if name == "so22" else DEFAULT_ORDER_3FOLD
 
     def presets_for(name):
+        if algebra and name in R_CHECKS and algebra not in R_PRESETS:
+            if check != "all":
+                raise UsageError(f"preset {algebra!r} carries no R-matrix recipe")
+            return ()
         if algebra:
             return (algebra,)
         if name in ("qybe", "triangular"):
@@ -347,17 +352,29 @@ def cmd_preset(args):
     return 0
 
 
+def _order_arg(text):
+    """Truncation order from --order or HOPF_FORGE_ORDER: an integer in 1..6."""
+    try:
+        order = int(text)
+    except ValueError:
+        order = 0
+    if not 1 <= order <= 6:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer between 1 and 6 (--order or HOPF_FORGE_ORDER), got {text!r}")
+    return order
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="hopf-forge",
         description="exact verification engine for non-standard quantum "
                     "deformations of sl(2,R), so(2,2) and the (2+1) null-plane "
                     "Poincare algebra")
-    env_order = os.environ.get("HOPF_FORGE_ORDER")
-    default_order = int(env_order) if env_order else None
+    # a string default goes through ``type`` too, unless --order is given
+    default_order = os.environ.get("HOPF_FORGE_ORDER") or None
 
     def add_common(sp, formats=("text", "json")):
-        sp.add_argument("--order", type=int, default=default_order,
+        sp.add_argument("--order", type=_order_arg, default=default_order,
                         help="truncation order (1..6; default 4, QYBE 3)")
         sp.add_argument("--format", choices=formats, default="text")
 
@@ -403,9 +420,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.order is not None and not 1 <= args.order <= 6:
-        print("error: --order must be between 1 and 6", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except UsageError as e:

@@ -12,8 +12,10 @@ Everything downstream is built on three layers of exact coefficients:
   used internally (contraction bookkeeping and the momentum-space Hamiltonian
   construction); user-facing values must pass the regularity predicate.
 
-Rationals are gmpy2 ``mpq`` when available (much faster), with a
-``fractions.Fraction`` fallback so the package stays importable anywhere.
+Both series types are sparse: ``terms`` holds (degree, coefficient) pairs of
+the nonzero coefficients only, in ascending degree, and ``coeffs`` is a dense
+read-only view.  Rationals are gmpy2 ``mpq`` when the optional ``gmpy2`` extra
+is installed, and ``fractions.Fraction`` otherwise.
 """
 
 from __future__ import annotations
@@ -65,9 +67,6 @@ class FieldElem:
     def is_zero(self):
         return not self.a and not self.b
 
-    def is_rational(self):
-        return not self.b
-
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
@@ -87,7 +86,8 @@ class FieldElem:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _fe(self.a + other.a, self.b + other.b)
+        # rational + rational skips the sqrt2 part, the common case
+        return _fe(self.a + other.a, self.b + other.b if self.b or other.b else _R0)
 
     __radd__ = __add__
 
@@ -95,7 +95,7 @@ class FieldElem:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _fe(self.a - other.a, self.b - other.b)
+        return _fe(self.a - other.a, self.b - other.b if self.b or other.b else _R0)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -104,7 +104,7 @@ class FieldElem:
         return _fe(other.a - self.a, other.b - self.b)
 
     def __neg__(self):
-        return _fe(-self.a, -self.b)
+        return _fe(-self.a, -self.b if self.b else _R0)
 
     def __mul__(self, other):
         if isinstance(other, FieldElem):
@@ -152,9 +152,6 @@ class FieldElem:
             base = base * base
             n >>= 1
         return out
-
-    def conjugate(self):
-        return _fe(self.a, -self.b)
 
     def __repr__(self):
         return f"FieldElem({self.a!s}, {self.b!s})"
@@ -215,16 +212,128 @@ class Domain:
 FIELD = Domain(FE_ZERO, FE_ONE, "Q(sqrt2)")
 
 
-class DeformationSeries:
+# -- sparse term kernels -----------------------------------------------------
+#
+# A series stores ``terms``: (degree, coefficient) pairs in ascending degree,
+# nonzero coefficients only.  Nearly every operand is a single monomial, so
+# both kernels take that case first.  Coefficient domains are fields: the
+# product of two nonzero coefficients is never zero.
+
+
+def _add_terms(s, t):
+    """Sum of two term tuples: a merge by degree that drops exact cancellations."""
+    if not s or not t:
+        return s or t
+    if len(s) == 1 == len(t):
+        (d1, c1), (d2, c2) = s[0], t[0]
+        if d1 != d2:
+            return s + t if d1 < d2 else t + s
+        c = c1 + c2
+        return () if c.is_zero() else ((d1, c),)
+    out = []
+    i = j = 0
+    while i < len(s) and j < len(t):
+        (d1, c1), (d2, c2) = s[i], t[j]
+        if d1 < d2:
+            out.append(s[i])
+            i += 1
+        elif d2 < d1:
+            out.append(t[j])
+            j += 1
+        else:
+            c = c1 + c2
+            if not c.is_zero():
+                out.append((d1, c))
+            i += 1
+            j += 1
+    return tuple(out) + s[i:] + t[j:]
+
+
+def _mul_terms(s, t, top):
+    """Product of two term tuples, dropping every degree above ``top``."""
+    if not s or not t:
+        return ()
+    if len(s) == 1 == len(t):
+        d = s[0][0] + t[0][0]
+        return ((d, s[0][1] * t[0][1]),) if d <= top else ()
+    acc = {}
+    for d1, c1 in s:
+        for d2, c2 in t:
+            if d1 + d2 > top:
+                break
+            prev = acc.get(d1 + d2)
+            acc[d1 + d2] = c1 * c2 if prev is None else prev + c1 * c2
+    return tuple(sorted((d, c) for d, c in acc.items() if not c.is_zero()))
+
+
+def _inverse_terms(terms, top, zero):
+    """Terms of 1/s up to degree ``top``, for s with an invertible constant term."""
+    r0 = terms[0][1].inverse()
+    inv = [r0]
+    for n in range(1, top + 1):
+        acc = zero
+        for k, ck in terms[1:]:
+            if k > n:
+                break
+            acc = acc + ck * inv[n - k]
+        inv.append(-(r0 * acc))
+    return _dense_terms(inv)
+
+
+def _dense_terms(coeffs, lo=0):
+    return tuple((lo + i, c) for i, c in enumerate(coeffs) if not c.is_zero())
+
+
+def _new(cls, param, order, terms, domain):
+    s = cls.__new__(cls)
+    s.param, s.order, s.terms, s.domain = param, order, terms, domain
+    return s
+
+
+class _Sparse:
+    """What the two series types share: their fields, equality and lookups."""
+
+    __slots__ = ("param", "order", "terms", "domain")
+
+    def is_zero(self):
+        return not self.terms
+
+    def coefficient(self, k):
+        for d, c in self.terms:
+            if d == k:
+                return c
+        return self.domain.zero
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.param == other.param and self.order == other.order
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.param, self.order, self.terms))
+
+    def __neg__(self):
+        return self.map_coeffs(lambda c: -c)
+
+    def map_coeffs(self, f, domain=None):
+        """Apply ``f`` to every nonzero coefficient; ``f`` must map zero to zero."""
+        terms = tuple((d, f(c)) for d, c in self.terms)
+        return _new(type(self), self.param, self.order,
+                    tuple(p for p in terms if not p[1].is_zero()), domain or self.domain)
+
+
+class DeformationSeries(_Sparse):
     """Power series in one named parameter, truncated beyond a fixed order.
 
-    Coefficients live in a declared domain (Q(sqrt2) by default); anything
-    with ring operations, ``is_zero`` and ``inverse`` works, which is how the
-    differential-representation module runs the same series over rational
-    functions.
+    Only the nonzero coefficients are stored, as ``terms``; ``coeffs`` is the
+    dense view with exactly ``order + 1`` entries.  Coefficients live in a
+    declared domain (Q(sqrt2) by default); any field with ring operations,
+    ``is_zero`` and ``inverse`` works, which is how the differential-
+    representation module runs the same series over rational functions.
     """
 
-    __slots__ = ("param", "order", "coeffs", "domain", "_val")
+    __slots__ = ()
 
     def __init__(self, param, order, coeffs, domain=FIELD):
         if order < 0:
@@ -234,20 +343,14 @@ class DeformationSeries:
             raise ValueError("need exactly order+1 coefficients")
         self.param = param
         self.order = order
-        self.coeffs = coeffs
+        self.terms = _dense_terms(coeffs)
         self.domain = domain
-        v = order + 1
-        for i, c in enumerate(coeffs):
-            if not c.is_zero():
-                v = i
-                break
-        self._val = v
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, param, order, domain=FIELD):
-        return cls(param, order, (domain.zero,) * (order + 1), domain)
+        return _new(cls, param, order, (), domain)
 
     @classmethod
     def one(cls, param, order, domain=FIELD):
@@ -255,47 +358,32 @@ class DeformationSeries:
 
     @classmethod
     def constant(cls, value, param, order, domain=FIELD):
-        return cls(param, order, (value,) + (domain.zero,) * order, domain)
+        return cls.monomial(value, 0, param, order, domain)
 
     @classmethod
     def monomial(cls, value, degree, param, order, domain=FIELD):
         """value * param**degree, or zero if the degree exceeds the order."""
-        if degree > order:
-            return cls.zero(param, order, domain)
-        c = [domain.zero] * (order + 1)
-        c[degree] = value
-        return cls(param, order, c, domain)
+        terms = () if degree > order or value.is_zero() else ((degree, value),)
+        return _new(cls, param, order, terms, domain)
 
     @classmethod
     def from_coeffs(cls, coeffs, param, order, domain=FIELD):
         """Series from a (possibly short or long) coefficient list."""
-        c = list(coeffs)[: order + 1]
-        c += [domain.zero] * (order + 1 - len(c))
-        return cls(param, order, c, domain)
+        return _new(cls, param, order, _dense_terms(list(coeffs)[: order + 1]), domain)
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self):
-        return self._val > self.order
+    @property
+    def coeffs(self):
+        """Dense coefficient tuple, one entry per degree 0..order."""
+        return tuple(self.coefficient(k) for k in range(self.order + 1))
 
     def val(self):
         """Valuation: degree of the lowest nonzero coefficient (order+1 if zero)."""
-        return self._val
+        return self.terms[0][0] if self.terms else self.order + 1
 
     def constant_term(self):
-        return self.coeffs[0]
-
-    def coefficient(self, k):
-        return self.coeffs[k] if 0 <= k <= self.order else self.domain.zero
-
-    def __eq__(self, other):
-        if not isinstance(other, DeformationSeries):
-            return NotImplemented
-        return (self.param == other.param and self.order == other.order
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.param, self.order, self.coeffs))
+        return self.coefficient(0)
 
     def __repr__(self):
         return f"DeformationSeries({self.param!r}, {self.order}, {list(map(str, self.coeffs))})"
@@ -310,39 +398,20 @@ class DeformationSeries:
     def __add__(self, other):
         if isinstance(other, DeformationSeries):
             self._check(other)
-            return DeformationSeries(
-                self.param, self.order,
-                tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.domain)
+            return _new(DeformationSeries, self.param, self.order,
+                        _add_terms(self.terms, other.terms), self.domain)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, DeformationSeries):
-            self._check(other)
-            return DeformationSeries(
-                self.param, self.order,
-                tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.domain)
+            return self + (-other)
         return NotImplemented
-
-    def __neg__(self):
-        return DeformationSeries(self.param, self.order,
-                                 tuple(-a for a in self.coeffs), self.domain)
 
     def __mul__(self, other):
         if isinstance(other, DeformationSeries):
             self._check(other)
-            n = self.order
-            if self._val + other._val > n:
-                return DeformationSeries.zero(self.param, n, self.domain)
-            out = [self.domain.zero] * (n + 1)
-            for i in range(self._val, n + 1 - other._val):
-                a = self.coeffs[i]
-                if a.is_zero():
-                    continue
-                for j in range(other._val, n + 1 - i):
-                    b = other.coeffs[j]
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-            return DeformationSeries(self.param, n, out, self.domain)
+            return _new(DeformationSeries, self.param, self.order,
+                        _mul_terms(self.terms, other.terms, self.order), self.domain)
         if hasattr(other, "algebra"):
             # algebra elements own the product (scalars act on them, not here)
             return NotImplemented
@@ -352,31 +421,24 @@ class DeformationSeries:
     __rmul__ = __mul__
 
     def scale(self, c):
-        return DeformationSeries(self.param, self.order,
-                                 tuple(a * c for a in self.coeffs), self.domain)
+        return self.map_coeffs(lambda a: a * c)
 
     def __truediv__(self, k):
         if isinstance(k, int):
-            return DeformationSeries(self.param, self.order,
-                                     tuple(a / k for a in self.coeffs), self.domain)
+            return self.map_coeffs(lambda a: a / k)
         return NotImplemented
 
     def shifted(self, k):
         """Multiply by param**k; for k < 0 the valuation must allow it."""
-        if k == 0:
-            return self
-        n = self.order
-        if k > 0:
-            out = [self.domain.zero] * min(k, n + 1) + list(self.coeffs[: n + 1 - k])
-        else:
-            if self._val < -k:
-                raise ZeroDivisor(f"valuation {self._val} too small to divide by {self.param}^{-k}")
-            out = list(self.coeffs[-k:]) + [self.domain.zero] * (-k)
-        return DeformationSeries(self.param, n, out, self.domain)
+        if k < 0 and self.val() < -k:
+            raise ZeroDivisor(f"valuation {self.val()} too small to divide by {self.param}^{-k}")
+        return _new(DeformationSeries, self.param, self.order,
+                    tuple((d + k, c) for d, c in self.terms if d + k <= self.order),
+                    self.domain)
 
     def exp(self):
         """Series exponential; requires zero constant term."""
-        if not self.coeffs[0].is_zero():
+        if self.val() == 0:
             raise NonzeroConstantTerm("exp of a series with nonzero constant term")
         out = DeformationSeries.one(self.param, self.order, self.domain)
         term = out
@@ -389,94 +451,59 @@ class DeformationSeries:
 
     def inverse(self):
         """Multiplicative inverse; constant term must be invertible."""
-        c0 = self.coeffs[0]
-        if c0.is_zero():
+        if self.val() != 0:
             raise NonInvertible("series with zero constant term")
-        r0 = c0.inverse()
-        out = [r0] + [self.domain.zero] * self.order
-        for n in range(1, self.order + 1):
-            acc = self.domain.zero
-            for k in range(1, n + 1):
-                ck = self.coeffs[k]
-                if not ck.is_zero():
-                    acc = acc + ck * out[n - k]
-            out[n] = -(r0 * acc)
-        return DeformationSeries(self.param, self.order, out, self.domain)
+        return _new(DeformationSeries, self.param, self.order,
+                    _inverse_terms(self.terms, self.order, self.domain.zero), self.domain)
 
     def truncate0(self):
         """Keep only the constant term (the classical limit of a coefficient)."""
-        return DeformationSeries.constant(self.coeffs[0], self.param, self.order, self.domain)
-
-    def map_coeffs(self, f, domain=None):
-        return DeformationSeries(self.param, self.order,
-                                 tuple(f(c) for c in self.coeffs), domain or self.domain)
+        return DeformationSeries.constant(self.constant_term(), self.param, self.order,
+                                          self.domain)
 
 
-class LaurentSeries:
+class LaurentSeries(_Sparse):
     """Series with a (possibly negative) minimum degree and a tracked top order.
 
-    ``coeffs[i]`` is the coefficient of ``param**(min_deg + i)``; degrees above
-    ``order`` are unknown, degrees below ``min_deg`` are exactly zero.  The
-    representation is kept normalized: no leading or trailing stored zeros.
+    ``terms`` as in :class:`DeformationSeries`; degrees above ``order`` are
+    unknown, degrees below the first term are exactly zero.  ``coeffs[i]`` is
+    the dense view: the coefficient of ``param**(min_deg + i)``, up to the
+    highest nonzero degree.
     """
 
-    __slots__ = ("param", "min_deg", "coeffs", "order", "domain")
+    __slots__ = ()
 
     def __init__(self, param, min_deg, coeffs, order, domain=FIELD):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            min_deg += 1
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        if min_deg + len(coeffs) - 1 > order:
+        terms = _dense_terms(coeffs, min_deg)
+        if terms and terms[-1][0] > order:
             raise ValueError("coefficients extend beyond the tracked order")
-        if not coeffs:
-            min_deg = 0
         self.param = param
-        self.min_deg = min_deg
-        self.coeffs = tuple(coeffs)
+        self.terms = terms
         self.order = order
         self.domain = domain
 
     @classmethod
     def from_terms(cls, terms, param, order, domain=FIELD):
         """Laurent series from a {degree: coefficient} mapping (exact data)."""
-        if not terms:
-            return cls(param, 0, (), order, domain)
-        lo = min(terms)
-        hi = max(terms)
-        if hi > order:
+        if terms and max(terms) > order:
             raise ValueError("term degree beyond tracked order")
-        c = [domain.zero] * (hi - lo + 1)
-        for d, v in terms.items():
-            c[d - lo] = v
-        return cls(param, lo, c, order, domain)
+        return _new(cls, param, order, tuple(sorted(
+            (d, c) for d, c in terms.items() if not c.is_zero())), domain)
 
-    @classmethod
-    def from_series(cls, s):
-        return cls(s.param, 0, s.coeffs, s.order, s.domain)
+    @property
+    def min_deg(self):
+        return self.terms[0][0] if self.terms else 0
 
-    def is_zero(self):
-        return not self.coeffs
+    @property
+    def coeffs(self):
+        top = self.terms[-1][0] + 1 if self.terms else self.min_deg
+        return tuple(self.coefficient(d) for d in range(self.min_deg, top))
 
     def valuation(self):
-        return self.min_deg if self.coeffs else None
+        return self.terms[0][0] if self.terms else None
 
     def is_regular(self):
-        return self.min_deg >= 0 or not self.coeffs
-
-    def coefficient(self, d):
-        i = d - self.min_deg
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.domain.zero
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (self.param == other.param and self.min_deg == other.min_deg
-                and self.coeffs == other.coeffs and self.order == other.order)
+        return self.min_deg >= 0
 
     def __repr__(self):
         return (f"LaurentSeries({self.param!r}, min_deg={self.min_deg}, "
@@ -489,53 +516,29 @@ class LaurentSeries:
     def __add__(self, other):
         self._check(other)
         order = min(self.order, other.order)
-        lo = min(self.min_deg if self.coeffs else order,
-                 other.min_deg if other.coeffs else order)
-        out = [self.domain.zero] * (order - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            d = self.min_deg + i
-            if d <= order:
-                out[d - lo] = out[d - lo] + c
-        for i, c in enumerate(other.coeffs):
-            d = other.min_deg + i
-            if d <= order:
-                out[d - lo] = out[d - lo] + c
-        return LaurentSeries(self.param, lo, out, order, self.domain)
+        terms = tuple(p for p in _add_terms(self.terms, other.terms) if p[0] <= order)
+        return _new(LaurentSeries, self.param, order, terms, self.domain)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self):
-        return LaurentSeries(self.param, self.min_deg,
-                             tuple(-c for c in self.coeffs), self.order, self.domain)
-
     def __mul__(self, other):
-        if isinstance(other, LaurentSeries):
-            self._check(other)
-            if self.is_zero() or other.is_zero():
-                return LaurentSeries(self.param, 0, (), min(self.order, other.order), self.domain)
+        if not isinstance(other, LaurentSeries):
+            return self.map_coeffs(lambda c: c * other)
+        self._check(other)
+        if self.is_zero() or other.is_zero():
+            order = min(self.order, other.order)
+        else:
             # the unknown tail of one factor meets the lowest degree of the other
             order = min(self.order + other.min_deg, other.order + self.min_deg)
-            lo = self.min_deg + other.min_deg
-            out = [self.domain.zero] * (order - lo + 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    d = lo + i + j
-                    if d > order:
-                        break
-                    if not b.is_zero():
-                        out[d - lo] = out[d - lo] + a * b
-            return LaurentSeries(self.param, lo, out, order, self.domain)
-        return LaurentSeries(self.param, self.min_deg,
-                             tuple(c * other for c in self.coeffs), self.order, self.domain)
+        return _new(LaurentSeries, self.param, order,
+                    _mul_terms(self.terms, other.terms, order), self.domain)
 
     __rmul__ = __mul__
 
     def shifted(self, k):
-        return LaurentSeries(self.param, self.min_deg + k, self.coeffs,
-                             self.order + k, self.domain)
+        return _new(LaurentSeries, self.param, self.order + k,
+                    tuple((d + k, c) for d, c in self.terms), self.domain)
 
     def divide(self, other):
         """self / other to the honestly-tracked order.
@@ -548,18 +551,9 @@ class LaurentSeries:
             raise ZeroDivisor("division by a series that is zero to tracked order")
         vb = other.min_deg
         unit = other.shifted(-vb)          # valuation 0, invertible constant term
-        rel = unit.order                    # relative precision of the unit part
-        inv0 = unit.coeffs[0].inverse()
-        inv = [inv0] + [self.domain.zero] * rel
-        for n in range(1, rel + 1):
-            acc = self.domain.zero
-            for k in range(1, n + 1):
-                ck = unit.coefficient(k)
-                if not ck.is_zero():
-                    acc = acc + ck * inv[n - k]
-            inv[n] = -(inv0 * acc)
-        unit_inv = LaurentSeries(self.param, 0, inv, rel, self.domain)
-        return self.shifted(-vb) * unit_inv
+        inv = _inverse_terms(unit.terms, unit.order, self.domain.zero)
+        return self.shifted(-vb) * _new(LaurentSeries, self.param, unit.order, inv,
+                                        self.domain)
 
     def to_series(self, order):
         """Convert to a DeformationSeries; raises PoleDetected if irregular."""
@@ -567,6 +561,5 @@ class LaurentSeries:
             raise PoleDetected(f"pole of degree {self.min_deg} in {self.param}")
         if order > self.order:
             raise ValueError("requested order exceeds tracked precision")
-        return DeformationSeries(
-            self.param, order,
-            [self.coefficient(d) for d in range(order + 1)], self.domain)
+        return _new(DeformationSeries, self.param, order,
+                    tuple(p for p in self.terms if p[0] <= order), self.domain)

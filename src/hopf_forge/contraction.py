@@ -142,9 +142,7 @@ class Contraction:
     def _map_series(self, zseries):
         """c(z) with z = sqrt(2)*eps*w: z^k -> 2^(k/2) eps^k w^k."""
         slices = {}
-        for k, c in enumerate(zseries.coeffs):
-            if c.is_zero():
-                continue
+        for k, c in zseries.terms:
             slices[k] = DeformationSeries.monomial(
                 c * (FE_SQRT2 ** k), k, "w", self.order)
         return EpsLaurent(slices)

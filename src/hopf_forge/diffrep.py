@@ -345,11 +345,10 @@ def expected_hamiltonian_terms():
 
 def check_hamiltonian(order):
     out = CheckReport(check="diffrep-hamiltonian", algebra="nullplane", order=order)
-    if order < 2:
-        raise ValueError("need order >= 2 to compare the displayed coefficients")
     got = hamiltonian_series(order)
     want = expected_hamiltonian_terms()
-    for k, w in enumerate(want):
+    # only the displayed coefficients within the truncation order are known
+    for k, w in enumerate(want[: order + 1]):
         if got[k] != w:
             out.add_failure(f"w^{k} coefficient", f"{got[k]!r} != {w!r}")
     # the first-order term is genuinely nonzero in this deformation scheme

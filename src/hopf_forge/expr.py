@@ -254,9 +254,7 @@ def _series_str(series, fmt):
     """Render a coefficient series; parenthesized when it is a true sum."""
     param = series.param
     bits = []
-    for k, c in enumerate(series.coeffs):
-        if c.is_zero():
-            continue
+    for k, c in series.terms:
         cs = _fe_str(c, fmt)
         if k == 0:
             bits.append(cs)

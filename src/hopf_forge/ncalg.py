@@ -366,10 +366,6 @@ class NCElement:
         """Keep only the order-0 part of every coefficient."""
         return self.scale_coeffs(lambda c: c.truncate0())
 
-    def param_divide(self, k):
-        """Divide every coefficient by param**k (coefficient valuations permitting)."""
-        return self.scale_coeffs(lambda c: c.shifted(-k))
-
     def substitute(self, target, images, coeff_map=None):
         """Multiplicative substitution homomorphism into ``target``.
 
@@ -584,9 +580,6 @@ class TensorElement:
 
     def classical_limit(self):
         return self.scale_coeffs(lambda c: c.truncate0())
-
-    def slot_element(self, term_words, slot):
-        return NCElement(self.algebra, {term_words[slot]: self.algebra.domain.one})
 
     def substitute(self, target, images, coeff_map=None):
         """Slot-wise substitution homomorphism into a tensor over ``target``."""

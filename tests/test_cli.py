@@ -40,6 +40,19 @@ class TestExitCodes:
         r = run("verify", "consistency", "--order", "9")
         assert r.returncode == 2
 
+    def test_verify_all_at_order_one_reports(self):
+        r = run("verify", "all", "--order", "1", "--format", "json")
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        ham = [c for c in doc["checks"] if c["check"] == "diffrep-hamiltonian"]
+        assert [(c["order"], c["status"]) for c in ham] == [(1, "pass")]
+
+    def test_r_check_without_recipe_is_usage_error(self):
+        r = run("verify", "qybe", "--algebra", "sl2-jbasis", "--order", "2")
+        assert r.returncode == 2
+        assert "no R-matrix recipe" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_fault_fails_named_check(self):
         r = run("verify", "consistency", "--algebra", "nullplane",
                 "--order", "2", "--inject-fault", "ncalg-rule")
@@ -113,3 +126,10 @@ class TestEnvironment:
         r = run("normalize", "exp(2*z*A_plus)", "--algebra", "sl2", "--order", "3",
                 env={"HOPF_FORGE_ORDER": "2"})
         assert "z^3" in r.stdout
+
+    @pytest.mark.parametrize("value", ["abc", "9", "0"])
+    def test_bad_order_env_is_usage_error(self, value):
+        r = run("verify", "hopf", env={"HOPF_FORGE_ORDER": value})
+        assert r.returncode == 2
+        assert "HOPF_FORGE_ORDER" in r.stderr
+        assert "Traceback" not in r.stderr

@@ -44,6 +44,52 @@ def brute_exp(coeffs, order):
     return acc
 
 
+def brute_shift(coeffs, k, order):
+    """Dense param**k * series; k < 0 drops the lowest |k| coefficients."""
+    out = [Fraction(0)] * max(k, 0) + list(coeffs[max(-k, 0):])
+    return (out + [Fraction(0)] * (order + 1))[: order + 1]
+
+
+# Laurent series as ({degree: Fraction}, tracked order), reduced naively.
+
+def brute_laurent(terms, order):
+    return {d: c for d, c in terms.items() if c and d <= order}, order
+
+
+def brute_laurent_add(a, b):
+    (ta, oa), (tb, ob) = a, b
+    out = dict(ta)
+    for d, c in tb.items():
+        out[d] = out.get(d, Fraction(0)) + c
+    return brute_laurent(out, min(oa, ob))
+
+
+def brute_laurent_mul(a, b):
+    (ta, oa), (tb, ob) = a, b
+    if not ta or not tb:
+        return {}, min(oa, ob)
+    order = min(oa + min(tb), ob + min(ta))
+    out = {}
+    for d1, c1 in ta.items():
+        for d2, c2 in tb.items():
+            out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + c1 * c2
+    return brute_laurent(out, order)
+
+
+def brute_laurent_divide(a, b):
+    """a / b: b's unit part inverted by dense back-substitution, then a product."""
+    (ta, oa), (tb, ob) = a, b
+    vb = min(tb)
+    rel = ob - vb
+    unit = [tb.get(vb + k, Fraction(0)) for k in range(rel + 1)]
+    inv = []
+    for n in range(rel + 1):
+        acc = sum((unit[k] * inv[n - k] for k in range(1, n + 1)), Fraction(0))
+        inv.append(((1 if n == 0 else 0) - acc) / unit[0])
+    shifted = ({d - vb: c for d, c in ta.items()}, oa - vb)
+    return brute_laurent_mul(shifted, brute_laurent(dict(enumerate(inv)), rel))
+
+
 class TestFieldElem:
     def test_inverse_via_conjugate(self):
         x = FieldElem(rat(3, 2), rat(-1, 3))
@@ -181,3 +227,157 @@ def test_sympy_oracle_agreement():
     got = ds([0, 1, 1, 0], order=3).exp()
     assert all(sympy.Rational(int(c.a.numerator), int(c.a.denominator)) == w
                for c, w in zip(got.coeffs, want))
+
+
+# -- sparse inputs: mostly-zero lists, monomials, exact cancellation -----------
+
+ORDER = 4
+zeros = st.just(Fraction(0))
+sparse_lists = st.lists(st.one_of(zeros, zeros, zeros, rationals), min_size=1,
+                        max_size=ORDER + 3)
+monomials = st.builds(lambda d, c: [Fraction(0)] * d + [c],
+                      st.integers(0, ORDER + 2), rationals.filter(bool))
+sparse_inputs = st.one_of(sparse_lists, monomials)
+
+
+def fs(values, order=ORDER, param="z"):
+    """Series from a Fraction list through the dense constructor path."""
+    return DeformationSeries.from_coeffs(
+        [FieldElem(rat(v.numerator, v.denominator)) for v in values], param, order)
+
+
+def dense(values, order=ORDER):
+    values = list(values)[: order + 1]
+    return values + [Fraction(0)] * (order + 1 - len(values))
+
+
+def assert_canonical(series, lo=0):
+    degrees = [d for d, _ in series.terms]
+    assert degrees == sorted(set(degrees))
+    assert all(lo <= d <= series.order for d in degrees)
+    assert not any(c.is_zero() for _, c in series.terms)
+
+
+def same(x, y):
+    assert x == y
+    assert hash(x) == hash(y)
+
+
+class TestSparseSeries:
+    @given(sparse_inputs, sparse_inputs)
+    @settings(max_examples=80, deadline=None)
+    def test_mul_matches_brute(self, x, y):
+        got = fs(x) * fs(y)
+        assert_canonical(got)
+        same(got, fs(brute_mul(dense(x), dense(y), ORDER)))
+
+    @given(sparse_inputs, sparse_inputs)
+    @settings(max_examples=80, deadline=None)
+    def test_add_matches_brute(self, x, y):
+        got = fs(x) + fs(y)
+        assert_canonical(got)
+        same(got, fs([p + q for p, q in zip(dense(x), dense(y))]))
+        same(fs(x) - fs(y), fs([p - q for p, q in zip(dense(x), dense(y))]))
+
+    @given(sparse_inputs)
+    @settings(max_examples=60, deadline=None)
+    def test_exact_cancellation(self, x):
+        a = fs(x)
+        zero = DeformationSeries.zero("z", ORDER)
+        for s in (a + (-a), a - a, (-a) + a):
+            same(s, zero)
+            assert s.is_zero() and s.terms == () and s.val() == ORDER + 1
+
+    @given(sparse_inputs)
+    @settings(max_examples=60, deadline=None)
+    def test_dense_constructor_equals_arithmetic(self, x):
+        coeffs = [FieldElem(rat(v.numerator, v.denominator)) for v in dense(x)]
+        built = DeformationSeries.zero("z", ORDER)
+        for k, c in enumerate(coeffs):
+            built = built + DeformationSeries.monomial(c, k, "z", ORDER)
+        same(DeformationSeries("z", ORDER, coeffs), built)
+        assert built.coeffs == tuple(coeffs)
+        assert [built.coefficient(k) for k in range(ORDER + 1)] == coeffs
+
+    @given(sparse_inputs, st.integers(0, 2 * ORDER))
+    @settings(max_examples=60, deadline=None)
+    def test_terms_above_order_dropped(self, x, d):
+        assert fs(x) == fs(x[: ORDER + 1])
+        assert len(fs(x).coeffs) == ORDER + 1
+        mono = DeformationSeries.monomial(FE_ONE, d, "z", ORDER)
+        assert mono.is_zero() == (d > ORDER)
+        prod = mono * DeformationSeries.monomial(FE_ONE, 1, "z", ORDER)
+        same(prod, DeformationSeries.monomial(FE_ONE, d + 1, "z", ORDER))
+
+    @given(sparse_inputs, st.integers(-ORDER - 2, ORDER + 2))
+    @settings(max_examples=80, deadline=None)
+    def test_shifted(self, x, k):
+        a = fs(x)
+        if k < 0 and a.val() < -k:
+            with pytest.raises(ZeroDivisor):
+                a.shifted(k)
+            return
+        got = a.shifted(k)
+        assert_canonical(got)
+        same(got, fs(brute_shift(dense(x), k, ORDER)))
+
+    @given(sparse_inputs)
+    @settings(max_examples=60, deadline=None)
+    def test_exp_matches_brute(self, x):
+        tail = dense(x)[1:]
+        got = fs([Fraction(0)] + tail).exp()
+        assert_canonical(got)
+        same(got, fs(brute_exp([Fraction(0)] + tail, ORDER)))
+
+    def test_mismatched_series_rejected(self):
+        with pytest.raises(ValueError):
+            fs([1]) * fs([1], order=ORDER + 1)
+        with pytest.raises(ValueError):
+            fs([1]) + fs([1], param="w")
+
+
+laurent_inputs = st.builds(
+    lambda lo, values, extra: ({lo + i: v for i, v in enumerate(values) if v},
+                               lo + len(values) - 1 + extra),
+    st.integers(-3, 2), sparse_lists, st.integers(0, 2))
+
+
+def to_laurent(data):
+    terms, order = data
+    return LaurentSeries.from_terms(
+        {d: FieldElem(rat(v.numerator, v.denominator)) for d, v in terms.items()},
+        "w", order)
+
+
+class TestLaurentBrute:
+    @given(laurent_inputs, laurent_inputs)
+    @settings(max_examples=80, deadline=None)
+    def test_add_matches_brute(self, a, b):
+        got = to_laurent(a) + to_laurent(b)
+        assert_canonical(got, lo=-10)
+        assert got == to_laurent(brute_laurent_add(a, b))
+
+    @given(laurent_inputs, laurent_inputs)
+    @settings(max_examples=80, deadline=None)
+    def test_mul_matches_brute(self, a, b):
+        got = to_laurent(a) * to_laurent(b)
+        assert_canonical(got, lo=-10)
+        assert got == to_laurent(brute_laurent_mul(a, b))
+
+    @given(laurent_inputs, laurent_inputs)
+    @settings(max_examples=80, deadline=None)
+    def test_divide_matches_brute(self, a, b):
+        if not b[0]:
+            with pytest.raises(ZeroDivisor):
+                to_laurent(a).divide(to_laurent(b))
+            return
+        got = to_laurent(a).divide(to_laurent(b))
+        assert_canonical(got, lo=-10)
+        assert got == to_laurent(brute_laurent_divide(a, b))
+
+    @given(laurent_inputs)
+    @settings(max_examples=40, deadline=None)
+    def test_dense_view_round_trip(self, a):
+        s = to_laurent(a)
+        assert LaurentSeries("w", s.min_deg, s.coeffs, s.order) == s
+        assert (s - s).is_zero()
