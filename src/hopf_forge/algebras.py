@@ -49,12 +49,6 @@ class PresetBundle:
     rfactors: tuple | None
     aux: dict = field(default_factory=dict)
 
-    def validate(self):
-        """Run the kernel and Hopf checks; returns the list of reports."""
-        reports = [self.presentation.consistency_check()]
-        reports += self.hopf.run_all_checks()
-        return reports
-
 
 # -- series-element builders -------------------------------------------------
 
@@ -248,10 +242,6 @@ def set_active_fault(name):
     if name is not None and name not in FAULTS:
         raise ValueError(f"unknown fault {name!r}")
     _ACTIVE_FAULT = name
-
-
-def active_fault():
-    return _ACTIVE_FAULT
 
 
 @lru_cache(maxsize=None)
@@ -468,11 +458,6 @@ def _build_nullplane(order, fault=None):
 
 
 # -- J-basis preset (derived through the change of basis) ----------------------
-
-def _transfer(element, target):
-    """Move an element to an identically-ordered rebuilt presentation."""
-    return NCElement(target, dict(element.terms))
-
 
 def jbasis_maps(order):
     """The change-of-basis substitution data between the A- and J-bases.

@@ -108,6 +108,14 @@ def _verify_plan(check, algebra, args):
             return ("so22", "nullplane")
         return PRESET_NAMES
 
+    def only_on(name, home):
+        """A check that runs on one preset: ``home``, unless --algebra names another."""
+        if algebra and algebra != home:
+            if check != "all":
+                raise UsageError(f"check {name!r} runs on the {home} preset only")
+            return ()
+        return (home,)
+
     from . import contraction, diffrep, repfrt, rmat
 
     plan = []
@@ -126,11 +134,13 @@ def _verify_plan(check, algebra, args):
         for p in presets_for("casimir"):
             add("casimir-centrality", p, lambda p=p: check_casimir_centrality(p, order2))
     if check in ("classical", "all"):
-        add("classical-limit", "nullplane", lambda: check_classical_limits(order2))
+        for p in only_on("classical", "nullplane"):
+            add("classical-limit", p, lambda: check_classical_limits(order2))
     if check in ("subalgebra", "all"):
-        add("hopf-subalgebra", "nullplane",
-            lambda: preset("nullplane", order2).hopf.subalgebra_check(
-                ("P_plus", "P_1", "E_1", "K_2")))
+        for p in only_on("subalgebra", "nullplane"):
+            add("hopf-subalgebra", p,
+                lambda: preset("nullplane", order2).hopf.subalgebra_check(
+                    ("P_plus", "P_1", "E_1", "K_2")))
     if check in ("qybe", "all"):
         for p in presets_for("qybe"):
             add("qybe", p, lambda p=p: rmat.check_qybe(p, qybe_order(p)))

@@ -48,6 +48,9 @@ class EpsLaurent:
             return NotImplemented
         return self.slices == other.slices
 
+    def __hash__(self):
+        return hash(frozenset(self.slices.items()))
+
     def __add__(self, other):
         out = dict(self.slices)
         for k, s in other.slices.items():

@@ -8,9 +8,21 @@ by confluent rewriting (the diamond check below verifies confluence on all
 generator-triple overlaps, to the working truncation order).
 
 Words are stored compressed as ``((gen_index, exponent), ...)`` with strictly
-increasing generator indices; rewriting operates on flat index tuples.
-Coefficients are any objects implementing the series protocol (add/sub/neg/
-mul, ``is_zero``, ``val``); the stock choice is
+increasing generator indices.  A flat word (a tuple of generator indices) is
+normal-ordered by a left fold that multiplies a ``{normal word: coeff}``
+accumulator by one generator at a time.  For a normal word ``u = rest*h`` and a
+generator ``g < h``, the rule for ``h*g`` is applied once and each of its terms
+folded onto ``rest``; the result (the leftmost-descent normal form of ``u*g``)
+is kept in a per-presentation table, so no subword product is derived twice.
+Missing entries are filled on an explicit stack, not by recursion.  The table
+and the flat-word cache receive only complete results, so an abort leaves them
+consistent, and every stored coefficient is interned (the caches hold many
+copies of few distinct values).  An entry holds ``u*g`` for any coefficient, so
+a rewriting of ``u*g`` that needs ``u*g`` again is a :class:`NonTerminating`
+cycle, even if truncation would have dropped every term that comes back.
+
+Coefficients are any hashable objects implementing the series protocol (add/
+sub/neg/mul, ``is_zero``, ``val``); the stock choice is
 :class:`~hopf_forge.coeff.DeformationSeries`.
 """
 
@@ -30,7 +42,8 @@ class AlgebraMismatch(AlgebraError):
 
 
 class NonTerminating(AlgebraError):
-    """Rewriting exceeded the step bound: the presentation is suspect."""
+    """Rewriting exceeded the step bound or cycled (``u*g`` needed ``u*g``,
+    even with a positive power of the parameter): the presentation is suspect."""
 
 
 class UnmappedGenerator(AlgebraError):
@@ -52,16 +65,6 @@ def flatten(word):
     return tuple(out)
 
 
-def compress(flat):
-    out = []
-    for g in flat:
-        if out and out[-1][0] == g:
-            out[-1][1] += 1
-        else:
-            out.append([g, 1])
-    return tuple((g, e) for g, e in out)
-
-
 def word_sort_key(word):
     """Graded-lexicographic key on compressed words."""
     flat = flatten(word)
@@ -79,9 +82,11 @@ class AlgebraPresentation:
         self.domain = domain if domain is not None else _series_domain(param, order)
         self.index = {g: i for i, g in enumerate(self.generators)}
         self.rules = {}
-        self._commuting = set()
         self._frozen = False
         self._nf_cache = {}
+        self._table = {}  # (normal word u, generator g) -> normal form of u*g
+        self._interned = {self.domain.one: self.domain.one}  # coeff -> stored copy
+        self._misses = 0
 
     def __repr__(self):
         return f"<algebra {self.name}: {' < '.join(self.generators)}; order {self.order}>"
@@ -104,15 +109,6 @@ class AlgebraPresentation:
                     if any(a >= b for (a, _), (b, _) in zip(w, w[1:])):
                         raise AlgebraError("rule right-hand side not normal ordered")
         self.rules = dict(rules)
-        swap_key = {}
-        for (j, i), rhs in self.rules.items():
-            if rhs is None:
-                continue
-            if (len(rhs.terms) == 1
-                    and set(rhs.terms) == {((i, 1), (j, 1))}
-                    and next(iter(rhs.terms.values())) == self.domain.one):
-                swap_key[(j, i)] = True
-        self._commuting = set(swap_key)
         self._frozen = True
 
     # -- element constructors ----------------------------------------------
@@ -148,62 +144,87 @@ class AlgebraPresentation:
         return hit
 
     def _rewrite(self, flat):
+        """Left fold of ``flat`` through the word-times-generator table."""
+        self._misses = 0
+        acc = {(): self.domain.one}
+        for g in flat:
+            acc = self._times(acc, g)
+        intern = self._interned.setdefault
+        return {w: intern(c, c) for w, c in acc.items()}
+
+    def _times(self, acc, g):
+        """``acc * g`` for ``acc`` a {normal word: coeff} dict."""
         one = self.domain.one
+        table = self._table
         out = {}
-        work = {flat: one}
-        steps = 0
-        rules = self.rules
-        commuting = self._commuting
-        while work:
-            w, c = work.popitem()
-            if c.is_zero():
-                continue
-            # leftmost adjacent descent
-            i = -1
-            for k in range(len(w) - 1):
-                if w[k] > w[k + 1]:
-                    i = k
-                    break
-            if i < 0:
-                key = compress(w)
-                acc = out.get(key)
-                out[key] = c if acc is None else acc + c
-                continue
-            pair = (w[i], w[i + 1])
-            if pair in commuting:
-                # if every inversion in the word is a trivially commuting
-                # pair, the normal form is just the sorted word
-                sortable = True
-                for a in range(len(w) - 1):
-                    wa = w[a]
-                    for b in range(a + 1, len(w)):
-                        if wa > w[b] and (wa, w[b]) not in commuting:
-                            sortable = False
-                            break
-                    if not sortable:
-                        break
-                nw = tuple(sorted(w)) if sortable \
-                    else w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                acc = work.get(nw)
-                work[nw] = c if acc is None else acc + c
-                continue
-            rule = rules.get(pair)
-            if rule is None:
-                gj, gi = self.generators[pair[0]], self.generators[pair[1]]
-                raise MissingRule(f"no rule for {gj}*{gi} in {self.name}")
-            steps += 1
-            if steps > REWRITE_STEP_LIMIT:
-                raise NonTerminating(
-                    f"rewriting exceeded {REWRITE_STEP_LIMIT} steps in {self.name}")
-            head, tail = w[:i], w[i + 2:]
-            for m, rc in rule.terms.items():
-                nw = head + flatten(m) + tail
-                nc = c * rc
-                if nc.is_zero():
+        for u, c in acc.items():
+            if not u or u[-1][0] < g:
+                entry = ((u + ((g, 1),), one),)
+            elif u[-1][0] == g:
+                entry = ((u[:-1] + ((g, u[-1][1] + 1),), one),)
+            else:
+                entry = table.get((u, g))
+                if entry is None:
+                    entry = self._fill((u, g))
+            for w, rc in entry:
+                # the unit needs no product: inline appends and swap rules carry it
+                v = c if rc is one else rc if c is one else c * rc
+                if v.is_zero():
                     continue
-                acc = work.get(nw)
-                work[nw] = nc if acc is None else acc + nc
-        return {w: c for w, c in out.items() if not c.is_zero()}
+                s = out.get(w)
+                if s is not None:
+                    v = s + v
+                    if v.is_zero():
+                        del out[w]
+                        continue
+                out[w] = v
+        return out
+
+    def _fill(self, key):
+        """Table entry for ``key``, filling first every missing entry it needs.
+
+        Entries in progress are :meth:`_entry_steps` generators on an explicit
+        stack, so the Python stack does not grow with word length."""
+        stack = {}  # key in progress -> its generator; the last one is on top
+        need = key
+        while True:
+            if need is not None:
+                if need in stack:
+                    raise NonTerminating(f"rewriting cycles in {self.name}")
+                self._misses += 1
+                if self._misses > REWRITE_STEP_LIMIT:
+                    raise NonTerminating(
+                        f"rewriting exceeded {REWRITE_STEP_LIMIT} steps in {self.name}")
+                stack[need] = self._entry_steps(*need)
+            need = next(stack[next(reversed(stack))], None)
+            if need is None:  # the top entry is complete and in the table
+                stack.popitem()
+                if not stack:
+                    return self._table[key]
+
+    def _entry_steps(self, u, g):
+        """Store the normal form of ``u*g`` (last generator of ``u`` above ``g``),
+        yielding each missing table key it needs for :meth:`_fill` to fill."""
+        h, e = u[-1]
+        rule = self.rules.get((h, g))
+        if rule is None:
+            gj, gi = self.generators[h], self.generators[g]
+            raise MissingRule(f"no rule for {gj}*{gi} in {self.name}")
+        rest = u[:-1] + ((h, e - 1),) if e > 1 else u[:-1]
+        table = self._table
+        total = {}
+        for m, rc in rule.terms.items():
+            part = {rest: rc}
+            for x in flatten(m):
+                for w in part:
+                    if w and w[-1][0] > x and (w, x) not in table:
+                        yield w, x
+                part = self._times(part, x)
+            for w, c in part.items():
+                s = total.get(w)
+                total[w] = c if s is None else s + c
+        intern = self._interned.setdefault
+        table[(u, g)] = tuple((w, intern(c, c)) for w, c in total.items() if not c.is_zero())
 
     def normalize_terms(self, raw):
         """Normal form of an iterable of (flat_word, coeff) pairs."""
@@ -325,18 +346,7 @@ class NCElement:
                     raw.append((f1 + flatten(w2), c1 * c2))
             return NCElement(alg, alg.normalize_terms(raw))
         # scalar: int or coefficient value
-        if isinstance(other, int):
-            if other == 0:
-                return self.algebra.zero()
-            c = other
-        else:
-            c = other
-        out = {}
-        for w, s in self.terms.items():
-            v = s * c
-            if not v.is_zero():
-                out[w] = v
-        return NCElement(self.algebra, out)
+        return self.scale_coeffs(lambda c: c * other)
 
     def __rmul__(self, other):
         # scalars commute with everything; true element products use __mul__
@@ -351,16 +361,14 @@ class NCElement:
     def commutator(self, other):
         return self * other - other * self
 
-    def scale_coeffs(self, f, domain=None):
+    def scale_coeffs(self, f):
         """Map every coefficient through ``f`` (dropping zeros)."""
         out = {}
         for w, c in self.terms.items():
             v = f(c)
             if not v.is_zero():
                 out[w] = v
-        if domain is None:
-            return NCElement(self.algebra, out)
-        raise AlgebraError("cross-domain maps must go through substitute()")
+        return NCElement(self.algebra, out)
 
     def classical_limit(self):
         """Keep only the order-0 part of every coefficient."""
@@ -488,8 +496,10 @@ class TensorElement:
             for ws1, c1 in self.terms.items():
                 v1 = c1.val()
                 for ws2, c2 in other.terms.items():
+                    if v1 + c2.val() > n:
+                        continue
                     c = c1 * c2
-                    if v1 + c2.val() > n or c.is_zero():
+                    if c.is_zero():
                         continue
                     # slot-wise normal forms, then distribute
                     partial = [((), c)]
@@ -512,12 +522,7 @@ class TensorElement:
                         else:
                             out[words] = s2
             return TensorElement(self.algebra, self.arity, out)
-        out = {}
-        for w, s in self.terms.items():
-            v = s * other
-            if not v.is_zero():
-                out[w] = v
-        return TensorElement(self.algebra, self.arity, out)
+        return self.scale_coeffs(lambda c: c * other)
 
     __rmul__ = __mul__
 
@@ -564,7 +569,7 @@ class TensorElement:
         out = TensorElement.unit(self.algebra, self.arity)
         term = out
         for k in range(1, self.algebra.order + 1):
-            term = (term * self) * _int_inverse(self.algebra, k)
+            term = (term * self) * (self.algebra.domain.one / k)
             if term.is_zero():
                 break
             out = out + term
@@ -635,11 +640,6 @@ class TensorElement:
     def __repr__(self):
         from .expr import render_tensor
         return render_tensor(self, "text")
-
-
-def _int_inverse(algebra, k):
-    """1/k as a coefficient of the algebra's domain."""
-    return algebra.domain.one / k
 
 
 def tensor_pair(x, y):

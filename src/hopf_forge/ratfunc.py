@@ -82,9 +82,6 @@ class Polynomial:
     def constant_value(self):
         return self.terms.get((0,) * self.ring.nvars, FE_ZERO)
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, i):
         return max((e[i] for e in self.terms), default=0)
 
@@ -171,17 +168,6 @@ class Polynomial:
                 ne[i] -= 1
                 out[tuple(ne)] = c * e[i]
         return Polynomial(self.ring, out)
-
-    def subs_values(self, values):
-        """Evaluate at a {var: FieldElem} mapping (all vars required)."""
-        acc = FE_ZERO
-        for e, c in self.terms.items():
-            t = c
-            for i, p in enumerate(e):
-                if p:
-                    t = t * (values[self.ring.vars[i]] ** p)
-            acc = acc + t
-        return acc
 
     def __repr__(self):
         if self.is_zero():

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from hopf_forge.cli import _verify_plan, build_parser
+
 CLI = [sys.executable, "-m", "hopf_forge"]
 
 
@@ -52,6 +54,30 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "no R-matrix recipe" in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("check, algebra",
+                             [("classical", "sl2"), ("subalgebra", "so22")])
+    def test_nullplane_check_on_other_preset_is_usage_error(self, check, algebra):
+        r = run("verify", check, "--algebra", algebra, "--order", "2")
+        assert r.returncode == 2
+        assert "runs on the nullplane preset only" in r.stderr
+        assert "PASS" not in r.stdout
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("algebra", ["sl2", "so22", "sl2-jbasis"])
+    def test_verify_all_skips_nullplane_checks_for_other_presets(self, algebra):
+        args = build_parser().parse_args(["verify", "all", "--algebra", algebra])
+        plan, _ = _verify_plan("all", algebra, args)
+        labels = [label for label, _ in plan]
+        assert ("classical-limit", "nullplane") not in labels
+        assert ("hopf-subalgebra", "nullplane") not in labels
+        assert ("hopf", algebra) in labels
+
+    def test_verify_all_on_nullplane_keeps_nullplane_checks(self):
+        args = build_parser().parse_args(["verify", "all", "--algebra", "nullplane"])
+        labels = [label for label, _ in _verify_plan("all", "nullplane", args)[0]]
+        assert ("classical-limit", "nullplane") in labels
+        assert ("hopf-subalgebra", "nullplane") in labels
 
     def test_fault_fails_named_check(self):
         r = run("verify", "consistency", "--algebra", "nullplane",

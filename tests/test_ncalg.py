@@ -1,14 +1,18 @@
 """Noncommutative kernel: normal ordering, products, tensors, serialization."""
 
 import random
+import sys
 
 import pytest
 
+from hopf_forge import ncalg
 from hopf_forge.coeff import DeformationSeries, FieldElem, rat
-from hopf_forge.ncalg import (AlgebraMismatch, ArityMismatch, MissingRule,
-                              NCElement, TensorElement, UnmappedGenerator,
+from hopf_forge.contraction import Contraction, EpsLaurent
+from hopf_forge.ncalg import (AlgebraMismatch, AlgebraPresentation, ArityMismatch,
+                              MissingRule, NCElement, NonTerminating,
+                              TensorElement, UnmappedGenerator, flatten,
                               tensor_pair)
-from hopf_forge.algebras import preset
+from hopf_forge.algebras import build_preset, preset
 
 
 def mono(alg, value, degree=0):
@@ -62,6 +66,164 @@ class TestNormalize:
         alg.set_rules({(1, 0): None})
         with pytest.raises(MissingRule):
             alg.gen("b") * alg.gen("a")
+
+
+def compress(flat):
+    """Flat word -> ((gen_index, exponent), ...)."""
+    out = []
+    for g in flat:
+        if out and out[-1][0] == g:
+            out[-1][1] += 1
+        else:
+            out.append([g, 1])
+    return tuple((g, e) for g, e in out)
+
+
+def leftmost_descent_normal_form(alg, flat):
+    """Reference rewriter: repeatedly rewrite the leftmost out-of-order pair.
+
+    Works on whole flat words with a work list and keeps no intermediate
+    results, so it shares nothing with the kernel's word-times-generator
+    table except the rules themselves.
+    """
+    out = {}
+    work = {flat: alg.domain.one}
+    while work:
+        w, c = work.popitem()
+        if c.is_zero():
+            continue
+        i = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), -1)
+        if i < 0:
+            key = compress(w)
+            out[key] = c if key not in out else out[key] + c
+            continue
+        rule = alg.rules.get((w[i], w[i + 1]))
+        if rule is None:
+            raise MissingRule(f"no rule for pair {w[i], w[i + 1]}")
+        head, tail = w[:i], w[i + 2:]
+        for m, rc in rule.terms.items():
+            nw = head + flatten(m) + tail
+            nc = c * rc
+            if not nc.is_zero():
+                work[nw] = nc if nw not in work else work[nw] + nc
+    return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+ORACLE_CASES = [(name, order) for name in ("sl2", "so22", "nullplane", "sl2-jbasis")
+                for order in (2, 3, 4)] + [("nullplane-eps", 2)]
+
+
+def fresh_presentation(name, order):
+    if name == "nullplane-eps":
+        return Contraction(order).alg
+    return build_preset(name, order).presentation
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("name, order", ORACLE_CASES)
+    def test_matches_leftmost_descent(self, name, order):
+        first = fresh_presentation(name, order)
+        second = fresh_presentation(name, order)
+        n = len(first.generators)
+        rng = random.Random(f"{name}-{order}")
+        words = [tuple(rng.randrange(n) for _ in range(rng.randint(1, 8)))
+                 for _ in range(6)]
+        words += [tuple(range(n - 1, -1, -1)), (n - 1,) * 3 + (0,) * 3]
+        got = {}
+        for word in words:
+            got[word] = first.normal_form_of_word(word)
+            assert got[word] == leftmost_descent_normal_form(first, word), word
+        # the same answers when the words arrive in the other order
+        for word in reversed(words):
+            assert second.normal_form_of_word(word) == got[word], word
+
+
+class TestDeepWords:
+    @pytest.mark.parametrize("name, word", [
+        ("nullplane", (2,) * 600 + (0,)),  # P_minus^600 * P_plus: one swap rule
+        ("nullplane", (3,) * 32 + (2,)),   # E_1^32 * P_minus: a two-term rule
+        ("so22", (4,) * 6 + (0,)),         # C_1^6 * P
+    ])
+    def test_stack_depth_does_not_grow_with_word_length(self, name, word):
+        alg = build_preset(name, 2).presentation
+        want = leftmost_descent_normal_form(alg, word)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            got = alg.normal_form_of_word(word)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
+
+
+class TestKernelErrors:
+    def test_step_limit_leaves_no_cache_entry(self, monkeypatch):
+        alg = build_preset("so22", 2).presentation
+        word = (5, 4, 3, 2, 1, 0, 5, 4)
+        assert word not in alg._nf_cache
+        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 3)
+        with pytest.raises(NonTerminating):
+            alg.normal_form_of_word(word)
+        assert word not in alg._nf_cache
+        monkeypatch.undo()
+        assert alg.normal_form_of_word(word) == leftmost_descent_normal_form(alg, word)
+
+    def test_missing_rule_inside_table_entry_raises_again(self):
+        alg = AlgebraPresentation("partial3", ("a", "b", "c"), "z", 1)
+        one = alg.domain.one
+        alg.set_rules({(1, 0): None,
+                       (2, 0): alg.element({((0, 1), (2, 1)): one}),
+                       (2, 1): alg.element({((1, 1), (2, 1)): one})})
+        # b*c*a: computing (b c)*a needs b*a, which has no rule; the second
+        # call must not mistake a leftover in-progress mark for a cycle
+        for _ in range(2):
+            with pytest.raises(MissingRule):
+                alg.normal_form_of_word((1, 2, 0))
+        with pytest.raises(MissingRule):
+            alg.gen("b") * alg.gen("a")
+
+    def test_runaway_rewriting_is_nonterminating(self, monkeypatch):
+        alg = AlgebraPresentation("runaway", ("a", "b"), "z", 1)
+        # b*a = a^2 b^2 makes b^2 a grow without end; each step waits on the
+        # next, so a small limit keeps the stack of pending entries small
+        alg.set_rules({(1, 0): alg.element({((0, 2), (1, 2)): alg.domain.one})})
+        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 2000)
+        with pytest.raises(NonTerminating, match="exceeded"):
+            alg.normal_form_of_word((1, 1, 0))
+        assert (1, 1, 0) not in alg._nf_cache
+
+    def test_cycle_through_truncated_terms_is_nonterminating(self):
+        # (b c)*a needs b*a = z b c, then (b c)*a again: every return carries
+        # a power of z, but a table entry holds u*g for any coefficient
+        alg = AlgebraPresentation("zcycle", ("a", "b", "c"), "z", 2)
+        alg.set_rules({(1, 0): alg.element({((1, 1), (2, 1)): mono(alg, 1, 1)}),
+                       (2, 0): alg.element({((0, 2),): mono(alg, 1, 1)}),
+                       (2, 1): alg.element({((1, 1), (2, 1)): alg.domain.one})})
+        with pytest.raises(NonTerminating, match="cycles"):
+            alg.normal_form_of_word((1, 2, 0))
+        assert alg.normal_form_of_word((2, 1)) == {((1, 1), (2, 1)): alg.domain.one}
+
+    @pytest.mark.parametrize("name", ["so22", "nullplane-eps"])
+    def test_interned_coefficients_equal_fresh_ones(self, name):
+        alg = fresh_presentation(name, 2)
+        rng = random.Random(3)
+        for _ in range(10):
+            alg.normal_form_of_word(tuple(rng.randrange(6) for _ in range(5)))
+        stored = [c for nf in alg._nf_cache.values() for c in nf.values()]
+        stored += [c for entry in alg._table.values() for _, c in entry]
+        assert stored
+        for c in stored:
+            assert alg._interned[c] is c
+            if isinstance(c, EpsLaurent):
+                fresh = EpsLaurent({k: s + s.zero(s.param, s.order)
+                                    for k, s in c.slices.items()})
+            else:
+                fresh = c + c.zero(c.param, c.order)
+            assert fresh is not c
+            assert fresh == c and hash(fresh) == hash(c)
 
 
 class TestMul:
