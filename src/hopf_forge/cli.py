@@ -11,6 +11,9 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .algebras import (FAULTS, PRESET_NAMES, PresetConstructionError,
                        check_basis_change, check_casimir_centrality,
@@ -28,52 +31,100 @@ DEFAULT_ORDER_2FOLD = 4
 DEFAULT_ORDER_3FOLD = 3
 DEFAULT_TIMEOUT_SECS = 900
 
-R_PRESETS = ("sl2", "so22", "nullplane")
-R_CHECKS = ("qybe", "intertwine", "triangular", "cybe", "cocommutator")
-
-CHECK_NAMES = (
-    "consistency", "hopf", "casimir", "classical", "subalgebra",
-    "qybe", "intertwine", "triangular", "cybe", "cocommutator", "rfactor",
-    "twocopy", "basischange", "contraction",
-    "matrixrep", "matrixr", "poisson", "rtt", "weyl", "groupcoproduct",
-    "qplane", "diffrep",
-)
-
 
 class UsageError(Exception):
     pass
 
 
-def _collect(reports, out):
-    if isinstance(reports, CheckReport):
-        out.append(reports)
-    else:
-        out.extend(reports)
+class _Row(NamedTuple):
+    """One row of the verify table.
+
+    ``run(preset, order)`` returns the row's report(s).  Without --algebra
+    the row runs on ``defaults`` (``accepts`` when None) at ``order``, or at
+    --order when given, and never below ``min_order``.
+    """
+
+    label: str
+    accepts: tuple
+    order: int
+    run: Callable
+    defaults: tuple | None = None
+    min_order: int = 1
+
+
+def _consistency(name, order):
+    """A preset's consistency report; when it fails, construction fails with it."""
+    try:
+        return preset(name, order).presentation.consistency_check()
+    except PresetConstructionError as e:
+        # a copy: the report is cached with the preset, and a budget failure
+        # added to it must not reach the next check that builds the preset
+        return replace(e.report, failures=list(e.report.failures))
+
+
+def _check_table(fault=None):
+    """Verify verb -> its rows, in plan order; ``fault`` goes to rtt and diffrep."""
+    from . import contraction, diffrep, repfrt, rmat
+
+    every = PRESET_NAMES
+    r_recipe = ("sl2", "so22", "nullplane")
+    null = ("nullplane",)
+    o2, o3 = DEFAULT_ORDER_2FOLD, DEFAULT_ORDER_3FOLD
+
+    def at(check):
+        """A runner for a check that takes the order only."""
+        return lambda p, order: check(order)
+
+    return {
+        "consistency": [_Row("consistency", every, o2, _consistency)],
+        "hopf": [_Row("hopf", every, o2,
+                      lambda p, order: preset(p, order).hopf.run_all_checks())],
+        "casimir": [_Row("casimir-centrality", every, o2, check_casimir_centrality)],
+        "classical": [_Row("classical-limit", null, o2, at(check_classical_limits))],
+        "subalgebra": [_Row("hopf-subalgebra", null, o2,
+                            lambda p, order: preset(p, order).hopf.subalgebra_check(
+                                ("P_plus", "P_1", "E_1", "K_2")))],
+        "qybe": [_Row("qybe", ("sl2", "nullplane"), o3, rmat.check_qybe),
+                 _Row("qybe", ("so22",), 2, rmat.check_qybe)],
+        "intertwine": [_Row("intertwine", r_recipe, o3, rmat.check_intertwiner,
+                            ("sl2", "nullplane"))],
+        "triangular": [_Row("triangular", r_recipe, o2, rmat.check_triangularity)],
+        "cybe": [_Row("cybe", r_recipe, o2, rmat.check_cybe, ("so22", "nullplane"))],
+        "cocommutator": [
+            _Row("cocommutator", r_recipe, o2, rmat.check_cocommutator_link,
+                 ("so22", "nullplane")),
+            _Row("cocommutator-table", null, o2, at(rmat.check_np_cocommutator_table)),
+            _Row("classical-r", r_recipe, o2, rmat.check_classical_r)],
+        "rfactor": [_Row("r-factorization", ("so22",), o2, at(rmat.check_factorization))],
+        "twocopy": [_Row("twocopy", ("so22",), o2, at(cross_check_two_copy))],
+        "basischange": [_Row("basis-change", ("sl2-jbasis",), o2, at(check_basis_change))],
+        "contraction": [_Row("contraction", null, o2, at(contraction.contract_so22))],
+        "matrixrep": [_Row("matrixrep", null, o2, at(repfrt.check_matrix_rep))],
+        "matrixr": [_Row("matrix-r", null, o2, at(repfrt.check_matrix_r), min_order=3)],
+        "poisson": [_Row("poisson-table", null, o2, at(repfrt.check_poisson_table)),
+                    _Row("poisson-jacobi", null, o2, at(repfrt.check_poisson_jacobi))],
+        "rtt": [_Row("rtt", null, o2,
+                     lambda p, order: repfrt.check_rtt(order, fault=fault))],
+        "weyl": [_Row("weyl", null, o2, at(repfrt.check_weyl_correspondence))],
+        "groupcoproduct": [_Row("group-coproduct", null, o2,
+                                at(repfrt.check_group_coproduct))],
+        "qplane": [_Row("qplane", null, o2, at(repfrt.check_quantum_plane))],
+        "diffrep": [_Row("diffrep", null, o2,
+                         lambda p, order: diffrep.run_diffrep_checks(order, fault=fault))],
+    }
 
 
 def _run_timed(label, fn, out, budget, order):
-    from .coeff import CoeffError
-    from .ncalg import AlgebraError
-    from .repfrt import InconsistentBivector
-    from .rmat import NotAntisymmetric
-
+    """Run one plan entry; a check that raises becomes one failing report."""
     name, algebra = label
     t0 = time.monotonic()
     try:
         reports = fn()
-    except PresetConstructionError as e:
-        e.report.seconds = time.monotonic() - t0
-        out.append(e.report)
-        return
-    except (NotAntisymmetric, InconsistentBivector, AlgebraError, CoeffError) as e:
-        rep = CheckReport(check=name, algebra=algebra, order=order,
-                          seconds=time.monotonic() - t0)
-        rep.add_failure(type(e).__name__, str(e))
-        out.append(rep)
-        return
+    except Exception as e:
+        reports = CheckReport(check=name, algebra=algebra, order=order)
+        reports.add_failure(type(e).__name__, str(e))
     elapsed = time.monotonic() - t0
-    batch = []
-    _collect(reports, batch)
+    batch = [reports] if isinstance(reports, CheckReport) else list(reports)
     for r in batch:
         if not r.seconds:
             r.seconds = elapsed / max(len(batch), 1)
@@ -84,131 +135,44 @@ def _run_timed(label, fn, out, budget, order):
 
 
 def _verify_plan(check, algebra, args):
-    """List of zero-argument runners realizing one verify verb."""
-    order2 = args.order if args.order is not None else DEFAULT_ORDER_2FOLD
-    order3 = args.order if args.order is not None else DEFAULT_ORDER_3FOLD
+    """A verify verb as ``((label, preset), order, runner)`` entries.
 
-    def qybe_order(name):
-        if args.order is not None:
-            return args.order
-        return 2 if name == "so22" else DEFAULT_ORDER_3FOLD
-
-    def presets_for(name):
-        if algebra and name in R_CHECKS and algebra not in R_PRESETS:
-            if check != "all":
-                raise UsageError(f"preset {algebra!r} carries no R-matrix recipe")
-            return ()
-        if algebra:
-            return (algebra,)
-        if name in ("qybe", "triangular"):
-            return R_PRESETS
-        if name == "intertwine":
-            return ("sl2", "nullplane")
-        if name in ("cybe", "cocommutator"):
-            return ("so22", "nullplane")
-        return PRESET_NAMES
-
-    def only_on(name, home):
-        """A check that runs on one preset: ``home``, unless --algebra names another."""
-        if algebra and algebra != home:
-            if check != "all":
-                raise UsageError(f"check {name!r} runs on the {home} preset only")
-            return ()
-        return (home,)
-
-    from . import contraction, diffrep, repfrt, rmat
-
+    Without --algebra each row runs on its default presets; with it, a row
+    runs on that preset if it accepts it and is skipped otherwise.
+    """
+    table = _check_table(args.inject_fault)
+    if check != "all" and check not in table:
+        raise UsageError(f"unknown check {check!r}; choose from "
+                         f"all, {', '.join(table)}")
+    if algebra and algebra not in PRESET_NAMES:
+        raise UsageError(f"unknown preset {algebra!r}")
+    rows = [row for verb in (table if check == "all" else (check,))
+            for row in table[verb]]
     plan = []
-
-    def add(name, alg, fn):
-        plan.append(((name, alg), fn))
-
-    if check in ("consistency", "all"):
-        for p in presets_for("consistency"):
-            add("consistency", p,
-                lambda p=p: preset(p, order2).presentation.consistency_check())
-    if check in ("hopf", "all"):
-        for p in presets_for("hopf"):
-            add("hopf", p, lambda p=p: preset(p, order2).hopf.run_all_checks())
-    if check in ("casimir", "all"):
-        for p in presets_for("casimir"):
-            add("casimir-centrality", p, lambda p=p: check_casimir_centrality(p, order2))
-    if check in ("classical", "all"):
-        for p in only_on("classical", "nullplane"):
-            add("classical-limit", p, lambda: check_classical_limits(order2))
-    if check in ("subalgebra", "all"):
-        for p in only_on("subalgebra", "nullplane"):
-            add("hopf-subalgebra", p,
-                lambda: preset("nullplane", order2).hopf.subalgebra_check(
-                    ("P_plus", "P_1", "E_1", "K_2")))
-    if check in ("qybe", "all"):
-        for p in presets_for("qybe"):
-            add("qybe", p, lambda p=p: rmat.check_qybe(p, qybe_order(p)))
-    if check in ("intertwine", "all"):
-        for p in presets_for("intertwine"):
-            add("intertwine", p, lambda p=p: rmat.check_intertwiner(p, order3))
-    if check in ("triangular", "all"):
-        for p in presets_for("triangular"):
-            add("triangular", p, lambda p=p: rmat.check_triangularity(p, order2))
-    if check in ("cybe", "all"):
-        for p in presets_for("cybe"):
-            add("cybe", p, lambda p=p: rmat.check_cybe(p, order2))
-    if check in ("cocommutator", "all"):
-        for p in presets_for("cocommutator"):
-            add("cocommutator", p, lambda p=p: rmat.check_cocommutator_link(p, order2))
-        add("cocommutator-table", "nullplane",
-            lambda: rmat.check_np_cocommutator_table(order2))
-        for p in presets_for("qybe"):
-            add("classical-r", p, lambda p=p: rmat.check_classical_r(p, order2))
-    if check in ("rfactor", "all"):
-        add("r-factorization", "so22", lambda: rmat.check_factorization(order2))
-    if check in ("twocopy", "all"):
-        add("twocopy", "so22", lambda: cross_check_two_copy(order2))
-    if check in ("basischange", "all"):
-        add("basis-change", "sl2-jbasis", lambda: check_basis_change(order2))
-    if check in ("contraction", "all"):
-        add("contraction", "nullplane", lambda: contraction.contract_so22(order2))
-    if check in ("matrixrep", "all"):
-        add("matrixrep", "nullplane", lambda: repfrt.check_matrix_rep(order2))
-    if check in ("matrixr", "all"):
-        add("matrix-r", "nullplane", lambda: repfrt.check_matrix_r(max(order2, 3)))
-    if check in ("poisson", "all"):
-        add("poisson-table", "poincare-group",
-            lambda: repfrt.check_poisson_table(order2))
-        add("poisson-jacobi", "poincare-group",
-            lambda: repfrt.check_poisson_jacobi(order2))
-    if check in ("rtt", "all"):
-        add("rtt", "qpoincare",
-            lambda: repfrt.check_rtt(order2, fault=args.inject_fault))
-    if check in ("weyl", "all"):
-        add("weyl", "qpoincare", lambda: repfrt.check_weyl_correspondence(order2))
-    if check in ("groupcoproduct", "all"):
-        add("group-coproduct", "qpoincare",
-            lambda: repfrt.check_group_coproduct(order2))
-    if check in ("qplane", "all"):
-        add("qplane", "qplane", lambda: repfrt.check_quantum_plane(order2))
-    if check in ("diffrep", "all"):
-        add("diffrep", "nullplane",
-            lambda: diffrep.run_diffrep_checks(order2, fault=args.inject_fault))
-    return plan, order2
+    for row in rows:
+        order = max(row.order if args.order is None else args.order, row.min_order)
+        presets = row.defaults or row.accepts
+        if algebra:
+            presets = (algebra,) if algebra in row.accepts else ()
+        for p in presets:
+            plan.append(((row.label, p), order, partial(row.run, p, order)))
+    if not plan:
+        homes = [p for p in PRESET_NAMES if any(p in row.accepts for row in rows)]
+        if len(homes) == 1:
+            raise UsageError(f"check {check!r} runs on the {homes[0]} preset only")
+        # the checks that take some presets but not all need an R-matrix recipe
+        raise UsageError(f"preset {algebra!r} carries no R-matrix recipe; "
+                         f"check {check!r} runs on {', '.join(homes)}")
+    return plan
 
 
 def cmd_verify(args):
-    if args.check != "all" and args.check not in CHECK_NAMES:
-        raise UsageError(f"unknown check {args.check!r}; choose from "
-                         f"all, {', '.join(CHECK_NAMES)}")
-    if args.algebra and args.algebra not in PRESET_NAMES:
-        raise UsageError(f"unknown preset {args.algebra!r}")
-    if args.inject_fault:
-        set_active_fault(args.inject_fault)
+    set_active_fault(args.inject_fault)
     try:
-        plan, order = _verify_plan(args.check, args.algebra, args)
-        if not plan:
-            raise UsageError(f"check {args.check!r} takes no --algebra "
-                             f"{args.algebra!r} combination")
+        plan = _verify_plan(args.check, args.algebra, args)
         reports = []
         budget = args.timeout_secs or DEFAULT_TIMEOUT_SECS
-        for label, fn in plan:
+        for label, order, fn in plan:
             _run_timed(label, fn, reports, budget, order)
     finally:
         set_active_fault(None)
@@ -383,21 +347,23 @@ def build_parser():
     # a string default goes through ``type`` too, unless --order is given
     default_order = os.environ.get("HOPF_FORGE_ORDER") or None
 
-    def add_common(sp, formats=("text", "json")):
+    def add_common(sp, formats=("text", "json"), order_help="default 4"):
         sp.add_argument("--order", type=_order_arg, default=default_order,
-                        help="truncation order (1..6; default 4, QYBE 3)")
+                        help=f"truncation order (1..6; {order_help})")
         sp.add_argument("--format", choices=formats, default="text")
 
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("verify", help="run verification checks")
-    sp.add_argument("check", help=f"all or one of: {', '.join(CHECK_NAMES)}")
-    sp.add_argument("--algebra", help="restrict to one preset")
+    sp.add_argument("check", help=f"all or one of: {', '.join(_check_table())}")
+    sp.add_argument("--algebra",
+                    help="run only on this preset, skipping checks that do not accept it")
     sp.add_argument("--timeout-secs", type=float, default=None,
                     help="per-check wall-clock budget (default 900)")
     sp.add_argument("--inject-fault", choices=sorted(FAULTS),
                     help="testing hook: corrupt one structure and expect failure")
-    add_common(sp)
+    add_common(sp, order_help="default 4; qybe and intertwine 3, qybe on so22 2; "
+                              "matrixr runs at 3 or more")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("normalize", help="normal-order an expression")

@@ -207,26 +207,12 @@ def _laurent_from_terms(terms, order):
 
 def hamiltonian_multiplier(order):
     """w(m_q^2 + p_1^2 e^{-2wp_+}) / (1 - e^{-2wp_+}), asserted w-regular."""
-    top = order + 1
-    num_terms = {1: rf(MOMENTUM_RING.var("m_q2"))}
-    p1sq = rf(pvar("p_1") ** 2)
-    for k, v in _exp_multiplier(order, -2, shift=1, top=top).items():
-        num_terms[k] = num_terms.get(k, RF_ZERO) + p1sq * v
-    den_terms = {}
-    for k, v in _exp_multiplier(order, -2, shift=0, top=top).items():
-        den_terms[k] = den_terms.get(k, RF_ZERO) - v
-    den_terms[0] = den_terms.get(0, RF_ZERO) + RF_ONE
-    num = _laurent_from_terms(num_terms, top)
-    den = _laurent_from_terms(den_terms, top)
-    quotient = num.divide(den)
-    if not quotient.is_regular():
-        raise PoleDetected("Hamiltonian multiplier has a w-pole")
-    return quotient.to_series(order)
+    return f1_derivative_coefficient(order, "exponential")
 
 
 def f1_derivative_coefficient(order, reading="plain"):
-    """w(m_q^2 + p_1^2 [e^{-2wp_+}]) / (1 - e^{-2wp_+}); the bracketed factor
-    is present only in the 'exponential' reading."""
+    """w(m_q^2 + p_1^2 [e^{-2wp_+}]) / (1 - e^{-2wp_+}), asserted w-regular;
+    the bracketed factor is present only in the 'exponential' reading."""
     top = order + 1
     num_terms = {1: rf(MOMENTUM_RING.var("m_q2"))}
     p1sq = rf(pvar("p_1") ** 2)
@@ -244,7 +230,7 @@ def f1_derivative_coefficient(order, reading="plain"):
     quotient = _laurent_from_terms(num_terms, top).divide(
         _laurent_from_terms(den_terms, top))
     if not quotient.is_regular():
-        raise PoleDetected("F_1 derivative coefficient has a w-pole")
+        raise PoleDetected(f"F_1 coefficient ({reading} reading) has a w-pole")
     return quotient.to_series(order)
 
 

@@ -492,40 +492,54 @@ def quantum_presentation(order, fault=None):
     return alg
 
 
-def _element_ideal_reduce(x):
-    """Reduce the L-polynomial part of each a-monomial block modulo the ideal."""
-    alg = x.algebra
+def _reduce_blocks(alg, terms, ring, width, basis):
+    """Reduce the L-polynomials of each a-monomial block modulo an ideal.
+
+    ``terms`` maps a tuple of words, one per tensor slot, to a series.  Each
+    word splits into its L-part and its a-part; the a-parts pick the block.
+    Per w-degree, a block's L-parts form one polynomial over ``ring`` (slot s
+    at variables s*width onward), reduced by the Groebner ``basis`` and
+    turned back into words.
+    """
     n_l = len(L_NAMES)
     blocks = {}
-    for w, c in x.terms.items():
-        lpart = tuple((g, e) for g, e in w if g < n_l)
-        apart = tuple((g, e) for g, e in w if g >= n_l)
-        blocks.setdefault(apart, {})[lpart] = c
+    for words, c in terms.items():
+        e = [0] * len(ring.vars)
+        for s, w in enumerate(words):
+            for g, ex in w:
+                if g < n_l:
+                    e[s * width + g] = ex
+        apart = tuple(tuple((g, ex) for g, ex in w if g >= n_l) for w in words)
+        blocks.setdefault(apart, []).append((tuple(e), c))
     out = {}
     for apart, lterms in blocks.items():
         for k in range(alg.order + 1):
             poly_terms = {}
-            for lpart, c in lterms.items():
+            for e, c in lterms:
                 v = c.coefficient(k)
-                if v.is_zero():
-                    continue
-                e = [0] * len(COORD_NAMES)
-                for g, ex in lpart:
-                    e[g] = ex
-                poly_terms[tuple(e)] = v
+                if not v.is_zero():
+                    poly_terms[e] = poly_terms.get(e, FE_ZERO) + v
             if not poly_terms:
                 continue
-            red = ideal_reduce(Polynomial(RING12, poly_terms))
+            red = reduce_poly(Polynomial(ring, poly_terms), basis)
             for e, c in red.terms.items():
-                word = tuple((i, ex) for i, ex in enumerate(e) if ex) + apart
-                cur = out.get(word)
-                s = DeformationSeries.monomial(c, k, alg.param, alg.order)
-                s = s if cur is None else cur + s
-                if s.is_zero():
-                    out.pop(word, None)
+                key = tuple(tuple((i, ex) for i, ex in enumerate(e[s * width:(s + 1) * width])
+                                  if ex) + a for s, a in enumerate(apart))
+                term = DeformationSeries.monomial(c, k, alg.param, alg.order)
+                cur = out.get(key)
+                term = term if cur is None else cur + term
+                if term.is_zero():
+                    out.pop(key, None)
                 else:
-                    out[word] = s
-    return NCElement(alg, out)
+                    out[key] = term
+    return out
+
+
+def _element_ideal_reduce(x):
+    """Reduce the L-polynomial part of each a-monomial block modulo the ideal."""
+    out = _reduce_blocks(x.algebra, {(w,): c for w, c in x.terms.items()}, RING12,
+                         len(COORD_NAMES), orthogonality_groebner())
+    return NCElement(x.algebra, {w: c for (w,), c in out.items()})
 
 
 def quantum_t(alg):
@@ -610,50 +624,22 @@ def check_weyl_correspondence(order=2):
 
 # -- group coproduct --------------------------------------------------------------
 
-def _tensor18_reduce(t):
-    """Reduce both tensor slots' L-polynomials modulo the (doubled) ideal."""
-    alg = t.algebra
+@lru_cache(maxsize=None)
+def _doubled_ideal():
+    """The orthogonality ideal on each slot of the 18-variable L (x) L ring."""
     n_l = len(L_NAMES)
     ring18 = PolyRing(tuple(f"s1_{v}" for v in L_NAMES)
                       + tuple(f"s2_{v}" for v in L_NAMES))
-    gb = [_lift_poly(g, ring18, 0) for g in orthogonality_groebner()] + \
-         [_lift_poly(g, ring18, n_l) for g in orthogonality_groebner()]
-    blocks = {}
-    for (w1, w2), c in t.terms.items():
-        l1 = tuple((g, e) for g, e in w1 if g < n_l)
-        a1 = tuple((g, e) for g, e in w1 if g >= n_l)
-        l2 = tuple((g, e) for g, e in w2 if g < n_l)
-        a2 = tuple((g, e) for g, e in w2 if g >= n_l)
-        blocks.setdefault((a1, a2), {})[(l1, l2)] = c
-    out = {}
-    for (a1, a2), lterms in blocks.items():
-        for k in range(alg.order + 1):
-            poly_terms = {}
-            for (l1, l2), c in lterms.items():
-                v = c.coefficient(k)
-                if v.is_zero():
-                    continue
-                e = [0] * 18
-                for g, ex in l1:
-                    e[g] = ex
-                for g, ex in l2:
-                    e[n_l + g] = ex
-                poly_terms[tuple(e)] = poly_terms.get(tuple(e), FE_ZERO) + v
-            if not poly_terms:
-                continue
-            red = reduce_poly(Polynomial(ring18, poly_terms), gb)
-            for e, c in red.terms.items():
-                w1 = tuple((i, ex) for i, ex in enumerate(e[:n_l]) if ex) + a1
-                w2 = tuple((i, ex) for i, ex in enumerate(e[n_l:]) if ex) + a2
-                key = (w1, w2)
-                s = DeformationSeries.monomial(c, k, alg.param, alg.order)
-                cur = out.get(key)
-                s = s if cur is None else cur + s
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return TensorElement(alg, 2, out)
+    gb = [_lift_poly(g, ring18, offset)
+          for offset in (0, n_l) for g in orthogonality_groebner()]
+    return ring18, gb
+
+
+def _tensor18_reduce(t):
+    """Reduce both tensor slots' L-polynomials modulo the (doubled) ideal."""
+    ring18, gb = _doubled_ideal()
+    return TensorElement(t.algebra, 2,
+                         _reduce_blocks(t.algebra, t.terms, ring18, len(L_NAMES), gb))
 
 
 def _lift_poly(p, ring, offset):

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from hopf_forge.cli import _verify_plan, build_parser
+from hopf_forge.algebras import PRESET_NAMES, set_active_fault
+from hopf_forge.cli import UsageError, _run_timed, _verify_plan, build_parser
 
 CLI = [sys.executable, "-m", "hopf_forge"]
 
@@ -56,7 +57,8 @@ class TestExitCodes:
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("check, algebra",
-                             [("classical", "sl2"), ("subalgebra", "so22")])
+                             [("classical", "sl2"), ("subalgebra", "so22"),
+                              ("matrixrep", "sl2"), ("poisson", "so22")])
     def test_nullplane_check_on_other_preset_is_usage_error(self, check, algebra):
         r = run("verify", check, "--algebra", algebra, "--order", "2")
         assert r.returncode == 2
@@ -64,18 +66,28 @@ class TestExitCodes:
         assert "PASS" not in r.stdout
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("check, algebra",
+                             [("rfactor", "sl2"), ("twocopy", "nullplane"),
+                              ("basischange", "nullplane")])
+    def test_single_preset_check_on_other_preset_is_usage_error(self, check, algebra):
+        r = run("verify", check, "--algebra", algebra, "--order", "2")
+        assert r.returncode == 2
+        assert "preset only" in r.stderr
+        assert "PASS" not in r.stdout
+        assert "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("algebra", ["sl2", "so22", "sl2-jbasis"])
     def test_verify_all_skips_nullplane_checks_for_other_presets(self, algebra):
         args = build_parser().parse_args(["verify", "all", "--algebra", algebra])
-        plan, _ = _verify_plan("all", algebra, args)
-        labels = [label for label, _ in plan]
+        plan = _verify_plan("all", algebra, args)
+        labels = [label for label, _, _ in plan]
         assert ("classical-limit", "nullplane") not in labels
         assert ("hopf-subalgebra", "nullplane") not in labels
         assert ("hopf", algebra) in labels
 
     def test_verify_all_on_nullplane_keeps_nullplane_checks(self):
         args = build_parser().parse_args(["verify", "all", "--algebra", "nullplane"])
-        labels = [label for label, _ in _verify_plan("all", "nullplane", args)[0]]
+        labels = [label for label, _, _ in _verify_plan("all", "nullplane", args)]
         assert ("classical-limit", "nullplane") in labels
         assert ("hopf-subalgebra", "nullplane") in labels
 
@@ -90,6 +102,113 @@ class TestExitCodes:
                 "--timeout-secs", "0.000001")
         assert r.returncode == 1
         assert "wall clock" in r.stdout
+
+
+NULLPLANE = ("nullplane",)
+R_RECIPE = ("sl2", "so22", "nullplane")
+
+# verb -> the presets it accepts with --algebra
+ACCEPTS = {
+    "consistency": PRESET_NAMES, "hopf": PRESET_NAMES, "casimir": PRESET_NAMES,
+    "classical": NULLPLANE, "subalgebra": NULLPLANE,
+    "qybe": R_RECIPE, "intertwine": R_RECIPE, "triangular": R_RECIPE,
+    "cybe": R_RECIPE, "cocommutator": R_RECIPE,
+    "rfactor": ("so22",), "twocopy": ("so22",), "basischange": ("sl2-jbasis",),
+    "contraction": NULLPLANE, "matrixrep": NULLPLANE, "matrixr": NULLPLANE,
+    "poisson": NULLPLANE, "rtt": NULLPLANE, "weyl": NULLPLANE,
+    "groupcoproduct": NULLPLANE, "qplane": NULLPLANE, "diffrep": NULLPLANE,
+}
+
+# (label, presets, order) of the default `verify all` plan, in plan order
+DEFAULT_PLAN = [
+    ("consistency", PRESET_NAMES, 4), ("hopf", PRESET_NAMES, 4),
+    ("casimir-centrality", PRESET_NAMES, 4),
+    ("classical-limit", NULLPLANE, 4), ("hopf-subalgebra", NULLPLANE, 4),
+    ("qybe", ("sl2", "nullplane"), 3), ("qybe", ("so22",), 2),
+    ("intertwine", ("sl2", "nullplane"), 3), ("triangular", R_RECIPE, 4),
+    ("cybe", ("so22", "nullplane"), 4), ("cocommutator", ("so22", "nullplane"), 4),
+    ("cocommutator-table", NULLPLANE, 4), ("classical-r", R_RECIPE, 4),
+    ("r-factorization", ("so22",), 4), ("twocopy", ("so22",), 4),
+    ("basis-change", ("sl2-jbasis",), 4), ("contraction", NULLPLANE, 4),
+    ("matrixrep", NULLPLANE, 4), ("matrix-r", NULLPLANE, 4),
+    ("poisson-table", NULLPLANE, 4), ("poisson-jacobi", NULLPLANE, 4),
+    ("rtt", NULLPLANE, 4), ("weyl", NULLPLANE, 4), ("group-coproduct", NULLPLANE, 4),
+    ("qplane", NULLPLANE, 4), ("diffrep", NULLPLANE, 4),
+]
+
+
+def plan_of(*argv):
+    args = build_parser().parse_args(["verify", *argv])
+    return _verify_plan(args.check, args.algebra, args)
+
+
+class TestVerifyPlan:
+    """The verify table, read through ``_verify_plan``; no check runs."""
+
+    def test_verbs_are_the_table(self):
+        with pytest.raises(UsageError, match="choose from all, " + ", ".join(ACCEPTS)):
+            plan_of("nonsense")
+
+    @pytest.mark.parametrize("check, algebra",
+                             [(c, p) for c in ACCEPTS for p in PRESET_NAMES
+                              if p not in ACCEPTS[c]])
+    def test_refused_preset_is_usage_error(self, check, algebra):
+        with pytest.raises(UsageError) as e:
+            plan_of(check, "--algebra", algebra)
+        if len(ACCEPTS[check]) == 1:
+            assert f"runs on the {ACCEPTS[check][0]} preset only" in str(e.value)
+        else:
+            assert "no R-matrix recipe" in str(e.value)
+
+    @pytest.mark.parametrize("check, algebra",
+                             [(c, p) for c in ACCEPTS for p in ACCEPTS[c]])
+    def test_accepted_preset_runs_there_only(self, check, algebra):
+        plan = plan_of(check, "--algebra", algebra)
+        assert plan
+        assert {p for (_, p), _, _ in plan} == {algebra}
+
+    def test_default_plan(self):
+        want = [(label, p, order) for label, presets, order in DEFAULT_PLAN
+                for p in presets]
+        assert [(label, p, order) for (label, p), order, _ in plan_of("all")] == want
+
+    def test_plan_at_order_two(self):
+        want = [(label, p, 3 if label == "matrix-r" else 2)
+                for label, presets, _ in DEFAULT_PLAN for p in presets]
+        got = [(label, p, order) for (label, p), order, _ in plan_of("all", "--order", "2")]
+        assert got == want
+
+    def test_all_on_one_preset_keeps_the_rows_that_accept_it(self):
+        got = [(label, p) for (label, p), _, _ in plan_of("all", "--algebra", "so22")]
+        assert got == [("consistency", "so22"), ("hopf", "so22"),
+                       ("casimir-centrality", "so22"), ("qybe", "so22"),
+                       ("intertwine", "so22"), ("triangular", "so22"), ("cybe", "so22"),
+                       ("cocommutator", "so22"), ("classical-r", "so22"),
+                       ("r-factorization", "so22"), ("twocopy", "so22")]
+
+    def test_blocked_check_reports_under_its_own_label(self):
+        args = build_parser().parse_args(["verify", "qybe", "--algebra", "nullplane",
+                                          "--order", "2", "--inject-fault", "ncalg-rule"])
+        set_active_fault("ncalg-rule")
+        try:
+            out = []
+            for label, order, fn in _verify_plan("qybe", "nullplane", args):
+                _run_timed(label, fn, out, 900, order)
+        finally:
+            set_active_fault(None)
+        assert [(r.check, r.algebra, r.order, r.passed) for r in out] == \
+            [("qybe", "nullplane", 2, False)]
+        assert out[0].failures[0]["input"] == "PresetConstructionError"
+        assert "consistency nullplane" in out[0].failures[0]["residual"]
+
+    def test_raising_check_is_a_report(self):
+        def boom():
+            raise KeyError("x")
+        out = []
+        _run_timed(("matrix-r", "nullplane"), boom, out, 900, 3)
+        assert [(r.check, r.algebra, r.order, r.passed) for r in out] == \
+            [("matrix-r", "nullplane", 3, False)]
+        assert out[0].failures[0]["input"] == "KeyError"
 
 
 class TestOutputs:
