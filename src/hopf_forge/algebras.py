@@ -138,6 +138,15 @@ NP_CLASSICAL_BRACKETS = {
 NP_GENERATORS = ("P_plus", "P_1", "P_minus", "E_1", "K_2", "F_1")
 SO22_GENERATORS = ("P", "P0_hat", "J_hat", "D", "C_1", "C_2")
 
+
+def classical_bracket(x, y):
+    """The classical null-plane bracket [x, y] as a signed {generator: coefficient}."""
+    table, sign = NP_CLASSICAL_BRACKETS.get((x, y)), 1
+    if table is None:
+        table, sign = NP_CLASSICAL_BRACKETS.get((y, x), {}), -1
+    return {g: FieldElem(sign * c) for g, c in table.items()}
+
+
 # so(2,2) quantum Casimirs as factor recipes, reused by the two-copy and
 # contraction cross-checks (each environment supplies the factor elements)
 SO22_C1Q_RECIPE = (
@@ -723,15 +732,9 @@ def check_classical_limits(order):
         for i in range(j):
             x, y = names[j], names[i]
             got = alg.gen(j).commutator(alg.gen(i)).classical_limit()
-            table = NP_CLASSICAL_BRACKETS.get((x, y))
-            sign = 1
-            if table is None:
-                table = NP_CLASSICAL_BRACKETS.get((y, x))
-                sign = -1
             want = alg.zero()
-            if table:
-                for g, c in table.items():
-                    want = want + alg.gen(g) * FieldElem(sign * c)
+            for g, c in classical_bracket(x, y).items():
+                want = want + alg.gen(g) * c
             if not (got - want).is_zero():
                 rep.add_failure(f"[{x},{y}]", repr(got - want))
 

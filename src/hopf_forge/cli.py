@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -53,13 +54,13 @@ class _Row(NamedTuple):
 
 
 def _consistency(name, order):
-    """A preset's consistency report; when it fails, construction fails with it."""
+    """A copy of the consistency report cached when the preset was built; a
+    copy, so that its timing or a budget failure never reaches the cache."""
     try:
-        return preset(name, order).presentation.consistency_check()
+        rep = preset(name, order).aux["_consistency"]
     except PresetConstructionError as e:
-        # a copy: the report is cached with the preset, and a budget failure
-        # added to it must not reach the next check that builds the preset
-        return replace(e.report, failures=list(e.report.failures))
+        rep = e.report
+    return replace(rep, failures=list(rep.failures))
 
 
 def _check_table(fault=None):
@@ -171,9 +172,8 @@ def cmd_verify(args):
     try:
         plan = _verify_plan(args.check, args.algebra, args)
         reports = []
-        budget = args.timeout_secs or DEFAULT_TIMEOUT_SECS
         for label, order, fn in plan:
-            _run_timed(label, fn, reports, budget, order)
+            _run_timed(label, fn, reports, args.timeout_secs, order)
     finally:
         set_active_fault(None)
 
@@ -338,6 +338,18 @@ def _order_arg(text):
     return order
 
 
+def _budget_arg(text):
+    """--timeout-secs: a positive, finite number of seconds."""
+    try:
+        secs = float(text)
+    except ValueError:
+        secs = 0.0
+    if not 0 < secs < math.inf:  # also refuses nan
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text!r}")
+    return secs
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="hopf-forge",
@@ -358,7 +370,7 @@ def build_parser():
     sp.add_argument("check", help=f"all or one of: {', '.join(_check_table())}")
     sp.add_argument("--algebra",
                     help="run only on this preset, skipping checks that do not accept it")
-    sp.add_argument("--timeout-secs", type=float, default=None,
+    sp.add_argument("--timeout-secs", type=_budget_arg, default=DEFAULT_TIMEOUT_SECS,
                     help="per-check wall-clock budget (default 900)")
     sp.add_argument("--inject-fault", choices=sorted(FAULTS),
                     help="testing hook: corrupt one structure and expect failure")

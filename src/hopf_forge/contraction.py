@@ -333,7 +333,7 @@ class Contraction:
 
     def check_classical_compatibility(self):
         """eps^0 then w -> 0 of each contracted bracket is the classical table."""
-        from .algebras import NP_CLASSICAL_BRACKETS
+        from .algebras import classical_bracket
         np_alg = self.np.presentation
         rep = CheckReport(check="contraction-classical", algebra="nullplane",
                           order=self.order)
@@ -344,15 +344,9 @@ class Contraction:
                 rep.add_failure(f"[{x},{y}]", "eps poles")
                 continue
             got = got.classical_limit()
-            table = NP_CLASSICAL_BRACKETS.get((x, y))
-            sign = 1
-            if table is None:
-                table = NP_CLASSICAL_BRACKETS.get((y, x))
-                sign = -1
             want = np_alg.zero()
-            if table:
-                for g, c in table.items():
-                    want = want + np_alg.gen(g) * FieldElem(sign * c)
+            for g, c in classical_bracket(x, y).items():
+                want = want + np_alg.gen(g) * c
             if not (got - want.classical_limit()).is_zero():
                 rep.add_failure(f"[{x},{y}]", repr(got))
         return rep

@@ -18,6 +18,7 @@ from math import comb, factorial
 
 from .coeff import (DeformationSeries, Domain, FieldElem, LaurentSeries,
                     PoleDetected, rat)
+from .ncalg import WordMap
 from .ratfunc import PolyRing, RationalFunction
 from .report import CheckReport
 from .algebras import preset
@@ -47,11 +48,6 @@ def rf_series(terms, order):
     """w-series over rational functions from {degree: RationalFunction}."""
     coeffs = [terms.get(k, RF_ZERO) for k in range(order + 1)]
     return DeformationSeries("w", order, coeffs, RF_DOMAIN)
-
-
-def lift_series(s):
-    """Scalar Q(sqrt2) w-series -> rational-function-valued w-series."""
-    return s.map_coeffs(rf_const, RF_DOMAIN)
 
 
 class WeylOperator:
@@ -251,17 +247,10 @@ def full_rep(order, reading="plain"):
 
 
 def rep_of_element(rep, element, order):
-    """Image of a null-plane algebra element under the representation."""
-    alg = element.algebra
-    out = WeylOperator.zero(order)
-    for w, c in element.terms.items():
-        piece = WeylOperator.identity(order)
-        for g, e in w:
-            op = rep[alg.generators[g]]
-            for _ in range(e):
-                piece = piece * op
-        out = out + piece.scale(lift_series(c))
-    return out
+    """Image of a null-plane algebra element under the representation (its
+    Q(sqrt2) coefficients scale the rational-function ones directly)."""
+    return WordMap(element.algebra, rep, WeylOperator.identity(order),
+                   WeylOperator.zero(order))(element)
 
 
 # -- checks -----------------------------------------------------------------------

@@ -1,91 +1,71 @@
 """Hopf-structure layer: coproduct, counit, antipode and the axiom checks.
 
 The three maps are given on generators and extended multiplicatively
-(anti-multiplicatively for the antipode); every check below re-verifies the
-axioms mechanically on generators plus all degree-2 normal words, which also
-exercises the rewriting kernel on both tensor slots.
+(anti-multiplicatively for the antipode) by :class:`~hopf_forge.ncalg.WordMap`;
+every check below re-verifies the axioms mechanically on generators plus all
+degree-2 normal words, which also exercises the rewriting kernel on both
+tensor slots.  Without an antipode the same class holds a bialgebra: repfrt
+checks the coassociativity and counit of the FRT quantum group's coproduct
+with it, on the generators only, since that coordinate algebra is Hopf only
+modulo an ideal the checks here do not reduce by.
 """
 
 from __future__ import annotations
 
 from .coeff import FE_ONE
-from .ncalg import NCElement, TensorElement
+from .ncalg import NCElement, TensorElement, WordMap
 from .report import CheckReport
 
 
 class HopfMaps:
-    """Coproduct/counit/antipode data for one presentation."""
+    """Coproduct/counit/antipode data for one presentation.
 
-    def __init__(self, algebra, delta, counit, antipode):
+    ``antipode`` may be None for a bialgebra: the antipode maps then raise
+    :class:`~hopf_forge.ncalg.UnmappedGenerator` and the antipode checks do
+    not apply.
+    """
+
+    def __init__(self, algebra, delta, counit, antipode=None):
         self.algebra = algebra
-        self.delta = {algebra.index.get(g, g): t for g, t in delta.items()}
-        self.counit = {algebra.index.get(g, g): c for g, c in counit.items()}
-        self.antipode = {algebra.index.get(g, g): e for g, e in antipode.items()}
+        self._delta = WordMap(algebra, delta, TensorElement.unit(algebra, 2),
+                              TensorElement.zero(algebra, 2))
+        self._counit = WordMap(algebra, counit, FE_ONE, algebra.domain.zero)
+        self._antipode = WordMap(algebra, antipode or {}, algebra.unit(), algebra.zero(),
+                                 reverse=True)
+        # generator index -> image
+        self.delta, self.counit, self.antipode = (
+            self._delta.images, self._counit.images, self._antipode.images)
         for i in range(len(algebra.generators)):
-            if i not in self.delta or i not in self.counit or i not in self.antipode:
+            if (i not in self.delta or i not in self.counit
+                    or antipode is not None and i not in self.antipode):
                 raise ValueError(f"Hopf data missing for generator {algebra.generators[i]}")
-        self._delta_word = {}
-        self._antipode_word = {}
 
     # -- structure maps ------------------------------------------------------
 
     def coproduct_word(self, word):
         """Coproduct of a normal word (multiplicative extension), cached."""
-        t = self._delta_word.get(word)
-        if t is None:
-            alg = self.algebra
-            t = TensorElement.unit(alg, 2)
-            for g, e in word:
-                for _ in range(e):
-                    t = t * self.delta[g]
-            self._delta_word[word] = t
-        return t
+        return self._delta.word(word)
 
     def coproduct(self, x):
-        out = TensorElement.zero(self.algebra, 2)
-        for w, c in x.terms.items():
-            out = out + self.coproduct_word(w) * c
-        return out
+        return self._delta(x)
 
     def antipode_word(self, word):
         """Antipode of a normal word: reversed product of generator images."""
-        e = self._antipode_word.get(word)
-        if e is None:
-            alg = self.algebra
-            e = alg.unit()
-            for g, k in reversed(word):
-                for _ in range(k):
-                    e = e * self.antipode[g]
-            self._antipode_word[word] = e
-        return e
+        return self._antipode.word(word)
 
     def antipode_of(self, x):
-        out = self.algebra.zero()
-        for w, c in x.terms.items():
-            out = out + self.antipode_word(w) * c
-        return out
+        return self._antipode(x)
 
     def counit_word(self, word):
-        acc = FE_ONE
-        for g, e in word:
-            acc = acc * (self.counit[g] ** e)
-            if acc.is_zero():
-                break
-        return acc
+        return self._counit.word(word)
 
     def counit_of(self, x):
         """Counit of an element, as a scalar series."""
-        acc = self.algebra.domain.zero
-        for w, c in x.terms.items():
-            f = self.counit_word(w)
-            if not f.is_zero():
-                acc = acc + c * f
-        return acc
+        return self._counit(x)
 
     def delta_on_slot(self, t, slot):
         """Apply the coproduct to one slot of an arity-2 tensor (-> arity 3)."""
         alg = self.algebra
-        out = TensorElement.zero(alg, 3)
         acc = {}
         for ws, c in t.terms.items():
             dt = self.coproduct_word(ws[slot])

@@ -21,6 +21,9 @@ copies of few distinct values).  An entry holds ``u*g`` for any coefficient, so
 a rewriting of ``u*g`` that needs ``u*g`` again is a :class:`NonTerminating`
 cycle, even if truncation would have dropped every term that comes back.
 
+A map given on generators (a coproduct, counit or antipode, a substitution, a
+representation) is extended to words and elements by one :class:`WordMap`.
+
 Coefficients are any hashable objects implementing the series protocol (add/
 sub/neg/mul, ``is_zero``, ``val``); the stock choice is
 :class:`~hopf_forge.coeff.DeformationSeries`.
@@ -282,6 +285,46 @@ def _series_domain(param, order):
                   f"series[{param}]^{order}")
 
 
+class WordMap:
+    """A map given by the images of generators, extended to words and elements.
+
+    ``images`` maps generator names (or indices) of ``algebra`` to values in
+    any target with ``*`` and ``+``, whose ``unit`` and ``zero`` are given.  A
+    normal word goes to the product of its generator images, left to right
+    (right to left when ``reverse``, for an anti-homomorphism), cached per
+    word; an element goes to the sum of its word images times its
+    coefficients.
+    """
+
+    def __init__(self, algebra, images, unit, zero, reverse=False):
+        self.algebra = algebra
+        self.images = {algebra.index.get(g, g): v for g, v in images.items()}
+        self.unit = unit
+        self.zero = zero
+        self.reverse = reverse
+        self._cache = {}
+
+    def word(self, word):
+        out = self._cache.get(word)
+        if out is None:
+            out = self.unit
+            for g, e in reversed(word) if self.reverse else word:
+                img = self.images.get(g)
+                if img is None:
+                    raise UnmappedGenerator(
+                        f"no image for generator {self.algebra.generators[g]}")
+                for _ in range(e):
+                    out = out * img
+            self._cache[word] = out
+        return out
+
+    def __call__(self, x):
+        out = self.zero
+        for w, c in x.terms.items():
+            out = out + self.word(w) * c
+        return out
+
+
 class NCElement:
     """Linear combination of normal-ordered words over series coefficients."""
 
@@ -374,29 +417,14 @@ class NCElement:
         """Keep only the order-0 part of every coefficient."""
         return self.scale_coeffs(lambda c: c.truncate0())
 
-    def substitute(self, target, images, coeff_map=None):
+    def substitute(self, target, images):
         """Multiplicative substitution homomorphism into ``target``.
 
         ``images`` maps generator names (or indices) of this algebra to
-        NCElements of the target; ``coeff_map`` transports coefficients
-        (defaults to identity, valid when both algebras share param/order).
+        NCElements of the target; coefficients pass unchanged, so both
+        algebras must share param and order.
         """
-        img = {}
-        for g, e in images.items():
-            i = g if isinstance(g, int) else self.algebra.index[g]
-            img[i] = e
-        out = target.zero()
-        for w, c in self.terms.items():
-            piece = target.unit()
-            for g, e in w:
-                if g not in img:
-                    raise UnmappedGenerator(
-                        f"no image for generator {self.algebra.generators[g]}")
-                for _ in range(e):
-                    piece = piece * img[g]
-            cc = coeff_map(c) if coeff_map else c
-            out = out + piece * cc
-        return out
+        return WordMap(self.algebra, images, target.unit(), target.zero())(self)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: word_sort_key(t[0]))
@@ -586,41 +614,18 @@ class TensorElement:
     def classical_limit(self):
         return self.scale_coeffs(lambda c: c.truncate0())
 
-    def substitute(self, target, images, coeff_map=None):
-        """Slot-wise substitution homomorphism into a tensor over ``target``."""
-        img = {}
-        for g, e in images.items():
-            i = g if isinstance(g, int) else self.algebra.index[g]
-            img[i] = e
-        cache = {}
-
-        def sub_word(w):
-            e = cache.get(w)
-            if e is None:
-                e = target.unit()
-                for g, k in w:
-                    if g not in img:
-                        raise UnmappedGenerator(
-                            f"no image for generator {self.algebra.generators[g]}")
-                    for _ in range(k):
-                        e = e * img[g]
-                cache[w] = e
-            return e
-
+    def substitute(self, target, images):
+        """Slot-wise substitution homomorphism into a tensor over ``target``:
+        the outer product of the slot images, which are already normal."""
+        sub = WordMap(self.algebra, images, target.unit(), target.zero())
         out = TensorElement.zero(target, self.arity)
         for ws, c in self.terms.items():
-            cc = coeff_map(c) if coeff_map else c
-            if cc.is_zero():
-                continue
-            piece = TensorElement.unit(target, self.arity)
-            for s, w in enumerate(ws):
-                e = sub_word(w)
-                slot_tensor = TensorElement(
-                    target, self.arity,
-                    {tuple(wv if k == s else () for k in range(self.arity)): cv
-                     for wv, cv in e.terms.items()})
-                piece = piece * slot_tensor
-            out = out + piece * cc
+            piece = {(): c}
+            for w in ws:
+                piece = {key + (u,): pc * uc for key, pc in piece.items()
+                         for u, uc in sub.word(w).terms.items()}
+            out = out + TensorElement(target, self.arity,
+                                      {k: v for k, v in piece.items() if not v.is_zero()})
         return out
 
     def sorted_terms(self):

@@ -103,6 +103,15 @@ class TestExitCodes:
         assert r.returncode == 1
         assert "wall clock" in r.stdout
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "abc"])
+    def test_bad_timeout_is_usage_error(self, value):
+        r = run("verify", "consistency", "--algebra", "sl2", "--order", "2",
+                "--timeout-secs", value)
+        assert r.returncode == 2
+        assert "--timeout-secs" in r.stderr
+        assert "positive number of seconds" in r.stderr
+        assert "Traceback" not in r.stderr and "PASS" not in r.stdout
+
 
 NULLPLANE = ("nullplane",)
 R_RECIPE = ("sl2", "so22", "nullplane")
@@ -209,6 +218,19 @@ class TestVerifyPlan:
         assert [(r.check, r.algebra, r.order, r.passed) for r in out] == \
             [("matrix-r", "nullplane", 3, False)]
         assert out[0].failures[0]["input"] == "KeyError"
+
+    def test_consistency_row_reports_a_copy_of_the_cached_report(self):
+        from hopf_forge.algebras import preset
+        args = build_parser().parse_args(["verify", "consistency", "--algebra", "sl2",
+                                          "--order", "2"])
+        cached = preset("sl2", 2).aux["_consistency"]
+        out = []
+        for label, order, fn in _verify_plan("consistency", "sl2", args):
+            _run_timed(label, fn, out, 1e-9, order)
+        assert [(r.check, r.algebra, r.order) for r in out] == [("consistency", "sl2", 2)]
+        assert out[0].failures[0]["input"] == "wall clock"
+        assert out[0] is not cached and out[0].seconds
+        assert cached.passed and not cached.seconds
 
 
 class TestOutputs:

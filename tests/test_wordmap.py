@@ -1,0 +1,184 @@
+"""Maps given on generators: every extension agrees with an explicit product.
+
+Each reference below multiplies the generator images of a word one by one,
+left to right (right to left for the antipode), and sums over the terms of
+the element; the code under test goes through ``ncalg.WordMap``.
+"""
+
+import random
+
+import pytest
+
+from hopf_forge import diffrep, repfrt
+from hopf_forge.algebras import preset
+from hopf_forge.coeff import DeformationSeries, FieldElem
+from hopf_forge.hopf import HopfMaps
+from hopf_forge.ncalg import TensorElement, UnmappedGenerator, tensor_pair
+
+PRESETS = ("sl2", "so22", "nullplane")
+
+
+def random_word(rng, n):
+    """A normal word on one or two generators, some exponent above 1."""
+    gens = sorted(rng.sample(range(n), rng.choice((1, 2))))
+    exps = [rng.randint(1, 2) for _ in gens]
+    exps[rng.randrange(len(exps))] = rng.randint(2, 3)
+    return tuple(zip(gens, exps))
+
+
+def random_element(alg, rng, terms=3):
+    out = {}
+    for _ in range(terms):
+        c = DeformationSeries.monomial(FieldElem(rng.choice((-2, -1, 1, 3))),
+                                       rng.randint(0, 1), alg.param, alg.order)
+        out[random_word(rng, len(alg.generators))] = c
+    return alg.element(out)
+
+
+def product(unit, images, word, reverse=False):
+    factors = [images[g] for g, e in word for _ in range(e)]
+    if reverse:
+        factors.reverse()
+    out = unit
+    for f in factors:
+        out = out * f
+    return out
+
+
+def linear(zero, x, image_of_word):
+    out = zero
+    for w, c in x.terms.items():
+        out = out + image_of_word(w) * c
+    return out
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_coproduct_is_the_product_of_generator_coproducts(name):
+    rng = random.Random(f"coproduct-{name}")
+    hopf = preset(name, 2).hopf
+    alg = hopf.algebra
+    for _ in range(3):
+        x = random_element(alg, rng)
+        want = linear(TensorElement.zero(alg, 2), x, lambda w: product(
+            TensorElement.unit(alg, 2), hopf.delta, w))
+        assert hopf.coproduct(x) == want
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_antipode_is_the_reversed_product_of_generator_antipodes(name):
+    rng = random.Random(f"antipode-{name}")
+    hopf = preset(name, 2).hopf
+    alg = hopf.algebra
+    for _ in range(3):
+        x = random_element(alg, rng)
+        want = linear(alg.zero(), x,
+                      lambda w: product(alg.unit(), hopf.antipode, w, reverse=True))
+        assert hopf.antipode_of(x) == want
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_counit_is_the_product_of_generator_counits(name):
+    # the presets' counits vanish on generators; any scalars extend the same way
+    rng = random.Random(f"counit-{name}")
+    alg = preset(name, 2).presentation
+    hopf = HopfMaps(alg, preset(name, 2).hopf.delta,
+                    {g: FieldElem(rng.choice((-2, 1, 3))) for g in alg.generators})
+    for _ in range(3):
+        x = random_element(alg, rng)
+        want = alg.domain.zero
+        for w, c in x.terms.items():
+            want = want + c * product(FieldElem(1), hopf.counit, w)
+        assert hopf.counit_of(x) == want
+
+
+def random_images(alg, rng):
+    """Each generator to a small combination of generators and the unit."""
+    n = len(alg.generators)
+    return {g: alg.gen(g) * FieldElem(rng.choice((1, 2)))
+            + alg.gen(rng.randrange(n)) * FieldElem(rng.choice((-1, 1)))
+            + alg.unit() * FieldElem(rng.choice((0, 1)))
+            for g in range(n)}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_substitute_is_the_product_of_generator_images(name):
+    rng = random.Random(f"substitute-{name}")
+    alg = preset(name, 2).presentation
+    images = random_images(alg, rng)
+    named = {alg.generators[g]: e for g, e in images.items()}
+    for _ in range(3):
+        x = random_element(alg, rng)
+        want = linear(alg.zero(), x, lambda w: product(alg.unit(), images, w))
+        assert x.substitute(alg, images) == want
+        assert x.substitute(alg, named) == want
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_tensor_substitute_is_slotwise_products(name):
+    rng = random.Random(f"tensor-substitute-{name}")
+    alg = preset(name, 2).presentation
+    images = random_images(alg, rng)
+    x, y = random_element(alg, rng, 2), random_element(alg, rng, 2)
+    t = tensor_pair(x, y)
+    want = TensorElement.zero(alg, 2)
+    for (w1, w2), c in t.terms.items():
+        want = want + tensor_pair(product(alg.unit(), images, w1),
+                                  product(alg.unit(), images, w2)) * c
+    assert t.substitute(alg, images) == want
+    # arity 3: each slot image as a one-slot tensor, multiplied through the kernel
+    t3 = t.embed((0, 2))
+    want3 = TensorElement.zero(alg, 3)
+    for ws, c in t3.terms.items():
+        piece = TensorElement.unit(alg, 3)
+        for s, w in enumerate(ws):
+            img = product(alg.unit(), images, w)
+            piece = piece * TensorElement(alg, 3, {
+                tuple(u if k == s else () for k in range(3)): cu
+                for u, cu in img.terms.items()})
+        want3 = want3 + piece * c
+    assert t3.substitute(alg, images) == want3
+
+
+def test_rep_of_element_is_the_product_of_operator_images():
+    rng = random.Random("diffrep")
+    order = 2
+    alg = preset("nullplane", order).presentation
+    rep = diffrep.full_rep(order)
+    images = {alg.index[g]: op for g, op in rep.items()}
+    x = random_element(alg, rng, 2)
+    want = diffrep.WeylOperator.zero(order)
+    for w, c in x.terms.items():
+        op = product(diffrep.WeylOperator.identity(order), images, w)
+        want = want + op.scale(c.map_coeffs(diffrep.rf_const, diffrep.RF_DOMAIN))
+    assert diffrep.rep_of_element(rep, x, order) == want
+
+
+def test_missing_image_raises():
+    hopf = preset("sl2", 2).hopf
+    alg = hopf.algebra
+    bialgebra = HopfMaps(alg, hopf.delta, hopf.counit)
+    assert bialgebra.antipode_of(alg.unit()) == alg.unit()
+    with pytest.raises(UnmappedGenerator):
+        bialgebra.antipode_of(alg.gen("A"))
+    with pytest.raises(ValueError):
+        HopfMaps(alg, hopf.delta, hopf.counit, {"A": alg.gen("A")})
+
+
+def test_group_coproduct_check_catches_a_dropped_term(monkeypatch):
+    real = repfrt.group_coproduct
+
+    def dropped(alg):
+        delta = dict(real(alg))
+        t = delta[alg.index["a_plus"]]
+        terms = dict(t.terms)
+        del terms[(((alg.index["a_plus"], 1),), ())]  # a_plus (x) 1
+        delta[alg.index["a_plus"]] = TensorElement(alg, 2, terms)
+        return delta
+
+    assert repfrt.check_group_coproduct(2).passed
+    monkeypatch.setattr(repfrt, "group_coproduct", dropped)
+    rep = repfrt.check_group_coproduct(2)
+    labels = [f["input"] for f in rep.failures]
+    assert "Delta(a_plus) display" in labels
+    assert "coassociativity(a_plus)" in labels
+    assert "counit(a_plus)" in labels
