@@ -20,7 +20,6 @@ from .algebras import (FAULTS, PRESET_NAMES, PresetConstructionError,
                        check_basis_change, check_casimir_centrality,
                        check_classical_limits, cross_check_two_copy, preset,
                        set_active_fault)
-from .coeff import DeformationSeries
 from .expr import (ExpressionError, ExpressionSyntaxError, UnknownSymbol,
                    parse_to_element, render_element, render_tensor)
 from .ncalg import NCElement
@@ -232,13 +231,7 @@ def cmd_expand(args):
 
 
 def _order_part(elem, k):
-    alg = elem.algebra
-    out = {}
-    for w, c in elem.terms.items():
-        v = c.coefficient(k)
-        if not v.is_zero():
-            out[w] = DeformationSeries.monomial(v, k, alg.param, alg.order)
-    return NCElement(alg, out)
+    return NCElement(elem.algebra, {key: c for key, c in elem.terms.items() if key[1] == k})
 
 
 def cmd_show(args):

@@ -1,16 +1,22 @@
 """Exact scalar arithmetic.
 
-Everything downstream is built on three layers of exact coefficients:
-
 * :class:`FieldElem` -- the quadratic field Q(sqrt 2), stored as a pair of
-  rationals.  The contraction of so(2,2) onto the null-plane algebra
-  introduces 1/sqrt(2) scale factors, so plain rationals are not enough.
+  rationals.  This is the scalar of every algebra element: the kernel
+  (:mod:`hopf_forge.ncalg`) stores terms as ``(word, k) -> FieldElem``, the
+  coefficient of ``param**k * word``.  The contraction of so(2,2) onto the
+  null-plane algebra introduces 1/sqrt(2) scale factors, so plain rationals
+  are not enough, and ``sqrt2`` is a literal of the expression language.
+* :class:`Domain` -- names the zero and one of a scalar (or coefficient)
+  domain: :data:`FIELD` here, eps-Laurent polynomials in the contraction,
+  rational functions in the differential representation.
 * :class:`DeformationSeries` -- power series in a named formal parameter,
-  truncated at a fixed order.  All identities the engine checks are verified
-  order by order in this parameter.
+  truncated at a fixed order, over any such domain.  Used at the edges: the
+  entries of the 16x16 matrix R and the differential representation's
+  operator coefficients (rational functions of the momenta); algebra
+  elements do not hold them.
 * :class:`LaurentSeries` -- series with finitely many negative powers.  Only
-  used internally (contraction bookkeeping and the momentum-space Hamiltonian
-  construction); user-facing values must pass the regularity predicate.
+  used internally (the momentum-space Hamiltonian construction); user-facing
+  values must pass the regularity predicate.
 
 Both series types are sparse: ``terms`` holds (degree, coefficient) pairs of
 the nonzero coefficients only, in ascending degree, and ``coeffs`` is a dense
@@ -196,7 +202,8 @@ FE_SQRT2 = FieldElem(0, 1)
 
 
 class Domain:
-    """Coefficient domain of a series: its zero and one elements."""
+    """A scalar domain of an algebra, or the coefficient domain of a series:
+    its zero and one elements."""
 
     __slots__ = ("zero", "one", "name")
 
@@ -378,10 +385,6 @@ class DeformationSeries(_Sparse):
         """Dense coefficient tuple, one entry per degree 0..order."""
         return tuple(self.coefficient(k) for k in range(self.order + 1))
 
-    def val(self):
-        """Valuation: degree of the lowest nonzero coefficient (order+1 if zero)."""
-        return self.terms[0][0] if self.terms else self.order + 1
-
     def constant_term(self):
         return self.coefficient(0)
 
@@ -430,15 +433,16 @@ class DeformationSeries(_Sparse):
 
     def shifted(self, k):
         """Multiply by param**k; for k < 0 the valuation must allow it."""
-        if k < 0 and self.val() < -k:
-            raise ZeroDivisor(f"valuation {self.val()} too small to divide by {self.param}^{-k}")
+        val = self.terms[0][0] if self.terms else self.order + 1
+        if k < 0 and val < -k:
+            raise ZeroDivisor(f"valuation {val} too small to divide by {self.param}^{-k}")
         return _new(DeformationSeries, self.param, self.order,
                     tuple((d + k, c) for d, c in self.terms if d + k <= self.order),
                     self.domain)
 
     def exp(self):
         """Series exponential; requires zero constant term."""
-        if self.val() == 0:
+        if self.terms and self.terms[0][0] == 0:
             raise NonzeroConstantTerm("exp of a series with nonzero constant term")
         out = DeformationSeries.one(self.param, self.order, self.domain)
         term = out
@@ -451,15 +455,10 @@ class DeformationSeries(_Sparse):
 
     def inverse(self):
         """Multiplicative inverse; constant term must be invertible."""
-        if self.val() != 0:
+        if not self.terms or self.terms[0][0] != 0:
             raise NonInvertible("series with zero constant term")
         return _new(DeformationSeries, self.param, self.order,
                     _inverse_terms(self.terms, self.order, self.domain.zero), self.domain)
-
-    def truncate0(self):
-        """Keep only the constant term (the classical limit of a coefficient)."""
-        return DeformationSeries.constant(self.constant_term(), self.param, self.order,
-                                          self.domain)
 
 
 class LaurentSeries(_Sparse):

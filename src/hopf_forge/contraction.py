@@ -2,8 +2,8 @@
 
 The contraction rescales the so(2,2) generators by exact powers of a formal
 parameter eps (with 1/sqrt(2) factors) and substitutes z = sqrt(2)*eps*w.  We
-track eps symbolically: coefficients become finite Laurent objects in eps
-whose slices are ordinary truncated w-series.  The engine then asserts that
+track eps symbolically: the scalar of each graded term (word, w-power) becomes
+a finite Laurent polynomial in eps over Q(sqrt 2).  The engine then asserts that
 
 * no structure constant, coproduct or scaled Casimir keeps a negative eps
   power (a pole would mean a wrong scale assignment), and
@@ -12,16 +12,15 @@ whose slices are ordinary truncated w-series.  The engine then asserts that
 
 from __future__ import annotations
 
-from .coeff import (DeformationSeries, Domain, FE_ONE, FE_SQRT2, FieldElem,
-                    rat)
-from .ncalg import AlgebraPresentation, NCElement, TensorElement
+from .coeff import Domain, FE_ONE, FE_SQRT2, FieldElem, rat
+from .ncalg import AlgebraPresentation, NCElement, TensorElement, add_term
 from .algebras import (SO22_C1Q_RECIPE, SO22_C2Q_RECIPE, eval_recipe, preset,
                        so22_structure_env)
 from .report import CheckReport
 
 
 class EpsLaurent:
-    """Finite Laurent combination sum_k eps^k * (w-series), exact in eps."""
+    """Finite Laurent polynomial sum_k eps^k * c_k with c_k in Q(sqrt 2)."""
 
     __slots__ = ("slices",)
 
@@ -30,12 +29,6 @@ class EpsLaurent:
 
     def is_zero(self):
         return not self.slices
-
-    def val(self):
-        """w-valuation across slices (used for truncation pruning)."""
-        if not self.slices:
-            return 1 << 30
-        return min(s.val() for s in self.slices.values())
 
     def min_eps(self):
         return min(self.slices) if self.slices else None
@@ -54,12 +47,7 @@ class EpsLaurent:
     def __add__(self, other):
         out = dict(self.slices)
         for k, s in other.slices.items():
-            cur = out.get(k)
-            v = s if cur is None else cur + s
-            if v.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v
+            add_term(out, k, s)
         return EpsLaurent(out)
 
     def __sub__(self, other):
@@ -73,24 +61,12 @@ class EpsLaurent:
             out = {}
             for k1, s1 in self.slices.items():
                 for k2, s2 in other.slices.items():
-                    v = s1 * s2
-                    if v.is_zero():
-                        continue
-                    k = k1 + k2
-                    cur = out.get(k)
-                    s = v if cur is None else cur + v
-                    if s.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                    add_term(out, k1 + k2, s1 * s2)
             return EpsLaurent(out)
         # scalar (FieldElem / int)
         return EpsLaurent({k: s * other for k, s in self.slices.items()})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, n):
-        return EpsLaurent({k: s / n for k, s in self.slices.items()})
 
     def shift_eps(self, d):
         return EpsLaurent({k + d: s for k, s in self.slices.items()})
@@ -98,11 +74,7 @@ class EpsLaurent:
     def __repr__(self):
         if not self.slices:
             return "0"
-        bits = []
-        for k in sorted(self.slices):
-            from .expr import render_series
-            bits.append(f"eps^{k}*({render_series(self.slices[k])})")
-        return " + ".join(bits)
+        return " + ".join(f"eps^{k}*({self.slices[k]})" for k in sorted(self.slices))
 
 
 # null-plane generator -> (so22 generator, eps power, scale factor)
@@ -117,9 +89,7 @@ CONTRACTION_MAP = {
 }
 
 
-def eps_domain(order):
-    one = EpsLaurent({0: DeformationSeries.one("w", order)})
-    return Domain(EpsLaurent({}), one, f"eps-laurent[w]^{order}")
+EPS_DOMAIN = Domain(EpsLaurent({}), EpsLaurent({0: FE_ONE}), "eps-laurent[Q(sqrt2)]")
 
 
 class Contraction:
@@ -142,13 +112,11 @@ class Contraction:
 
     # -- coefficient and element transport -----------------------------------
 
-    def _map_series(self, zseries):
-        """c(z) with z = sqrt(2)*eps*w: z^k -> 2^(k/2) eps^k w^k."""
-        slices = {}
-        for k, c in zseries.terms:
-            slices[k] = DeformationSeries.monomial(
-                c * (FE_SQRT2 ** k), k, "w", self.order)
-        return EpsLaurent(slices)
+    @staticmethod
+    def _map_term(c, k):
+        """The eps scalar of c*z^k with z = sqrt(2)*eps*w, which keeps the
+        power k of w: 2^(k/2) c eps^k."""
+        return EpsLaurent({k: c * (FE_SQRT2 ** k)})
 
     def map_element(self, x, target=None):
         """so(2,2) element -> eps-tracked null-plane element.
@@ -159,7 +127,7 @@ class Contraction:
         """
         target = target or self.alg
         out = {}
-        for w, c in x.terms.items():
+        for (w, k), c in x.terms.items():
             eps_shift = 0
             factor = FE_ONE
             img = []
@@ -170,20 +138,12 @@ class Contraction:
                 factor = factor * (cf ** e)
             if any(a[0] >= b[0] for a, b in zip(img, img[1:])):
                 raise ValueError("image word needs reordering; build it in the eps algebra")
-            word = tuple(img)
-            coeff = (self._map_series(c) * factor).shift_eps(eps_shift)
-            if coeff.is_zero():
-                continue
-            cur = out.get(word)
-            s = coeff if cur is None else cur + coeff
-            if s.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = s
+            add_term(out, (tuple(img), k),
+                     (self._map_term(c, k) * factor).shift_eps(eps_shift))
         return NCElement(target, out)
 
     def _check_image_order(self, x):
-        for w in x.terms:
+        for w, _ in x.terms:
             mapped = [self.gen_image[g][0] for g, _ in w]
             if mapped != sorted(mapped):
                 return False
@@ -194,7 +154,7 @@ class Contraction:
     def _build_presentation(self):
         np_alg = self.np.presentation
         alg = AlgebraPresentation("nullplane-eps", np_alg.generators, "w",
-                                  self.order, domain=eps_domain(self.order))
+                                  self.order, domain=EPS_DOMAIN)
         so_alg = self.so22.presentation
         one = alg.domain.one
         rules = {}
@@ -207,10 +167,10 @@ class Contraction:
                 if not self._check_image_order(comm_so):
                     raise RuntimeError("unexpected word order in contracted rule")
                 comm = self.map_element(comm_so, alg) * (cj * ci)
-                comm = NCElement(alg, {w: c.shift_eps(dj + di)
-                                       for w, c in comm.terms.items()})
+                comm = NCElement(alg, {key: c.shift_eps(dj + di)
+                                       for key, c in comm.terms.items()})
                 self._rule_commutators[(j, i)] = comm
-                rules[(j, i)] = alg.element({((i, 1), (j, 1)): one}) + comm
+                rules[(j, i)] = alg.element({(((i, 1), (j, 1)), 0): one}) + comm
         alg.set_rules(rules)
         return alg
 
@@ -218,21 +178,23 @@ class Contraction:
         """The eps^0 slice as a plain null-plane element; None if poles remain."""
         target = target or self.np.presentation
         out = {}
-        for w, c in x.terms.items():
+        for key, c in x.terms.items():
             if c.min_eps() is not None and c.min_eps() < 0:
                 return None
             s = c.slice(0)
             if s is not None:
-                out[w] = s
+                out[key] = s
         return NCElement(target, out)
 
-    def pole_terms(self, x):
-        out = []
-        for w, c in x.terms.items():
+    @staticmethod
+    def pole_terms(terms):
+        """(word, lowest eps power) of each word with a negative eps power."""
+        poles = {}
+        for (w, _), c in terms.items():
             m = c.min_eps()
             if m is not None and m < 0:
-                out.append((w, m))
-        return out
+                poles[w] = min(m, poles.get(w, m))
+        return list(poles.items())
 
     # -- checks ------------------------------------------------------------------
 
@@ -242,7 +204,7 @@ class Contraction:
                           order=self.order)
         for (j, i), comm in self._rule_commutators.items():
             label = f"[{np_alg.generators[j]},{np_alg.generators[i]}]"
-            poles = self.pole_terms(comm)
+            poles = self.pole_terms(comm.terms)
             if poles:
                 rep.add_failure(label, f"eps poles: {poles}")
                 continue
@@ -263,43 +225,28 @@ class Contraction:
             t = self.so22.hopf.delta[si]
             terms = {}
             ok = True
-            for (w1, w2), coeff in t.terms.items():
+            for ((w1, w2), k), coeff in t.terms.items():
                 for w in (w1, w2):
                     mapped = [self.gen_image[g][0] for g, _ in w]
                     if mapped != sorted(mapped):
                         ok = False
                 if not ok:
                     break
-                e1 = self.map_element(NCElement(so_alg, {w1: so_alg.domain.one}), self.alg)
-                e2 = self.map_element(NCElement(so_alg, {w2: so_alg.domain.one}), self.alg)
-                base = self._map_series(coeff) * c
-                base = base.shift_eps(d)
-                for mw1, c1 in e1.terms.items():
-                    for mw2, c2 in e2.terms.items():
-                        v = base * c1 * c2
-                        if v.is_zero():
-                            continue
-                        key = (mw1, mw2)
-                        cur = terms.get(key)
-                        s = v if cur is None else cur + v
-                        if s.is_zero():
-                            terms.pop(key, None)
-                        else:
-                            terms[key] = s
+                e1 = self.map_element(NCElement(so_alg, {(w1, 0): so_alg.domain.one}), self.alg)
+                e2 = self.map_element(NCElement(so_alg, {(w2, 0): so_alg.domain.one}), self.alg)
+                base = (self._map_term(coeff, k) * c).shift_eps(d)
+                for (mw1, k1), c1 in e1.terms.items():
+                    for (mw2, k2), c2 in e2.terms.items():
+                        add_term(terms, ((mw1, mw2), k + k1 + k2), base * c1 * c2)
             if not ok:
                 rep.add_failure(f"Delta({name})", "image word needed reordering")
                 continue
-            poles = [(ws, cv.min_eps()) for ws, cv in terms.items()
-                     if cv.min_eps() < 0]
+            poles = self.pole_terms(terms)
             if poles:
                 rep.add_failure(f"Delta({name})", f"eps poles: {poles}")
                 continue
-            got = {}
-            for ws, cv in terms.items():
-                s = cv.slice(0)
-                if s is not None:
-                    got[ws] = s
-            got_t = TensorElement(np_alg, 2, got)
+            got_t = TensorElement(np_alg, 2, {key: cv.slice(0) for key, cv in terms.items()
+                                              if cv.slice(0) is not None})
             want = self.np.hopf.delta[ni]
             if not (got_t - want).is_zero():
                 rep.add_failure(f"Delta({name})", repr(got_t - want))
@@ -317,9 +264,9 @@ class Contraction:
         for label, raw, shift, scalar, target in (
                 ("M_q2", c1q, 2, FieldElem(-1), self.np.casimirs["M_q2"]),
                 ("L_q", c2q, 1, half, self.np.casimirs["L_q"])):
-            scaled = NCElement(self.alg, {w: (c * scalar).shift_eps(shift)
-                                          for w, c in raw.terms.items()})
-            poles = self.pole_terms(scaled)
+            scaled = NCElement(self.alg, {key: (c * scalar).shift_eps(shift)
+                                          for key, c in raw.terms.items()})
+            poles = self.pole_terms(scaled.terms)
             if poles:
                 # report the eps valuation that would have worked
                 worst = min(m for _, m in poles)

@@ -99,6 +99,10 @@ class WeylOperator:
     def scale(self, c):
         return WeylOperator(self.order, {k: s * c for k, s in self.terms.items()})
 
+    def scaled(self, c, k=0):
+        """This operator times the scalar ``c`` and ``w**k``."""
+        return WeylOperator(self.order, {d: s.shifted(k) * c for d, s in self.terms.items()})
+
     def __mul__(self, other):
         """Operator composition (self applied after acting with other)."""
         if not isinstance(other, WeylOperator):
@@ -248,7 +252,7 @@ def full_rep(order, reading="plain"):
 
 def rep_of_element(rep, element, order):
     """Image of a null-plane algebra element under the representation (its
-    Q(sqrt2) coefficients scale the rational-function ones directly)."""
+    Q(sqrt2) scalars scale the rational-function coefficients directly)."""
     return WordMap(element.algebra, rep, WeylOperator.identity(order),
                    WeylOperator.zero(order))(element)
 

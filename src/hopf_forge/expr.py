@@ -8,6 +8,8 @@ Grammar::
     atom   := NUMBER | NAME | 'exp' '(' expr ')' | '(' expr ')'
     NUMBER := INT ['/' INT]
 
+An exponent above :data:`MAX_EXPONENT` is an error.
+
 Scalars are rationals, ``sqrt2`` and the deformation parameter; every other
 NAME must be a generator of the active presentation.  ``exp`` arguments are
 restricted to sums of scalar multiples of single generators whose scalar has
@@ -22,7 +24,14 @@ from __future__ import annotations
 
 import re
 
-from .coeff import DeformationSeries, FieldElem, FE_ONE, FE_SQRT2, rat
+from .coeff import FieldElem, FE_SQRT2, rat
+
+# Largest exponent ``x^n`` accepted.  Powers are formed by repeated squaring,
+# but each product still folds a flat word as long as its factors' words
+# together (``A_plus^n`` is one word with n letters), so the cap bounds the
+# length of the words a power folds.  It does not bound the rewriting that a
+# power of a word out of normal order needs, which grows faster than n.
+MAX_EXPONENT = 10000
 
 
 class ExpressionError(Exception):
@@ -131,6 +140,9 @@ class _Parser:
                 k, v, pos = self.take()
                 if k != "num" or "/" in v:
                     raise ExpressionSyntaxError("exponent must be an integer", pos)
+                if int(v) > MAX_EXPONENT:
+                    raise ExpressionSyntaxError(
+                        f"exponent {v} exceeds the limit {MAX_EXPONENT}", pos)
                 node = ("pow", node, int(v))
             else:
                 return node
@@ -175,8 +187,7 @@ def eval_expression(node, algebra):
         if name in algebra.index:
             return algebra.gen(name)
         if name == algebra.param:
-            return algebra.scalar(DeformationSeries.monomial(
-                FE_ONE, 1, algebra.param, algebra.order))
+            return algebra.scalar(algebra.domain.one, 1)
         if name == "sqrt2":
             return algebra.unit() * FE_SQRT2
         raise UnknownSymbol(name)
@@ -198,19 +209,19 @@ def eval_expression(node, algebra):
 
 def exp_element(arg):
     """exp of a sum of scalar multiples of single generators."""
-    for w, c in arg.terms.items():
+    for w, k in arg.terms:
         degree = sum(e for _, e in w)
         if degree != 1:
             raise ExpressionError(
                 "exp argument must be a sum of scalar multiples of single generators")
-        if c.val() < 1:
+        if k < 1:
             raise ExpressionError(
                 "exp argument scalars need a positive power of the deformation parameter")
     alg = arg.algebra
     out = alg.unit()
     term = alg.unit()
     for k in range(1, alg.order + 1):
-        term = (term * arg).scale_coeffs(lambda c, k=k: c / k)
+        term = (term * arg).scaled(rat(1, k))
         if term.is_zero():
             break
         out = out + term
@@ -250,11 +261,11 @@ def _fe_str(fe, fmt):
     return f"({q(a)}{joiner}{bs})"
 
 
-def _series_str(series, fmt):
-    """Render a coefficient series; parenthesized when it is a true sum."""
-    param = series.param
+def _series_str(param, series, fmt):
+    """Render one word's coefficient series, ``((k, scalar), ...)``;
+    parenthesized when it is a true sum."""
     bits = []
-    for k, c in series.terms:
+    for k, c in series:
         cs = _fe_str(c, fmt)
         if k == 0:
             bits.append(cs)
@@ -293,7 +304,7 @@ def _word_str(algebra, word, fmt):
 
 
 def _term_str(algebra, word, coeff, fmt):
-    cs, _ = _series_str(coeff, fmt)
+    cs, _ = _series_str(algebra.param, coeff, fmt)
     ws = _word_str(algebra, word, fmt)
     if not ws:
         return cs
@@ -323,7 +334,7 @@ def render_element(elem, fmt="text"):
         return json.dumps(elem.to_dict(), sort_keys=True)
     if elem.is_zero():
         return "0"
-    parts = [_term_str(elem.algebra, w, c, fmt) for w, c in elem.sorted_terms()]
+    parts = [_term_str(elem.algebra, w, s, fmt) for w, s in elem.by_word()]
     return _join_terms(parts)
 
 
@@ -335,9 +346,9 @@ def render_tensor(t, fmt="text"):
         return "0"
     otimes = r" \otimes " if fmt == "latex" else "⊗"
     parts = []
-    for ws, c in t.sorted_terms():
+    for ws, s in t.by_word():
         slots = otimes.join(_word_str(t.algebra, w, fmt) or "1" for w in ws)
-        cs, _ = _series_str(c, fmt)
+        cs, _ = _series_str(t.algebra.param, s, fmt)
         if cs == "1":
             parts.append(slots)
         elif cs == "-1":
@@ -346,8 +357,3 @@ def render_tensor(t, fmt="text"):
             sep = "*" if fmt != "latex" else r" \, "
             parts.append(f"{cs}{sep}{slots}")
     return _join_terms(parts)
-
-
-def render_series(series, fmt="text"):
-    s, _ = _series_str(series, fmt)
-    return s

@@ -12,29 +12,30 @@ modulo an ideal the checks here do not reduce by.
 
 from __future__ import annotations
 
-from .coeff import FE_ONE
-from .ncalg import NCElement, TensorElement, WordMap
+from .ncalg import NCElement, TensorElement, WordMap, add_term
 from .report import CheckReport
 
 
 class HopfMaps:
     """Coproduct/counit/antipode data for one presentation.
 
-    ``antipode`` may be None for a bialgebra: the antipode maps then raise
-    :class:`~hopf_forge.ncalg.UnmappedGenerator` and the antipode checks do
-    not apply.
+    ``counit`` gives a scalar per generator; the counit of an element is a
+    scalar element of the algebra.  ``antipode`` may be None for a bialgebra:
+    the antipode maps, the antipode checks and :meth:`subalgebra_check` then
+    raise :class:`~hopf_forge.ncalg.UnmappedGenerator`.
     """
 
     def __init__(self, algebra, delta, counit, antipode=None):
         self.algebra = algebra
         self._delta = WordMap(algebra, delta, TensorElement.unit(algebra, 2),
                               TensorElement.zero(algebra, 2))
-        self._counit = WordMap(algebra, counit, FE_ONE, algebra.domain.zero)
+        self._counit = WordMap(algebra, {g: algebra.scalar(c) for g, c in counit.items()},
+                               algebra.unit(), algebra.zero())
         self._antipode = WordMap(algebra, antipode or {}, algebra.unit(), algebra.zero(),
                                  reverse=True)
-        # generator index -> image
-        self.delta, self.counit, self.antipode = (
-            self._delta.images, self._counit.images, self._antipode.images)
+        # generator index -> image (the counit's as the given scalar)
+        self.delta, self.antipode = self._delta.images, self._antipode.images
+        self.counit = {algebra.index.get(g, g): c for g, c in counit.items()}
         for i in range(len(algebra.generators)):
             if (i not in self.delta or i not in self.counit
                     or antipode is not None and i not in self.antipode):
@@ -60,29 +61,24 @@ class HopfMaps:
         return self._counit.word(word)
 
     def counit_of(self, x):
-        """Counit of an element, as a scalar series."""
+        """Counit of an element, as a scalar element of the algebra."""
         return self._counit(x)
 
     def delta_on_slot(self, t, slot):
         """Apply the coproduct to one slot of an arity-2 tensor (-> arity 3)."""
         alg = self.algebra
+        top = alg.order
         acc = {}
-        for ws, c in t.terms.items():
+        for (ws, k), c in t.terms.items():
             dt = self.coproduct_word(ws[slot])
-            for dws, dc in dt.terms.items():
+            for (dws, dk), dc in dt.terms.items():
+                if k + dk > top:
+                    continue
                 if slot == 0:
                     key = (dws[0], dws[1], ws[1])
                 else:
                     key = (ws[0], dws[0], dws[1])
-                v = c * dc
-                if v.is_zero():
-                    continue
-                cur = acc.get(key)
-                s = v if cur is None else cur + v
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                add_term(acc, (key, k + dk), c * dc)
         return TensorElement(alg, 3, acc)
 
     # -- default test set ----------------------------------------------------
@@ -116,17 +112,13 @@ class HopfMaps:
         alg = self.algebra
         rep = CheckReport(check="counit", algebra=alg.name, order=alg.order)
         for w in test_words or self.default_test_words():
-            x = NCElement(alg, {w: alg.domain.one})
+            x = NCElement(alg, {(w, 0): alg.domain.one})
             t = self.coproduct_word(w)
             left = alg.zero()
             right = alg.zero()
-            for (w1, w2), c in t.terms.items():
-                f1 = self.counit_word(w1)
-                if not f1.is_zero():
-                    left = left + NCElement(alg, {w2: c * f1})
-                f2 = self.counit_word(w2)
-                if not f2.is_zero():
-                    right = right + NCElement(alg, {w1: c * f2})
+            for ((w1, w2), k), c in t.terms.items():
+                left = left + NCElement(alg, {(w2, k): c}) * self.counit_word(w1)
+                right = right + NCElement(alg, {(w1, k): c}) * self.counit_word(w2)
             if not (left - x).is_zero():
                 rep.add_failure(self._label(w), repr(left - x))
             if not (right - x).is_zero():
@@ -142,16 +134,16 @@ class HopfMaps:
             # distinct word instead of one per tensor term
             by_w1 = {}
             by_w2 = {}
-            for (w1, w2), c in t.terms.items():
-                by_w1.setdefault(w1, {})[w2] = c
-                by_w2.setdefault(w2, {})[w1] = c
+            for ((w1, w2), k), c in t.terms.items():
+                by_w1.setdefault(w1, {})[(w2, k)] = c
+                by_w2.setdefault(w2, {})[(w1, k)] = c
             left = alg.zero()
             for w1, terms in by_w1.items():
                 left = left + self.antipode_word(w1) * NCElement(alg, terms)
             right = alg.zero()
             for w2, terms in by_w2.items():
                 right = right + NCElement(alg, terms) * self.antipode_word(w2)
-            target = alg.scalar(self.counit_of(NCElement(alg, {w: alg.domain.one})))
+            target = self.counit_word(w)
             if not (left - target).is_zero():
                 rep.add_failure(self._label(w) + " (gamma(x1)x2)", repr(left - target))
             if not (right - target).is_zero():
@@ -178,7 +170,7 @@ class HopfMaps:
         alg = self.algebra
         rep = CheckReport(check="antipode-antihom", algebra=alg.name, order=alg.order)
         for (j, i), rhs in alg.rules.items():
-            lhs = self.antipode[i] * self.antipode[j]   # gamma(g_j g_i), reversed
+            lhs = self.antipode_word(((j, 1), (i, 1)))   # gamma(g_j g_i) = gamma(g_i) gamma(g_j)
             img = self.antipode_of(rhs)
             if not (lhs - img).is_zero():
                 rep.add_failure(f"{alg.generators[j]}*{alg.generators[i]}", repr(lhs - img))
@@ -190,8 +182,8 @@ class HopfMaps:
         out = []
         for i, name in enumerate(alg.generators):
             g = ((i, 1),)
-            prim = TensorElement(alg, 2, {((), g): alg.domain.one,
-                                          (g, ()): alg.domain.one})
+            prim = TensorElement(alg, 2, {(((), g), 0): alg.domain.one,
+                                          ((g, ()), 0): alg.domain.one})
             if (self.delta[i] - prim).is_zero():
                 out.append(name)
         return out
@@ -214,17 +206,17 @@ class HopfMaps:
 
         for i in sorted(idx):
             name = alg.generators[i]
-            for (w1, w2) in self.delta[i].terms:
+            for (w1, w2), _ in self.delta[i].terms:
                 if not (in_span(w1) and in_span(w2)):
                     rep.add_failure(f"Delta({name})", self._label(w1) + "(x)" + self._label(w2))
-            for w in self.antipode[i].terms:
+            for w, _ in self.antipode_word(((i, 1),)).terms:
                 if not in_span(w):
                     rep.add_failure(f"gamma({name})", self._label(w))
             for j in sorted(idx):
                 if j <= i:
                     continue
                 comm = alg.gen(j).commutator(alg.gen(i))
-                for w in comm.terms:
+                for w, _ in comm.terms:
                     if not in_span(w):
                         rep.add_failure(
                             f"[{alg.generators[j]},{alg.generators[i]}]", self._label(w))

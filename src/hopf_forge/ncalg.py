@@ -3,35 +3,42 @@
 An :class:`AlgebraPresentation` is an ordered list of generators together with
 one rewrite rule per out-of-order pair: the normal-ordered element equal to
 ``g_j * g_i`` for ``j > i``.  Elements are finite linear combinations of
-normal-ordered words with truncated-series coefficients; products are computed
-by confluent rewriting (the diamond check below verifies confluence on all
-generator-triple overlaps, to the working truncation order).
+normal-ordered words times powers of the deformation parameter: ``terms`` maps
+``(word, k)`` to the nonzero scalar in front of ``param**k * word``, for
+``0 <= k <= order`` (tensors map ``(words, k)``, one word per slot).  A product
+adds the powers and skips a pair of terms whose powers sum above the order
+before any scalar is multiplied.  Products are computed by confluent rewriting
+(the diamond check below verifies confluence on all generator-triple overlaps,
+to the working truncation order).
 
 Words are stored compressed as ``((gen_index, exponent), ...)`` with strictly
 increasing generator indices.  A flat word (a tuple of generator indices) is
-normal-ordered by a left fold that multiplies a ``{normal word: coeff}``
+normal-ordered by a left fold that multiplies a ``{(normal word, k): scalar}``
 accumulator by one generator at a time.  For a normal word ``u = rest*h`` and a
 generator ``g < h``, the rule for ``h*g`` is applied once and each of its terms
-folded onto ``rest``; the result (the leftmost-descent normal form of ``u*g``)
-is kept in a per-presentation table, so no subword product is derived twice.
-Missing entries are filled on an explicit stack, not by recursion.  The table
-and the flat-word cache receive only complete results, so an abort leaves them
-consistent, and every stored coefficient is interned (the caches hold many
-copies of few distinct values).  An entry holds ``u*g`` for any coefficient, so
-a rewriting of ``u*g`` that needs ``u*g`` again is a :class:`NonTerminating`
-cycle, even if truncation would have dropped every term that comes back.
+folded onto ``rest``; the result (the leftmost-descent normal form of ``u*g``,
+as ``(word, k, scalar)`` entries) is kept in a per-presentation table, so no
+subword product is derived twice.  Missing entries are filled on an explicit
+stack, not by recursion.  The table and the flat-word cache receive only
+complete results, so an abort leaves them consistent, and every stored scalar
+is interned (the caches hold many copies of few distinct values).  An entry
+holds ``u*g`` for any power of the parameter, so a rewriting of ``u*g`` that
+needs ``u*g`` again is a :class:`NonTerminating` cycle, even if truncation
+would have dropped every term that comes back.
 
 A map given on generators (a coproduct, counit or antipode, a substitution, a
 representation) is extended to words and elements by one :class:`WordMap`.
 
-Coefficients are any hashable objects implementing the series protocol (add/
-sub/neg/mul, ``is_zero``, ``val``); the stock choice is
-:class:`~hopf_forge.coeff.DeformationSeries`.
+Scalars come from the presentation's :class:`~hopf_forge.coeff.Domain`: any
+hashable integral domain with add/sub/neg/mul and ``is_zero`` (a product of
+nonzero scalars is nonzero).  The stock choice is Q(sqrt 2)
+(:data:`~hopf_forge.coeff.FIELD`); the contraction uses Laurent polynomials
+in its scale parameter.
 """
 
 from __future__ import annotations
 
-from .coeff import DeformationSeries, Domain
+from .coeff import FIELD, FieldElem
 
 REWRITE_STEP_LIMIT = 10 ** 6
 
@@ -74,21 +81,72 @@ def word_sort_key(word):
     return (len(flat), flat)
 
 
+def _is_normal(word):
+    return all(a < b for (a, _), (b, _) in zip(word, word[1:]))
+
+
+def add_term(out, key, v):
+    """``out[key] += v``, dropping the key when the sum cancels."""
+    s = out.get(key)
+    if s is None:
+        out[key] = v
+    else:
+        s = s + v
+        if s.is_zero():
+            del out[key]
+        else:
+            out[key] = s
+
+
+def _sum_terms(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        add_term(out, key, c)
+    return out
+
+
+def _scaled_terms(terms, c, k, top):
+    """Every term times the scalar ``c`` and ``param**k``, up to degree ``top``."""
+    out = {}
+    for (w, j), v in terms.items():
+        if j + k <= top:
+            v = v * c
+            if not v.is_zero():
+                out[(w, j + k)] = v
+    return out
+
+
+def _by_word(terms, sort_key):
+    """Graded terms back to one coefficient series per word: a sorted list of
+    ``(word, ((k, scalar), ...))`` with ascending ``k``."""
+    grouped = {}
+    for (w, k), c in terms.items():
+        grouped.setdefault(w, []).append((k, c))
+    return sorted(((w, tuple(sorted(s, key=lambda t: t[0]))) for w, s in grouped.items()),
+                  key=lambda t: sort_key(t[0]))
+
+
+def _dense_quads(series, domain, order):
+    """The serialized coefficient list of one word: ``order + 1`` quads."""
+    coeffs = dict(series)
+    return [coeffs.get(k, domain.zero).as_quad() for k in range(order + 1)]
+
+
 class AlgebraPresentation:
     """Generators with a fixed total order plus pairwise rewrite rules."""
 
-    def __init__(self, name, generators, param, order, domain=None):
+    def __init__(self, name, generators, param, order, domain=FIELD):
         self.name = name
         self.generators = tuple(generators)
         self.param = param
         self.order = order
-        self.domain = domain if domain is not None else _series_domain(param, order)
+        self.domain = domain
         self.index = {g: i for i, g in enumerate(self.generators)}
         self.rules = {}
         self._frozen = False
         self._nf_cache = {}
         self._table = {}  # (normal word u, generator g) -> normal form of u*g
-        self._interned = {self.domain.one: self.domain.one}  # coeff -> stored copy
+        self._interned = {domain.one: domain.one}  # scalar -> stored copy
         self._misses = 0
 
     def __repr__(self):
@@ -106,11 +164,9 @@ class AlgebraPresentation:
                 if (j, i) not in rules:
                     raise AlgebraError(
                         f"missing rule for {self.generators[j]}*{self.generators[i]}")
-        for (j, i), rhs in rules.items():
-            if rhs is not None:
-                for w in rhs.terms:
-                    if any(a >= b for (a, _), (b, _) in zip(w, w[1:])):
-                        raise AlgebraError("rule right-hand side not normal ordered")
+        for rhs in rules.values():
+            if rhs is not None and not all(_is_normal(w) for w, _ in rhs.terms):
+                raise AlgebraError("rule right-hand side not normal ordered")
         self.rules = dict(rules)
         self._frozen = True
 
@@ -119,27 +175,31 @@ class AlgebraPresentation:
     def zero(self):
         return NCElement(self, {})
 
-    def unit(self, coeff=None):
-        return NCElement(self, {(): coeff if coeff is not None else self.domain.one})
+    def unit(self):
+        return NCElement(self, {((), 0): self.domain.one})
 
     def gen(self, g):
         i = g if isinstance(g, int) else self.index[g]
-        return NCElement(self, {((i, 1),): self.domain.one})
+        return NCElement(self, {(((i, 1),), 0): self.domain.one})
 
     def element(self, terms):
-        """Element from {word: coeff} with already normal-ordered words."""
-        for w in terms:
-            if any(a >= b for (a, _), (b, _) in zip(w, w[1:])):
+        """Element from {(word, k): scalar} with already normal-ordered words;
+        powers above the order are dropped."""
+        for w, _ in terms:
+            if not _is_normal(w):
                 raise AlgebraError(f"word {w} is not normal ordered")
-        return NCElement(self, {w: c for w, c in terms.items() if not c.is_zero()})
+        return NCElement(self, {(w, k): c for (w, k), c in terms.items()
+                                if k <= self.order and not c.is_zero()})
 
-    def scalar(self, series):
-        return NCElement(self, {(): series} if not series.is_zero() else {})
+    def scalar(self, c, k=0):
+        """The scalar ``c * param**k`` as an element."""
+        return self.element({((), k): c})
 
     # -- the rewriting engine ------------------------------------------------
 
     def normal_form_of_word(self, flat):
-        """Normal form of a product of generators, as {word: coeff}; cached."""
+        """Normal form of a product of generators, as ``(word, k, scalar)``
+        entries; cached."""
         hit = self._nf_cache.get(flat)
         if hit is None:
             hit = self._rewrite(flat)
@@ -149,38 +209,41 @@ class AlgebraPresentation:
     def _rewrite(self, flat):
         """Left fold of ``flat`` through the word-times-generator table."""
         self._misses = 0
-        acc = {(): self.domain.one}
+        acc = {((), 0): self.domain.one}
         for g in flat:
             acc = self._times(acc, g)
         intern = self._interned.setdefault
-        return {w: intern(c, c) for w, c in acc.items()}
+        return tuple((w, k, intern(c, c)) for (w, k), c in acc.items())
 
     def _times(self, acc, g):
-        """``acc * g`` for ``acc`` a {normal word: coeff} dict."""
+        """``acc * g`` for ``acc`` a {(normal word, k): scalar} dict."""
         one = self.domain.one
+        top = self.order
         table = self._table
         out = {}
-        for u, c in acc.items():
+        for (u, k), c in acc.items():
             if not u or u[-1][0] < g:
-                entry = ((u + ((g, 1),), one),)
+                entry = ((u + ((g, 1),), 0, one),)
             elif u[-1][0] == g:
-                entry = ((u[:-1] + ((g, u[-1][1] + 1),), one),)
+                entry = ((u[:-1] + ((g, u[-1][1] + 1),), 0, one),)
             else:
                 entry = table.get((u, g))
                 if entry is None:
                     entry = self._fill((u, g))
-            for w, rc in entry:
+            for w, rk, rc in entry:
+                kk = k + rk
+                if kk > top:
+                    continue
                 # the unit needs no product: inline appends and swap rules carry it
                 v = c if rc is one else rc if c is one else c * rc
-                if v.is_zero():
-                    continue
-                s = out.get(w)
+                key = (w, kk)
+                s = out.get(key)
                 if s is not None:
                     v = s + v
                     if v.is_zero():
-                        del out[w]
+                        del out[key]
                         continue
-                out[w] = v
+                out[key] = v
         return out
 
     def _fill(self, key):
@@ -216,39 +279,44 @@ class AlgebraPresentation:
         rest = u[:-1] + ((h, e - 1),) if e > 1 else u[:-1]
         table = self._table
         total = {}
-        for m, rc in rule.terms.items():
-            part = {rest: rc}
+        for (m, rk), rc in rule.terms.items():
+            part = {(rest, rk): rc}
             for x in flatten(m):
-                for w in part:
+                for w, _ in part:
                     if w and w[-1][0] > x and (w, x) not in table:
                         yield w, x
                 part = self._times(part, x)
-            for w, c in part.items():
-                s = total.get(w)
-                total[w] = c if s is None else s + c
+            for key, c in part.items():
+                add_term(total, key, c)
         intern = self._interned.setdefault
-        table[(u, g)] = tuple((w, intern(c, c)) for w, c in total.items() if not c.is_zero())
+        table[(u, g)] = tuple((w, k, intern(c, c)) for (w, k), c in total.items())
 
     def normalize_terms(self, raw):
-        """Normal form of an iterable of (flat_word, coeff) pairs."""
+        """Normal form of an iterable of (flat_word, k, scalar) triples."""
+        top = self.order
         out = {}
-        for flat, c in raw:
+        for flat, k, c in raw:
             if c.is_zero():
                 continue
-            for w, rc in self.normal_form_of_word(flat).items():
-                v = rc * c
-                if v.is_zero():
+            for w, rk, rc in self.normal_form_of_word(flat):
+                kk = k + rk
+                if kk > top:
                     continue
-                acc = out.get(w)
-                s = v if acc is None else acc + v
-                if s.is_zero():
-                    out.pop(w, None)
+                v = rc * c
+                key = (w, kk)
+                acc = out.get(key)
+                if acc is None:
+                    out[key] = v
                 else:
-                    out[w] = s
+                    s = acc + v
+                    if s.is_zero():
+                        del out[key]
+                    else:
+                        out[key] = s
         return out
 
     def normalize(self, raw):
-        """Public normalize: raw (flat_word, coeff) pairs -> NCElement."""
+        """Public normalize: raw (flat_word, k, scalar) triples -> NCElement."""
         return NCElement(self, self.normalize_terms(raw))
 
     # -- checks --------------------------------------------------------------
@@ -279,21 +347,15 @@ class AlgebraPresentation:
                            order=self.order, failures=failures)
 
 
-def _series_domain(param, order):
-    return Domain(DeformationSeries.zero(param, order),
-                  DeformationSeries.one(param, order),
-                  f"series[{param}]^{order}")
-
-
 class WordMap:
     """A map given by the images of generators, extended to words and elements.
 
     ``images`` maps generator names (or indices) of ``algebra`` to values in
-    any target with ``*`` and ``+``, whose ``unit`` and ``zero`` are given.  A
-    normal word goes to the product of its generator images, left to right
-    (right to left when ``reverse``, for an anti-homomorphism), cached per
-    word; an element goes to the sum of its word images times its
-    coefficients.
+    any target with ``*``, ``+`` and ``scaled(c, k)`` (times the scalar ``c``
+    and ``param**k``), whose ``unit`` and ``zero`` are given.  A normal word
+    goes to the product of its generator images, left to right (right to left
+    when ``reverse``, for an anti-homomorphism), cached per word; an element
+    goes to the sum of its word images, each scaled by its graded scalar.
     """
 
     def __init__(self, algebra, images, unit, zero, reverse=False):
@@ -320,13 +382,13 @@ class WordMap:
 
     def __call__(self, x):
         out = self.zero
-        for w, c in x.terms.items():
-            out = out + self.word(w) * c
+        for (w, k), c in x.terms.items():
+            out = out + self.word(w).scaled(c, k)
         return out
 
 
 class NCElement:
-    """Linear combination of normal-ordered words over series coefficients."""
+    """Linear combination of normal-ordered words times graded scalars."""
 
     __slots__ = ("algebra", "terms")
 
@@ -351,15 +413,7 @@ class NCElement:
         if isinstance(other, int):
             other = self.algebra.unit() * other
         self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return NCElement(self.algebra, out)
+        return NCElement(self.algebra, _sum_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -372,65 +426,63 @@ class NCElement:
         return (-self) + other
 
     def __neg__(self):
-        return NCElement(self.algebra, {w: -c for w, c in self.terms.items()})
+        return NCElement(self.algebra, {key: -c for key, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, NCElement):
             self._check(other)
             alg = self.algebra
             n = alg.order
+            right = [(flatten(w2), k2, c2) for (w2, k2), c2 in other.terms.items()]
             raw = []
-            for w1, c1 in self.terms.items():
-                v1 = c1.val()
+            for (w1, k1), c1 in self.terms.items():
                 f1 = flatten(w1)
-                for w2, c2 in other.terms.items():
-                    if v1 + c2.val() > n:
-                        continue
-                    raw.append((f1 + flatten(w2), c1 * c2))
+                for f2, k2, c2 in right:
+                    if k1 + k2 <= n:
+                        raw.append((f1 + f2, k1 + k2, c1 * c2))
             return NCElement(alg, alg.normalize_terms(raw))
-        # scalar: int or coefficient value
-        return self.scale_coeffs(lambda c: c * other)
+        # scalar: int or an element of the scalar domain
+        return self.scaled(other)
 
     def __rmul__(self, other):
         # scalars commute with everything; true element products use __mul__
         return self * other
 
     def __pow__(self, n):
-        out = self.algebra.unit()
-        for _ in range(n):
-            out = out * self
+        """``self**n`` by repeated squaring."""
+        out, base = self.algebra.unit(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def commutator(self, other):
         return self * other - other * self
 
-    def scale_coeffs(self, f):
-        """Map every coefficient through ``f`` (dropping zeros)."""
-        out = {}
-        for w, c in self.terms.items():
-            v = f(c)
-            if not v.is_zero():
-                out[w] = v
-        return NCElement(self.algebra, out)
+    def scaled(self, c, k=0):
+        """This element times the scalar ``c`` and ``param**k``."""
+        return NCElement(self.algebra, _scaled_terms(self.terms, c, k, self.algebra.order))
 
     def classical_limit(self):
-        """Keep only the order-0 part of every coefficient."""
-        return self.scale_coeffs(lambda c: c.truncate0())
+        """Keep only the order-0 terms."""
+        return NCElement(self.algebra, {key: c for key, c in self.terms.items()
+                                        if key[1] == 0})
 
     def substitute(self, target, images):
         """Multiplicative substitution homomorphism into ``target``.
 
         ``images`` maps generator names (or indices) of this algebra to
-        NCElements of the target; coefficients pass unchanged, so both
-        algebras must share param and order.
+        NCElements of the target; scalars pass unchanged, so both algebras
+        must share param and order.
         """
         return WordMap(self.algebra, images, target.unit(), target.zero())(self)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: word_sort_key(t[0]))
-
-    def coefficient(self, word):
-        return self.terms.get(word, self.algebra.domain.zero)
+    def by_word(self):
+        """``(word, ((k, scalar), ...))`` per word, words in graded-lex order."""
+        return _by_word(self.terms, word_sort_key)
 
     def __repr__(self):
         from .expr import render_element
@@ -440,26 +492,18 @@ class NCElement:
 
     def to_dict(self):
         alg = self.algebra
-        terms = []
-        for w, c in self.sorted_terms():
-            terms.append({
-                "word": [[alg.generators[g], e] for g, e in w],
-                "coeff": [fe.as_quad() for fe in c.coeffs],
-            })
-        return {"terms": terms}
+        return {"terms": [{"word": [[alg.generators[g], e] for g, e in w],
+                           "coeff": _dense_quads(s, alg.domain, alg.order)}
+                          for w, s in self.by_word()]}
 
     @classmethod
     def from_dict(cls, algebra, data):
-        from .coeff import FieldElem
         terms = {}
         for t in data["terms"]:
             w = tuple((algebra.index[g], e) for g, e in t["word"])
-            c = DeformationSeries.from_coeffs(
-                [FieldElem.from_quad(q) for q in t["coeff"]],
-                algebra.param, algebra.order)
-            if not c.is_zero():
-                terms[w] = c
-        return cls(algebra, terms)
+            for k, q in enumerate(t["coeff"][: algebra.order + 1]):
+                terms[(w, k)] = FieldElem.from_quad(q)
+        return algebra.element(terms)
 
 
 class TensorElement:
@@ -474,7 +518,7 @@ class TensorElement:
 
     @classmethod
     def unit(cls, algebra, arity):
-        return cls(algebra, arity, {((),) * arity: algebra.domain.one})
+        return cls(algebra, arity, {(((),) * arity, 0): algebra.domain.one})
 
     @classmethod
     def zero(cls, algebra, arity):
@@ -497,22 +541,14 @@ class TensorElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return TensorElement(self.algebra, self.arity, out)
+        return TensorElement(self.algebra, self.arity, _sum_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         return TensorElement(self.algebra, self.arity,
-                             {w: -c for w, c in self.terms.items()})
+                             {key: -c for key, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
@@ -521,36 +557,32 @@ class TensorElement:
             n = alg.order
             nf = alg.normal_form_of_word
             out = {}
-            for ws1, c1 in self.terms.items():
-                v1 = c1.val()
-                for ws2, c2 in other.terms.items():
-                    if v1 + c2.val() > n:
-                        continue
-                    c = c1 * c2
-                    if c.is_zero():
+            for (ws1, k1), c1 in self.terms.items():
+                for (ws2, k2), c2 in other.terms.items():
+                    if k1 + k2 > n:
                         continue
                     # slot-wise normal forms, then distribute
-                    partial = [((), c)]
+                    partial = [((), k1 + k2, c1 * c2)]
                     for s in range(self.arity):
                         nfs = nf(flatten(ws1[s]) + flatten(ws2[s]))
-                        nxt = []
-                        for words, cc in partial:
-                            for w, rc in nfs.items():
-                                v = cc * rc
-                                if not v.is_zero():
-                                    nxt.append((words + (w,), v))
-                        partial = nxt
+                        partial = [(words + (w,), k + rk, cc * rc)
+                                   for words, k, cc in partial
+                                   for w, rk, rc in nfs if k + rk <= n]
                         if not partial:
                             break
-                    for words, cc in partial:
-                        acc = out.get(words)
-                        s2 = cc if acc is None else acc + cc
-                        if s2.is_zero():
-                            out.pop(words, None)
+                    for words, k, cc in partial:
+                        key = (words, k)
+                        acc = out.get(key)
+                        if acc is None:
+                            out[key] = cc
                         else:
-                            out[words] = s2
+                            s2 = acc + cc
+                            if s2.is_zero():
+                                del out[key]
+                            else:
+                                out[key] = s2
             return TensorElement(self.algebra, self.arity, out)
-        return self.scale_coeffs(lambda c: c * other)
+        return self.scaled(other)
 
     __rmul__ = __mul__
 
@@ -565,12 +597,9 @@ class TensorElement:
             perm = (1, 0)
         if len(perm) != self.arity:
             raise ArityMismatch("permutation length != arity")
-        out = {}
-        for ws, c in self.terms.items():
-            key = tuple(ws[p] for p in perm)
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-        return TensorElement(self.algebra, self.arity, out)
+        return TensorElement(self.algebra, self.arity,
+                             {(tuple(ws[p] for p in perm), k): c
+                              for (ws, k), c in self.terms.items()})
 
     def embed(self, slots, arity=3):
         """Embed into a higher arity, placing slot s at position slots[s]."""
@@ -580,18 +609,17 @@ class TensorElement:
         if any(s >= arity for s in slots):
             raise ArityMismatch("embedding slot out of range")
         out = {}
-        for ws, c in self.terms.items():
+        for (ws, k), c in self.terms.items():
             key = [()] * arity
             for s, pos in enumerate(slots):
                 key[pos] = ws[s]
-            out[tuple(key)] = c
+            out[(tuple(key), k)] = c
         return TensorElement(self.algebra, arity, out)
 
     def exp(self):
-        """Tensor exponential; the unit-word coefficient must vanish."""
-        unit_key = ((),) * self.arity
-        c0 = self.terms.get(unit_key)
-        if c0 is not None and not c0.is_zero():
+        """Tensor exponential; the unit word must not occur."""
+        unit_words = ((),) * self.arity
+        if any(ws == unit_words for ws, _ in self.terms):
             from .coeff import NonzeroConstantTerm
             raise NonzeroConstantTerm("tensor exp with nonzero constant term")
         out = TensorElement.unit(self.algebra, self.arity)
@@ -603,44 +631,41 @@ class TensorElement:
             out = out + term
         return out
 
-    def scale_coeffs(self, f):
-        out = {}
-        for w, c in self.terms.items():
-            v = f(c)
-            if not v.is_zero():
-                out[w] = v
-        return TensorElement(self.algebra, self.arity, out)
+    def scaled(self, c, k=0):
+        """This tensor times the scalar ``c`` and ``param**k``."""
+        return TensorElement(self.algebra, self.arity,
+                             _scaled_terms(self.terms, c, k, self.algebra.order))
 
     def classical_limit(self):
-        return self.scale_coeffs(lambda c: c.truncate0())
+        return TensorElement(self.algebra, self.arity,
+                             {key: c for key, c in self.terms.items() if key[1] == 0})
 
     def substitute(self, target, images):
         """Slot-wise substitution homomorphism into a tensor over ``target``:
         the outer product of the slot images, which are already normal."""
         sub = WordMap(self.algebra, images, target.unit(), target.zero())
-        out = TensorElement.zero(target, self.arity)
-        for ws, c in self.terms.items():
-            piece = {(): c}
+        top = target.order
+        out = {}
+        for (ws, k), c in self.terms.items():
+            piece = [((), k, c)]
             for w in ws:
-                piece = {key + (u,): pc * uc for key, pc in piece.items()
-                         for u, uc in sub.word(w).terms.items()}
-            out = out + TensorElement(target, self.arity,
-                                      {k: v for k, v in piece.items() if not v.is_zero()})
-        return out
+                piece = [(key + (u,), pk + uk, pc * uc)
+                         for key, pk, pc in piece
+                         for (u, uk), uc in sub.word(w).terms.items() if pk + uk <= top]
+            for key, pk, pc in piece:
+                add_term(out, (key, pk), pc)
+        return TensorElement(target, self.arity, out)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda t: tuple(word_sort_key(w) for w in t[0]))
+    def by_word(self):
+        """``(words, ((k, scalar), ...))`` per slot-word tuple, in sorted order."""
+        return _by_word(self.terms, lambda ws: tuple(word_sort_key(w) for w in ws))
 
     def to_dict(self):
         alg = self.algebra
-        terms = []
-        for ws, c in self.sorted_terms():
-            terms.append({
-                "word": [[[alg.generators[g], e] for g, e in w] for w in ws],
-                "coeff": [fe.as_quad() for fe in c.coeffs],
-            })
-        return {"arity": self.arity, "terms": terms}
+        return {"arity": self.arity,
+                "terms": [{"word": [[[alg.generators[g], e] for g, e in w] for w in ws],
+                           "coeff": _dense_quads(s, alg.domain, alg.order)}
+                          for ws, s in self.by_word()]}
 
     def __repr__(self):
         from .expr import render_tensor
@@ -651,14 +676,12 @@ def tensor_pair(x, y):
     """x (x) y for NCElements of the same algebra (no normalization needed)."""
     if x.algebra is not y.algebra:
         raise AlgebraMismatch("tensor factors from different algebras")
+    top = x.algebra.order
     out = {}
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            c = c1 * c2
-            if not c.is_zero():
-                key = (w1, w2)
-                acc = out.get(key)
-                out[key] = c if acc is None else acc + c
+    for (w1, k1), c1 in x.terms.items():
+        for (w2, k2), c2 in y.terms.items():
+            if k1 + k2 <= top:
+                add_term(out, ((w1, w2), k1 + k2), c1 * c2)
     return TensorElement(x.algebra, 2, out)
 
 

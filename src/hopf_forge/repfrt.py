@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coeff import DeformationSeries, FE_ONE, FE_ZERO, FieldElem, rat
-from .ncalg import AlgebraPresentation, NCElement, TensorElement
+from .ncalg import AlgebraPresentation, NCElement, TensorElement, add_term
 from .ratfunc import PolyRing, Polynomial, groebner, reduce_poly
 from .hopf import HopfMaps
 from .report import CheckReport
@@ -461,11 +461,8 @@ def bracket_table_json():
 
 def _poly_to_element(alg, p, w_degree=0):
     """Commutative L/a polynomial -> normal-ordered element, times w^w_degree."""
-    terms = {}
-    for e, c in p.terms.items():
-        word = tuple((i, k) for i, k in enumerate(e) if k)
-        terms[word] = DeformationSeries.monomial(c, w_degree, alg.param, alg.order)
-    return alg.element(terms)
+    return alg.element({(tuple((i, k) for i, k in enumerate(e) if k), w_degree): c
+                        for e, c in p.terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -482,59 +479,46 @@ def quantum_presentation(order, fault=None):
             comm = _poly_to_element(alg, table[(i, j)], 1)
             if fault == "repfrt-rule" and (COORD_NAMES[i], COORD_NAMES[j]) == ("a_plus", "a_1"):
                 comm = -comm
-            rules[(j, i)] = alg.element({((i, 1), (j, 1)): one}) - comm
+            rules[(j, i)] = alg.element({(((i, 1), (j, 1)), 0): one}) - comm
     alg.set_rules(rules)
     return alg
 
 
-def _reduce_blocks(alg, terms, ring, width, basis):
+def _reduce_blocks(terms, ring, width, basis):
     """Reduce the L-polynomials of each a-monomial block modulo an ideal.
 
-    ``terms`` maps a tuple of words, one per tensor slot, to a series.  Each
-    word splits into its L-part and its a-part; the a-parts pick the block.
-    Per w-degree, a block's L-parts form one polynomial over ``ring`` (slot s
-    at variables s*width onward), reduced by the Groebner ``basis`` and
-    turned back into words.
+    ``terms`` maps (a tuple of words, one per tensor slot; a w-power) to a
+    scalar.  Each word splits into its L-part and its a-part; the a-parts
+    pick the block.  Per w-power, a block's L-parts form one polynomial over
+    ``ring`` (slot s at variables s*width onward), reduced by the Groebner
+    ``basis`` and turned back into words.
     """
     n_l = len(L_NAMES)
     blocks = {}
-    for words, c in terms.items():
+    for (words, k), c in terms.items():
         e = [0] * len(ring.vars)
         for s, w in enumerate(words):
             for g, ex in w:
                 if g < n_l:
                     e[s * width + g] = ex
         apart = tuple(tuple((g, ex) for g, ex in w if g >= n_l) for w in words)
-        blocks.setdefault(apart, []).append((tuple(e), c))
+        blocks.setdefault(apart, {}).setdefault(k, {})[tuple(e)] = c
     out = {}
-    for apart, lterms in blocks.items():
-        for k in range(alg.order + 1):
-            poly_terms = {}
-            for e, c in lterms:
-                v = c.coefficient(k)
-                if not v.is_zero():
-                    poly_terms[e] = poly_terms.get(e, FE_ZERO) + v
-            if not poly_terms:
-                continue
-            red = reduce_poly(Polynomial(ring, poly_terms), basis)
+    for apart, by_power in blocks.items():
+        for k in sorted(by_power):
+            red = reduce_poly(Polynomial(ring, by_power[k]), basis)
             for e, c in red.terms.items():
                 key = tuple(tuple((i, ex) for i, ex in enumerate(e[s * width:(s + 1) * width])
                                   if ex) + a for s, a in enumerate(apart))
-                term = DeformationSeries.monomial(c, k, alg.param, alg.order)
-                cur = out.get(key)
-                term = term if cur is None else cur + term
-                if term.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = term
+                add_term(out, (key, k), c)
     return out
 
 
 def _element_ideal_reduce(x):
     """Reduce the L-polynomial part of each a-monomial block modulo the ideal."""
-    out = _reduce_blocks(x.algebra, {(w,): c for w, c in x.terms.items()}, RING12,
-                         len(COORD_NAMES), orthogonality_groebner())
-    return NCElement(x.algebra, {w: c for (w,), c in out.items()})
+    out = _reduce_blocks({((w,), k): c for (w, k), c in x.terms.items()},
+                         RING12, len(COORD_NAMES), orthogonality_groebner())
+    return NCElement(x.algebra, {(w, k): c for ((w,), k), c in out.items()})
 
 
 def quantum_t(alg):
@@ -561,12 +545,10 @@ def check_rtt(order=2, fault=None):
     wedge = _wedge16()
 
     def rmat_entry(i, j):
-        # R = I + 2w * wedge as a scalar series
-        e = DeformationSeries.zero("w", order)
-        if i == j:
-            e = e + DeformationSeries.one("w", order)
+        # R = I + 2w * wedge, as (scalar, w-power) terms
+        e = [(FE_ONE, 0)] if i == j else []
         if not wedge[i][j].is_zero():
-            e = e + DeformationSeries.monomial(wedge[i][j] * FieldElem(2), 1, "w", order)
+            e.append((wedge[i][j] * FieldElem(2), 1))
         return e
 
     t1t2 = {}
@@ -585,14 +567,14 @@ def check_rtt(order=2, fault=None):
         for colm in range(16):
             acc = alg.zero()
             for mid in range(16):
-                r_e = rmat_entry(row, mid)
                 m = t1t2.get((mid, colm))
-                if m is not None and not r_e.is_zero():
-                    acc = acc + m * r_e
+                if m is not None:
+                    for c, k in rmat_entry(row, mid):
+                        acc = acc + m.scaled(c, k)
                 m2 = t2t1.get((row, mid))
-                r_e2 = rmat_entry(mid, colm)
-                if m2 is not None and not r_e2.is_zero():
-                    acc = acc - m2 * r_e2
+                if m2 is not None:
+                    for c, k in rmat_entry(mid, colm):
+                        acc = acc - m2.scaled(c, k)
             if acc.is_zero():
                 continue
             red = _element_ideal_reduce(acc)
@@ -634,7 +616,7 @@ def _tensor18_reduce(t):
     """Reduce both tensor slots' L-polynomials modulo the (doubled) ideal."""
     ring18, gb = _doubled_ideal()
     return TensorElement(t.algebra, 2,
-                         _reduce_blocks(t.algebra, t.terms, ring18, len(L_NAMES), gb))
+                         _reduce_blocks(t.terms, ring18, len(L_NAMES), gb))
 
 
 def _lift_poly(p, ring, offset):
@@ -760,11 +742,11 @@ def quantum_plane(order=2):
     """Coordinate relations of the quantum (2+1) Poincare plane."""
     alg = AlgebraPresentation("qplane", ("x_plus", "x_1", "x_minus"), "w", order)
     one = alg.domain.one
-    w1 = DeformationSeries.monomial(FieldElem(-2), 1, "w", order)
+    two = FieldElem(2)
     rules = {
-        (1, 0): alg.element({((0, 1), (1, 1)): one, ((1, 1),): -w1}),
-        (2, 0): alg.element({((0, 1), (2, 1)): one, ((2, 1),): -w1}),
-        (2, 1): alg.element({((1, 1), (2, 1)): one}),
+        (1, 0): alg.element({(((0, 1), (1, 1)), 0): one, (((1, 1),), 1): two}),
+        (2, 0): alg.element({(((0, 1), (2, 1)), 0): one, (((2, 1),), 1): two}),
+        (2, 1): alg.element({(((1, 1), (2, 1)), 0): one}),
     }
     alg.set_rules(rules)
     return alg
@@ -785,11 +767,11 @@ def check_quantum_plane(order=2):
         ren = {qp.index[a]: alg.index[x] for a, x in
                zip(("a_plus", "a_1", "a_minus"), ("x_plus", "x_1", "x_minus"))}
         want_terms = {}
-        for w, c in want.terms.items():
+        for (w, k), c in want.terms.items():
             if any(g < len(L_NAMES) for g, _ in w):
                 rep.add_failure(f"[{ai},{aj}]", "translation sector is not closed")
                 break
-            want_terms[tuple((ren[g], e) for g, e in w)] = c
+            want_terms[(tuple((ren[g], e) for g, e in w), k)] = c
         else:
             if NCElement(alg, want_terms) != got:
                 rep.add_failure(f"[{xi},{xj}]", repr(got))
@@ -799,6 +781,6 @@ def check_quantum_plane(order=2):
     for r in ((1, 0), (2, 0), (2, 1)):
         cls = alg.rules[r].classical_limit()
         i, j = r[1], r[0]
-        if cls != alg.element({((i, 1), (j, 1)): alg.domain.one}).classical_limit():
+        if cls != alg.element({(((i, 1), (j, 1)), 0): alg.domain.one}).classical_limit():
             rep.add_failure("classical limit", f"rule {r} not commutative at w=0")
     return rep

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .coeff import DeformationSeries, FE_ONE, FieldElem
+from .coeff import FE_ONE, FieldElem
 from .ncalg import TensorElement
 from .algebras import classical_presentation, preset
 from .report import CheckReport
@@ -33,12 +33,9 @@ def build_universal_r(algebra, rfactors, order=None):
         li, ri = alg.index[left], alg.index[right]
         terms = {}
         for k in range(alg.order + 1):
-            coeff = DeformationSeries.monomial(
-                (c ** k) / factorial(k), k, alg.param, alg.order)
-            if coeff.is_zero():
-                continue
-            w = (((li, k),) if k else (), ((ri, k),) if k else ())
-            terms[w] = coeff
+            coeff = (c ** k) / factorial(k)
+            if not coeff.is_zero():
+                terms[((((li, k),) if k else (), ((ri, k),) if k else ()), k)] = coeff
         out = out * TensorElement(alg, 2, terms)
     return out
 
@@ -77,9 +74,8 @@ def extract_classical_r(r):
     """
     alg = r.algebra
     first = {}
-    for (w1, w2), c in r.terms.items():
-        v = c.coefficient(1)
-        if v.is_zero():
+    for ((w1, w2), k), v in r.terms.items():
+        if k != 1:
             continue
         if sum(e for _, e in w1) != 1 or sum(e for _, e in w2) != 1:
             raise NotAntisymmetric("first-order term is not generator (x) generator")
@@ -133,10 +129,9 @@ def classical_r_of_preset(name, order):
 def _wedge_tensor(alg, wedges):
     """sum c * (X (x) Y - Y (x) X) as an order-0 tensor element."""
     t = TensorElement.zero(alg, 2)
-    one = DeformationSeries.one(alg.param, alg.order)
     for (i, j), c in wedges.items():
         wi, wj = ((i, 1),), ((j, 1),)
-        t = t + TensorElement(alg, 2, {(wi, wj): one * c, (wj, wi): one * (-c)})
+        t = t + TensorElement(alg, 2, {((wi, wj), 0): c, ((wj, wi), 0): -c})
     return t
 
 
@@ -154,23 +149,21 @@ def cocommutator(wedges, gen, classical_alg):
     alg = classical_alg
     i = alg.index[gen] if isinstance(gen, str) else gen
     one = alg.domain.one
-    x = TensorElement(alg, 2, {((), ((i, 1),)): one, (((i, 1),), ()): one})
+    x = TensorElement(alg, 2, {(((), ((i, 1),)), 0): one, ((((i, 1),), ()), 0): one})
     return x.commutator(_wedge_tensor(alg, wedges))
 
 
 def skew_first_order(t, classical_alg):
     """(first-order part of a coproduct) minus its flip, as an order-0 tensor."""
     out = {}
-    for ws, c in t.terms.items():
-        v = c.coefficient(1)
-        if v.is_zero():
+    for (ws, k), v in t.terms.items():
+        if k != 1:
             continue
         out[ws] = out.get(ws, FieldElem(0)) + v
         key = (ws[1], ws[0])
         out[key] = out.get(key, FieldElem(0)) - v
-    one = DeformationSeries.one(classical_alg.param, classical_alg.order)
     return TensorElement(classical_alg, 2,
-                         {w: one * c for w, c in out.items() if not c.is_zero()})
+                         {(w, 0): c for w, c in out.items() if not c.is_zero()})
 
 
 # -- check drivers -------------------------------------------------------------
@@ -251,11 +244,10 @@ def check_factorization(order):
     alg = bundle.presentation
     rep = CheckReport(check="r-factorization", algebra="so22", order=order)
     four = preset_r("so22", order)
-    one = DeformationSeries.monomial(FE_ONE, 1, alg.param, alg.order)
 
     def leg(c, left, right):
-        return TensorElement(alg, 2, {(((alg.index[left], 1),),
-                                       ((alg.index[right], 1),)): one * c})
+        return TensorElement(alg, 2, {((((alg.index[left], 1),),
+                                        ((alg.index[right], 1),)), 1): c})
 
     merged = (leg(FieldElem(-1), "P0_hat", "J_hat")
               + leg(FieldElem(-1), "P", "D")).exp() \

@@ -18,6 +18,8 @@ from hopf_forge.algebras import (check_basis_change, check_casimir_centrality,
 from hopf_forge.contraction import contract_so22
 from hopf_forge import diffrep, repfrt, rmat
 
+from test_golden import GOLDEN, strip_seconds, verify_argv, verify_golden_name
+
 PRESETS = ("sl2", "so22", "nullplane", "sl2-jbasis")
 
 
@@ -130,22 +132,28 @@ def test_criterion_13_differential_representation():
     _criterion(13, "differential representation at N=4", 300, reports)
 
 
+def _golden(fault):
+    return json.loads((GOLDEN / verify_golden_name(fault)).read_text())
+
+
 def test_criterion_14_cli_contract():
     t0 = time.monotonic()
     cli = [sys.executable, "-m", "hopf_forge"]
-    ok = subprocess.run(cli + ["verify", "all", "--order", "2", "--format", "json"],
-                        capture_output=True, text=True)
+    ok = subprocess.run(cli + verify_argv(None), capture_output=True, text=True)
     assert ok.returncode == 0, ok.stdout + ok.stderr
     doc = json.loads(ok.stdout)
     assert doc["reportVersion"] == 1 and doc["status"] == "pass"
+    assert strip_seconds(doc) == _golden(None)
 
     from hopf_forge.algebras import FAULTS
     for fault in sorted(FAULTS):
-        r = subprocess.run(cli + ["verify", "all", "--order", "2",
-                                  "--inject-fault", fault],
-                           capture_output=True, text=True)
+        r = subprocess.run(cli + verify_argv(fault), capture_output=True, text=True)
         assert r.returncode == 1, f"fault {fault} did not fail"
-        assert "FAIL " in r.stdout, f"fault {fault} names no failing check"
+        doc = json.loads(r.stdout)
+        assert doc["status"] == "fail"
+        assert any(c["status"] == "fail" for c in doc["checks"]), \
+            f"fault {fault} names no failing check"
+        assert strip_seconds(doc) == _golden(fault), f"fault {fault}"
 
     # parse/render round trip over the full preset vocabulary
     from hopf_forge.expr import parse_to_element, render_element
@@ -156,9 +164,9 @@ def test_criterion_14_cli_contract():
         elems = [alg.gen(g) for g in alg.generators]
         elems += list(bundle.casimirs.values())
         for i in range(len(alg.generators)):
-            for ws in bundle.hopf.delta[i].terms:
+            for ws, _ in bundle.hopf.delta[i].terms:
                 for w in ws:
-                    elems.append(NCElement(alg, {w: alg.domain.one}))
+                    elems.append(NCElement(alg, {(w, 0): alg.domain.one}))
         for x in elems:
             assert parse_to_element(render_element(x, "text"), alg) == x
 

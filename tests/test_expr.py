@@ -3,9 +3,9 @@
 import pytest
 
 from hopf_forge.algebras import preset
-from hopf_forge.expr import (ExpressionError, ExpressionSyntaxError, UnknownSymbol,
-                             parse_expression, parse_to_element, render_element,
-                             render_tensor)
+from hopf_forge.expr import (MAX_EXPONENT, ExpressionError, ExpressionSyntaxError,
+                             UnknownSymbol, parse_expression, parse_to_element,
+                             render_element, render_tensor)
 from hopf_forge.ncalg import NCElement
 
 
@@ -42,10 +42,9 @@ class TestParser:
     def test_rationals_powers_minus(self):
         alg = preset("nullplane", 2).presentation
         got = parse_to_element("-3/4*P_1^2 + 1/2*w*K_2 - P_plus", alg)
-        from hopf_forge.coeff import DeformationSeries, FieldElem, rat
+        from hopf_forge.coeff import FieldElem, rat
         want = (alg.gen("P_1") ** 2 * FieldElem(rat(-3, 4))
-                + alg.gen("K_2") * DeformationSeries.monomial(
-                    FieldElem(rat(1, 2)), 1, "w", 2)
+                + alg.gen("K_2").scaled(FieldElem(rat(1, 2)), 1)
                 - alg.gen("P_plus"))
         assert got == want
 
@@ -75,9 +74,9 @@ class TestRoundTrip:
         elems += [bundle.hopf.antipode[i] for i in range(len(alg.generators))]
         # coproduct legs: every slot element of every coproduct term
         for i in range(len(alg.generators)):
-            for ws in bundle.hopf.delta[i].terms:
+            for ws, _ in bundle.hopf.delta[i].terms:
                 for w in ws:
-                    elems.append(NCElement(alg, {w: alg.domain.one}))
+                    elems.append(NCElement(alg, {(w, 0): alg.domain.one}))
         for x in elems:
             text = render_element(x, "text")
             back = parse_to_element(text, alg)
@@ -105,3 +104,41 @@ class TestRoundTrip:
         assert doc == {"terms": [{"word": [["A", 1]], "coeff": [[1, 1, 0, 1],
                                                                 [0, 1, 0, 1],
                                                                 [0, 1, 0, 1]]}]}
+
+
+class TestPowers:
+    """``x^n`` squares repeatedly; exponents above MAX_EXPONENT are refused."""
+
+    def test_long_power_renders_as_itself(self):
+        alg = preset("sl2", 2).presentation
+        assert render_element(parse_to_element("A_plus^6400", alg), "text") == "A_plus^6400"
+
+    @pytest.mark.parametrize("n", [3000, MAX_EXPONENT])
+    def test_power_of_exponential_is_exponential_of_multiple(self, n):
+        alg = preset("nullplane", 4).presentation
+        got = parse_to_element(f"exp(w*P_plus)^{n}", alg)
+        assert got == parse_to_element(f"exp({n}*w*P_plus)", alg)
+
+    def test_power_matches_repeated_product(self):
+        alg = preset("so22", 2).presentation
+        x = parse_to_element("C_2 + z*P - 1/2*J_hat", alg)
+        want = alg.unit()
+        for n in range(7):
+            assert x ** n == want, n
+            want = want * x
+
+    def test_exponent_above_the_limit_is_an_error(self):
+        alg = preset("sl2", 2).presentation
+        with pytest.raises(ExpressionSyntaxError, match="exceeds the limit"):
+            parse_to_element(f"A_plus^{MAX_EXPONENT + 1}", alg)
+        assert MAX_EXPONENT >= 600  # P_minus^600*P_plus is a known input
+
+    def test_exponent_above_the_limit_exits_2(self):
+        import subprocess
+        import sys
+        r = subprocess.run([sys.executable, "-m", "hopf_forge", "normalize",
+                            f"A_plus^{MAX_EXPONENT + 1}", "--algebra", "sl2"],
+                           capture_output=True, text=True)
+        assert r.returncode == 2
+        assert "exceeds the limit" in r.stderr
+        assert "Traceback" not in r.stderr

@@ -1,0 +1,144 @@
+"""Golden outputs: the `normalize`, `expand`, `show` and `preset` commands on a
+fixed corpus, and `verify all --order 2 --format json` with and without each
+fault hook, must stay byte-identical to the files under ``tests/golden/``.
+
+The corpus commands run in-process; the verify goldens are compared by
+acceptance criterion 14, which runs those subprocesses anyway.  To rewrite
+the files from the code on ``PYTHONPATH`` (only when a change of output is
+intended)::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import contextlib
+import io
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from hopf_forge import cli
+from hopf_forge.algebras import FAULTS, PRESET_NAMES
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# {a}, {b}, {c}, {d}: generators (first, second, last, middle); {p}: parameter
+EXPRESSIONS = (
+    "7",
+    "-2/3",
+    "-{p}*{b} + 1",
+    "{c}*{a}",
+    "{a} + {p}*{a}",
+    "{a} - {a}",
+    "3*{b}^2 - 1/2*{a}*{c}",
+    "sqrt2*{a} + {p}*{b} - 5/7*{p}^2*{d}",
+    "(sqrt2*{a} + {c})^2",
+    "{c}*{b}*{a} - {a}*{b}*{c}",
+    "({c} - {p}*{a})^3",
+    "{p}^2*{c}*{d}*{a} + 2/3",
+    "exp({p}*{a})*{c}",
+    "exp(-2*{p}*{a} + 1/3*{p}*{b})",
+    "{c}*exp(sqrt2*{p}*{d}) - exp(1/2*{p}^2*{c})",
+    "{d}^3*{a}^2 - {c}^2*{b}",
+)
+CORPUS_ORDERS = (2, 4)
+SHOW_SUBJECTS = ("relations", "coproducts", "antipodes", "casimirs", "rmatrix")
+SHOW_ORDER = 3
+
+
+def _expressions(name):
+    from hopf_forge.algebras import preset
+    alg = preset(name, 2).presentation
+    g = alg.generators
+    fill = {"a": g[0], "b": g[1], "c": g[-1], "d": g[len(g) // 2], "p": alg.param}
+    return [e.format(**fill) for e in EXPRESSIONS]
+
+
+def corpus_commands():
+    """Every command line of the corpus, in a fixed order."""
+    out = [["preset"]]
+    for name in PRESET_NAMES:
+        out.append(["preset", name])
+        out.append(["preset", name, "--order", "2"])
+        for order in CORPUS_ORDERS:
+            for text in _expressions(name):
+                for verb in ("normalize", "expand"):
+                    for fmt in ("text", "json", "latex"):
+                        out.append([verb, "--algebra", name, "--order", str(order),
+                                    "--format", fmt, "--", text])
+        for subject in SHOW_SUBJECTS:
+            for fmt in ("text", "json"):
+                out.append(["show", subject, "--algebra", name,
+                            "--order", str(SHOW_ORDER), "--format", fmt])
+    return out
+
+
+def run_in_process(argv):
+    """(exit code, stdout) of one command."""
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def corpus_outputs(commands):
+    return {" ".join(argv): list(run_in_process(argv)) for argv in commands}
+
+
+def _corpus_file(subject):
+    return GOLDEN / f"corpus-{subject}.json"
+
+
+def _split(commands):
+    """Commands by golden file: one per command verb."""
+    parts = {}
+    for argv in commands:
+        parts.setdefault(argv[0], []).append(argv)
+    return parts
+
+
+def verify_golden_name(fault):
+    return f"verify-order2-{fault or 'nofault'}.json"
+
+
+def verify_argv(fault):
+    argv = ["verify", "all", "--order", "2", "--format", "json"]
+    return argv + (["--inject-fault", fault] if fault else [])
+
+
+def strip_seconds(doc):
+    """A verify report without its run-dependent ``seconds`` fields."""
+    for check in doc["checks"]:
+        check.pop("seconds", None)
+    return doc
+
+
+def _write():
+    GOLDEN.mkdir(exist_ok=True)
+    for subject, commands in _split(corpus_commands()).items():
+        _corpus_file(subject).write_text(
+            json.dumps(corpus_outputs(commands), indent=1, ensure_ascii=False) + "\n")
+    for fault in (None, *sorted(FAULTS)):
+        r = subprocess.run([sys.executable, "-m", "hopf_forge", *verify_argv(fault)],
+                           capture_output=True, text=True, check=False)
+        doc = strip_seconds(json.loads(r.stdout))
+        (GOLDEN / verify_golden_name(fault)).write_text(
+            json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False) + "\n")
+
+
+@pytest.mark.parametrize("subject", sorted(_split(corpus_commands())))
+def test_corpus_output_is_golden(subject):
+    commands = _split(corpus_commands())[subject]
+    want = json.loads(_corpus_file(subject).read_text())
+    got = corpus_outputs(commands)
+    assert list(got) == list(want)
+    for line, out in got.items():
+        assert out == want[line], line
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    _write()

@@ -5,7 +5,7 @@ import pytest
 from hopf_forge.algebras import build_preset, preset
 from hopf_forge.coeff import DeformationSeries, FE_ONE, FieldElem
 from hopf_forge.hopf import HopfMaps
-from hopf_forge.ncalg import tensor_pair
+from hopf_forge.ncalg import UnmappedGenerator, tensor_pair
 
 
 class TestCoproduct:
@@ -33,7 +33,7 @@ class TestCoproduct:
     def test_counit_and_antipode_on_unit(self):
         b = preset("so22", 2)
         alg = b.presentation
-        assert b.hopf.counit_of(alg.unit()) == alg.domain.one
+        assert b.hopf.counit_of(alg.unit()) == alg.unit()
         assert b.hopf.antipode_of(alg.unit()) == alg.unit()
 
     def test_counit_vanishes_on_generators(self):
@@ -99,3 +99,25 @@ class TestTransportedStructure:
 
     def test_jbasis_primitive(self):
         assert preset("sl2-jbasis", 3).hopf.primitive_generators() == ["J_plus"]
+
+
+class TestBialgebraWithoutAntipode:
+    """HopfMaps built without an antipode: every antipode use raises the
+    documented error, not a KeyError from the empty antipode map."""
+
+    def bialgebra(self):
+        hopf = preset("sl2", 2).hopf
+        return HopfMaps(hopf.algebra, hopf.delta, hopf.counit)
+
+    def test_axioms_without_the_antipode_still_run(self):
+        b = self.bialgebra()
+        assert b.check_coassociativity().passed
+        assert b.check_counit().passed
+
+    def test_antipode_antihom_raises_unmapped_generator(self):
+        with pytest.raises(UnmappedGenerator):
+            self.bialgebra().check_antipode_antihom()
+
+    def test_subalgebra_check_raises_unmapped_generator(self):
+        with pytest.raises(UnmappedGenerator):
+            self.bialgebra().subalgebra_check(("A_plus",))

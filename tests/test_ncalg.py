@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from hopf_forge import ncalg
-from hopf_forge.coeff import DeformationSeries, FieldElem, rat
+from hopf_forge.coeff import FieldElem, rat
 from hopf_forge.contraction import Contraction, EpsLaurent
 from hopf_forge.ncalg import (AlgebraMismatch, AlgebraPresentation, ArityMismatch,
                               MissingRule, NCElement, NonTerminating,
@@ -15,9 +15,18 @@ from hopf_forge.ncalg import (AlgebraMismatch, AlgebraPresentation, ArityMismatc
 from hopf_forge.algebras import build_preset, preset
 
 
+def fe(value):
+    return FieldElem(rat(*value)) if isinstance(value, tuple) else FieldElem(value)
+
+
 def mono(alg, value, degree=0):
-    fe = FieldElem(rat(*value)) if isinstance(value, tuple) else FieldElem(value)
-    return DeformationSeries.monomial(fe, degree, alg.param, alg.order)
+    """The scalar value * param**degree as an element."""
+    return alg.scalar(fe(value), degree)
+
+
+def as_dict(entries):
+    """Normal-form entries (word, k, scalar) as {(word, k): scalar}."""
+    return {(w, k): c for w, k, c in entries}
 
 
 class TestNormalize:
@@ -25,25 +34,25 @@ class TestNormalize:
         alg = preset("sl2", 2).presentation
         got = alg.gen("A") * alg.gen("A_plus")
         want = alg.element({
-            ((0, 1), (1, 1)): mono(alg, 1),
-            ((0, 1),): mono(alg, 2),
-            ((0, 2),): mono(alg, 2, 1),
-            ((0, 3),): mono(alg, (4, 3), 2),
+            (((0, 1), (1, 1)), 0): fe(1),
+            (((0, 1),), 0): fe(2),
+            (((0, 2),), 1): fe(2),
+            (((0, 3),), 2): fe((4, 3)),
         })
         assert got == want
 
     def test_already_normal(self):
         alg = preset("sl2", 2).presentation
         x = alg.gen("A_plus") * alg.gen("A")
-        assert set(x.terms) == {((0, 1), (1, 1))}
+        assert set(x.terms) == {(((0, 1), (1, 1)), 0)}
 
     def test_aminus_times_a(self):
         alg = preset("sl2", 2).presentation
         got = alg.gen("A_minus") * alg.gen("A")
         want = alg.element({
-            ((1, 1), (2, 1)): mono(alg, 1),
-            ((2, 1),): mono(alg, 2),
-            ((1, 2),): mono(alg, -1, 1),
+            (((1, 1), (2, 1)), 0): fe(1),
+            (((2, 1),), 0): fe(2),
+            (((1, 2),), 1): fe(-1),
         })
         assert got == want
 
@@ -54,11 +63,11 @@ class TestNormalize:
             word = tuple(rng.randrange(6) for _ in range(rng.randint(1, 5)))
             nf = alg.normal_form_of_word(word)
             # every output word is sorted, and renormalizing is the identity
-            for w, c in nf.items():
+            for w, _, _ in nf:
                 flat = tuple(g for g, e in w for _ in range(e))
                 assert flat == tuple(sorted(flat))
                 again = alg.normal_form_of_word(flat)
-                assert again == {w: alg.domain.one}
+                assert again == ((w, 0, alg.domain.one),)
 
     def test_missing_rule_raises(self):
         from hopf_forge.ncalg import AlgebraPresentation
@@ -87,26 +96,26 @@ def leftmost_descent_normal_form(alg, flat):
     table except the rules themselves.
     """
     out = {}
-    work = {flat: alg.domain.one}
+    work = {(flat, 0): alg.domain.one}
     while work:
-        w, c = work.popitem()
+        (w, k), c = work.popitem()
         if c.is_zero():
             continue
-        i = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), -1)
+        i = next((j for j in range(len(w) - 1) if w[j] > w[j + 1]), -1)
         if i < 0:
-            key = compress(w)
+            key = (compress(w), k)
             out[key] = c if key not in out else out[key] + c
             continue
         rule = alg.rules.get((w[i], w[i + 1]))
         if rule is None:
             raise MissingRule(f"no rule for pair {w[i], w[i + 1]}")
         head, tail = w[:i], w[i + 2:]
-        for m, rc in rule.terms.items():
-            nw = head + flatten(m) + tail
-            nc = c * rc
-            if not nc.is_zero():
-                work[nw] = nc if nw not in work else work[nw] + nc
-    return {w: c for w, c in out.items() if not c.is_zero()}
+        for (m, rk), rc in rule.terms.items():
+            if k + rk <= alg.order:
+                key = (head + flatten(m) + tail, k + rk)
+                nc = c * rc
+                work[key] = nc if key not in work else work[key] + nc
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
 ORACLE_CASES = [(name, order) for name in ("sl2", "so22", "nullplane", "sl2-jbasis")
@@ -131,11 +140,11 @@ class TestKernelOracle:
         words += [tuple(range(n - 1, -1, -1)), (n - 1,) * 3 + (0,) * 3]
         got = {}
         for word in words:
-            got[word] = first.normal_form_of_word(word)
+            got[word] = as_dict(first.normal_form_of_word(word))
             assert got[word] == leftmost_descent_normal_form(first, word), word
         # the same answers when the words arrive in the other order
         for word in reversed(words):
-            assert second.normal_form_of_word(word) == got[word], word
+            assert as_dict(second.normal_form_of_word(word)) == got[word], word
 
 
 class TestDeepWords:
@@ -153,7 +162,7 @@ class TestDeepWords:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 40)
         try:
-            got = alg.normal_form_of_word(word)
+            got = as_dict(alg.normal_form_of_word(word))
         finally:
             sys.setrecursionlimit(limit)
         assert got == want
@@ -169,14 +178,14 @@ class TestKernelErrors:
             alg.normal_form_of_word(word)
         assert word not in alg._nf_cache
         monkeypatch.undo()
-        assert alg.normal_form_of_word(word) == leftmost_descent_normal_form(alg, word)
+        assert as_dict(alg.normal_form_of_word(word)) == leftmost_descent_normal_form(alg, word)
 
     def test_missing_rule_inside_table_entry_raises_again(self):
         alg = AlgebraPresentation("partial3", ("a", "b", "c"), "z", 1)
         one = alg.domain.one
         alg.set_rules({(1, 0): None,
-                       (2, 0): alg.element({((0, 1), (2, 1)): one}),
-                       (2, 1): alg.element({((1, 1), (2, 1)): one})})
+                       (2, 0): alg.element({(((0, 1), (2, 1)), 0): one}),
+                       (2, 1): alg.element({(((1, 1), (2, 1)), 0): one})})
         # b*c*a: computing (b c)*a needs b*a, which has no rule; the second
         # call must not mistake a leftover in-progress mark for a cycle
         for _ in range(2):
@@ -189,7 +198,7 @@ class TestKernelErrors:
         alg = AlgebraPresentation("runaway", ("a", "b"), "z", 1)
         # b*a = a^2 b^2 makes b^2 a grow without end; each step waits on the
         # next, so a small limit keeps the stack of pending entries small
-        alg.set_rules({(1, 0): alg.element({((0, 2), (1, 2)): alg.domain.one})})
+        alg.set_rules({(1, 0): alg.element({(((0, 2), (1, 2)), 0): alg.domain.one})})
         monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 2000)
         with pytest.raises(NonTerminating, match="exceeded"):
             alg.normal_form_of_word((1, 1, 0))
@@ -199,12 +208,12 @@ class TestKernelErrors:
         # (b c)*a needs b*a = z b c, then (b c)*a again: every return carries
         # a power of z, but a table entry holds u*g for any coefficient
         alg = AlgebraPresentation("zcycle", ("a", "b", "c"), "z", 2)
-        alg.set_rules({(1, 0): alg.element({((1, 1), (2, 1)): mono(alg, 1, 1)}),
-                       (2, 0): alg.element({((0, 2),): mono(alg, 1, 1)}),
-                       (2, 1): alg.element({((1, 1), (2, 1)): alg.domain.one})})
+        alg.set_rules({(1, 0): alg.element({(((1, 1), (2, 1)), 1): fe(1)}),
+                       (2, 0): alg.element({(((0, 2),), 1): fe(1)}),
+                       (2, 1): alg.element({(((1, 1), (2, 1)), 0): alg.domain.one})})
         with pytest.raises(NonTerminating, match="cycles"):
             alg.normal_form_of_word((1, 2, 0))
-        assert alg.normal_form_of_word((2, 1)) == {((1, 1), (2, 1)): alg.domain.one}
+        assert alg.normal_form_of_word((2, 1)) == ((((1, 1), (2, 1)), 0, alg.domain.one),)
 
     @pytest.mark.parametrize("name", ["so22", "nullplane-eps"])
     def test_interned_coefficients_equal_fresh_ones(self, name):
@@ -212,16 +221,15 @@ class TestKernelErrors:
         rng = random.Random(3)
         for _ in range(10):
             alg.normal_form_of_word(tuple(rng.randrange(6) for _ in range(5)))
-        stored = [c for nf in alg._nf_cache.values() for c in nf.values()]
-        stored += [c for entry in alg._table.values() for _, c in entry]
+        stored = [c for nf in alg._nf_cache.values() for _, _, c in nf]
+        stored += [c for entry in alg._table.values() for _, _, c in entry]
         assert stored
         for c in stored:
             assert alg._interned[c] is c
             if isinstance(c, EpsLaurent):
-                fresh = EpsLaurent({k: s + s.zero(s.param, s.order)
-                                    for k, s in c.slices.items()})
+                fresh = EpsLaurent({k: s + FieldElem(0) for k, s in c.slices.items()})
             else:
-                fresh = c + c.zero(c.param, c.order)
+                fresh = c + FieldElem(0)
             assert fresh is not c
             assert fresh == c and hash(fresh) == hash(c)
 
@@ -230,12 +238,12 @@ class TestMul:
     def test_in_order_product(self):
         alg = preset("sl2", 2).presentation
         x = alg.gen("A_plus") * alg.gen("A_minus")
-        assert set(x.terms) == {((0, 1), (2, 1))}
+        assert set(x.terms) == {(((0, 1), (2, 1)), 0)}
 
     def test_out_of_order_product(self):
         alg = preset("sl2", 2).presentation
         got = alg.gen("A_minus") * alg.gen("A_plus")
-        want = alg.element({((0, 1), (2, 1)): mono(alg, 1), ((1, 1),): mono(alg, -1)})
+        want = alg.element({(((0, 1), (2, 1)), 0): fe(1), (((1, 1),), 0): fe(-1)})
         assert got == want
 
     def test_unit(self):
@@ -257,8 +265,8 @@ class TestMul:
             out = alg.zero()
             for _ in range(rng.randint(1, 3)):
                 word = tuple(rng.randrange(6) for _ in range(rng.randint(0, 3)))
-                coeff = mono(alg, rng.randint(-3, 3), rng.randint(0, 1))
-                out = out + alg.normalize([(word, coeff)])
+                value, k = rng.randint(-3, 3), rng.randint(0, 1)
+                out = out + alg.normalize([(word, k, fe(value))])
             return out
 
         for _ in range(8):
@@ -304,7 +312,7 @@ class TestTensor:
         alg = preset("sl2", 2).presentation
         t = tensor_pair(alg.gen("A"), alg.gen("A_plus"))
         e = t.embed((0, 2), 3)
-        assert set(e.terms) == {(((1, 1),), (), ((0, 1),))}
+        assert set(e.terms) == {((((1, 1),), (), ((0, 1),)), 0)}
 
     def test_flip_symmetric_element(self):
         alg = preset("sl2", 2).presentation
@@ -326,7 +334,7 @@ class TestTensor:
 
     def test_flip_is_involutive_and_linear(self):
         alg = preset("nullplane", 2).presentation
-        t = tensor_pair(alg.gen("K_2"), alg.gen("P_plus")) * mono(alg, 3, 1) \
+        t = tensor_pair(alg.gen("K_2"), alg.gen("P_plus")).scaled(fe(3), 1) \
             + tensor_pair(alg.gen("E_1"), alg.gen("P_1"))
         assert t.flip().flip() == t
 

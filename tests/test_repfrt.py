@@ -123,9 +123,7 @@ class TestWeyl:
         i, j = alg.index["a_plus"], alg.index["a_minus"]
         got = alg.gen(j).commutator(alg.gen(i))
         # [a_minus, a_plus] = +2w a_minus
-        from hopf_forge.coeff import DeformationSeries
-        want = alg.gen("a_minus") * DeformationSeries.monomial(
-            FieldElem(2), 1, "w", 2)
+        want = alg.gen("a_minus").scaled(FieldElem(2), 1)
         assert got == want
 
 
@@ -138,7 +136,7 @@ class TestGroupCoproduct:
         delta = group_coproduct(alg)
         d = delta[alg.index["L01"]]
         # Delta(L[0][1]) = sum_s L[0][s] (x) L[s][1]
-        keys = set(d.terms)
+        keys = {ws for ws, _ in d.terms}
         want = {((((alg.index[f"L0{s}"], 1),), ((alg.index[f"L{s}1"], 1),)))
                 for s in range(3)}
         assert keys == want
@@ -150,11 +148,9 @@ class TestQuantumPlane:
 
     def test_xplus_xminus_rule(self):
         from hopf_forge.repfrt import quantum_plane
-        from hopf_forge.coeff import DeformationSeries
         alg = quantum_plane(2)
         got = alg.gen("x_plus").commutator(alg.gen("x_minus"))
-        want = alg.gen("x_minus") * DeformationSeries.monomial(
-            FieldElem(-2), 1, "w", 2)
+        want = alg.gen("x_minus").scaled(FieldElem(-2), 1)
         assert got == want
 
     def test_1plus1_restriction(self):
@@ -162,4 +158,4 @@ class TestQuantumPlane:
         from hopf_forge.repfrt import quantum_plane
         alg = quantum_plane(2)
         comm = alg.gen("x_plus").commutator(alg.gen("x_minus"))
-        assert set(g for w in comm.terms for g, _ in w) <= {alg.index["x_minus"]}
+        assert set(g for w, _ in comm.terms for g, _ in w) <= {alg.index["x_minus"]}

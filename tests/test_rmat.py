@@ -3,7 +3,7 @@
 import pytest
 
 from hopf_forge.algebras import classical_presentation, preset
-from hopf_forge.coeff import DeformationSeries, FE_ONE, FieldElem
+from hopf_forge.coeff import FE_ONE, FieldElem
 from hopf_forge.ncalg import TensorElement
 from hopf_forge.rmat import (NotAntisymmetric, build_universal_r,
                              check_classical_r, check_cocommutator_link,
@@ -14,8 +14,6 @@ from hopf_forge.rmat import (NotAntisymmetric, build_universal_r,
                              preset_r, qybe_residual, triangularity_residual)
 
 
-def mono1(alg, v):
-    return DeformationSeries.monomial(FieldElem(v), 1, alg.param, alg.order)
 
 
 class TestConstruction:
@@ -24,7 +22,7 @@ class TestConstruction:
         alg = preset("sl2", 1).presentation
         ap, a = ((alg.index["A_plus"], 1),), ((alg.index["A"], 1),)
         want = TensorElement.unit(alg, 2) \
-            + TensorElement(alg, 2, {(a, ap): mono1(alg, 1), (ap, a): mono1(alg, -1)})
+            + TensorElement(alg, 2, {((a, ap), 1): FieldElem(1), ((ap, a), 1): FieldElem(-1)})
         assert r == want
 
     def test_nullplane_first_order(self):
@@ -35,10 +33,10 @@ class TestConstruction:
             return ((alg.index[g], 1),)
 
         want = TensorElement.unit(alg, 2) + TensorElement(alg, 2, {
-            (w("K_2"), w("P_plus")): mono1(alg, 2),
-            (w("P_plus"), w("K_2")): mono1(alg, -2),
-            (w("E_1"), w("P_1")): mono1(alg, 2),
-            (w("P_1"), w("E_1")): mono1(alg, -2),
+            ((w("K_2"), w("P_plus")), 1): FieldElem(2),
+            ((w("P_plus"), w("K_2")), 1): FieldElem(-2),
+            ((w("E_1"), w("P_1")), 1): FieldElem(2),
+            ((w("P_1"), w("E_1")), 1): FieldElem(-2),
         })
         assert r == want
 

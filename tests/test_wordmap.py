@@ -29,9 +29,8 @@ def random_word(rng, n):
 def random_element(alg, rng, terms=3):
     out = {}
     for _ in range(terms):
-        c = DeformationSeries.monomial(FieldElem(rng.choice((-2, -1, 1, 3))),
-                                       rng.randint(0, 1), alg.param, alg.order)
-        out[random_word(rng, len(alg.generators))] = c
+        c, k = FieldElem(rng.choice((-2, -1, 1, 3))), rng.randint(0, 1)
+        out[(random_word(rng, len(alg.generators)), k)] = c
     return alg.element(out)
 
 
@@ -45,11 +44,17 @@ def product(unit, images, word, reverse=False):
     return out
 
 
-def linear(zero, x, image_of_word):
+def linear(zero, x, image_of_word, scalar):
+    """Sum of word images, each times its term's scalar element ``scalar(c, k)``."""
     out = zero
-    for w, c in x.terms.items():
-        out = out + image_of_word(w) * c
+    for (w, k), c in x.terms.items():
+        out = out + image_of_word(w) * scalar(c, k)
     return out
+
+
+def tensor_scalar(alg, arity):
+    """c * param**k as a tensor of the given arity."""
+    return lambda c, k: TensorElement(alg, arity, {(((),) * arity, k): c})
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -60,7 +65,7 @@ def test_coproduct_is_the_product_of_generator_coproducts(name):
     for _ in range(3):
         x = random_element(alg, rng)
         want = linear(TensorElement.zero(alg, 2), x, lambda w: product(
-            TensorElement.unit(alg, 2), hopf.delta, w))
+            TensorElement.unit(alg, 2), hopf.delta, w), tensor_scalar(alg, 2))
         assert hopf.coproduct(x) == want
 
 
@@ -72,7 +77,8 @@ def test_antipode_is_the_reversed_product_of_generator_antipodes(name):
     for _ in range(3):
         x = random_element(alg, rng)
         want = linear(alg.zero(), x,
-                      lambda w: product(alg.unit(), hopf.antipode, w, reverse=True))
+                      lambda w: product(alg.unit(), hopf.antipode, w, reverse=True),
+                      alg.scalar)
         assert hopf.antipode_of(x) == want
 
 
@@ -85,9 +91,9 @@ def test_counit_is_the_product_of_generator_counits(name):
                     {g: FieldElem(rng.choice((-2, 1, 3))) for g in alg.generators})
     for _ in range(3):
         x = random_element(alg, rng)
-        want = alg.domain.zero
-        for w, c in x.terms.items():
-            want = want + c * product(FieldElem(1), hopf.counit, w)
+        want = alg.zero()
+        for (w, k), c in x.terms.items():
+            want = want + alg.scalar(c * product(FieldElem(1), hopf.counit, w), k)
         assert hopf.counit_of(x) == want
 
 
@@ -108,7 +114,7 @@ def test_substitute_is_the_product_of_generator_images(name):
     named = {alg.generators[g]: e for g, e in images.items()}
     for _ in range(3):
         x = random_element(alg, rng)
-        want = linear(alg.zero(), x, lambda w: product(alg.unit(), images, w))
+        want = linear(alg.zero(), x, lambda w: product(alg.unit(), images, w), alg.scalar)
         assert x.substitute(alg, images) == want
         assert x.substitute(alg, named) == want
 
@@ -121,21 +127,21 @@ def test_tensor_substitute_is_slotwise_products(name):
     x, y = random_element(alg, rng, 2), random_element(alg, rng, 2)
     t = tensor_pair(x, y)
     want = TensorElement.zero(alg, 2)
-    for (w1, w2), c in t.terms.items():
+    for ((w1, w2), k), c in t.terms.items():
         want = want + tensor_pair(product(alg.unit(), images, w1),
-                                  product(alg.unit(), images, w2)) * c
+                                  product(alg.unit(), images, w2)) * tensor_scalar(alg, 2)(c, k)
     assert t.substitute(alg, images) == want
     # arity 3: each slot image as a one-slot tensor, multiplied through the kernel
     t3 = t.embed((0, 2))
     want3 = TensorElement.zero(alg, 3)
-    for ws, c in t3.terms.items():
+    for (ws, k), c in t3.terms.items():
         piece = TensorElement.unit(alg, 3)
         for s, w in enumerate(ws):
             img = product(alg.unit(), images, w)
             piece = piece * TensorElement(alg, 3, {
-                tuple(u if k == s else () for k in range(3)): cu
-                for u, cu in img.terms.items()})
-        want3 = want3 + piece * c
+                (tuple(u if j == s else () for j in range(3)), uk): cu
+                for (u, uk), cu in img.terms.items()})
+        want3 = want3 + piece * tensor_scalar(alg, 3)(c, k)
     assert t3.substitute(alg, images) == want3
 
 
@@ -147,9 +153,10 @@ def test_rep_of_element_is_the_product_of_operator_images():
     images = {alg.index[g]: op for g, op in rep.items()}
     x = random_element(alg, rng, 2)
     want = diffrep.WeylOperator.zero(order)
-    for w, c in x.terms.items():
+    for (w, k), c in x.terms.items():
         op = product(diffrep.WeylOperator.identity(order), images, w)
-        want = want + op.scale(c.map_coeffs(diffrep.rf_const, diffrep.RF_DOMAIN))
+        want = want + op.scale(DeformationSeries.monomial(
+            diffrep.rf_const(c), k, "w", order, diffrep.RF_DOMAIN))
     assert diffrep.rep_of_element(rep, x, order) == want
 
 
@@ -171,7 +178,7 @@ def test_group_coproduct_check_catches_a_dropped_term(monkeypatch):
         delta = dict(real(alg))
         t = delta[alg.index["a_plus"]]
         terms = dict(t.terms)
-        del terms[(((alg.index["a_plus"], 1),), ())]  # a_plus (x) 1
+        del terms[((((alg.index["a_plus"], 1),), ()), 0)]  # a_plus (x) 1
         delta[alg.index["a_plus"]] = TensorElement(alg, 2, terms)
         return delta
 
