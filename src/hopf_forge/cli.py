@@ -1,7 +1,9 @@
 """Command-line front end: preset browser, expression tools, verification driver.
 
-Exit codes: 0 when every requested check passes, 1 when any check fails,
-2 on usage errors (unknown preset, malformed expression, bad flags).
+Exit codes: 0 when every requested check passes, 1 when any check fails or
+rewriting an expression fails (an ``ncalg.AlgebraError`` such as a rewrite
+that exceeds the step bound), 2 on usage errors (unknown preset, malformed
+expression, bad flags).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .algebras import (FAULTS, PRESET_NAMES, PresetConstructionError,
                        set_active_fault)
 from .expr import (ExpressionError, ExpressionSyntaxError, UnknownSymbol,
                    parse_to_element, render_element, render_tensor)
-from .ncalg import NCElement
+from .ncalg import AlgebraError, NCElement
 from .report import CheckReport
 
 REPORT_VERSION = 1
@@ -411,6 +413,9 @@ def main(argv=None):
         return 2
     except PresetConstructionError as e:
         print(e.report, file=sys.stderr)
+        return 1
+    except AlgebraError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
 

@@ -5,9 +5,17 @@ differential operators, and the pseudo-orthogonality ideal of the Lorentz
 coordinates (Buchberger closure + reduction).  Monomials are compared in
 graded-lexicographic order with the ring's variable list fixing the
 lexicographic priority (first variable strongest).
+
+:func:`groebner` skips the S-pairs that Buchberger's two criteria prove
+reduce to zero: the product criterion (coprime leading monomials) and the
+chain criterion (some third leading monomial divides the pair's lcm and both
+of its pairs with the third member are already treated; Buchberger, EUROSAM
+1979, LNCS 72).
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .coeff import FE_ONE, FE_ZERO, FieldElem, NonInvertible, ZeroDivisor, rat
 
@@ -67,11 +75,12 @@ def _grlex(e):
 class Polynomial:
     """Sparse multivariate polynomial with FieldElem coefficients."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        self._lead = None
 
     def is_zero(self):
         return not self.terms
@@ -86,9 +95,11 @@ class Polynomial:
         return max((e[i] for e in self.terms), default=0)
 
     def leading(self):
-        """(exponent, coefficient) of the graded-lex leading term."""
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        """(exponent, coefficient) of the graded-lex leading term (cached)."""
+        if self._lead is None:
+            e = max(self.terms, key=_grlex)
+            self._lead = e, self.terms[e]
+        return self._lead
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -197,16 +208,20 @@ def _exp_lcm(a, b):
 def reduce_poly(p, basis):
     """Full normal form of ``p`` modulo a list of polynomials.
 
-    Repeatedly cancels any term divisible by a basis leading term; with a
-    Groebner basis this is a sound zero test for ideal membership.
+    Repeatedly cancels the largest term divisible by a basis leading term;
+    with a Groebner basis this is a sound zero test for ideal membership.
     """
-    if not basis:
+    lead = [b.leading() + (b,) for b in basis if not b.is_zero()]
+    if not lead:
         return p
-    lead = [(b.leading()[0], b.leading()[1], b) for b in basis if not b.is_zero()]
     remainder = {}
     work = dict(p.terms)
-    while work:
-        e = max(work, key=_grlex)
+    # max-heap of the exponents in ``work`` by graded-lex order; a cancelled
+    # term only adds smaller ones, so a popped exponent never comes back
+    heap = [_heap_key(e) for e in work]
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)[2]
         c = work.pop(e)
         if c.is_zero():
             continue
@@ -219,11 +234,20 @@ def reduce_poly(p, basis):
                     if be == le:
                         continue
                     ne = tuple(x + y for x, y in zip(be, shift))
-                    work[ne] = work.get(ne, FE_ZERO) - q * bc
+                    s = work.get(ne)
+                    if s is None:
+                        work[ne] = -(q * bc)
+                        heapq.heappush(heap, _heap_key(ne))
+                    else:
+                        work[ne] = s - q * bc
                 break
         else:
-            remainder[e] = remainder.get(e, FE_ZERO) + c
+            remainder[e] = c
     return Polynomial(p.ring, remainder)
+
+
+def _heap_key(e):
+    return (-sum(e), tuple(-x for x in e), e)
 
 
 def _spoly(f, g):
@@ -236,24 +260,38 @@ def _spoly(f, g):
 
 
 def groebner(gens):
-    """Reduced Groebner basis (graded-lex) of the ideal generated by ``gens``."""
-    import heapq
+    """Reduced Groebner basis (graded-lex) of the ideal generated by ``gens``.
 
+    Buchberger's algorithm with the normal selection strategy (pairs by the
+    degree of their lcm).  A pair is reduced unless the product or the chain
+    criterion shows that its S-polynomial reduces to zero.
+    """
     basis = [g.monic() for g in gens if not g.is_zero()]
     lead = [b.leading()[0] for b in basis]
     heap = []
+    done = set()  # pairs (i, j), i < j, already taken off the heap
 
     def push_pairs(k):
         for i in range(k):
             heapq.heappush(heap, (sum(_exp_lcm(lead[i], lead[k])), i, k))
 
+    def chain(i, j, l):
+        """Some other member's lead divides ``l`` and both its pairs with i
+        and j are treated: S(i, j) then reduces to zero (Buchberger 1979)."""
+        return any(
+            k != i and k != j and _exp_divides(lead[k], l)
+            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+            for k in range(len(basis)))
+
     for k in range(len(basis)):
         push_pairs(k)
     while heap:
         _, i, j = heapq.heappop(heap)
+        done.add((i, j))
         ei, ej = lead[i], lead[j]
-        if _exp_lcm(ei, ej) == tuple(a + b for a, b in zip(ei, ej)):
-            continue  # coprime leading monomials: S-poly reduces to zero
+        l = _exp_lcm(ei, ej)
+        if l == tuple(a + b for a, b in zip(ei, ej)) or chain(i, j, l):
+            continue
         r = reduce_poly(_spoly(basis[i], basis[j]), basis)
         if not r.is_zero():
             basis.append(r.monic())

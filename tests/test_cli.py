@@ -112,6 +112,19 @@ class TestExitCodes:
         assert "positive number of seconds" in r.stderr
         assert "Traceback" not in r.stderr and "PASS" not in r.stdout
 
+    @pytest.mark.parametrize("verb", ["normalize", "expand"])
+    def test_rewriting_error_exits_one_without_traceback(self, verb, monkeypatch, capsys):
+        from hopf_forge import cli, ncalg
+        from hopf_forge.algebras import preset
+        preset("nullplane", 2)  # built under the real step bound
+        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 10)
+        code = cli.main([verb, "(F_1*P_minus)^40", "--algebra", "nullplane",
+                         "--order", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: NonTerminating: rewriting exceeded 10 steps")
+        assert "Traceback" not in out + err and not out
+
 
 NULLPLANE = ("nullplane",)
 R_RECIPE = ("sl2", "so22", "nullplane")
@@ -218,6 +231,21 @@ class TestVerifyPlan:
         assert [(r.check, r.algebra, r.order, r.passed) for r in out] == \
             [("matrix-r", "nullplane", 3, False)]
         assert out[0].failures[0]["input"] == "KeyError"
+
+    def test_hopf_reports_carry_their_own_time(self):
+        import time
+        args = build_parser().parse_args(["verify", "hopf", "--algebra", "so22",
+                                          "--order", "2"])
+        ((label, order, fn),) = _verify_plan("hopf", "so22", args)
+        out = []
+        t0 = time.monotonic()
+        _run_timed(label, fn, out, 900, order)
+        batch = time.monotonic() - t0
+        seconds = [r.seconds for r in out]
+        assert [r.check for r in out] == ["coassociativity", "counit", "antipode",
+                                          "coproduct-hom"]
+        assert all(t > 0 for t in seconds) and sum(seconds) <= batch
+        assert len(set(seconds)) == 4, seconds
 
     def test_consistency_row_reports_a_copy_of_the_cached_report(self):
         from hopf_forge.algebras import preset

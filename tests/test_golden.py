@@ -1,6 +1,7 @@
 """Golden outputs: the `normalize`, `expand`, `show` and `preset` commands on a
-fixed corpus, and `verify all --order 2 --format json` with and without each
-fault hook, must stay byte-identical to the files under ``tests/golden/``.
+fixed corpus, `verify all --order 2 --format json` with and without each
+fault hook, and the reduced Groebner basis of the Lorentz orthogonality ideal
+must stay byte-identical to the files under ``tests/golden/``.
 
 The corpus commands run in-process; the verify goldens are compared by
 acceptance criterion 14, which runs those subprocesses anyway.  To rewrite
@@ -115,8 +116,22 @@ def strip_seconds(doc):
     return doc
 
 
+BASIS_GOLDEN = GOLDEN / "orthogonality-groebner.json"
+
+
+def basis_doc():
+    """``repfrt.orthogonality_groebner()`` in basis order: each member a list of
+    ``[exponents, a, b]`` terms (coefficient a + b*sqrt2), leading term first."""
+    from hopf_forge.repfrt import COORD_NAMES, orthogonality_groebner
+    return {"vars": list(COORD_NAMES),
+            "basis": [[[list(e), str(p.terms[e].a), str(p.terms[e].b)]
+                       for e in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True)]
+                      for p in orthogonality_groebner()]}
+
+
 def _write():
     GOLDEN.mkdir(exist_ok=True)
+    BASIS_GOLDEN.write_text(json.dumps(basis_doc()) + "\n")
     for subject, commands in _split(corpus_commands()).items():
         _corpus_file(subject).write_text(
             json.dumps(corpus_outputs(commands), indent=1, ensure_ascii=False) + "\n")
@@ -136,6 +151,10 @@ def test_corpus_output_is_golden(subject):
     assert list(got) == list(want)
     for line, out in got.items():
         assert out == want[line], line
+
+
+def test_orthogonality_groebner_is_golden():
+    assert basis_doc() == json.loads(BASIS_GOLDEN.read_text())
 
 
 if __name__ == "__main__":
