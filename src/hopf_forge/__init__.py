@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .coeff import (  # noqa: F401
     DeformationSeries,
     FieldElem,
-    LaurentSeries,
     NonInvertible,
     NonzeroConstantTerm,
     PoleDetected,

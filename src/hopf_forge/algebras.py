@@ -23,7 +23,7 @@ from math import factorial
 from .coeff import FE_ONE, FieldElem, rat
 from .hopf import HopfMaps
 from .ncalg import AlgebraPresentation, NCElement, tensor_of, tensor_pair
-from .report import CheckReport
+from .report import CheckReport, timed_reports
 
 PRESET_NAMES = ("sl2", "so22", "nullplane", "sl2-jbasis")
 
@@ -271,7 +271,7 @@ def preset(name, order):
 def _build_sl2(order, fault=None):
     alg = AlgebraPresentation("sl2", ("A_plus", "A", "A_minus"), "z", order)
     alg.latex_names = {"A_plus": "A_+", "A": "A", "A_minus": "A_-"}
-    one = alg.domain.one
+    one = FE_ONE
     ap, a, am = 0, 1, 2
 
     rules = {
@@ -340,7 +340,7 @@ def _build_so22(order, fault=None):
     alg = AlgebraPresentation("so22", SO22_GENERATORS, "z", order)
     alg.latex_names = {"P": "P", "P0_hat": r"\hat{P}_0", "J_hat": r"\hat{J}",
                        "D": "D", "C_1": "C_1", "C_2": "C_2"}
-    one = alg.domain.one
+    one = FE_ONE
     comm = _so22_commutators(alg)
     rules = {}
     for (i, j), c in comm.items():
@@ -384,7 +384,7 @@ def _build_nullplane(order, fault=None):
     alg = AlgebraPresentation("nullplane", NP_GENERATORS, "w", order)
     alg.latex_names = {"P_plus": "P_+", "P_1": "P_1", "P_minus": "P_-",
                        "E_1": "E_1", "K_2": "K_2", "F_1": "F_1"}
-    one = alg.domain.one
+    one = FE_ONE
     Pp, P1, Pm, E1, K2, F1 = range(6)
     gen = alg.gen
     half = FieldElem(rat(1, 2))
@@ -521,19 +521,19 @@ def _build_jbasis(order, fault=None):
     c3p = commutator_in_a("J_3", "J_plus")
     c3p_j = c3p.substitute(stage1, alpha_fn(stage1))
     rules_data[(1, 0)] = dict(
-        (stage1.element({(((0, 1), (1, 1)), 0): stage1.domain.one}) + c3p_j).terms)
+        (stage1.element({(((0, 1), (1, 1)), 0): FE_ONE}) + c3p_j).terms)
     # stage 2: [J+, J-] = J3 after transport
     stage2 = fresh(rules_data)
     cpm = commutator_in_a("J_plus", "J_minus")
     cpm_j = cpm.substitute(stage2, alpha_fn(stage2))
     rules_data[(2, 0)] = dict(
-        (stage2.element({(((0, 1), (2, 1)), 0): stage2.domain.one}) - cpm_j).terms)
+        (stage2.element({(((0, 1), (2, 1)), 0): FE_ONE}) - cpm_j).terms)
     # stage 3: [J3, J-], which needs the two rules already derived
     stage3 = fresh(rules_data)
     c3m = commutator_in_a("J_3", "J_minus")
     c3m_j = c3m.substitute(stage3, alpha_fn(stage3))
     rules_data[(2, 1)] = dict(
-        (stage3.element({(((1, 1), (2, 1)), 0): stage3.domain.one}) - c3m_j).terms)
+        (stage3.element({(((1, 1), (2, 1)), 0): FE_ONE}) - c3m_j).terms)
 
     jalg = fresh(rules_data)
     alpha = alpha_fn(jalg)
@@ -555,7 +555,7 @@ def _build_jbasis(order, fault=None):
 
     casimirs = {"C_z": sl2.casimirs["C_z"].substitute(jalg, alpha)}
     return PresetBundle("sl2-jbasis", jalg, hopf, casimirs, None,
-                        aux={"alpha": alpha, "beta": beta, "abasis": sl2})
+                        aux={"alpha": alpha, "beta": beta})
 
 
 def check_basis_change(order):
@@ -608,7 +608,7 @@ TWOCOPY_GENERATORS = ("A1_plus", "A2_plus", "A1", "A2", "A1_minus", "A2_minus")
 def build_twocopy(order):
     """Two commuting copies of the sl(2,R) preset, parameters z and -z."""
     alg = AlgebraPresentation("sl2-twocopy", TWOCOPY_GENERATORS, "z", order)
-    one = alg.domain.one
+    one = FE_ONE
     idx = alg.index
     copies = {
         1: ("A1_plus", "A1", "A1_minus", 1),
@@ -669,34 +669,37 @@ def cross_check_two_copy(order):
     so22 = preset("so22", order)
     alg2, hopf2, tau, cas1, cas2 = build_twocopy(order)
     salg = so22.presentation
-    reports = []
 
-    rep = CheckReport(check="twocopy-commutators", algebra="so22", order=order)
-    for j in range(6):
-        for i in range(j):
-            gi, gj = salg.generators[i], salg.generators[j]
-            lhs = tau[gi].commutator(tau[gj])
-            rhs = salg.gen(gi).commutator(salg.gen(gj)).substitute(alg2, tau)
+    def commutators():
+        rep = CheckReport(check="twocopy-commutators", algebra="so22", order=order)
+        for j in range(6):
+            for i in range(j):
+                gi, gj = salg.generators[i], salg.generators[j]
+                lhs = tau[gi].commutator(tau[gj])
+                rhs = salg.gen(gi).commutator(salg.gen(gj)).substitute(alg2, tau)
+                if not (lhs - rhs).is_zero():
+                    rep.add_failure(f"[{gi},{gj}]", repr(lhs - rhs))
+        return rep
+
+    def coproducts():
+        rep = CheckReport(check="twocopy-coproducts", algebra="so22", order=order)
+        for name in salg.generators:
+            lhs = hopf2.coproduct(tau[name])
+            rhs = so22.hopf.delta[salg.index[name]].substitute(alg2, tau)
             if not (lhs - rhs).is_zero():
-                rep.add_failure(f"[{gi},{gj}]", repr(lhs - rhs))
-    reports.append(rep)
+                rep.add_failure(f"Delta({name})", repr(lhs - rhs))
+        return rep
 
-    rep = CheckReport(check="twocopy-coproducts", algebra="so22", order=order)
-    for name in salg.generators:
-        lhs = hopf2.coproduct(tau[name])
-        rhs = so22.hopf.delta[salg.index[name]].substitute(alg2, tau)
-        if not (lhs - rhs).is_zero():
-            rep.add_failure(f"Delta({name})", repr(lhs - rhs))
-    reports.append(rep)
+    def casimirs():
+        rep = CheckReport(check="twocopy-casimirs", algebra="so22", order=order)
+        for label, combo, target in (("C1_q", cas1 + cas2, so22.casimirs["C1_q"]),
+                                     ("C2_q", cas1 - cas2, so22.casimirs["C2_q"])):
+            rhs = target.substitute(alg2, tau)
+            if not (combo - rhs).is_zero():
+                rep.add_failure(label, repr(combo - rhs))
+        return rep
 
-    rep = CheckReport(check="twocopy-casimirs", algebra="so22", order=order)
-    for label, combo, target in (("C1_q", cas1 + cas2, so22.casimirs["C1_q"]),
-                                 ("C2_q", cas1 - cas2, so22.casimirs["C2_q"])):
-        rhs = target.substitute(alg2, tau)
-        if not (combo - rhs).is_zero():
-            rep.add_failure(label, repr(combo - rhs))
-    reports.append(rep)
-    return reports
+    return timed_reports(commutators, coproducts, casimirs)
 
 
 # -- classical limits -----------------------------------------------------------

@@ -6,20 +6,18 @@
   coefficient of ``param**k * word``.  The contraction of so(2,2) onto the
   null-plane algebra introduces 1/sqrt(2) scale factors, so plain rationals
   are not enough, and ``sqrt2`` is a literal of the expression language.
-* :class:`Domain` -- names the zero and one of a scalar (or coefficient)
-  domain: :data:`FIELD` here, eps-Laurent polynomials in the contraction,
-  rational functions in the differential representation.
+* :class:`Domain` -- names the zero and one of a series' coefficient domain:
+  :data:`FIELD` here, rational functions in the differential representation.
 * :class:`DeformationSeries` -- power series in a named formal parameter,
   truncated at a fixed order, over any such domain.  Used at the edges: the
   entries of the 16x16 matrix R and the differential representation's
   operator coefficients (rational functions of the momenta); algebra
-  elements do not hold them.
-* :class:`LaurentSeries` -- series with finitely many negative powers.  Only
-  used internally (the momentum-space Hamiltonian construction); user-facing
-  values must pass the regularity predicate.
+  elements do not hold them.  :meth:`DeformationSeries.quotient` divides
+  the divisor's power of the parameter out of both sides first, and raises
+  :class:`PoleDetected` when the quotient would have a pole.
 
-Both series types are sparse: ``terms`` holds (degree, coefficient) pairs of
-the nonzero coefficients only, in ascending degree, and ``coeffs`` is a dense
+A series is sparse: ``terms`` holds (degree, coefficient) pairs of the
+nonzero coefficients only, in ascending degree, and ``coeffs`` is a dense
 read-only view.  Rationals are gmpy2 ``mpq`` when the optional ``gmpy2`` extra
 is installed, and ``fractions.Fraction`` otherwise.
 """
@@ -46,7 +44,7 @@ class CoeffError(ArithmeticError):
 
 
 class NonzeroConstantTerm(CoeffError):
-    """exp() of a series whose constant term is not zero."""
+    """exp() of a tensor whose constant term is not zero."""
 
 
 class NonInvertible(CoeffError):
@@ -58,7 +56,7 @@ class ZeroDivisor(CoeffError):
 
 
 class PoleDetected(CoeffError):
-    """A value that must be regular has a pole (negative-degree term)."""
+    """A quotient that must be a power series has a pole."""
 
 
 class FieldElem:
@@ -287,50 +285,17 @@ def _inverse_terms(terms, top, zero):
     return _dense_terms(inv)
 
 
-def _dense_terms(coeffs, lo=0):
-    return tuple((lo + i, c) for i, c in enumerate(coeffs) if not c.is_zero())
+def _dense_terms(coeffs):
+    return tuple((i, c) for i, c in enumerate(coeffs) if not c.is_zero())
 
 
-def _new(cls, param, order, terms, domain):
-    s = cls.__new__(cls)
+def _new(param, order, terms, domain):
+    s = DeformationSeries.__new__(DeformationSeries)
     s.param, s.order, s.terms, s.domain = param, order, terms, domain
     return s
 
 
-class _Sparse:
-    """What the two series types share: their fields, equality and lookups."""
-
-    __slots__ = ("param", "order", "terms", "domain")
-
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, k):
-        for d, c in self.terms:
-            if d == k:
-                return c
-        return self.domain.zero
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.param == other.param and self.order == other.order
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.param, self.order, self.terms))
-
-    def __neg__(self):
-        return self.map_coeffs(lambda c: -c)
-
-    def map_coeffs(self, f, domain=None):
-        """Apply ``f`` to every nonzero coefficient; ``f`` must map zero to zero."""
-        terms = tuple((d, f(c)) for d, c in self.terms)
-        return _new(type(self), self.param, self.order,
-                    tuple(p for p in terms if not p[1].is_zero()), domain or self.domain)
-
-
-class DeformationSeries(_Sparse):
+class DeformationSeries:
     """Power series in one named parameter, truncated beyond a fixed order.
 
     Only the nonzero coefficients are stored, as ``terms``; ``coeffs`` is the
@@ -340,7 +305,7 @@ class DeformationSeries(_Sparse):
     representation module runs the same series over rational functions.
     """
 
-    __slots__ = ()
+    __slots__ = ("param", "order", "terms", "domain")
 
     def __init__(self, param, order, coeffs, domain=FIELD):
         if order < 0:
@@ -357,7 +322,7 @@ class DeformationSeries(_Sparse):
 
     @classmethod
     def zero(cls, param, order, domain=FIELD):
-        return _new(cls, param, order, (), domain)
+        return _new(param, order, (), domain)
 
     @classmethod
     def one(cls, param, order, domain=FIELD):
@@ -371,14 +336,23 @@ class DeformationSeries(_Sparse):
     def monomial(cls, value, degree, param, order, domain=FIELD):
         """value * param**degree, or zero if the degree exceeds the order."""
         terms = () if degree > order or value.is_zero() else ((degree, value),)
-        return _new(cls, param, order, terms, domain)
+        return _new(param, order, terms, domain)
 
     @classmethod
     def from_coeffs(cls, coeffs, param, order, domain=FIELD):
         """Series from a (possibly short or long) coefficient list."""
-        return _new(cls, param, order, _dense_terms(list(coeffs)[: order + 1]), domain)
+        return _new(param, order, _dense_terms(list(coeffs)[: order + 1]), domain)
 
     # -- queries -----------------------------------------------------------
+
+    def is_zero(self):
+        return not self.terms
+
+    def coefficient(self, k):
+        for d, c in self.terms:
+            if d == k:
+                return c
+        return self.domain.zero
 
     @property
     def coeffs(self):
@@ -387,6 +361,15 @@ class DeformationSeries(_Sparse):
 
     def constant_term(self):
         return self.coefficient(0)
+
+    def __eq__(self, other):
+        if not isinstance(other, DeformationSeries):
+            return NotImplemented
+        return (self.param == other.param and self.order == other.order
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.param, self.order, self.terms))
 
     def __repr__(self):
         return f"DeformationSeries({self.param!r}, {self.order}, {list(map(str, self.coeffs))})"
@@ -398,11 +381,20 @@ class DeformationSeries(_Sparse):
             raise ValueError(
                 f"series mismatch: {self.param}^{self.order} vs {other.param}^{other.order}")
 
+    def map_coeffs(self, f, domain=None):
+        """Apply ``f`` to every nonzero coefficient; ``f`` must map zero to zero."""
+        terms = tuple((d, f(c)) for d, c in self.terms)
+        return _new(self.param, self.order, tuple(p for p in terms if not p[1].is_zero()),
+                    domain or self.domain)
+
+    def __neg__(self):
+        return self.map_coeffs(lambda c: -c)
+
     def __add__(self, other):
         if isinstance(other, DeformationSeries):
             self._check(other)
-            return _new(DeformationSeries, self.param, self.order,
-                        _add_terms(self.terms, other.terms), self.domain)
+            return _new(self.param, self.order, _add_terms(self.terms, other.terms),
+                        self.domain)
         return NotImplemented
 
     def __sub__(self, other):
@@ -413,7 +405,7 @@ class DeformationSeries(_Sparse):
     def __mul__(self, other):
         if isinstance(other, DeformationSeries):
             self._check(other)
-            return _new(DeformationSeries, self.param, self.order,
+            return _new(self.param, self.order,
                         _mul_terms(self.terms, other.terms, self.order), self.domain)
         if hasattr(other, "algebra"):
             # algebra elements own the product (scalars act on them, not here)
@@ -426,139 +418,40 @@ class DeformationSeries(_Sparse):
     def scale(self, c):
         return self.map_coeffs(lambda a: a * c)
 
-    def __truediv__(self, k):
-        if isinstance(k, int):
-            return self.map_coeffs(lambda a: a / k)
-        return NotImplemented
-
     def shifted(self, k):
         """Multiply by param**k; for k < 0 the valuation must allow it."""
         val = self.terms[0][0] if self.terms else self.order + 1
         if k < 0 and val < -k:
             raise ZeroDivisor(f"valuation {val} too small to divide by {self.param}^{-k}")
-        return _new(DeformationSeries, self.param, self.order,
+        return _new(self.param, self.order,
                     tuple((d + k, c) for d, c in self.terms if d + k <= self.order),
                     self.domain)
-
-    def exp(self):
-        """Series exponential; requires zero constant term."""
-        if self.terms and self.terms[0][0] == 0:
-            raise NonzeroConstantTerm("exp of a series with nonzero constant term")
-        out = DeformationSeries.one(self.param, self.order, self.domain)
-        term = out
-        for k in range(1, self.order + 1):
-            term = (term * self) / k
-            if term.is_zero():
-                break
-            out = out + term
-        return out
 
     def inverse(self):
         """Multiplicative inverse; constant term must be invertible."""
         if not self.terms or self.terms[0][0] != 0:
             raise NonInvertible("series with zero constant term")
-        return _new(DeformationSeries, self.param, self.order,
+        return _new(self.param, self.order,
                     _inverse_terms(self.terms, self.order, self.domain.zero), self.domain)
 
+    def quotient(self, other, order):
+        """``self / other`` to degree ``order``, both known to degree ``self.order``.
 
-class LaurentSeries(_Sparse):
-    """Series with a (possibly negative) minimum degree and a tracked top order.
-
-    ``terms`` as in :class:`DeformationSeries`; degrees above ``order`` are
-    unknown, degrees below the first term are exactly zero.  ``coeffs[i]`` is
-    the dense view: the coefficient of ``param**(min_deg + i)``, up to the
-    highest nonzero degree.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, param, min_deg, coeffs, order, domain=FIELD):
-        terms = _dense_terms(coeffs, min_deg)
-        if terms and terms[-1][0] > order:
-            raise ValueError("coefficients extend beyond the tracked order")
-        self.param = param
-        self.terms = terms
-        self.order = order
-        self.domain = domain
-
-    @classmethod
-    def from_terms(cls, terms, param, order, domain=FIELD):
-        """Laurent series from a {degree: coefficient} mapping (exact data)."""
-        if terms and max(terms) > order:
-            raise ValueError("term degree beyond tracked order")
-        return _new(cls, param, order, tuple(sorted(
-            (d, c) for d, c in terms.items() if not c.is_zero())), domain)
-
-    @property
-    def min_deg(self):
-        return self.terms[0][0] if self.terms else 0
-
-    @property
-    def coeffs(self):
-        top = self.terms[-1][0] + 1 if self.terms else self.min_deg
-        return tuple(self.coefficient(d) for d in range(self.min_deg, top))
-
-    def valuation(self):
-        return self.terms[0][0] if self.terms else None
-
-    def is_regular(self):
-        return self.min_deg >= 0
-
-    def __repr__(self):
-        return (f"LaurentSeries({self.param!r}, min_deg={self.min_deg}, "
-                f"{list(map(str, self.coeffs))}, order={self.order})")
-
-    def _check(self, other):
-        if self.param != other.param:
-            raise ValueError("parameter mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        order = min(self.order, other.order)
-        terms = tuple(p for p in _add_terms(self.terms, other.terms) if p[0] <= order)
-        return _new(LaurentSeries, self.param, order, terms, self.domain)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return self.map_coeffs(lambda c: c * other)
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            order = min(self.order, other.order)
-        else:
-            # the unknown tail of one factor meets the lowest degree of the other
-            order = min(self.order + other.min_deg, other.order + self.min_deg)
-        return _new(LaurentSeries, self.param, order,
-                    _mul_terms(self.terms, other.terms, order), self.domain)
-
-    __rmul__ = __mul__
-
-    def shifted(self, k):
-        return _new(LaurentSeries, self.param, self.order + k,
-                    tuple((d + k, c) for d, c in self.terms), self.domain)
-
-    def divide(self, other):
-        """self / other to the honestly-tracked order.
-
-        The divisor must be nonzero to its tracked order; the result has
-        ``min_deg = self.valuation - other.valuation``.
+        The divisor's valuation v is divided out of both first, which leaves
+        the quotient known to degree ``self.order - v`` only.  Raises
+        :class:`ZeroDivisor` for a zero divisor, :class:`PoleDetected` when
+        the dividend's valuation is below v (the quotient has a pole), and
+        ValueError when ``order`` exceeds the precision left.
         """
         self._check(other)
         if other.is_zero():
             raise ZeroDivisor("division by a series that is zero to tracked order")
-        vb = other.min_deg
-        unit = other.shifted(-vb)          # valuation 0, invertible constant term
-        inv = _inverse_terms(unit.terms, unit.order, self.domain.zero)
-        return self.shifted(-vb) * _new(LaurentSeries, self.param, unit.order, inv,
-                                        self.domain)
-
-    def to_series(self, order):
-        """Convert to a DeformationSeries; raises PoleDetected if irregular."""
-        if not self.is_regular():
-            raise PoleDetected(f"pole of degree {self.min_deg} in {self.param}")
-        if order > self.order:
+        v = other.terms[0][0]
+        if self.terms and self.terms[0][0] < v:
+            raise PoleDetected(f"pole of degree {v - self.terms[0][0]} in {self.param}")
+        if order > self.order - v:
             raise ValueError("requested order exceeds tracked precision")
-        return _new(DeformationSeries, self.param, order,
-                    tuple(p for p in self.terms if p[0] <= order), self.domain)
+        num, den = (_new(self.param, order,
+                         tuple((d - v, c) for d, c in s.terms if d - v <= order), self.domain)
+                    for s in (self, other))
+        return num * den.inverse()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from .coeff import FieldElem, FE_SQRT2, rat
+from .coeff import FE_ONE, FE_SQRT2, FieldElem, rat
 
 # Largest exponent ``x^n`` accepted.  Powers are formed by repeated squaring,
 # but each product still folds a flat word as long as its factors' words
@@ -187,7 +187,7 @@ def eval_expression(node, algebra):
         if name in algebra.index:
             return algebra.gen(name)
         if name == algebra.param:
-            return algebra.scalar(algebra.domain.one, 1)
+            return algebra.scalar(FE_ONE, 1)
         if name == "sqrt2":
             return algebra.unit() * FE_SQRT2
         raise UnknownSymbol(name)

@@ -29,16 +29,14 @@ would have dropped every term that comes back.
 A map given on generators (a coproduct, counit or antipode, a substitution, a
 representation) is extended to words and elements by one :class:`WordMap`.
 
-Scalars come from the presentation's :class:`~hopf_forge.coeff.Domain`: any
-hashable integral domain with add/sub/neg/mul and ``is_zero`` (a product of
-nonzero scalars is nonzero).  The stock choice is Q(sqrt 2)
-(:data:`~hopf_forge.coeff.FIELD`); the contraction uses Laurent polynomials
-in its scale parameter.
+Every scalar is a :class:`~hopf_forge.coeff.FieldElem` of Q(sqrt 2); the
+contraction's eps bookkeeping is read off the graded keys, not stored in the
+scalars (see :mod:`hopf_forge.contraction`).
 """
 
 from __future__ import annotations
 
-from .coeff import FIELD, FieldElem
+from .coeff import FE_ONE, FE_ZERO, FieldElem
 
 REWRITE_STEP_LIMIT = 10 ** 6
 
@@ -126,27 +124,26 @@ def _by_word(terms, sort_key):
                   key=lambda t: sort_key(t[0]))
 
 
-def _dense_quads(series, domain, order):
+def _dense_quads(series, order):
     """The serialized coefficient list of one word: ``order + 1`` quads."""
     coeffs = dict(series)
-    return [coeffs.get(k, domain.zero).as_quad() for k in range(order + 1)]
+    return [coeffs.get(k, FE_ZERO).as_quad() for k in range(order + 1)]
 
 
 class AlgebraPresentation:
     """Generators with a fixed total order plus pairwise rewrite rules."""
 
-    def __init__(self, name, generators, param, order, domain=FIELD):
+    def __init__(self, name, generators, param, order):
         self.name = name
         self.generators = tuple(generators)
         self.param = param
         self.order = order
-        self.domain = domain
         self.index = {g: i for i, g in enumerate(self.generators)}
         self.rules = {}
         self._frozen = False
         self._nf_cache = {}
         self._table = {}  # (normal word u, generator g) -> normal form of u*g
-        self._interned = {domain.one: domain.one}  # scalar -> stored copy
+        self._interned = {FE_ONE: FE_ONE}  # scalar -> stored copy
         self._misses = 0
 
     def __repr__(self):
@@ -176,11 +173,11 @@ class AlgebraPresentation:
         return NCElement(self, {})
 
     def unit(self):
-        return NCElement(self, {((), 0): self.domain.one})
+        return NCElement(self, {((), 0): FE_ONE})
 
     def gen(self, g):
         i = g if isinstance(g, int) else self.index[g]
-        return NCElement(self, {(((i, 1),), 0): self.domain.one})
+        return NCElement(self, {(((i, 1),), 0): FE_ONE})
 
     def element(self, terms):
         """Element from {(word, k): scalar} with already normal-ordered words;
@@ -209,7 +206,7 @@ class AlgebraPresentation:
     def _rewrite(self, flat):
         """Left fold of ``flat`` through the word-times-generator table."""
         self._misses = 0
-        acc = {((), 0): self.domain.one}
+        acc = {((), 0): FE_ONE}
         for g in flat:
             acc = self._times(acc, g)
         intern = self._interned.setdefault
@@ -217,7 +214,7 @@ class AlgebraPresentation:
 
     def _times(self, acc, g):
         """``acc * g`` for ``acc`` a {(normal word, k): scalar} dict."""
-        one = self.domain.one
+        one = FE_ONE
         top = self.order
         table = self._table
         out = {}
@@ -321,12 +318,11 @@ class AlgebraPresentation:
 
     # -- checks --------------------------------------------------------------
 
-    def consistency_check(self, residual_filter=None):
+    def consistency_check(self):
         """Diamond-lemma overlap check on every generator triple.
 
         Resolving ``g_k g_j g_i`` by first rewriting ``g_k g_j`` must agree
-        with first rewriting ``g_j g_i``; with an optional residual filter the
-        comparison runs modulo a constraint ideal.
+        with first rewriting ``g_j g_i``.
         """
         from .report import CheckReport
         failures = []
@@ -338,8 +334,6 @@ class AlgebraPresentation:
                     left = (gk * gj) * gi
                     right = gk * (gj * gi)
                     res = left - right
-                    if residual_filter is not None:
-                        res = residual_filter(res)
                     if not res.is_zero():
                         trip = "*".join(self.generators[t] for t in (k, j, i))
                         failures.append({"input": trip, "residual": repr(res)})
@@ -441,7 +435,7 @@ class NCElement:
                     if k1 + k2 <= n:
                         raw.append((f1 + f2, k1 + k2, c1 * c2))
             return NCElement(alg, alg.normalize_terms(raw))
-        # scalar: int or an element of the scalar domain
+        # scalar: int or FieldElem
         return self.scaled(other)
 
     def __rmul__(self, other):
@@ -493,7 +487,7 @@ class NCElement:
     def to_dict(self):
         alg = self.algebra
         return {"terms": [{"word": [[alg.generators[g], e] for g, e in w],
-                           "coeff": _dense_quads(s, alg.domain, alg.order)}
+                           "coeff": _dense_quads(s, alg.order)}
                           for w, s in self.by_word()]}
 
     @classmethod
@@ -518,7 +512,7 @@ class TensorElement:
 
     @classmethod
     def unit(cls, algebra, arity):
-        return cls(algebra, arity, {(((),) * arity, 0): algebra.domain.one})
+        return cls(algebra, arity, {(((),) * arity, 0): FE_ONE})
 
     @classmethod
     def zero(cls, algebra, arity):
@@ -625,7 +619,7 @@ class TensorElement:
         out = TensorElement.unit(self.algebra, self.arity)
         term = out
         for k in range(1, self.algebra.order + 1):
-            term = (term * self) * (self.algebra.domain.one / k)
+            term = (term * self) * (FE_ONE / k)
             if term.is_zero():
                 break
             out = out + term
@@ -664,7 +658,7 @@ class TensorElement:
         alg = self.algebra
         return {"arity": self.arity,
                 "terms": [{"word": [[[alg.generators[g], e] for g, e in w] for w in ws],
-                           "coeff": _dense_quads(s, alg.domain, alg.order)}
+                           "coeff": _dense_quads(s, alg.order)}
                           for ws, s in self.by_word()]}
 
     def __repr__(self):

@@ -469,7 +469,7 @@ def _poly_to_element(alg, p, w_degree=0):
 def quantum_presentation(order, fault=None):
     """The quantum Poincare group coordinate algebra as a rewriting system."""
     alg = AlgebraPresentation("qpoincare", COORD_NAMES, "w", order)
-    one = alg.domain.one
+    one = FE_ONE
     table = expected_poisson_table()
     rules = {}
     n = len(COORD_NAMES)
@@ -741,7 +741,7 @@ def check_group_coproduct(order=2):
 def quantum_plane(order=2):
     """Coordinate relations of the quantum (2+1) Poincare plane."""
     alg = AlgebraPresentation("qplane", ("x_plus", "x_1", "x_minus"), "w", order)
-    one = alg.domain.one
+    one = FE_ONE
     two = FieldElem(2)
     rules = {
         (1, 0): alg.element({(((0, 1), (1, 1)), 0): one, (((1, 1),), 1): two}),
@@ -781,6 +781,6 @@ def check_quantum_plane(order=2):
     for r in ((1, 0), (2, 0), (2, 1)):
         cls = alg.rules[r].classical_limit()
         i, j = r[1], r[0]
-        if cls != alg.element({(((i, 1), (j, 1)), 0): alg.domain.one}).classical_limit():
+        if cls != alg.element({(((i, 1), (j, 1)), 0): FE_ONE}).classical_limit():
             rep.add_failure("classical limit", f"rule {r} not commutative at w=0")
     return rep

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 
@@ -49,3 +50,15 @@ class CheckReport:
         if self.failures:
             line += f" [{len(self.failures)} failure(s); first: {self.failures[0]['input']}]"
         return line
+
+
+def timed_reports(*checks):
+    """Run each check (a callable that returns one report) in turn; each
+    report carries its own measured time."""
+    out = []
+    for check in checks:
+        t0 = time.monotonic()
+        report = check()
+        report.seconds = time.monotonic() - t0
+        out.append(report)
+    return out

@@ -148,7 +148,7 @@ def cocommutator(wedges, gen, classical_alg):
     """delta(X) = [1 (x) X + X (x) 1, r] at the classical level."""
     alg = classical_alg
     i = alg.index[gen] if isinstance(gen, str) else gen
-    one = alg.domain.one
+    one = FE_ONE
     x = TensorElement(alg, 2, {(((), ((i, 1),)), 0): one, ((((i, 1),), ()), 0): one})
     return x.commutator(_wedge_tensor(alg, wedges))
 

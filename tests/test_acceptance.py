@@ -15,6 +15,7 @@ import pytest
 from hopf_forge.algebras import (check_basis_change, check_casimir_centrality,
                                  check_classical_limits, cross_check_two_copy,
                                  preset)
+from hopf_forge.coeff import FE_ONE
 from hopf_forge.contraction import contract_so22
 from hopf_forge import diffrep, repfrt, rmat
 
@@ -166,7 +167,7 @@ def test_criterion_14_cli_contract():
         for i in range(len(alg.generators)):
             for ws, _ in bundle.hopf.delta[i].terms:
                 for w in ws:
-                    elems.append(NCElement(alg, {(w, 0): alg.domain.one}))
+                    elems.append(NCElement(alg, {(w, 0): FE_ONE}))
         for x in elems:
             assert parse_to_element(render_element(x, "text"), alg) == x
 

@@ -247,6 +247,28 @@ class TestVerifyPlan:
         assert all(t > 0 for t in seconds) and sum(seconds) <= batch
         assert len(set(seconds)) == 4, seconds
 
+    @pytest.mark.parametrize("check, algebra, names", [
+        ("contraction", "nullplane", ["contraction-commutators", "contraction-coproducts",
+                                      "contraction-casimirs", "contraction-classical"]),
+        ("diffrep", "nullplane", ["diffrep-relations", "diffrep-casimirs",
+                                  "diffrep-hamiltonian", "diffrep-action"]),
+        ("twocopy", "so22", ["twocopy-commutators", "twocopy-coproducts",
+                             "twocopy-casimirs"]),
+    ])
+    def test_batch_reports_carry_their_own_time(self, check, algebra, names):
+        import time
+        args = build_parser().parse_args(["verify", check, "--algebra", algebra,
+                                          "--order", "2"])
+        ((label, order, fn),) = _verify_plan(check, algebra, args)
+        out = []
+        t0 = time.monotonic()
+        _run_timed(label, fn, out, 900, order)
+        batch = time.monotonic() - t0
+        seconds = [r.seconds for r in out]
+        assert [r.check for r in out] == names
+        assert all(t > 0 for t in seconds) and sum(seconds) <= batch
+        assert len(set(seconds)) == len(names), seconds
+
     def test_consistency_row_reports_a_copy_of_the_cached_report(self):
         from hopf_forge.algebras import preset
         args = build_parser().parse_args(["verify", "consistency", "--algebra", "sl2",

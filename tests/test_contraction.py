@@ -1,27 +1,66 @@
 """Contraction of so(2,2) onto the null-plane algebra with eps bookkeeping."""
 
+import random
+
 import pytest
 
 import hopf_forge.contraction as ctr
 from hopf_forge.algebras import preset
 from hopf_forge.coeff import FE_ONE, FieldElem, rat
-from hopf_forge.contraction import Contraction, EpsLaurent, contract_so22
+from hopf_forge.contraction import Contraction, contract_so22
+from hopf_forge.ncalg import flatten
 
 
-class TestEpsLaurent:
-    def test_ring_ops(self):
-        a = EpsLaurent({0: FieldElem(1, 2), -1: FieldElem(rat(1, 3))})
-        b = EpsLaurent({1: FieldElem(3)})
-        assert (a + b) - b == a
-        prod = a * b
-        assert prod.min_eps() == 0
-        assert prod.slice(1) == FieldElem(3, 6)
-        assert prod.slice(0) == FieldElem(1)
+def _sample_words(count=40):
+    rng = random.Random(5)
+    return [tuple(rng.randrange(6) for _ in range(rng.randint(1, 4))) for _ in range(count)]
 
-    def test_shift_and_slice(self):
-        a = EpsLaurent({-2: FieldElem(1)})
-        assert a.shift_eps(2).min_eps() == 0
-        assert a.slice(0) is None
+
+class TestEpsPower:
+    def test_power_read_off_the_key(self):
+        c = Contraction(2)
+        idx = c.np.presentation.index
+        # d(P_plus) = d(P_1) = 1, d(K_2) = 0
+        word = ((idx["P_plus"], 2), (idx["P_1"], 1), (idx["K_2"], 3))
+        assert c.eps_power(0, word, 0) == -3
+        assert c.eps_power(3, word, 2) == 2
+        assert c.eps_power(1, (), 1) == 2
+
+    def test_normal_forms_have_no_eps_poles(self):
+        # a product of generators has eps offset d(word); rewriting it by the
+        # contracted rules never takes a term's eps power below zero
+        c = Contraction(2)
+        for flat in _sample_words():
+            offset = sum(c.scale[g][1] for g in flat)
+            assert all(c.eps_power(offset, w, k) >= 0
+                       for w, k, _ in c.alg.normal_form_of_word(flat)), flat
+
+    def test_eps_one_is_so22_in_scaled_generators(self):
+        # at eps = 1 the map g -> c_g * S_g, w -> z/sqrt2 is a homomorphism
+        # onto so(2,2): a normal form of the contracted algebra, mapped and
+        # normalized in so(2,2), is the so(2,2) normal form of the image word
+        c = Contraction(2)
+        so_alg = c.so22.presentation
+        inv_sqrt2 = FieldElem(0, rat(1, 2))
+        for flat in _sample_words():
+            factor = FE_ONE
+            for g in flat:
+                factor = factor * c.scale[g][2]
+            want = so_alg.normalize([(tuple(c.scale[g][0] for g in flat), 0, factor)])
+            raw = []
+            for w, k, a in c.alg.normal_form_of_word(flat):
+                scalar = a * inv_sqrt2 ** k
+                for g in flatten(w):
+                    scalar = scalar * c.scale[g][2]
+                raw.append((tuple(c.scale[g][0] for g in flatten(w)), k, scalar))
+            assert so_alg.normalize(raw) == want, flat
+
+    def test_rule_offsets(self):
+        c = Contraction(2)
+        np_alg = c.np.presentation
+        j, i = np_alg.index["P_minus"], np_alg.index["P_plus"]
+        assert c.rule_offset(j, i) == 2
+        assert c.rule_offset(np_alg.index["F_1"], np_alg.index["E_1"]) == 0
 
 
 class TestContractionSuite:
@@ -34,7 +73,7 @@ class TestContractionSuite:
         c = Contraction(3)
         np_alg = c.np.presentation
         j, i = np_alg.index["K_2"], np_alg.index["P_minus"]
-        got = c.eps0_element(c._rule_commutators[(j, i)])
+        got = c.eps0_element(c._rule_commutators[(j, i)], c.rule_offset(j, i))
         want = np_alg.gen("K_2").commutator(np_alg.gen("P_minus"))
         assert got == want
         explicit = -(np_alg.gen("P_minus")
@@ -71,8 +110,9 @@ class TestScaleData:
         assert ctr.CONTRACTION_MAP["E_1"][2] == -half_sqrt2
 
     def test_series_map_tracks_sqrt2_powers(self):
-        # z^2 -> (sqrt2)^2 eps^2 at the same w-power
-        img = Contraction._map_term(FE_ONE, 2)
-        assert img.min_eps() == 2
-        assert img.slice(2) == FieldElem(2)  # (sqrt2)^2
-        assert Contraction._map_term(FE_ONE, 3).slice(3) == FieldElem(0, 2)
+        # z^2 -> (sqrt2)^2 eps^2 at the same w-power; at eps = 1 the scalar
+        # keeps the sqrt2 power and the eps power k is read off the key
+        assert Contraction._map_term(FE_ONE, 2) == FieldElem(2)  # (sqrt2)^2
+        assert Contraction._map_term(FE_ONE, 3) == FieldElem(0, 2)
+        c = Contraction(2)
+        assert c.eps_power(0, (), 2) == 2

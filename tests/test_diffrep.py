@@ -1,5 +1,7 @@
 """Differential representation: Weyl calculus, relations, Casimir action."""
 
+from math import factorial
+
 import pytest
 
 from hopf_forge.coeff import DeformationSeries, FieldElem, rat
@@ -7,7 +9,8 @@ from hopf_forge.diffrep import (MOMENTUM_RING, RF_DOMAIN, WeylOperator,
                                 build_dynamical_rep, build_stability_rep,
                                 check_casimir_action, check_hamiltonian,
                                 check_rep_relations, check_two_evaluation_paths,
-                                expected_hamiltonian_terms, full_rep,
+                                expected_hamiltonian_terms,
+                                f1_derivative_coefficient, full_rep,
                                 hamiltonian_series, resolve_f1_reading, rf,
                                 rf_const, pvar)
 
@@ -121,3 +124,22 @@ class TestHamiltonian:
     def test_all_coefficients_derivative_free(self):
         rep = build_dynamical_rep(3)
         assert rep["P_minus"].derivative_free()
+
+    @pytest.mark.parametrize("reading", ["plain", "exponential"])
+    def test_f1_coefficient_times_denominator_is_the_numerator(self, reading):
+        # q = w(m_q^2 + p_1^2 [e^{-2wp_+}]) / (1 - e^{-2wp_+}) to order N:
+        # q * (1 - e^{-2wp_+}) is the numerator to order N + 1, since the
+        # denominator has no constant term
+        order = 3
+        top = order + 1
+        p_plus, p_1, m2 = (pvar(n) for n in MOMENTUM_RING.vars)
+        expo = [rf(p_plus ** k * FieldElem(rat((-2) ** k, factorial(k))))
+                for k in range(top + 1)]
+        den = [rf_const(1) - expo[0]] + [-e for e in expo[1:]]
+        bracket = expo if reading == "exponential" else [rf_const(1)] + [rf_const(0)] * top
+        num = [rf_const(0)] + [rf(p_1 ** 2) * bracket[k] for k in range(top)]
+        num[1] = num[1] + rf(m2)
+        q = f1_derivative_coefficient(order, reading)
+        series = [DeformationSeries("w", top, c, RF_DOMAIN)
+                  for c in (list(q.coeffs) + [rf_const(0)], den, num)]
+        assert series[0] * series[1] == series[2]

@@ -3,6 +3,7 @@
 import pytest
 
 from hopf_forge.algebras import preset
+from hopf_forge.coeff import FE_ONE
 from hopf_forge.expr import (MAX_EXPONENT, ExpressionError, ExpressionSyntaxError,
                              UnknownSymbol, parse_expression, parse_to_element,
                              render_element, render_tensor)
@@ -76,7 +77,7 @@ class TestRoundTrip:
         for i in range(len(alg.generators)):
             for ws, _ in bundle.hopf.delta[i].terms:
                 for w in ws:
-                    elems.append(NCElement(alg, {(w, 0): alg.domain.one}))
+                    elems.append(NCElement(alg, {(w, 0): FE_ONE}))
         for x in elems:
             text = render_element(x, "text")
             back = parse_to_element(text, alg)

@@ -1,12 +1,17 @@
 """Golden outputs: the `normalize`, `expand`, `show` and `preset` commands on a
 fixed corpus, `verify all --order 2 --format json` with and without each
-fault hook, and the reduced Groebner basis of the Lorentz orthogonality ideal
-must stay byte-identical to the files under ``tests/golden/``.
+fault hook, `verify contraction` and `verify diffrep --format json` at orders
+3 and 4 (with no fault and with each fault that changes their output), the
+contraction reports at order 2 under each single-generator change of an eps
+weight by +-1 (every one of them fails, so the pole messages and residuals
+are pinned), and the reduced Groebner basis of the Lorentz orthogonality
+ideal must stay byte-identical to the files under ``tests/golden/``.
 
-The corpus commands run in-process; the verify goldens are compared by
-acceptance criterion 14, which runs those subprocesses anyway.  To rewrite
-the files from the code on ``PYTHONPATH`` (only when a change of output is
-intended)::
+The corpus, the contraction and diffrep verify runs and the weight changes
+run in-process; the `verify all` goldens are compared by acceptance
+criterion 14, which runs those subprocesses anyway.  ``--write`` rewrites
+every one of these files from the code on ``PYTHONPATH`` (only when a change
+of output is intended)::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -116,6 +121,56 @@ def strip_seconds(doc):
     return doc
 
 
+# faults whose output differs from the fault-free run of that verb
+REACHING_FAULTS = {
+    "contraction": ("algebras-casimir", "hopf-coproduct", "ncalg-rule"),
+    "diffrep": tuple(sorted(FAULTS)),
+}
+VERB_ORDERS = ("3", "4")
+VERB_GOLDEN = GOLDEN / "verify-contraction-diffrep.json"
+
+
+def verb_commands():
+    out = []
+    for verb, faults in REACHING_FAULTS.items():
+        for order in VERB_ORDERS:
+            for fault in (None, *faults):
+                out.append(["verify", verb, "--order", order, "--format", "json"]
+                           + (["--inject-fault", fault] if fault else []))
+    return out
+
+
+def verb_outputs():
+    """Exit code and report (without ``seconds``) of every verb command."""
+    out = {}
+    for argv in verb_commands():
+        code, text = run_in_process(argv)
+        out[" ".join(argv)] = [code, strip_seconds(json.loads(text))]
+    return out
+
+
+WEIGHTS_GOLDEN = GOLDEN / "contraction-weights-order2.json"
+
+
+def weight_change_reports():
+    """``contract_so22(2)`` without ``seconds`` under each change ``d -> d +- 1``
+    of one generator's eps weight in ``CONTRACTION_MAP``."""
+    from hopf_forge import contraction
+    original = contraction.CONTRACTION_MAP
+    out = {}
+    try:
+        for name, (so_name, d, c) in original.items():
+            for step in (-1, 1):
+                contraction.CONTRACTION_MAP = {**original, name: (so_name, d + step, c)}
+                reports = [r.to_dict() for r in contraction.contract_so22(2)]
+                for r in reports:
+                    r.pop("seconds", None)
+                out[f"{name} {d + step:+d}"] = reports
+    finally:
+        contraction.CONTRACTION_MAP = original
+    return out
+
+
 BASIS_GOLDEN = GOLDEN / "orthogonality-groebner.json"
 
 
@@ -132,6 +187,9 @@ def basis_doc():
 def _write():
     GOLDEN.mkdir(exist_ok=True)
     BASIS_GOLDEN.write_text(json.dumps(basis_doc()) + "\n")
+    for path, doc in ((VERB_GOLDEN, verb_outputs()),
+                      (WEIGHTS_GOLDEN, weight_change_reports())):
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False) + "\n")
     for subject, commands in _split(corpus_commands()).items():
         _corpus_file(subject).write_text(
             json.dumps(corpus_outputs(commands), indent=1, ensure_ascii=False) + "\n")
@@ -151,6 +209,23 @@ def test_corpus_output_is_golden(subject):
     assert list(got) == list(want)
     for line, out in got.items():
         assert out == want[line], line
+
+
+def test_contraction_and_diffrep_verify_are_golden():
+    want = json.loads(VERB_GOLDEN.read_text())
+    got = verb_outputs()
+    assert sorted(got) == sorted(want)
+    for line, out in got.items():
+        assert out == want[line], line
+
+
+def test_contraction_under_weight_changes_is_golden():
+    want = json.loads(WEIGHTS_GOLDEN.read_text())
+    got = weight_change_reports()
+    assert sorted(got) == sorted(want)
+    for label, reports in got.items():
+        assert all(r["status"] == "fail" for r in reports), label
+        assert reports == want[label], label
 
 
 def test_orthogonality_groebner_is_golden():

@@ -11,6 +11,7 @@ for any element, homogeneous or not.
 import pytest
 
 from hopf_forge.algebras import preset
+from hopf_forge.coeff import FE_ONE
 from hopf_forge.rmat import preset_r
 
 ORDER = 4
@@ -76,7 +77,7 @@ def test_universal_r_is_homogeneous(name):
 
 def test_inhomogeneous_input_keeps_every_term():
     alg = preset("nullplane", ORDER).presentation
-    x = alg.gen("P_plus") + alg.gen("P_plus").scaled(alg.domain.one, 1)
+    x = alg.gen("P_plus") + alg.gen("P_plus").scaled(FE_ONE, 1)
     assert len(x.terms) == 2
     _, of_words = weight_of(alg, "nullplane")
     assert graded_weights(x, of_words, 1) == {-1, 0}
