@@ -1,11 +1,12 @@
 """Exact scalar arithmetic.
 
-* :class:`FieldElem` -- the quadratic field Q(sqrt 2), stored as a pair of
-  rationals.  This is the scalar of every algebra element: the kernel
-  (:mod:`hopf_forge.ncalg`) stores terms as ``(word, k) -> FieldElem``, the
-  coefficient of ``param**k * word``.  The contraction of so(2,2) onto the
-  null-plane algebra introduces 1/sqrt(2) scale factors, so plain rationals
-  are not enough, and ``sqrt2`` is a literal of the expression language.
+* :class:`FieldElem` -- the quadratic field Q(sqrt 2), stored as one
+  canonical integer triple: ``(p, q, d)`` is ``(p + q*sqrt2)/d``.  This is
+  the scalar of every algebra element: the kernel (:mod:`hopf_forge.ncalg`)
+  stores terms as ``(word, k) -> FieldElem``, the coefficient of
+  ``param**k * word``.  The contraction of so(2,2) onto the null-plane
+  algebra introduces 1/sqrt(2) scale factors, so plain rationals are not
+  enough, and ``sqrt2`` is a literal of the expression language.
 * :class:`Domain` -- names the zero and one of a series' coefficient domain:
   :data:`FIELD` here, rational functions in the differential representation.
 * :class:`DeformationSeries` -- power series in a named formal parameter,
@@ -18,25 +19,20 @@
 
 A series is sparse: ``terms`` holds (degree, coefficient) pairs of the
 nonzero coefficients only, in ascending degree, and ``coeffs`` is a dense
-read-only view.  Rationals are gmpy2 ``mpq`` when the optional ``gmpy2`` extra
-is installed, and ``fractions.Fraction`` otherwise.
+read-only view.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _Q
+from fractions import Fraction
+from math import gcd, lcm
+
+_RATIONAL = (int, Fraction)  # rational operands; an int has a numerator and denominator too
 
 
 def rat(num, den=1):
     """Exact rational number."""
-    return _Q(num, den)
-
-
-_R0 = rat(0)
-_R1 = rat(1)
+    return Fraction(num, den)
 
 
 class CoeffError(ArithmeticError):
@@ -60,138 +56,141 @@ class PoleDetected(CoeffError):
 
 
 class FieldElem:
-    """Element a + b*sqrt(2) of Q(sqrt 2) with exact rational components."""
+    """(p + q*sqrt(2))/d in Q(sqrt 2): ints, d > 0, gcd(p, q, d) == 1, so equal elements have
+    equal triples.  ``FieldElem(a, b)`` is a + b*sqrt(2) for rationals a, b, which the ``a``
+    and ``b`` properties return as Fractions.  Operations are int arithmetic and a gcd."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a=0, b=0):
-        self.a = _Q(a)
-        self.b = _Q(b)
+        a, b = Fraction(a), Fraction(b)
+        d = lcm(a.denominator, b.denominator)  # the triple over it is coprime
+        self.p, self.q, self.d = (a.numerator * (d // a.denominator),
+                                  b.numerator * (d // b.denominator), d)
+
+    a = property(lambda self: Fraction(self.p, self.d))
+    b = property(lambda self: Fraction(self.q, self.d))
 
     def is_zero(self):
-        return not self.a and not self.b
+        return not self.p and not self.q
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self.p or self.q)
 
     def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, type(_R0))):
-            return self.b == 0 and self.a == other
+        if type(other) is FieldElem:
+            return self.p == other.p and self.q == other.q and self.d == other.d
+        if isinstance(other, _RATIONAL):
+            return not self.q and self.p == other.numerator and self.d == other.denominator
         return NotImplemented
 
-    def __hash__(self):
-        if not self.b:
-            return hash(self.a)
-        return hash((self.a, self.b))
+    def __hash__(self):  # that of the equal int or Fraction when q == 0
+        if self.q:
+            return hash((self.p, self.q, self.d))
+        return hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if type(other) is FieldElem:
+            p2, q2, d2 = other.p, other.q, other.d
+        elif isinstance(other, _RATIONAL):
+            p2, q2, d2 = other.numerator, 0, other.denominator
+        else:
             return NotImplemented
-        # rational + rational skips the sqrt2 part, the common case
-        return _fe(self.a + other.a, self.b + other.b if self.b or other.b else _R0)
+        d = self.d
+        if d == d2:
+            p, q = self.p + p2, self.q + q2
+        else:
+            p, q, d = self.p * d2 + p2 * d, self.q * d2 + q2 * d, d * d2
+        return _make(p, q, d) if d == 1 else _canon(p, q, d)
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return _make(-self.p, -self.q, self.d)
+
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _fe(self.a - other.a, self.b - other.b if self.b or other.b else _R0)
+        return self + -other if isinstance(other, (FieldElem, *_RATIONAL)) else NotImplemented
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _fe(other.a - self.a, other.b - self.b)
-
-    def __neg__(self):
-        return _fe(-self.a, -self.b if self.b else _R0)
+        return -self + other if isinstance(other, _RATIONAL) else NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, FieldElem):
-            a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-            if not b1 and not b2:
-                return _fe(a1 * a2, _R0)
-            return _fe(a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2)
-        if isinstance(other, (int, type(_R0))):
-            return _fe(self.a * other, self.b * other)
-        return NotImplemented
+        if type(other) is FieldElem:
+            p1, q1, p2, q2 = self.p, self.q, other.p, other.q
+            if q1 or q2:
+                p, q = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2
+            else:
+                p, q = p1 * p2, 0
+            d = self.d * other.d
+        elif isinstance(other, _RATIONAL):
+            n = other.numerator
+            p, q, d = self.p * n, self.q * n, self.d * other.denominator
+        else:
+            return NotImplemented
+        return _make(p, q, d) if d == 1 else _canon(p, q, d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        # (a + b*sqrt2)(a - b*sqrt2) = a^2 - 2 b^2, nonzero for any nonzero
-        # element since sqrt2 is irrational.
-        n = self.a * self.a - 2 * self.b * self.b
+        # (p + q*sqrt2)(p - q*sqrt2) = p^2 - 2 q^2 is nonzero as sqrt2 is irrational
+        p, q, d = self.p, self.q, self.d
+        n = p * p - 2 * q * q
         if not n:
             raise NonInvertible("zero element of Q(sqrt2)")
-        return _fe(self.a / n, -self.b / n)
+        return _canon(d * p, -d * q, n)
 
     def __truediv__(self, other):
-        if isinstance(other, FieldElem):
+        if type(other) is FieldElem:
             return self * other.inverse()
-        if isinstance(other, (int, type(_R0))):
-            if not other:
-                raise ZeroDivisionError
-            return _fe(self.a / other, self.b / other)
-        return NotImplemented
+        if not isinstance(other, _RATIONAL):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division of a Q(sqrt2) element by zero")
+        n = other.denominator
+        return _canon(self.p * n, self.q * n, self.d * other.numerator)
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
+        return self.inverse() * other if isinstance(other, _RATIONAL) else NotImplemented
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = FE_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        base, out = (self.inverse() if n < 0 else self), FE_ONE
+        for bit in bin(abs(n))[2:]:  # square and multiply, from the top bit
+            out = out * out * base if bit == "1" else out * out
         return out
 
     def __repr__(self):
         return f"FieldElem({self.a!s}, {self.b!s})"
 
     def __str__(self):
-        if not self.b:
-            return str(self.a)
-        sq = "sqrt2" if self.b == 1 else ("-sqrt2" if self.b == -1 else f"{self.b}*sqrt2")
-        if not self.a:
+        a, b = self.a, self.b
+        if not b:
+            return str(a)
+        sq = "sqrt2" if b == 1 else ("-sqrt2" if b == -1 else f"{b}*sqrt2")
+        if not a:
             return sq
-        return f"{self.a}+{sq}" if self.b > 0 else f"{self.a}{sq}"
+        return f"{a}+{sq}" if b > 0 else f"{a}{sq}"
 
     def as_quad(self):
         """[a_num, a_den, b_num, b_den] for serialization."""
-        return [int(self.a.numerator), int(self.a.denominator),
-                int(self.b.numerator), int(self.b.denominator)]
+        a, b = self.a, self.b
+        return [a.numerator, a.denominator, b.numerator, b.denominator]
 
     @classmethod
     def from_quad(cls, quad):
-        an, ad, bn, bd = quad
-        return cls(rat(an, ad), rat(bn, bd))
+        return cls(rat(*quad[:2]), rat(*quad[2:]))
 
 
-def _fe(a, b):
+def _make(p, q, d):
+    """FieldElem of a triple already in canonical form."""
     e = FieldElem.__new__(FieldElem)
-    e.a = a
-    e.b = b
+    e.p, e.q, e.d = p, q, d
     return e
 
 
-def _coerce(x):
-    if isinstance(x, FieldElem):
-        return x
-    if isinstance(x, (int, type(_R0))):
-        return _fe(_Q(x), _R0)
-    return None
+def _canon(p, q, d):
+    """FieldElem of (p + q*sqrt2)/d for any d != 0."""
+    g = gcd(p, q, d) if d > 0 else -gcd(p, q, d)
+    return _make(p, q, d) if g == 1 else _make(p // g, q // g, d // g)
 
 
 FE_ZERO = FieldElem(0)

@@ -137,8 +137,6 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElem)):
-            if isinstance(other, int):
-                other = FieldElem(other)
             return Polynomial(self.ring, {e: c * other for e, c in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():

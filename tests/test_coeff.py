@@ -1,13 +1,15 @@
 """Exact scalar layer: field arithmetic, truncated series and their quotients."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopf_forge.coeff import (DeformationSeries, FE_ONE, FieldElem, NonInvertible,
-                              PoleDetected, ZeroDivisor, rat)
+from hopf_forge.coeff import (DeformationSeries, FE_ONE, FE_SQRT2, FE_ZERO, FieldElem,
+                              NonInvertible, PoleDetected, ZeroDivisor, rat)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 field_elems = st.builds(lambda a, b: FieldElem(rat(a.numerator, a.denominator),
@@ -101,6 +103,211 @@ class TestFieldElem:
     def test_serialization_quad(self):
         x = FieldElem(rat(3, 4), rat(-5, 7))
         assert FieldElem.from_quad(x.as_quad()) == x
+
+
+# -- the integer-triple scalar against the pair-of-Fractions representation ---
+#
+# ``Pair`` is a + b*sqrt2 with a, b Fractions, the representation FieldElem
+# had before it became a canonical triple (p + q*sqrt2)/d; str and repr are
+# that representation's rendering, kept here verbatim.
+
+
+class Pair:
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return Pair(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return Pair(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        return Pair(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    def inverse(self):
+        n = self.a * self.a - 2 * self.b * self.b
+        return Pair(self.a / n, -self.b / n)
+
+    def __pow__(self, n):
+        base = self.inverse() if n < 0 else self
+        out = Pair(1)
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def __str__(self):
+        a, b = self.a, self.b
+        if not b:
+            return str(a)
+        sq = "sqrt2" if b == 1 else ("-sqrt2" if b == -1 else f"{b}*sqrt2")
+        if not a:
+            return sq
+        return f"{a}+{sq}" if b > 0 else f"{a}{sq}"
+
+    def __repr__(self):
+        return f"FieldElem({self.a!s}, {self.b!s})"
+
+
+def random_rational(rng):
+    kind = rng.random()
+    if kind < 0.25:
+        return Fraction(0)
+    if kind < 0.5:
+        return Fraction(rng.randint(-9, 9))
+    return Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 6, 7, 9, 12, 35)))
+
+
+def random_pair(rng):
+    a = random_rational(rng)
+    b = Fraction(0) if rng.random() < 0.4 else random_rational(rng)
+    return Pair(a, b)
+
+
+def random_operand(rng):
+    """An int, a Fraction or a FieldElem, with its Pair."""
+    kind = rng.random()
+    if kind < 0.2:
+        n = rng.randint(-7, 7)
+        return n, Pair(n)
+    if kind < 0.4:
+        r = random_rational(rng)
+        return r, Pair(r)
+    p = random_pair(rng)
+    return FieldElem(p.a, p.b), p
+
+
+def assert_matches(x, ref):
+    assert isinstance(x, FieldElem)
+    assert (x.a, x.b) == (ref.a, ref.b)
+    # canonical triple: positive denominator, coprime, one zero
+    assert x.d > 0 and gcd(x.p, x.q, x.d) == 1
+    assert (x.p, x.q, x.d) != (0, 0, 1) or x.is_zero()
+    assert x.is_zero() == (not ref.a and not ref.b) == (not x)
+    assert str(x) == str(ref) and repr(x) == repr(ref)
+
+
+def cases(seed, n):
+    rng = random.Random(seed)
+    return [(rng, random_operand(rng), random_operand(rng)) for _ in range(n)]
+
+
+class TestTripleAgainstPair:
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_ring_operations(self, seed):
+        for _, (x, px), (y, py) in cases(seed, 400):
+            if not isinstance(x, FieldElem) and not isinstance(y, FieldElem):
+                x = FieldElem(x)
+            assert_matches(x + y, px + py)
+            assert_matches(x - y, px - py)
+            assert_matches(x * y, px * py)
+            assert_matches(-FieldElem(px.a, px.b), Pair(0) - px)
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_division_and_inverse(self, seed):
+        for _, (x, px), (y, py) in cases(seed, 400):
+            if not isinstance(x, FieldElem) and not isinstance(y, FieldElem):
+                x = FieldElem(x)
+            if py.a or py.b:
+                assert_matches(x / y, px * py.inverse())
+                if isinstance(y, FieldElem):
+                    assert_matches(y.inverse(), py.inverse())
+            elif isinstance(y, FieldElem):
+                with pytest.raises(NonInvertible):
+                    x / y
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+
+    def test_powers(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            p = random_pair(rng)
+            x = FieldElem(p.a, p.b)
+            n = rng.randint(-4, 5)
+            if n < 0 and x.is_zero():
+                with pytest.raises(NonInvertible):
+                    x ** n
+            else:
+                assert_matches(x ** n, p ** n)
+
+    def test_equality_and_hash_with_rationals(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            r = random_rational(rng)
+            x = FieldElem(r)
+            assert x == r and r == x and hash(x) == hash(r)
+            assert x != r + 1 and FieldElem(r, 1) != r
+            if r.denominator == 1:
+                n = int(r)
+                assert x == n and n == x and hash(x) == hash(n)
+                assert {n: "seen"}[x] == "seen"
+            assert {r: "seen"}[x] == "seen"
+
+    def test_equal_values_are_equal_triples(self):
+        rng = random.Random(51)
+        for _ in range(300):
+            p = random_pair(rng)
+            k = rng.choice((1, 2, 3, -5, 12))
+            # the same value reached by a different route
+            x = FieldElem(p.a, p.b)
+            y = (x * k) / k + FieldElem(p.a) - FieldElem(p.a)
+            assert (x.p, x.q, x.d) == (y.p, y.q, y.d) and hash(x) == hash(y)
+        assert FieldElem(0) == FieldElem(Fraction(0, 7), 0) == FE_ZERO
+        assert (FE_ZERO.p, FE_ZERO.q, FE_ZERO.d) == (0, 0, 1)
+
+    def test_quad_round_trip(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            p = random_pair(rng)
+            x = FieldElem(p.a, p.b)
+            assert x.as_quad() == [p.a.numerator, p.a.denominator,
+                                   p.b.numerator, p.b.denominator]
+            assert FieldElem.from_quad(x.as_quad()) == x
+
+    def test_constants(self):
+        assert_matches(FE_ZERO, Pair(0))
+        assert_matches(FE_ONE, Pair(1))
+        assert_matches(FE_SQRT2, Pair(0, 1))
+        assert rat(6, -4) == Fraction(-3, 2)
+
+    def test_division_by_zero(self):
+        x = FieldElem(rat(1, 3), 2)
+        with pytest.raises(ZeroDivisionError):
+            x / 0
+        with pytest.raises(ZeroDivisionError):
+            x / Fraction(0)
+        with pytest.raises(NonInvertible):
+            x / FE_ZERO
+        with pytest.raises(NonInvertible):
+            1 / FE_ZERO
+
+
+def test_triple_against_sympy_sqrt2():
+    sympy = pytest.importorskip("sympy")
+    root = sympy.sqrt(2)
+
+    def sym(v):
+        if isinstance(v, FieldElem):
+            return sympy.Rational(v.p, v.d) + sympy.Rational(v.q, v.d) * root
+        return sympy.Rational(v.numerator, v.denominator)
+
+    def same(x, e):
+        return sympy.expand(sym(x) - e) == 0
+
+    for _, (x, _px), (y, _py) in cases(71, 60):
+        if not isinstance(x, FieldElem):
+            x = FieldElem(x)
+        assert same(x + y, sym(x) + sym(y))
+        assert same(x - y, sym(x) - sym(y))
+        assert same(x * y, sym(x) * sym(y))
+        if y:
+            assert sympy.expand(sym(x / y) * sym(y) - sym(x)) == 0
+        if x:
+            assert sympy.expand(sym(x.inverse()) * sym(x) - 1) == 0
+            assert sympy.expand(sym(x ** -2) * sym(x) ** 2 - 1) == 0
+        assert same(x ** 3, sympy.expand(sym(x) ** 3))
+        assert str(sym(x)) == str(sympy.sympify(str(x).replace("sqrt2", "sqrt(2)")))
 
 
 class TestSeriesInverse:

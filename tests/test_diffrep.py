@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from hopf_forge import diffrep
 from hopf_forge.coeff import DeformationSeries, FieldElem, rat
 from hopf_forge.diffrep import (MOMENTUM_RING, RF_DOMAIN, WeylOperator,
                                 build_dynamical_rep, build_stability_rep,
@@ -93,6 +94,20 @@ class TestDynamicalRep:
 
     def test_two_evaluation_paths(self):
         assert check_two_evaluation_paths(3, max_degree=3).passed
+
+    def test_plain_relations_checked_once(self, monkeypatch):
+        calls = []
+        real = diffrep.check_rep_relations
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(diffrep, "check_rep_relations", counted)
+        relations = diffrep.run_diffrep_checks(3)[0]
+        assert calls == [(3, "plain")]
+        # the accepted reading is reported, and no ``accepted`` key besides
+        assert relations.details == {"f1_reading": "plain (as printed)"}
 
 
 class TestHamiltonian:
