@@ -340,12 +340,8 @@ def _build_so22(order, fault=None):
     alg = AlgebraPresentation("so22", SO22_GENERATORS, "z", order)
     alg.latex_names = {"P": "P", "P0_hat": r"\hat{P}_0", "J_hat": r"\hat{J}",
                        "D": "D", "C_1": "C_1", "C_2": "C_2"}
-    one = FE_ONE
     comm = _so22_commutators(alg)
-    rules = {}
-    for (i, j), c in comm.items():
-        rules[(j, i)] = alg.element({(((i, 1), (j, 1)), 0): one}) - c
-    alg.set_rules(rules)
+    alg.set_commutators(comm)
 
     P, P0, J, D, C1, C2 = range(6)
     gen, unit = alg.gen, alg.unit()
@@ -384,7 +380,6 @@ def _build_nullplane(order, fault=None):
     alg = AlgebraPresentation("nullplane", NP_GENERATORS, "w", order)
     alg.latex_names = {"P_plus": "P_+", "P_1": "P_1", "P_minus": "P_-",
                        "E_1": "E_1", "K_2": "K_2", "F_1": "F_1"}
-    one = FE_ONE
     Pp, P1, Pm, E1, K2, F1 = range(6)
     gen = alg.gen
     half = FieldElem(rat(1, 2))
@@ -412,10 +407,7 @@ def _build_nullplane(order, fault=None):
     }
     if fault == "ncalg-rule":
         comm[(E1, F1)] = gen(K2) * FieldElem(2)
-    rules = {}
-    for (i, j), c in comm.items():
-        rules[(j, i)] = alg.element({(((i, 1), (j, 1)), 0): one}) - c
-    alg.set_rules(rules)
+    alg.set_commutators(comm)
 
     unit = alg.unit()
     delta = {
@@ -608,7 +600,6 @@ TWOCOPY_GENERATORS = ("A1_plus", "A2_plus", "A1", "A2", "A1_minus", "A2_minus")
 def build_twocopy(order):
     """Two commuting copies of the sl(2,R) preset, parameters z and -z."""
     alg = AlgebraPresentation("sl2-twocopy", TWOCOPY_GENERATORS, "z", order)
-    one = FE_ONE
     idx = alg.index
     copies = {
         1: ("A1_plus", "A1", "A1_minus", 1),
@@ -628,10 +619,7 @@ def build_twocopy(order):
         for j in range(i + 1, 6):
             if (i, j) not in comm:
                 comm[(i, j)] = zero
-    rules = {}
-    for (i, j), c in comm.items():
-        rules[(j, i)] = alg.element({(((i, 1), (j, 1)), 0): one}) - c
-    alg.set_rules(rules)
+    alg.set_commutators(comm)
 
     unit = alg.unit()
     delta = {}

@@ -7,19 +7,19 @@
   ``param**k * word``.  The contraction of so(2,2) onto the null-plane
   algebra introduces 1/sqrt(2) scale factors, so plain rationals are not
   enough, and ``sqrt2`` is a literal of the expression language.
-* :class:`Domain` -- names the zero and one of a series' coefficient domain:
+* :class:`Domain` -- names the zero of a series' coefficient domain:
   :data:`FIELD` here, rational functions in the differential representation.
 * :class:`DeformationSeries` -- power series in a named formal parameter,
-  truncated at a fixed order, over any such domain.  Used at the edges: the
-  entries of the 16x16 matrix R and the differential representation's
-  operator coefficients (rational functions of the momenta); algebra
-  elements do not hold them.  :meth:`DeformationSeries.quotient` divides
-  the divisor's power of the parameter out of both sides first, and raises
-  :class:`PoleDetected` when the quotient would have a pole.
+  truncated at a fixed order, over any such domain.  Its one use is a
+  quotient: the w-series of the differential representation's F_1 and
+  Hamiltonian coefficients (rational functions of the momenta).  Algebra
+  elements, operators and matrices hold graded terms instead.
+  :meth:`DeformationSeries.quotient` divides the divisor's power of the
+  parameter out of both sides first, and raises :class:`PoleDetected` when
+  the quotient would have a pole.
 
 A series is sparse: ``terms`` holds (degree, coefficient) pairs of the
-nonzero coefficients only, in ascending degree, and ``coeffs`` is a dense
-read-only view.
+nonzero coefficients only, in ascending degree.
 """
 
 from __future__ import annotations
@@ -199,21 +199,19 @@ FE_SQRT2 = FieldElem(0, 1)
 
 
 class Domain:
-    """A scalar domain of an algebra, or the coefficient domain of a series:
-    its zero and one elements."""
+    """The coefficient domain of a series: its zero element, and a name."""
 
-    __slots__ = ("zero", "one", "name")
+    __slots__ = ("zero", "name")
 
-    def __init__(self, zero, one, name):
+    def __init__(self, zero, name):
         self.zero = zero
-        self.one = one
         self.name = name
 
     def __repr__(self):
         return f"Domain({self.name})"
 
 
-FIELD = Domain(FE_ZERO, FE_ONE, "Q(sqrt2)")
+FIELD = Domain(FE_ZERO, "Q(sqrt2)")
 
 
 # -- sparse term kernels -----------------------------------------------------
@@ -297,11 +295,11 @@ def _new(param, order, terms, domain):
 class DeformationSeries:
     """Power series in one named parameter, truncated beyond a fixed order.
 
-    Only the nonzero coefficients are stored, as ``terms``; ``coeffs`` is the
-    dense view with exactly ``order + 1`` entries.  Coefficients live in a
-    declared domain (Q(sqrt2) by default); any field with ring operations,
-    ``is_zero`` and ``inverse`` works, which is how the differential-
-    representation module runs the same series over rational functions.
+    Built from the dense list of ``order + 1`` coefficients; only the nonzero
+    ones are stored, as ``terms``.  Coefficients live in a declared domain
+    (Q(sqrt2) by default); any field with ring operations, ``is_zero`` and
+    ``inverse`` works, which is how the differential-representation module
+    runs the same series over rational functions.
     """
 
     __slots__ = ("param", "order", "terms", "domain")
@@ -317,49 +315,12 @@ class DeformationSeries:
         self.terms = _dense_terms(coeffs)
         self.domain = domain
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
     def zero(cls, param, order, domain=FIELD):
         return _new(param, order, (), domain)
 
-    @classmethod
-    def one(cls, param, order, domain=FIELD):
-        return cls.constant(domain.one, param, order, domain)
-
-    @classmethod
-    def constant(cls, value, param, order, domain=FIELD):
-        return cls.monomial(value, 0, param, order, domain)
-
-    @classmethod
-    def monomial(cls, value, degree, param, order, domain=FIELD):
-        """value * param**degree, or zero if the degree exceeds the order."""
-        terms = () if degree > order or value.is_zero() else ((degree, value),)
-        return _new(param, order, terms, domain)
-
-    @classmethod
-    def from_coeffs(cls, coeffs, param, order, domain=FIELD):
-        """Series from a (possibly short or long) coefficient list."""
-        return _new(param, order, _dense_terms(list(coeffs)[: order + 1]), domain)
-
-    # -- queries -----------------------------------------------------------
-
     def is_zero(self):
         return not self.terms
-
-    def coefficient(self, k):
-        for d, c in self.terms:
-            if d == k:
-                return c
-        return self.domain.zero
-
-    @property
-    def coeffs(self):
-        """Dense coefficient tuple, one entry per degree 0..order."""
-        return tuple(self.coefficient(k) for k in range(self.order + 1))
-
-    def constant_term(self):
-        return self.coefficient(0)
 
     def __eq__(self, other):
         if not isinstance(other, DeformationSeries):
@@ -371,60 +332,27 @@ class DeformationSeries:
         return hash((self.param, self.order, self.terms))
 
     def __repr__(self):
-        return f"DeformationSeries({self.param!r}, {self.order}, {list(map(str, self.coeffs))})"
-
-    # -- ring operations ---------------------------------------------------
+        coeffs = dict(self.terms)
+        dense = [str(coeffs.get(k, self.domain.zero)) for k in range(self.order + 1)]
+        return f"DeformationSeries({self.param!r}, {self.order}, {dense})"
 
     def _check(self, other):
         if self.param != other.param or self.order != other.order:
             raise ValueError(
                 f"series mismatch: {self.param}^{self.order} vs {other.param}^{other.order}")
 
-    def map_coeffs(self, f, domain=None):
-        """Apply ``f`` to every nonzero coefficient; ``f`` must map zero to zero."""
-        terms = tuple((d, f(c)) for d, c in self.terms)
-        return _new(self.param, self.order, tuple(p for p in terms if not p[1].is_zero()),
-                    domain or self.domain)
-
-    def __neg__(self):
-        return self.map_coeffs(lambda c: -c)
-
     def __add__(self, other):
-        if isinstance(other, DeformationSeries):
-            self._check(other)
-            return _new(self.param, self.order, _add_terms(self.terms, other.terms),
-                        self.domain)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, DeformationSeries):
-            return self + (-other)
-        return NotImplemented
+        if not isinstance(other, DeformationSeries):
+            return NotImplemented
+        self._check(other)
+        return _new(self.param, self.order, _add_terms(self.terms, other.terms), self.domain)
 
     def __mul__(self, other):
-        if isinstance(other, DeformationSeries):
-            self._check(other)
-            return _new(self.param, self.order,
-                        _mul_terms(self.terms, other.terms, self.order), self.domain)
-        if hasattr(other, "algebra"):
-            # algebra elements own the product (scalars act on them, not here)
+        if not isinstance(other, DeformationSeries):
             return NotImplemented
-        # scalar from the coefficient domain (or int)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        return self.map_coeffs(lambda a: a * c)
-
-    def shifted(self, k):
-        """Multiply by param**k; for k < 0 the valuation must allow it."""
-        val = self.terms[0][0] if self.terms else self.order + 1
-        if k < 0 and val < -k:
-            raise ZeroDivisor(f"valuation {val} too small to divide by {self.param}^{-k}")
+        self._check(other)
         return _new(self.param, self.order,
-                    tuple((d + k, c) for d, c in self.terms if d + k <= self.order),
-                    self.domain)
+                    _mul_terms(self.terms, other.terms, self.order), self.domain)
 
     def inverse(self):
         """Multiplicative inverse; constant term must be invertible."""

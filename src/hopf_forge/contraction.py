@@ -97,17 +97,14 @@ class Contraction:
         np_alg = self.np.presentation
         alg = AlgebraPresentation("nullplane-eps", np_alg.generators, "w", self.order)
         so_alg = self.so22.presentation
-        rules = {}
         self._rule_commutators = {}
         for j in range(6):
             for i in range(j):
                 sj, _, cj = self.scale[j]
                 si, _, ci = self.scale[i]
                 comm_so = so_alg.gen(sj).commutator(so_alg.gen(si))
-                comm = self.map_element(comm_so, alg) * (cj * ci)
-                self._rule_commutators[(j, i)] = comm
-                rules[(j, i)] = alg.element({(((i, 1), (j, 1)), 0): FE_ONE}) + comm
-        alg.set_rules(rules)
+                self._rule_commutators[(j, i)] = self.map_element(comm_so, alg) * (cj * ci)
+        alg.set_commutators(self._rule_commutators)
         return alg
 
     def rule_offset(self, j, i):

@@ -1,10 +1,14 @@
 """Momentum-space differential representation of the null-plane deformation.
 
-Operators are truncated w-series whose coefficients are finite sums of
-rational functions in (p_plus, p_1, m_q2) times partial derivatives; the
-canonical form keeps all derivatives rightmost, and composition applies the
-Leibniz rule exactly.  Poles in p_plus are expected (the light-cone
-Hamiltonian has them); poles in w are forbidden and raise PoleDetected.
+An operator is a finite sum of w^k times a rational function in
+(p_plus, p_1, m_q2) times partial derivatives, stored as graded terms
+``{((a, b), k): f}`` for w^k f d_+^a d_1^b, the same shape as an algebra
+element's ``{(word, k): scalar}``; a function is a derivative-free operator.
+The canonical form keeps all derivatives rightmost, and composition applies
+the Leibniz rule exactly, skipping a pair of terms above the truncation order.
+Poles in p_plus are expected (the light-cone Hamiltonian has them); poles in
+w are forbidden, and the one w-series quotient (the F_1 coefficient) raises
+PoleDetected on one.
 
 The published dynamical generator F_1 admits two plausible readings of its
 derivative coefficient (with or without an extra exp(-2 w p_plus) next to
@@ -17,7 +21,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .coeff import DeformationSeries, Domain, FieldElem, rat
-from .ncalg import WordMap
+from .ncalg import WordMap, _by_word, _scaled_terms, _sum_terms, add_term
 from .ratfunc import PolyRing, RationalFunction
 from .report import CheckReport, timed_reports
 from .algebras import preset
@@ -26,7 +30,7 @@ MOMENTUM_RING = PolyRing(("p_plus", "p_1", "m_q2"))
 
 RF_ZERO = RationalFunction.from_poly(MOMENTUM_RING.zero())
 RF_ONE = RationalFunction.from_poly(MOMENTUM_RING.one())
-RF_DOMAIN = Domain(RF_ZERO, RF_ONE, "Q(sqrt2)(p_plus,p_1,m_q2)")
+RF_DOMAIN = Domain(RF_ZERO, "Q(sqrt2)(p_plus,p_1,m_q2)")
 
 
 def rf(num, den=None):
@@ -47,14 +51,33 @@ def rf_series(terms, order):
     return DeformationSeries("w", order, coeffs, RF_DOMAIN)
 
 
+def _partial(memo, i, j):
+    """d_+^i d_1^j of the function ``memo[(0, 0)]``, memoised in ``memo``."""
+    out = memo.get((i, j))
+    if out is None:
+        out = (_partial(memo, i - 1, j).derivative("p_plus") if i
+               else _partial(memo, 0, j - 1).derivative("p_1"))
+        memo[(i, j)] = out
+    return out
+
+
+def _times_partials(series, d):
+    """Terms of the operator ``series * d_+^a d_1^b`` for ``d = (a, b)``, from
+    the w-series ``{k: RationalFunction}``."""
+    return {(d, k): f for k, f in series.items()}
+
+
 class WeylOperator:
-    """Finite sum of (w-series rational-function) * d_+^a d_1^b."""
+    """Finite sum of w^k * f * d_+^a d_1^b for rational functions f, stored
+    like an algebra element's graded terms: ``{((a, b), k): f}``, nonzero f
+    and k up to the order only.  A function is a derivative-free operator."""
 
     __slots__ = ("order", "terms")
 
     def __init__(self, order, terms):
         self.order = order
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        self.terms = {key: c for key, c in terms.items()
+                      if key[1] <= order and not c.is_zero()}
 
     @classmethod
     def zero(cls, order):
@@ -62,11 +85,12 @@ class WeylOperator:
 
     @classmethod
     def identity(cls, order):
-        return cls(order, {(0, 0): DeformationSeries.one("w", order, RF_DOMAIN)})
+        return cls(order, {((0, 0), 0): RF_ONE})
 
     @classmethod
     def multiplication(cls, order, series):
-        return cls(order, {(0, 0): series})
+        """Multiplication by the w-series ``{k: RationalFunction}``."""
+        return cls(order, _times_partials(series, (0, 0)))
 
     def is_zero(self):
         return not self.terms
@@ -77,102 +101,81 @@ class WeylOperator:
         return self.order == other.order and self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = out.get(k)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return WeylOperator(self.order, out)
+        return WeylOperator(self.order, _sum_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return WeylOperator(self.order, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        return WeylOperator(self.order, {k: s * c for k, s in self.terms.items()})
+        return WeylOperator(self.order, {key: -c for key, c in self.terms.items()})
 
     def scaled(self, c, k=0):
         """This operator times the scalar ``c`` and ``w**k``."""
-        return WeylOperator(self.order, {d: s.shifted(k) * c for d, s in self.terms.items()})
+        return WeylOperator(self.order, _scaled_terms(self.terms, c, k, self.order))
 
     def __mul__(self, other):
         """Operator composition (self applied after acting with other)."""
         if not isinstance(other, WeylOperator):
-            return self.scale(other)
+            return self.scaled(other)
+        # the derivatives of each right-hand coefficient, shared by every left-hand term
+        right = [(d, k, {(0, 0): g}) for (d, k), g in other.terms.items()]
         out = {}
-        for (a, b), f in self.terms.items():
-            for (c, d), g in other.terms.items():
+        for ((a, b), k1), f in self.terms.items():
+            for (c, d), k2, memo in right:
+                if k1 + k2 > self.order:
+                    continue
                 # move d_+^a d_1^b through the multiplication part of g
                 for i in range(a + 1):
-                    gi = g
-                    for _ in range(i):
-                        gi = gi.map_coeffs(lambda r: r.derivative("p_plus"))
-                    if gi.is_zero():
-                        continue
                     for j in range(b + 1):
-                        gij = gi
-                        for _ in range(j):
-                            gij = gij.map_coeffs(lambda r: r.derivative("p_1"))
-                        if gij.is_zero():
-                            continue
-                        coeff = f * gij * rf_const(comb(a, i) * comb(b, j))
-                        if coeff.is_zero():
-                            continue
-                        key = (a - i + c, b - j + d)
-                        cur = out.get(key)
-                        s = coeff if cur is None else cur + coeff
-                        if s.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
+                        gij = _partial(memo, i, j)
+                        if not gij.is_zero():
+                            n = comb(a, i) * comb(b, j)
+                            add_term(out, ((a - i + c, b - j + d), k1 + k2),
+                                     f * gij if n == 1 else f * gij * n)
         return WeylOperator(self.order, out)
 
-    __rmul__ = scale
+    __rmul__ = scaled
 
     def commutator(self, other):
         return self * other - other * self
 
     def derivative_free(self):
-        return all(k == (0, 0) for k in self.terms)
+        return all(d == (0, 0) for d, _ in self.terms)
 
     def apply_to(self, func):
-        """Act on a rational-function-valued w-series."""
-        out = DeformationSeries.zero("w", self.order, RF_DOMAIN)
-        for (a, b), f in self.terms.items():
-            g = func
-            for _ in range(a):
-                g = g.map_coeffs(lambda r: r.derivative("p_plus"))
-            for _ in range(b):
-                g = g.map_coeffs(lambda r: r.derivative("p_1"))
-            if not g.is_zero():
-                out = out + f * g
-        return out
+        """Act on a function, a derivative-free operator; the result is one too."""
+        right = [(k, {(0, 0): g}) for (_, k), g in func.terms.items()]
+        out = {}
+        for ((a, b), k1), f in self.terms.items():
+            for k2, memo in right:
+                if k1 + k2 <= self.order:
+                    g = _partial(memo, a, b)
+                    if not g.is_zero():
+                        add_term(out, ((0, 0), k1 + k2), f * g)
+        return WeylOperator(self.order, out)
 
     def apply_to_monomial(self, alpha, beta):
         mono = RationalFunction.from_poly(
             pvar("p_plus") ** alpha * pvar("p_1") ** beta)
-        return self.apply_to(DeformationSeries.constant(mono, "w", self.order, RF_DOMAIN))
+        return self.apply_to(WeylOperator.multiplication(self.order, {0: mono}))
 
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
-        for (a, b), c in sorted(self.terms.items()):
+        for (a, b), series in _by_word(self.terms, lambda d: d):
             ds = "".join(["d+" * bool(a), f"^{a}" * (a > 1),
                           "d1" * bool(b), f"^{b}" * (b > 1)])
-            bits.append(f"({c.coeffs!r})*{ds or '1'}")
+            coeffs = dict(series)
+            dense = tuple(coeffs.get(k, RF_ZERO) for k in range(self.order + 1))
+            bits.append(f"({dense!r})*{ds or '1'}")
         return " + ".join(bits)
 
 
 # -- the representation ----------------------------------------------------------
 
 def _exp_multiplier(order, c, shift=0, top=None):
-    """(d/dw-free) multiplier sum_k (c*p_plus)^k/k! w^(k+shift) as an RF series."""
+    """(d/dw-free) multiplier sum_k (c*p_plus)^k/k! w^(k+shift) as {k + shift: function}."""
     terms = {}
     k = 0
     while k + shift <= (top if top is not None else order):
@@ -186,15 +189,13 @@ def _exp_multiplier(order, c, shift=0, top=None):
 
 def build_stability_rep(order):
     """P_+ = p_+, P_1 = p_1, K_2 and E_1 with the (e^{2wp_+}-1)/(2w) multiplier."""
-    mult_terms = _exp_multiplier(order, 2, shift=-1)
     half = rf_const(FieldElem(rat(1, 2)))
-    mult = rf_series({k: v * half for k, v in mult_terms.items()}, order)
-    one = DeformationSeries.one("w", order, RF_DOMAIN)
+    mult = {k: v * half for k, v in _exp_multiplier(order, 2, shift=-1).items()}
     return {
-        "P_plus": WeylOperator.multiplication(order, one * rf(pvar("p_plus"))),
-        "P_1": WeylOperator.multiplication(order, one * rf(pvar("p_1"))),
-        "K_2": WeylOperator(order, {(1, 0): mult}),
-        "E_1": WeylOperator(order, {(0, 1): mult}),
+        "P_plus": WeylOperator.multiplication(order, {0: rf(pvar("p_plus"))}),
+        "P_1": WeylOperator.multiplication(order, {0: rf(pvar("p_1"))}),
+        "K_2": WeylOperator(order, _times_partials(mult, (1, 0))),
+        "E_1": WeylOperator(order, _times_partials(mult, (0, 1))),
     }
 
 
@@ -207,7 +208,8 @@ def f1_derivative_coefficient(order, reading="plain"):
     """w(m_q^2 + p_1^2 [e^{-2wp_+}]) / (1 - e^{-2wp_+}), asserted w-regular
     (a w-pole raises PoleDetected); the bracketed factor is present only in
     the 'exponential' reading.  Both sides are taken one degree past
-    ``order``, which the common factor w uses up."""
+    ``order``, which the common factor w uses up.  Returns the w-series as
+    ``{k: RationalFunction}``."""
     top = order + 1
     num_terms = {1: rf(MOMENTUM_RING.var("m_q2"))}
     p1sq = rf(pvar("p_1") ** 2)
@@ -222,16 +224,16 @@ def f1_derivative_coefficient(order, reading="plain"):
     for k, v in _exp_multiplier(order, -2, shift=0, top=top).items():
         den_terms[k] = den_terms.get(k, RF_ZERO) - v
     den_terms[0] = den_terms.get(0, RF_ZERO) + RF_ONE
-    return rf_series(num_terms, top).quotient(rf_series(den_terms, top), order)
+    return dict(rf_series(num_terms, top).quotient(rf_series(den_terms, top), order).terms)
 
 
 def build_dynamical_rep(order, reading="plain"):
     """P_- (multiplication) and F_1 = p_1 d_+ + (coefficient) d_1."""
-    one = DeformationSeries.one("w", order, RF_DOMAIN)
+    f1_terms = _times_partials(f1_derivative_coefficient(order, reading), (0, 1))
+    f1_terms[((1, 0), 0)] = rf(pvar("p_1"))
     return {
         "P_minus": WeylOperator.multiplication(order, hamiltonian_multiplier(order)),
-        "F_1": WeylOperator(order, {(1, 0): one * rf(pvar("p_1")),
-                                    (0, 1): f1_derivative_coefficient(order, reading)}),
+        "F_1": WeylOperator(order, f1_terms),
     }
 
 
@@ -285,9 +287,7 @@ def check_casimir_action(order, reading="plain"):
     rep = full_rep(order, reading)
     out = CheckReport(check="diffrep-casimirs", algebra="nullplane", order=order)
     m_img = rep_of_element(rep, bundle.casimirs["M_q2"], order)
-    target = WeylOperator.multiplication(
-        order, DeformationSeries.constant(rf(MOMENTUM_RING.var("m_q2")),
-                                          "w", order, RF_DOMAIN))
+    target = WeylOperator.multiplication(order, {0: rf(MOMENTUM_RING.var("m_q2"))})
     if not (m_img - target).is_zero():
         out.add_failure("rep(M_q2) - m_q2*1", repr(m_img - target))
     l_img = rep_of_element(rep, bundle.casimirs["L_q"], order)
@@ -299,7 +299,7 @@ def check_casimir_action(order, reading="plain"):
 def hamiltonian_series(order):
     """The w-coefficients of rep(P_-), as pure multiplication operators."""
     mult = hamiltonian_multiplier(order)
-    return list(mult.coeffs)
+    return [mult.get(k, RF_ZERO) for k in range(order + 1)]
 
 
 def expected_hamiltonian_terms():

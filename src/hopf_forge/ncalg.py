@@ -167,6 +167,16 @@ class AlgebraPresentation:
         self.rules = dict(rules)
         self._frozen = True
 
+    def set_commutators(self, comm):
+        """Install the rules from one commutator per pair, ``{(a, b): [g_a, g_b]}``:
+        g_j*g_i = g_i*g_j - [g_i, g_j] for i < j."""
+        rules = {}
+        for (a, b), c in comm.items():
+            i, j = min(a, b), max(a, b)
+            swap = self.element({(((i, 1), (j, 1)), 0): FE_ONE})
+            rules[(j, i)] = swap - c if a < b else swap + c
+        self.set_rules(rules)
+
     # -- element constructors ----------------------------------------------
 
     def zero(self):

@@ -7,6 +7,12 @@ bivector identity, the FRT quantization with its noncommutative coordinate
 algebra and RTT residuals, the Weyl-correspondence check, the quantum group
 coproduct, and the quantum plane quotient.
 
+Every matrix here (the representation, the symbolic group element, the 16x16
+R, its 64x64 embeddings) is one sparse graded matrix ``{(row, col, k): entry}``:
+the coefficient of w**k at (row, col), nonzero entries only (``k = 0`` for a
+constant matrix), the same graded form as the algebra kernel's terms.  So two
+matrices are equal exactly when their dicts are.
+
 Conventions (a recurring source of sign errors, so fixed here once):
 
 * Kronecker products are row-major: (A (x) B)[4i+k][4j+l] = A[i][j] B[k][l];
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeff import DeformationSeries, FE_ONE, FE_ZERO, FieldElem, rat
+from .coeff import FE_ONE, FE_ZERO, FieldElem, rat
 from .ncalg import AlgebraPresentation, NCElement, TensorElement, add_term
 from .ratfunc import PolyRing, Polynomial, groebner, reduce_poly
 from .hopf import HopfMaps
@@ -45,43 +51,37 @@ _REP_ENTRIES = {
 
 
 def matrix_rep():
-    """Generator -> 4x4 tuple-of-tuples over FieldElem."""
+    """Generator -> 4x4 sparse graded matrix over FieldElem."""
+    return {name: {(i, j, 0): c for (i, j), c in entries.items()}
+            for name, entries in _REP_ENTRIES.items()}
+
+
+def mat_mul(a, b, top=0):
+    """Product of sparse graded matrices, keeping the powers of w up to ``top``;
+    a pair above ``top`` is skipped before its entries are multiplied."""
+    rows = {}
+    for (m, j, k), y in b.items():
+        rows.setdefault(m, []).append((j, k, y))
     out = {}
-    for name, entries in _REP_ENTRIES.items():
-        out[name] = tuple(tuple(entries.get((i, j), FE_ZERO) for j in range(4))
-                          for i in range(4))
+    for (i, m, k1), x in a.items():
+        for j, k2, y in rows.get(m, ()):
+            if k1 + k2 <= top:
+                add_term(out, (i, j, k1 + k2), x * y)
     return out
 
 
-def mat_mul(a, b, zero=FE_ZERO):
-    n, m, p = len(a), len(b[0]), len(b)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(p)
-                            if not a[i][k].is_zero() and not b[k][j].is_zero()),
-                           zero)
-                       for j in range(m)) for i in range(n))
+def mat_add(a, b, c=1):
+    """``a + c*b`` for sparse graded matrices."""
+    out = dict(a)
+    for key, v in b.items():
+        add_term(out, key, v * c)
+    return out
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a, c):
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
-def mat_is_zero(a):
-    return all(x.is_zero() for row in a for x in row)
-
-
-def kron(a, b, zero=FE_ZERO):
-    n, m = len(a), len(b)
-    return tuple(tuple(a[i][j] * b[k][l] if not a[i][j].is_zero() else zero
-                       for j in range(n) for l in range(m))
-                 for i in range(n) for k in range(m))
+def kron(a, b):
+    """Kronecker product of two graded 4x4 matrices (row-major, powers add)."""
+    return {(4 * i + k, 4 * j + l, ka + kb): x * y
+            for (i, j, ka), x in a.items() for (k, l, kb), y in b.items()}
 
 
 def check_matrix_rep(order=0):
@@ -92,13 +92,13 @@ def check_matrix_rep(order=0):
     for a in range(6):
         for b in range(a + 1, 6):
             x, y = names[a], names[b]
-            comm = mat_sub(mat_mul(rep[x], rep[y]), mat_mul(rep[y], rep[x]))
-            want = tuple(tuple(FE_ZERO for _ in range(4)) for _ in range(4))
+            comm = mat_add(mat_mul(rep[x], rep[y]), mat_mul(rep[y], rep[x]), -1)
+            want = {}
             for g, c in classical_bracket(x, y).items():
-                want = mat_add(want, mat_scale(rep[g], c))
-            if not mat_is_zero(mat_sub(comm, want)):
+                want = mat_add(want, rep[g], c)
+            if comm != want:
                 out.add_failure(f"[D({x}),D({y})]", "mismatch with structure constants")
-    if not mat_is_zero(mat_mul(rep["P_plus"], rep["P_plus"])):
+    if mat_mul(rep["P_plus"], rep["P_plus"]):
         out.add_failure("D(P_plus)^2", "not nilpotent")
     return out
 
@@ -107,93 +107,67 @@ def check_matrix_rep(order=0):
 
 def _wedge16():
     rep = matrix_rep()
-    w = kron(rep["K_2"], rep["P_plus"])
-    w = mat_sub(w, kron(rep["P_plus"], rep["K_2"]))
+    w = mat_add(kron(rep["K_2"], rep["P_plus"]), kron(rep["P_plus"], rep["K_2"]), -1)
     w = mat_add(w, kron(rep["E_1"], rep["P_1"]))
-    w = mat_sub(w, kron(rep["P_1"], rep["E_1"]))
-    return w
+    return mat_add(w, kron(rep["P_1"], rep["E_1"]), -1)
+
+
+def _identity16():
+    return {(i, i, 0): FE_ONE for i in range(16)}
 
 
 def matrix_r(order=3):
-    """16x16 R = I (x) I + 2w * wedge, entries w-series of the given order."""
-    def s(v, d=0):
-        return DeformationSeries.monomial(v, d, "w", order)
-
-    zero = DeformationSeries.zero("w", order)
-    wedge = _wedge16()
-    out = []
-    for i in range(16):
-        row = []
-        for j in range(16):
-            e = s(FE_ONE) if i == j else zero
-            if not wedge[i][j].is_zero():
-                e = e + s(wedge[i][j] * FieldElem(2), 1)
-            row.append(e)
-        out.append(tuple(row))
-    return tuple(out)
+    """16x16 R = I (x) I + 2w * wedge as a sparse graded matrix; the w term
+    is dropped at order 0."""
+    r = _identity16()
+    if order >= 1:
+        r.update({(i, j, 1): c * 2 for (i, j, _), c in _wedge16().items()})
+    return r
 
 
 def _embed64(r, slots):
     """Place a 16x16 two-site matrix on the given pair of three sites."""
-    zero = DeformationSeries.zero("w", r[0][0].order)
     other = ({0, 1, 2} - set(slots)).pop()
 
-    def split(idx):
-        return (idx >> 4) & 3, (idx >> 2) & 3, idx & 3
+    def site_index(pair, t):
+        digits = [t, t, t]
+        digits[slots[0]], digits[slots[1]] = divmod(pair, 4)
+        return 16 * digits[0] + 4 * digits[1] + digits[2]
 
-    out = [[zero] * 64 for _ in range(64)]
-    for a in range(64):
-        ia = split(a)
-        for b in range(64):
-            ib = split(b)
-            if ia[other] != ib[other]:
-                continue
-            rrow = 4 * ia[slots[0]] + ia[slots[1]]
-            rcol = 4 * ib[slots[0]] + ib[slots[1]]
-            e = r[rrow][rcol]
-            if not e.is_zero():
-                out[a][b] = e
-    return tuple(tuple(row) for row in out)
+    return {(site_index(i, t), site_index(j, t), k): e
+            for (i, j, k), e in r.items() for t in range(4)}
 
 
 def check_matrix_r(order=3):
     """Matrix QYBE and triangularity hold exactly (R is linear in w)."""
     out = CheckReport(check="matrix-r", algebra="nullplane", order=order)
     r = matrix_r(order)
-    zero = DeformationSeries.zero("w", order)
     r12 = _embed64(r, (0, 1))
     r13 = _embed64(r, (0, 2))
     r23 = _embed64(r, (1, 2))
-    lhs = mat_mul(mat_mul(r12, r13, zero), r23, zero)
-    rhs = mat_mul(mat_mul(r23, r13, zero), r12, zero)
-    if not mat_is_zero(mat_sub(lhs, rhs)):
+    if (mat_mul(mat_mul(r12, r13, order), r23, order)
+            != mat_mul(mat_mul(r23, r13, order), r12, order)):
         out.add_failure("matrix QYBE", "nonzero residual")
     # R21 R = identity
-    r21 = tuple(tuple(r[4 * (i % 4) + i // 4][4 * (j % 4) + j // 4]
-                      for j in range(16)) for i in range(16))
-    prod = mat_mul(r21, r, zero)
-    ident = tuple(tuple(DeformationSeries.one("w", order) if i == j else zero
-                        for j in range(16)) for i in range(16))
-    if not mat_is_zero(mat_sub(prod, ident)):
+    flip = [4 * (i % 4) + i // 4 for i in range(16)]
+    r21 = {(flip[i], flip[j], k): e for (i, j, k), e in r.items()}
+    if mat_mul(r21, r, order) != _identity16():
         out.add_failure("matrix triangularity", "R21 R != I")
     # w = 0 gives the identity
-    at0 = tuple(tuple(e.constant_term() for e in row) for row in r)
     for i in range(16):
         for j in range(16):
-            want = FE_ONE if i == j else FE_ZERO
-            if at0[i][j] != want:
+            if r.get((i, j, 0), FE_ZERO) != (FE_ONE if i == j else FE_ZERO):
                 out.add_failure("w=0 specialization", f"entry {(i, j)}")
     # the first-order block is the representation of the classical r
     from .rmat import classical_r_of_preset
     np_alg = preset("nullplane", max(order, 1)).presentation
     rep = matrix_rep()
-    acc = tuple(tuple(FE_ZERO for _ in range(16)) for _ in range(16))
+    acc = {}
     for (i, j), c in classical_r_of_preset("nullplane", max(order, 1)).items():
         gi, gj = np_alg.generators[i], np_alg.generators[j]
-        acc = mat_add(acc, mat_scale(mat_sub(kron(rep[gi], rep[gj]),
-                                             kron(rep[gj], rep[gi])), c))
-    first = tuple(tuple(e.coefficient(1) for e in row) for row in r)
-    if not mat_is_zero(mat_sub(first, acc)):
+        acc = mat_add(acc, kron(rep[gi], rep[gj]), c)
+        acc = mat_add(acc, kron(rep[gj], rep[gi]), -c)
+    if {(i, j, 0): e for (i, j, k), e in r.items() if k == 1} != acc:
         out.add_failure("first-order block", "does not represent the classical r")
     return out
 
@@ -235,16 +209,12 @@ def ideal_reduce(p):
 
 def group_matrix(ring=RING12):
     """D(g) with symbolic entries: translations in column 0, Lorentz block."""
-    one = ring.one()
-    zero = ring.zero()
     ap = ring.var("a_plus")
-    a1 = ring.var("a_1")
     am = ring.var("a_minus")
-    rows = [[one, zero, zero, zero],
-            [ap * HALF + am, lvar(0, 0, ring), lvar(0, 1, ring), lvar(0, 2, ring)],
-            [a1, lvar(1, 0, ring), lvar(1, 1, ring), lvar(1, 2, ring)],
-            [ap * HALF - am, lvar(2, 0, ring), lvar(2, 1, ring), lvar(2, 2, ring)]]
-    return tuple(tuple(r) for r in rows)
+    t = {(0, 0, 0): ring.one(), (1, 0, 0): ap * HALF + am, (2, 0, 0): ring.var("a_1"),
+         (3, 0, 0): ap * HALF - am}
+    t.update({(m + 1, n + 1, 0): lvar(m, n, ring) for m in range(3) for n in range(3)})
+    return t
 
 
 class InconsistentBivector(Exception):
@@ -275,13 +245,9 @@ def sklyanin_table():
     """
     t = group_matrix()
     zero = RING12.zero()
-    tt = tuple(tuple(t[i][j] * t[k][l]
-                     for j in range(4) for l in range(4))
-               for i in range(4) for k in range(4))
-    wedge = _wedge16()
-    r2 = tuple(tuple(RING12.constant(wedge[i][j] * FieldElem(2)) for j in range(16))
-               for i in range(16))
-    rhs = mat_sub(mat_mul(tt, r2, zero), mat_mul(r2, tt, zero))
+    tt = kron(t, t)
+    r2 = {key: RING12.constant(c * 2) for key, c in _wedge16().items()}
+    rhs = mat_add(mat_mul(tt, r2), mat_mul(r2, tt), -1)
 
     nvar = len(COORD_NAMES)
     unknowns = [(i, j) for i in range(nvar) for j in range(i + 1, nvar)]
@@ -291,8 +257,8 @@ def sklyanin_table():
         for k in range(4):
             for j in range(4):
                 for l in range(4):
-                    c1, l1 = _affine_parts(t[i][j])
-                    c2, l2 = _affine_parts(t[k][l])
+                    c1, l1 = _affine_parts(t.get((i, j, 0), zero))
+                    c2, l2 = _affine_parts(t.get((k, l, 0), zero))
                     coeffs = {}
                     for x, ax in l1.items():
                         for y, by in l2.items():
@@ -306,14 +272,13 @@ def sklyanin_table():
                                 coeffs.pop(key, None)
                             else:
                                 coeffs[key] = s
-                    rows.append((coeffs, rhs[4 * i + k][4 * j + l]))
+                    rows.append((coeffs, rhs.get((4 * i + k, 4 * j + l, 0), zero)))
 
     # Gaussian elimination over the pair-unknowns, polynomial right-hand sides
     solved = {}
     pivots = []
     for coeffs, rhs_p in rows:
         coeffs = dict(coeffs)
-        rhs_p = rhs_p
         for key, val, srhs in pivots:
             c = coeffs.pop(key, None)
             if c is not None:
@@ -442,10 +407,10 @@ def check_poisson_jacobi(order=1):
                 s = (poisson_bracket(x, poisson_bracket(y, z, table), table)
                      + poisson_bracket(y, poisson_bracket(z, x, table), table)
                      + poisson_bracket(z, poisson_bracket(x, y, table), table))
-                if not ideal_reduce(s).is_zero():
+                red = ideal_reduce(s)
+                if not red.is_zero():
                     rep.add_failure(
-                        f"({COORD_NAMES[i]},{COORD_NAMES[j]},{COORD_NAMES[k]})",
-                        repr(ideal_reduce(s)))
+                        f"({COORD_NAMES[i]},{COORD_NAMES[j]},{COORD_NAMES[k]})", repr(red))
     return rep
 
 
@@ -469,18 +434,12 @@ def _poly_to_element(alg, p, w_degree=0):
 def quantum_presentation(order, fault=None):
     """The quantum Poincare group coordinate algebra as a rewriting system."""
     alg = AlgebraPresentation("qpoincare", COORD_NAMES, "w", order)
-    one = FE_ONE
-    table = expected_poisson_table()
-    rules = {}
-    n = len(COORD_NAMES)
-    for j in range(n):
-        for i in range(j):
-            # [x_i, x_j] = w * table[(i,j)]  (Weyl form: same right-hand sides)
-            comm = _poly_to_element(alg, table[(i, j)], 1)
-            if fault == "repfrt-rule" and (COORD_NAMES[i], COORD_NAMES[j]) == ("a_plus", "a_1"):
-                comm = -comm
-            rules[(j, i)] = alg.element({(((i, 1), (j, 1)), 0): one}) - comm
-    alg.set_rules(rules)
+    # [x_i, x_j] = w * table[(i,j)]  (Weyl form: same right-hand sides)
+    comm = {key: _poly_to_element(alg, p, 1) for key, p in expected_poisson_table().items()}
+    if fault == "repfrt-rule":
+        key = (coord_index("a_plus"), coord_index("a_1"))
+        comm[key] = -comm[key]
+    alg.set_commutators(comm)
     return alg
 
 
@@ -542,14 +501,10 @@ def check_rtt(order=2, fault=None):
     alg = quantum_presentation(order, fault)
     rep = CheckReport(check="rtt", algebra="qpoincare", order=order)
     t = quantum_t(alg)
-    wedge = _wedge16()
-
-    def rmat_entry(i, j):
-        # R = I + 2w * wedge, as (scalar, w-power) terms
-        e = [(FE_ONE, 0)] if i == j else []
-        if not wedge[i][j].is_zero():
-            e.append((wedge[i][j] * FieldElem(2), 1))
-        return e
+    r_rows, r_cols = {}, {}
+    for (i, j, k), c in matrix_r(order).items():
+        r_rows.setdefault(i, []).append((j, k, c))
+        r_cols.setdefault(j, []).append((i, k, c))
 
     t1t2 = {}
     t2t1 = {}
@@ -566,15 +521,14 @@ def check_rtt(order=2, fault=None):
     for row in range(16):
         for colm in range(16):
             acc = alg.zero()
-            for mid in range(16):
+            for mid, k, c in r_rows.get(row, ()):
                 m = t1t2.get((mid, colm))
                 if m is not None:
-                    for c, k in rmat_entry(row, mid):
-                        acc = acc + m.scaled(c, k)
-                m2 = t2t1.get((row, mid))
-                if m2 is not None:
-                    for c, k in rmat_entry(mid, colm):
-                        acc = acc - m2.scaled(c, k)
+                    acc = acc + m.scaled(c, k)
+            for mid, k, c in r_cols.get(colm, ()):
+                m = t2t1.get((row, mid))
+                if m is not None:
+                    acc = acc - m.scaled(c, k)
             if acc.is_zero():
                 continue
             red = _element_ideal_reduce(acc)

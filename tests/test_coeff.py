@@ -19,9 +19,14 @@ field_elems = st.builds(lambda a, b: FieldElem(rat(a.numerator, a.denominator),
 
 def ds(coeffs, param="z", order=None):
     order = order if order is not None else len(coeffs) - 1
-    return DeformationSeries.from_coeffs([FieldElem(rat(c) if not isinstance(c, tuple)
-                                                    else rat(*c)) for c in coeffs],
-                                         param, order)
+    values = [FieldElem(rat(c) if not isinstance(c, tuple) else rat(*c)) for c in coeffs]
+    return DeformationSeries(param, order, (values + [FE_ZERO] * order)[: order + 1])
+
+
+def dense_coeffs(series):
+    """The coefficients of a series, one per degree 0..order."""
+    terms = dict(series.terms)
+    return [terms.get(k, series.domain.zero) for k in range(series.order + 1)]
 
 
 # -- independent oracle: naive series arithmetic over Fraction -----------------
@@ -315,14 +320,14 @@ class TestSeriesInverse:
         assert ds([1, -1, 0, 0]).inverse() == ds([1, 1, 1, 1])
 
     def test_one(self):
-        one = DeformationSeries.one("z", 2)
+        one = ds([1, 0, 0])
         assert one.inverse() == one
 
     def test_solves_convolution(self):
         s = ds([1, 2, 2])
         inv = s.inverse()
         assert inv == ds([1, -2, 2])
-        assert s * inv == DeformationSeries.one("z", 2)
+        assert s * inv == ds([1, 0, 0])
 
     def test_zero_constant_term_rejected(self):
         with pytest.raises(NonInvertible):
@@ -334,7 +339,7 @@ class TestSeriesInverse:
         if coeffs[0] == 0:
             coeffs[0] = Fraction(1)
         s = ds([(c.numerator, c.denominator) for c in coeffs])
-        assert s * s.inverse() == DeformationSeries.one("z", s.order)
+        assert s * s.inverse() == ds([1] + [0] * s.order)
 
 
 class TestLaurent:
@@ -342,15 +347,13 @@ class TestLaurent:
     in general): the common power of the parameter is divided out first."""
 
     def ls(self, terms, order):
-        return DeformationSeries.from_coeffs(
-            [FieldElem(rat(v) if not isinstance(v, tuple) else rat(*v))
-             for v in (terms.get(k, 0) for k in range(order + 1))], "w", order)
+        return ds([terms.get(k, 0) for k in range(order + 1)], "w")
 
     def test_divide_multiplies_back(self):
         a = self.ls({1: 1}, 3)
         b = self.ls({1: 2, 2: -2}, 3)
         q = a.quotient(b, 2)
-        assert [c.a for c in q.coeffs] == [rat(1, 2)] * 3
+        assert [c.a for c in dense_coeffs(q)] == [rat(1, 2)] * 3
         assert q * self.ls({0: 2, 1: -2}, 2) == self.ls({0: 1}, 2)
 
     def test_one_over_w(self):
@@ -359,8 +362,7 @@ class TestLaurent:
 
     def test_cancellation(self):
         q = self.ls({1: 1, 2: 1}, 3).quotient(self.ls({1: 1}, 3), 2)
-        assert q.coefficient(0) == FE_ONE and q.coefficient(1) == FE_ONE
-        assert q.coefficient(2).is_zero()
+        assert dense_coeffs(q) == [FE_ONE, FE_ONE, FE_ZERO]
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisor):
@@ -368,7 +370,7 @@ class TestLaurent:
 
     def test_regularity_after_exact_cancellation(self):
         # a dividend whose low terms cancel exactly has the divisor's valuation
-        s = self.ls({1: 1, 2: 2}, 3) - self.ls({1: 1}, 3)
+        s = self.ls({1: 1, 2: 2}, 3) + self.ls({1: -1}, 3)
         q = s.quotient(self.ls({2: 1}, 3), 1)
         assert q == self.ls({0: 2}, 1)
         with pytest.raises(PoleDetected):
@@ -388,7 +390,7 @@ def test_sympy_oracle_agreement():
     want = [expr.coeff(z, k) for k in range(4)]
     got = ds([1, -1, (-2, 3), 0], order=3).inverse()
     assert all(sympy.Rational(int(c.a.numerator), int(c.a.denominator)) == w
-               for c, w in zip(got.coeffs, want))
+               for c, w in zip(dense_coeffs(got), want))
 
 
 # -- sparse inputs: mostly-zero lists, monomials, exact cancellation -----------
@@ -403,9 +405,9 @@ sparse_inputs = st.one_of(sparse_lists, monomials)
 
 
 def fs(values, order=ORDER, param="z"):
-    """Series from a Fraction list through the dense constructor path."""
-    return DeformationSeries.from_coeffs(
-        [FieldElem(rat(v.numerator, v.denominator)) for v in values], param, order)
+    """Series from a Fraction list, cut or padded to the order."""
+    return DeformationSeries(param, order, [FieldElem(rat(v.numerator, v.denominator))
+                                            for v in dense(values, order)])
 
 
 def dense(values, order=ORDER):
@@ -439,14 +441,13 @@ class TestSparseSeries:
         got = fs(x) + fs(y)
         assert_canonical(got)
         same(got, fs([p + q for p, q in zip(dense(x), dense(y))]))
-        same(fs(x) - fs(y), fs([p - q for p, q in zip(dense(x), dense(y))]))
 
     @given(sparse_inputs)
     @settings(max_examples=60, deadline=None)
     def test_exact_cancellation(self, x):
-        a = fs(x)
+        a, minus_a = fs(x), fs([-v for v in x])
         zero = DeformationSeries.zero("z", ORDER)
-        for s in (a + (-a), a - a, (-a) + a):
+        for s in (a + minus_a, minus_a + a):
             same(s, zero)
             assert s.is_zero() and s.terms == ()
 
@@ -456,33 +457,18 @@ class TestSparseSeries:
         coeffs = [FieldElem(rat(v.numerator, v.denominator)) for v in dense(x)]
         built = DeformationSeries.zero("z", ORDER)
         for k, c in enumerate(coeffs):
-            built = built + DeformationSeries.monomial(c, k, "z", ORDER)
+            built = built + DeformationSeries("z", ORDER, [c if j == k else FE_ZERO
+                                                           for j in range(ORDER + 1)])
         same(DeformationSeries("z", ORDER, coeffs), built)
-        assert built.coeffs == tuple(coeffs)
-        assert [built.coefficient(k) for k in range(ORDER + 1)] == coeffs
+        assert dense_coeffs(built) == coeffs
 
     @given(sparse_inputs, st.integers(0, 2 * ORDER))
     @settings(max_examples=60, deadline=None)
     def test_terms_above_order_dropped(self, x, d):
-        assert fs(x) == fs(x[: ORDER + 1])
-        assert len(fs(x).coeffs) == ORDER + 1
-        mono = DeformationSeries.monomial(FE_ONE, d, "z", ORDER)
-        assert mono.is_zero() == (d > ORDER)
-        prod = mono * DeformationSeries.monomial(FE_ONE, 1, "z", ORDER)
-        same(prod, DeformationSeries.monomial(FE_ONE, d + 1, "z", ORDER))
-
-    @given(sparse_inputs, st.integers(-ORDER - 2, ORDER + 2))
-    @settings(max_examples=80, deadline=None)
-    def test_shifted(self, x, k):
-        a = fs(x)
-        valuation = a.terms[0][0] if a.terms else ORDER + 1
-        if k < 0 and valuation < -k:
-            with pytest.raises(ZeroDivisor):
-                a.shifted(k)
-            return
-        got = a.shifted(k)
+        # a product by param**d keeps the degrees up to the order only
+        got = fs(x) * fs([Fraction(0)] * d + [Fraction(1)])
         assert_canonical(got)
-        same(got, fs(brute_shift(dense(x), k, ORDER)))
+        same(got, fs(brute_shift(dense(x), d, ORDER)))
 
     def test_mismatched_series_rejected(self):
         with pytest.raises(ValueError):

@@ -52,6 +52,7 @@ EXPRESSIONS = (
 CORPUS_ORDERS = (2, 4)
 SHOW_SUBJECTS = ("relations", "coproducts", "antipodes", "casimirs", "rmatrix")
 SHOW_ORDER = 3
+HAMILTONIAN_ORDERS = (1, 2, 3, 4)
 
 
 def _expressions(name):
@@ -78,6 +79,12 @@ def corpus_commands():
             for fmt in ("text", "json"):
                 out.append(["show", subject, "--algebra", name,
                             "--order", str(SHOW_ORDER), "--format", fmt])
+    # the preset-free subjects: the diffrep Hamiltonian and the Sklyanin brackets
+    for order in HAMILTONIAN_ORDERS:
+        for fmt in ("text", "json", "latex"):
+            out.append(["show", "hamiltonian", "--order", str(order), "--format", fmt])
+    for fmt in ("text", "json"):
+        out.append(["show", "brackets", "--format", fmt])
     return out
 
 

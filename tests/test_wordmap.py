@@ -11,7 +11,7 @@ import pytest
 
 from hopf_forge import diffrep, repfrt
 from hopf_forge.algebras import preset
-from hopf_forge.coeff import DeformationSeries, FieldElem
+from hopf_forge.coeff import FieldElem
 from hopf_forge.hopf import HopfMaps
 from hopf_forge.ncalg import TensorElement, UnmappedGenerator, tensor_pair
 
@@ -155,8 +155,7 @@ def test_rep_of_element_is_the_product_of_operator_images():
     want = diffrep.WeylOperator.zero(order)
     for (w, k), c in x.terms.items():
         op = product(diffrep.WeylOperator.identity(order), images, w)
-        want = want + op.scale(DeformationSeries.monomial(
-            diffrep.rf_const(c), k, "w", order, diffrep.RF_DOMAIN))
+        want = want + op * diffrep.WeylOperator.multiplication(order, {k: diffrep.rf_const(c)})
     assert diffrep.rep_of_element(rep, x, order) == want
 
 
