@@ -32,6 +32,7 @@ REPORT_VERSION = 1
 DEFAULT_ORDER_2FOLD = 4
 DEFAULT_ORDER_3FOLD = 3
 DEFAULT_TIMEOUT_SECS = 900
+EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 class UsageError(Exception):
@@ -406,7 +407,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): end quietly, and point stdout
+        # at devnull so that the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -6,6 +6,16 @@ coordinates (Buchberger closure + reduction).  Monomials are compared in
 graded-lexicographic order with the ring's variable list fixing the
 lexicographic priority (first variable strongest).
 
+A monomial is one packed int (Monagan and Pearce, CASC 2007, LNCS 4770):
+the total degree in the top field and one 16-bit field per variable below
+it, the first variable highest.  Int order is then graded-lex order, a
+product is ``a + b``, and "a divides b" is one guard-bit test.  Only
+:meth:`PolyRing.pack` and :meth:`PolyRing.unpack` build or read exponent
+tuples.  Every exponent, and the total degree, must stay below 2**15
+(:data:`MAX_DEGREE`): packing a larger one, or multiplying polynomials whose
+total degrees sum to more, raises :class:`OverflowError` rather than let a
+field carry into its neighbour.
+
 :func:`groebner` skips the S-pairs that Buchberger's two criteria prove
 reduce to zero: the product criterion (coprime leading monomials) and the
 chain criterion (some third leading monomial divides the pair's lcm and both
@@ -16,18 +26,34 @@ of its pairs with the third member are already treated; Buchberger, EUROSAM
 from __future__ import annotations
 
 import heapq
+import struct
 
 from .coeff import FE_ONE, FE_ZERO, FieldElem, NonInvertible, ZeroDivisor, rat
 
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # bit 15 of each field is a guard bit
+
 
 class PolyRing:
-    """A polynomial ring: an ordered tuple of commuting variable names."""
+    """A polynomial ring: an ordered tuple of commuting variable names.
 
-    __slots__ = ("vars", "index")
+    A packed monomial is the big-endian array of 16-bit fields
+    ``[degree, e_0, ..., e_{n-1}]`` read as one int.  ``shift[i]`` is the
+    bit offset of variable i's field, ``dshift`` that of the total degree;
+    ``guard`` has bit 15 of every variable field set.
+    """
+
+    __slots__ = ("vars", "index", "shift", "dshift", "guard", "_fields")
 
     def __init__(self, variables):
         self.vars = tuple(variables)
         self.index = {v: i for i, v in enumerate(self.vars)}
+        n = len(self.vars)
+        self.shift = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        self.dshift = FIELD_BITS * n
+        self.guard = sum(1 << (s + FIELD_BITS - 1) for s in self.shift)
+        self._fields = struct.Struct(f">{n + 1}H")
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.vars == other.vars
@@ -42,6 +68,21 @@ class PolyRing:
     def nvars(self):
         return len(self.vars)
 
+    def pack(self, exps):
+        """The packed monomial of an exponent sequence (one entry per variable)."""
+        degree = sum(exps)
+        if degree > MAX_DEGREE:
+            raise OverflowError(f"total degree {degree} exceeds {MAX_DEGREE}")
+        try:
+            raw = self._fields.pack(degree, *exps)
+        except struct.error:
+            raise ValueError(f"bad exponents {tuple(exps)} for {self!r}") from None
+        return int.from_bytes(raw, "big")
+
+    def unpack(self, m):
+        """The exponent tuple of a packed monomial."""
+        return self._fields.unpack(m.to_bytes(self._fields.size, "big"))[1:]
+
     def zero(self):
         return Polynomial(self, {})
 
@@ -49,31 +90,51 @@ class PolyRing:
         return self.constant(FE_ONE)
 
     def constant(self, c):
-        if isinstance(c, int):
-            c = FieldElem(c)
-        if c.is_zero():
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return self.monomial((0,) * self.nvars, c)
 
     def var(self, name):
         e = [0] * self.nvars
         e[self.index[name]] = 1
-        return Polynomial(self, {tuple(e): FE_ONE})
+        return self.monomial(e)
 
     def monomial(self, exps, c=FE_ONE):
         if isinstance(c, int):
             c = FieldElem(c)
-        if c.is_zero():
-            return Polynomial(self, {})
-        return Polynomial(self, {tuple(exps): c})
+        return Polynomial(self, {self.pack(exps): c})
 
 
-def _grlex(e):
-    return (sum(e), e)
+def _degree_of_fields(m):
+    """Total degree of a packed monomial with no degree field, whose fields
+    sum below 2**16 - 1: as 2**16 is 1 modulo 2**16 - 1, the int is the sum
+    of its fields modulo 2**16 - 1."""
+    return m % FIELD_MASK
+
+
+def _field_min(a, b, guard):
+    """Per-field minimum of two packed monomials without degree fields."""
+    ge = ((a | guard) - b) & guard          # guard bit set where a_i >= b_i
+    pick = ge - (ge >> (FIELD_BITS - 1))    # low 15 bits set in those fields
+    return (b & pick) | (a & ~pick)
+
+
+def _divides(a, b, guard):
+    """Packed monomial ``a`` divides ``b``: no field of ``(b | guard) - a``
+    borrows its guard bit."""
+    return ((b | guard) - a) & guard == guard
+
+
+def _exp_lcm(ring, a, b):
+    """Per-variable maximum of two packed monomials of ``ring``."""
+    vmask = (1 << ring.dshift) - 1
+    a &= vmask
+    b &= vmask
+    low = _field_min(a, b, ring.guard)
+    m = a + b - low
+    return m | (_degree_of_fields(m) << ring.dshift)
 
 
 class Polynomial:
-    """Sparse multivariate polynomial with FieldElem coefficients."""
+    """Sparse multivariate polynomial: {packed monomial: FieldElem}."""
 
     __slots__ = ("ring", "terms", "_lead")
 
@@ -86,18 +147,19 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(self.terms)
 
     def constant_value(self):
-        return self.terms.get((0,) * self.ring.nvars, FE_ZERO)
+        return self.terms.get(0, FE_ZERO)
 
     def degree_in(self, i):
-        return max((e[i] for e in self.terms), default=0)
+        s = self.ring.shift[i]
+        return max(((e >> s) & FIELD_MASK for e in self.terms), default=0)
 
     def leading(self):
-        """(exponent, coefficient) of the graded-lex leading term (cached)."""
+        """(packed monomial, coefficient) of the graded-lex leading term (cached)."""
         if self._lead is None:
-            e = max(self.terms, key=_grlex)
+            e = max(self.terms)
             self._lead = e, self.terms[e]
         return self._lead
 
@@ -138,10 +200,16 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, FieldElem)):
             return Polynomial(self.ring, {e: c * other for e, c in self.terms.items()})
+        if not self.terms or not other.terms:
+            return Polynomial(self.ring, {})
+        # the leading monomial of the product is the sum of the leading ones
+        degree = (max(self.terms) + max(other.terms)) >> self.ring.dshift
+        if degree > MAX_DEGREE:
+            raise OverflowError(f"product of total degree {degree} exceeds {MAX_DEGREE}")
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = e1 + e2
                 s = out.get(e)
                 p = c1 * c2
                 out[e] = p if s is None else s + p
@@ -169,38 +237,27 @@ class Polynomial:
         return self * lc.inverse()
 
     def derivative(self, name):
-        i = self.ring.index[name]
+        ring = self.ring
+        s = ring.shift[ring.index[name]]
+        unit = (1 << s) | (1 << ring.dshift)
         out = {}
         for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = c * e[i]
-        return Polynomial(self.ring, out)
+            k = (e >> s) & FIELD_MASK
+            if k:
+                out[e - unit] = c * k
+        return Polynomial(ring, out)
 
     def __repr__(self):
         if self.is_zero():
             return "0"
         bits = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
+        for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             mono = "*".join(
                 f"{v}^{p}" if p > 1 else v
-                for v, p in zip(self.ring.vars, e) if p)
+                for v, p in zip(self.ring.vars, self.ring.unpack(e)) if p)
             bits.append(f"({c}){'*' + mono if mono else ''}")
         return " + ".join(bits)
-
-
-def _exp_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _exp_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def reduce_poly(p, basis):
@@ -212,30 +269,32 @@ def reduce_poly(p, basis):
     lead = [b.leading() + (b,) for b in basis if not b.is_zero()]
     if not lead:
         return p
+    g = p.ring.guard
     remainder = {}
     work = dict(p.terms)
-    # max-heap of the exponents in ``work`` by graded-lex order; a cancelled
-    # term only adds smaller ones, so a popped exponent never comes back
-    heap = [_heap_key(e) for e in work]
+    # min-heap of the negated monomials in ``work``; a cancelled term only
+    # adds smaller ones, so a popped monomial never comes back
+    heap = [-e for e in work]
     heapq.heapify(heap)
     while heap:
-        e = heapq.heappop(heap)[2]
+        e = -heapq.heappop(heap)
         c = work.pop(e)
         if c.is_zero():
             continue
+        eg = e | g
         for le, lc, b in lead:
-            if _exp_divides(le, e):
+            if (eg - le) & g == g:  # _divides(le, e, g), inlined
                 # cancel c*x^e against (c/lc)*x^(e-le) * b
                 q = c / lc
-                shift = _exp_sub(e, le)
+                shift = e - le
                 for be, bc in b.terms.items():
                     if be == le:
                         continue
-                    ne = tuple(x + y for x, y in zip(be, shift))
+                    ne = be + shift
                     s = work.get(ne)
                     if s is None:
                         work[ne] = -(q * bc)
-                        heapq.heappush(heap, _heap_key(ne))
+                        heapq.heappush(heap, -ne)
                     else:
                         work[ne] = s - q * bc
                 break
@@ -244,16 +303,13 @@ def reduce_poly(p, basis):
     return Polynomial(p.ring, remainder)
 
 
-def _heap_key(e):
-    return (-sum(e), tuple(-x for x in e), e)
-
-
 def _spoly(f, g):
+    ring = f.ring
     ef, cf = f.leading()
     eg, cg = g.leading()
-    l = _exp_lcm(ef, eg)
-    mf = f.ring.monomial(_exp_sub(l, ef), cf.inverse())
-    mg = g.ring.monomial(_exp_sub(l, eg), cg.inverse())
+    l = _exp_lcm(ring, ef, eg)
+    mf = Polynomial(ring, {l - ef: cf.inverse()})
+    mg = Polynomial(ring, {l - eg: cg.inverse()})
     return mf * f - mg * g
 
 
@@ -265,19 +321,23 @@ def groebner(gens):
     criterion shows that its S-polynomial reduces to zero.
     """
     basis = [g.monic() for g in gens if not g.is_zero()]
+    if not basis:
+        return []
+    ring = basis[0].ring
+    guard, ds = ring.guard, ring.dshift
     lead = [b.leading()[0] for b in basis]
     heap = []
     done = set()  # pairs (i, j), i < j, already taken off the heap
 
     def push_pairs(k):
         for i in range(k):
-            heapq.heappush(heap, (sum(_exp_lcm(lead[i], lead[k])), i, k))
+            heapq.heappush(heap, (_exp_lcm(ring, lead[i], lead[k]) >> ds, i, k))
 
     def chain(i, j, l):
         """Some other member's lead divides ``l`` and both its pairs with i
         and j are treated: S(i, j) then reduces to zero (Buchberger 1979)."""
         return any(
-            k != i and k != j and _exp_divides(lead[k], l)
+            k != i and k != j and _divides(lead[k], l, guard)
             and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
             for k in range(len(basis)))
 
@@ -287,8 +347,8 @@ def groebner(gens):
         _, i, j = heapq.heappop(heap)
         done.add((i, j))
         ei, ej = lead[i], lead[j]
-        l = _exp_lcm(ei, ej)
-        if l == tuple(a + b for a, b in zip(ei, ej)) or chain(i, j, l):
+        l = _exp_lcm(ring, ei, ej)
+        if l == ei + ej or chain(i, j, l):
             continue
         r = reduce_poly(_spoly(basis[i], basis[j]), basis)
         if not r.is_zero():
@@ -297,13 +357,11 @@ def groebner(gens):
             push_pairs(len(basis) - 1)
     # minimalize: drop members whose leading term another one divides
     keep = []
-    for i, b in enumerate(basis):
-        e = b.leading()[0]
-        if any(_exp_divides(basis[j].leading()[0], e)
-               for j in range(len(basis)) if j != i and
-               (j < i or basis[j].leading()[0] != e)):
+    for i, e in enumerate(lead):
+        if any(_divides(lead[j], e, guard)
+               for j in range(len(basis)) if j != i and (j < i or lead[j] != e)):
             continue
-        keep.append(b)
+        keep.append(basis[i])
     # tail-reduce each member against the others
     out = []
     for i, b in enumerate(keep):
@@ -311,7 +369,7 @@ def groebner(gens):
         r = reduce_poly(b, others) if others else b
         if not r.is_zero():
             out.append(r.monic())
-    out.sort(key=lambda q: _grlex(q.leading()[0]))
+    out.sort(key=lambda q: q.leading()[0])
     return out
 
 
@@ -322,44 +380,50 @@ def _exact_div(f, d):
     if d.is_zero():
         raise ZeroDivisor("polynomial division by zero")
     ring = f.ring
-    work = dict(f.terms)
+    guard = ring.guard
     le, lc = d.leading()
+    if len(d.terms) == 1:
+        # a one-term divisor only shifts every monomial
+        if not all(_divides(le, e, guard) for e in f.terms):
+            raise ZeroDivisor("not an exact polynomial quotient")
+        return Polynomial(ring, {e - le: c / lc for e, c in f.terms.items()})
+    work = dict(f.terms)
     out = {}
     while work:
-        e = max(work, key=_grlex)
+        e = max(work)
         c = work.pop(e)
         if c.is_zero():
             continue
-        if not _exp_divides(le, e):
+        if not _divides(le, e, guard):
             raise ZeroDivisor("not an exact polynomial quotient")
         q = c / lc
-        qe = _exp_sub(e, le)
+        qe = e - le
         out[qe] = out.get(qe, FE_ZERO) + q
         for be, bc in d.terms.items():
             if be == le:
                 continue
-            ne = tuple(x + y for x, y in zip(be, qe))
+            ne = be + qe
             work[ne] = work.get(ne, FE_ZERO) - q * bc
     return Polynomial(ring, out)
 
 
 def _to_univar(p, i):
     """View p as univariate in variable i: {deg: Polynomial in other vars}."""
-    sub = PolyRing(p.ring.vars[:i] + p.ring.vars[i + 1:])
+    ring = p.ring
+    sub = PolyRing(ring.vars[:i] + ring.vars[i + 1:])
     out = {}
-    for e, c in p.terms.items():
-        d = e[i]
-        rest = e[:i] + e[i + 1:]
-        out.setdefault(d, {})[rest] = c
+    for m, c in p.terms.items():
+        e = ring.unpack(m)
+        out.setdefault(e[i], {})[sub.pack(e[:i] + e[i + 1:])] = c
     return {d: Polynomial(sub, t) for d, t in out.items()}, sub
 
 
 def _from_univar(ring, i, coeffs):
     out = {}
     for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            full = e[:i] + (d,) + e[i:]
-            out[full] = c
+        for m, c in poly.terms.items():
+            e = poly.ring.unpack(m)
+            out[ring.pack(e[:i] + (d,) + e[i:])] = c
     return Polynomial(ring, out)
 
 
@@ -373,13 +437,15 @@ def _monomial_gcd_part(f, g):
         mono, other = g, f
     if mono is None:
         return None
-    (me,) = mono.terms
-    acc = me
+    ring = mono.ring
+    vmask = (1 << ring.dshift) - 1
+    (acc,) = mono.terms
+    acc &= vmask
     for e in other.terms:
-        acc = tuple(min(a, b) for a, b in zip(acc, e))
-        if not any(acc):
+        acc = _field_min(acc, e & vmask, ring.guard)
+        if not acc:
             break
-    return mono.ring.monomial(acc)
+    return Polynomial(ring, {acc | (_degree_of_fields(acc) << ring.dshift): FE_ONE})
 
 
 def poly_gcd(f, g):

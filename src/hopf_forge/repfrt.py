@@ -225,7 +225,8 @@ def _affine_parts(p):
     """(constant, {var_index: coeff}) of an affine polynomial."""
     const = FE_ZERO
     lin = {}
-    for e, c in p.terms.items():
+    for m, c in p.terms.items():
+        e = p.ring.unpack(m)
         d = sum(e)
         if d == 0:
             const = c
@@ -426,8 +427,9 @@ def bracket_table_json():
 
 def _poly_to_element(alg, p, w_degree=0):
     """Commutative L/a polynomial -> normal-ordered element, times w^w_degree."""
-    return alg.element({(tuple((i, k) for i, k in enumerate(e) if k), w_degree): c
-                        for e, c in p.terms.items()})
+    unpack = p.ring.unpack
+    return alg.element({(tuple((i, k) for i, k in enumerate(unpack(m)) if k), w_degree): c
+                        for m, c in p.terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -461,12 +463,13 @@ def _reduce_blocks(terms, ring, width, basis):
                 if g < n_l:
                     e[s * width + g] = ex
         apart = tuple(tuple((g, ex) for g, ex in w if g >= n_l) for w in words)
-        blocks.setdefault(apart, {}).setdefault(k, {})[tuple(e)] = c
+        blocks.setdefault(apart, {}).setdefault(k, {})[ring.pack(e)] = c
     out = {}
     for apart, by_power in blocks.items():
         for k in sorted(by_power):
             red = reduce_poly(Polynomial(ring, by_power[k]), basis)
-            for e, c in red.terms.items():
+            for m, c in red.terms.items():
+                e = ring.unpack(m)
                 key = tuple(tuple((i, ex) for i, ex in enumerate(e[s * width:(s + 1) * width])
                                   if ex) + a for s, a in enumerate(apart))
                 add_term(out, (key, k), c)
@@ -577,13 +580,14 @@ def _lift_poly(p, ring, offset):
     """Lift an L-only polynomial into a doubled-variable ring at an offset."""
     n_l = len(L_NAMES)
     terms = {}
-    for e, c in p.terms.items():
+    for m, c in p.terms.items():
+        e = p.ring.unpack(m)
         if any(e[n_l:]):
             raise ValueError("ideal generator involves translation coordinates")
         ee = [0] * len(ring.vars)
         for i, ex in enumerate(e[:n_l]):
             ee[offset + i] = ex
-        terms[tuple(ee)] = c
+        terms[ring.pack(ee)] = c
     return Polynomial(ring, terms)
 
 

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, formats, environment overrides."""
 
+import fcntl
 import json
 import os
 import subprocess
@@ -157,6 +158,37 @@ DEFAULT_PLAN = [
     ("rtt", NULLPLANE, 4), ("weyl", NULLPLANE, 4), ("group-coproduct", NULLPLANE, 4),
     ("qplane", NULLPLANE, 4), ("diffrep", NULLPLANE, 4),
 ]
+
+
+def run_into_closed_pipe(*args, read=0):
+    """Run the CLI with stdout on a 4 kB pipe whose read end closes after
+    ``read`` bytes (at once for 0); (exit code, bytes read, stderr)."""
+    rfd, wfd = os.pipe()
+    fcntl.fcntl(wfd, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(CLI + list(args), stdout=wfd, stderr=subprocess.PIPE)
+    os.close(wfd)
+    got = os.read(rfd, read) if read else b""
+    os.close(rfd)
+    _, err = proc.communicate(timeout=300)
+    return proc.returncode, got, err.decode()
+
+
+class TestClosedStdout:
+    """``hopf-forge ... | head`` ends quietly with exit code 141."""
+
+    def test_reader_closes_after_a_few_bytes(self):
+        # 6.5 kB of output into a 4 kB pipe: the write is still blocked when
+        # the reader goes away
+        code, got, err = run_into_closed_pipe("show", "rmatrix", "--algebra", "so22",
+                                              "--order", "4", read=16)
+        assert got
+        assert "Traceback" not in err, err
+        assert code == 141
+
+    def test_reader_gone_before_the_json_report(self):
+        code, _, err = run_into_closed_pipe("verify", "consistency", "--format", "json")
+        assert "Traceback" not in err, err
+        assert code == 141
 
 
 def plan_of(*argv):

@@ -185,10 +185,12 @@ def basis_doc():
     """``repfrt.orthogonality_groebner()`` in basis order: each member a list of
     ``[exponents, a, b]`` terms (coefficient a + b*sqrt2), leading term first."""
     from hopf_forge.repfrt import COORD_NAMES, orthogonality_groebner
+    basis = [{p.ring.unpack(m): c for m, c in p.terms.items()}
+             for p in orthogonality_groebner()]
     return {"vars": list(COORD_NAMES),
-            "basis": [[[list(e), str(p.terms[e].a), str(p.terms[e].b)]
-                       for e in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True)]
-                      for p in orthogonality_groebner()]}
+            "basis": [[[list(e), str(terms[e].a), str(terms[e].b)]
+                       for e in sorted(terms, key=lambda e: (sum(e), e), reverse=True)]
+                      for terms in basis]}
 
 
 def _write():

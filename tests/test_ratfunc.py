@@ -5,8 +5,9 @@ import random
 import pytest
 
 from hopf_forge.coeff import FE_ONE, FE_ZERO, FieldElem, rat
-from hopf_forge.ratfunc import (PolyRing, Polynomial, RationalFunction, groebner,
-                                poly_gcd, reduce_poly)
+from hopf_forge.ratfunc import (MAX_DEGREE, PolyRing, Polynomial, RationalFunction,
+                                _divides as _divides_kernel, _exp_lcm, _monomial_gcd_part,
+                                groebner, poly_gcd, reduce_poly)
 
 R3 = PolyRing(("x", "y", "z"))
 
@@ -15,14 +16,23 @@ def rand_poly(rng, ring=R3, max_terms=4, max_deg=3):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         e = tuple(rng.randint(0, max_deg) for _ in ring.vars)
-        terms[e] = FieldElem(rat(rng.randint(-5, 5), rng.randint(1, 3)))
+        terms[ring.pack(e)] = FieldElem(rat(rng.randint(-5, 5), rng.randint(1, 3)))
     return Polynomial(ring, terms)
+
+
+def _exps(p):
+    """{exponent tuple: coefficient} of a polynomial."""
+    return {p.ring.unpack(m): c for m, c in p.terms.items()}
+
+
+def _from_exps(ring, terms):
+    return Polynomial(ring, {ring.pack(e): c for e, c in terms.items()})
 
 
 def to_sympy(p, xs):
     import sympy
     out = 0
-    for e, c in p.terms.items():
+    for e, c in _exps(p).items():
         t = sympy.Rational(int(c.a.numerator), int(c.a.denominator))
         for s, k in zip(xs, e):
             if k:
@@ -40,7 +50,7 @@ class TestPolynomial:
     def test_leading_grlex(self):
         x, y, z = (R3.var(v) for v in "xyz")
         p = x * y + z * z * z
-        assert p.leading()[0] == (0, 0, 3)
+        assert R3.unpack(p.leading()[0]) == (0, 0, 3)
 
     def test_derivative(self):
         x, y = R3.var("x"), R3.var("y")
@@ -117,27 +127,31 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def _lead(p):
+    return max(_exps(p), key=_grlex)
+
+
 def reference_reduce(p, basis):
     """Full normal form: cancel the grlex-largest reducible term, re-scanning
     every term and every leading term on each step."""
-    lead = [(max(b.terms, key=_grlex), b) for b in basis if not b.is_zero()]
-    remainder, work = {}, dict(p.terms)
+    lead = [(_lead(b), _exps(b)) for b in basis if not b.is_zero()]
+    remainder, work = {}, _exps(p)
     while work:
         e = max(work, key=_grlex)
         c = work.pop(e)
         if c.is_zero():
             continue
-        for le, b in lead:
+        for le, bt in lead:
             if _divides(le, e):
-                q = c / b.terms[le]
-                for be, bc in b.terms.items():
+                q = c / bt[le]
+                for be, bc in bt.items():
                     if be != le:
                         ne = tuple(x + y - z for x, y, z in zip(be, e, le))
                         work[ne] = work.get(ne, FE_ZERO) - q * bc
                 break
         else:
             remainder[e] = c
-    return Polynomial(p.ring, remainder)
+    return _from_exps(p.ring, remainder)
 
 
 def reference_groebner(gens):
@@ -146,10 +160,10 @@ def reference_groebner(gens):
     import heapq
 
     def monic(p):
-        return p * p.terms[max(p.terms, key=_grlex)].inverse()
+        return p * _exps(p)[_lead(p)].inverse()
 
     basis = [monic(g) for g in gens if not g.is_zero()]
-    lead = [max(b.terms, key=_grlex) for b in basis]
+    lead = [_lead(b) for b in basis]
     heap = [(sum(map(max, lead[i], lead[k])), i, k)
             for k in range(len(basis)) for i in range(k)]
     heapq.heapify(heap)
@@ -164,27 +178,27 @@ def reference_groebner(gens):
         r = reference_reduce(s, basis)
         if not r.is_zero():
             basis.append(monic(r))
-            lead.append(max(r.terms, key=_grlex))
+            lead.append(_lead(r))
             for i in range(len(basis) - 1):
                 heapq.heappush(heap, (sum(map(max, lead[i], lead[-1])), i, len(basis) - 1))
     keep = [b for i, b in enumerate(basis)
             if not any(_divides(lead[j], lead[i]) and (j < i or lead[j] != lead[i])
                        for j in range(len(basis)) if j != i)]
     out = [monic(reference_reduce(b, keep[:i] + keep[i + 1:])) for i, b in enumerate(keep)]
-    return sorted(out, key=lambda q: _grlex(max(q.terms, key=_grlex)))
+    return sorted(out, key=lambda q: _grlex(_lead(q)))
 
 
 def assert_reduced_basis_of(basis, gens):
     """``basis`` is a reduced Groebner basis that contains every generator:
     monic, sorted by leading monomial, no leading monomial divides a term of
     another member, and every generator reduces to zero."""
-    leads = [p.leading()[0] for p in basis]
+    leads = [p.ring.unpack(p.leading()[0]) for p in basis]
     assert leads == sorted(leads, key=_grlex)
     for i, p in enumerate(basis):
         assert p.leading()[1] == FE_ONE
         for j, q in enumerate(basis):
             if i != j:
-                assert not any(_divides(leads[i], e) for e in q.terms), (p, q)
+                assert not any(_divides(leads[i], e) for e in _exps(q)), (p, q)
     for g in gens:
         assert reduce_poly(g, basis).is_zero(), g
 
@@ -267,3 +281,124 @@ class TestRationalFunction:
     def test_denominator_never_zero(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(R3.one(), R3.zero())
+
+
+# -- the packed monomial format against exponent tuples ------------------------
+
+PACKED_RINGS = [PolyRing(tuple(f"v{i}" for i in range(n))) for n in (3, 12, 18)]
+
+
+def rand_exps(rng, n, total=MAX_DEGREE):
+    """Random exponents summing to at most ``total``; one field in four is
+    pushed towards the 15-bit limit so that the guard bits are exercised."""
+    e = [rng.randint(0, 3) for _ in range(n)]
+    if rng.random() < 0.25:
+        e[rng.randrange(n)] = rng.randint(0, total - sum(e))
+    return tuple(e)
+
+
+def rand_packed_poly(rng, ring, max_terms=5, total=40):
+    return Polynomial(ring, {ring.pack(rand_exps(rng, ring.nvars, total)):
+                             FieldElem(rng.randint(-9, 9) or 1, rng.randint(-2, 2))
+                             for _ in range(rng.randint(1, max_terms))})
+
+
+def pairs(rng, n, count=300, total=MAX_DEGREE // 2):
+    """Exponent pairs; every third second member is the first one plus a
+    random tuple, so that divisibility holds often enough to be tested."""
+    out = []
+    for k in range(count):
+        a = rand_exps(rng, n, total)
+        b = rand_exps(rng, n, total)
+        if k % 3 == 0:
+            b = tuple(x + min(y, 2) for x, y in zip(a, b))
+        out.append((a, b))
+    return out
+
+
+@pytest.mark.parametrize("ring", PACKED_RINGS, ids=lambda r: f"{r.nvars}vars")
+class TestPackedMonomials:
+    def test_pack_unpack_round_trip(self, ring):
+        rng = random.Random(ring.nvars)
+        for _ in range(300):
+            e = rand_exps(rng, ring.nvars)
+            assert ring.unpack(ring.pack(e)) == e
+        top = (0,) * (ring.nvars - 1) + (MAX_DEGREE,)
+        assert ring.unpack(ring.pack(top)) == top
+
+    def test_int_order_is_graded_lex(self, ring):
+        rng = random.Random(100 + ring.nvars)
+        exps = [rand_exps(rng, ring.nvars) for _ in range(300)]
+        exps += [tuple(rng.randint(0, 2) for _ in range(ring.nvars)) for _ in range(300)]
+        assert sorted(exps, key=ring.pack) == sorted(exps, key=_grlex)
+        for _ in range(50):
+            p = rand_packed_poly(rng, ring)
+            assert ring.unpack(p.leading()[0]) == _lead(p)
+
+    def test_product(self, ring):
+        rng = random.Random(200 + ring.nvars)
+        for a, b in pairs(rng, ring.nvars):
+            got = ring.monomial(a) * ring.monomial(b)
+            assert got.terms == {ring.pack(tuple(x + y for x, y in zip(a, b))): FE_ONE}
+        for _ in range(30):
+            p, q = rand_packed_poly(rng, ring), rand_packed_poly(rng, ring)
+            want = {}
+            for e1, c1 in _exps(p).items():
+                for e2, c2 in _exps(q).items():
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    want[e] = want.get(e, FE_ZERO) + c1 * c2
+            assert p * q == _from_exps(ring, want)
+
+    def test_divisibility(self, ring):
+        rng = random.Random(300 + ring.nvars)
+        seen = set()
+        for a, b in pairs(rng, ring.nvars):
+            for x, y in ((a, b), (b, a)):
+                want = _divides(x, y)
+                got = _divides_kernel(ring.pack(x), ring.pack(y), ring.guard)
+                assert got == want, (x, y)
+                seen.add(want)
+        assert seen == {True, False}
+
+    def test_lcm(self, ring):
+        rng = random.Random(400 + ring.nvars)
+        for a, b in pairs(rng, ring.nvars):
+            want = tuple(map(max, a, b))
+            got = _exp_lcm(ring, ring.pack(a), ring.pack(b))
+            assert ring.unpack(got) == want
+            assert got >> ring.dshift == sum(want)
+
+    def test_monomial_gcd_part(self, ring):
+        rng = random.Random(500 + ring.nvars)
+        for _ in range(100):
+            mono = ring.monomial(rand_exps(rng, ring.nvars, 60))
+            other = rand_packed_poly(rng, ring, max_terms=4, total=60)
+            want = _lead(mono)
+            for e in _exps(other):
+                want = tuple(map(min, want, e))
+            for f, g in ((mono, other), (other, mono)):
+                assert _monomial_gcd_part(f, g) == ring.monomial(want)
+
+    def test_derivative(self, ring):
+        rng = random.Random(600 + ring.nvars)
+        for _ in range(30):
+            p = rand_packed_poly(rng, ring)
+            for i, v in enumerate(ring.vars):
+                want = {}
+                for e, c in _exps(p).items():
+                    if e[i]:
+                        want[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+                assert p.derivative(v) == _from_exps(ring, want)
+
+    def test_product_beyond_the_field_width_raises(self, ring):
+        half = ring.monomial((2 ** 14,) + (0,) * (ring.nvars - 1))
+        other = ring.monomial((0,) * (ring.nvars - 1) + (2 ** 14,))
+        for p, q in ((half, half), (half, other), (half + ring.one(), other * 3)):
+            with pytest.raises(OverflowError):
+                p * q
+        below = ring.monomial((2 ** 14 - 1,) + (0,) * (ring.nvars - 1))
+        assert half * below == ring.monomial((MAX_DEGREE,) + (0,) * (ring.nvars - 1))
+        with pytest.raises(OverflowError):
+            ring.pack((2 ** 15,) + (0,) * (ring.nvars - 1))
+        with pytest.raises(ValueError):
+            ring.pack((-1, 2) + (0,) * (ring.nvars - 2))
