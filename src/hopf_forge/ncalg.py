@@ -12,19 +12,28 @@ before any scalar is multiplied.  Products are computed by confluent rewriting
 to the working truncation order).
 
 Words are stored compressed as ``((gen_index, exponent), ...)`` with strictly
-increasing generator indices.  A flat word (a tuple of generator indices) is
-normal-ordered by a left fold that multiplies a ``{(normal word, k): scalar}``
-accumulator by one generator at a time.  For a normal word ``u = rest*h`` and a
-generator ``g < h``, the rule for ``h*g`` is applied once and each of its terms
-folded onto ``rest``; the result (the leftmost-descent normal form of ``u*g``,
-as ``(word, k, scalar)`` entries) is kept in a per-presentation table, so no
-subword product is derived twice.  Missing entries are filled on an explicit
-stack, not by recursion.  The table and the flat-word cache receive only
-complete results, so an abort leaves them consistent, and every stored scalar
-is interned (the caches hold many copies of few distinct values).  An entry
-holds ``u*g`` for any power of the parameter, so a rewriting of ``u*g`` that
-needs ``u*g`` again is a :class:`NonTerminating` cycle, even if truncation
-would have dropped every term that comes back.
+increasing generator indices.  Everything is normal-ordered by a left fold that
+multiplies a ``{(normal word, k): scalar}`` accumulator by one generator at a
+time.  For a normal word ``u = rest*h`` and a generator ``g < h``, the rule for
+``h*g`` is applied once and each of its terms folded onto ``rest``; the result
+(the leftmost-descent normal form of ``u*g``, as ``(word, k, scalar)``
+entries) is kept in a per-presentation table, so no subword product is derived
+twice.  Missing entries are filled on an explicit stack, not by recursion.
+
+An element product ``x * y`` folds through that table directly: for each term
+of ``y`` the terms of ``x``, scaled and shifted by it (truncated to the order),
+take the term's generators one at a time, and like terms merge after every
+step.  Both factors are already normal, so no concatenated flat word is built
+and the table is the only memo.  Flat words from outside (the slots of a
+tensor product, :meth:`AlgebraPresentation.normalize`) go through
+:meth:`AlgebraPresentation.normal_form_of_word`, whose cache keeps each flat
+word's normal form.  The table and that cache receive only complete results,
+so an abort leaves them consistent, and every stored scalar is interned under
+its integer triple (the caches hold many copies of few distinct values).  The
+step bound counts the table entries filled for one product or one flat word.
+An entry holds ``u*g`` for any power of the parameter, so a rewriting of
+``u*g`` that needs ``u*g`` again is a :class:`NonTerminating` cycle, even if
+truncation would have dropped every term that comes back.
 
 A map given on generators (a coproduct, counit or antipode, a substitution, a
 representation) is extended to words and elements by one :class:`WordMap`.
@@ -143,7 +152,7 @@ class AlgebraPresentation:
         self._frozen = False
         self._nf_cache = {}
         self._table = {}  # (normal word u, generator g) -> normal form of u*g
-        self._interned = {FE_ONE: FE_ONE}  # scalar -> stored copy
+        self._interned = {(1, 0, 1): FE_ONE}  # scalar's (p, q, d) -> stored copy
         self._misses = 0
 
     def __repr__(self):
@@ -219,8 +228,12 @@ class AlgebraPresentation:
         acc = {((), 0): FE_ONE}
         for g in flat:
             acc = self._times(acc, g)
+        return self._stored(acc)
+
+    def _stored(self, terms):
+        """``terms`` as ``(word, k, scalar)`` entries, each scalar interned."""
         intern = self._interned.setdefault
-        return tuple((w, k, intern(c, c)) for (w, k), c in acc.items())
+        return tuple((w, k, intern((c.p, c.q, c.d), c)) for (w, k), c in terms.items())
 
     def _times(self, acc, g):
         """``acc * g`` for ``acc`` a {(normal word, k): scalar} dict."""
@@ -295,36 +308,20 @@ class AlgebraPresentation:
                 part = self._times(part, x)
             for key, c in part.items():
                 add_term(total, key, c)
-        intern = self._interned.setdefault
-        table[(u, g)] = tuple((w, k, intern(c, c)) for (w, k), c in total.items())
+        table[(u, g)] = self._stored(total)
 
-    def normalize_terms(self, raw):
-        """Normal form of an iterable of (flat_word, k, scalar) triples."""
+    def normalize(self, raw):
+        """Normal form of an iterable of ``(flat_word, k, scalar)`` triples, as
+        an element."""
         top = self.order
         out = {}
         for flat, k, c in raw:
             if c.is_zero():
                 continue
             for w, rk, rc in self.normal_form_of_word(flat):
-                kk = k + rk
-                if kk > top:
-                    continue
-                v = rc * c
-                key = (w, kk)
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = v
-                else:
-                    s = acc + v
-                    if s.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = s
-        return out
-
-    def normalize(self, raw):
-        """Public normalize: raw (flat_word, k, scalar) triples -> NCElement."""
-        return NCElement(self, self.normalize_terms(raw))
+                if k + rk <= top:
+                    add_term(out, (w, k + rk), rc * c)
+        return NCElement(self, out)
 
     # -- checks --------------------------------------------------------------
 
@@ -436,15 +433,22 @@ class NCElement:
         if isinstance(other, NCElement):
             self._check(other)
             alg = self.algebra
-            n = alg.order
-            right = [(flatten(w2), k2, c2) for (w2, k2), c2 in other.terms.items()]
-            raw = []
-            for (w1, k1), c1 in self.terms.items():
-                f1 = flatten(w1)
-                for f2, k2, c2 in right:
-                    if k1 + k2 <= n:
-                        raw.append((f1 + f2, k1 + k2, c1 * c2))
-            return NCElement(alg, alg.normalize_terms(raw))
+            top = alg.order
+            times = alg._times
+            alg._misses = 0  # the step bound is per product
+            out = {}
+            # both factors are normal: each right term scales and shifts the
+            # left factor, which then takes the term's generators one by one
+            for (w2, k2), c2 in other.terms.items():
+                acc = _scaled_terms(self.terms, c2, k2, top)
+                for g in flatten(w2):
+                    acc = times(acc, g)
+                if not out:
+                    out = acc
+                else:
+                    for key, c in acc.items():
+                        add_term(out, key, c)
+            return NCElement(alg, out)
         # scalar: int or FieldElem
         return self.scaled(other)
 

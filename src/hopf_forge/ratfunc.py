@@ -218,13 +218,14 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        out = self.ring.one()
-        base = self
+        """``self**n`` by repeated squaring; no square after the top bit."""
+        out, base = self.ring.one(), self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def scale(self, c):

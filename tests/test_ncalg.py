@@ -204,6 +204,29 @@ class TestKernelErrors:
             alg.normal_form_of_word((1, 1, 0))
         assert (1, 1, 0) not in alg._nf_cache
 
+    def test_runaway_element_product_is_nonterminating(self, monkeypatch):
+        alg = AlgebraPresentation("runaway", ("a", "b"), "z", 1)
+        alg.set_rules({(1, 0): alg.element({(((0, 2), (1, 2)), 0): FE_ONE})})
+        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 50)
+        b, a = alg.gen("b"), alg.gen("a")
+        with pytest.raises(NonTerminating, match="exceeded"):
+            (b * b) * a
+
+    def test_step_bound_counts_per_product(self, monkeypatch):
+        alg = fresh_presentation("so22", 2)
+        n = len(alg.generators)
+        limit = 8
+        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", limit)
+        filled = []
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    before = len(alg._table)
+                    (alg.gen(i) * alg.gen(j)) * alg.gen(k)
+                    filled.append(len(alg._table) - before)
+        # each product stays under the bound, the run as a whole does not
+        assert max(filled) <= limit < sum(filled)
+
     def test_cycle_through_truncated_terms_is_nonterminating(self):
         # (b c)*a needs b*a = z b c, then (b c)*a again: every return carries
         # a power of z, but a table entry holds u*g for any coefficient
@@ -225,7 +248,7 @@ class TestKernelErrors:
         stored += [c for entry in alg._table.values() for _, _, c in entry]
         assert stored
         for c in stored:
-            assert alg._interned[c] is c
+            assert alg._interned[(c.p, c.q, c.d)] is c
             fresh = c + FieldElem(0)
             assert fresh is not c
             assert fresh == c and hash(fresh) == hash(c)
@@ -289,6 +312,64 @@ class TestMul:
                                + y.commutator(z.commutator(x))
                                + z.commutator(x.commutator(y)))
                         assert acc.is_zero(), (name, i, j, k)
+
+
+def concatenated_product(x, y):
+    """``x * y`` by the concatenation path: each pair of flat words joined
+    and normalized as a whole."""
+    alg = x.algebra
+    return alg.normalize([(flatten(w1) + flatten(w2), k1 + k2, c1 * c2)
+                          for (w1, k1), c1 in x.terms.items()
+                          for (w2, k2), c2 in y.terms.items() if k1 + k2 <= alg.order])
+
+
+def descent_product(x, y):
+    """``x * y`` through the leftmost-descent reference rewriter."""
+    alg = x.algebra
+    out = {}
+    for (w1, k1), c1 in x.terms.items():
+        for (w2, k2), c2 in y.terms.items():
+            flat = flatten(w1) + flatten(w2)
+            for (w, k), c in leftmost_descent_normal_form(alg, flat).items():
+                if k + k1 + k2 <= alg.order:
+                    key = (w, k + k1 + k2)
+                    out[key] = c * c1 * c2 + out.get(key, FieldElem(0))
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def random_element(alg, rng, max_terms=3, max_len=2):
+    """Normal words (sorted generator runs) at mixed powers of the parameter."""
+    n = len(alg.generators)
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        flat = sorted(rng.randrange(n) for _ in range(rng.randint(0, max_len)))
+        value = FieldElem(rat(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-1, 1))
+        terms[(compress(flat), rng.randint(0, alg.order))] = value
+    return alg.element(terms)
+
+
+class TestProductOracle:
+    @pytest.mark.parametrize("name", ["sl2", "nullplane", "so22", "nullplane-eps"])
+    def test_fold_matches_concatenation_and_descent(self, name):
+        alg = fresh_presentation(name, 4)
+        rng = random.Random(17)
+        elems = [random_element(alg, rng) for _ in range(6)]
+        elems += [alg.zero(), alg.unit(), alg.scalar(FieldElem(rat(-2, 3), 1), 2)]
+        for x in elems:
+            for y in elems[3:] + [random_element(alg, rng)]:
+                got = x * y
+                assert got == concatenated_product(x, y), (x, y)
+                assert got.terms == descent_product(x, y), (x, y)
+
+    def test_product_whose_terms_cancel(self):
+        alg = fresh_presentation("sl2", 4)
+        a, m = alg.gen("A_plus"), alg.gen("A_minus")
+        got = (a + m) * (a - m)
+        # the A_plus*A_minus words of a*(-m) and m*a cancel; -[A_plus, A_minus] is left
+        assert (((0, 1), (2, 1)), 0) not in got.terms
+        assert got == a * a - m * m - a.commutator(m)
+        assert got == concatenated_product(a + m, a - m)
+        assert got.terms == descent_product(a + m, a - m)
 
 
 class TestConsistency:

@@ -84,6 +84,18 @@ class TestPolynomial:
             q = sympy.simplify(to_sympy(mine, xs) / theirs)
             assert q.is_constant(), (mine, theirs)
 
+    def test_power_stops_before_the_last_square(self):
+        ring = PolyRing(("x",))
+        # x^16384 fits the field; one more square would be x^32768, which does not
+        assert ring.var("x") ** 16384 == ring.monomial((16384,))
+
+    def test_power_is_repeated_product(self):
+        p = rand_poly(random.Random(12))
+        want = R3.one()
+        for n in range(10):
+            assert p ** n == want, n
+            want = want * p
+
 
 class TestGroebner:
     def test_reduction_detects_membership(self):
