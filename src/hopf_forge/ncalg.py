@@ -458,6 +458,8 @@ class NCElement:
 
     def __pow__(self, n):
         """``self**n`` by repeated squaring."""
+        if n < 0:
+            raise ValueError(f"negative exponent {n}: an element power needs n >= 0")
         out, base = self.algebra.unit(), self
         while n:
             if n & 1:

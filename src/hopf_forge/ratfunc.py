@@ -21,6 +21,14 @@ reduce to zero: the product criterion (coprime leading monomials) and the
 chain criterion (some third leading monomial divides the pair's lcm and both
 of its pairs with the third member are already treated; Buchberger, EUROSAM
 1979, LNCS 72).
+
+A :class:`RationalFunction` keeps its denominator monic and coprime to its
+numerator, so a constant denominator is exactly 1 and the reduced form is
+unique.  Three operations use that to skip the cross products and the gcd of
+the general quotient rule: a sum or difference over one shared denominator
+adds the numerators (and takes a gcd only if that denominator is not
+constant), a product of two constant denominators multiplies the numerators,
+and the derivative over a constant denominator differentiates the numerator.
 """
 
 from __future__ import annotations
@@ -219,6 +227,8 @@ class Polynomial:
 
     def __pow__(self, n):
         """``self**n`` by repeated squaring; no square after the top bit."""
+        if n < 0:
+            raise ValueError(f"negative exponent {n}: a polynomial power needs n >= 0")
         out, base = self.ring.one(), self
         while n:
             if n & 1:
@@ -515,7 +525,15 @@ def poly_gcd(f, g):
 
 
 class RationalFunction:
-    """Quotient of polynomials, kept gcd-reduced with a monic denominator."""
+    """Quotient of polynomials in reduced form.
+
+    Invariant: the denominator is monic and coprime to the numerator (a zero
+    numerator has denominator 1).  So a constant denominator is exactly 1,
+    and two equal rational functions have equal numerators and denominators.
+    The fast paths of ``+``, ``-``, ``*`` and :meth:`derivative` rely on it:
+    they build the same reduced form as the general quotient rule, which
+    stays for unequal (or, in a product, non-constant) denominators.
+    """
 
     __slots__ = ("num", "den")
 
@@ -560,6 +578,9 @@ class RationalFunction:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if self.den == other.den:
+            return RationalFunction(self.num + other.num, self.den,
+                                    reduce=not self.den.is_constant())
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
@@ -567,6 +588,9 @@ class RationalFunction:
 
     def __sub__(self, other):
         other = self._coerce(other)
+        if self.den == other.den:
+            return RationalFunction(self.num - other.num, self.den,
+                                    reduce=not self.den.is_constant())
         return RationalFunction(self.num * other.den - other.num * self.den,
                                 self.den * other.den)
 
@@ -578,6 +602,8 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if self.den.is_constant() and other.den.is_constant():
+            return RationalFunction(self.num * other.num, self.den, reduce=False)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -606,6 +632,8 @@ class RationalFunction:
         raise TypeError(f"cannot combine RationalFunction with {type(other)!r}")
 
     def derivative(self, name):
+        if self.den.is_constant():
+            return RationalFunction(self.num.derivative(name), self.den, reduce=False)
         n = self.num.derivative(name) * self.den - self.num * self.den.derivative(name)
         return RationalFunction(n, self.den * self.den)
 

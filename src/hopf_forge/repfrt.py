@@ -376,6 +376,11 @@ def check_poisson_table(order=1):
     return rep
 
 
+def _coord_bracket(table, i, j):
+    """{x_i, x_j} of two coordinates (i != j), read off the bracket table."""
+    return table[(i, j)] if i < j else -table[(j, i)]
+
+
 def poisson_bracket(p, q, table=None):
     """Extend the coordinate brackets to polynomials by the Leibniz rule."""
     table = table if table is not None else sklyanin_table()
@@ -390,13 +395,15 @@ def poisson_bracket(p, q, table=None):
             dq = q.derivative(COORD_NAMES[y])
             if dq.is_zero():
                 continue
-            b = table[(x, y)] if x < y else -table[(y, x)]
-            out = out + dp * dq * b
+            out = out + dp * dq * _coord_bracket(table, x, y)
     return out
 
 
 def check_poisson_jacobi(order=1):
-    """Cyclic Jacobi sums vanish modulo the ideal on all coordinate triples."""
+    """Cyclic Jacobi sums vanish modulo the ideal on all coordinate triples.
+
+    The inner bracket of two coordinates is a table entry; the outer one
+    goes through the Leibniz rule."""
     rep = CheckReport(check="poisson-jacobi", algebra="poincare-group", order=order)
     table = sklyanin_table()
     n = len(COORD_NAMES)
@@ -405,9 +412,9 @@ def check_poisson_jacobi(order=1):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 x, y, z = vars_[i], vars_[j], vars_[k]
-                s = (poisson_bracket(x, poisson_bracket(y, z, table), table)
-                     + poisson_bracket(y, poisson_bracket(z, x, table), table)
-                     + poisson_bracket(z, poisson_bracket(x, y, table), table))
+                s = (poisson_bracket(x, _coord_bracket(table, j, k), table)
+                     + poisson_bracket(y, _coord_bracket(table, k, i), table)
+                     + poisson_bracket(z, _coord_bracket(table, i, j), table))
                 red = ideal_reduce(s)
                 if not red.is_zero():
                     rep.add_failure(

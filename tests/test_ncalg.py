@@ -238,6 +238,14 @@ class TestKernelErrors:
             alg.normal_form_of_word((1, 2, 0))
         assert alg.normal_form_of_word((2, 1)) == ((((1, 1), (2, 1)), 0, FE_ONE),)
 
+    def test_negative_power_is_an_error(self):
+        alg = preset("sl2", 2).presentation
+        x = alg.gen(0)
+        with pytest.raises(ValueError, match="negative exponent"):
+            x ** -1
+        assert x ** 0 == alg.unit()
+        assert x ** 3 == x * x * x
+
     @pytest.mark.parametrize("name", ["so22", "nullplane-eps"])
     def test_interned_coefficients_equal_fresh_ones(self, name):
         alg = fresh_presentation(name, 2)

@@ -96,6 +96,11 @@ class TestPolynomial:
             assert p ** n == want, n
             want = want * p
 
+    def test_negative_power_is_an_error(self):
+        x = R3.var("x")
+        with pytest.raises(ValueError, match="negative exponent"):
+            x ** -1
+
 
 class TestGroebner:
     def test_reduction_detects_membership(self):
@@ -293,6 +298,97 @@ class TestRationalFunction:
     def test_denominator_never_zero(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(R3.one(), R3.zero())
+
+
+# -- the fast paths against the general quotient rule ---------------------------
+
+def general_add(a, b):
+    return RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def general_sub(a, b):
+    return RationalFunction(a.num * b.den - b.num * a.den, a.den * b.den)
+
+
+def general_mul(a, b):
+    return RationalFunction(a.num * b.num, a.den * b.den)
+
+
+def general_derivative(a, name):
+    return RationalFunction(a.num.derivative(name) * a.den - a.num * a.den.derivative(name),
+                            a.den * a.den)
+
+
+def rand_nonconstant(rng):
+    """A small non-constant polynomial: the gcd on random inputs of higher
+    degree takes seconds, and small operands still reach every path."""
+    while True:
+        p = rand_poly(rng, max_terms=3, max_deg=1)
+        if not p.is_constant():
+            return p
+
+
+def rand_rf(rng, den):
+    return RationalFunction(rand_poly(rng, max_terms=3, max_deg=1), den)
+
+
+def fast_path_cases(seed, count=12):
+    """Operand pairs: equal non-constant denominators (at most ``count``),
+    then ``count`` with constant and ``count`` with unequal denominators."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d = rand_nonconstant(rng)
+        a, b = rand_rf(rng, d), rand_rf(rng, d)
+        # a numerator sharing a factor with d leaves the two reduced
+        # denominators unequal; the case counts only pairs that stay equal
+        if a.den == b.den and not a.den.is_constant():
+            out.append(("equal", a, b))
+    for _ in range(count):
+        out.append(("constant", RationalFunction.from_poly(rand_poly(rng)),
+                    RationalFunction(rand_poly(rng), R3.constant(FieldElem(rng.randint(1, 5))))))
+    for _ in range(count):
+        a = rand_rf(rng, rand_nonconstant(rng))
+        b = rand_rf(rng, rand_nonconstant(rng))
+        out.append(("unequal", a, b))
+    return out
+
+
+class TestRationalFunctionFastPaths:
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_agree_with_the_general_quotient_rule(self, seed):
+        kinds = set()
+        for kind, a, b in fast_path_cases(seed):
+            kinds.add(kind)
+            if kind == "equal":
+                assert a.den == b.den
+            if kind == "constant":
+                assert a.den == b.den == R3.one()
+            assert a + b == general_add(a, b), (kind, a, b)
+            assert a - b == general_sub(a, b), (kind, a, b)
+            assert a * b == general_mul(a, b), (kind, a, b)
+            for v in R3.vars:
+                assert a.derivative(v) == general_derivative(a, v), (kind, a, v)
+        assert kinds == {"equal", "constant", "unequal"}
+
+    def test_shared_denominator_sum_is_reduced(self):
+        x = R3.var("x")
+        d = x * x - 1
+        a, b = RationalFunction(x, d), RationalFunction(R3.one(), d)
+        assert a.den == b.den == d
+        got = a + b
+        assert (got.num, got.den) == (R3.one(), x - 1)
+        assert got == general_add(a, b)
+
+    def test_cancelling_sum_has_denominator_one(self):
+        x, y = R3.var("x"), R3.var("y")
+        for d in (x * y + 1, R3.one()):
+            a = RationalFunction(x + y, d)
+            got = a + (-a)
+            assert got.is_zero() and got.den == R3.one()
+            got = a - a
+            assert got.is_zero() and got.den == R3.one()
+            assert got == general_sub(a, a)
 
 
 # -- the packed monomial format against exponent tuples ------------------------

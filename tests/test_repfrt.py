@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hopf_forge import repfrt
 from hopf_forge.algebras import preset
 from hopf_forge.coeff import FE_ONE, FE_SQRT2, FE_ZERO, FieldElem, rat
 from hopf_forge.ratfunc import Polynomial
@@ -198,6 +199,19 @@ class TestSklyanin:
         assert check_poisson_table().passed
 
     def test_jacobi(self):
+        assert check_poisson_jacobi().passed
+
+    def test_jacobi_catches_a_scaled_bracket(self, monkeypatch):
+        real = sklyanin_table()
+        key = (COORD_NAMES.index("a_plus"), COORD_NAMES.index("a_1"))
+        bad = dict(real)
+        bad[key] = real[key] * 2
+        monkeypatch.setattr(repfrt, "sklyanin_table", lambda: bad)
+        rep = check_poisson_jacobi()
+        assert not rep.passed
+        triples = [f["input"].strip("()").split(",") for f in rep.failures]
+        assert any("a_plus" in t and "a_1" in t for t in triples), triples
+        monkeypatch.undo()
         assert check_poisson_jacobi().passed
 
     def test_leibniz_extension(self):
