@@ -508,7 +508,7 @@ def _build_jbasis(order, fault=None):
         return beta[x].commutator(beta[y])
 
     rules_data = {}
-    # stage 1: [J3, J+] lands in the J+ subalgebra; no reordering needed
+    # stage 1: [J3, J+] lands in the J+ subalgebra; its image needs no rule
     stage1 = fresh(rules_data)
     c3p = commutator_in_a("J_3", "J_plus")
     c3p_j = c3p.substitute(stage1, alpha_fn(stage1))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import hopf_forge.contraction as ctr
+from hopf_forge import rmat
 from hopf_forge.algebras import preset
 from hopf_forge.coeff import FE_ONE, FieldElem, rat
 from hopf_forge.contraction import Contraction, contract_so22
@@ -36,12 +37,12 @@ class TestEpsPower:
                        for w, k, _ in c.alg.normal_form_of_word(flat)), flat
 
     def test_eps_one_is_so22_in_scaled_generators(self):
-        # at eps = 1 the map g -> c_g * S_g, w -> z/sqrt2 is a homomorphism
-        # onto so(2,2): a normal form of the contracted algebra, mapped and
-        # normalized in so(2,2), is the so(2,2) normal form of the image word
+        # at eps = 1 the map g -> c_g * S_g (the eps algebra is in z) is a
+        # homomorphism onto so(2,2): a normal form of the contracted algebra,
+        # mapped and normalized in so(2,2), is the so(2,2) normal form of the
+        # image word
         c = Contraction(2)
         so_alg = c.so22.presentation
-        inv_sqrt2 = FieldElem(0, rat(1, 2))
         for flat in _sample_words():
             factor = FE_ONE
             for g in flat:
@@ -49,7 +50,7 @@ class TestEpsPower:
             want = so_alg.normalize([(tuple(c.scale[g][0] for g in flat), 0, factor)])
             raw = []
             for w, k, a in c.alg.normal_form_of_word(flat):
-                scalar = a * inv_sqrt2 ** k
+                scalar = a
                 for g in flatten(w):
                     scalar = scalar * c.scale[g][2]
                 raw.append((tuple(c.scale[g][0] for g in flatten(w)), k, scalar))
@@ -73,7 +74,8 @@ class TestContractionSuite:
         c = Contraction(3)
         np_alg = c.np.presentation
         j, i = np_alg.index["K_2"], np_alg.index["P_minus"]
-        got = c.eps0_element(c._rule_commutators[(j, i)], c.rule_offset(j, i))
+        poles, got = c.limit(c._rule_commutators[(j, i)], c.rule_offset(j, i))
+        assert not poles
         want = np_alg.gen("K_2").commutator(np_alg.gen("P_minus"))
         assert got == want
         explicit = -(np_alg.gen("P_minus")
@@ -110,9 +112,24 @@ class TestScaleData:
         assert ctr.CONTRACTION_MAP["E_1"][2] == -half_sqrt2
 
     def test_series_map_tracks_sqrt2_powers(self):
-        # z^2 -> (sqrt2)^2 eps^2 at the same w-power; at eps = 1 the scalar
-        # keeps the sqrt2 power and the eps power k is read off the key
-        assert Contraction._map_term(FE_ONE, 2) == FieldElem(2)  # (sqrt2)^2
-        assert Contraction._map_term(FE_ONE, 3) == FieldElem(0, 2)
-        c = Contraction(2)
+        # z = sqrt2 eps w: the eps-algebra scalar z^k carries eps^k, so
+        # eps^-k z^k (offset -k) is 2 w^2 for k = 2 and 2 sqrt2 w^3 for k = 3
+        c = Contraction(3)
+        np_alg = c.np.presentation
+        for k, scalar in ((2, FieldElem(2)), (3, FieldElem(0, 2))):
+            poles, got = c.limit(c.alg.scalar(FE_ONE, k), -k)
+            assert not poles
+            assert got == np_alg.scalar(scalar, k)
         assert c.eps_power(0, (), 2) == 2
+
+
+class TestContractedUniversalR:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_so22_r_contracts_to_nullplane_r(self, n):
+        # the so(2,2) universal R, mapped into the eps algebra (where its
+        # image words are normal ordered by the contracted rules), has no eps
+        # pole at offset 0, and its eps^0 part is the null-plane universal R
+        c = Contraction(n)
+        poles, got = c.limit(c._map(rmat.preset_r("so22", n)), 0)
+        assert poles == []
+        assert got == rmat.preset_r("nullplane", n)
