@@ -8,13 +8,30 @@ Grammar::
     atom   := NUMBER | NAME | 'exp' '(' expr ')' | '(' expr ')'
     NUMBER := INT ['/' INT]
 
-An exponent above :data:`MAX_EXPONENT` is an error.
+An exponent above :data:`MAX_EXPONENT` is an error, and so is a chain
+``x^a^b`` whose power ``a*b`` is above it.  Parentheses and ``exp(`` nest at
+most :data:`MAX_NESTING` deep; the opening token that goes deeper is a syntax
+error at its position.
 
 Scalars are rationals, ``sqrt2`` and the deformation parameter; every other
 NAME must be a generator of the active presentation.  ``exp`` arguments are
 restricted to sums of scalar multiples of single generators whose scalar has
 positive valuation in the deformation parameter -- the only exponentials the
 deformations use -- so the expansion truncates.
+
+The parser builds flat nodes: a sum is one list of signed terms and a
+product one list of factors, so neither the parser nor the evaluator recurses
+per summand or per factor.  The evaluator sums the terms of every summand
+into one dict of graded terms.  A product term is a left fold that starts from
+the unit: a number or ``sqrt2`` scales the accumulator, ``param^e`` shifts
+it (dropping powers above the order), and a generator ``g^e`` takes ``g``
+``e`` times through the presentation's word-times-generator table
+(:meth:`~hopf_forge.ncalg.AlgebraPresentation.fold`), which for a term
+already in normal order is a plain append.  Only a compound factor -- a
+parenthesized sum or product, ``exp(...)``, or a power of one -- is evaluated
+as an element and multiplied in by the element product.  Shifting and
+truncating at any point is exact, as every rule term has a power 0 or more.
+The step bound counts per product term.
 
 The text renderer emits exactly this language (graded-lex term order), which
 is what makes parse/render a round trip on canonical forms.
@@ -24,7 +41,8 @@ from __future__ import annotations
 
 import re
 
-from .coeff import FE_ONE, FE_SQRT2, FieldElem, rat
+from .coeff import FE_ONE, FE_SQRT2, rat
+from .ncalg import NCElement, add_term
 
 # Largest exponent ``x^n`` accepted.  Powers are formed by repeated squaring,
 # but each product still folds a flat word as long as its factors' words
@@ -32,6 +50,11 @@ from .coeff import FE_ONE, FE_SQRT2, FieldElem, rat
 # length of the words a power folds.  It does not bound the rewriting that a
 # power of a word out of normal order needs, which grows faster than n.
 MAX_EXPONENT = 10000
+
+# Deepest nesting of parentheses and ``exp(`` accepted.  The parser and the
+# evaluator recurse a few frames deep per level, so the cap keeps both inside
+# Python's recursion limit.
+MAX_NESTING = 100
 
 
 class ExpressionError(Exception):
@@ -50,38 +73,35 @@ class UnknownSymbol(ExpressionError):
         self.name = name
 
 
+# Every character that starts no token is a "bad" match, so the matches tile
+# the text up to trailing whitespace.
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-                    r"|(?P<op>[-+*^()]))")
+                    r"|(?P<op>[-+*^()])|(?P<bad>\S))")
 
 
 def _tokenize(text):
-    pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
-            break
-        if m.group("num"):
-            out.append(("num", m.group("num").replace(" ", ""), m.start("num")))
-        elif m.group("name"):
-            out.append(("name", m.group("name"), m.start("name")))
-        else:
-            out.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":  # reported at the end of the previous token
+            pos = m.start()
+            raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        val = m.group(kind)
+        out.append((kind, val.replace(" ", "") if kind == "num" else val, m.start(kind)))
     out.append(("end", "", len(text)))
     return out
 
 
 # AST nodes are plain tuples: ("num", rational), ("sym", name),
-# ("add", [nodes]), ("sub", a, b), ("neg", a), ("mul", [nodes]),
-# ("pow", a, int), ("exp", a)
+# ("add", [(negated, term), ...]), ("mul", [factor, ...]), ("pow", a, int),
+# ("exp", a).  A sum of one unsigned term is that term, a product of one
+# factor that factor, and a chain of powers one "pow" node.
 
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -105,47 +125,50 @@ class _Parser:
 
     def expr(self):
         kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val == "-":
+        negated = kind == "op" and val == "-"
+        if negated:
             self.take()
-            negate = True
-        node = self.term()
-        if negate:
-            node = ("neg", node)
+        terms = [(negated, self.term())]
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                node = ("add", node, rhs) if val == "+" else ("sub", node, rhs)
-            else:
-                return node
+            if kind != "op" or val not in "+-":
+                break
+            self.take()
+            terms.append((val == "-", self.term()))
+        if len(terms) == 1 and not negated:
+            return terms[0][1]
+        return ("add", terms)
 
     def term(self):
-        node = self.factor()
+        factors = [self.factor()]
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                node = ("mul", node, self.factor())
-            else:
-                return node
+            if kind != "op" or val != "*":
+                break
+            self.take()
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else ("mul", factors)
 
     def factor(self):
         node = self.atom()
+        power = None
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val == "^":
-                self.take()
-                k, v, pos = self.take()
-                if k != "num" or "/" in v:
-                    raise ExpressionSyntaxError("exponent must be an integer", pos)
-                if int(v) > MAX_EXPONENT:
-                    raise ExpressionSyntaxError(
-                        f"exponent {v} exceeds the limit {MAX_EXPONENT}", pos)
-                node = ("pow", node, int(v))
-            else:
-                return node
+            if kind != "op" or val != "^":
+                break
+            self.take()
+            k, v, pos = self.take()
+            if k != "num" or "/" in v:
+                raise ExpressionSyntaxError("exponent must be an integer", pos)
+            if int(v) > MAX_EXPONENT:
+                raise ExpressionSyntaxError(
+                    f"exponent {v} exceeds the limit {MAX_EXPONENT}", pos)
+            # (x^a)^b is x^(a*b)
+            power = int(v) if power is None else power * int(v)
+            if power > MAX_EXPONENT:
+                raise ExpressionSyntaxError(
+                    f"power x^{power} exceeds the limit {MAX_EXPONENT}", pos)
+        return node if power is None else ("pow", node, power)
 
     def atom(self):
         kind, val, pos = self.take()
@@ -156,18 +179,27 @@ class _Parser:
                     raise ExpressionSyntaxError("zero denominator", pos)
                 return ("num", rat(int(n), int(d)))
             return ("num", rat(int(val)))
-        if kind == "name":
-            if val == "exp":
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return ("exp", inner)
+        if kind == "name" and val != "exp":
             return ("sym", val)
-        if kind == "op" and val == "(":
+        if kind == "name":
+            self.enter(pos)
+            self.expect_op("(")
+            inner = ("exp", self.expr())
+        elif kind == "op" and val == "(":
+            self.enter(pos)
             inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExpressionSyntaxError(f"unexpected {val!r}" if val else "unexpected end of input", pos)
+        else:
+            raise ExpressionSyntaxError(
+                f"unexpected {val!r}" if val else "unexpected end of input", pos)
+        self.expect_op(")")
+        self.depth -= 1
+        return inner
+
+    def enter(self, pos):
+        """One level deeper, for the opening token at ``pos``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionSyntaxError(f"nesting deeper than the limit {MAX_NESTING}", pos)
 
 
 def parse_expression(text):
@@ -179,32 +211,68 @@ def parse_expression(text):
 
 def eval_expression(node, algebra):
     """Evaluate an AST to an NCElement of the given presentation."""
+    return NCElement(algebra, _terms(node, algebra))
+
+
+_ATOMS = ("num", "sym")
+
+
+def _terms(node, alg):
+    """The graded terms ``{(normal word, k): scalar}`` of a node, in a new dict."""
     kind = node[0]
-    if kind == "num":
-        return algebra.unit() * FieldElem(node[1])
-    if kind == "sym":
-        name = node[1]
-        if name in algebra.index:
-            return algebra.gen(name)
-        if name == algebra.param:
-            return algebra.scalar(FE_ONE, 1)
-        if name == "sqrt2":
-            return algebra.unit() * FE_SQRT2
-        raise UnknownSymbol(name)
     if kind == "add":
-        return eval_expression(node[1], algebra) + eval_expression(node[2], algebra)
-    if kind == "sub":
-        return eval_expression(node[1], algebra) - eval_expression(node[2], algebra)
-    if kind == "neg":
-        return -eval_expression(node[1], algebra)
+        out = {}
+        for negated, term in node[1]:
+            part = _terms(term, alg)
+            if not out and not negated:
+                out = part
+                continue
+            for key, c in part.items():
+                add_term(out, key, -c if negated else c)
+        return out
     if kind == "mul":
-        return eval_expression(node[1], algebra) * eval_expression(node[2], algebra)
-    if kind == "pow":
-        return eval_expression(node[1], algebra) ** node[2]
+        return _product(node[1], alg)
+    if kind in _ATOMS or kind == "pow" and node[1][0] in _ATOMS:
+        return _product((node,), alg)
     if kind == "exp":
-        arg = eval_expression(node[1], algebra)
-        return exp_element(arg)
+        return exp_element(eval_expression(node[1], alg)).terms
+    if kind == "pow":
+        return (eval_expression(node[1], alg) ** node[2]).terms
     raise ExpressionError(f"bad AST node {kind!r}")
+
+
+def _product(factors, alg):
+    """Fold a product term's factors into the unit, left to right."""
+    one = {((), 0): FE_ONE}
+    acc = one
+    start = True  # the step bound counts per product term
+    for f in factors:
+        e = 1
+        if f[0] == "pow" and f[1][0] in _ATOMS:
+            f, e = f[1], f[2]
+        if f[0] == "num":
+            c = f[1] ** e
+        elif f[0] == "sym":
+            name = f[1]
+            g = alg.index.get(name)
+            if g is not None:
+                acc = alg.fold(acc, ((g, e),), start)
+                start = False
+                continue
+            if name == alg.param:
+                top = alg.order
+                acc = {(w, k + e): c for (w, k), c in acc.items() if k + e <= top}
+                continue
+            if name != "sqrt2":
+                raise UnknownSymbol(name)
+            c = FE_SQRT2 ** e
+        else:
+            x = eval_expression(f, alg)
+            acc = x.terms if acc is one else (NCElement(alg, acc) * x).terms
+            continue
+        if c != 1:  # a nonzero scalar leaves every term nonzero
+            acc = {key: v * c for key, v in acc.items()} if c else {}
+    return acc
 
 
 def exp_element(arg):

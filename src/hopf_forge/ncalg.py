@@ -20,23 +20,27 @@ time.  For a normal word ``u = rest*h`` and a generator ``g < h``, the rule for
 entries) is kept in a per-presentation table, so no subword product is derived
 twice.  Missing entries are filled on an explicit stack, not by recursion.
 
-An element product ``x * y`` folds through that table directly: for each term
-of ``y`` the terms of ``x``, scaled and shifted by it (truncated to the order),
-take the term's generators one at a time, and like terms merge after every
-step.  Both factors are already normal, so no concatenated flat word is built
-and the table is the only memo.  Flat words from outside (the slots of a
-tensor product, :meth:`AlgebraPresentation.normalize`) go through
+An element product ``x * y`` folds through that table directly
+(:meth:`AlgebraPresentation.fold`): for each term of ``y`` the terms of ``x``,
+scaled and shifted by it (truncated to the order), take the term's generators
+one at a time, and like terms merge after every step.  Both factors are
+already normal, so no concatenated flat word is built and the table is the
+only memo.  The expression parser folds each product term the same way.
+Flat words from outside (the slots of a tensor product,
+:meth:`AlgebraPresentation.normalize`) go through
 :meth:`AlgebraPresentation.normal_form_of_word`, whose cache keeps each flat
 word's normal form.  The table and that cache receive only complete results,
 so an abort leaves them consistent, and every stored scalar is interned under
 its integer triple (the caches hold many copies of few distinct values).  The
-step bound counts the table entries filled for one product or one flat word.
+step bound counts the table entries filled for one product, one flat word or
+one parsed product term.
 An entry holds ``u*g`` for any power of the parameter, so a rewriting of
 ``u*g`` that needs ``u*g`` again is a :class:`NonTerminating` cycle, even if
 truncation would have dropped every term that comes back.
 
 A map given on generators (a coproduct, counit or antipode, a substitution, a
-representation) is extended to words and elements by one :class:`WordMap`.
+representation) is extended to words and elements by one :class:`WordMap`,
+which sums the scaled word images of an element in place.
 
 Every scalar is a :class:`~hopf_forge.coeff.FieldElem` of Q(sqrt 2); the
 contraction's eps bookkeeping is read off the graded keys, not stored in the
@@ -230,6 +234,19 @@ class AlgebraPresentation:
             acc = self._times(acc, g)
         return self._stored(acc)
 
+    def fold(self, terms, word, start=False):
+        """``terms`` times the compressed ``word``: the {(normal word, k): scalar}
+        dict takes the word's generators one at a time, left to right, through
+        the table, and a new dict is returned (``terms`` itself when ``word`` is
+        empty).  The table entries filled count toward the step bound; ``start``
+        begins a new product, with the count at zero."""
+        if start:
+            self._misses = 0
+        for g, e in word:
+            for _ in range(e):
+                terms = self._times(terms, g)
+        return terms
+
     def _stored(self, terms):
         """``terms`` as ``(word, k, scalar)`` entries, each scalar interned."""
         intern = self._interned.setdefault
@@ -382,10 +399,17 @@ class WordMap:
         return out
 
     def __call__(self, x):
-        out = self.zero
+        # the first scaled image is a new value of the target, so the others
+        # are summed into its terms in place
+        out = None
         for (w, k), c in x.terms.items():
-            out = out + self.word(w).scaled(c, k)
-        return out
+            img = self.word(w).scaled(c, k)
+            if out is None:
+                out = img
+            else:
+                for key, v in img.terms.items():
+                    add_term(out.terms, key, v)
+        return self.zero if out is None else out
 
 
 class NCElement:
@@ -434,15 +458,12 @@ class NCElement:
             self._check(other)
             alg = self.algebra
             top = alg.order
-            times = alg._times
             alg._misses = 0  # the step bound is per product
             out = {}
             # both factors are normal: each right term scales and shifts the
             # left factor, which then takes the term's generators one by one
             for (w2, k2), c2 in other.terms.items():
-                acc = _scaled_terms(self.terms, c2, k2, top)
-                for g in flatten(w2):
-                    acc = times(acc, g)
+                acc = alg.fold(_scaled_terms(self.terms, c2, k2, top), w2)
                 if not out:
                     out = acc
                 else:

@@ -1,13 +1,25 @@
 """Expression mini-language: grammar, errors, render round-trips."""
 
+import random
+import subprocess
+import sys
+from functools import reduce
+
 import pytest
 
 from hopf_forge.algebras import preset
-from hopf_forge.coeff import FE_ONE
-from hopf_forge.expr import (MAX_EXPONENT, ExpressionError, ExpressionSyntaxError,
-                             UnknownSymbol, parse_expression, parse_to_element,
-                             render_element, render_tensor)
+from hopf_forge.coeff import FE_ONE, FE_SQRT2, FieldElem, rat
+from hopf_forge.expr import (MAX_EXPONENT, MAX_NESTING, ExpressionError,
+                             ExpressionSyntaxError, UnknownSymbol, exp_element,
+                             parse_expression, parse_to_element, render_element,
+                             render_tensor)
 from hopf_forge.ncalg import NCElement
+
+
+def normalize_cli(text, algebra, order):
+    return subprocess.run([sys.executable, "-m", "hopf_forge", "normalize", text,
+                           "--algebra", algebra, "--order", str(order)],
+                          capture_output=True, text=True)
 
 
 class TestParser:
@@ -143,3 +155,186 @@ class TestPowers:
         assert r.returncode == 2
         assert "exceeds the limit" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+# -- the evaluator against element arithmetic ----------------------------------
+
+def reference_eval(node, alg):
+    """The element-by-element evaluator the fold replaced: an element for every
+    number, parameter and generator, and one element operation per operator,
+    applied pairwise left to right."""
+    kind = node[0]
+    if kind == "num":
+        return alg.unit() * FieldElem(node[1])
+    if kind == "sym":
+        name = node[1]
+        if name in alg.index:
+            return alg.gen(name)
+        if name == alg.param:
+            return alg.scalar(FE_ONE, 1)
+        if name == "sqrt2":
+            return alg.unit() * FE_SQRT2
+        raise UnknownSymbol(name)
+    if kind == "add":
+        out = None
+        for negated, term in node[1]:
+            x = reference_eval(term, alg)
+            if out is None:
+                out = -x if negated else x
+            else:
+                out = out - x if negated else out + x
+        return out
+    if kind == "mul":
+        return reduce(lambda a, f: a * reference_eval(f, alg), node[1][1:],
+                      reference_eval(node[1][0], alg))
+    if kind == "pow":
+        return reference_eval(node[1], alg) ** node[2]
+    if kind == "exp":
+        return exp_element(reference_eval(node[1], alg))
+    raise AssertionError(node)
+
+
+NUMBERS = ("0", "1", "3", "1/2", "5/3", "2 / 7", "12")
+
+
+def truncated_exp(x):
+    out = term = x.algebra.unit()
+    for k in range(1, x.algebra.order + 1):
+        term = term * x * FieldElem(rat(1, k))
+        out = out + term
+    return out
+
+
+def random_expression(rng, alg, depth=2):
+    """Random text of the language with its value, the value built by element
+    operations while the text is written (no parser involved)."""
+    text, value = "", None
+    for i in range(rng.randint(1, 4)):
+        t, v = random_term(rng, alg, depth)
+        negated = rng.random() < 0.4
+        if i == 0:
+            text, value = ("-" + t, -v) if negated else (t, v)
+        else:
+            text += (" - " if negated else " + ") + t
+            value = value - v if negated else value + v
+    return text, value
+
+
+def random_term(rng, alg, depth):
+    texts, value = [], alg.unit()
+    for _ in range(rng.randint(1, 3)):
+        t, v = random_factor(rng, alg, depth)
+        texts.append(t)
+        value = value * v
+    return "*".join(texts), value
+
+
+def random_factor(rng, alg, depth):
+    roll = rng.random()
+    if roll < 0.15:
+        n = rng.choice(NUMBERS) if rng.random() < 0.9 else "0"
+        a, _, b = n.replace(" ", "").partition("/")
+        t, v = n, alg.unit() * FieldElem(rat(int(a), int(b or 1)))
+    elif roll < 0.22:
+        t, v = "sqrt2", alg.unit() * FE_SQRT2
+    elif roll < 0.4:
+        t, v = alg.param, alg.scalar(FE_ONE, 1)
+        e = rng.randint(1, alg.order + 2)  # above the order: truncation
+        return f"{t}^{e}", v ** e
+    elif roll < 0.8 or depth == 0:
+        g = rng.choice(alg.generators)
+        t, v = g, alg.gen(g)
+    elif roll < 0.9:
+        t, v = random_expression(rng, alg, depth - 1)
+        t = f"({t})"
+    else:
+        c = rng.choice(NUMBERS[1:])
+        g = rng.choice(alg.generators)
+        x = alg.gen(g) * FieldElem(rat(*map(int, c.replace(" ", "").split("/"))))
+        return f"exp({c}*{alg.param}*{g})", truncated_exp(x.scaled(FE_ONE, 1))
+    if rng.random() < 0.2:
+        e = rng.randint(0, 2)
+        return f"{t}^{e}", v ** e
+    return t, v
+
+
+ORACLE_ALGEBRAS = [("sl2", 4), ("nullplane", 4), ("so22", 3), ("sl2", 3), ("nullplane", 3)]
+
+
+class TestFoldOracle:
+    """The folding evaluator equals element arithmetic on random expressions:
+    scalars, sqrt2, parameter powers above the order, generator words in and
+    out of normal order, unary minus, nesting, exp factors and powers."""
+
+    @pytest.mark.parametrize("name, order", ORACLE_ALGEBRAS)
+    def test_random_expressions(self, name, order):
+        alg = preset(name, order).presentation
+        rng = random.Random(f"{name}-{order}")
+        for _ in range(50):
+            text, want = random_expression(rng, alg)
+            got = parse_to_element(text, alg)
+            assert got == want, text
+            assert got == reference_eval(parse_expression(text), alg), text
+            assert parse_to_element(render_element(got), alg) == got, text
+
+    @pytest.mark.parametrize("text, error", [
+        ("0*Q", UnknownSymbol),
+        ("0*A*Q^2 + A", UnknownSymbol),
+        ("A - 0*exp(z*A*A_plus)", ExpressionError),
+        ("0*exp(2*A_plus)*A", ExpressionError),
+        ("z^9*Q", UnknownSymbol),
+    ])
+    def test_a_zero_factor_still_checks_the_rest_of_the_term(self, text, error):
+        alg = preset("sl2", 3).presentation
+        with pytest.raises(error):
+            parse_to_element(text, alg)
+
+    def test_flat_nodes(self):
+        assert parse_expression("-A + B - 2*C^2*D") == (
+            "add", [(True, ("sym", "A")), (False, ("sym", "B")),
+                    (True, ("mul", [("num", 2), ("pow", ("sym", "C"), 2), ("sym", "D")]))])
+        assert parse_expression("((A))") == ("sym", "A")
+        assert parse_expression("A^2^3") == ("pow", ("sym", "A"), 6)
+
+
+class TestRobustness:
+    """Long sums and products are flat nodes; nesting has a fixed limit."""
+
+    @pytest.fixture(scope="class")
+    def big_normal_form(self):
+        alg = preset("nullplane", 2).presentation
+        return render_element(parse_to_element(
+            "(P_plus+P_1+P_minus+E_1+K_2+F_1+1)^6", alg))
+
+    def test_long_normal_form_normalizes_to_itself(self, big_normal_form):
+        assert big_normal_form.count(" + ") + big_normal_form.count(" - ") + 1 == 1120
+        r = normalize_cli(big_normal_form, "nullplane", 2)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == big_normal_form + "\n"
+
+    def test_long_product_parses(self):
+        alg = preset("sl2", 2).presentation
+        assert parse_to_element("*".join(["A_plus"] * 1100), alg) == alg.gen("A_plus") ** 1100
+        assert parse_to_element("A" + "^1" * 1100, alg) == alg.gen("A")
+
+    def test_nesting_at_the_limit_evaluates(self):
+        alg = preset("sl2", 2).presentation
+        text = "(2*" * MAX_NESTING + "A" + ")" * MAX_NESTING
+        assert parse_to_element(text, alg) == alg.gen("A") * 2 ** MAX_NESTING
+
+    @pytest.mark.parametrize("opener", ["(", "exp("])
+    def test_nesting_above_the_limit_is_a_syntax_error(self, opener):
+        text = opener * (MAX_NESTING + 1) + "z*A" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ExpressionSyntaxError, match="nesting") as e:
+            parse_expression(text)
+        assert e.value.position == len(opener) * MAX_NESTING
+
+    def test_deep_nesting_exits_2(self):
+        r = normalize_cli("(" * 300 + "A" + ")" * 300, "sl2", 2)
+        assert r.returncode == 2
+        assert "nesting" in r.stderr and "Traceback" not in r.stderr
+
+    def test_power_chain_above_the_limit_is_an_error(self):
+        with pytest.raises(ExpressionSyntaxError, match="exceeds the limit") as e:
+            parse_expression("A^100^101")
+        assert e.value.position == 6

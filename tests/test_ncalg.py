@@ -227,6 +227,23 @@ class TestKernelErrors:
         # each product stays under the bound, the run as a whole does not
         assert max(filled) <= limit < sum(filled)
 
+    def test_step_bound_counts_per_parsed_product_term(self, monkeypatch):
+        from hopf_forge.expr import parse_to_element
+        alg = fresh_presentation("so22", 2)
+        gens = alg.generators
+        limit = 8
+        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", limit)
+        before = len(alg._table)
+        # every term folds its three generators under the bound, the sum does not
+        parse_to_element(" + ".join(f"{a}*{b}*{c}" for a in gens for b in gens for c in gens),
+                         alg)
+        assert len(alg._table) - before > limit
+        runaway = AlgebraPresentation("runaway", ("a", "b"), "z", 1)
+        runaway.set_rules({(1, 0): runaway.element({(((0, 2), (1, 2)), 0): FE_ONE})})
+        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 50)
+        with pytest.raises(NonTerminating, match="exceeded"):
+            parse_to_element("a + b*b*a", runaway)
+
     def test_cycle_through_truncated_terms_is_nonterminating(self):
         # (b c)*a needs b*a = z b c, then (b c)*a again: every return carries
         # a power of z, but a table entry holds u*g for any coefficient
@@ -368,6 +385,18 @@ class TestProductOracle:
                 got = x * y
                 assert got == concatenated_product(x, y), (x, y)
                 assert got.terms == descent_product(x, y), (x, y)
+
+    @pytest.mark.parametrize("name", ["sl2", "so22"])
+    def test_fold_is_the_product_by_a_word(self, name):
+        alg = fresh_presentation(name, 3)
+        rng = random.Random(5)
+        for _ in range(6):
+            x, w = random_element(alg, rng), random_element(alg, rng)
+            for word, _ in w.terms:
+                terms = dict(x.terms)
+                got = alg.fold(terms, word)
+                assert terms == x.terms  # the input dict is left as it was
+                assert NCElement(alg, got) == x * alg.element({(word, 0): FE_ONE})
 
     def test_product_whose_terms_cancel(self):
         alg = fresh_presentation("sl2", 4)

@@ -13,7 +13,7 @@ from hopf_forge import diffrep, repfrt
 from hopf_forge.algebras import preset
 from hopf_forge.coeff import FieldElem
 from hopf_forge.hopf import HopfMaps
-from hopf_forge.ncalg import TensorElement, UnmappedGenerator, tensor_pair
+from hopf_forge.ncalg import TensorElement, UnmappedGenerator, WordMap, tensor_pair
 
 PRESETS = ("sl2", "so22", "nullplane")
 
@@ -117,6 +117,22 @@ def test_substitute_is_the_product_of_generator_images(name):
         want = linear(alg.zero(), x, lambda w: product(alg.unit(), images, w), alg.scalar)
         assert x.substitute(alg, images) == want
         assert x.substitute(alg, named) == want
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_map_leaves_its_word_images_and_zero_alone(name):
+    """Word images are summed in place into a new value of the target, so a
+    second call sees the same cached images and zero and gives the same."""
+    rng = random.Random(f"in-place-{name}")
+    alg = preset(name, 2).presentation
+    m = WordMap(alg, random_images(alg, rng), alg.unit(), alg.zero())
+    # the first term is a bare word, whose image a careless sum would take as is
+    x = alg.gen(0) + random_element(alg, rng, 3)
+    images = {w: dict(m.word(w).terms) for w, _ in x.terms}
+    first = m(x)
+    assert m(x) == first
+    assert all(m.word(w).terms == t for w, t in images.items())
+    assert m.zero.is_zero() and m(alg.zero()).is_zero()
 
 
 @pytest.mark.parametrize("name", PRESETS)
