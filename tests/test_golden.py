@@ -52,7 +52,7 @@ EXPRESSIONS = (
 CORPUS_ORDERS = (2, 4)
 SHOW_SUBJECTS = ("relations", "coproducts", "antipodes", "casimirs", "rmatrix")
 SHOW_ORDER = 3
-HAMILTONIAN_ORDERS = (1, 2, 3, 4)
+HAMILTONIAN_ORDERS = (1, 2, 3, 4, 5, 6)
 
 
 def _expressions(name):
