@@ -7,12 +7,11 @@
   ``param**k * word``.  The contraction of so(2,2) onto the null-plane
   algebra introduces 1/sqrt(2) scale factors, so plain rationals are not
   enough, and ``sqrt2`` is a literal of the expression language.
-* :class:`Domain` -- names the zero of a series' coefficient domain:
-  :data:`FIELD` here, rational functions in the differential representation.
 * :class:`DeformationSeries` -- power series in a named formal parameter,
-  truncated at a fixed order, over any such domain.  Its one use is a
-  quotient: the w-series of the differential representation's F_1 and
-  Hamiltonian coefficients (rational functions of the momenta).  Algebra
+  truncated at a fixed order, over any coefficient with ring operations,
+  ``is_zero`` and ``inverse``.  Its one use is a quotient: the w-series of
+  the differential representation's F_1 and Hamiltonian coefficients
+  (Laurent polynomials in p_plus, :class:`hopf_forge.ratfunc.Laurent`).  Algebra
   elements, operators and matrices hold graded terms instead.
   :meth:`DeformationSeries.quotient` divides the divisor's power of the
   parameter out of both sides first, and raises :class:`PoleDetected` when
@@ -198,28 +197,12 @@ FE_ONE = FieldElem(1)
 FE_SQRT2 = FieldElem(0, 1)
 
 
-class Domain:
-    """The coefficient domain of a series: its zero element, and a name."""
-
-    __slots__ = ("zero", "name")
-
-    def __init__(self, zero, name):
-        self.zero = zero
-        self.name = name
-
-    def __repr__(self):
-        return f"Domain({self.name})"
-
-
-FIELD = Domain(FE_ZERO, "Q(sqrt2)")
-
-
 # -- sparse term kernels -----------------------------------------------------
 #
 # A series stores ``terms``: (degree, coefficient) pairs in ascending degree,
 # nonzero coefficients only.  Nearly every operand is a single monomial, so
-# both kernels take that case first.  Coefficient domains are fields: the
-# product of two nonzero coefficients is never zero.
+# both kernels take that case first.  Coefficients have no zero divisors:
+# the product of two nonzero coefficients is never zero.
 
 
 def _add_terms(s, t):
@@ -268,9 +251,10 @@ def _mul_terms(s, t, top):
     return tuple(sorted((d, c) for d, c in acc.items() if not c.is_zero()))
 
 
-def _inverse_terms(terms, top, zero):
+def _inverse_terms(terms, top):
     """Terms of 1/s up to degree ``top``, for s with an invertible constant term."""
     r0 = terms[0][1].inverse()
+    zero = r0 * 0
     inv = [r0]
     for n in range(1, top + 1):
         acc = zero
@@ -286,9 +270,9 @@ def _dense_terms(coeffs):
     return tuple((i, c) for i, c in enumerate(coeffs) if not c.is_zero())
 
 
-def _new(param, order, terms, domain):
+def _new(param, order, terms):
     s = DeformationSeries.__new__(DeformationSeries)
-    s.param, s.order, s.terms, s.domain = param, order, terms, domain
+    s.param, s.order, s.terms = param, order, terms
     return s
 
 
@@ -296,15 +280,14 @@ class DeformationSeries:
     """Power series in one named parameter, truncated beyond a fixed order.
 
     Built from the dense list of ``order + 1`` coefficients; only the nonzero
-    ones are stored, as ``terms``.  Coefficients live in a declared domain
-    (Q(sqrt2) by default); any field with ring operations, ``is_zero`` and
-    ``inverse`` works, which is how the differential-representation module
-    runs the same series over rational functions.
+    ones are stored, as ``terms``.  A coefficient needs ring operations (an int
+    scalar among them), ``is_zero``, ``inverse`` and no zero divisors: a
+    FieldElem, or the differential representation's Laurent coefficient.
     """
 
-    __slots__ = ("param", "order", "terms", "domain")
+    __slots__ = ("param", "order", "terms")
 
-    def __init__(self, param, order, coeffs, domain=FIELD):
+    def __init__(self, param, order, coeffs):
         if order < 0:
             raise ValueError("series order must be >= 0")
         coeffs = tuple(coeffs)
@@ -313,11 +296,10 @@ class DeformationSeries:
         self.param = param
         self.order = order
         self.terms = _dense_terms(coeffs)
-        self.domain = domain
 
     @classmethod
-    def zero(cls, param, order, domain=FIELD):
-        return _new(param, order, (), domain)
+    def zero(cls, param, order):
+        return _new(param, order, ())
 
     def is_zero(self):
         return not self.terms
@@ -333,7 +315,7 @@ class DeformationSeries:
 
     def __repr__(self):
         coeffs = dict(self.terms)
-        dense = [str(coeffs.get(k, self.domain.zero)) for k in range(self.order + 1)]
+        dense = [str(coeffs[k]) if k in coeffs else "0" for k in range(self.order + 1)]
         return f"DeformationSeries({self.param!r}, {self.order}, {dense})"
 
     def _check(self, other):
@@ -345,21 +327,19 @@ class DeformationSeries:
         if not isinstance(other, DeformationSeries):
             return NotImplemented
         self._check(other)
-        return _new(self.param, self.order, _add_terms(self.terms, other.terms), self.domain)
+        return _new(self.param, self.order, _add_terms(self.terms, other.terms))
 
     def __mul__(self, other):
         if not isinstance(other, DeformationSeries):
             return NotImplemented
         self._check(other)
-        return _new(self.param, self.order,
-                    _mul_terms(self.terms, other.terms, self.order), self.domain)
+        return _new(self.param, self.order, _mul_terms(self.terms, other.terms, self.order))
 
     def inverse(self):
         """Multiplicative inverse; constant term must be invertible."""
         if not self.terms or self.terms[0][0] != 0:
             raise NonInvertible("series with zero constant term")
-        return _new(self.param, self.order,
-                    _inverse_terms(self.terms, self.order, self.domain.zero), self.domain)
+        return _new(self.param, self.order, _inverse_terms(self.terms, self.order))
 
     def quotient(self, other, order):
         """``self / other`` to degree ``order``, both known to degree ``self.order``.
@@ -379,6 +359,6 @@ class DeformationSeries:
         if order > self.order - v:
             raise ValueError("requested order exceeds tracked precision")
         num, den = (_new(self.param, order,
-                         tuple((d - v, c) for d, c in s.terms if d - v <= order), self.domain)
+                         tuple((d - v, c) for d, c in s.terms if d - v <= order))
                     for s in (self, other))
         return num * den.inverse()

@@ -1,7 +1,8 @@
 """Momentum-space differential representation of the null-plane deformation.
 
-An operator is a finite sum of w^k times a rational function in
-(p_plus, p_1, m_q2) times partial derivatives, stored as graded terms
+An operator is a finite sum of w^k times a Laurent coefficient (a polynomial
+in (p_plus, p_1, m_q2) over a power of p_plus, :class:`ratfunc.Laurent`)
+times partial derivatives, stored as graded terms
 ``{((a, b), k): f}`` for w^k f d_+^a d_1^b, the same shape as an algebra
 element's ``{(word, k): scalar}``; a function is a derivative-free operator.
 The canonical form keeps all derivatives rightmost, and composition applies
@@ -20,21 +21,17 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .coeff import DeformationSeries, Domain, FieldElem, rat
+from .coeff import DeformationSeries, FieldElem, rat
 from .ncalg import WordMap, _by_word, _scaled_terms, _sum_terms, add_term
-from .ratfunc import PolyRing, RationalFunction
+from .ratfunc import Laurent, PolyRing
 from .report import CheckReport, timed_reports
 from .algebras import preset
 
 MOMENTUM_RING = PolyRing(("p_plus", "p_1", "m_q2"))
 
-RF_ZERO = RationalFunction.from_poly(MOMENTUM_RING.zero())
-RF_ONE = RationalFunction.from_poly(MOMENTUM_RING.one())
-RF_DOMAIN = Domain(RF_ZERO, "Q(sqrt2)(p_plus,p_1,m_q2)")
-
-
-def rf(num, den=None):
-    return RationalFunction(num, den)
+RF_ZERO = Laurent(MOMENTUM_RING.zero())
+RF_ONE = Laurent(MOMENTUM_RING.one())
+rf = Laurent  # rf(num, shift=0) is num / p_plus**shift
 
 
 def pvar(name):
@@ -42,13 +39,12 @@ def pvar(name):
 
 
 def rf_const(c):
-    return RationalFunction.constant(MOMENTUM_RING, c)
+    return Laurent(MOMENTUM_RING.constant(c))
 
 
 def rf_series(terms, order):
-    """w-series over rational functions from {degree: RationalFunction}."""
-    coeffs = [terms.get(k, RF_ZERO) for k in range(order + 1)]
-    return DeformationSeries("w", order, coeffs, RF_DOMAIN)
+    """w-series over Laurent coefficients from {degree: Laurent}."""
+    return DeformationSeries("w", order, [terms.get(k, RF_ZERO) for k in range(order + 1)])
 
 
 def _partial(memo, i, j):
@@ -63,12 +59,12 @@ def _partial(memo, i, j):
 
 def _times_partials(series, d):
     """Terms of the operator ``series * d_+^a d_1^b`` for ``d = (a, b)``, from
-    the w-series ``{k: RationalFunction}``."""
+    the w-series ``{k: Laurent}``."""
     return {(d, k): f for k, f in series.items()}
 
 
 class WeylOperator:
-    """Finite sum of w^k * f * d_+^a d_1^b for rational functions f, stored
+    """Finite sum of w^k * f * d_+^a d_1^b for Laurent coefficients f, stored
     like an algebra element's graded terms: ``{((a, b), k): f}``, nonzero f
     and k up to the order only.  A function is a derivative-free operator."""
 
@@ -89,7 +85,7 @@ class WeylOperator:
 
     @classmethod
     def multiplication(cls, order, series):
-        """Multiplication by the w-series ``{k: RationalFunction}``."""
+        """Multiplication by the w-series ``{k: Laurent}``."""
         return cls(order, _times_partials(series, (0, 0)))
 
     def is_zero(self):
@@ -155,8 +151,7 @@ class WeylOperator:
         return WeylOperator(self.order, out)
 
     def apply_to_monomial(self, alpha, beta):
-        mono = RationalFunction.from_poly(
-            pvar("p_plus") ** alpha * pvar("p_1") ** beta)
+        mono = rf(pvar("p_plus") ** alpha * pvar("p_1") ** beta)
         return self.apply_to(WeylOperator.multiplication(self.order, {0: mono}))
 
     def __repr__(self):
@@ -209,7 +204,7 @@ def f1_derivative_coefficient(order, reading="plain"):
     (a w-pole raises PoleDetected); the bracketed factor is present only in
     the 'exponential' reading.  Both sides are taken one degree past
     ``order``, which the common factor w uses up.  Returns the w-series as
-    ``{k: RationalFunction}``."""
+    ``{k: Laurent}``."""
     top = order + 1
     num_terms = {1: rf(MOMENTUM_RING.var("m_q2"))}
     p1sq = rf(pvar("p_1") ** 2)
@@ -245,7 +240,7 @@ def full_rep(order, reading="plain"):
 
 def rep_of_element(rep, element, order):
     """Image of a null-plane algebra element under the representation (its
-    Q(sqrt2) scalars scale the rational-function coefficients directly)."""
+    Q(sqrt2) scalars scale the Laurent coefficients directly)."""
     return WordMap(element.algebra, rep, WeylOperator.identity(order),
                    WeylOperator.zero(order))(element)
 
@@ -308,7 +303,7 @@ def expected_hamiltonian_terms():
     half = FieldElem(rat(1, 2))
     sixth = FieldElem(rat(1, 6))
     return [
-        rf((m2 + p_1 ** 2) * half, p_plus),
+        rf((m2 + p_1 ** 2) * half, 1),
         rf((m2 - p_1 ** 2) * half),
         rf(p_plus * (m2 + p_1 ** 2) * sixth),
     ]

@@ -83,8 +83,8 @@ def _tokenize(text):
     out = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "bad":  # reported at the end of the previous token
-            pos = m.start()
+        if kind == "bad":
+            pos = m.start("bad")
             raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
         val = m.group(kind)
         out.append((kind, val.replace(" ", "") if kind == "num" else val, m.start(kind)))

@@ -1,8 +1,9 @@
-"""Commutative multivariate polynomials and rational functions over Q(sqrt2).
+"""Commutative multivariate polynomials over Q(sqrt2), and Laurent coefficients.
 
-Used in two places: rational-function coefficients of the momentum-space
-differential operators, and the pseudo-orthogonality ideal of the Lorentz
-coordinates (Buchberger closure + reduction).  Monomials are compared in
+Used in two places: the coefficients of the momentum-space differential
+operators (:class:`Laurent`, a polynomial over a power of the ring's first
+variable), and the pseudo-orthogonality ideal of the Lorentz coordinates
+(Buchberger closure + reduction).  Monomials are compared in
 graded-lexicographic order with the ring's variable list fixing the
 lexicographic priority (first variable strongest).
 
@@ -22,21 +23,16 @@ chain criterion (some third leading monomial divides the pair's lcm and both
 of its pairs with the third member are already treated; Buchberger, EUROSAM
 1979, LNCS 72).
 
-A :class:`RationalFunction` keeps its denominator monic and coprime to its
-numerator, so a constant denominator is exactly 1 and the reduced form is
-unique.  Three operations use that to skip the cross products and the gcd of
-the general quotient rule: a sum or difference over one shared denominator
-adds the numerators (and takes a gcd only if that denominator is not
-constant), a product of two constant denominators multiplies the numerators,
-and the derivative over a constant denominator differentiates the numerator.
+:func:`poly_gcd` (a primitive remainder sequence) is a library function
+only: a Laurent coefficient's denominator is a power of one variable, so no
+arithmetic of this module takes a gcd.
 """
-
 from __future__ import annotations
 
 import heapq
 import struct
 
-from .coeff import FE_ONE, FE_ZERO, FieldElem, NonInvertible, ZeroDivisor, rat
+from .coeff import FE_ONE, FE_ZERO, FieldElem, NonInvertible, ZeroDivisor
 
 FIELD_BITS = 16
 FIELD_MASK = (1 << FIELD_BITS) - 1
@@ -157,9 +153,6 @@ class Polynomial:
     def is_constant(self):
         return not any(self.terms)
 
-    def constant_value(self):
-        return self.terms.get(0, FE_ZERO)
-
     def degree_in(self, i):
         s = self.ring.shift[i]
         return max(((e >> s) & FIELD_MASK for e in self.terms), default=0)
@@ -237,9 +230,6 @@ class Polynomial:
             if n:
                 base = base * base
         return out
-
-    def scale(self, c):
-        return self * c
 
     def monic(self):
         if self.is_zero():
@@ -524,120 +514,86 @@ def poly_gcd(f, g):
     return (result * cont_lift).monic()
 
 
-class RationalFunction:
-    """Quotient of polynomials in reduced form.
+def _vpow(ring, k):
+    """The first variable of ``ring`` to the power ``k``."""
+    return ring.monomial((k,) + (0,) * (ring.nvars - 1))
 
-    Invariant: the denominator is monic and coprime to the numerator (a zero
-    numerator has denominator 1).  So a constant denominator is exactly 1,
-    and two equal rational functions have equal numerators and denominators.
-    The fast paths of ``+``, ``-``, ``*`` and :meth:`derivative` rely on it:
-    they build the same reduced form as the general quotient rule, which
-    stays for unequal (or, in a product, non-constant) denominators.
+
+class Laurent:
+    """``num / v**shift`` for ``v`` the first variable of ``num``'s ring and
+    ``shift >= 0``: a polynomial whose only poles are in ``v``.
+
+    Invariant: ``shift == 0`` or ``v`` does not divide ``num`` (a zero
+    numerator has shift 0), so equal values have equal fields.  Sums,
+    products and derivatives shift packed exponents and take no gcd; only a
+    monomial ``c * v**a`` over ``v**shift`` has an inverse.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "shift")
 
-    def __init__(self, num, den=None, reduce=True):
-        if den is None:
-            den = num.ring.one()
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = num.ring.one()
-        elif reduce:
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num = _exact_div(num, g)
-                den = _exact_div(den, g)
-            _, lc = den.leading()
-            if lc != FE_ONE:
-                inv = lc.inverse()
-                num = num * inv
-                den = den * inv
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p, None, reduce=False)
-
-    @classmethod
-    def constant(cls, ring, c):
-        return cls(ring.constant(c), None, reduce=False)
+    def __init__(self, num, shift=0):
+        if shift:
+            if shift < 0:
+                raise ValueError(f"negative shift {shift}: the denominator is v**shift")
+            # cancel the power of v that divides every term, up to ``shift``
+            s = num.ring.shift[0]
+            k = min(min(((e >> s) & FIELD_MASK for e in num.terms), default=shift), shift)
+            if k:
+                unit = (k << s) | (k << num.ring.dshift)
+                num = Polynomial(num.ring, {e - unit: c for e, c in num.terms.items()})
+                shift -= k
+        self.num, self.shift = num, shift
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num.terms
 
     def __eq__(self, other):
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
+        if not isinstance(other, Laurent):
+            return NotImplemented
+        return self.shift == other.shift and self.num == other.num
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, self.shift))
+
+    def _over(self, top):
+        """The numerator of this value written over ``v**top``, ``top >= shift``."""
+        k = top - self.shift
+        return self.num * _vpow(self.num.ring, k) if k else self.num
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den,
-                                    reduce=not self.den.is_constant())
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
+        top = max(self.shift, other.shift)
+        return Laurent(self._over(top) + other._over(top), top)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if self.den == other.den:
-            return RationalFunction(self.num - other.num, self.den,
-                                    reduce=not self.den.is_constant())
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + -other
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, reduce=False)
+        return Laurent(-self.num, self.shift)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if self.den.is_constant() and other.den.is_constant():
-            return RationalFunction(self.num * other.num, self.den, reduce=False)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        """Product with a Laurent value or a scalar (int or FieldElem)."""
+        if isinstance(other, Laurent):
+            return Laurent(self.num * other.num, self.shift + other.shift)
+        return Laurent(self.num * other, self.shift)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                raise ZeroDivisionError
-            return RationalFunction(self.num * FieldElem(rat(1, other)),
-                                    self.den, reduce=False)
-        other = self._coerce(other)
-        return self * other.inverse()
-
     def inverse(self):
-        if self.num.is_zero():
-            raise NonInvertible("inverse of the zero rational function")
-        return RationalFunction(self.den, self.num)
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction.from_poly(other)
-        if isinstance(other, (int, FieldElem)):
-            return RationalFunction.constant(self.num.ring, other)
-        raise TypeError(f"cannot combine RationalFunction with {type(other)!r}")
+        ring, terms = self.num.ring, self.num.terms
+        a = self.num.degree_in(0)
+        (m,) = _vpow(ring, a).terms
+        if len(terms) != 1 or m not in terms:
+            raise NonInvertible(f"{self!r} is not a monomial c*{ring.vars[0]}^a")
+        return Laurent(_vpow(ring, self.shift) * terms[m].inverse(), a)
 
     def derivative(self, name):
-        if self.den.is_constant():
-            return RationalFunction(self.num.derivative(name), self.den, reduce=False)
-        n = self.num.derivative(name) * self.den - self.num * self.den.derivative(name)
-        return RationalFunction(n, self.den * self.den)
+        num, s = self.num, self.shift
+        if s and name == num.ring.vars[0]:
+            # (num / v^s)' = (num' v - s num) / v^(s+1)
+            return Laurent(num.derivative(name) * _vpow(num.ring, 1) - num * s, s + 1)
+        return Laurent(num.derivative(name), s)
 
     def __repr__(self):
-        if self.den.is_constant() and self.den.constant_value() == FE_ONE:
+        if not self.shift:
             return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
+        return f"({self.num!r})/({_vpow(self.num.ring, self.shift)!r})"

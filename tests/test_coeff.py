@@ -26,7 +26,7 @@ def ds(coeffs, param="z", order=None):
 def dense_coeffs(series):
     """The coefficients of a series, one per degree 0..order."""
     terms = dict(series.terms)
-    return [terms.get(k, series.domain.zero) for k in range(series.order + 1)]
+    return [terms.get(k, FE_ZERO) for k in range(series.order + 1)]
 
 
 # -- independent oracle: naive series arithmetic over Fraction -----------------

@@ -5,15 +5,16 @@ from math import factorial
 import pytest
 
 from hopf_forge import diffrep
-from hopf_forge.coeff import DeformationSeries, FieldElem, rat
-from hopf_forge.diffrep import (MOMENTUM_RING, RF_DOMAIN, RF_ONE, RF_ZERO, WeylOperator,
+from hopf_forge.coeff import (DeformationSeries, FieldElem, NonInvertible, PoleDetected,
+                              ZeroDivisor, rat)
+from hopf_forge.diffrep import (MOMENTUM_RING, RF_ONE, RF_ZERO, WeylOperator,
                                 build_dynamical_rep, build_stability_rep,
                                 check_casimir_action, check_hamiltonian,
                                 check_rep_relations, check_two_evaluation_paths,
                                 expected_hamiltonian_terms,
                                 f1_derivative_coefficient, full_rep,
                                 hamiltonian_series, resolve_f1_reading, rf,
-                                rf_const, pvar)
+                                rf_const, rf_series, pvar)
 
 
 def mult_op(order, poly):
@@ -48,7 +49,7 @@ class TestWeylCalculus:
 
     def test_composition_is_associative(self):
         x = WeylOperator(2, {((1, 0), 0): rf(pvar("p_1"))})
-        y = WeylOperator(2, {((0, 1), 0): rf(MOMENTUM_RING.one(), pvar("p_plus"))})
+        y = WeylOperator(2, {((0, 1), 0): rf(MOMENTUM_RING.one(), 1)})
         z = mult_op(2, pvar("p_plus") * pvar("p_1"))
         assert (x * y) * z == x * (y * z)
 
@@ -142,8 +143,7 @@ class TestHamiltonian:
         massless = Polynomial(MOMENTUM_RING,
                               {m: c for m, c in got.num.terms.items()
                                if MOMENTUM_RING.unpack(m)[2] == 0})
-        assert rf(massless, got.den) == rf(pvar("p_1") ** 2 * FieldElem(rat(1, 2)),
-                                           pvar("p_plus"))
+        assert rf(massless, got.shift) == rf(pvar("p_1") ** 2 * FieldElem(rat(1, 2)), 1)
 
     def test_report(self):
         assert check_hamiltonian(3).passed
@@ -172,6 +172,36 @@ class TestHamiltonian:
         num = [rf_const(0)] + [rf(p_1 ** 2) * bracket[k] for k in range(top)]
         num[1] = num[1] + rf(m2)
         q = f1_derivative_coefficient(order, reading)
-        series = [DeformationSeries("w", top, c, RF_DOMAIN)
+        series = [DeformationSeries("w", top, c)
                   for c in ([q.get(k, rf_const(0)) for k in range(top + 1)], den, num)]
         assert series[0] * series[1] == series[2]
+
+
+class TestLaurentSeriesQuotient:
+    """``DeformationSeries.quotient`` over Laurent coefficients keeps its errors."""
+
+    p_plus = rf(pvar("p_plus"))
+
+    def test_divides_out_the_valuation(self):
+        # (p_1 w + p_1 p_plus w^2) / (p_plus w) = p_1/p_plus + p_1 w
+        p_1 = rf(pvar("p_1"))
+        num = rf_series({1: p_1, 2: p_1 * self.p_plus}, 2)
+        got = num.quotient(rf_series({1: self.p_plus}, 2), 1)
+        assert got == rf_series({0: rf(pvar("p_1"), 1), 1: p_1}, 1)
+
+    def test_pole_in_w(self):
+        with pytest.raises(PoleDetected):
+            rf_series({0: RF_ONE}, 2).quotient(rf_series({1: self.p_plus}, 2), 1)
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisor):
+            rf_series({0: RF_ONE}, 2).quotient(rf_series({}, 2), 1)
+
+    def test_order_beyond_the_precision_left(self):
+        with pytest.raises(ValueError, match="precision"):
+            rf_series({1: RF_ONE}, 2).quotient(rf_series({1: self.p_plus}, 2), 2)
+
+    def test_leading_coefficient_must_be_a_monomial_in_p_plus(self):
+        divisor = rf_series({1: rf(pvar("p_1"))}, 2)
+        with pytest.raises(NonInvertible):
+            rf_series({1: RF_ONE}, 2).quotient(divisor, 1)

@@ -44,6 +44,15 @@ class TestParser:
             parse_expression("A + * B")
         assert e.value.position == 4
 
+    def test_bad_character_is_reported_where_it_stands(self):
+        with pytest.raises(ExpressionSyntaxError) as e:
+            parse_expression("A + $")
+        assert str(e.value) == "unexpected character '$' (at position 4)"
+        assert e.value.position == 4
+        r = normalize_cli("A + $", "sl2", 2)
+        assert r.returncode == 2
+        assert "unexpected character '$' (at position 4)" in r.stderr
+
     def test_unbalanced_parens(self):
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("(A + B")

@@ -1,11 +1,11 @@
-"""Commutative polynomial toolbox: gcd, Groebner closure, rational functions."""
+"""Commutative polynomial toolbox: gcd, Groebner closure, Laurent coefficients."""
 
 import random
 
 import pytest
 
-from hopf_forge.coeff import FE_ONE, FE_ZERO, FieldElem, rat
-from hopf_forge.ratfunc import (MAX_DEGREE, PolyRing, Polynomial, RationalFunction,
+from hopf_forge.coeff import FE_ONE, FE_ZERO, FieldElem, NonInvertible, rat
+from hopf_forge.ratfunc import (Laurent, MAX_DEGREE, PolyRing, Polynomial,
                                 _divides as _divides_kernel, _exp_lcm, _monomial_gcd_part,
                                 groebner, poly_gcd, reduce_poly)
 
@@ -270,125 +270,93 @@ class TestGroebnerOracle:
             assert reduce_poly(p, basis) == reference_reduce(p, basis)
 
 
-class TestRationalFunction:
-    def test_canonical_monic_denominator(self):
-        x = R3.var("x")
-        f = RationalFunction(R3.one(), x * 2)
-        assert f.den == x
-        assert f.num == R3.one() * FieldElem(rat(1, 2))
+# -- Laurent coefficients against sympy -----------------------------------------
 
-    def test_reduction(self):
-        x, y = R3.var("x"), R3.var("y")
-        f = RationalFunction((x + y) * x, x * x)
-        assert f == RationalFunction(x + y, x)
-
-    def test_arithmetic_and_inverse(self):
-        x, y = R3.var("x"), R3.var("y")
-        f = RationalFunction(x, y)
-        g = RationalFunction(y, x)
-        assert f * g == RationalFunction.from_poly(R3.one())
-        assert f + g == RationalFunction(x * x + y * y, x * y)
-        assert f + f == RationalFunction(x * 2, y)
-
-    def test_derivative_quotient_rule(self):
-        x, y = R3.var("x"), R3.var("y")
-        f = RationalFunction(y, x)
-        assert f.derivative("x") == RationalFunction(-y, x * x)
-
-    def test_denominator_never_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFunction(R3.one(), R3.zero())
+RL = PolyRing(("p_plus", "p_1", "m_q2"))
 
 
-# -- the fast paths against the general quotient rule ---------------------------
-
-def general_add(a, b):
-    return RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den)
+def rand_laurent(rng):
+    return Laurent(rand_poly(rng, RL), rng.randint(0, 3))
 
 
-def general_sub(a, b):
-    return RationalFunction(a.num * b.den - b.num * a.den, a.den * b.den)
+def laurent_to_sympy(f, xs):
+    return to_sympy(f.num, xs) / xs[0] ** f.shift
 
 
-def general_mul(a, b):
-    return RationalFunction(a.num * b.num, a.den * b.den)
+def canonical(f):
+    """The invariant: shift 0, or some term of the numerator is free of p_plus."""
+    return f.shift == 0 or any(RL.unpack(m)[0] == 0 for m in f.num.terms)
 
 
-def general_derivative(a, name):
-    return RationalFunction(a.num.derivative(name) * a.den - a.num * a.den.derivative(name),
-                            a.den * a.den)
-
-
-def rand_nonconstant(rng):
-    """A small non-constant polynomial: the gcd on random inputs of higher
-    degree takes seconds, and small operands still reach every path."""
-    while True:
-        p = rand_poly(rng, max_terms=3, max_deg=1)
-        if not p.is_constant():
-            return p
-
-
-def rand_rf(rng, den):
-    return RationalFunction(rand_poly(rng, max_terms=3, max_deg=1), den)
-
-
-def fast_path_cases(seed, count=12):
-    """Operand pairs: equal non-constant denominators (at most ``count``),
-    then ``count`` with constant and ``count`` with unequal denominators."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        d = rand_nonconstant(rng)
-        a, b = rand_rf(rng, d), rand_rf(rng, d)
-        # a numerator sharing a factor with d leaves the two reduced
-        # denominators unequal; the case counts only pairs that stay equal
-        if a.den == b.den and not a.den.is_constant():
-            out.append(("equal", a, b))
-    for _ in range(count):
-        out.append(("constant", RationalFunction.from_poly(rand_poly(rng)),
-                    RationalFunction(rand_poly(rng), R3.constant(FieldElem(rng.randint(1, 5))))))
-    for _ in range(count):
-        a = rand_rf(rng, rand_nonconstant(rng))
-        b = rand_rf(rng, rand_nonconstant(rng))
-        out.append(("unequal", a, b))
-    return out
-
-
-class TestRationalFunctionFastPaths:
+class TestLaurent:
     @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_agree_with_the_general_quotient_rule(self, seed):
-        kinds = set()
-        for kind, a, b in fast_path_cases(seed):
-            kinds.add(kind)
-            if kind == "equal":
-                assert a.den == b.den
-            if kind == "constant":
-                assert a.den == b.den == R3.one()
-            assert a + b == general_add(a, b), (kind, a, b)
-            assert a - b == general_sub(a, b), (kind, a, b)
-            assert a * b == general_mul(a, b), (kind, a, b)
-            for v in R3.vars:
-                assert a.derivative(v) == general_derivative(a, v), (kind, a, v)
-        assert kinds == {"equal", "constant", "unequal"}
+    def test_operations_against_sympy(self, seed):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols(RL.vars)
+        rng = random.Random(seed)
+        shifts = set()
+        for _ in range(15):
+            a, b = rand_laurent(rng), rand_laurent(rng)
+            shifts.update((a.shift, b.shift))
+            sa, sb = laurent_to_sympy(a, xs), laurent_to_sympy(b, xs)
+            cases = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb),
+                     (a * 3, 3 * sa), (-a, -sa)]
+            cases += [(a.derivative(v), sympy.diff(sa, x)) for v, x in zip(RL.vars, xs)]
+            for got, want in cases:
+                assert canonical(got), got
+                assert sympy.cancel(laurent_to_sympy(got, xs) - want) == 0, (a, b, got)
+        assert shifts == {0, 1, 2, 3}
 
-    def test_shared_denominator_sum_is_reduced(self):
-        x = R3.var("x")
-        d = x * x - 1
-        a, b = RationalFunction(x, d), RationalFunction(R3.one(), d)
-        assert a.den == b.den == d
-        got = a + b
-        assert (got.num, got.den) == (R3.one(), x - 1)
-        assert got == general_add(a, b)
+    def test_inverse_of_a_monomial_in_p_plus(self):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols(RL.vars)
+        rng = random.Random(4)
+        for a in range(4):
+            for shift in range(4):
+                c = FieldElem(rat(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4)))
+                f = Laurent(RL.var("p_plus") ** a * c, shift)
+                inv = f.inverse()
+                assert canonical(inv)
+                assert sympy.cancel(laurent_to_sympy(inv, xs) * laurent_to_sympy(f, xs)) == 1
+                assert f * inv == Laurent(RL.one())
 
-    def test_cancelling_sum_has_denominator_one(self):
-        x, y = R3.var("x"), R3.var("y")
-        for d in (x * y + 1, R3.one()):
-            a = RationalFunction(x + y, d)
-            got = a + (-a)
-            assert got.is_zero() and got.den == R3.one()
-            got = a - a
-            assert got.is_zero() and got.den == R3.one()
-            assert got == general_sub(a, a)
+    @pytest.mark.parametrize("num", ["p_plus + 1", "p_1", "p_plus*p_1", "0"])
+    def test_only_monomials_in_p_plus_are_invertible(self, num):
+        x, y = RL.var("p_plus"), RL.var("p_1")
+        value = {"p_plus + 1": x + 1, "p_1": y, "p_plus*p_1": x * y, "0": RL.zero()}[num]
+        for shift in (0, 2):
+            with pytest.raises(NonInvertible):
+                Laurent(value, shift).inverse()
+
+    def test_canonical_form_is_unique(self):
+        rng = random.Random(5)
+        x = RL.var("p_plus")
+        for _ in range(20):
+            f = rand_laurent(rng)
+            for k in range(3):
+                g = Laurent(f.num * x ** k, f.shift + k)
+                assert (g.num, g.shift) == (f.num, f.shift)
+                assert g == f and hash(g) == hash(f)
+        assert (Laurent(x * x, 3).num, Laurent(x * x, 3).shift) == (RL.one(), 1)
+        assert Laurent(RL.zero(), 2).shift == 0
+        with pytest.raises(ValueError, match="negative shift"):
+            Laurent(RL.one(), -1)
+
+    def test_sums_that_cancel_lower_the_shift(self):
+        x, y = RL.var("p_plus"), RL.var("p_1")
+        a = Laurent(x + y, 2)
+        assert a - Laurent(y, 2) == Laurent(RL.one(), 1)
+        for got in (a + (-a), a - a, a * 0):
+            assert got.is_zero() and got.shift == 0
+
+    def test_repr_is_the_reduced_fraction(self):
+        x, y, m = (RL.var(v) for v in RL.vars)
+        half = FieldElem(rat(1, 2))
+        assert repr(Laurent((y * y + m) * half, 1)) == \
+            "((1/2)*p_1^2 + (1/2)*m_q2)/((1)*p_plus)"
+        assert repr(Laurent(y + 1, 2)) == "((1)*p_1 + (1))/((1)*p_plus^2)"
+        assert repr(Laurent(x * y, 1)) == "(1)*p_1"
+        assert repr(Laurent(RL.zero(), 3)) == "0"
 
 
 # -- the packed monomial format against exponent tuples ------------------------
