@@ -342,13 +342,6 @@ class TestLaurent:
         with pytest.raises(ValueError, match="negative shift"):
             Laurent(RL.one(), -1)
 
-    def test_sums_that_cancel_lower_the_shift(self):
-        x, y = RL.var("p_plus"), RL.var("p_1")
-        a = Laurent(x + y, 2)
-        assert a - Laurent(y, 2) == Laurent(RL.one(), 1)
-        for got in (a + (-a), a - a, a * 0):
-            assert got.is_zero() and got.shift == 0
-
     def test_repr_is_the_reduced_fraction(self):
         x, y, m = (RL.var(v) for v in RL.vars)
         half = FieldElem(rat(1, 2))
@@ -357,6 +350,142 @@ class TestLaurent:
         assert repr(Laurent(y + 1, 2)) == "((1)*p_1 + (1))/((1)*p_plus^2)"
         assert repr(Laurent(x * y, 1)) == "(1)*p_1"
         assert repr(Laurent(RL.zero(), 3)) == "0"
+
+
+class TestRationalFunction:
+    """Laurent as a rational function: its denominator is the monic p_plus**shift."""
+
+    def test_canonical_monic_denominator(self):
+        x = RL.var("p_plus")
+        half = FieldElem(rat(1, 2))
+        f = Laurent(RL.one() * half, 1)
+        assert (f.num, f.shift) == (RL.one() * half, 1)
+        assert repr(f) == "((1/2))/((1)*p_plus)"
+        assert Laurent(x * 2, 2) == Laurent(RL.one() * 2, 1)
+
+    def test_reduction(self):
+        x, y = RL.var("p_plus"), RL.var("p_1")
+        f = Laurent((x + y) * x, 2)
+        assert (f.num, f.shift) == (x + y, 1)
+        assert f == Laurent(x + y, 1)
+        assert Laurent(x * x * y, 1) == Laurent(x * y)
+
+    def test_arithmetic_and_inverse(self):
+        x, y = RL.var("p_plus"), RL.var("p_1")
+        f = Laurent(y, 1)
+        assert f * Laurent(x * x * 2) == Laurent(x * y * 2)
+        assert f + Laurent(x) == Laurent(x * x + y, 1)
+        assert f + f == Laurent(y * 2, 1)
+        g = Laurent(x * 3, 2)
+        assert g.inverse() == Laurent(x * FieldElem(rat(1, 3)))
+        assert g * g.inverse() == Laurent(RL.one())
+
+    def test_derivative_quotient_rule(self):
+        x, y = RL.var("p_plus"), RL.var("p_1")
+        f = Laurent(y, 1)
+        assert f.derivative("p_plus") == Laurent(-y, 2)
+        assert f.derivative("p_1") == Laurent(RL.one(), 1)
+        assert f.derivative("m_q2").is_zero()
+        # (x y + 1) / x^2: the x y term lowers the shift of its derivative
+        assert Laurent(x * y + 1, 2).derivative("p_plus") == Laurent(-y * x - 2, 3)
+
+    def test_denominator_never_zero(self):
+        with pytest.raises(ValueError, match="negative shift"):
+            Laurent(RL.one(), -1)
+        with pytest.raises(NonInvertible):
+            Laurent(RL.zero()).inverse()
+        for shift in range(4):
+            assert Laurent(RL.zero(), shift).shift == 0
+
+
+# -- the shift arithmetic against the general quotient rule ---------------------
+
+def fraction(f):
+    """``f`` as a (numerator, denominator) pair of polynomials."""
+    return f.num, RL.var("p_plus") ** f.shift
+
+
+def general_add(a, b):
+    (an, ad), (bn, bd) = fraction(a), fraction(b)
+    return an * bd + bn * ad, ad * bd
+
+
+def general_sub(a, b):
+    (an, ad), (bn, bd) = fraction(a), fraction(b)
+    return an * bd - bn * ad, ad * bd
+
+
+def general_mul(a, b):
+    (an, ad), (bn, bd) = fraction(a), fraction(b)
+    return an * bn, ad * bd
+
+
+def general_derivative(a, name):
+    n, d = fraction(a)
+    return n.derivative(name) * d - n * d.derivative(name), d * d
+
+
+def equal_fractions(f, nd):
+    """``f == n / d`` by cross-multiplication."""
+    n, d = nd
+    fn, fd = fraction(f)
+    return fn * d == n * fd
+
+
+def shift_cases(seed, count=12):
+    """Operand pairs with equal positive shifts, with shift 0 and with
+    unequal shifts, ``count`` of each kind."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        s = rng.randint(1, 3)
+        a, b = Laurent(rand_poly(rng, RL), s), Laurent(rand_poly(rng, RL), s)
+        # a numerator divisible by p_plus lowers its shift; count only pairs
+        # whose shifts stay equal
+        if a.shift == b.shift > 0:
+            out.append(("equal", a, b))
+    for _ in range(count):
+        out.append(("zero", Laurent(rand_poly(rng, RL)), Laurent(rand_poly(rng, RL))))
+    for _ in range(count):
+        a, b = Laurent(rand_poly(rng, RL), 1), Laurent(rand_poly(rng, RL), 3)
+        out.append(("unequal", a, b))
+    return out
+
+
+class TestRationalFunctionFastPaths:
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_agree_with_the_general_quotient_rule(self, seed):
+        kinds = set()
+        for kind, a, b in shift_cases(seed):
+            kinds.add(kind)
+            if kind == "zero":
+                assert a.shift == b.shift == 0
+            assert equal_fractions(a + b, general_add(a, b)), (kind, a, b)
+            assert equal_fractions(a - b, general_sub(a, b)), (kind, a, b)
+            assert equal_fractions(a * b, general_mul(a, b)), (kind, a, b)
+            for got in (a + b, a - b, a * b):
+                assert canonical(got), (kind, a, b, got)
+            for v in RL.vars:
+                got = a.derivative(v)
+                assert equal_fractions(got, general_derivative(a, v)), (kind, a, v)
+                assert canonical(got), (kind, a, v, got)
+        assert kinds == {"equal", "zero", "unequal"}
+
+    def test_shared_denominator_sum_is_reduced(self):
+        x, y = RL.var("p_plus"), RL.var("p_1")
+        a, b = Laurent(x + y, 2), Laurent(-y, 2)
+        assert a.shift == b.shift == 2
+        got = a + b
+        assert (got.num, got.shift) == (RL.one(), 1)
+        assert equal_fractions(got, general_add(a, b))
+
+    def test_cancelling_sum_has_denominator_one(self):
+        x, y = RL.var("p_plus"), RL.var("p_1")
+        for shift in (2, 0):
+            a = Laurent(x * y + y, shift)
+            for got in (a + (-a), a - a, a * 0):
+                assert got.is_zero() and got.shift == 0
+            assert equal_fractions(a - a, general_sub(a, a))
 
 
 # -- the packed monomial format against exponent tuples ------------------------
