@@ -113,9 +113,7 @@ class Contraction:
             if poles:
                 rep.add_failure(label, f"eps poles: {poles}")
                 continue
-            want = np_alg.gen(j).commutator(np_alg.gen(i))
-            if not (got - want).is_zero():
-                rep.add_failure(label, repr(got - want))
+            rep.expect_zero(label, got - np_alg.gen(j).commutator(np_alg.gen(i)))
         return rep
 
     def check_coproducts(self):
@@ -129,9 +127,7 @@ class Contraction:
             if poles:
                 rep.add_failure(label, f"eps poles: {poles}")
                 continue
-            want = self.np.hopf.delta[ni]
-            if not (got - want).is_zero():
-                rep.add_failure(label, repr(got - want))
+            rep.expect_zero(label, got - self.np.hopf.delta[ni])
         return rep
 
     def check_casimirs(self):
@@ -154,8 +150,7 @@ class Contraction:
                 rep.add_failure(label, f"eps poles: {poles}; "
                                        f"stated prefactor off by eps^{-worst}")
                 continue
-            if not (got - target).is_zero():
-                rep.add_failure(label, repr(got - target))
+            rep.expect_zero(label, got - target)
         return rep
 
     def check_classical_compatibility(self):

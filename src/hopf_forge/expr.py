@@ -267,8 +267,11 @@ def _product(factors, alg):
                 raise UnknownSymbol(name)
             c = FE_SQRT2 ** e
         else:
+            # the factor and the product by it are bounded on their own
+            misses = alg._misses
             x = eval_expression(f, alg)
             acc = x.terms if acc is one else (NCElement(alg, acc) * x).terms
+            alg._misses = misses
             continue
         if c != 1:  # a nonzero scalar leaves every term nonzero
             acc = {key: v * c for key, v in acc.items()} if c else {}

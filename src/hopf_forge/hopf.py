@@ -104,9 +104,8 @@ class HopfMaps:
                           order=self.algebra.order)
         for w in test_words or self.default_test_words():
             t = self.coproduct_word(w)
-            res = self.delta_on_slot(t, 0) - self.delta_on_slot(t, 1)
-            if not res.is_zero():
-                rep.add_failure(self._label(w), repr(res))
+            rep.expect_zero(self._label(w),
+                            self.delta_on_slot(t, 0) - self.delta_on_slot(t, 1))
         return rep
 
     def check_counit(self, test_words=None):
@@ -120,10 +119,8 @@ class HopfMaps:
             for ((w1, w2), k), c in t.terms.items():
                 left = left + NCElement(alg, {(w2, k): c}) * self.counit_word(w1)
                 right = right + NCElement(alg, {(w1, k): c}) * self.counit_word(w2)
-            if not (left - x).is_zero():
-                rep.add_failure(self._label(w), repr(left - x))
-            if not (right - x).is_zero():
-                rep.add_failure(self._label(w), repr(right - x))
+            rep.expect_zero(self._label(w), left - x)
+            rep.expect_zero(self._label(w), right - x)
         return rep
 
     def check_antipode(self, test_words=None):
@@ -145,10 +142,8 @@ class HopfMaps:
             for w2, terms in by_w2.items():
                 right = right + NCElement(alg, terms) * self.antipode_word(w2)
             target = self.counit_word(w)
-            if not (left - target).is_zero():
-                rep.add_failure(self._label(w) + " (gamma(x1)x2)", repr(left - target))
-            if not (right - target).is_zero():
-                rep.add_failure(self._label(w) + " (x1 gamma(x2))", repr(right - target))
+            rep.expect_zero(self._label(w) + " (gamma(x1)x2)", left - target)
+            rep.expect_zero(self._label(w) + " (x1 gamma(x2))", right - target)
         return rep
 
     def check_coproduct_hom(self):
@@ -158,12 +153,9 @@ class HopfMaps:
         n = len(alg.generators)
         for j in range(n):
             for i in range(j):
-                x, y = alg.gen(j), alg.gen(i)
-                lhs = self.coproduct(x.commutator(y))
-                rhs = self.delta[j].commutator(self.delta[i])
-                if not (lhs - rhs).is_zero():
-                    rep.add_failure(f"[{alg.generators[j]},{alg.generators[i]}]",
-                                    repr(lhs - rhs))
+                lhs = self.coproduct(alg.gen(j).commutator(alg.gen(i)))
+                rep.expect_zero(f"[{alg.generators[j]},{alg.generators[i]}]",
+                                lhs - self.delta[j].commutator(self.delta[i]))
         return rep
 
     def check_antipode_antihom(self):
@@ -172,9 +164,8 @@ class HopfMaps:
         rep = CheckReport(check="antipode-antihom", algebra=alg.name, order=alg.order)
         for (j, i), rhs in alg.rules.items():
             lhs = self.antipode_word(((j, 1), (i, 1)))   # gamma(g_j g_i) = gamma(g_i) gamma(g_j)
-            img = self.antipode_of(rhs)
-            if not (lhs - img).is_zero():
-                rep.add_failure(f"{alg.generators[j]}*{alg.generators[i]}", repr(lhs - img))
+            rep.expect_zero(f"{alg.generators[j]}*{alg.generators[i]}",
+                            lhs - self.antipode_of(rhs))
         return rep
 
     def primitive_generators(self):

@@ -28,6 +28,11 @@ class CheckReport:
     def add_failure(self, input_label, residual):
         self.failures.append({"input": str(input_label), "residual": str(residual)})
 
+    def expect_zero(self, input_label, residual):
+        """Record ``residual`` (by its repr) as a failure unless it is zero."""
+        if not residual.is_zero():
+            self.add_failure(input_label, repr(residual))
+
     def to_dict(self):
         d = {
             "check": self.check,

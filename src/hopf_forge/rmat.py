@@ -171,9 +171,7 @@ def skew_first_order(t, classical_alg):
 def check_qybe(name, order):
     r = preset_r(name, order)
     rep = CheckReport(check="qybe", algebra=name, order=order)
-    res = qybe_residual(r)
-    if not res.is_zero():
-        rep.add_failure("R12 R13 R23 - R23 R13 R12", repr(res))
+    rep.expect_zero("R12 R13 R23 - R23 R13 R12", qybe_residual(r))
     return rep
 
 
@@ -182,18 +180,15 @@ def check_intertwiner(name, order):
     r = preset_r(name, order)
     rep = CheckReport(check="intertwine", algebra=name, order=order)
     for g in bundle.presentation.generators:
-        res = intertwiner_residual(r, bundle.hopf, g)
-        if not res.is_zero():
-            rep.add_failure(f"sigma.Delta({g}).R - R.Delta({g})", repr(res))
+        rep.expect_zero(f"sigma.Delta({g}).R - R.Delta({g})",
+                        intertwiner_residual(r, bundle.hopf, g))
     return rep
 
 
 def check_triangularity(name, order):
     r = preset_r(name, order)
     rep = CheckReport(check="triangular", algebra=name, order=order)
-    res = triangularity_residual(r)
-    if not res.is_zero():
-        rep.add_failure("flip(R).R - 1(x)1", repr(res))
+    rep.expect_zero("flip(R).R - 1(x)1", triangularity_residual(r))
     return rep
 
 
@@ -217,9 +212,7 @@ def check_classical_r(name, order):
 def check_cybe(name, order):
     rep = CheckReport(check="cybe", algebra=name, order=order)
     calg = classical_presentation(name, order)
-    res = cybe_residual(classical_r_of_preset(name, order), calg)
-    if not res.is_zero():
-        rep.add_failure("[[r,r]]", repr(res))
+    rep.expect_zero("[[r,r]]", cybe_residual(classical_r_of_preset(name, order), calg))
     return rep
 
 
@@ -231,10 +224,8 @@ def check_cocommutator_link(name, order):
     rep = CheckReport(check="cocommutator", algebra=name, order=order)
     for g in bundle.presentation.generators:
         d = bundle.hopf.delta[bundle.presentation.index[g]]
-        lhs = skew_first_order(d, calg)
-        rhs = cocommutator(wedges, g, calg)
-        if not (lhs - rhs).is_zero():
-            rep.add_failure(f"delta({g})", repr(lhs - rhs))
+        rep.expect_zero(f"delta({g})",
+                        skew_first_order(d, calg) - cocommutator(wedges, g, calg))
     return rep
 
 
@@ -252,8 +243,7 @@ def check_factorization(order):
     merged = (leg(FieldElem(-1), "P0_hat", "J_hat")
               + leg(FieldElem(-1), "P", "D")).exp() \
         * (leg(FE_ONE, "J_hat", "P0_hat") + leg(FE_ONE, "D", "P")).exp()
-    if not (four - merged).is_zero():
-        rep.add_failure("four-factor vs merged", repr(four - merged))
+    rep.expect_zero("four-factor vs merged", four - merged)
     return rep
 
 
@@ -286,8 +276,6 @@ def check_np_cocommutator_table(order):
             i, j = calg.index[x], calg.index[y]
             key, v = ((i, j), FieldElem(c)) if i < j else ((j, i), FieldElem(-c))
             want_wedges[key] = v
-        want = _wedge_tensor(calg, want_wedges)
-        got = cocommutator(wedges, g, calg)
-        if not (got - want).is_zero():
-            rep.add_failure(f"delta({g})", repr(got - want))
+        rep.expect_zero(f"delta({g})",
+                        cocommutator(wedges, g, calg) - _wedge_tensor(calg, want_wedges))
     return rep

@@ -7,13 +7,14 @@ from functools import reduce
 
 import pytest
 
+from hopf_forge import ncalg
 from hopf_forge.algebras import preset
 from hopf_forge.coeff import FE_ONE, FE_SQRT2, FieldElem, rat
 from hopf_forge.expr import (MAX_EXPONENT, MAX_NESTING, ExpressionError,
                              ExpressionSyntaxError, UnknownSymbol, exp_element,
                              parse_expression, parse_to_element, render_element,
                              render_tensor)
-from hopf_forge.ncalg import NCElement
+from hopf_forge.ncalg import AlgebraPresentation, NCElement, NonTerminating
 
 
 def normalize_cli(text, algebra, order):
@@ -342,6 +343,24 @@ class TestRobustness:
         r = normalize_cli("(" * 300 + "A" + ")" * 300, "sl2", 2)
         assert r.returncode == 2
         assert "nesting" in r.stderr and "Traceback" not in r.stderr
+
+    def test_step_bound_counts_across_a_parenthesised_factor(self, monkeypatch):
+        def commuting():
+            alg = AlgebraPresentation("commuting", ("a", "b", "c"), "z", 1)
+            alg.set_rules({(j, i): alg.element({(((i, 1), (j, 1)), 0): FE_ONE})
+                           for j in range(3) for i in range(j)})
+            return alg
+
+        text = "c*b*a*(1 + c)*c*b*a"
+        # the outer term fills 3 table entries before (1 + c) and 8 after it;
+        # the factor and the product by it fill none
+        before, whole = commuting(), commuting()
+        parse_to_element("c*b*a", before)
+        parse_to_element(text, whole)
+        assert (len(before._table), len(whole._table)) == (3, 11)
+        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 9)
+        with pytest.raises(NonTerminating, match="exceeded"):
+            parse_to_element(text, commuting())
 
     def test_power_chain_above_the_limit_is_an_error(self):
         with pytest.raises(ExpressionSyntaxError, match="exceeds the limit") as e:
