@@ -53,6 +53,11 @@ CORPUS_ORDERS = (2, 4)
 SHOW_SUBJECTS = ("relations", "coproducts", "antipodes", "casimirs", "rmatrix")
 SHOW_ORDER = 3
 HAMILTONIAN_ORDERS = (1, 2, 3, 4, 5, 6)
+# the J-basis structure and the so(2,2) Casimirs at the orders no verify
+# default reaches
+DEEP_SHOWS = (("sl2-jbasis", ("relations", "coproducts", "antipodes", "casimirs")),
+              ("so22", ("casimirs",)))
+DEEP_SHOW_ORDERS = (5, 6)
 
 
 def _expressions(name):
@@ -85,6 +90,12 @@ def corpus_commands():
             out.append(["show", "hamiltonian", "--order", str(order), "--format", fmt])
     for fmt in ("text", "json"):
         out.append(["show", "brackets", "--format", fmt])
+    for name, subjects in DEEP_SHOWS:
+        for subject in subjects:
+            for order in DEEP_SHOW_ORDERS:
+                for fmt in ("text", "json"):
+                    out.append(["show", subject, "--algebra", name,
+                                "--order", str(order), "--format", fmt])
     return out
 
 
