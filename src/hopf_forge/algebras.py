@@ -1,4 +1,4 @@
-"""Preset catalog: the three quantum algebras with full Hopf data.
+"""Preset catalog: the quantum algebras with full Hopf data.
 
 Builds, in exact arithmetic at a chosen truncation order:
 
@@ -6,9 +6,14 @@ Builds, in exact arithmetic at a chosen truncation order:
 * ``so22``       -- the conformal so(2,2) deformation (two commuting sl(2,R)
                     copies with opposite parameters),
 * ``nullplane``  -- the (2+1) null-plane quantum Poincare algebra,
-* ``sl2-jbasis`` -- the J-basis presentation of the same sl(2,R) deformation,
-                    with its relation table derived mechanically by
-                    transporting the A-basis rules through the change of basis.
+* ``sl2-jbasis`` -- the J-basis presentation of the same sl(2,R) deformation.
+
+:func:`transport` presents a bundle in new generators, given as elements of
+the old ones: it derives the new relation table from the images of the old
+commutators, and carries the Hopf maps and Casimirs over by ``substitute``.
+``sl2-jbasis`` is the A-basis transported through the nonlinear change of
+basis of :func:`jbasis_maps`; the contraction's ``nullplane-eps`` algebra is
+so(2,2) transported to rescaled null-plane generators.
 
 Every exponential is stored pre-expanded to the working order; changing the
 order rebuilds the preset.
@@ -141,70 +146,6 @@ def classical_bracket(x, y):
     return {g: FieldElem(sign * c) for g, c in table.items()}
 
 
-# so(2,2) quantum Casimirs as factor recipes, reused by the two-copy and
-# contraction cross-checks (each environment supplies the factor elements)
-SO22_C1Q_RECIPE = (
-    (1, ("J", "Fcosh", "J")),
-    (1, ("D", "Fcosh", "D")),
-    (-1, ("J", "Fsinh", "D")),
-    (-1, ("D", "Fsinh", "J")),
-    (1, ("G", "C2")),
-    (1, ("C2", "G")),
-    (-1, ("H", "C1")),
-    (-1, ("C1", "H")),
-    (2, ("Fcosh",)),
-    (-2, ("one",)),
-)
-SO22_C2Q_RECIPE = (
-    (1, ("J", "Fcosh", "D")),
-    (1, ("D", "Fcosh", "J")),
-    (-1, ("J", "Fsinh", "J")),
-    (-1, ("D", "Fsinh", "D")),
-    (-1, ("G", "C1")),
-    (-1, ("C1", "G")),
-    (1, ("H", "C2")),
-    (1, ("C2", "H")),
-    (-2, ("Fsinh",)),
-)
-
-
-def eval_recipe(recipe, env):
-    out = None
-    for c, tags in recipe:
-        piece = env[tags[0]]
-        for t in tags[1:]:
-            piece = piece * env[t]
-        piece = piece * c
-        out = piece if out is None else out + piece
-    return out
-
-
-def so22_structure_env(alg, gen_of=None):
-    """Factor elements of the so(2,2) Casimir recipes, built inside ``alg``.
-
-    ``gen_of`` maps the abstract names P/P0/J/D/C1/C2 to elements; defaults
-    to the algebra's own generators (the plain so(2,2) preset).
-    """
-    if gen_of is None:
-        gen_of = {n: alg.gen(g) for n, g in
-                  zip(("P", "P0", "J", "D", "C1", "C2"), SO22_GENERATORS)}
-    half = FieldElem(rat(1, 2))
-    env = {
-        "one": alg.unit(),
-        "J": gen_of["J"],
-        "D": gen_of["D"],
-        "C1": gen_of["C1"],
-        "C2": gen_of["C2"],
-        # e^{-zP} cosh(z P0) and e^{-zP} sinh(z P0)
-        "Fcosh": two_gen_series(alg, "P", -1, "P0_hat", 1, parity_y=0),
-        "Fsinh": two_gen_series(alg, "P", -1, "P0_hat", 1, parity_y=1),
-        # (1 - e^{-zP} cosh(z P0))/(2z) and e^{-zP} sinh(z P0)/(2z)
-        "G": two_gen_series(alg, "P", -1, "P0_hat", 1, parity_y=0, shift=-1) * (-half),
-        "H": two_gen_series(alg, "P", -1, "P0_hat", 1, parity_y=1, shift=-1) * half,
-    }
-    return env
-
-
 def sl2_commutators(alg, ap, a, am, s):
     """[g_i, g_j] of one non-standard sl(2,R) copy with parameter s*z, keyed by
     the generator indices ap < a < am."""
@@ -247,13 +188,13 @@ def sl2_casimir(alg, ap, a, am, sign=1):
 
 def build_preset(name, order, fault=None):
     if name == "sl2":
-        return _build_sl2(order, fault)
+        return _build_sl2(order)
     if name == "so22":
-        return _build_so22(order, fault)
+        return _build_so22(order)
     if name == "nullplane":
         return _build_nullplane(order, fault)
     if name == "sl2-jbasis":
-        return _build_jbasis(order, fault)
+        return _build_jbasis(order)
     raise ValueError(f"unknown preset {name!r} (choose from {', '.join(PRESET_NAMES)})")
 
 
@@ -297,7 +238,7 @@ def preset(name, order):
     return bundle
 
 
-def _build_sl2(order, fault=None):
+def _build_sl2(order):
     alg = AlgebraPresentation("sl2", ("A_plus", "A", "A_minus"), "z", order)
     alg.latex_names = {"A_plus": "A_+", "A": "A", "A_minus": "A_-"}
     ap, a, am = 0, 1, 2
@@ -341,7 +282,7 @@ def _so22_commutators(alg):
     }
 
 
-def _build_so22(order, fault=None):
+def _build_so22(order):
     alg = AlgebraPresentation("so22", SO22_GENERATORS, "z", order)
     alg.latex_names = {"P": "P", "P0_hat": r"\hat{P}_0", "J_hat": r"\hat{J}",
                        "D": "D", "C_1": "C_1", "C_2": "C_2"}
@@ -373,9 +314,17 @@ def _build_so22(order, fault=None):
     }
     hopf = HopfMaps(alg, delta, counit, antipode)
 
-    env = so22_structure_env(alg)
-    casimirs = {"C1_q": eval_recipe(SO22_C1Q_RECIPE, env),
-                "C2_q": eval_recipe(SO22_C2Q_RECIPE, env)}
+    # (1 - e^{-zP} cosh(z P0))/(2z) and e^{-zP} sinh(z P0)/(2z)
+    half = FieldElem(rat(1, 2))
+    g = two_gen_series(alg, P, -1, P0, 1, parity_y=0, shift=-1) * (-half)
+    h = two_gen_series(alg, P, -1, P0, 1, parity_y=1, shift=-1) * half
+    j, d, c1, c2 = gen(J), gen(D), gen(C1), gen(C2)
+    casimirs = {
+        "C1_q": (j * mcosh * j + d * mcosh * d - j * msinh * d - d * msinh * j
+                 + g * c2 + c2 * g - h * c1 - c1 * h + mcosh * 2 - unit * 2),
+        "C2_q": (j * mcosh * d + d * mcosh * j - j * msinh * j - d * msinh * d
+                 - g * c1 - c1 * g + h * c2 + c2 * h - msinh * 2),
+    }
     rfactors = ((FieldElem(-1), "P0_hat", "J_hat"), (FieldElem(-1), "P", "D"),
                 (FieldElem(1), "D", "P"), (FieldElem(1), "J_hat", "P0_hat"))
     return PresetBundle("so22", alg, hopf, casimirs, rfactors)
@@ -457,7 +406,47 @@ def _build_nullplane(order, fault=None):
                         aux={"stability_subalgebra": ("P_plus", "P_1", "E_1", "K_2")})
 
 
-# -- J-basis preset (derived through the change of basis) ----------------------
+# -- presentations in new generators ---------------------------------------------
+
+def transport(source, name, generators, images, inverse_images, latex_names):
+    """The bundle ``source`` presented in new ``generators``.
+
+    ``inverse_images`` gives each new generator as an element of the source,
+    and ``images(alg)`` each source generator as an element of ``alg``, a
+    presentation in the new generators.  The rule for g_j*g_i is g_i*g_j plus
+    the image of [inverse_j, inverse_i].  The images are computed in a
+    presentation with no rules, so an image that needs one raises
+    :class:`~hopf_forge.ncalg.MissingRule`, and the rules are rebuilt in the
+    returned presentation.  The coproducts, antipodes, counits and Casimirs
+    are the source's, applied to the inverse images and carried over by
+    ``substitute``.  ``aux`` holds the maps: ``alpha`` (the images) and
+    ``beta`` (the inverse images).
+    """
+    src = source.presentation
+    bare = AlgebraPresentation(name, generators, src.param, src.order)
+    to_bare = images(bare)
+    inverse = [inverse_images[g] for g in generators]
+    comm = {(j, i): inverse[j].commutator(inverse[i]).substitute(bare, to_bare).terms
+            for j in range(len(generators)) for i in range(j)}
+    alg = AlgebraPresentation(name, generators, src.param, src.order)
+    alg.latex_names = latex_names
+    alg.set_commutators({key: alg.element(terms) for key, terms in comm.items()})
+    alpha = images(alg)
+
+    maps = source.hopf
+    delta, antipode, counit = {}, {}, {}
+    for g, x in inverse_images.items():
+        delta[g] = maps.coproduct(x).substitute(alg, alpha)
+        antipode[g] = maps.antipode_of(x).substitute(alg, alpha)
+        eps = maps.counit_of(x)
+        if any(k for _, k in eps.terms):
+            raise RuntimeError("transported counit is not scalar")
+        counit[g] = eps.terms.get(((), 0), FieldElem(0))
+    hopf = HopfMaps(alg, delta, counit, antipode)
+    casimirs = {label: c.substitute(alg, alpha) for label, c in source.casimirs.items()}
+    return PresetBundle(name, alg, hopf, casimirs, None,
+                        aux={"alpha": alpha, "beta": dict(inverse_images)})
+
 
 def jbasis_maps(order):
     """The change-of-basis substitution data between the A- and J-bases.
@@ -491,68 +480,11 @@ def jbasis_maps(order):
     return alpha, beta
 
 
-def _build_jbasis(order, fault=None):
+def _build_jbasis(order):
     sl2 = preset("sl2", order)
-    aalg = sl2.presentation
-    alpha_fn, beta_fn = jbasis_maps(order)
-    beta = beta_fn(aalg)
-
-    gens = ("J_plus", "J_3", "J_minus")
-
-    def fresh(rules_so_far):
-        alg = AlgebraPresentation("sl2-jbasis", gens, "z", order)
-        alg.latex_names = {"J_plus": "J_+", "J_3": "J_3", "J_minus": "J_-"}
-        built = {}
-        for key in ((1, 0), (2, 0), (2, 1)):
-            data = rules_so_far.get(key)
-            built[key] = None if data is None else alg.element(data)
-        alg.set_rules(built)
-        return alg
-
-    def commutator_in_a(x, y):
-        return beta[x].commutator(beta[y])
-
-    rules_data = {}
-    # stage 1: [J3, J+] lands in the J+ subalgebra; its image needs no rule
-    stage1 = fresh(rules_data)
-    c3p = commutator_in_a("J_3", "J_plus")
-    c3p_j = c3p.substitute(stage1, alpha_fn(stage1))
-    rules_data[(1, 0)] = dict(
-        (stage1.element({(((0, 1), (1, 1)), 0): FE_ONE}) + c3p_j).terms)
-    # stage 2: [J+, J-] = J3 after transport
-    stage2 = fresh(rules_data)
-    cpm = commutator_in_a("J_plus", "J_minus")
-    cpm_j = cpm.substitute(stage2, alpha_fn(stage2))
-    rules_data[(2, 0)] = dict(
-        (stage2.element({(((0, 1), (2, 1)), 0): FE_ONE}) - cpm_j).terms)
-    # stage 3: [J3, J-], which needs the two rules already derived
-    stage3 = fresh(rules_data)
-    c3m = commutator_in_a("J_3", "J_minus")
-    c3m_j = c3m.substitute(stage3, alpha_fn(stage3))
-    rules_data[(2, 1)] = dict(
-        (stage3.element({(((1, 1), (2, 1)), 0): FE_ONE}) - c3m_j).terms)
-
-    jalg = fresh(rules_data)
-    alpha = alpha_fn(jalg)
-
-    # transport the Hopf structure through the isomorphism
-    a_hopf = sl2.hopf
-    delta = {}
-    antipode = {}
-    counit = {}
-    for jg in gens:
-        img = beta[jg]
-        delta[jg] = a_hopf.coproduct(img).substitute(jalg, alpha)
-        antipode[jg] = a_hopf.antipode_of(img).substitute(jalg, alpha)
-        eps = a_hopf.counit_of(img)
-        if any(k for _, k in eps.terms):
-            raise RuntimeError("transported counit is not scalar")
-        counit[jg] = eps.terms.get(((), 0), FieldElem(0))
-    hopf = HopfMaps(jalg, delta, counit, antipode)
-
-    casimirs = {"C_z": sl2.casimirs["C_z"].substitute(jalg, alpha)}
-    return PresetBundle("sl2-jbasis", jalg, hopf, casimirs, None,
-                        aux={"alpha": alpha, "beta": beta})
+    alpha, beta = jbasis_maps(order)
+    return transport(sl2, "sl2-jbasis", ("J_plus", "J_3", "J_minus"), alpha,
+                     beta(sl2.presentation), {"J_plus": "J_+", "J_3": "J_3", "J_minus": "J_-"})
 
 
 def check_basis_change(order):

@@ -2,16 +2,17 @@
 
 The contraction rescales each so(2,2) generator by a power eps^d of a formal
 parameter eps (with 1/sqrt(2) factors) and substitutes z = sqrt(2)*eps*w.
-The `nullplane-eps` presentation holds the so(2,2) rules relabelled and
-scaled, still in z: each so(2,2) generator S goes to g / c for each
-``g -> (S, d, c)`` of :data:`CONTRACTION_MAP`, and every so(2,2) element or
-tensor is carried over by ``substitute``.  The result is graded: a term
+The `nullplane-eps` bundle is so(2,2) in null-plane generators, still in z,
+built by :func:`~hopf_forge.algebras.transport` from the change of
+generators g = c * S for each ``g -> (S, d, c)`` of :data:`CONTRACTION_MAP`:
+its rules, coproducts, antipodes, counits and Casimirs are the so(2,2) ones
+carried over by ``substitute``.  The result is graded: a term
 ``c * z^k * word`` carries exactly one eps power, ``offset + k - d(word)``,
 where ``d(word)`` adds up the eps weights of the word's generators and
 ``offset`` is fixed per element (``d_j + d_i`` for the rule of ``g_j*g_i``,
-``d`` for the coproduct of a generator of weight ``d``, 2 and 1 for the
-scaled Casimirs, 0 for the universal R).  Rewriting keeps the grading, since
-the rules are built from the same weights.
+``d`` for the coproduct, antipode or counit of a generator of weight ``d``,
+2 and 1 for the scaled Casimirs, 0 for the universal R).  Rewriting keeps
+the grading, since the rules are built from the same weights.
 
 :meth:`Contraction.limit` is the one place where z^k becomes 2^(k/2) w^k.
 Scaling each term of power k by lambda^k is a ring automorphism of graded
@@ -26,9 +27,8 @@ The engine then asserts that
 from __future__ import annotations
 
 from .coeff import FE_ONE, FE_SQRT2, FieldElem, rat
-from .ncalg import AlgebraPresentation, NCElement, TensorElement
-from .algebras import (SO22_C1Q_RECIPE, SO22_C2Q_RECIPE, classical_bracket,
-                       eval_recipe, preset, so22_structure_env)
+from .ncalg import NCElement, TensorElement
+from .algebras import classical_bracket, preset, transport
 from .report import CheckReport, timed_reports
 
 
@@ -55,17 +55,12 @@ class Contraction:
         np_alg = self.np.presentation
         self.scale = {np_alg.index[n]: (so_alg.index[s], d, c)
                       for n, (s, d, c) in CONTRACTION_MAP.items()}
-        self.alg = AlgebraPresentation("nullplane-eps", np_alg.generators,
-                                       so_alg.param, order)
-        self.images = {s: self.alg.gen(n) * c.inverse()
-                       for n, (s, _, c) in CONTRACTION_MAP.items()}
-        # the images of the so22 commutators stay normal ordered, so they
-        # need no rule of the eps algebra yet
-        self._rule_commutators = {
-            (j, i): self._map(so_alg.gen(self.scale[j][0]).commutator(
-                so_alg.gen(self.scale[i][0]))) * (self.scale[j][2] * self.scale[i][2])
-            for j in range(6) for i in range(j)}
-        self.alg.set_commutators(self._rule_commutators)
+        self.eps = transport(
+            self.so22, "nullplane-eps", np_alg.generators,
+            lambda alg: {s: alg.gen(n) * c.inverse() for n, (s, _, c) in CONTRACTION_MAP.items()},
+            {n: so_alg.gen(s) * c for n, (s, _, c) in CONTRACTION_MAP.items()},
+            np_alg.latex_names)
+        self.alg = self.eps.presentation
 
     def eps_power(self, offset, word, k):
         """The eps power of the term ``c * z^k * word`` of an element with eps
@@ -77,9 +72,13 @@ class Contraction:
         """The eps offset of the contracted rule (and commutator) of g_j*g_i."""
         return self.scale[j][1] + self.scale[i][1]
 
+    def commutator(self, j, i):
+        """[g_j, g_i] in the eps algebra, of eps offset :meth:`rule_offset`."""
+        return self.alg.gen(j).commutator(self.alg.gen(i))
+
     def _map(self, x):
         """An so(2,2) element or tensor in the eps algebra (eps = 1, in z)."""
-        return x.substitute(self.alg, self.images)
+        return x.substitute(self.alg, self.eps.aux["alpha"])
 
     def limit(self, x, offset):
         """``(poles, eps^0 part)`` of an eps-algebra element or tensor ``x``
@@ -107,13 +106,14 @@ class Contraction:
         np_alg = self.np.presentation
         rep = CheckReport(check="contraction-commutators", algebra="nullplane",
                           order=self.order)
-        for (j, i), comm in self._rule_commutators.items():
-            label = f"[{np_alg.generators[j]},{np_alg.generators[i]}]"
-            poles, got = self.limit(comm, self.rule_offset(j, i))
-            if poles:
-                rep.add_failure(label, f"eps poles: {poles}")
-                continue
-            rep.expect_zero(label, got - np_alg.gen(j).commutator(np_alg.gen(i)))
+        for j in range(6):
+            for i in range(j):
+                label = f"[{np_alg.generators[j]},{np_alg.generators[i]}]"
+                poles, got = self.limit(self.commutator(j, i), self.rule_offset(j, i))
+                if poles:
+                    rep.add_failure(label, f"eps poles: {poles}")
+                    continue
+                rep.expect_zero(label, got - np_alg.gen(j).commutator(np_alg.gen(i)))
         return rep
 
     def check_coproducts(self):
@@ -121,9 +121,8 @@ class Contraction:
         rep = CheckReport(check="contraction-coproducts", algebra="nullplane",
                           order=self.order)
         for ni in range(6):
-            si, d, c = self.scale[ni]
             label = f"Delta({np_alg.generators[ni]})"
-            poles, got = self.limit(self._map(self.so22.hopf.delta[si]) * c, d)
+            poles, got = self.limit(self.eps.hopf.delta[ni], self.scale[ni][1])
             if poles:
                 rep.add_failure(label, f"eps poles: {poles}")
                 continue
@@ -134,15 +133,11 @@ class Contraction:
         """M_q^2 = lim -eps^2 C1_q and L_q = (1/2) lim eps C2_q."""
         rep = CheckReport(check="contraction-casimirs", algebra="nullplane",
                           order=self.order)
-        so_env = so22_structure_env(self.so22.presentation)
-        env = {tag: self._map(e) for tag, e in so_env.items()}
-        c1q = eval_recipe(SO22_C1Q_RECIPE, env)
-        c2q = eval_recipe(SO22_C2Q_RECIPE, env)
-        half = FieldElem(rat(1, 2))
-        # the mapped recipes have eps offset 0; the prefactor eps^shift sets it
+        cas = self.eps.casimirs
+        # the mapped Casimirs have eps offset 0; the prefactor eps^shift sets it
         for label, raw, shift, scalar, target in (
-                ("M_q2", c1q, 2, FieldElem(-1), self.np.casimirs["M_q2"]),
-                ("L_q", c2q, 1, half, self.np.casimirs["L_q"])):
+                ("M_q2", cas["C1_q"], 2, FieldElem(-1), self.np.casimirs["M_q2"]),
+                ("L_q", cas["C2_q"], 1, FieldElem(rat(1, 2)), self.np.casimirs["L_q"])):
             poles, got = self.limit(raw * scalar, shift)
             if poles:
                 # report the eps valuation that would have worked
@@ -158,18 +153,19 @@ class Contraction:
         np_alg = self.np.presentation
         rep = CheckReport(check="contraction-classical", algebra="nullplane",
                           order=self.order)
-        for (j, i), comm in self._rule_commutators.items():
-            x, y = np_alg.generators[j], np_alg.generators[i]
-            poles, got = self.limit(comm, self.rule_offset(j, i))
-            if poles:
-                rep.add_failure(f"[{x},{y}]", "eps poles")
-                continue
-            got = got.classical_limit()
-            want = np_alg.zero()
-            for g, c in classical_bracket(x, y).items():
-                want = want + np_alg.gen(g) * c
-            if not (got - want.classical_limit()).is_zero():
-                rep.add_failure(f"[{x},{y}]", repr(got))
+        for j in range(6):
+            for i in range(j):
+                x, y = np_alg.generators[j], np_alg.generators[i]
+                poles, got = self.limit(self.commutator(j, i), self.rule_offset(j, i))
+                if poles:
+                    rep.add_failure(f"[{x},{y}]", "eps poles")
+                    continue
+                got = got.classical_limit()
+                want = np_alg.zero()
+                for g, c in classical_bracket(x, y).items():
+                    want = want + np_alg.gen(g) * c
+                if not (got - want.classical_limit()).is_zero():
+                    rep.add_failure(f"[{x},{y}]", repr(got))
         return rep
 
 

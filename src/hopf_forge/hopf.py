@@ -119,8 +119,8 @@ class HopfMaps:
             for ((w1, w2), k), c in t.terms.items():
                 left = left + NCElement(alg, {(w2, k): c}) * self.counit_word(w1)
                 right = right + NCElement(alg, {(w1, k): c}) * self.counit_word(w2)
-            rep.expect_zero(self._label(w), left - x)
-            rep.expect_zero(self._label(w), right - x)
+            rep.expect_zero(self._label(w) + " (eps(x1)x2)", left - x)
+            rep.expect_zero(self._label(w) + " (x1 eps(x2))", right - x)
         return rep
 
     def check_antipode(self, test_words=None):

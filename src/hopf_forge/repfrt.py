@@ -180,18 +180,18 @@ COORD_NAMES = L_NAMES + A_NAMES
 RING12 = PolyRing(COORD_NAMES)
 
 
-def lvar(m, n, ring=RING12):
-    return ring.var(f"L{m}{n}")
+def lvar(m, n):
+    return RING12.var(f"L{m}{n}")
 
 
-def orthogonality_quadrics(ring=RING12):
+def orthogonality_quadrics():
     """The six L eta L^T = eta quadrics (mu <= rho)."""
     out = []
     for mu in range(3):
         for rho in range(mu, 3):
-            q = ring.constant(FieldElem(-ETA[mu] if mu == rho else 0))
+            q = RING12.constant(FieldElem(-ETA[mu] if mu == rho else 0))
             for nu in range(3):
-                q = q + lvar(mu, nu, ring) * lvar(rho, nu, ring) * FieldElem(ETA[nu])
+                q = q + lvar(mu, nu) * lvar(rho, nu) * FieldElem(ETA[nu])
             out.append(q)
     return out
 
@@ -207,13 +207,13 @@ def ideal_reduce(p):
 
 # -- the symbolic group element --------------------------------------------------
 
-def group_matrix(ring=RING12):
+def group_matrix():
     """D(g) with symbolic entries: translations in column 0, Lorentz block."""
-    ap = ring.var("a_plus")
-    am = ring.var("a_minus")
-    t = {(0, 0, 0): ring.one(), (1, 0, 0): ap * HALF + am, (2, 0, 0): ring.var("a_1"),
+    ap = RING12.var("a_plus")
+    am = RING12.var("a_minus")
+    t = {(0, 0, 0): RING12.one(), (1, 0, 0): ap * HALF + am, (2, 0, 0): RING12.var("a_1"),
          (3, 0, 0): ap * HALF - am}
-    t.update({(m + 1, n + 1, 0): lvar(m, n, ring) for m in range(3) for n in range(3)})
+    t.update({(m + 1, n + 1, 0): lvar(m, n) for m in range(3) for n in range(3)})
     return t
 
 

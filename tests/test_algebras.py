@@ -2,12 +2,14 @@
 
 import pytest
 
-from hopf_forge.algebras import (build_preset, check_basis_change,
+from hopf_forge.algebras import (SO22_GENERATORS, build_preset, check_basis_change,
                                  check_casimir_centrality, check_classical_limits,
                                  cross_check_two_copy, exp_gen, one_gen_series,
-                                 preset, PresetConstructionError, set_active_fault)
+                                 preset, PresetConstructionError, set_active_fault,
+                                 transport)
 from hopf_forge.coeff import FieldElem, rat
-from hopf_forge.ncalg import tensor_pair
+from hopf_forge.contraction import Contraction
+from hopf_forge.ncalg import MissingRule, tensor_pair
 
 
 def fe(value):
@@ -123,6 +125,35 @@ class TestBasisChange:
         jalg = jb.presentation
         assert alpha["A_plus"] == jalg.gen("J_plus")
         assert alpha["A"].classical_limit() == jalg.gen("J_3")
+
+
+class TestTransport:
+    def test_rules_belong_to_their_presentation(self):
+        for alg in (preset("sl2-jbasis", 3).presentation, Contraction(2).alg):
+            assert all(rhs.algebra is alg for rhs in alg.rules.values()), alg
+
+    def test_identity_change_keeps_the_preset(self):
+        sl2 = preset("sl2", 3)
+        src = sl2.presentation
+        same = transport(sl2, "sl2-again", src.generators,
+                         lambda alg: {g: alg.gen(g) for g in src.generators},
+                         {g: src.gen(g) for g in src.generators}, src.latex_names)
+        assert {k: repr(r) for k, r in same.presentation.rules.items()} \
+            == {k: repr(r) for k, r in src.rules.items()}
+        for table in ("delta", "antipode", "counit"):
+            assert {i: repr(x) for i, x in getattr(same.hopf, table).items()} \
+                == {i: repr(x) for i, x in getattr(sl2.hopf, table).items()}
+        assert repr(same.casimirs["C_z"]) == repr(sl2.casimirs["C_z"])
+
+    def test_image_that_needs_a_rule_raises(self):
+        # in the reversed order P > P0_hat, the image of the P*P0_hat words of
+        # [P, D] is not normal ordered, and no rule exists yet to reorder it
+        so22 = preset("so22", 2)
+        src = so22.presentation
+        gens = tuple(reversed(SO22_GENERATORS))
+        with pytest.raises(MissingRule):
+            transport(so22, "so22-reversed", gens, lambda alg: {g: alg.gen(g) for g in gens},
+                      {g: src.gen(g) for g in gens}, src.latex_names)
 
 
 class TestFaultInjection:

@@ -74,7 +74,7 @@ class TestContractionSuite:
         c = Contraction(3)
         np_alg = c.np.presentation
         j, i = np_alg.index["K_2"], np_alg.index["P_minus"]
-        poles, got = c.limit(c._rule_commutators[(j, i)], c.rule_offset(j, i))
+        poles, got = c.limit(c.commutator(j, i), c.rule_offset(j, i))
         assert not poles
         want = np_alg.gen("K_2").commutator(np_alg.gen("P_minus"))
         assert got == want
@@ -133,3 +133,23 @@ class TestContractedUniversalR:
         poles, got = c.limit(c._map(rmat.preset_r("so22", n)), 0)
         assert poles == []
         assert got == rmat.preset_r("nullplane", n)
+
+
+class TestContractedAntipodeAndCounit:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_antipode_contracts_to_nullplane_antipode(self, n):
+        # the eps antipode of a generator of weight d has eps offset d, like
+        # its coproduct; its eps^0 part is the null-plane antipode
+        c = Contraction(n)
+        for g in range(6):
+            poles, got = c.limit(c.eps.hopf.antipode[g], c.scale[g][1])
+            assert poles == []
+            assert got == c.np.hopf.antipode[g]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_counit_contracts_to_nullplane_counit(self, n):
+        c = Contraction(n)
+        for g in range(6):
+            poles, got = c.limit(c.alg.scalar(c.eps.hopf.counit[g]), c.scale[g][1])
+            assert poles == []
+            assert got == c.np.presentation.scalar(c.np.hopf.counit[g])

@@ -62,6 +62,16 @@ class TestAxiomChecks:
         assert any("F_1" in f["input"] for f in hom.failures)
 
 
+    def test_counit_failures_name_their_side(self):
+        # a counit of 1 on A_plus breaks both counit axioms on A_plus
+        b = preset("sl2", 2)
+        counit = {0: FieldElem(1), 1: FieldElem(0), 2: FieldElem(0)}
+        maps = HopfMaps(b.presentation, b.hopf.delta, counit, b.hopf.antipode)
+        rep = maps.check_counit([((0, 1),)])
+        assert [f["input"] for f in rep.failures] \
+            == ["A_plus (eps(x1)x2)", "A_plus (x1 eps(x2))"]
+
+
 class TestPrimitiveGenerators:
     def test_tables(self):
         assert preset("so22", 2).hopf.primitive_generators() == ["P", "P0_hat"]

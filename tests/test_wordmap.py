@@ -203,4 +203,6 @@ def test_group_coproduct_check_catches_a_dropped_term(monkeypatch):
     labels = [f["input"] for f in rep.failures]
     assert "Delta(a_plus) display" in labels
     assert "coassociativity(a_plus)" in labels
-    assert "counit(a_plus)" in labels
+    # a_plus (x) 1 is the only term that x1 eps(x2) reads off Delta(a_plus)
+    assert "counit(a_plus (x1 eps(x2)))" in labels
+    assert "counit(a_plus (eps(x1)x2))" not in labels
