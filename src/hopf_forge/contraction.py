@@ -26,6 +26,8 @@ The engine then asserts that
 
 from __future__ import annotations
 
+import time
+
 from .coeff import FE_ONE, FE_SQRT2, FieldElem, rat
 from .ncalg import NCElement, TensorElement
 from .algebras import classical_bracket, preset, transport
@@ -171,7 +173,12 @@ class Contraction:
 
 def contract_so22(order):
     """Run the full contraction suite; returns the list of reports, each with
-    its own measured time."""
+    its own measured time.  Building the eps presentation counts towards the
+    first report, the first check that needs it."""
+    t0 = time.monotonic()
     c = Contraction(order)
-    return timed_reports(c.check_commutators, c.check_coproducts, c.check_casimirs,
-                         c.check_classical_compatibility)
+    build = time.monotonic() - t0
+    reports = timed_reports(c.check_commutators, c.check_coproducts, c.check_casimirs,
+                            c.check_classical_compatibility)
+    reports[0].seconds += build
+    return reports

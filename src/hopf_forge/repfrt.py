@@ -13,6 +13,12 @@ the coefficient of w**k at (row, col), nonzero entries only (``k = 0`` for a
 constant matrix), the same graded form as the algebra kernel's terms.  So two
 matrices are equal exactly when their dicts are.
 
+Where each coordinate sits in the group element T is one table,
+:data:`T_ENTRIES`, with its inverse :data:`T_COORDS` next to it.  The
+symbolic T over the commutative ring and over the quantum algebra, the
+quantum group coproduct (read off Delta(T) = T (x,) T) and the Sklyanin
+brackets (read off [T (x) T, r]) are all built from these two tables.
+
 Conventions (a recurring source of sign errors, so fixed here once):
 
 * Kronecker products are row-major: (A (x) B)[4i+k][4j+l] = A[i][j] B[k][l];
@@ -27,6 +33,7 @@ Conventions (a recurring source of sign errors, so fixed here once):
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .coeff import FE_ONE, FE_ZERO, FieldElem, rat
 from .ncalg import AlgebraPresentation, NCElement, TensorElement, add_term, tensor_pair
@@ -113,6 +120,10 @@ def _wedge16():
     return mat_add(w, kron(rep["P_1"], rep["E_1"]), -1)
 
 
+# the index of (B (x) A) at the index of (A (x) B): swaps the two sites
+FLIP16 = tuple(4 * (i % 4) + i // 4 for i in range(16))
+
+
 def _identity16():
     return {(i, i, 0): FE_ONE for i in range(16)}
 
@@ -150,8 +161,7 @@ def check_matrix_r(order=3):
             != mat_mul(mat_mul(r23, r13, order), r12, order)):
         out.add_failure("matrix QYBE", "nonzero residual")
     # R21 R = identity
-    flip = [4 * (i % 4) + i // 4 for i in range(16)]
-    r21 = {(flip[i], flip[j], k): e for (i, j, k), e in r.items()}
+    r21 = {(FLIP16[i], FLIP16[j], k): e for (i, j, k), e in r.items()}
     if mat_mul(r21, r, order) != _identity16():
         out.add_failure("matrix triangularity", "R21 R != I")
     # w = 0 gives the identity
@@ -206,14 +216,39 @@ def ideal_reduce(p):
 
 
 # -- the symbolic group element --------------------------------------------------
+#
+# Where each coordinate sits in the group element T is written here once.
+# T_ENTRIES maps an entry (row, col) of T to {coordinate index: coefficient}:
+# translations in column 0, the Lorentz block L below and right of it; T[0][0]
+# is 1 and the rest of row 0 is zero.  T_COORDS is its inverse, each coordinate
+# as a combination of entries.
+
+def coord_index(name):
+    return RING12.index[name]
+
+
+T_ENTRIES = {
+    (1, 0): {coord_index("a_plus"): HALF, coord_index("a_minus"): FE_ONE},
+    (2, 0): {coord_index("a_1"): FE_ONE},
+    (3, 0): {coord_index("a_plus"): HALF, coord_index("a_minus"): FieldElem(-1)},
+    **{(m + 1, n + 1): {coord_index(f"L{m}{n}"): FE_ONE} for m in range(3) for n in range(3)},
+}
+T_COORDS = {
+    **{coord_index(f"L{m}{n}"): {(m + 1, n + 1): FE_ONE} for m in range(3) for n in range(3)},
+    coord_index("a_plus"): {(1, 0): FE_ONE, (3, 0): FE_ONE},
+    coord_index("a_1"): {(2, 0): FE_ONE},
+    coord_index("a_minus"): {(1, 0): HALF, (3, 0): -HALF},
+}
+
 
 def group_matrix():
-    """D(g) with symbolic entries: translations in column 0, Lorentz block."""
-    ap = RING12.var("a_plus")
-    am = RING12.var("a_minus")
-    t = {(0, 0, 0): RING12.one(), (1, 0, 0): ap * HALF + am, (2, 0, 0): RING12.var("a_1"),
-         (3, 0, 0): ap * HALF - am}
-    t.update({(m + 1, n + 1, 0): lvar(m, n) for m in range(3) for n in range(3)})
+    """D(g) with symbolic entries, laid out by :data:`T_ENTRIES`."""
+    t = {(0, 0, 0): RING12.one()}
+    for (i, j), coords in T_ENTRIES.items():
+        p = RING12.zero()
+        for x, c in coords.items():
+            p = p + RING12.var(COORD_NAMES[x]) * c
+        t[(i, j, 0)] = p
     return t
 
 
@@ -221,25 +256,15 @@ class InconsistentBivector(Exception):
     """The bivector identity assigns two inequivalent brackets to one pair."""
 
 
-def _affine_parts(p):
-    """(constant, {var_index: coeff}) of an affine polynomial."""
-    const = FE_ZERO
-    lin = {}
-    for m, c in p.terms.items():
-        e = p.ring.unpack(m)
-        d = sum(e)
-        if d == 0:
-            const = c
-        elif d == 1:
-            lin[e.index(1)] = c
-        else:
-            raise InconsistentBivector("group-element entry is not affine")
-    return const, lin
-
-
 @lru_cache(maxsize=None)
 def sklyanin_table():
-    """Solve {T (x,) T} = [T (x) T, r] for the coordinate brackets.
+    """Read the coordinate brackets off {T (x,) T} = [T (x) T, r].
+
+    Entry (4i+k, 4j+l) of the right side is {T_ij, T_kl}, so {x, y} is the
+    sum of those entries weighted by the :data:`T_COORDS` coefficients of x
+    and y.  Each of the 256 equations is then checked modulo the ideal, its
+    left side expanded bilinearly through :data:`T_ENTRIES`; a failure
+    raises :class:`InconsistentBivector`.
 
     Returns {(i, j): Polynomial} for coordinate indices i < j; the entries are
     the w-stripped brackets (every bracket carries one overall power of w).
@@ -250,71 +275,28 @@ def sklyanin_table():
     r2 = {key: RING12.constant(c * 2) for key, c in _wedge16().items()}
     rhs = mat_add(mat_mul(tt, r2), mat_mul(r2, tt), -1)
 
-    nvar = len(COORD_NAMES)
-    unknowns = [(i, j) for i in range(nvar) for j in range(i + 1, nvar)]
-    col = {p: k for k, p in enumerate(unknowns)}
-    rows = []
-    for i in range(4):
-        for k in range(4):
-            for j in range(4):
-                for l in range(4):
-                    c1, l1 = _affine_parts(t.get((i, j, 0), zero))
-                    c2, l2 = _affine_parts(t.get((k, l, 0), zero))
-                    coeffs = {}
-                    for x, ax in l1.items():
-                        for y, by in l2.items():
-                            if x == y:
-                                continue
-                            key, sign = ((x, y), 1) if x < y else ((y, x), -1)
-                            v = ax * by * FieldElem(sign)
-                            cur = coeffs.get(key)
-                            s = v if cur is None else cur + v
-                            if s.is_zero():
-                                coeffs.pop(key, None)
-                            else:
-                                coeffs[key] = s
-                    rows.append((coeffs, rhs.get((4 * i + k, 4 * j + l, 0), zero)))
+    def entry_bracket(i, j, k, l):
+        return rhs.get((4 * i + k, 4 * j + l, 0), zero)
 
-    # Gaussian elimination over the pair-unknowns, polynomial right-hand sides
-    solved = {}
-    pivots = []
-    for coeffs, rhs_p in rows:
-        coeffs = dict(coeffs)
-        for key, val, srhs in pivots:
-            c = coeffs.pop(key, None)
-            if c is not None:
-                for k2, v2 in val.items():
-                    cur = coeffs.get(k2, FE_ZERO) - c * v2
-                    if cur.is_zero():
-                        coeffs.pop(k2, None)
-                    else:
-                        coeffs[k2] = cur
-                rhs_p = rhs_p - srhs * c
-        if not coeffs:
-            if not ideal_reduce(rhs_p).is_zero():
-                raise InconsistentBivector(f"0 = {rhs_p!r}")
-            continue
-        key = min(coeffs, key=col.get)
-        inv = coeffs.pop(key).inverse()
-        val = {k2: v2 * inv for k2, v2 in coeffs.items()}
-        srhs = rhs_p * inv
-        pivots.append((key, val, srhs))
-
-    # back-substitute
-    pending = list(reversed(pivots))
-    for key, val, srhs in pending:
-        acc = srhs
-        for k2, v2 in val.items():
-            acc = acc - solved[k2] * v2
-        solved[key] = acc
-    missing = [p for p in unknowns if p not in solved]
-    if missing:
-        raise InconsistentBivector(f"bivector leaves {missing} undetermined")
-    return {p: solved[p] for p in unknowns}
-
-
-def coord_index(name):
-    return RING12.index[name]
+    n = len(COORD_NAMES)
+    table = {}
+    for x in range(n):
+        for y in range(x + 1, n):
+            acc = zero
+            for (i, j), a in T_COORDS[x].items():
+                for (k, l), b in T_COORDS[y].items():
+                    acc = acc + entry_bracket(i, j, k, l) * (a * b)
+            table[(x, y)] = acc
+    for i, j, k, l in product(range(4), repeat=4):
+        lhs = zero
+        for x, a in T_ENTRIES.get((i, j), {}).items():
+            for y, b in T_ENTRIES.get((k, l), {}).items():
+                if x != y:
+                    lhs = lhs + _coord_bracket(table, x, y) * (a * b)
+        res = ideal_reduce(lhs - entry_bracket(i, j, k, l))
+        if not res.is_zero():
+            raise InconsistentBivector(f"{{T{i}{j}, T{k}{l}}}: {res!r}")
+    return table
 
 
 def expected_poisson_table():
@@ -449,94 +431,64 @@ def quantum_presentation(order, fault=None):
     return alg
 
 
-def _reduce_blocks(terms, ring, width, basis):
-    """Reduce the L-polynomials of each a-monomial block modulo an ideal.
+def _reduce_blocks(terms, arity):
+    """Reduce the L-part of every tensor slot modulo the orthogonality ideal.
 
-    ``terms`` maps (a tuple of words, one per tensor slot; a w-power) to a
-    scalar.  Each word splits into its L-part and its a-part; the a-parts
-    pick the block.  Per w-power, a block's L-parts form one polynomial over
-    ``ring`` (slot s at variables s*width onward), reduced by the Groebner
-    ``basis`` and turned back into words.
+    ``terms`` maps (a tuple of words, one per slot; a w-power) to a scalar.
+    Slot by slot, the terms that agree in everything but that slot's L-part
+    form one polynomial over ``RING12``, reduced by the Groebner basis and
+    turned back into words.  The slots' bases, in disjoint variables, form
+    one Groebner basis of the sum of their ideals, so the result is the
+    unique normal form whatever the slot order.
     """
     n_l = len(L_NAMES)
-    blocks = {}
-    for (words, k), c in terms.items():
-        e = [0] * len(ring.vars)
-        for s, w in enumerate(words):
-            for g, ex in w:
+    basis = list(orthogonality_groebner())
+    for s in range(arity):
+        blocks = {}
+        for (words, k), c in terms.items():
+            e = [0] * len(COORD_NAMES)
+            for g, ex in words[s]:
                 if g < n_l:
-                    e[s * width + g] = ex
-        apart = tuple(tuple((g, ex) for g, ex in w if g >= n_l) for w in words)
-        blocks.setdefault(apart, {}).setdefault(k, {})[ring.pack(e)] = c
-    out = {}
-    for apart, by_power in blocks.items():
-        for k in sorted(by_power):
-            red = reduce_poly(Polynomial(ring, by_power[k]), basis)
-            for m, c in red.terms.items():
-                e = ring.unpack(m)
-                key = tuple(tuple((i, ex) for i, ex in enumerate(e[s * width:(s + 1) * width])
-                                  if ex) + a for s, a in enumerate(apart))
-                add_term(out, (key, k), c)
-    return out
+                    e[g] = ex
+            rest = words[:s] + (tuple((g, ex) for g, ex in words[s] if g >= n_l),) + words[s + 1:]
+            blocks.setdefault((rest, k), {})[RING12.pack(e)] = c
+        terms = {}
+        for (rest, k), block in blocks.items():
+            for m, c in reduce_poly(Polynomial(RING12, block), basis).terms.items():
+                lpart = tuple((g, ex) for g, ex in enumerate(RING12.unpack(m)) if ex)
+                add_term(terms, (rest[:s] + (lpart + rest[s],) + rest[s + 1:], k), c)
+    return terms
 
 
-def _element_ideal_reduce(x):
-    """Reduce the L-polynomial part of each a-monomial block modulo the ideal."""
-    out = _reduce_blocks({((w,), k): c for (w, k), c in x.terms.items()},
-                         RING12, len(COORD_NAMES), orthogonality_groebner())
+def _ideal_reduce_slots(x):
+    """An element or tensor with each slot's L-part reduced modulo the ideal."""
+    if isinstance(x, TensorElement):
+        return TensorElement(x.algebra, x.arity, _reduce_blocks(x.terms, x.arity))
+    out = _reduce_blocks({((w,), k): c for (w, k), c in x.terms.items()}, 1)
     return NCElement(x.algebra, {(w, k): c for ((w,), k), c in out.items()})
 
 
 def quantum_t(alg):
-    """The group element with noncommutative entries, as NCElements."""
-    idx = alg.index
-    one = alg.unit()
-
-    def g(name):
-        return alg.gen(idx[name])
-
-    ap, a1, am = g("a_plus"), g("a_1"), g("a_minus")
-    rows = [[one, alg.zero(), alg.zero(), alg.zero()],
-            [ap * HALF + am, g("L00"), g("L01"), g("L02")],
-            [a1, g("L10"), g("L11"), g("L12")],
-            [ap * HALF - am, g("L20"), g("L21"), g("L22")]]
-    return tuple(tuple(r) for r in rows)
+    """The group element over the quantum algebra: each :func:`group_matrix`
+    entry as a normal-ordered element, in the same sparse graded layout."""
+    return {key: _poly_to_element(alg, p) for key, p in group_matrix().items()}
 
 
 def check_rtt(order=2, fault=None):
     """All 256 entries of R T1 T2 - T2 T1 R vanish modulo the ideal."""
     alg = quantum_presentation(order, fault)
     rep = CheckReport(check="rtt", algebra="qpoincare", order=order)
+    r = matrix_r(order)
     t = quantum_t(alg)
-    r_rows, r_cols = {}, {}
-    for (i, j, k), c in matrix_r(order).items():
-        r_rows.setdefault(i, []).append((j, k, c))
-        r_cols.setdefault(j, []).append((i, k, c))
-
-    t1t2 = {}
-    t2t1 = {}
-    for i in range(4):
-        for k in range(4):
-            for j in range(4):
-                for l in range(4):
-                    x, y = t[i][j], t[k][l]
-                    if x.is_zero() or y.is_zero():
-                        continue
-                    t1t2[(4 * i + k, 4 * j + l)] = x * y
-                    t2t1[(4 * i + k, 4 * j + l)] = y * x
-
-    for row in range(16):
-        for colm in range(16):
-            acc = alg.zero()
-            for mid, k, c in r_rows.get(row, ()):
-                m = t1t2.get((mid, colm))
-                if m is not None:
-                    acc = acc + m.scaled(c, k)
-            for mid, k, c in r_cols.get(colm, ()):
-                m = t2t1.get((row, mid))
-                if m is not None:
-                    acc = acc - m.scaled(c, k)
-            rep.expect_zero(f"entry ({row},{colm})", _element_ideal_reduce(acc))
+    # T1 T2 = T (x) T, and T2 T1 at (a, b) is T1 T2 at (FLIP16[a], FLIP16[b])
+    t1t2 = kron(t, t)
+    t2t1 = {(FLIP16[i], FLIP16[j], k): x for (i, j, k), x in t1t2.items()}
+    res = {}
+    for (i, j, k), x in mat_add(mat_mul(r, t1t2, order), mat_mul(t2t1, r, order), -1).items():
+        add_term(res, (i, j), x.scaled(FE_ONE, k))
+    for row, colm in product(range(16), repeat=2):
+        rep.expect_zero(f"entry ({row},{colm})",
+                        _ideal_reduce_slots(res.get((row, colm), alg.zero())))
     return rep
 
 
@@ -551,65 +503,29 @@ def check_weyl_correspondence(order=2):
             qc = alg.gen(j).commutator(alg.gen(i))     # [x_j, x_i]
             want = _poly_to_element(alg, -table[(i, j)], 1)
             rep.expect_zero(f"[{COORD_NAMES[j]},{COORD_NAMES[i]}]",
-                            _element_ideal_reduce(qc - want))
+                            _ideal_reduce_slots(qc - want))
     return rep
 
 
 # -- group coproduct --------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _doubled_ideal():
-    """The orthogonality ideal on each slot of the 18-variable L (x) L ring."""
-    n_l = len(L_NAMES)
-    ring18 = PolyRing(tuple(f"s1_{v}" for v in L_NAMES)
-                      + tuple(f"s2_{v}" for v in L_NAMES))
-    gb = [_lift_poly(g, ring18, offset)
-          for offset in (0, n_l) for g in orthogonality_groebner()]
-    return ring18, gb
-
-
-def _tensor18_reduce(t):
-    """Reduce both tensor slots' L-polynomials modulo the (doubled) ideal."""
-    ring18, gb = _doubled_ideal()
-    return TensorElement(t.algebra, 2,
-                         _reduce_blocks(t.terms, ring18, len(L_NAMES), gb))
-
-
-def _lift_poly(p, ring, offset):
-    """Lift an L-only polynomial into a doubled-variable ring at an offset."""
-    n_l = len(L_NAMES)
-    terms = {}
-    for m, c in p.terms.items():
-        e = p.ring.unpack(m)
-        if any(e[n_l:]):
-            raise ValueError("ideal generator involves translation coordinates")
-        ee = [0] * len(ring.vars)
-        for i, ex in enumerate(e[:n_l]):
-            ee[offset + i] = ex
-        terms[ring.pack(ee)] = c
-    return Polynomial(ring, terms)
-
-
 def group_coproduct(alg):
-    """Delta on coordinate generators, read off Delta(T) = T (x,) T."""
+    """Delta on coordinate generators, read off Delta(T) = T (x,) T through
+    :data:`T_COORDS`."""
     t = quantum_t(alg)
 
     def dmat(i, j):
         out = TensorElement.zero(alg, 2)
         for k in range(4):
-            if t[i][k].is_zero() or t[k][j].is_zero():
-                continue
-            out = out + tensor_pair(t[i][k], t[k][j])
+            if (i, k, 0) in t and (k, j, 0) in t:
+                out = out + tensor_pair(t[(i, k, 0)], t[(k, j, 0)])
         return out
 
     delta = {}
-    for m in range(3):
-        for n in range(3):
-            delta[alg.index[f"L{m}{n}"]] = dmat(m + 1, n + 1)
-    d10, d30 = dmat(1, 0), dmat(3, 0)
-    delta[alg.index["a_plus"]] = d10 + d30
-    delta[alg.index["a_minus"]] = (d10 - d30) * HALF
-    delta[alg.index["a_1"]] = dmat(2, 0)
+    for x, entries in T_COORDS.items():
+        delta[x] = TensorElement.zero(alg, 2)
+        for (i, j), c in entries.items():
+            delta[x] = delta[x] + dmat(i, j) * c
     return delta
 
 
@@ -659,11 +575,10 @@ def check_group_coproduct(order=2):
     for i, d in delta.items():
         rep.expect_zero(f"Delta({COORD_NAMES[i]}) display", d - want[i])
 
-    # coassociativity and counit epsilon(T) = I on the generators; a bialgebra
-    # here, as the antipode holds only modulo the orthogonality ideal
-    n_l = len(L_NAMES)
-    counit = {i: FE_ONE if i < n_l and i // 3 == i % 3 else FE_ZERO
-              for i in range(len(COORD_NAMES))}
+    # coassociativity and counit epsilon(T) = I, read through T_COORDS; a
+    # bialgebra here, as the antipode holds only modulo the orthogonality ideal
+    counit = {x: sum((c for (i, j), c in entries.items() if i == j), FE_ZERO)
+              for x, entries in T_COORDS.items()}
     hopf = HopfMaps(alg, delta, counit)
     gens = [((i, 1),) for i in range(len(COORD_NAMES))]
     for sub in (hopf.check_coassociativity(gens), hopf.check_counit(gens)):
@@ -677,11 +592,11 @@ def check_group_coproduct(order=2):
             lhs = delta[j] * delta[i] - delta[i] * delta[j]
             rhs = hopf.coproduct(alg.gen(j).commutator(alg.gen(i)))
             rep.expect_zero(f"Delta respects [{COORD_NAMES[j]},{COORD_NAMES[i]}]",
-                            _tensor18_reduce(lhs - rhs))
+                            _ideal_reduce_slots(lhs - rhs))
     for q in orthogonality_quadrics():
         img = hopf.coproduct(_poly_to_element(alg, q, 0))
         # Delta(quadric) must reduce to the quadric's counit image: zero
-        rep.expect_zero("Delta respects the orthogonality ideal", _tensor18_reduce(img))
+        rep.expect_zero("Delta respects the orthogonality ideal", _ideal_reduce_slots(img))
     return rep
 
 

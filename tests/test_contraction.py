@@ -1,6 +1,7 @@
 """Contraction of so(2,2) onto the null-plane algebra with eps bookkeeping."""
 
 import random
+import time
 
 import pytest
 
@@ -68,6 +69,18 @@ class TestContractionSuite:
     def test_all_reports_pass(self):
         for rep in contract_so22(3):
             assert rep.passed, rep
+
+    def test_build_time_counts_in_the_first_report(self, monkeypatch):
+        real = ctr.transport
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ctr, "transport", slow)
+        reports = contract_so22(2)
+        assert reports[0].check == "contraction-commutators"
+        assert reports[0].seconds >= 0.2
 
     def test_k2_pminus_rule(self):
         # the contracted [K_2, P_minus] is exactly -P_minus - w P_1^2

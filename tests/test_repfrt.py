@@ -7,15 +7,20 @@ import pytest
 from hopf_forge import repfrt
 from hopf_forge.algebras import preset
 from hopf_forge.coeff import FE_ONE, FE_SQRT2, FE_ZERO, FieldElem, rat
-from hopf_forge.ratfunc import Polynomial
-from hopf_forge.repfrt import (COORD_NAMES, RING12, _embed64, check_group_coproduct,
+from hopf_forge.ncalg import NCElement, add_term, tensor_pair
+from hopf_forge.ratfunc import PolyRing, Polynomial, reduce_poly
+from hopf_forge.repfrt import (COORD_NAMES, L_NAMES, RING12, T_COORDS, T_ENTRIES,
+                               InconsistentBivector, _embed64, _ideal_reduce_slots,
+                               _poly_to_element, _reduce_blocks, check_group_coproduct,
                                check_matrix_r, check_matrix_rep,
                                check_poisson_jacobi, check_poisson_table,
                                check_quantum_plane, check_rtt,
                                check_weyl_correspondence, expected_poisson_table,
-                               group_coproduct, ideal_reduce, kron, lvar, mat_add,
-                               mat_mul, matrix_r, matrix_rep, poisson_bracket,
-                               quantum_presentation, sklyanin_table)
+                               group_coproduct, group_matrix, ideal_reduce, kron, lvar,
+                               mat_add, mat_mul, matrix_r, matrix_rep,
+                               orthogonality_groebner, orthogonality_quadrics,
+                               poisson_bracket, quantum_presentation, quantum_t,
+                               sklyanin_table)
 from hopf_forge.rmat import preset_r
 
 HALF = FieldElem(rat(1, 2))
@@ -214,6 +219,16 @@ class TestSklyanin:
         monkeypatch.undo()
         assert check_poisson_jacobi().passed
 
+    def test_symmetric_part_of_r_is_inconsistent(self, monkeypatch):
+        # a symmetric P_1 (x) P_1 term breaks the antisymmetry of [T (x) T, r],
+        # so the read-off brackets cannot satisfy every one of the 256 equations
+        real = repfrt._wedge16
+        rep = matrix_rep()
+        monkeypatch.setattr(repfrt, "_wedge16",
+                            lambda: mat_add(real(), kron(rep["P_1"], rep["P_1"])))
+        with pytest.raises(InconsistentBivector):
+            sklyanin_table.__wrapped__()
+
     def test_leibniz_extension(self):
         x = RING12.var("a_plus")
         y = RING12.var("a_1")
@@ -283,3 +298,128 @@ class TestQuantumPlane:
         alg = quantum_plane(2)
         comm = alg.gen("x_plus").commutator(alg.gen("x_minus"))
         assert set(g for w, _ in comm.terms for g, _ in w) <= {alg.index["x_minus"]}
+
+
+class TestLayout:
+    def test_entry_and_coordinate_tables_are_inverse(self):
+        for x, entries in T_COORDS.items():
+            back = {}
+            for ij, c in entries.items():
+                for y, d in T_ENTRIES[ij].items():
+                    add_term(back, y, c * d)
+            assert back == {x: FE_ONE}, COORD_NAMES[x]
+        for ij, coords in T_ENTRIES.items():
+            back = {}
+            for x, c in coords.items():
+                for kl, d in T_COORDS[x].items():
+                    add_term(back, kl, c * d)
+            assert back == {ij: FE_ONE}, ij
+        assert sorted(T_COORDS) == list(range(len(COORD_NAMES)))
+
+    def test_group_element(self):
+        t = group_matrix()
+        ap, am = RING12.var("a_plus"), RING12.var("a_minus")
+        assert t[(0, 0, 0)] == RING12.one()
+        assert t[(1, 0, 0)] == ap * HALF + am and t[(3, 0, 0)] == ap * HALF - am
+        assert t[(2, 0, 0)] == RING12.var("a_1")
+        assert all(t[(m + 1, n + 1, 0)] == lvar(m, n) for m in range(3) for n in range(3))
+        assert len(t) == 13
+
+    def test_quantum_t_is_the_group_element_entrywise(self):
+        alg = quantum_presentation(2)
+        qt = quantum_t(alg)
+        assert qt.keys() == group_matrix().keys()
+        assert qt[(0, 0, 0)] == alg.unit()
+        assert qt[(1, 0, 0)] == alg.gen("a_plus") * HALF + alg.gen("a_minus")
+
+
+# -- slot-wise ideal reduction against the lifted union of the slot bases -------
+
+def _lift(p, ring, offset):
+    """An L-only polynomial of RING12 in ``ring``, its variables from ``offset``."""
+    n_l = len(L_NAMES)
+    terms = {}
+    for m, c in p.terms.items():
+        e = RING12.unpack(m)
+        assert not any(e[n_l:])
+        lifted = [0] * ring.nvars
+        lifted[offset:offset + n_l] = e[:n_l]
+        terms[ring.pack(lifted)] = c
+    return Polynomial(ring, terms)
+
+
+def lifted_union_reduce(terms, arity):
+    """Reference: every slot's L-part in one ring of 9 * arity variables,
+    reduced at once by the union of the slots' lifted Groebner bases."""
+    n_l = len(L_NAMES)
+    ring = PolyRing(tuple(f"s{s}_{v}" for s in range(arity) for v in L_NAMES))
+    basis = [_lift(g, ring, s * n_l) for s in range(arity) for g in orthogonality_groebner()]
+    blocks = {}
+    for (words, k), c in terms.items():
+        e = [0] * ring.nvars
+        for s, w in enumerate(words):
+            for g, ex in w:
+                if g < n_l:
+                    e[s * n_l + g] = ex
+        apart = tuple(tuple((g, ex) for g, ex in w if g >= n_l) for w in words)
+        blocks.setdefault((apart, k), {})[ring.pack(e)] = c
+    out = {}
+    for (apart, k), block in blocks.items():
+        for m, c in reduce_poly(Polynomial(ring, block), basis).terms.items():
+            e = ring.unpack(m)
+            words = tuple(tuple((g, ex) for g, ex in enumerate(e[s * n_l:(s + 1) * n_l]) if ex)
+                          + a for s, a in enumerate(apart))
+            add_term(out, (words, k), c)
+    return out
+
+
+def random_word(rng):
+    return tuple((g, rng.randint(1, 2)) for g in sorted(rng.sample(range(12), rng.randint(0, 4))))
+
+
+def random_terms(rng, arity, count=12):
+    out = {}
+    for _ in range(count):
+        add_term(out, (tuple(random_word(rng) for _ in range(arity)), rng.randint(0, 2)),
+                 rng.choice(ENTRIES))
+    return out
+
+
+class TestSlotwiseReduction:
+    def test_coproduct_commutators_of_all_pairs(self):
+        alg = quantum_presentation(2)
+        delta = group_coproduct(alg)
+        nonzero = 0
+        for j in range(len(COORD_NAMES)):
+            for i in range(j):
+                x = delta[j] * delta[i] - delta[i] * delta[j]
+                got = _reduce_blocks(x.terms, 2)
+                assert got == lifted_union_reduce(x.terms, 2), (j, i)
+                nonzero += bool(got)
+        assert nonzero > 0
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_tensors(self, arity, seed):
+        rng = random.Random(f"slot-reduce-{arity}-{seed}")
+        terms = random_terms(rng, arity)
+        assert _reduce_blocks(terms, arity) == lifted_union_reduce(terms, arity)
+
+    def test_quadrics_in_each_slot_reduce_to_zero(self):
+        alg = quantum_presentation(2)
+        rng = random.Random("slot-quadrics")
+        for q in orthogonality_quadrics():
+            quad = _poly_to_element(alg, q)
+            other = alg.element({(random_word(rng), 0): FE_ONE})
+            for x in (quad, quad * other, tensor_pair(other, quad), tensor_pair(quad, other)):
+                got = _ideal_reduce_slots(x)
+                assert got.is_zero() and type(got) is type(x)
+
+    def test_one_slot_elements(self):
+        alg = quantum_presentation(2)
+        rng = random.Random("slot-elements")
+        for _ in range(20):
+            x = NCElement(alg, {(w, k): c for ((w,), k), c in random_terms(rng, 1).items()})
+            want = {(w, k): c for ((w,), k), c in lifted_union_reduce(
+                {((w,), k): c for (w, k), c in x.terms.items()}, 1).items()}
+            assert _ideal_reduce_slots(x) == NCElement(alg, want)
