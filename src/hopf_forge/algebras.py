@@ -448,7 +448,7 @@ def transport(source, name, generators, images, inverse_images, latex_names):
                         aux={"alpha": alpha, "beta": dict(inverse_images)})
 
 
-def jbasis_maps(order):
+def jbasis_maps():
     """The change-of-basis substitution data between the A- and J-bases.
 
     ``alpha`` sends A-generators to J-elements (A+ = J+, A = e^{zJ+} J3,
@@ -482,7 +482,7 @@ def jbasis_maps(order):
 
 def _build_jbasis(order):
     sl2 = preset("sl2", order)
-    alpha, beta = jbasis_maps(order)
+    alpha, beta = jbasis_maps()
     return transport(sl2, "sl2-jbasis", ("J_plus", "J_3", "J_minus"), alpha,
                      beta(sl2.presentation), {"J_plus": "J_+", "J_3": "J_3", "J_minus": "J_-"})
 

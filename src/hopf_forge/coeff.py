@@ -17,8 +17,11 @@
   parameter out of both sides first, and raises :class:`PoleDetected` when
   the quotient would have a pole.
 
-A series is sparse: ``terms`` holds (degree, coefficient) pairs of the
-nonzero coefficients only, in ascending degree.
+A series stores ``terms``, the (degree, coefficient) pairs of its nonzero
+coefficients in ascending degree.  Its arithmetic is plain accumulation into
+a {degree: coefficient} dict, which :func:`series` turns back into terms; a
+run makes a few dozen series, all for the F_1 quotient, so no operation has a
+fast path.
 """
 
 from __future__ import annotations
@@ -197,82 +200,13 @@ FE_ONE = FieldElem(1)
 FE_SQRT2 = FieldElem(0, 1)
 
 
-# -- sparse term kernels -----------------------------------------------------
-#
-# A series stores ``terms``: (degree, coefficient) pairs in ascending degree,
-# nonzero coefficients only.  Nearly every operand is a single monomial, so
-# both kernels take that case first.  Coefficients have no zero divisors:
-# the product of two nonzero coefficients is never zero.
-
-
-def _add_terms(s, t):
-    """Sum of two term tuples: a merge by degree that drops exact cancellations."""
-    if not s or not t:
-        return s or t
-    if len(s) == 1 == len(t):
-        (d1, c1), (d2, c2) = s[0], t[0]
-        if d1 != d2:
-            return s + t if d1 < d2 else t + s
-        c = c1 + c2
-        return () if c.is_zero() else ((d1, c),)
-    out = []
-    i = j = 0
-    while i < len(s) and j < len(t):
-        (d1, c1), (d2, c2) = s[i], t[j]
-        if d1 < d2:
-            out.append(s[i])
-            i += 1
-        elif d2 < d1:
-            out.append(t[j])
-            j += 1
-        else:
-            c = c1 + c2
-            if not c.is_zero():
-                out.append((d1, c))
-            i += 1
-            j += 1
-    return tuple(out) + s[i:] + t[j:]
-
-
-def _mul_terms(s, t, top):
-    """Product of two term tuples, dropping every degree above ``top``."""
-    if not s or not t:
-        return ()
-    if len(s) == 1 == len(t):
-        d = s[0][0] + t[0][0]
-        return ((d, s[0][1] * t[0][1]),) if d <= top else ()
-    acc = {}
-    for d1, c1 in s:
-        for d2, c2 in t:
-            if d1 + d2 > top:
-                break
-            prev = acc.get(d1 + d2)
-            acc[d1 + d2] = c1 * c2 if prev is None else prev + c1 * c2
-    return tuple(sorted((d, c) for d, c in acc.items() if not c.is_zero()))
-
-
-def _inverse_terms(terms, top):
-    """Terms of 1/s up to degree ``top``, for s with an invertible constant term."""
-    r0 = terms[0][1].inverse()
-    zero = r0 * 0
-    inv = [r0]
-    for n in range(1, top + 1):
-        acc = zero
-        for k, ck in terms[1:]:
-            if k > n:
-                break
-            acc = acc + ck * inv[n - k]
-        inv.append(-(r0 * acc))
-    return _dense_terms(inv)
-
-
-def _dense_terms(coeffs):
-    return tuple((i, c) for i, c in enumerate(coeffs) if not c.is_zero())
-
-
-def _new(param, order, terms):
+def series(param, order, coeffs):
+    """Series from a {degree: coefficient} dict: zeros and degrees above the
+    order are dropped, the rest sorted into ``terms``."""
     s = DeformationSeries.__new__(DeformationSeries)
-    s.param, s.order, s.terms = param, order, terms
+    s.param, s.order = param, order
+    s.terms = tuple(sorted((d, c) for d, c in coeffs.items()
+                           if d <= order and not c.is_zero()))
     return s
 
 
@@ -293,13 +227,12 @@ class DeformationSeries:
         coeffs = tuple(coeffs)
         if len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")
-        self.param = param
-        self.order = order
-        self.terms = _dense_terms(coeffs)
+        self.param, self.order = param, order
+        self.terms = tuple((d, c) for d, c in enumerate(coeffs) if not c.is_zero())
 
     @classmethod
     def zero(cls, param, order):
-        return _new(param, order, ())
+        return series(param, order, {})
 
     def is_zero(self):
         return not self.terms
@@ -327,19 +260,34 @@ class DeformationSeries:
         if not isinstance(other, DeformationSeries):
             return NotImplemented
         self._check(other)
-        return _new(self.param, self.order, _add_terms(self.terms, other.terms))
+        acc = dict(self.terms)
+        for d, c in other.terms:
+            acc[d] = acc[d] + c if d in acc else c
+        return series(self.param, self.order, acc)
 
     def __mul__(self, other):
         if not isinstance(other, DeformationSeries):
             return NotImplemented
         self._check(other)
-        return _new(self.param, self.order, _mul_terms(self.terms, other.terms, self.order))
+        acc = {}
+        for d1, c1 in self.terms:
+            for d2, c2 in other.terms:
+                d = d1 + d2
+                if d > self.order:
+                    break
+                acc[d] = acc[d] + c1 * c2 if d in acc else c1 * c2
+        return series(self.param, self.order, acc)
 
     def inverse(self):
         """Multiplicative inverse; constant term must be invertible."""
         if not self.terms or self.terms[0][0] != 0:
             raise NonInvertible("series with zero constant term")
-        return _new(self.param, self.order, _inverse_terms(self.terms, self.order))
+        r0 = self.terms[0][1].inverse()
+        inv = {0: r0}
+        for n in range(1, self.order + 1):
+            acc = sum((c * inv[n - d] for d, c in self.terms[1:] if d <= n), r0 * 0)
+            inv[n] = -(r0 * acc)
+        return series(self.param, self.order, inv)
 
     def quotient(self, other, order):
         """``self / other`` to degree ``order``, both known to degree ``self.order``.
@@ -358,7 +306,6 @@ class DeformationSeries:
             raise PoleDetected(f"pole of degree {v - self.terms[0][0]} in {self.param}")
         if order > self.order - v:
             raise ValueError("requested order exceeds tracked precision")
-        num, den = (_new(self.param, order,
-                         tuple((d - v, c) for d, c in s.terms if d - v <= order))
+        num, den = (series(self.param, order, {d - v: c for d, c in s.terms})
                     for s in (self, other))
         return num * den.inverse()

@@ -108,19 +108,29 @@ class HopfMaps:
                             self.delta_on_slot(t, 0) - self.delta_on_slot(t, 1))
         return rep
 
+    def contract_slot(self, t, f, slot):
+        """m((f (x) id) t) for ``slot`` 0, m((id (x) f) t) for 1, ``f`` a map of
+        normal words; one kernel product per distinct word in the mapped slot."""
+        alg = self.algebra
+        by_word = {}
+        for (ws, k), c in t.terms.items():
+            by_word.setdefault(ws[slot], {})[(ws[1 - slot], k)] = c
+        out = alg.zero()
+        for w, terms in by_word.items():
+            rest = NCElement(alg, terms)
+            out = out + (f(w) * rest if slot == 0 else rest * f(w))
+        return out
+
     def check_counit(self, test_words=None):
         alg = self.algebra
         rep = CheckReport(check="counit", algebra=alg.name, order=alg.order)
         for w in test_words or self.default_test_words():
             x = NCElement(alg, {(w, 0): FE_ONE})
             t = self.coproduct_word(w)
-            left = alg.zero()
-            right = alg.zero()
-            for ((w1, w2), k), c in t.terms.items():
-                left = left + NCElement(alg, {(w2, k): c}) * self.counit_word(w1)
-                right = right + NCElement(alg, {(w1, k): c}) * self.counit_word(w2)
-            rep.expect_zero(self._label(w) + " (eps(x1)x2)", left - x)
-            rep.expect_zero(self._label(w) + " (x1 eps(x2))", right - x)
+            rep.expect_zero(self._label(w) + " (eps(x1)x2)",
+                            self.contract_slot(t, self.counit_word, 0) - x)
+            rep.expect_zero(self._label(w) + " (x1 eps(x2))",
+                            self.contract_slot(t, self.counit_word, 1) - x)
         return rep
 
     def check_antipode(self, test_words=None):
@@ -128,22 +138,11 @@ class HopfMaps:
         rep = CheckReport(check="antipode", algebra=alg.name, order=alg.order)
         for w in test_words or self.default_test_words():
             t = self.coproduct_word(w)
-            # batch by the slot the antipode acts on: one kernel product per
-            # distinct word instead of one per tensor term
-            by_w1 = {}
-            by_w2 = {}
-            for ((w1, w2), k), c in t.terms.items():
-                by_w1.setdefault(w1, {})[(w2, k)] = c
-                by_w2.setdefault(w2, {})[(w1, k)] = c
-            left = alg.zero()
-            for w1, terms in by_w1.items():
-                left = left + self.antipode_word(w1) * NCElement(alg, terms)
-            right = alg.zero()
-            for w2, terms in by_w2.items():
-                right = right + NCElement(alg, terms) * self.antipode_word(w2)
             target = self.counit_word(w)
-            rep.expect_zero(self._label(w) + " (gamma(x1)x2)", left - target)
-            rep.expect_zero(self._label(w) + " (x1 gamma(x2))", right - target)
+            rep.expect_zero(self._label(w) + " (gamma(x1)x2)",
+                            self.contract_slot(t, self.antipode_word, 0) - target)
+            rep.expect_zero(self._label(w) + " (x1 gamma(x2))",
+                            self.contract_slot(t, self.antipode_word, 1) - target)
         return rep
 
     def check_coproduct_hom(self):

@@ -152,7 +152,7 @@ class AlgebraPresentation:
         self.param = param
         self.order = order
         self.index = {g: i for i, g in enumerate(self.generators)}
-        self.rules = {}
+        self._rules = {}  # (j, i) -> graded terms of g_j*g_i, or None for no rule
         self._frozen = False
         self._nf_cache = {}
         self._table = {}  # (normal word u, generator g) -> normal form of u*g
@@ -177,8 +177,16 @@ class AlgebraPresentation:
         for rhs in rules.values():
             if rhs is not None and not all(_is_normal(w) for w, _ in rhs.terms):
                 raise AlgebraError("rule right-hand side not normal ordered")
-        self.rules = dict(rules)
+        self._rules = {key: None if rhs is None else rhs.terms for key, rhs in rules.items()}
         self._frozen = True
+
+    @property
+    def rules(self):
+        """The rewrite rules {(j, i): element equal to g_j*g_i}, built on each
+        access: the presentation keeps only their graded terms, so it holds no
+        element of itself and no reference cycle keeps it alive."""
+        return {key: None if t is None else NCElement(self, t)
+                for key, t in self._rules.items()}
 
     def set_commutators(self, comm):
         """Install the rules from one commutator per pair, ``{(a, b): [g_a, g_b]}``:
@@ -309,14 +317,14 @@ class AlgebraPresentation:
         """Store the normal form of ``u*g`` (last generator of ``u`` above ``g``),
         yielding each missing table key it needs for :meth:`_fill` to fill."""
         h, e = u[-1]
-        rule = self.rules.get((h, g))
+        rule = self._rules.get((h, g))
         if rule is None:
             gj, gi = self.generators[h], self.generators[g]
             raise MissingRule(f"no rule for {gj}*{gi} in {self.name}")
         rest = u[:-1] + ((h, e - 1),) if e > 1 else u[:-1]
         table = self._table
         total = {}
-        for (m, rk), rc in rule.terms.items():
+        for (m, rk), rc in rule.items():
             part = {(rest, rk): rc}
             for x in flatten(m):
                 for w, _ in part:
@@ -349,20 +357,15 @@ class AlgebraPresentation:
         with first rewriting ``g_j g_i``.
         """
         from .report import CheckReport
-        failures = []
+        rep = CheckReport(check="consistency", algebra=self.name, order=self.order)
         n = len(self.generators)
         for k in range(n):
             for j in range(k):
                 for i in range(j):
                     gk, gj, gi = self.gen(k), self.gen(j), self.gen(i)
-                    left = (gk * gj) * gi
-                    right = gk * (gj * gi)
-                    res = left - right
-                    if not res.is_zero():
-                        trip = "*".join(self.generators[t] for t in (k, j, i))
-                        failures.append({"input": trip, "residual": repr(res)})
-        return CheckReport(check="consistency", algebra=self.name,
-                           order=self.order, failures=failures)
+                    rep.expect_zero("*".join(self.generators[t] for t in (k, j, i)),
+                                    (gk * gj) * gi - gk * (gj * gi))
+        return rep
 
 
 class WordMap:
@@ -620,17 +623,11 @@ class TensorElement:
     def commutator(self, other):
         return self * other - other * self
 
-    def flip(self, perm=None):
-        """Permute tensor slots; default is the arity-2 swap."""
-        if perm is None:
-            if self.arity != 2:
-                raise ArityMismatch("default flip needs arity 2")
-            perm = (1, 0)
-        if len(perm) != self.arity:
-            raise ArityMismatch("permutation length != arity")
-        return TensorElement(self.algebra, self.arity,
-                             {(tuple(ws[p] for p in perm), k): c
-                              for (ws, k), c in self.terms.items()})
+    def flip(self):
+        """Swap the two slots of an arity-2 tensor."""
+        if self.arity != 2:
+            raise ArityMismatch("flip needs arity 2")
+        return self.embed((1, 0), 2)
 
     def embed(self, slots, arity=3):
         """Embed into a higher arity, placing slot s at position slots[s]."""
@@ -666,10 +663,6 @@ class TensorElement:
         """This tensor times the scalar ``c`` and ``param**k``."""
         return TensorElement(self.algebra, self.arity,
                              _scaled_terms(self.terms, c, k, self.algebra.order))
-
-    def classical_limit(self):
-        return TensorElement(self.algebra, self.arity,
-                             {key: c for key, c in self.terms.items() if key[1] == 0})
 
     def substitute(self, target, images):
         """Slot-wise substitution homomorphism into a tensor over ``target``:

@@ -25,7 +25,7 @@ class NotAntisymmetric(Exception):
     """First-order term of R has a symmetric part."""
 
 
-def build_universal_r(algebra, rfactors, order=None):
+def build_universal_r(algebra, rfactors):
     """Ordered product of exp{c * param * left (x) right} factors."""
     alg = algebra
     out = TensorElement.unit(alg, 2)

@@ -1,12 +1,15 @@
 """Preset catalog: relation tables, Casimirs, limits, two-copy, basis change."""
 
+import gc
+import weakref
+
 import pytest
 
-from hopf_forge.algebras import (SO22_GENERATORS, build_preset, check_basis_change,
-                                 check_casimir_centrality, check_classical_limits,
-                                 cross_check_two_copy, exp_gen, one_gen_series,
-                                 preset, PresetConstructionError, set_active_fault,
-                                 transport)
+from hopf_forge.algebras import (SO22_GENERATORS, build_preset, build_twocopy,
+                                 check_basis_change, check_casimir_centrality,
+                                 check_classical_limits, cross_check_two_copy, exp_gen,
+                                 one_gen_series, preset, PresetConstructionError,
+                                 set_active_fault, transport)
 from hopf_forge.coeff import FieldElem, rat
 from hopf_forge.contraction import Contraction
 from hopf_forge.ncalg import MissingRule, tensor_pair
@@ -131,6 +134,20 @@ class TestTransport:
     def test_rules_belong_to_their_presentation(self):
         for alg in (preset("sl2-jbasis", 3).presentation, Contraction(2).alg):
             assert all(rhs.algebra is alg for rhs in alg.rules.values()), alg
+
+    def test_derived_presentations_die_with_their_last_reference(self):
+        # a presentation holds no element of itself, so no reference cycle
+        # keeps the eps or two-copy presentation alive until a collection
+        gc.disable()
+        try:
+            contraction = Contraction(2)
+            eps = weakref.ref(contraction.alg)
+            twocopy = build_twocopy(2)
+            two = weakref.ref(twocopy[0])
+            del contraction, twocopy
+            assert eps() is None and two() is None
+        finally:
+            gc.enable()
 
     def test_identity_change_keeps_the_preset(self):
         sl2 = preset("sl2", 3)
