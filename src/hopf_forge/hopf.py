@@ -110,16 +110,22 @@ class HopfMaps:
 
     def contract_slot(self, t, f, slot):
         """m((f (x) id) t) for ``slot`` 0, m((id (x) f) t) for 1, ``f`` a map of
-        normal words; one kernel product per distinct word in the mapped slot."""
+        normal words.  The left factors are summed, scaled, into one dict per
+        right-hand word (the slot-1 word, or each word of its image under f),
+        and each dict is folded by its word once, with a new step count."""
         alg = self.algebra
-        by_word = {}
+        top = alg.order
+        by_right = {}
         for (ws, k), c in t.terms.items():
-            by_word.setdefault(ws[slot], {})[(ws[1 - slot], k)] = c
-        out = alg.zero()
-        for w, terms in by_word.items():
-            rest = NCElement(alg, terms)
-            out = out + (f(w) * rest if slot == 0 else rest * f(w))
-        return out
+            for (u, uk), uc in f(ws[slot]).terms.items():
+                if k + uk <= top:
+                    w1, w2 = (u, ws[1]) if slot == 0 else (ws[0], u)
+                    add_term(by_right.setdefault(w2, {}), (w1, k + uk), c * uc)
+        out = {}
+        for w2, left in by_right.items():
+            for key, c in alg.fold(left, w2, start=True).items():
+                add_term(out, key, c)
+        return NCElement(alg, out)
 
     def check_counit(self, test_words=None):
         alg = self.algebra

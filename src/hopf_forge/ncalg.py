@@ -39,8 +39,10 @@ An entry holds ``u*g`` for any power of the parameter, so a rewriting of
 truncation would have dropped every term that comes back.
 
 A map given on generators (a coproduct, counit or antipode, a substitution, a
-representation) is extended to words and elements by one :class:`WordMap`,
-which sums the scaled word images of an element in place.
+representation) is extended to words and elements by one :class:`WordMap`.
+Each word image is built from the cached image of its prefix (its suffix for
+an anti-homomorphism) times one generator image; an element's scaled word
+images are summed in place.
 
 Every scalar is a :class:`~hopf_forge.coeff.FieldElem` of Q(sqrt 2); the
 contraction's eps bookkeeping is read off the graded keys, not stored in the
@@ -375,8 +377,10 @@ class WordMap:
     any target with ``*``, ``+`` and ``scaled(c, k)`` (times the scalar ``c``
     and ``param**k``), whose ``unit`` and ``zero`` are given.  A normal word
     goes to the product of its generator images, left to right (right to left
-    when ``reverse``, for an anti-homomorphism), cached per word; an element
-    goes to the sum of its word images, each scaled by its graded scalar.
+    when ``reverse``, for an anti-homomorphism): the cached image of the word
+    less its last generator (its first when ``reverse``) times that generator's
+    image, each shorter word on the way cached too.  An element goes to the
+    sum of its word images, each scaled by its graded scalar.
     """
 
     def __init__(self, algebra, images, unit, zero, reverse=False):
@@ -388,17 +392,23 @@ class WordMap:
         self._cache = {}
 
     def word(self, word):
+        # walk back to the longest cached prefix, then multiply forward; loops,
+        # so a word of any degree needs no deeper Python stack
+        pending = []
         out = self._cache.get(word)
-        if out is None:
-            out = self.unit
-            for g, e in reversed(word) if self.reverse else word:
-                img = self.images.get(g)
-                if img is None:
-                    raise UnmappedGenerator(
-                        f"no image for generator {self.algebra.generators[g]}")
-                for _ in range(e):
-                    out = out * img
-            self._cache[word] = out
+        while out is None and word:
+            g, e = word[0] if self.reverse else word[-1]
+            rest = ((g, e - 1),) if e > 1 else ()
+            pending.append((word, g))
+            word = rest + word[1:] if self.reverse else word[:-1] + rest
+            out = self._cache.get(word)
+        out = self.unit if out is None else out
+        for word, g in reversed(pending):
+            img = self.images.get(g)
+            if img is None:
+                raise UnmappedGenerator(
+                    f"no image for generator {self.algebra.generators[g]}")
+            out = self._cache[word] = out * img
         return out
 
     def __call__(self, x):

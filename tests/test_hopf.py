@@ -2,10 +2,11 @@
 
 import pytest
 
-from hopf_forge.algebras import build_preset, preset
+from hopf_forge import ncalg
+from hopf_forge.algebras import PRESET_NAMES, build_preset, preset
 from hopf_forge.coeff import DeformationSeries, FE_ONE, FieldElem
 from hopf_forge.hopf import HopfMaps
-from hopf_forge.ncalg import UnmappedGenerator, tensor_pair
+from hopf_forge.ncalg import NCElement, NonTerminating, UnmappedGenerator, tensor_pair
 
 
 class TestCoproduct:
@@ -70,6 +71,58 @@ class TestAxiomChecks:
         rep = maps.check_counit([((0, 1),)])
         assert [f["input"] for f in rep.failures] \
             == ["A_plus (eps(x1)x2)", "A_plus (x1 eps(x2))"]
+
+
+def contract_by_mapped_word(hopf, t, f, slot):
+    """Reference m((f (x) id) t) / m((id (x) f) t): one element product per
+    distinct word in the mapped slot, summed."""
+    alg = hopf.algebra
+    by_word = {}
+    for (ws, k), c in t.terms.items():
+        by_word.setdefault(ws[slot], {})[(ws[1 - slot], k)] = c
+    out = alg.zero()
+    for w, terms in by_word.items():
+        rest = NCElement(alg, terms)
+        out = out + (f(w) * rest if slot == 0 else rest * f(w))
+    return out
+
+
+class TestContraction:
+    # the hopf-coproduct fault touches the nullplane coproduct only
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("name,fault", [(name, None) for name in PRESET_NAMES]
+                             + [("nullplane", "hopf-coproduct")])
+    def test_grouped_by_right_word_equals_per_mapped_word(self, name, fault, order):
+        hopf = (build_preset(name, order, fault) if fault else preset(name, order)).hopf
+        residual = False
+        for w in hopf.default_test_words():
+            t = hopf.coproduct_word(w)
+            for f in (hopf.counit_word, hopf.antipode_word):
+                for slot in (0, 1):
+                    got = hopf.contract_slot(t, f, slot)
+                    assert got.terms == contract_by_mapped_word(hopf, t, f, slot).terms
+                    if f == hopf.antipode_word and got != hopf.counit_word(w):
+                        residual = True
+        assert residual == (fault is not None)
+
+    def test_step_bound_counts_per_fold(self, monkeypatch):
+        b = build_preset("so22", 2)
+        hopf, alg = b.hopf, b.presentation
+        assert hopf.check_antipode().passed  # word images cached: only folds rewrite
+        full = dict(alg._table)
+        alg._table.clear()
+        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 3)
+        with pytest.raises(NonTerminating, match="exceeded") as err:
+            hopf.check_antipode()
+        assert any(entry.name == "contract_slot" for entry in err.traceback)
+        # only complete entries were stored, each as the unbounded run made it
+        assert all(alg._table[key] == full[key] for key in alg._table)
+        # no fold fills more than 8 entries, the check fills 168 in all
+        alg._table.clear()
+        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 8)
+        assert hopf.check_antipode().passed
+        assert len(alg._table) > 8
+        assert all(alg._table[key] == full[key] for key in alg._table)
 
 
 class TestPrimitiveGenerators:

@@ -11,9 +11,9 @@ import pytest
 
 from hopf_forge import diffrep, repfrt
 from hopf_forge.algebras import preset
-from hopf_forge.coeff import FieldElem
+from hopf_forge.coeff import FE_ONE, FieldElem
 from hopf_forge.hopf import HopfMaps
-from hopf_forge.ncalg import TensorElement, UnmappedGenerator, WordMap, tensor_pair
+from hopf_forge.ncalg import TensorElement, UnmappedGenerator, WordMap, flatten, tensor_pair
 
 PRESETS = ("sl2", "so22", "nullplane")
 
@@ -117,6 +117,46 @@ def test_substitute_is_the_product_of_generator_images(name):
         want = linear(alg.zero(), x, lambda w: product(alg.unit(), images, w), alg.scalar)
         assert x.substitute(alg, images) == want
         assert x.substitute(alg, named) == want
+
+
+def compressed(flat):
+    out = []
+    for g in flat:
+        if out and out[-1][0] == g:
+            out[-1] = (g, out[-1][1] + 1)
+        else:
+            out.append((g, 1))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("name", PRESETS)
+def test_word_image_is_the_same_whichever_prefix_came_first(name, reverse):
+    """A word image extends the cached image of its prefix (its suffix for an
+    anti-homomorphism); asked for before or after them, each is the product."""
+    rng = random.Random(f"prefix-{name}-{reverse}")
+    alg = preset(name, 2).presentation
+    images = random_images(alg, rng)
+    n = len(alg.generators)
+    long = ((0, 2), (1, 1), (n - 1, 2))
+    flat = flatten(long)
+    shorter = [compressed(flat[i:] if reverse else flat[:-i]) for i in range(1, len(flat))]
+    rng.shuffle(shorter)
+    want = {w: product(alg.unit(), images, w, reverse) for w in [long] + shorter}
+    long_first = WordMap(alg, images, alg.unit(), alg.zero(), reverse=reverse)
+    assert long_first.word(long) == want[long]
+    assert all(long_first.word(w) == want[w] for w in shorter)
+    long_last = WordMap(alg, images, alg.unit(), alg.zero(), reverse=reverse)
+    assert all(long_last.word(w) == want[w] for w in shorter[:2])
+    assert long_last.word(long) == want[long]
+    assert all(long_last.word(w) == want[w] for w in shorter)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_long_word_image_needs_no_recursion(reverse):
+    alg = preset("sl2", 2).presentation
+    m = WordMap(alg, {0: alg.gen(0)}, alg.unit(), alg.zero(), reverse=reverse)
+    assert m.word(((0, 5000),)) == alg.element({(((0, 5000),), 0): FE_ONE})
 
 
 @pytest.mark.parametrize("name", PRESETS)
