@@ -15,7 +15,8 @@ commutators, and carries the Hopf maps and Casimirs over by ``substitute``.
 basis of :func:`jbasis_maps`; the contraction's ``nullplane-eps`` algebra is
 so(2,2) transported to rescaled null-plane generators.
 
-Every exponential is stored pre-expanded to the working order; changing the
+Every exponential is stored pre-expanded to the working order, each one a
+:func:`~hopf_forge.ncalg.exp_series` (through :func:`exp_gen`); changing the
 order rebuilds the preset.
 """
 
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
 
 from .coeff import FE_ONE, FieldElem, rat
 from .hopf import HopfMaps
-from .ncalg import AlgebraPresentation, NCElement, tensor_of, tensor_pair
+from .ncalg import AlgebraPresentation, NCElement, exp_series, tensor_of, tensor_pair
 from .report import CheckReport, timed_reports
 
 PRESET_NAMES = ("sl2", "so22", "nullplane", "sl2-jbasis")
@@ -57,66 +57,23 @@ class PresetBundle:
 
 # -- series-element builders -------------------------------------------------
 
-def one_gen_series(alg, g, c, parity=None, shift=0):
-    """sum_b c^b/b! * param^(b+shift) * g^b over admissible b.
-
-    ``parity`` restricts b to even/odd (cosh/sinh pieces); terms whose
-    parameter power b+shift falls outside [0, order] are dropped, which
-    implements the ``(exp(...) - 1)/param`` constructions exactly.
-    """
-    i = g if isinstance(g, int) else alg.index[g]
-    cf = c if isinstance(c, FieldElem) else FieldElem(c)
-    terms = {}
-    b = 0
-    while b + shift <= alg.order:
-        if (parity is None or b % 2 == parity) and b + shift >= 0:
-            word = () if b == 0 else ((i, b),)
-            terms[(word, b + shift)] = (cf ** b) / factorial(b)
-        b += 1
-    return alg.element(terms)
+def exp_gen(alg, c, g, shift=0, parity=None):
+    """sum_b (c*g)^b/b! * param^(b+shift) over the b of ``parity``: exp(c*param*g)
+    for shift 0, (exp(c*param*g) - 1)/param for shift -1, and a parity picks
+    the cosh or sinh part (:func:`~hopf_forge.ncalg.exp_series`)."""
+    return exp_series(alg.gen(g).scaled(c), alg.unit(), shift, parity)
 
 
-def two_gen_series(alg, gx, cx, gy, cy, parity_y=None, shift=0):
-    """sum_{a,b} cx^a cy^b/(a! b!) * param^(a+b+shift) * gx^a gy^b.
-
-    Requires gx < gy in the presentation order so the words are normal; used
-    for the exp(zP)*cosh/sinh(zP0) structure functions of the so(2,2) preset.
-    """
-    ix = gx if isinstance(gx, int) else alg.index[gx]
-    iy = gy if isinstance(gy, int) else alg.index[gy]
-    if ix >= iy:
-        raise ValueError("two_gen_series needs gx < gy")
-    cfx = cx if isinstance(cx, FieldElem) else FieldElem(cx)
-    cfy = cy if isinstance(cy, FieldElem) else FieldElem(cy)
-    terms = {}
-    for a in range(alg.order - shift + 1):
-        for b in range(alg.order - shift - a + 1):
-            if parity_y is not None and b % 2 != parity_y:
-                continue
-            if a + b + shift < 0:
-                continue
-            coeff = (cfx ** a) * (cfy ** b) / (factorial(a) * factorial(b))
-            word = []
-            if a:
-                word.append((ix, a))
-            if b:
-                word.append((iy, b))
-            terms[(tuple(word), a + b + shift)] = coeff
-    return alg.element(terms)
-
-
-def exp_gen(alg, c, g):
-    """exp(c * param * g) expanded to the working order."""
-    return one_gen_series(alg, g, c, parity=None, shift=0)
-
-
-def exp_div_param(alg, c, g):
-    """(exp(c * param * g) - 1) / param, exact to the working order."""
-    return one_gen_series(alg, g, c, parity=None, shift=-1)
-
-
-def param_monomial(alg, value, degree=1):
-    return alg.scalar(value if isinstance(value, FieldElem) else FieldElem(value), degree)
+def _so22_series(alg, c, parity, shift=0, p_first=False):
+    """e^{czP} cosh(zP0) for parity 0, e^{czP} sinh(zP0) for parity 1; shift -1
+    drops its z^0 part X(0) and divides by z, as (X - X(0))/z + X (e^{czP} - 1)/z
+    with X = cosh(zP0) or sinh(zP0).  P and P0 commute: ``p_first`` puts
+    e^{czP} on the left, whose words are already normal (the rules are built
+    from these), and otherwise P0*P is rewritten through the rule."""
+    x = exp_gen(alg, 1, 1, parity=parity)
+    e = exp_gen(alg, c, 0, shift=shift)
+    prod = e * x if p_first else x * e
+    return prod if shift == 0 else exp_gen(alg, 1, 1, shift=-1, parity=parity) + prod
 
 
 # -- shared structure data -----------------------------------------------------
@@ -151,10 +108,10 @@ def sl2_commutators(alg, ap, a, am, s):
     the generator indices ap < a < am."""
     return {
         # [A+, A] = -(e^{2szA+}-1)/(sz)
-        (ap, a): -(one_gen_series(alg, ap, 2 * s, shift=-1) * FieldElem(s)),
+        (ap, a): -(exp_gen(alg, 2 * s, ap, shift=-1) * FieldElem(s)),
         # [A, A-] = -2A- + szA^2
         (a, am): alg.gen(am) * FieldElem(-2)
-        + param_monomial(alg, FieldElem(s), 1) * alg.gen(a) * alg.gen(a),
+        + alg.scalar(FieldElem(s), 1) * alg.gen(a) * alg.gen(a),
         # [A+, A-] = A
         (ap, am): alg.gen(a),
     }
@@ -179,7 +136,7 @@ def sl2_casimir(alg, ap, a, am, sign=1):
     """Quantum Casimir of one non-standard sl(2,R) copy (parameter sign*z)."""
     a_e, am_e = alg.gen(a), alg.gen(am)
     e_minus = exp_gen(alg, -2 * sign, ap)
-    g = exp_div_param(alg, -2 * sign, ap) * FieldElem(rat(-sign, 2))
+    g = exp_gen(alg, -2 * sign, ap, shift=-1) * FieldElem(rat(-sign, 2))
     half = FieldElem(rat(1, 2))
     return (a_e * e_minus * a_e) * half + g * am_e + am_e * g + e_minus - alg.unit()
 
@@ -256,10 +213,10 @@ def _so22_commutators(alg):
     """[g_i, g_j] for i < j in the order P < P0 < J < D < C1 < C2."""
     P, P0, J, D, C1, C2 = range(6)
     gen = alg.gen
-    z = lambda v, d=1: param_monomial(alg, v, d)  # noqa: E731
+    z = lambda v: alg.scalar(FieldElem(v), 1)  # noqa: E731
     # (e^{zP} cosh(z P0) - 1)/z  and  e^{zP} sinh(z P0)/z
-    cosh_div = two_gen_series(alg, P, 1, P0, 1, parity_y=0, shift=-1)
-    sinh_div = two_gen_series(alg, P, 1, P0, 1, parity_y=1, shift=-1)
+    cosh_div = _so22_series(alg, 1, 0, -1, p_first=True)
+    sinh_div = _so22_series(alg, 1, 1, -1, p_first=True)
     jj_dd = gen(J) * gen(J) + gen(D) * gen(D)
     jd = gen(J) * gen(D)
     zero = alg.zero()
@@ -291,10 +248,9 @@ def _build_so22(order):
 
     P, P0, J, D, C1, C2 = range(6)
     gen, unit = alg.gen, alg.unit()
-    ecosh = two_gen_series(alg, P, 1, P0, 1, parity_y=0)    # e^{zP} cosh(z P0)
-    esinh = two_gen_series(alg, P, 1, P0, 1, parity_y=1)    # e^{zP} sinh(z P0)
-    mcosh = two_gen_series(alg, P, -1, P0, 1, parity_y=0)   # e^{-zP} cosh(z P0)
-    msinh = two_gen_series(alg, P, -1, P0, 1, parity_y=1)   # e^{-zP} sinh(z P0)
+    # e^{zP} cosh(z P0), e^{zP} sinh(z P0) and the same with e^{-zP}
+    ecosh, esinh = _so22_series(alg, 1, 0), _so22_series(alg, 1, 1)
+    mcosh, msinh = _so22_series(alg, -1, 0), _so22_series(alg, -1, 1)
     delta = {
         P0: tensor_of(alg, [(unit, gen(P0)), (gen(P0), unit)]),
         P: tensor_of(alg, [(unit, gen(P)), (gen(P), unit)]),
@@ -316,8 +272,8 @@ def _build_so22(order):
 
     # (1 - e^{-zP} cosh(z P0))/(2z) and e^{-zP} sinh(z P0)/(2z)
     half = FieldElem(rat(1, 2))
-    g = two_gen_series(alg, P, -1, P0, 1, parity_y=0, shift=-1) * (-half)
-    h = two_gen_series(alg, P, -1, P0, 1, parity_y=1, shift=-1) * half
+    g = _so22_series(alg, -1, 0, -1) * (-half)
+    h = _so22_series(alg, -1, 1, -1) * half
     j, d, c1, c2 = gen(J), gen(D), gen(C1), gen(C2)
     casimirs = {
         "C1_q": (j * mcosh * j + d * mcosh * d - j * msinh * d - d * msinh * j
@@ -337,10 +293,10 @@ def _build_nullplane(order, fault=None):
     Pp, P1, Pm, E1, K2, F1 = range(6)
     gen = alg.gen
     half = FieldElem(rat(1, 2))
-    w1 = lambda v: param_monomial(alg, v, 1)  # noqa: E731
+    w1 = lambda v: alg.scalar(FieldElem(v), 1)  # noqa: E731
 
     exp2 = exp_gen(alg, 2, Pp)                         # e^{2wP+}
-    exp_div = one_gen_series(alg, Pp, 2, shift=-1) * half  # (e^{2wP+}-1)/(2w)
+    exp_div = exp_gen(alg, 2, Pp, shift=-1) * half     # (e^{2wP+}-1)/(2w)
 
     comm = {
         (Pp, P1): alg.zero(),
@@ -389,7 +345,7 @@ def _build_nullplane(order, fault=None):
     hopf = HopfMaps(alg, delta, counit, antipode)
 
     # (1 - e^{-2wP+})/w  and the quantum Casimirs
-    kw = -one_gen_series(alg, Pp, -2, shift=-1)
+    kw = -exp_gen(alg, -2, Pp, shift=-1)
     mq2 = gen(Pm) * kw - gen(P1) * gen(P1) * exp2m
     if fault == "algebras-casimir":
         mq2 = gen(Pm) * kw - gen(P1) * gen(P1) * exp2m * FieldElem(2)
@@ -458,23 +414,23 @@ def jbasis_maps():
     def alpha(jalg):
         quarter = FieldElem(rat(1, 4))
         ezjp = exp_gen(jalg, 1, "J_plus")
-        sinh = one_gen_series(jalg, "J_plus", 1, parity=1)
+        sinh = exp_gen(jalg, 1, "J_plus", parity=1)
         return {
             "A_plus": jalg.gen("J_plus"),
             "A": ezjp * jalg.gen("J_3"),
             "A_minus": ezjp * jalg.gen("J_minus")
-            - param_monomial(jalg, quarter, 1) * ezjp * sinh,
+            - jalg.scalar(quarter, 1) * ezjp * sinh,
         }
 
     def beta(aalg):
         quarter = FieldElem(rat(1, 4))
         emzap = exp_gen(aalg, -1, "A_plus")
-        sinh = one_gen_series(aalg, "A_plus", 1, parity=1)
+        sinh = exp_gen(aalg, 1, "A_plus", parity=1)
         return {
             "J_plus": aalg.gen("A_plus"),
             "J_3": emzap * aalg.gen("A"),
             "J_minus": emzap * aalg.gen("A_minus")
-            + param_monomial(aalg, quarter, 1) * sinh,
+            + aalg.scalar(quarter, 1) * sinh,
         }
 
     return alpha, beta
@@ -499,9 +455,9 @@ def check_basis_change(order):
     a_p, a_3, a_m = alpha["A_plus"], alpha["A"], alpha["A_minus"]
     # the three A-basis commutators, rebuilt inside the J algebra
     rep.expect_zero("[A,A_plus]", a_3.commutator(a_p)
-                    - one_gen_series(jalg, "J_plus", 2, shift=-1))
+                    - exp_gen(jalg, 2, "J_plus", shift=-1))
     rep.expect_zero("[A,A_minus]", a_3.commutator(a_m) - a_m * FieldElem(-2)
-                    - param_monomial(jalg, FE_ONE, 1) * a_3 * a_3)
+                    - jalg.scalar(FE_ONE, 1) * a_3 * a_3)
     rep.expect_zero("[A_plus,A_minus]", a_p.commutator(a_m) - a_3)
 
     # z -> 0 the map is the identity relabeling

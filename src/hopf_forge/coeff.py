@@ -42,7 +42,8 @@ class CoeffError(ArithmeticError):
 
 
 class NonzeroConstantTerm(CoeffError):
-    """exp() of a tensor whose constant term is not zero."""
+    """exp() of a tensor with a param^0 term (its constant term in the
+    deformation parameter is not zero), whose powers would not truncate."""
 
 
 class NonInvertible(CoeffError):

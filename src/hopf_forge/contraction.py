@@ -78,10 +78,6 @@ class Contraction:
         """[g_j, g_i] in the eps algebra, of eps offset :meth:`rule_offset`."""
         return self.alg.gen(j).commutator(self.alg.gen(i))
 
-    def _map(self, x):
-        """An so(2,2) element or tensor in the eps algebra (eps = 1, in z)."""
-        return x.substitute(self.alg, self.eps.aux["alpha"])
-
     def limit(self, x, offset):
         """``(poles, eps^0 part)`` of an eps-algebra element or tensor ``x``
         of eps offset ``offset``.

@@ -42,7 +42,7 @@ from __future__ import annotations
 import re
 
 from .coeff import FE_ONE, FE_SQRT2, rat
-from .ncalg import NCElement, add_term
+from .ncalg import NCElement, add_term, exp_series
 
 # Largest exponent ``x^n`` accepted.  Powers are formed by repeated squaring,
 # but each product still folds a flat word as long as its factors' words
@@ -288,15 +288,7 @@ def exp_element(arg):
         if k < 1:
             raise ExpressionError(
                 "exp argument scalars need a positive power of the deformation parameter")
-    alg = arg.algebra
-    out = alg.unit()
-    term = alg.unit()
-    for k in range(1, alg.order + 1):
-        term = (term * arg).scaled(rat(1, k))
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+    return exp_series(arg.scaled(FE_ONE, -1), arg.algebra.unit())
 
 
 def parse_to_element(text, algebra):
@@ -350,13 +342,13 @@ def _series_str(param, series, fmt):
                 sep = "*" if fmt != "latex" else " "
                 bits.append(f"{cs}{sep}{p}")
     if not bits:
-        return "0", False
+        return "0"
     if len(bits) == 1:
-        return bits[0], False
+        return bits[0]
     joined = bits[0]
     for b in bits[1:]:
         joined += f"-{b[1:]}" if b.startswith("-") else f"+{b}"
-    return f"({joined})", True
+    return f"({joined})"
 
 
 def _gen_str(algebra, g, e, fmt):
@@ -374,9 +366,10 @@ def _word_str(algebra, word, fmt):
     return sep.join(_gen_str(algebra, g, e, fmt) for g, e in word)
 
 
-def _term_str(algebra, word, coeff, fmt):
-    cs, _ = _series_str(algebra.param, coeff, fmt)
-    ws = _word_str(algebra, word, fmt)
+def _term_str(param, ws, coeff, fmt):
+    """One term: the coefficient series ``coeff`` in front of the rendered
+    word ``ws`` (a tensor's joined slots)."""
+    cs = _series_str(param, coeff, fmt)
     if not ws:
         return cs
     if cs == "1":
@@ -403,9 +396,8 @@ def render_element(elem, fmt="text"):
     if fmt == "json":
         import json
         return json.dumps(elem.to_dict(), sort_keys=True)
-    if elem.is_zero():
-        return "0"
-    parts = [_term_str(elem.algebra, w, s, fmt) for w, s in elem.by_word()]
+    alg = elem.algebra
+    parts = [_term_str(alg.param, _word_str(alg, w, fmt), s, fmt) for w, s in elem.by_word()]
     return _join_terms(parts)
 
 
@@ -413,18 +405,8 @@ def render_tensor(t, fmt="text"):
     if fmt == "json":
         import json
         return json.dumps(t.to_dict(), sort_keys=True)
-    if t.is_zero():
-        return "0"
     otimes = r" \otimes " if fmt == "latex" else "⊗"
-    parts = []
-    for ws, s in t.by_word():
-        slots = otimes.join(_word_str(t.algebra, w, fmt) or "1" for w in ws)
-        cs, _ = _series_str(t.algebra.param, s, fmt)
-        if cs == "1":
-            parts.append(slots)
-        elif cs == "-1":
-            parts.append(f"-{slots}")
-        else:
-            sep = "*" if fmt != "latex" else r" \, "
-            parts.append(f"{cs}{sep}{slots}")
+    alg = t.algebra
+    parts = [_term_str(alg.param, otimes.join(_word_str(alg, w, fmt) or "1" for w in ws), s, fmt)
+             for ws, s in t.by_word()]
     return _join_terms(parts)

@@ -44,6 +44,11 @@ Each word image is built from the cached image of its prefix (its suffix for
 an anti-homomorphism) times one generator image; an element's scaled word
 images are summed in place.
 
+Every truncated exponential -- the exp(c*param*X(x)Y) factors of a universal
+R, the e^{2zA_+}, (e^{2wP_+}-1)/2w and e^{zP}cosh(zP_0) structure functions,
+a parsed ``exp(...)`` and :meth:`TensorElement.exp` -- is one
+:func:`exp_series`: sum_b y^b/b! param^(b+shift) for an element or tensor y.
+
 Every scalar is a :class:`~hopf_forge.coeff.FieldElem` of Q(sqrt 2); the
 contraction's eps bookkeeping is read off the graded keys, not stored in the
 scalars (see :mod:`hopf_forge.contraction`).
@@ -51,7 +56,7 @@ scalars (see :mod:`hopf_forge.contraction`).
 
 from __future__ import annotations
 
-from .coeff import FE_ONE, FE_ZERO, FieldElem
+from .coeff import FE_ONE, FE_ZERO, NonzeroConstantTerm
 
 REWRITE_STEP_LIMIT = 10 ** 6
 
@@ -540,15 +545,6 @@ class NCElement:
                            "coeff": _dense_quads(s, alg.order)}
                           for w, s in self.by_word()]}
 
-    @classmethod
-    def from_dict(cls, algebra, data):
-        terms = {}
-        for t in data["terms"]:
-            w = tuple((algebra.index[g], e) for g, e in t["word"])
-            for k, q in enumerate(t["coeff"][: algebra.order + 1]):
-                terms[(w, k)] = FieldElem.from_quad(q)
-        return algebra.element(terms)
-
 
 class TensorElement:
     """k-fold tensor products of normal-ordered words (k = 2 or 3)."""
@@ -655,19 +651,13 @@ class TensorElement:
         return TensorElement(self.algebra, arity, out)
 
     def exp(self):
-        """Tensor exponential; the unit word must not occur."""
-        unit_words = ((),) * self.arity
-        if any(ws == unit_words for ws, _ in self.terms):
-            from .coeff import NonzeroConstantTerm
+        """exp of a tensor whose every term carries a positive power of the
+        parameter, exact to the working order; a term with param^0 (the unit
+        word or any other) raises :class:`~hopf_forge.coeff.NonzeroConstantTerm`,
+        as its powers would not truncate."""
+        if any(k == 0 for _, k in self.terms):
             raise NonzeroConstantTerm("tensor exp with nonzero constant term")
-        out = TensorElement.unit(self.algebra, self.arity)
-        term = out
-        for k in range(1, self.algebra.order + 1):
-            term = (term * self) * (FE_ONE / k)
-            if term.is_zero():
-                break
-            out = out + term
-        return out
+        return exp_series(self.scaled(FE_ONE, -1), TensorElement.unit(self.algebra, self.arity))
 
     def scaled(self, c, k=0):
         """This tensor times the scalar ``c`` and ``param**k``."""
@@ -724,4 +714,27 @@ def tensor_of(algebra, pairs):
     out = TensorElement.zero(algebra, 2)
     for x, y in pairs:
         out = out + tensor_pair(x, y)
+    return out
+
+
+def exp_series(y, unit, shift=0, parity=None):
+    """``sum_b y^b/b! * param^(b+shift)`` over the ``b`` of the given ``parity``
+    (0 even, 1 odd, None all) with ``0 <= b+shift <= order``.
+
+    ``y`` is an element or tensor and ``unit`` the unit of its kind: shift 0
+    gives exp(param*y), shift -1 (exp(param*y) - 1)/param, and a parity its
+    cosh or sinh part.  Exact for every ``y`` (no stored power is negative)
+    when ``shift >= -1``: after the first term each one is the last times
+    param*y, truncated."""
+    if shift < -1:
+        raise ValueError(f"exp_series shift {shift} is below -1")
+    step = y.scaled(FE_ONE, 1)
+    b, term = (1, y) if shift < 0 else (0, unit.scaled(FE_ONE, shift))
+    out = unit.scaled(FE_ZERO)  # an empty element or tensor, summed into in place
+    while b + shift <= unit.algebra.order and not term.is_zero():
+        if parity is None or b % 2 == parity:
+            for key, c in term.terms.items():
+                add_term(out.terms, key, c)
+        b += 1
+        term = (term * step).scaled(FE_ONE / b)
     return out

@@ -13,10 +13,8 @@ tensor algebra is ever needed.
 
 from __future__ import annotations
 
-from math import factorial
-
 from .coeff import FE_ONE, FieldElem
-from .ncalg import TensorElement
+from .ncalg import TensorElement, exp_series, tensor_pair
 from .algebras import classical_presentation, preset
 from .report import CheckReport
 
@@ -27,16 +25,10 @@ class NotAntisymmetric(Exception):
 
 def build_universal_r(algebra, rfactors):
     """Ordered product of exp{c * param * left (x) right} factors."""
-    alg = algebra
-    out = TensorElement.unit(alg, 2)
+    unit = TensorElement.unit(algebra, 2)
+    out = unit
     for c, left, right in rfactors:
-        li, ri = alg.index[left], alg.index[right]
-        terms = {}
-        for k in range(alg.order + 1):
-            coeff = (c ** k) / factorial(k)
-            if not coeff.is_zero():
-                terms[((((li, k),) if k else (), ((ri, k),) if k else ()), k)] = coeff
-        out = out * TensorElement(alg, 2, terms)
+        out = out * exp_series(tensor_pair(algebra.gen(left).scaled(c), algebra.gen(right)), unit)
     return out
 
 

@@ -143,7 +143,8 @@ class TestContractedUniversalR:
         # image words are normal ordered by the contracted rules), has no eps
         # pole at offset 0, and its eps^0 part is the null-plane universal R
         c = Contraction(n)
-        poles, got = c.limit(c._map(rmat.preset_r("so22", n)), 0)
+        r = rmat.preset_r("so22", n).substitute(c.alg, c.eps.aux["alpha"])
+        poles, got = c.limit(r, 0)
         assert poles == []
         assert got == rmat.preset_r("nullplane", n)
 
