@@ -61,7 +61,9 @@ class PoleDetected(CoeffError):
 class FieldElem:
     """(p + q*sqrt(2))/d in Q(sqrt 2): ints, d > 0, gcd(p, q, d) == 1, so equal elements have
     equal triples.  ``FieldElem(a, b)`` is a + b*sqrt(2) for rationals a, b, which the ``a``
-    and ``b`` properties return as Fractions.  Operations are int arithmetic and a gcd."""
+    and ``b`` properties return as Fractions.  Operations are int arithmetic and a gcd; a
+    product with a factor exactly 1 (the triple ``(1, 0, 1)``) returns the other factor
+    itself, with no new triple and no gcd, as no operation changes an element in place."""
 
     __slots__ = ("p", "q", "d")
 
@@ -120,6 +122,10 @@ class FieldElem:
     def __mul__(self, other):
         if type(other) is FieldElem:
             p1, q1, p2, q2 = self.p, self.q, other.p, other.q
+            if p1 == 1 and not q1 and self.d == 1:
+                return other
+            if p2 == 1 and not q2 and other.d == 1:
+                return self
             if q1 or q2:
                 p, q = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2
             else:

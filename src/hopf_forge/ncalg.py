@@ -30,13 +30,23 @@ Flat words from outside (the slots of a tensor product,
 :meth:`AlgebraPresentation.normalize`) go through
 :meth:`AlgebraPresentation.normal_form_of_word`, whose cache keeps each flat
 word's normal form.  The table and that cache receive only complete results,
-so an abort leaves them consistent, and every stored scalar is interned under
-its integer triple (the caches hold many copies of few distinct values).  The
-step bound counts the table entries filled for one product, one flat word or
-one parsed product term.
+so an abort leaves them consistent; every entry of either is in ascending
+power of the parameter, so a fold or ``normalize`` stops at the first term
+above the order, and every stored scalar is interned under its integer triple
+(the caches hold many copies of few distinct values; a stored 1 is ``FE_ONE``
+itself, which a product skips).  The step bound counts the table entries
+filled for one product, one flat word or one parsed product term.
+
 An entry holds ``u*g`` for any power of the parameter, so a rewriting of
 ``u*g`` that needs ``u*g`` again is a :class:`NonTerminating` cycle, even if
 truncation would have dropped every term that comes back.
+
+A tensor product visits only the pairs of terms that fit under the order: for
+each power of a left term it walks the right terms with room for it, one list
+per distinct room, in the right factor's own order.  Each slot's normal form
+is fetched once per distinct (left word, right word) pair of one product, in a
+dict that ends with the product; the flat-word cache is the only memo that
+outlives it.
 
 A map given on generators (a coproduct, counit or antipode, a substitution, a
 representation) is extended to words and elements by one :class:`WordMap`.
@@ -56,9 +66,13 @@ scalars (see :mod:`hopf_forge.contraction`).
 
 from __future__ import annotations
 
-from .coeff import FE_ONE, FE_ZERO, NonzeroConstantTerm
+from fractions import Fraction
+from operator import itemgetter
+
+from .coeff import FE_ONE, FE_ZERO, FieldElem, NonzeroConstantTerm
 
 REWRITE_STEP_LIMIT = 10 ** 6
+_SCALARS = (int, Fraction, FieldElem)  # what an element or tensor is scaled by with ``*``
 
 
 class AlgebraError(Exception):
@@ -263,9 +277,11 @@ class AlgebraPresentation:
         return terms
 
     def _stored(self, terms):
-        """``terms`` as ``(word, k, scalar)`` entries, each scalar interned."""
+        """``terms`` as ``(word, k, scalar)`` entries in ascending ``k`` (a stable
+        sort, so like powers keep their order), each scalar interned."""
         intern = self._interned.setdefault
-        return tuple((w, k, intern((c.p, c.q, c.d), c)) for (w, k), c in terms.items())
+        return tuple(sorted(((w, k, intern((c.p, c.q, c.d), c)) for (w, k), c in terms.items()),
+                            key=itemgetter(1)))
 
     def _times(self, acc, g):
         """``acc * g`` for ``acc`` a {(normal word, k): scalar} dict."""
@@ -284,8 +300,8 @@ class AlgebraPresentation:
                     entry = self._fill((u, g))
             for w, rk, rc in entry:
                 kk = k + rk
-                if kk > top:
-                    continue
+                if kk > top:  # entries ascend in power: the rest are above too
+                    break
                 # the unit needs no product: inline appends and swap rules carry it
                 v = c if rc is one else rc if c is one else c * rc
                 key = (w, kk)
@@ -351,8 +367,9 @@ class AlgebraPresentation:
             if c.is_zero():
                 continue
             for w, rk, rc in self.normal_form_of_word(flat):
-                if k + rk <= top:
-                    add_term(out, (w, k + rk), rc * c)
+                if k + rk > top:
+                    break
+                add_term(out, (w, k + rk), rc * c)
         return NCElement(self, out)
 
     # -- checks --------------------------------------------------------------
@@ -488,12 +505,13 @@ class NCElement:
                     for key, c in acc.items():
                         add_term(out, key, c)
             return NCElement(alg, out)
-        # scalar: int or FieldElem
-        return self.scaled(other)
+        if isinstance(other, _SCALARS):
+            return self.scaled(other)
+        return NotImplemented
 
     def __rmul__(self, other):
         # scalars commute with everything; true element products use __mul__
-        return self * other
+        return self.scaled(other) if isinstance(other, _SCALARS) else NotImplemented
 
     def __pow__(self, n):
         """``self**n`` by repeated squaring."""
@@ -596,33 +614,39 @@ class TensorElement:
             alg = self.algebra
             n = alg.order
             nf = alg.normal_form_of_word
+            one = FE_ONE
+            right = list(other.terms.items())
+            fitting = {}  # room n - k1 -> the right terms with k2 <= room, in their order
+            slot_nf = {}  # (left word, right word) -> normal form of their product
             out = {}
             for (ws1, k1), c1 in self.terms.items():
-                for (ws2, k2), c2 in other.terms.items():
-                    if k1 + k2 > n:
-                        continue
-                    # slot-wise normal forms, then distribute
+                room = n - k1
+                pairs = fitting.get(room)
+                if pairs is None:
+                    pairs = fitting[room] = [t for t in right if t[0][1] <= room]
+                for (ws2, k2), c2 in pairs:
+                    # slot-wise normal forms, then distribute; entries ascend in power
                     partial = [((), k1 + k2, c1 * c2)]
-                    for s in range(self.arity):
-                        nfs = nf(flatten(ws1[s]) + flatten(ws2[s]))
-                        partial = [(words + (w,), k + rk, cc * rc)
-                                   for words, k, cc in partial
-                                   for w, rk, rc in nfs if k + rk <= n]
+                    for u, v in zip(ws1, ws2):
+                        nfs = slot_nf.get((u, v))
+                        if nfs is None:
+                            nfs = slot_nf[(u, v)] = nf(flatten(u) + flatten(v))
+                        grown = []
+                        for words, k, cc in partial:
+                            for w, rk, rc in nfs:
+                                if k + rk > n:
+                                    break
+                                grown.append((words + (w,), k + rk,
+                                              cc if rc is one else cc * rc))
+                        partial = grown
                         if not partial:
                             break
                     for words, k, cc in partial:
-                        key = (words, k)
-                        acc = out.get(key)
-                        if acc is None:
-                            out[key] = cc
-                        else:
-                            s2 = acc + cc
-                            if s2.is_zero():
-                                del out[key]
-                            else:
-                                out[key] = s2
-            return TensorElement(self.algebra, self.arity, out)
-        return self.scaled(other)
+                        add_term(out, (words, k), cc)
+            return TensorElement(alg, self.arity, out)
+        if isinstance(other, _SCALARS):
+            return self.scaled(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -224,6 +224,24 @@ class TestTripleAgainstPair:
                 with pytest.raises(ZeroDivisionError):
                     x / y
 
+    @pytest.mark.parametrize("seed", [71, 72])
+    def test_products_with_units_and_special_values(self, seed):
+        rng = random.Random(seed)
+        special = [Pair(0), Pair(1), Pair(-1), Pair(0, 1), Pair(0, -1), Pair(Fraction(1, 2)),
+                   Pair(1, 1), Pair(Fraction(1, 2), 1), Pair(0, Fraction(1, 2))]
+        pool = special + [random_pair(rng) for _ in range(50)]
+        for p in pool:
+            x = FieldElem(p.a, p.b)
+            for q in pool:
+                assert_matches(x * FieldElem(q.a, q.b), p * q)
+            # a factor exactly 1 gives the other operand itself
+            for one in (FE_ONE, FieldElem(1), FieldElem(Fraction(2, 2), 0)):
+                assert x * one == x == one * x
+                if x != one:  # when x is 1 too, either 1 may come back
+                    assert x * one is x and one * x is x
+            assert_matches(x * 1, p)
+            assert_matches(1 * x, p)
+
     def test_powers(self):
         rng = random.Random(31)
         for _ in range(150):

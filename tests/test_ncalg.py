@@ -5,14 +5,14 @@ import sys
 
 import pytest
 
-from hopf_forge import ncalg
+from hopf_forge import cli, ncalg
 from hopf_forge.coeff import FE_ONE, FieldElem, rat
 from hopf_forge.contraction import Contraction
 from hopf_forge.ncalg import (AlgebraMismatch, AlgebraPresentation, ArityMismatch,
                               MissingRule, NCElement, NonTerminating,
                               TensorElement, UnmappedGenerator, flatten,
                               tensor_pair)
-from hopf_forge.algebras import build_preset, preset
+from hopf_forge.algebras import PRESET_NAMES, build_preset, preset
 
 
 def fe(value):
@@ -288,6 +288,19 @@ class TestKernelErrors:
             assert fresh is not c
             assert fresh == c and hash(fresh) == hash(c)
 
+    @pytest.mark.parametrize("name", ["sl2", "so22", "nullplane", "sl2-jbasis"])
+    def test_unit_times_stored_scalars(self, name):
+        alg = fresh_presentation(name, 3)
+        rng = random.Random(7)
+        for _ in range(10):
+            alg.normal_form_of_word(tuple(rng.randrange(len(alg.generators)) for _ in range(4)))
+        stored = set(alg._interned.values())
+        stored.update(c for rhs in alg._rules.values() if rhs for c in rhs.values())
+        assert len(stored) > 3
+        for c in stored:
+            for one in (FE_ONE, FieldElem(1), 1, rat(1)):
+                assert c * one == c and one * c == c
+
 
 class TestMul:
     def test_in_order_product(self):
@@ -462,6 +475,102 @@ class TestTensor:
         t = tensor_pair(alg.gen("K_2"), alg.gen("P_plus")).scaled(fe(3), 1) \
             + tensor_pair(alg.gen("E_1"), alg.gen("P_1"))
         assert t.flip().flip() == t
+
+    def test_element_times_tensor_is_a_type_error(self):
+        alg = preset("sl2", 2).presentation
+        x = alg.gen("A_plus")
+        t = tensor_pair(alg.gen("A"), alg.unit())
+        for left, right in ((x, t), (t, x), (t, "x"), ("x", t), (x, "x")):
+            with pytest.raises(TypeError):
+                left * right
+
+    def test_int_and_field_scalars_still_scale(self):
+        alg = preset("sl2", 2).presentation
+        t = tensor_pair(alg.gen("A"), alg.gen("A_plus"))
+        twice = t.scaled(fe(2))
+        assert 2 * t == twice and t * 2 == twice
+        assert fe(2) * t == twice and t * fe(2) == twice
+        assert rat(2) * t == twice and t * rat(2) == twice
+        x = alg.gen("A")
+        assert 2 * x == x * 2 == x.scaled(fe(2)) == x * rat(2) == rat(2) * x
+
+
+def reference_tensor_product(x, y):
+    """``x * y`` for tensors by the product that visits every pair of terms:
+    each slot's two flat words joined and normalized, then distributed, with
+    the pairs above the order skipped one by one."""
+    alg = x.algebra
+    n = alg.order
+    nf = alg.normal_form_of_word
+    out = {}
+    for (ws1, k1), c1 in x.terms.items():
+        for (ws2, k2), c2 in y.terms.items():
+            if k1 + k2 > n:
+                continue
+            partial = [((), k1 + k2, c1 * c2)]
+            for s in range(x.arity):
+                nfs = nf(flatten(ws1[s]) + flatten(ws2[s]))
+                partial = [(words + (w,), k + rk, cc * rc)
+                           for words, k, cc in partial
+                           for w, rk, rc in nfs if k + rk <= n]
+                if not partial:
+                    break
+            for words, k, cc in partial:
+                key = (words, k)
+                acc = out.get(key)
+                if acc is None:
+                    out[key] = cc
+                else:
+                    s2 = acc + cc
+                    if s2.is_zero():
+                        del out[key]
+                    else:
+                        out[key] = s2
+    return out
+
+
+def random_tensor(alg, rng, arity, max_terms=6, max_len=2):
+    """Normal slot words at mixed powers of the parameter, one term at the order."""
+    n = len(alg.generators)
+    terms = {}
+    for i in range(rng.randint(2, max_terms)):
+        ws = tuple(compress(sorted(rng.randrange(n) for _ in range(rng.randint(0, max_len))))
+                   for _ in range(arity))
+        k = alg.order if i == 0 else rng.randint(0, alg.order)
+        terms[(ws, k)] = FieldElem(rat(rng.randint(-3, 3) or 1, rng.randint(1, 2)),
+                                   rng.choice((0, 0, 1)))
+    return TensorElement(alg, arity, terms)
+
+
+TENSOR_CASES = [(name, order, None) for name in ("sl2", "so22", "nullplane", "sl2-jbasis")
+                for order in (2, 3, 4, 5)] + [("nullplane", n, "ncalg-rule") for n in (2, 3, 4, 5)]
+
+
+class TestTensorProductOracle:
+    @pytest.mark.parametrize("name, order, fault", TENSOR_CASES)
+    def test_matches_every_pair_product(self, name, order, fault):
+        alg = build_preset(name, order, fault).presentation
+        rng = random.Random(f"tensor-{name}-{order}-{fault}")
+        for arity in (2, 3):
+            ts = [random_tensor(alg, rng, arity) for _ in range(4)]
+            ts.append(TensorElement.unit(alg, arity))
+            for x in ts:
+                for y in ts:
+                    got = (x * y).terms
+                    want = reference_tensor_product(x, y)
+                    assert got == want, (x, y)
+                    assert list(got) == list(want), (x, y)
+
+    def test_entries_ascend_in_power_after_verify_hopf(self, capsys):
+        assert cli.main(["verify", "hopf", "--order", "3"]) == 0
+        capsys.readouterr()
+        for name in PRESET_NAMES:
+            alg = preset(name, 3).presentation
+            entries = list(alg._table.values()) + list(alg._nf_cache.values())
+            assert alg._table and alg._nf_cache, name
+            for entry in entries:
+                powers = [k for _, k, _ in entry]
+                assert powers == sorted(powers), (name, entry)
 
 
 class TestSubstitution:
