@@ -13,16 +13,23 @@ to the working truncation order).
 
 Words are stored compressed as ``((gen_index, exponent), ...)`` with strictly
 increasing generator indices.  Everything is normal-ordered by a left fold that
-multiplies a ``{(normal word, k): scalar}`` accumulator by one generator at a
-time.  For a normal word ``u = rest*h`` and a generator ``g < h``, the rule for
-``h*g`` is applied once and each of its terms folded onto ``rest``; the result
-(the leftmost-descent normal form of ``u*g``, as ``(word, k, scalar)``
-entries) is kept in a per-presentation table, so no subword product is derived
-twice.  Missing entries are filled on an explicit stack, not by recursion.
+multiplies a ``{(normal word, k): scalar}`` accumulator by one block ``g**e`` at
+a time.  A term whose word does not end above ``g`` takes the whole block in
+one step: it appends the block or raises its last exponent.  Any other term
+moves past one ``g`` through a per-presentation table of normal forms of
+``u*g`` (``(word, k, scalar)`` entries), and what it gives takes the rest of
+the block.  For ``u = v*h**e`` with ``v`` not empty and ``e > 1`` the entry
+is ``v`` folded by each term of the power-pair entry ``h**e * g``, which lives
+in the same table and is shared by every prefix ``v`` (the power-pair
+multiplication tables of Plural); otherwise it is the rule for ``h*g`` folded
+onto ``u`` less one ``h`` (at ``e = 1`` the pair entry is the rule itself).
+So no subword product is derived twice, and a prefix does not derive a high
+power again.  Missing entries are filled on an explicit stack, not by
+recursion.
 
 An element product ``x * y`` folds through that table directly
 (:meth:`AlgebraPresentation.fold`): for each term of ``y`` the terms of ``x``,
-scaled and shifted by it (truncated to the order), take the term's generators
+scaled and shifted by it (truncated to the order), take the term's blocks
 one at a time, and like terms merge after every step.  Both factors are
 already normal, so no concatenated flat word is built and the table is the
 only memo.  The expression parser folds each product term the same way.
@@ -35,18 +42,22 @@ power of the parameter, so a fold or ``normalize`` stops at the first term
 above the order, and every stored scalar is interned under its integer triple
 (the caches hold many copies of few distinct values; a stored 1 is ``FE_ONE``
 itself, which a product skips).  The step bound counts the table entries
-filled for one product, one flat word or one parsed product term.
+filled for one product, one flat word or one parsed product term, power-pair
+entries included.
 
 An entry holds ``u*g`` for any power of the parameter, so a rewriting of
 ``u*g`` that needs ``u*g`` again is a :class:`NonTerminating` cycle, even if
-truncation would have dropped every term that comes back.
+truncation would have dropped every term that comes back; so is one of
+``v*h**e * g`` that needs the pair entry ``h**e * g`` it is built from.
 
 A tensor product visits only the pairs of terms that fit under the order: for
 each power of a left term it walks the right terms with room for it, one list
 per distinct room, in the right factor's own order.  Each slot's normal form
 is fetched once per distinct (left word, right word) pair of one product, in a
 dict that ends with the product; the flat-word cache is the only memo that
-outlives it.
+outlives it.  A pair whose joined word is already normal (a slot word empty,
+or the left word's last generator not above the right word's first) is that
+word, with no lookup.
 
 A map given on generators (a coproduct, counit or antipode, a substitution, a
 representation) is extended to words and elements by one :class:`WordMap`.
@@ -67,6 +78,7 @@ scalars (see :mod:`hopf_forge.contraction`).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from operator import itemgetter
 
 from .coeff import FE_ONE, FE_ZERO, FieldElem, NonzeroConstantTerm
@@ -256,24 +268,20 @@ class AlgebraPresentation:
         return hit
 
     def _rewrite(self, flat):
-        """Left fold of ``flat`` through the word-times-generator table."""
-        self._misses = 0
-        acc = {((), 0): FE_ONE}
-        for g in flat:
-            acc = self._times(acc, g)
-        return self._stored(acc)
+        """Left fold of ``flat``, one run of equal generators at a time."""
+        word = [(g, sum(1 for _ in run)) for g, run in groupby(flat)]
+        return self._stored(self.fold({((), 0): FE_ONE}, word, start=True))
 
     def fold(self, terms, word, start=False):
         """``terms`` times the compressed ``word``: the {(normal word, k): scalar}
-        dict takes the word's generators one at a time, left to right, through
-        the table, and a new dict is returned (``terms`` itself when ``word`` is
-        empty).  The table entries filled count toward the step bound; ``start``
-        begins a new product, with the count at zero."""
+        dict takes the word's blocks ``g**e`` one at a time, left to right, and a
+        new dict is returned (``terms`` itself when ``word`` is empty).  The
+        table entries filled count toward the step bound; ``start`` begins a
+        new product, with the count at zero."""
         if start:
             self._misses = 0
         for g, e in word:
-            for _ in range(e):
-                terms = self._times(terms, g)
+            terms = self._times(terms, g, e)
         return terms
 
     def _stored(self, terms):
@@ -283,21 +291,35 @@ class AlgebraPresentation:
         return tuple(sorted(((w, k, intern((c.p, c.q, c.d), c)) for (w, k), c in terms.items()),
                             key=itemgetter(1)))
 
-    def _times(self, acc, g):
-        """``acc * g`` for ``acc`` a {(normal word, k): scalar} dict."""
+    def _times(self, acc, g, e=1):
+        """``acc * g**e`` for ``acc`` a {(normal word, k): scalar} dict."""
+        out = {}
+        while acc:
+            acc = self._step(acc, g, e, out)
+            e -= 1
+        return out
+
+    def _step(self, acc, g, e, out):
+        """Sum ``acc * g**e`` into ``out`` as far as one step goes.  A term whose
+        word does not end above ``g`` takes the whole block at once; any other
+        term moves past one ``g`` through the table.  Returns the terms that
+        still have to take ``g**(e-1)`` (none when ``e`` is 1)."""
         one = FE_ONE
         top = self.order
         table = self._table
-        out = {}
+        carry = {} if e > 1 else out
         for (u, k), c in acc.items():
             if not u or u[-1][0] < g:
-                entry = ((u + ((g, 1),), 0, one),)
+                entry = ((u + ((g, e),), 0, one),)
+                dst = out
             elif u[-1][0] == g:
-                entry = ((u[:-1] + ((g, u[-1][1] + 1),), 0, one),)
+                entry = ((u[:-1] + ((g, u[-1][1] + e),), 0, one),)
+                dst = out
             else:
                 entry = table.get((u, g))
                 if entry is None:
                     entry = self._fill((u, g))
+                dst = carry
             for w, rk, rc in entry:
                 kk = k + rk
                 if kk > top:  # entries ascend in power: the rest are above too
@@ -305,14 +327,14 @@ class AlgebraPresentation:
                 # the unit needs no product: inline appends and swap rules carry it
                 v = c if rc is one else rc if c is one else c * rc
                 key = (w, kk)
-                s = out.get(key)
+                s = dst.get(key)
                 if s is not None:
                     v = s + v
                     if v.is_zero():
-                        del out[key]
+                        del dst[key]
                         continue
-                out[key] = v
-        return out
+                dst[key] = v
+        return carry if e > 1 else {}
 
     def _fill(self, key):
         """Table entry for ``key``, filling first every missing entry it needs.
@@ -338,22 +360,39 @@ class AlgebraPresentation:
 
     def _entry_steps(self, u, g):
         """Store the normal form of ``u*g`` (last generator of ``u`` above ``g``),
-        yielding each missing table key it needs for :meth:`_fill` to fill."""
+        yielding each missing table key it needs for :meth:`_fill` to fill.
+
+        For ``u = v*h**e`` with ``v`` not empty and ``e > 1``, that is ``v``
+        times each term of the power-pair entry ``h**e * g``, which every such
+        ``v`` shares; otherwise ``u`` less one ``h`` times each term of the rule
+        for ``h*g``."""
         h, e = u[-1]
-        rule = self._rules.get((h, g))
-        if rule is None:
-            gj, gi = self.generators[h], self.generators[g]
-            raise MissingRule(f"no rule for {gj}*{gi} in {self.name}")
-        rest = u[:-1] + ((h, e - 1),) if e > 1 else u[:-1]
         table = self._table
+        if e > 1 and len(u) > 1:
+            pair = (u[-1:], g)
+            if pair not in table:
+                yield pair
+            terms = table[pair]
+            rest = u[:-1]
+        else:
+            rule = self._rules.get((h, g))
+            if rule is None:
+                gj, gi = self.generators[h], self.generators[g]
+                raise MissingRule(f"no rule for {gj}*{gi} in {self.name}")
+            terms = [(m, rk, rc) for (m, rk), rc in rule.items()]
+            rest = u[:-1] + ((h, e - 1),) if e > 1 else u[:-1]
         total = {}
-        for (m, rk), rc in rule.items():
+        for m, rk, rc in terms:
             part = {(rest, rk): rc}
-            for x in flatten(m):
-                for w, _ in part:
-                    if w and w[-1][0] > x and (w, x) not in table:
-                        yield w, x
-                part = self._times(part, x)
+            for x, ex in m:
+                out = {}
+                while part:
+                    for w, _ in part:
+                        if w and w[-1][0] > x and (w, x) not in table:
+                            yield w, x
+                    part = self._step(part, x, ex, out)
+                    ex -= 1
+                part = out
             for key, c in part.items():
                 add_term(total, key, c)
         table[(u, g)] = self._stored(total)
@@ -470,20 +509,22 @@ class NCElement:
         return self.algebra is other.algebra and self.terms == other.terms
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.algebra.unit() * other
+        if isinstance(other, _SCALARS):  # a scalar adds as that multiple of the unit
+            other = self.algebra.unit().scaled(other)
+        elif not isinstance(other, NCElement):
+            return NotImplemented
         self._check(other)
         return NCElement(self.algebra, _sum_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.algebra.unit() * other
+        if not isinstance(other, (NCElement, *_SCALARS)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self) + other if isinstance(other, _SCALARS) else NotImplemented
 
     def __neg__(self):
         return NCElement(self.algebra, {key: -c for key, c in self.terms.items()})
@@ -598,10 +639,14 @@ class TensorElement:
                 and self.terms == other.terms)
 
     def __add__(self, other):
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         self._check(other)
         return TensorElement(self.algebra, self.arity, _sum_terms(self.terms, other.terms))
 
     def __sub__(self, other):
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
@@ -630,7 +675,14 @@ class TensorElement:
                     for u, v in zip(ws1, ws2):
                         nfs = slot_nf.get((u, v))
                         if nfs is None:
-                            nfs = slot_nf[(u, v)] = nf(flatten(u) + flatten(v))
+                            if not u or not v or u[-1][0] < v[0][0]:  # already normal
+                                nfs = ((u + v, 0, one),)
+                            elif u[-1][0] == v[0][0]:
+                                (g, e1), (_, e2) = u[-1], v[0]
+                                nfs = ((u[:-1] + ((g, e1 + e2),) + v[1:], 0, one),)
+                            else:
+                                nfs = nf(flatten(u) + flatten(v))
+                            slot_nf[(u, v)] = nfs
                         grown = []
                         for words, k, cc in partial:
                             for w, rk, rc in nfs:

@@ -178,6 +178,89 @@ class TestDeepWords:
         assert got == want
 
 
+class PrefixKeyedPresentation(AlgebraPresentation):
+    """The table as it was before power-pair entries: the entry for ``u*g``
+    with ``u = rest*h`` is the rule for ``h*g`` folded onto ``rest`` one
+    generator at a time, so every prefix derives its own ``h**e * g``."""
+
+    def _rewrite(self, flat):
+        self._misses = 0
+        acc = {((), 0): FE_ONE}
+        for g in flat:
+            acc = self._times(acc, g)
+        return self._stored(acc)
+
+    def _entry_steps(self, u, g):
+        h, e = u[-1]
+        rule = self._rules.get((h, g))
+        if rule is None:
+            raise MissingRule(f"no rule for {h}*{g}")
+        rest = u[:-1] + ((h, e - 1),) if e > 1 else u[:-1]
+        table = self._table
+        total = {}
+        for (m, rk), rc in rule.items():
+            part = {(rest, rk): rc}
+            for x in flatten(m):
+                for w, _ in part:
+                    if w and w[-1][0] > x and (w, x) not in table:
+                        yield w, x
+                part = self._times(part, x)
+            for key, c in part.items():
+                ncalg.add_term(total, key, c)
+        table[(u, g)] = self._stored(total)
+
+
+def prefix_keyed(alg):
+    """A copy of ``alg`` with the same rules, an empty table and the old entries."""
+    ref = PrefixKeyedPresentation(alg.name, alg.generators, alg.param, alg.order)
+    ref._rules, ref._frozen = alg._rules, True
+    return ref
+
+
+PAIR_CASES = [(name, order, None) for name in ("sl2", "so22", "nullplane", "sl2-jbasis")
+              for order in (2, 3, 4, 5)] + [("nullplane", n, "ncalg-rule") for n in (2, 3, 4, 5)]
+
+
+class TestPowerPairEntries:
+    @pytest.mark.parametrize("name, order, fault", PAIR_CASES)
+    def test_matches_prefix_keyed_entries(self, name, order, fault):
+        alg = build_preset(name, order, fault).presentation
+        ref = prefix_keyed(alg)
+        n = len(alg.generators)
+        rng = random.Random(f"pair-{name}-{order}-{fault}")
+        words = [tuple(rng.randrange(n) for _ in range(rng.randint(2, 7))) for _ in range(12)]
+        # high powers carried past lower generators, behind a prefix and not
+        words += [(n - 1,) * 4 + (0,), (0,) + (n - 1,) * 3 + (1,) + (n - 2,) * 2 + (0,) * 2]
+        for word in words:
+            assert as_dict(alg.normal_form_of_word(word)) == \
+                as_dict(ref.normal_form_of_word(word)), word
+
+    def test_prefixes_share_the_power_pair_entry(self):
+        alg = build_preset("nullplane", 2).presentation
+        pm, f1 = alg.index["P_minus"], alg.index["F_1"]
+        pair = (((f1, 3),), pm)
+        for head in range(f1):
+            word = (head,) + (f1,) * 3 + (pm,)
+            want = leftmost_descent_normal_form(alg, word)
+            assert as_dict(alg.normal_form_of_word(word)) == want
+            assert pair in alg._table
+        # no prefix derives F_1^3*P_minus again through its own F_1^2*P_minus
+        assert not any(u[-1] == (f1, 2) and g == pm for u, g in alg._table if len(u) > 1)
+
+    def test_table_grows_linearly_with_the_power(self):
+        from hopf_forge.expr import parse_to_element
+        filled = []
+        for n in (200, 400, 800):
+            alg = build_preset("nullplane", 2).presentation
+            before = len(alg._table)
+            x = parse_to_element(f"(F_1*P_minus)^{n}", alg)
+            filled.append(len(alg._table) - before)
+            assert set(x.terms) == {(((alg.index["P_minus"], n), (alg.index["F_1"], n)), 0)}
+        # prefix-keyed entries filled 11,094, 44,374 and 177,494 here
+        assert filled == [383, 767, 1535]
+        assert filled[2] - filled[1] == 2 * (filled[1] - filled[0])
+
+
 class TestKernelErrors:
     def test_step_limit_leaves_no_cache_entry(self, monkeypatch):
         alg = build_preset("so22", 2).presentation
@@ -206,19 +289,25 @@ class TestKernelErrors:
 
     def test_runaway_rewriting_is_nonterminating(self, monkeypatch):
         alg = AlgebraPresentation("runaway", ("a", "b"), "z", 1)
-        # b*a = a^2 b^2 makes b^2 a grow without end; each step waits on the
-        # next, so a small limit keeps the stack of pending entries small
+        # b*a = a^2 b^2 makes b^2 a grow without end: b^2*a = b*a^2 b^2 =
+        # a^2 b^2 * a b^2, and a^2 b^2 * a needs the power pair b^2*a again
         alg.set_rules({(1, 0): alg.element({(((0, 2), (1, 2)), 0): FE_ONE})})
         monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 2000)
-        with pytest.raises(NonTerminating, match="exceeded"):
+        with pytest.raises(NonTerminating, match="cycles"):
             alg.normal_form_of_word((1, 1, 0))
         assert (1, 1, 0) not in alg._nf_cache
+        assert (((1, 2),), 0) not in alg._table
 
     def test_runaway_element_product_is_nonterminating(self, monkeypatch):
         alg = AlgebraPresentation("runaway", ("a", "b"), "z", 1)
         alg.set_rules({(1, 0): alg.element({(((0, 2), (1, 2)), 0): FE_ONE})})
         monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 50)
         b, a = alg.gen("b"), alg.gen("a")
+        with pytest.raises(NonTerminating, match="cycles"):
+            (b * b) * a
+        # b*a alone terminates; the step bound stops b^2*a before the cycle
+        assert b * a == alg.element({(((0, 2), (1, 2)), 0): FE_ONE})
+        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 1)
         with pytest.raises(NonTerminating, match="exceeded"):
             (b * b) * a
 
@@ -248,10 +337,15 @@ class TestKernelErrors:
         parse_to_element(" + ".join(f"{a}*{b}*{c}" for a in gens for b in gens for c in gens),
                          alg)
         assert len(alg._table) - before > limit
+        # one term that needs more entries than the bound fails on its own
+        reversed_word = "*".join(reversed(gens))
+        with pytest.raises(NonTerminating, match="exceeded"):
+            parse_to_element(f"{gens[0]} + {reversed_word}*{reversed_word}",
+                             fresh_presentation("so22", 2))
         runaway = AlgebraPresentation("runaway", ("a", "b"), "z", 1)
         runaway.set_rules({(1, 0): runaway.element({(((0, 2), (1, 2)), 0): FE_ONE})})
         monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 50)
-        with pytest.raises(NonTerminating, match="exceeded"):
+        with pytest.raises(NonTerminating, match="cycles"):
             parse_to_element("a + b*b*a", runaway)
 
     def test_cycle_through_truncated_terms_is_nonterminating(self):
@@ -561,6 +655,24 @@ class TestTensorProductOracle:
                     assert got == want, (x, y)
                     assert list(got) == list(want), (x, y)
 
+    @pytest.mark.parametrize("name", ["sl2", "nullplane"])
+    def test_normal_joins_skip_the_flat_word_cache(self, name):
+        alg = build_preset(name, 3).presentation
+        n = len(alg.generators)
+        low, mid = ((0, 1),), ((0, 2), (n // 2, 1))
+        high, top = ((n // 2, 2), (n - 1, 1)), ((n - 1, 2),)
+        # every joined slot word is normal: a slot empty, ascending, or one
+        # generator meeting itself across the join
+        x = TensorElement(alg, 2, {((low, ()), 0): fe(2), ((mid, low), 1): fe((1, 3)),
+                                   (((), mid), 2): FieldElem(1, 1)})
+        y = TensorElement(alg, 2, {((high, high), 0): fe(-1), (((), ()), 1): fe(3),
+                                   ((top, high), 0): fe(5)})
+        before = dict(alg._nf_cache)
+        got = (x * y).terms
+        assert alg._nf_cache == before
+        want = reference_tensor_product(x, y)
+        assert got == want and list(got) == list(want)
+
     def test_entries_ascend_in_power_after_verify_hopf(self, capsys):
         assert cli.main(["verify", "hopf", "--order", "3"]) == 0
         capsys.readouterr()
@@ -571,6 +683,29 @@ class TestTensorProductOracle:
             for entry in entries:
                 powers = [k for _, k, _ in entry]
                 assert powers == sorted(powers), (name, entry)
+
+
+class TestScalarAddition:
+    def test_scalars_add_as_multiples_of_the_unit(self):
+        alg = preset("sl2", 2).presentation
+        x = alg.gen("A") * alg.gen("A_plus")
+        for c in (1, -3, rat(1, 2), FieldElem(1), FieldElem(rat(2, 3), 1)):
+            unit = alg.unit().scaled(c)
+            assert x + c == c + x == x + unit
+            assert x - c == x - unit and c - x == unit - x
+        assert x + 0 == x - FieldElem(0) == x
+        assert (x - x + rat(1, 2)).terms == {((), 0): FieldElem(rat(1, 2))}
+
+    def test_other_operands_are_a_type_error(self):
+        alg = preset("sl2", 2).presentation
+        x = alg.gen("A")
+        t = tensor_pair(x, alg.unit())
+        for left, right in ((x, "x"), ("x", x), (x, 1.5), (1.5, x), (x, t), (t, x),
+                            (t, 1), (1, t), (t, rat(1, 2)), (FieldElem(1), t), (t, "x")):
+            with pytest.raises(TypeError):
+                left + right
+            with pytest.raises(TypeError):
+                left - right
 
 
 class TestSubstitution:
