@@ -205,6 +205,7 @@ def _canon(p, q, d):
 FE_ZERO = FieldElem(0)
 FE_ONE = FieldElem(1)
 FE_SQRT2 = FieldElem(0, 1)
+_SCALARS = (*_RATIONAL, FieldElem)  # what an element, tensor or polynomial is scaled by
 
 
 def series(param, order, coeffs):

@@ -100,7 +100,10 @@ class WeylOperator:
         return WeylOperator(self.order, _sum_terms(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            add_term(out, key, -c)
+        return WeylOperator(self.order, out)
 
     def __neg__(self):
         return WeylOperator(self.order, {key: -c for key, c in self.terms.items()})

@@ -77,14 +77,12 @@ scalars (see :mod:`hopf_forge.contraction`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
-from .coeff import FE_ONE, FE_ZERO, FieldElem, NonzeroConstantTerm
+from .coeff import _SCALARS, FE_ONE, FE_ZERO, FieldElem, NonzeroConstantTerm
 
 REWRITE_STEP_LIMIT = 10 ** 6
-_SCALARS = (int, Fraction, FieldElem)  # what an element or tensor is scaled by with ``*``
 
 
 class AlgebraError(Exception):

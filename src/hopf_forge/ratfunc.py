@@ -19,9 +19,13 @@ field carry into its neighbour.
 
 :func:`groebner` skips the S-pairs that Buchberger's two criteria prove
 reduce to zero: the product criterion (coprime leading monomials) and the
-chain criterion (some third leading monomial divides the pair's lcm and both
-of its pairs with the third member are already treated; Buchberger, EUROSAM
-1979, LNCS 72).
+chain criterion (a third leading monomial divides the pair's lcm and both of
+its pairs are treated; Buchberger, EUROSAM 1979, LNCS 72).  :func:`reduce_poly`
+takes a basis prepared once by :func:`leads`, which ``groebner`` grows with it.
+
+No stored coefficient is zero.  Results that are zero-free by construction
+(negation, nonzero scaling, derivatives, sums that drop a cancelled key,
+remainders) skip the constructor's filtering copy (``Polynomial._zero_free``).
 
 :func:`poly_gcd` (a primitive remainder sequence) is a library function
 only: a Laurent coefficient's denominator is a power of one variable, so no
@@ -32,7 +36,7 @@ from __future__ import annotations
 import heapq
 import struct
 
-from .coeff import FE_ONE, FE_ZERO, FieldElem, NonInvertible, ZeroDivisor
+from .coeff import _SCALARS, FE_ONE, FE_ZERO, FieldElem, NonInvertible, ZeroDivisor
 
 FIELD_BITS = 16
 FIELD_MASK = (1 << FIELD_BITS) - 1
@@ -102,7 +106,7 @@ class PolyRing:
         return self.monomial(e)
 
     def monomial(self, exps, c=FE_ONE):
-        if isinstance(c, int):
+        if not isinstance(c, FieldElem):
             c = FieldElem(c)
         return Polynomial(self, {self.pack(exps): c})
 
@@ -147,6 +151,13 @@ class Polynomial:
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
         self._lead = None
 
+    @classmethod
+    def _zero_free(cls, ring, terms):
+        """``terms`` as they are, not copied: the caller knows no coefficient is zero."""
+        p = object.__new__(cls)
+        p.ring, p.terms, p._lead = ring, terms, None
+        return p
+
     def is_zero(self):
         return not self.terms
 
@@ -172,35 +183,41 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
-    def __add__(self, other):
-        if isinstance(other, (int, FieldElem)):
+    def __add__(self, other, minus=False):
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             other = self.ring.constant(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
-            out[e] = c if s is None else s + c
-        return Polynomial(self.ring, out)
+            if s is not None:
+                c = s - c if minus else s + c
+            elif minus:
+                c = -c
+            if c.is_zero():  # a cancelled key goes, so the result is zero-free
+                del out[e]
+            else:
+                out[e] = c
+        return Polynomial._zero_free(self.ring, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, FieldElem)):
-            other = self.ring.constant(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            out[e] = -c if s is None else s - c
-        return Polynomial(self.ring, out)
+        return self.__add__(other, minus=True)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self) + other if isinstance(other, _SCALARS) else NotImplemented
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._zero_free(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElem)):
-            return Polynomial(self.ring, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            return Polynomial._zero_free(
+                self.ring, {e: c * other for e, c in self.terms.items()} if other else {})
         if not self.terms or not other.terms:
             return Polynomial(self.ring, {})
         # the leading monomial of the product is the sum of the leading ones
@@ -246,7 +263,7 @@ class Polynomial:
             k = (e >> s) & FIELD_MASK
             if k:
                 out[e - unit] = c * k
-        return Polynomial(ring, out)
+        return Polynomial._zero_free(ring, out)
 
     def __repr__(self):
         if self.is_zero():
@@ -261,13 +278,20 @@ class Polynomial:
         return " + ".join(bits)
 
 
-def reduce_poly(p, basis):
-    """Full normal form of ``p`` modulo a list of polynomials.
+def leads(basis):
+    """A basis prepared for :func:`reduce_poly`: per nonzero member, its
+    leading monomial, the inverse of its leading coefficient and its other
+    terms negated, as ``(monomial, coefficient)`` pairs."""
+    return [(le, lc.inverse(), [(e, -c) for e, c in b.terms.items() if e != le])
+            for b in basis if b.terms for le, lc in (b.leading(),)]
+
+
+def reduce_poly(p, lead):
+    """Full normal form of ``p`` modulo a basis prepared by :func:`leads`.
 
     Repeatedly cancels the largest term divisible by a basis leading term;
     with a Groebner basis this is a sound zero test for ideal membership.
     """
-    lead = [b.leading() + (b,) for b in basis if not b.is_zero()]
     if not lead:
         return p
     g = p.ring.guard
@@ -283,25 +307,23 @@ def reduce_poly(p, basis):
         if c.is_zero():
             continue
         eg = e | g
-        for le, lc, b in lead:
+        for le, inv, tail in lead:
             if (eg - le) & g == g:  # _divides(le, e, g), inlined
-                # cancel c*x^e against (c/lc)*x^(e-le) * b
-                q = c / lc
+                # cancel c*x^e against (c/lc)*x^(e-le) * member
+                q = c * inv
                 shift = e - le
-                for be, bc in b.terms.items():
-                    if be == le:
-                        continue
+                for be, bc in tail:
                     ne = be + shift
                     s = work.get(ne)
                     if s is None:
-                        work[ne] = -(q * bc)
+                        work[ne] = q * bc
                         heapq.heappush(heap, -ne)
                     else:
-                        work[ne] = s - q * bc
+                        work[ne] = s + q * bc
                 break
         else:
             remainder[e] = c
-    return Polynomial(p.ring, remainder)
+    return Polynomial._zero_free(p.ring, remainder)
 
 
 def _spoly(f, g):
@@ -326,7 +348,8 @@ def groebner(gens):
         return []
     ring = basis[0].ring
     guard, ds = ring.guard, ring.dshift
-    lead = [b.leading()[0] for b in basis]
+    prepared = leads(basis)  # grows with ``basis``
+    lead = [e for e, _, _ in prepared]
     heap = []
     done = set()  # pairs (i, j), i < j, already taken off the heap
 
@@ -334,28 +357,28 @@ def groebner(gens):
         for i in range(k):
             heapq.heappush(heap, (_exp_lcm(ring, lead[i], lead[k]) >> ds, i, k))
 
-    def chain(i, j, l):
-        """Some other member's lead divides ``l`` and both its pairs with i
-        and j are treated: S(i, j) then reduces to zero (Buchberger 1979)."""
-        return any(
-            k != i and k != j and _divides(lead[k], l, guard)
-            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-            for k in range(len(basis)))
-
     for k in range(len(basis)):
         push_pairs(k)
     while heap:
         _, i, j = heapq.heappop(heap)
         done.add((i, j))
-        ei, ej = lead[i], lead[j]
-        l = _exp_lcm(ring, ei, ej)
-        if l == ei + ej or chain(i, j, l):
+        l = _exp_lcm(ring, lead[i], lead[j])
+        if l == lead[i] + lead[j]:
             continue
-        r = reduce_poly(_spoly(basis[i], basis[j]), basis)
-        if not r.is_zero():
-            basis.append(r.monic())
-            lead.append(basis[-1].leading()[0])
-            push_pairs(len(basis) - 1)
+        # chain criterion: a third lead divides l and both its pairs are treated
+        lg = l | guard
+        for k, ek in enumerate(lead):
+            if ((lg - ek) & guard == guard and k != i and k != j
+                    and ((k, i) if k < i else (i, k)) in done
+                    and ((k, j) if k < j else (j, k)) in done):
+                break
+        else:
+            r = reduce_poly(_spoly(basis[i], basis[j]), prepared)
+            if not r.is_zero():
+                basis.append(r.monic())
+                prepared += leads(basis[-1:])
+                lead.append(prepared[-1][0])
+                push_pairs(len(basis) - 1)
     # minimalize: drop members whose leading term another one divides
     keep = []
     for i, e in enumerate(lead):
@@ -365,9 +388,9 @@ def groebner(gens):
         keep.append(basis[i])
     # tail-reduce each member against the others
     out = []
+    kept = leads(keep)
     for i, b in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = reduce_poly(b, others) if others else b
+        r = reduce_poly(b, kept[:i] + kept[i + 1:])
         if not r.is_zero():
             out.append(r.monic())
     out.sort(key=lambda q: q.leading()[0])
@@ -540,7 +563,7 @@ class Laurent:
             k = min(min(((e >> s) & FIELD_MASK for e in num.terms), default=shift), shift)
             if k:
                 unit = (k << s) | (k << num.ring.dshift)
-                num = Polynomial(num.ring, {e - unit: c for e, c in num.terms.items()})
+                num = Polynomial._zero_free(num.ring, {e - unit: c for e, c in num.terms.items()})
                 shift -= k
         self.num, self.shift = num, shift
 
@@ -557,24 +580,39 @@ class Laurent:
 
     def _over(self, top):
         """The numerator of this value written over ``v**top``, ``top >= shift``."""
-        k = top - self.shift
-        return self.num * _vpow(self.num.ring, k) if k else self.num
+        k, num, ring = top - self.shift, self.num, self.num.ring
+        if not k or not num.terms:
+            return num
+        if (max(num.terms) >> ring.dshift) + k > MAX_DEGREE:
+            raise OverflowError(f"numerator over v^{top} has total degree above {MAX_DEGREE}")
+        unit = (k << ring.shift[0]) | (k << ring.dshift)
+        return Polynomial._zero_free(ring, {e + unit: c for e, c in num.terms.items()})
 
     def __add__(self, other):
+        if not isinstance(other, Laurent):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = Laurent(self.num.ring.constant(other))
         top = max(self.shift, other.shift)
         return Laurent(self._over(top) + other._over(top), top)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        return self + -other
+        return self + -other if isinstance(other, (Laurent, *_SCALARS)) else NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other if isinstance(other, _SCALARS) else NotImplemented
 
     def __neg__(self):
         return Laurent(-self.num, self.shift)
 
     def __mul__(self, other):
-        """Product with a Laurent value or a scalar (int or FieldElem)."""
+        """Product with a Laurent value or a scalar (int, Fraction or FieldElem)."""
         if isinstance(other, Laurent):
             return Laurent(self.num * other.num, self.shift + other.shift)
-        return Laurent(self.num * other, self.shift)
+        return (Laurent(self.num * other, self.shift) if isinstance(other, _SCALARS)
+                else NotImplemented)
 
     __rmul__ = __mul__
 

@@ -37,7 +37,7 @@ from itertools import product
 
 from .coeff import FE_ONE, FE_ZERO, FieldElem, rat
 from .ncalg import AlgebraPresentation, NCElement, TensorElement, add_term, tensor_pair
-from .ratfunc import PolyRing, Polynomial, groebner, reduce_poly
+from .ratfunc import PolyRing, Polynomial, groebner, leads, reduce_poly
 from .hopf import HopfMaps
 from .report import CheckReport
 from .algebras import NP_GENERATORS, classical_bracket, preset
@@ -211,8 +211,14 @@ def orthogonality_groebner():
     return tuple(groebner(orthogonality_quadrics()))
 
 
+@lru_cache(maxsize=None)
+def orthogonality_leads():
+    """The Groebner basis of the ideal, prepared once for :func:`reduce_poly`."""
+    return tuple(leads(orthogonality_groebner()))
+
+
 def ideal_reduce(p):
-    return reduce_poly(p, list(orthogonality_groebner()))
+    return reduce_poly(p, orthogonality_leads())
 
 
 # -- the symbolic group element --------------------------------------------------
@@ -362,40 +368,44 @@ def _coord_bracket(table, i, j):
     return table[(i, j)] if i < j else -table[(j, i)]
 
 
+def _partials(p):
+    """The nonzero first partial derivatives of ``p``, as pairs (a, dp/dx_a)."""
+    return [(a, d) for a, d in enumerate(p.derivative(v) for v in COORD_NAMES) if d.terms]
+
+
+def _leibniz(table, dp, dq):
+    """Sum over a != b of (dp/dx_a)(dq/dx_b){x_a, x_b}, given the partials ``dp``
+    of p and ``dq`` of q; a coordinate x_i has the one partial ``((i, FE_ONE),)``."""
+    out = RING12.zero()
+    for a, da in dp:
+        for b, db in dq:
+            if a != b:
+                out = out + db * da * _coord_bracket(table, a, b)
+    return out
+
+
 def poisson_bracket(p, q, table=None):
     """Extend the coordinate brackets to polynomials by the Leibniz rule."""
     table = table if table is not None else sklyanin_table()
-    out = RING12.zero()
-    for x in range(len(COORD_NAMES)):
-        dp = p.derivative(COORD_NAMES[x])
-        if dp.is_zero():
-            continue
-        for y in range(len(COORD_NAMES)):
-            if x == y:
-                continue
-            dq = q.derivative(COORD_NAMES[y])
-            if dq.is_zero():
-                continue
-            out = out + dp * dq * _coord_bracket(table, x, y)
-    return out
+    return _leibniz(table, _partials(p), _partials(q))
 
 
 def check_poisson_jacobi(order=1):
     """Cyclic Jacobi sums vanish modulo the ideal on all coordinate triples.
 
-    The inner bracket of two coordinates is a table entry; the outer one
-    goes through the Leibniz rule."""
+    Each inner bracket is a table entry q; each outer one is {x_i, q} = sum
+    over y of dq/dx_y {x_i, x_y}, from the partials of every entry, taken once
+    per call from the table this call reads."""
     rep = CheckReport(check="poisson-jacobi", algebra="poincare-group", order=order)
     table = sklyanin_table()
+    partials = {key: _partials(q) for key, q in table.items()}
     n = len(COORD_NAMES)
-    vars_ = [RING12.var(v) for v in COORD_NAMES]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                x, y, z = vars_[i], vars_[j], vars_[k]
-                s = (poisson_bracket(x, _coord_bracket(table, j, k), table)
-                     + poisson_bracket(y, _coord_bracket(table, k, i), table)
-                     + poisson_bracket(z, _coord_bracket(table, i, j), table))
+                s = (_leibniz(table, ((i, FE_ONE),), partials[(j, k)])
+                     - _leibniz(table, ((j, FE_ONE),), partials[(i, k)])
+                     + _leibniz(table, ((k, FE_ONE),), partials[(i, j)]))
                 rep.expect_zero(f"({COORD_NAMES[i]},{COORD_NAMES[j]},{COORD_NAMES[k]})",
                                 ideal_reduce(s))
     return rep
@@ -442,7 +452,7 @@ def _reduce_blocks(terms, arity):
     unique normal form whatever the slot order.
     """
     n_l = len(L_NAMES)
-    basis = list(orthogonality_groebner())
+    basis = orthogonality_leads()
     for s in range(arity):
         blocks = {}
         for (words, k), c in terms.items():

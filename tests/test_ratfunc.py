@@ -1,13 +1,15 @@
 """Commutative polynomial toolbox: gcd, Groebner closure, Laurent coefficients."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from hopf_forge.coeff import FE_ONE, FE_ZERO, FieldElem, NonInvertible, rat
 from hopf_forge.ratfunc import (Laurent, MAX_DEGREE, PolyRing, Polynomial,
                                 _divides as _divides_kernel, _exp_lcm, _monomial_gcd_part,
-                                groebner, poly_gcd, reduce_poly)
+                                groebner, leads as prepared_leads, poly_gcd,
+                                reduce_poly)
 
 R3 = PolyRing(("x", "y", "z"))
 
@@ -106,8 +108,8 @@ class TestGroebner:
     def test_reduction_detects_membership(self):
         x, y = R3.var("x"), R3.var("y")
         basis = groebner([x * x - 1, y - x])
-        assert reduce_poly(y * y - 1, basis).is_zero()
-        assert not reduce_poly(x + 1, basis).is_zero()
+        assert reduce_poly(y * y - 1, prepared_leads(basis)).is_zero()
+        assert not reduce_poly(x + 1, prepared_leads(basis)).is_zero()
 
     def test_matches_sympy_on_lorentz_ideal(self):
         sympy = pytest.importorskip("sympy")
@@ -217,7 +219,7 @@ def assert_reduced_basis_of(basis, gens):
             if i != j:
                 assert not any(_divides(leads[i], e) for e in _exps(q)), (p, q)
     for g in gens:
-        assert reduce_poly(g, basis).is_zero(), g
+        assert reduce_poly(g, prepared_leads(basis)).is_zero(), g
 
 
 def _rescaled_shuffle(polys, seed):
@@ -267,7 +269,15 @@ class TestGroebnerOracle:
         rng = random.Random(11)
         for _ in range(20):
             p = rand_poly(rng, max_terms=5, max_deg=4)
-            assert reduce_poly(p, basis) == reference_reduce(p, basis)
+            assert reduce_poly(p, prepared_leads(basis)) == reference_reduce(p, basis)
+
+    def test_prepared_orthogonality_leads_match_reference(self):
+        from hopf_forge.repfrt import RING12, orthogonality_groebner, orthogonality_leads
+        basis = list(orthogonality_groebner())
+        rng = random.Random(23)
+        for _ in range(25):
+            p = rand_poly(rng, RING12, max_terms=6, max_deg=2)
+            assert reduce_poly(p, orthogonality_leads()) == reference_reduce(p, basis)
 
 
 # -- Laurent coefficients against sympy -----------------------------------------
@@ -607,3 +617,87 @@ class TestPackedMonomials:
             ring.pack((2 ** 15,) + (0,) * (ring.nvars - 1))
         with pytest.raises(ValueError):
             ring.pack((-1, 2) + (0,) * (ring.nvars - 2))
+
+
+# -- scalar operands and zero-free results ----------------------------------------
+
+class TestScalarOperands:
+    """int, Fraction and FieldElem act as constants; anything else is a TypeError."""
+
+    SCALARS = (3, Fraction(1, 2), FieldElem(rat(-2, 3), 1))
+
+    @pytest.mark.parametrize("c", SCALARS)
+    def test_polynomial_with_a_scalar(self, c):
+        x = R3.var("x")
+        k = R3.constant(c)
+        assert x * c == c * x == x * k
+        assert x + c == c + x == x + k
+        assert x - c == x - k
+        assert c - x == k - x
+        assert (x * 0).is_zero() and (x * Fraction(0)).is_zero()
+
+    @pytest.mark.parametrize("c", SCALARS)
+    def test_laurent_with_a_scalar(self, c):
+        f = Laurent(RL.var("p_1"), 1)
+        k = Laurent(RL.constant(c))
+        assert f * c == c * f == f * k
+        assert f + c == c + f == f + k
+        assert f - c == f - k
+        assert c - f == k - f
+        assert Laurent(RL.var("p_plus")) + 1 == Laurent(RL.var("p_plus") + 1)
+
+    @pytest.mark.parametrize("other", ("a", 1.5, None))
+    def test_other_operands_raise_type_error(self, other):
+        for value in (R3.var("x"), Laurent(RL.var("p_1"), 1)):
+            for op in (lambda a, b: a + b, lambda a, b: b + a, lambda a, b: a - b,
+                       lambda a, b: b - a, lambda a, b: a * b, lambda a, b: b * a):
+                with pytest.raises(TypeError):
+                    op(value, other)
+        with pytest.raises(TypeError):
+            Laurent(RL.var("p_1")) * RL.var("p_1")
+
+
+def _zero_free_polynomial(p):
+    """No zero coefficient, and equal to itself rebuilt through the filtering constructor."""
+    return (all(not c.is_zero() for c in p.terms.values())
+            and Polynomial(p.ring, dict(p.terms)) == p)
+
+
+def _zero_free_laurent(f):
+    return (_zero_free_polynomial(f.num) and canonical(f)
+            and Laurent(Polynomial(f.num.ring, dict(f.num.terms)), f.shift) == f)
+
+
+class TestZeroFreeResults:
+    """Results built without the constructor's filter still hold no zero coefficient."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_polynomial_operations(self, seed):
+        rng = random.Random(700 + seed)
+        for _ in range(25):
+            p, q = rand_poly(rng), rand_poly(rng)
+            r = p + q * FieldElem(rat(rng.randint(1, 3), 2))
+            results = [p + q, p - q, p * q, -p, p - p, p + (-p), r - q * 2,
+                       p * 0, p * FieldElem(rat(-3, 4), 1), p + 0]
+            results += [p.derivative(v) for v in R3.vars]
+            for got in results:
+                assert _zero_free_polynomial(got), got
+        x = R3.var("x")
+        assert (x + 1) - (x + 1) == R3.zero()
+        assert ((x + 1) - x).terms == {R3.pack((0, 0, 0)): FE_ONE}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_laurent_operations(self, seed):
+        rng = random.Random(800 + seed)
+        for _ in range(25):
+            a, b = rand_laurent(rng), rand_laurent(rng)
+            results = [a + b, a - b, a * b, -a, a - a, a + (-a), a * 0, a * 2]
+            results += [a.derivative(v) for v in RL.vars]
+            for got in results:
+                assert _zero_free_laurent(got), got
+        # sums that cancel the top power of p_plus
+        x, y = RL.var("p_plus"), RL.var("p_1")
+        s = Laurent(x + y, 1) + Laurent(-y, 1)
+        assert (s.num, s.shift) == (RL.one(), 0) and _zero_free_laurent(s)
+        s = Laurent(y * x + 1, 2) - Laurent(RL.one(), 2)
+        assert (s.num, s.shift) == (y, 1) and _zero_free_laurent(s)

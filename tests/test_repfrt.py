@@ -8,7 +8,7 @@ from hopf_forge import repfrt
 from hopf_forge.algebras import preset
 from hopf_forge.coeff import FE_ONE, FE_SQRT2, FE_ZERO, FieldElem, rat
 from hopf_forge.ncalg import NCElement, add_term, tensor_pair
-from hopf_forge.ratfunc import PolyRing, Polynomial, reduce_poly
+from hopf_forge.ratfunc import PolyRing, Polynomial, leads, reduce_poly
 from hopf_forge.repfrt import (COORD_NAMES, L_NAMES, RING12, T_COORDS, T_ENTRIES,
                                InconsistentBivector, _embed64, _ideal_reduce_slots,
                                _poly_to_element, _reduce_blocks, check_group_coproduct,
@@ -235,6 +235,26 @@ class TestSklyanin:
         f = y * y
         assert poisson_bracket(x, f) == y * bracket("a_plus", "a_1") * 2
 
+    def test_entry_partials_bracket_is_the_leibniz_bracket(self):
+        # {x_i, q} as the Jacobi check forms it, from q's cached partials,
+        # against the library bracket and a derivative-by-derivative Leibniz
+        # sum, for every coordinate x_i and every table entry q
+        table = sklyanin_table()
+
+        def reference(i, q):
+            out = RING12.zero()
+            for y, name in enumerate(COORD_NAMES):
+                if y != i:
+                    out = out + q.derivative(name) * repfrt._coord_bracket(table, i, y)
+            return out
+
+        for key, q in table.items():
+            partials = repfrt._partials(q)
+            for i, name in enumerate(COORD_NAMES):
+                got = repfrt._leibniz(table, ((i, FE_ONE),), partials)
+                assert got == poisson_bracket(RING12.var(name), q, table), (name, key)
+                assert got == reference(i, q), (name, key)
+
 
 class TestRTT:
     def test_residuals_vanish(self):
@@ -365,7 +385,7 @@ def lifted_union_reduce(terms, arity):
         blocks.setdefault((apart, k), {})[ring.pack(e)] = c
     out = {}
     for (apart, k), block in blocks.items():
-        for m, c in reduce_poly(Polynomial(ring, block), basis).terms.items():
+        for m, c in reduce_poly(Polynomial(ring, block), leads(basis)).terms.items():
             e = ring.unpack(m)
             words = tuple(tuple((g, ex) for g, ex in enumerate(e[s * n_l:(s + 1) * n_l]) if ex)
                           + a for s, a in enumerate(apart))
