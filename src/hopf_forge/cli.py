@@ -23,7 +23,7 @@ from .algebras import (FAULTS, PRESET_NAMES, PresetConstructionError,
                        check_classical_limits, cross_check_two_copy, preset,
                        set_active_fault)
 from .expr import (ExpressionError, ExpressionSyntaxError, UnknownSymbol,
-                   parse_to_element, render_element, render_tensor)
+                   parse_to_element, render_element, render_tensor, to_json)
 from .ncalg import AlgebraError, NCElement
 from .report import CheckReport
 
@@ -66,7 +66,8 @@ def _consistency(name, order):
 
 
 def _check_table(fault=None):
-    """Verify verb -> its rows, in plan order; ``fault`` goes to rtt and diffrep."""
+    """Verify verb -> its rows, in plan order; ``fault`` goes to the checks
+    that build their own structures: rtt, weyl, group-coproduct and diffrep."""
     from . import contraction, diffrep, repfrt, rmat
 
     every = PRESET_NAMES
@@ -77,6 +78,10 @@ def _check_table(fault=None):
     def at(check):
         """A runner for a check that takes the order only."""
         return lambda p, order: check(order)
+
+    def faulted(check):
+        """A runner for a check that takes the order and the fault."""
+        return lambda p, order: check(order, fault=fault)
 
     def stability_subalgebra(p, order):
         bundle = preset(p, order)
@@ -108,14 +113,12 @@ def _check_table(fault=None):
         "matrixr": [_Row("matrix-r", null, o2, at(repfrt.check_matrix_r), min_order=3)],
         "poisson": [_Row("poisson-table", null, o2, at(repfrt.check_poisson_table)),
                     _Row("poisson-jacobi", null, o2, at(repfrt.check_poisson_jacobi))],
-        "rtt": [_Row("rtt", null, o2,
-                     lambda p, order: repfrt.check_rtt(order, fault=fault))],
-        "weyl": [_Row("weyl", null, o2, at(repfrt.check_weyl_correspondence))],
+        "rtt": [_Row("rtt", null, o2, faulted(repfrt.check_rtt))],
+        "weyl": [_Row("weyl", null, o2, faulted(repfrt.check_weyl_correspondence))],
         "groupcoproduct": [_Row("group-coproduct", null, o2,
-                                at(repfrt.check_group_coproduct))],
+                                faulted(repfrt.check_group_coproduct))],
         "qplane": [_Row("qplane", null, o2, at(repfrt.check_quantum_plane))],
-        "diffrep": [_Row("diffrep", null, o2,
-                         lambda p, order: diffrep.run_diffrep_checks(order, fault=fault))],
+        "diffrep": [_Row("diffrep", null, o2, faulted(diffrep.run_diffrep_checks))],
     }
 
 
@@ -224,7 +227,7 @@ def cmd_expand(args):
             part = _order_part(elem, k)
             if not part.is_zero():
                 doc["orders"][k] = part.to_dict()
-        print(json.dumps(doc, sort_keys=True))
+        print(to_json(doc))
         return 0
     for k in range(alg.order + 1):
         part = _order_part(elem, k)

@@ -11,13 +11,23 @@ Grammar::
 An exponent above :data:`MAX_EXPONENT` is an error, and so is a chain
 ``x^a^b`` whose power ``a*b`` is above it.  Parentheses and ``exp(`` nest at
 most :data:`MAX_NESTING` deep; the opening token that goes deeper is a syntax
-error at its position.
+error at its position.  A number longer than the interpreter's limit for
+integer conversion (``sys.get_int_max_str_digits()``, 4300 digits by default)
+is a syntax error at its position, and a result coefficient longer than that
+limit an :class:`ExpressionError` when it is rendered.
 
 Scalars are rationals, ``sqrt2`` and the deformation parameter; every other
 NAME must be a generator of the active presentation.  ``exp`` arguments are
 restricted to sums of scalar multiples of single generators whose scalar has
 positive valuation in the deformation parameter -- the only exponentials the
 deformations use -- so the expansion truncates.
+
+The text is split into plain token strings by one ``findall``, and the parser
+reads them by index; a token's kind is its first character, exactly as the
+token regex chose it (a decimal digit, an ASCII letter or ``_``, an operator,
+or any other character, which is an error).  Token positions are recomputed
+from the text only when a syntax error is raised.  Each number becomes a
+:class:`~hopf_forge.coeff.FieldElem` once, when it is parsed.
 
 The parser builds flat nodes: a sum is one list of signed terms and a
 product one list of factors, so neither the parser nor the evaluator recurses
@@ -34,14 +44,19 @@ truncating at any point is exact, as every rule term has a power 0 or more.
 The step bound counts per product term.
 
 The text renderer emits exactly this language (graded-lex term order), which
-is what makes parse/render a round trip on canonical forms.
+is what makes parse/render a round trip on canonical forms.  It writes each
+coefficient from its canonical integer triple.
 """
 
 from __future__ import annotations
 
+import json
 import re
+import sys
+from itertools import islice
+from math import gcd
 
-from .coeff import FE_ONE, FE_SQRT2, rat
+from .coeff import FE_ONE, FE_SQRT2, _canon, _make
 from .ncalg import NCElement, add_term, exp_series
 
 # Largest exponent ``x^n`` accepted.  Powers are formed by repeated squaring,
@@ -74,140 +89,149 @@ class UnknownSymbol(ExpressionError):
         self.name = name
 
 
-# Every character that starts no token is a "bad" match, so the matches tile
-# the text up to trailing whitespace.
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-                    r"|(?P<op>[-+*^()])|(?P<bad>\S))")
+# One group, so that ``findall`` returns the token strings.  Every character
+# that starts no other token is a token of its own, a bad one, so the matches
+# tile the text up to trailing whitespace.
+_TOKEN = re.compile(r"\s*(\d+(?:\s*/\s*\d+)?|[A-Za-z_][A-Za-z0-9_]*|[-+*^()]|\S)")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_OPS = frozenset("-+*^()")
+_SIGNS = frozenset("+-")
 
 
-def _tokenize(text):
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            pos = m.start("bad")
-            raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        val = m.group(kind)
-        out.append((kind, val.replace(" ", "") if kind == "num" else val, m.start(kind)))
-    out.append(("end", "", len(text)))
-    return out
+def _is_bad(token):
+    r"""A token the regex matched as ``\S`` only: its first character is no
+    ``\d`` (``str.isdecimal``), name start or operator."""
+    c = token[:1]
+    return bool(c) and not (c.isdecimal() or c in _NAME_START or c in _OPS)
 
 
-# AST nodes are plain tuples: ("num", rational), ("sym", name),
+# AST nodes are plain tuples: ("num", FieldElem), ("sym", name),
 # ("add", [(negated, term), ...]), ("mul", [factor, ...]), ("pow", a, int),
 # ("exp", a).  A sum of one unsigned term is that term, a product of one
 # factor that factor, and a chain of powers one "pow" node.
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the token strings: ``tokens[i]`` is the next
+    token, and an empty string ends the list."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("")
         self.i = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def error(self, message, i):
+        """The syntax error at token ``i``.  A bad character anywhere in the
+        text is reported instead, at its own position: it is an error whatever
+        the grammar makes of the tokens before it."""
+        for j, t in enumerate(self.tokens):
+            if _is_bad(t):
+                message, i = f"unexpected character {t!r}", j
+                break
+        m = next(islice(_TOKEN.finditer(self.text), i, None), None)
+        return ExpressionSyntaxError(message, m.start(1) if m else len(self.text))
 
-    def take(self):
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
-    def expect_op(self, op):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionSyntaxError(f"expected {op!r}", pos)
+    def integer(self, digits, i):
+        """The int of token ``i``'s ``digits``; the one place text becomes an int."""
+        try:
+            return int(digits)
+        except ValueError:  # only a number longer than the conversion limit
+            raise self.error(f"number longer than the limit of {sys.get_int_max_str_digits()}"
+                             " digits", i) from None
 
     def parse(self):
         node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExpressionSyntaxError(f"unexpected trailing {val!r}", pos)
+        t = self.tokens[self.i]
+        if t:
+            raise self.error(f"unexpected trailing {t.replace(' ', '')!r}", self.i)
         return node
 
     def expr(self):
-        kind, val, _ = self.peek()
-        negated = kind == "op" and val == "-"
+        tokens = self.tokens
+        negated = tokens[self.i] == "-"
         if negated:
-            self.take()
+            self.i += 1
         terms = [(negated, self.term())]
-        while True:
-            kind, val, _ = self.peek()
-            if kind != "op" or val not in "+-":
-                break
-            self.take()
-            terms.append((val == "-", self.term()))
+        while tokens[self.i] in _SIGNS:
+            sign = tokens[self.i]
+            self.i += 1
+            terms.append((sign == "-", self.term()))
         if len(terms) == 1 and not negated:
             return terms[0][1]
         return ("add", terms)
 
     def term(self):
         factors = [self.factor()]
-        while True:
-            kind, val, _ = self.peek()
-            if kind != "op" or val != "*":
-                break
-            self.take()
+        while self.tokens[self.i] == "*":
+            self.i += 1
             factors.append(self.factor())
         return factors[0] if len(factors) == 1 else ("mul", factors)
 
     def factor(self):
-        node = self.atom()
+        i = self.i
+        tokens = self.tokens
+        t = tokens[i]
+        self.i = i + 1
+        c = t[:1]
+        if c in _NAME_START and t != "exp":
+            node = ("sym", t)
+        elif c.isdecimal():
+            node = ("num", self.number(t, i))
+        else:
+            node = self.group(t, i)
         power = None
-        while True:
-            kind, val, _ = self.peek()
-            if kind != "op" or val != "^":
-                break
-            self.take()
-            k, v, pos = self.take()
-            if k != "num" or "/" in v:
-                raise ExpressionSyntaxError("exponent must be an integer", pos)
-            if int(v) > MAX_EXPONENT:
-                raise ExpressionSyntaxError(
-                    f"exponent {v} exceeds the limit {MAX_EXPONENT}", pos)
+        while tokens[self.i] == "^":
+            i = self.i + 1
+            v = tokens[i]
+            self.i = i + 1
+            if not v[:1].isdecimal() or "/" in v:
+                raise self.error("exponent must be an integer", i)
+            n = self.integer(v, i)
+            if n > MAX_EXPONENT:
+                raise self.error(f"exponent {v} exceeds the limit {MAX_EXPONENT}", i)
             # (x^a)^b is x^(a*b)
-            power = int(v) if power is None else power * int(v)
+            power = n if power is None else power * n
             if power > MAX_EXPONENT:
-                raise ExpressionSyntaxError(
-                    f"power x^{power} exceeds the limit {MAX_EXPONENT}", pos)
+                raise self.error(f"power x^{power} exceeds the limit {MAX_EXPONENT}", i)
         return node if power is None else ("pow", node, power)
 
-    def atom(self):
-        kind, val, pos = self.take()
-        if kind == "num":
-            if "/" in val:
-                n, d = val.split("/")
-                if int(d) == 0:
-                    raise ExpressionSyntaxError("zero denominator", pos)
-                return ("num", rat(int(n), int(d)))
-            return ("num", rat(int(val)))
-        if kind == "name" and val != "exp":
-            return ("sym", val)
-        if kind == "name":
-            self.enter(pos)
-            self.expect_op("(")
-            inner = ("exp", self.expr())
-        elif kind == "op" and val == "(":
-            self.enter(pos)
-            inner = self.expr()
-        else:
-            raise ExpressionSyntaxError(
-                f"unexpected {val!r}" if val else "unexpected end of input", pos)
-        self.expect_op(")")
-        self.depth -= 1
-        return inner
+    def number(self, t, i):
+        """The numeral ``t``, token ``i``, as a FieldElem."""
+        if "/" not in t:
+            return _make(self.integer(t, i), 0, 1)
+        n, d = t.split("/")
+        d = self.integer(d, i)
+        if not d:
+            raise self.error("zero denominator", i)
+        return _canon(self.integer(n, i), 0, d)
 
-    def enter(self, pos):
-        """One level deeper, for the opening token at ``pos``."""
+    def group(self, t, i):
+        """``exp(expr)`` or ``(expr)`` opened by ``t``, token ``i``."""
+        if t != "exp" and t != "(":
+            raise self.error(f"unexpected {t!r}" if t else "unexpected end of input", i)
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ExpressionSyntaxError(f"nesting deeper than the limit {MAX_NESTING}", pos)
+            raise self.error(f"nesting deeper than the limit {MAX_NESTING}", i)
+        if t == "exp":
+            if self.tokens[self.i] != "(":
+                raise self.error("expected '('", self.i)
+            self.i += 1
+            inner = ("exp", self.expr())
+        else:
+            inner = self.expr()
+        if self.tokens[self.i] != ")":
+            raise self.error("expected ')'", self.i)
+        self.i += 1
+        self.depth -= 1
+        return inner
 
 
 def parse_expression(text):
     """Parse the mini-language; returns the AST (no algebra needed yet)."""
     if not text or not text.strip():
         raise ExpressionSyntaxError("empty expression", 0)
-    return _Parser(_tokenize(text)).parse()
+    return _Parser(text).parse()
 
 
 def eval_expression(node, algebra):
@@ -247,15 +271,15 @@ def _product(factors, alg):
     one = {((), 0): FE_ONE}
     acc = one
     start = True  # the step bound counts per product term
+    index = alg.index
     for f in factors:
-        e = 1
-        if f[0] == "pow" and f[1][0] in _ATOMS:
+        kind, e = f[0], 1
+        if kind == "pow" and f[1][0] in _ATOMS:
             f, e = f[1], f[2]
-        if f[0] == "num":
-            c = f[1] ** e
-        elif f[0] == "sym":
+            kind = f[0]
+        if kind == "sym":
             name = f[1]
-            g = alg.index.get(name)
+            g = index.get(name)
             if g is not None:
                 if e:  # g^0 is the unit
                     acc = alg.fold(acc, ((g, e),), start)
@@ -267,7 +291,9 @@ def _product(factors, alg):
                 continue
             if name != "sqrt2":
                 raise UnknownSymbol(name)
-            c = FE_SQRT2 ** e
+            c = FE_SQRT2 if e == 1 else FE_SQRT2 ** e
+        elif kind == "num":
+            c = f[1] if e == 1 else f[1] ** e
         else:
             # the factor and the product by it are bounded on their own
             misses = alg._misses
@@ -299,50 +325,60 @@ def parse_to_element(text, algebra):
 
 # -- rendering ---------------------------------------------------------------
 
-def _fe_str(fe, fmt):
-    a, b = fe.a, fe.b
-    if fmt == "latex":
-        def q(x):
-            if x.denominator == 1:
-                return str(x)
-            s = "-" if x < 0 else ""
-            return rf"{s}\frac{{{abs(x.numerator)}}}{{{x.denominator}}}"
-        root = r"\sqrt{2}"
-    else:
-        def q(x):
-            return str(x)
-        root = "sqrt2"
-    if not b:
-        return q(a)
-    if b == 1:
+def _too_long():
+    return ExpressionError(f"a coefficient is longer than the limit of "
+                           f"{sys.get_int_max_str_digits()} digits for printing an integer")
+
+
+def _rational_str(n, d, latex):
+    """n/d (d > 0) in lowest terms."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    if d == 1:
+        return str(n)
+    if latex:
+        return rf"{'-' if n < 0 else ''}\frac{{{abs(n)}}}{{{d}}}"
+    return f"{n}/{d}"
+
+
+def _scalar_str(c, latex):
+    """The FieldElem ``c`` = (p + q*sqrt2)/d, written from its triple."""
+    p, q, d = c.p, c.q, c.d
+    if not q:
+        return str(p) if d == 1 else _rational_str(p, d, latex)
+    root = r"\sqrt{2}" if latex else "sqrt2"
+    if q == d:
         bs = root
-    elif b == -1:
+    elif q == -d:
         bs = f"-{root}"
     else:
-        bs = f"{q(b)}*{root}" if fmt != "latex" else f"{q(b)}{root}"
-    if not a:
+        bs = f"{_rational_str(q, d, latex)}{'' if latex else '*'}{root}"
+    if not p:
         return bs
-    joiner = "+" if b > 0 else ""
-    return f"({q(a)}{joiner}{bs})"
+    return f"({_rational_str(p, d, latex)}{'+' if q > 0 else ''}{bs})"
 
 
 def _series_str(param, series, fmt):
     """Render one word's coefficient series, ``((k, scalar), ...)``;
     parenthesized when it is a true sum."""
     bits = []
+    latex = fmt == "latex"
     for k, c in series:
-        cs = _fe_str(c, fmt)
+        try:  # every text and latex coefficient is written here
+            cs = _scalar_str(c, latex)
+        except ValueError:  # an int longer than the conversion limit
+            raise _too_long() from None
         if k == 0:
             bits.append(cs)
         else:
-            p = param if k == 1 else (f"{param}^{k}" if fmt != "latex" else f"{param}^{{{k}}}")
+            p = param if k == 1 else (f"{param}^{{{k}}}" if latex else f"{param}^{k}")
             if cs == "1":
                 bits.append(p)
             elif cs == "-1":
                 bits.append(f"-{p}")
             else:
-                sep = "*" if fmt != "latex" else " "
-                bits.append(f"{cs}{sep}{p}")
+                bits.append(f"{cs}{' ' if latex else '*'}{p}")
     if not bits:
         return "0"
     if len(bits) == 1:
@@ -353,19 +389,18 @@ def _series_str(param, series, fmt):
     return f"({joined})"
 
 
-def _gen_str(algebra, g, e, fmt):
-    name = algebra.generators[g]
+def _names(algebra, fmt):
+    """The generator names ``fmt`` writes, by generator index."""
+    if fmt != "latex":
+        return algebra.generators
+    latex = getattr(algebra, "latex_names", {})
+    return [latex.get(name, name) for name in algebra.generators]
+
+
+def _word_str(names, word, fmt):
     if fmt == "latex":
-        name = getattr(algebra, "latex_names", {}).get(name, name)
-        return name if e == 1 else f"{name}^{{{e}}}"
-    return name if e == 1 else f"{name}^{e}"
-
-
-def _word_str(algebra, word, fmt):
-    if not word:
-        return ""
-    sep = "*" if fmt != "latex" else " "
-    return sep.join(_gen_str(algebra, g, e, fmt) for g, e in word)
+        return " ".join(names[g] if e == 1 else f"{names[g]}^{{{e}}}" for g, e in word)
+    return "*".join(names[g] if e == 1 else f"{names[g]}^{e}" for g, e in word)
 
 
 def _term_str(param, ws, coeff, fmt):
@@ -394,21 +429,30 @@ def _join_terms(parts):
     return out
 
 
+def to_json(doc):
+    """``doc`` as sorted-key JSON; a coefficient longer than the interpreter's
+    limit for printing an integer is an :class:`ExpressionError`."""
+    try:
+        return json.dumps(doc, sort_keys=True)
+    except ValueError:
+        raise _too_long() from None
+
+
 def render_element(elem, fmt="text"):
     if fmt == "json":
-        import json
-        return json.dumps(elem.to_dict(), sort_keys=True)
+        return to_json(elem.to_dict())
     alg = elem.algebra
-    parts = [_term_str(alg.param, _word_str(alg, w, fmt), s, fmt) for w, s in elem.by_word()]
+    names = _names(alg, fmt)
+    parts = [_term_str(alg.param, _word_str(names, w, fmt), s, fmt) for w, s in elem.by_word()]
     return _join_terms(parts)
 
 
 def render_tensor(t, fmt="text"):
     if fmt == "json":
-        import json
-        return json.dumps(t.to_dict(), sort_keys=True)
+        return to_json(t.to_dict())
     otimes = r" \otimes " if fmt == "latex" else "⊗"
     alg = t.algebra
-    parts = [_term_str(alg.param, otimes.join(_word_str(alg, w, fmt) or "1" for w in ws), s, fmt)
+    names = _names(alg, fmt)
+    parts = [_term_str(alg.param, otimes.join(_word_str(names, w, fmt) or "1" for w in ws), s, fmt)
              for ws, s in t.by_word()]
     return _join_terms(parts)

@@ -502,9 +502,9 @@ def check_rtt(order=2, fault=None):
     return rep
 
 
-def check_weyl_correspondence(order=2):
+def check_weyl_correspondence(order=2, fault=None):
     """Quantum commutators equal w times the Poisson brackets, table-wide."""
-    alg = quantum_presentation(order)
+    alg = quantum_presentation(order, fault)
     rep = CheckReport(check="weyl", algebra="qpoincare", order=order)
     table = sklyanin_table()
     n = len(COORD_NAMES)
@@ -576,9 +576,9 @@ def expected_group_coproduct(alg):
     return delta
 
 
-def check_group_coproduct(order=2):
+def check_group_coproduct(order=2, fault=None):
     """Display match, coassociativity, counit, and relation compatibility."""
-    alg = quantum_presentation(order)
+    alg = quantum_presentation(order, fault)
     rep = CheckReport(check="group-coproduct", algebra="qpoincare", order=order)
     delta = group_coproduct(alg)
     want = expected_group_coproduct(alg)
@@ -631,7 +631,7 @@ def check_quantum_plane(order=2):
     """The plane relations equal the translation sector of the quantum group."""
     alg = quantum_plane(order)
     rep = CheckReport(check="qplane", algebra="qplane", order=order)
-    qp = quantum_presentation(order)
+    qp = quantum_presentation(order, None)
     pairs = {("x_plus", "x_1"): ("a_plus", "a_1"),
              ("x_plus", "x_minus"): ("a_plus", "a_minus"),
              ("x_1", "x_minus"): ("a_1", "a_minus")}

@@ -1,9 +1,11 @@
 """Expression mini-language: grammar, errors, render round-trips."""
 
 import random
+import re
 import subprocess
 import sys
 from functools import reduce
+from math import gcd
 
 import pytest
 
@@ -11,9 +13,9 @@ from hopf_forge import ncalg
 from hopf_forge.algebras import preset
 from hopf_forge.coeff import FE_ONE, FE_SQRT2, FieldElem, rat
 from hopf_forge.expr import (MAX_EXPONENT, MAX_NESTING, ExpressionError,
-                             ExpressionSyntaxError, UnknownSymbol, exp_element,
-                             parse_expression, parse_to_element, render_element,
-                             render_tensor)
+                             ExpressionSyntaxError, UnknownSymbol, _scalar_str,
+                             eval_expression, exp_element, parse_expression,
+                             parse_to_element, render_element, render_tensor)
 from hopf_forge.ncalg import AlgebraPresentation, NCElement, NonTerminating
 
 
@@ -175,7 +177,7 @@ def reference_eval(node, alg):
     applied pairwise left to right."""
     kind = node[0]
     if kind == "num":
-        return alg.unit() * FieldElem(node[1])
+        return alg.unit() * node[1]
     if kind == "sym":
         name = node[1]
         if name in alg.index:
@@ -367,3 +369,303 @@ class TestRobustness:
         with pytest.raises(ExpressionSyntaxError, match="exceeds the limit") as e:
             parse_expression("A^100^101")
         assert e.value.position == 6
+
+
+# -- the front end against the per-token reference -----------------------------
+#
+# The tokenizer, parser and coefficient renderer that built a (kind, value,
+# position) tuple per token, a Fraction per number and two Fractions per
+# rendered coefficient.  The front end must give the same trees, the same
+# errors at the same positions and the same text.
+
+_REF_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                        r"|(?P<op>[-+*^()])|(?P<bad>\S))")
+
+
+def reference_tokenize(text):
+    out = []
+    for m in _REF_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            pos = m.start("bad")
+            raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        val = m.group(kind)
+        out.append((kind, val.replace(" ", "") if kind == "num" else val, m.start(kind)))
+    out.append(("end", "", len(text)))
+    return out
+
+
+class ReferenceParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        t = self.tokens[self.i]
+        self.i += 1
+        return t
+
+    def expect_op(self, op):
+        kind, val, pos = self.take()
+        if kind != "op" or val != op:
+            raise ExpressionSyntaxError(f"expected {op!r}", pos)
+
+    def parse(self):
+        node = self.expr()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ExpressionSyntaxError(f"unexpected trailing {val!r}", pos)
+        return node
+
+    def expr(self):
+        kind, val, _ = self.peek()
+        negated = kind == "op" and val == "-"
+        if negated:
+            self.take()
+        terms = [(negated, self.term())]
+        while True:
+            kind, val, _ = self.peek()
+            if kind != "op" or val not in "+-":
+                break
+            self.take()
+            terms.append((val == "-", self.term()))
+        if len(terms) == 1 and not negated:
+            return terms[0][1]
+        return ("add", terms)
+
+    def term(self):
+        factors = [self.factor()]
+        while True:
+            kind, val, _ = self.peek()
+            if kind != "op" or val != "*":
+                break
+            self.take()
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else ("mul", factors)
+
+    def factor(self):
+        node = self.atom()
+        power = None
+        while True:
+            kind, val, _ = self.peek()
+            if kind != "op" or val != "^":
+                break
+            self.take()
+            k, v, pos = self.take()
+            if k != "num" or "/" in v:
+                raise ExpressionSyntaxError("exponent must be an integer", pos)
+            if int(v) > MAX_EXPONENT:
+                raise ExpressionSyntaxError(
+                    f"exponent {v} exceeds the limit {MAX_EXPONENT}", pos)
+            power = int(v) if power is None else power * int(v)
+            if power > MAX_EXPONENT:
+                raise ExpressionSyntaxError(
+                    f"power x^{power} exceeds the limit {MAX_EXPONENT}", pos)
+        return node if power is None else ("pow", node, power)
+
+    def atom(self):
+        kind, val, pos = self.take()
+        if kind == "num":
+            if "/" in val:
+                n, d = val.split("/")
+                if int(d) == 0:
+                    raise ExpressionSyntaxError("zero denominator", pos)
+                return ("num", rat(int(n), int(d)))
+            return ("num", rat(int(val)))
+        if kind == "name" and val != "exp":
+            return ("sym", val)
+        if kind == "name":
+            self.enter(pos)
+            self.expect_op("(")
+            inner = ("exp", self.expr())
+        elif kind == "op" and val == "(":
+            self.enter(pos)
+            inner = self.expr()
+        else:
+            raise ExpressionSyntaxError(
+                f"unexpected {val!r}" if val else "unexpected end of input", pos)
+        self.expect_op(")")
+        self.depth -= 1
+        return inner
+
+    def enter(self, pos):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionSyntaxError(f"nesting deeper than the limit {MAX_NESTING}", pos)
+
+
+def reference_parse(text):
+    if not text or not text.strip():
+        raise ExpressionSyntaxError("empty expression", 0)
+    return ReferenceParser(reference_tokenize(text)).parse()
+
+
+def reference_fe_str(fe, fmt):
+    a, b = fe.a, fe.b
+    if fmt == "latex":
+        def q(x):
+            if x.denominator == 1:
+                return str(x)
+            s = "-" if x < 0 else ""
+            return rf"{s}\frac{{{abs(x.numerator)}}}{{{x.denominator}}}"
+        root = r"\sqrt{2}"
+    else:
+        def q(x):
+            return str(x)
+        root = "sqrt2"
+    if not b:
+        return q(a)
+    if b == 1:
+        bs = root
+    elif b == -1:
+        bs = f"-{root}"
+    else:
+        bs = f"{q(b)}*{root}" if fmt != "latex" else f"{q(b)}{root}"
+    if not a:
+        return bs
+    joiner = "+" if b > 0 else ""
+    return f"({q(a)}{joiner}{bs})"
+
+
+def outcome(parse, text):
+    """The tree ``parse`` makes of ``text``, or its error's type, message and
+    position."""
+    try:
+        return ("tree", parse(text))
+    except ExpressionSyntaxError as e:
+        return (type(e), str(e), e.position)
+
+
+def nums(node):
+    """Every number of a tree."""
+    if node[0] == "num":
+        return [node[1]]
+    if node[0] == "add":
+        return [x for _, t in node[1] for x in nums(t)]
+    if node[0] == "mul":
+        return [x for f in node[1] for x in nums(f)]
+    return nums(node[1]) if node[0] in ("pow", "exp") else []
+
+
+ERROR_CORPUS = (
+    "²*A", "A^²", "½*A", "٣*A", "A^٣", "١/٢*A", "𝟙*A", "A + $", "A + * $", "( $",
+    "A^$", "3 / x", "A/2", "1 / 2*A", "1\t/\t2*A", "1 /\t2 + 3\t/ 4", "A 1 / 2",
+    "A 1\t/\t2", "1 / 0", "0/0*A", "A^100^101", "A^100^100", "A^10001", "A^0010001",
+    "A^1/2", "A^-1", "A^x", "A^", "A^2^", "A ^ 2", "(" * 101 + "A" + ")" * 101,
+    "exp(" * 101 + "z*A" + ")" * 101, "(" * 100 + "A" + ")" * 100, "exp A", "exp(A",
+    "exp", "exp()", "()", "(A", "A)", ")", "", "   ", "\t", "A + * B", "A*", "-", "--A",
+    "A B", "2 3", "x_1^2", "_", "Aé", "é", "A + B", "\tA\t+\t", "A+", "+A",
+    "-A - -B", "sqrt2*z^2*exp(1/2*z*A)", "1/2/3", "1/ 2 /3",
+)
+
+
+class TestFrontEndOracle:
+    """Tokenizer, parser and renderer against the per-token reference."""
+
+    @pytest.mark.parametrize("name, order", ORACLE_ALGEBRAS)
+    def test_random_corpus_trees_and_elements(self, name, order):
+        alg = preset(name, order).presentation
+        rng = random.Random(f"{name}-{order}")
+        for _ in range(50):
+            text, _ = random_expression(rng, alg)
+            want = reference_parse(text)
+            got = parse_expression(text)
+            assert got == want, text
+            assert all(type(c) is FieldElem for c in nums(got)), text
+            assert parse_to_element(text, alg) == eval_expression(want, alg), text
+
+    @pytest.mark.parametrize("text", ERROR_CORPUS)
+    def test_error_corpus(self, text):
+        assert outcome(parse_expression, text) == outcome(reference_parse, text)
+
+    def test_random_token_soup(self):
+        alphabet = ("A", "B", "z", "sqrt2", "exp", "(", ")", "+", "-", "*", "^", "1",
+                    "2/3", " / ", "0", "10001", "$", "²", "٣", "é", " ", "\t", "x_1")
+        rng = random.Random(26)
+        ok = 0
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            want = outcome(reference_parse, text)
+            assert outcome(parse_expression, text) == want, repr(text)
+            ok += want[0] == "tree"
+        assert 100 < ok < 2900  # both paths are exercised
+
+    def test_rendered_coefficients(self):
+        rng = random.Random(26)
+        seen = dict.fromkeys(("rational", "a+b*sqrt2", "b*sqrt2", "+-sqrt2", "negative",
+                              "p shares d", "q shares d"), 0)
+        for _ in range(5000):
+            d = rng.choice((1, 1, 2, 3, 4, 6, 9, 12, 35, 210))
+            p, q = (rng.choice((0, rng.randint(-300, 300))) for _ in range(2))
+            roll = rng.random()
+            if roll < 0.1:
+                q = rng.choice((d, -d))  # (p/d) +- sqrt2
+            elif roll < 0.3 and d > 1:
+                # a factor of d shared by p only, or by q only
+                f = next(f for f in (2, 3, 5, 7) if d % f == 0)
+                p, q = (p * f, q * f + 1) if rng.random() < 0.5 else (p * f + 1, q * f)
+            c = FieldElem(rat(p, d), rat(q, d))
+            for kind, hit in (("rational", not c.q), ("a+b*sqrt2", c.p and c.q),
+                              ("b*sqrt2", not c.p and c.q), ("+-sqrt2", abs(c.q) == c.d),
+                              ("negative", c.p < 0 or c.q < 0),
+                              ("p shares d", gcd(c.p, c.d) > 1 and gcd(c.q, c.d) == 1),
+                              ("q shares d", gcd(c.q, c.d) > 1 and gcd(c.p, c.d) == 1)):
+                seen[kind] += bool(hit)
+            for fmt in ("text", "latex"):
+                assert _scalar_str(c, fmt == "latex") == reference_fe_str(c, fmt), (c, fmt)
+        assert min(seen.values()) > 100, seen
+
+
+# -- numbers and coefficients past the interpreter's int-string limit -------
+
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_limit = pytest.mark.skipif(not LIMIT, reason="no int-string conversion limit")
+
+
+@needs_limit
+class TestIntStringLimit:
+    @pytest.mark.parametrize("text, position", [
+        ("1" * (LIMIT + 1) + "*A", 0),
+        ("A^" + "1" * (LIMIT + 1), 2),
+        ("A + 1/" + "3" * (LIMIT + 1), 4),
+        ("(" + "2" * (LIMIT + 1) + " / 3)", 1),
+    ])
+    def test_long_number_is_a_syntax_error_at_its_position(self, text, position):
+        with pytest.raises(ExpressionSyntaxError, match=f"limit of {LIMIT} digits") as e:
+            parse_expression(text)
+        assert e.value.position == position
+
+    def test_number_at_the_limit_parses(self):
+        alg = preset("sl2", 1).presentation
+        n = int("7" * LIMIT)
+        assert parse_to_element("7" * LIMIT + "*A", alg) == alg.gen("A") * n
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    def test_long_coefficient_is_an_expression_error(self, fmt):
+        alg = preset("sl2", 1).presentation
+        x = alg.gen("A") * 10 ** LIMIT  # LIMIT + 1 digits
+        with pytest.raises(ExpressionError, match=f"limit of {LIMIT} digits"):
+            render_element(x, fmt)
+        t = ncalg.tensor_pair(x, alg.unit())
+        with pytest.raises(ExpressionError, match=f"limit of {LIMIT} digits"):
+            render_tensor(t, fmt)
+        # one digit fewer prints
+        assert render_element(alg.gen("A") * 10 ** (LIMIT - 1), fmt)
+
+    @pytest.mark.parametrize("argv", [
+        ["normalize", "1" * (LIMIT + 1) + "*A", "--algebra", "sl2"],
+        ["normalize", "A^" + "1" * (LIMIT + 1), "--algebra", "sl2"],
+        ["normalize", "(3*A)^10000", "--algebra", "sl2", "--order", "1"],
+        ["normalize", "(3*A)^10000", "--algebra", "sl2", "--order", "1", "--format", "json"],
+        ["expand", "(3*A)^10000", "--algebra", "sl2", "--order", "1", "--format", "json"],
+    ])
+    def test_cli_exits_2(self, argv):
+        r = subprocess.run([sys.executable, "-m", "hopf_forge", *argv],
+                           capture_output=True, text=True)
+        assert r.returncode == 2, r.stderr
+        assert r.stdout == "" and "Traceback" not in r.stderr
+        assert f"limit of {LIMIT} digits" in r.stderr

@@ -277,6 +277,11 @@ class TestWeyl:
     def test_table_wide_correspondence(self):
         assert check_weyl_correspondence(2).passed
 
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_corrupted_rule_detected(self, order):
+        rep = check_weyl_correspondence(order, fault="repfrt-rule")
+        assert [f["input"] for f in rep.failures] == ["[a_1,a_plus]"]
+
     def test_specific_pair(self):
         alg = quantum_presentation(2)
         i, j = alg.index["a_plus"], alg.index["a_minus"]
@@ -289,6 +294,20 @@ class TestWeyl:
 class TestGroupCoproduct:
     def test_full_check(self):
         assert check_group_coproduct(2).passed
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_corrupted_rule_detected(self, order):
+        rep = check_group_coproduct(order, fault="repfrt-rule")
+        assert [f["input"] for f in rep.failures] == [
+            "Delta respects [a_1,a_plus]", "Delta respects [a_minus,a_plus]",
+            "Delta respects [a_minus,a_1]"]
+
+    def test_checks_share_one_presentation_per_order(self):
+        quantum_presentation.cache_clear()
+        for check in (check_rtt, check_weyl_correspondence, check_group_coproduct,
+                      check_quantum_plane):
+            assert check(2).passed, check.__name__
+        assert quantum_presentation.cache_info().currsize == 1
 
     def test_lorentz_coproduct_shape(self):
         alg = quantum_presentation(2)
