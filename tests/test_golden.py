@@ -1,14 +1,17 @@
 """Golden outputs: the `normalize`, `expand`, `show` and `preset` commands on a
 fixed corpus, `verify all --order 2 --format json` with and without each
 fault hook, `verify contraction` and `verify diffrep --format json` at orders
-3 and 4 (with no fault and with each fault that changes their output), the
+3 and 4 (with no fault and with each fault that changes their output),
+`verify hopf --format json` at orders 3 and 4 (with no fault and under the
+``hopf-coproduct`` and ``ncalg-rule`` faults), the default-plan
+`verify all --format json` (orders 4/3/2, no fault), the
 contraction reports at order 2 under each single-generator change of an eps
 weight by +-1 (every one of them fails, so the pole messages and residuals
 are pinned), and the reduced Groebner basis of the Lorentz orthogonality
 ideal must stay byte-identical to the files under ``tests/golden/``.
 
-The corpus, the contraction and diffrep verify runs and the weight changes
-run in-process; the `verify all` goldens are compared by acceptance
+The corpus, the contraction, diffrep, Hopf and default-plan verify runs and
+the weight changes run in-process; the `verify all` goldens are compared by acceptance
 criterion 14, which runs those subprocesses anyway.  ``--write`` rewrites
 every one of these files from the code on ``PYTHONPATH`` (only when a change
 of output is intended)::
@@ -158,13 +161,27 @@ def verb_commands():
     return out
 
 
-def verb_outputs():
+def verb_outputs(commands=None):
     """Exit code and report (without ``seconds``) of every verb command."""
     out = {}
-    for argv in verb_commands():
+    for argv in commands or verb_commands():
         code, text = run_in_process(argv)
         out[" ".join(argv)] = [code, strip_seconds(json.loads(text))]
     return out
+
+
+# the default plan (orders 4/3/2) and the Hopf rows at orders 3 and 4: the
+# orders past the order-2 goldens that every kernel change must leave alone
+DEFAULT_ARGV = ["verify", "all", "--format", "json"]
+DEFAULT_GOLDEN = GOLDEN / "verify-default-nofault.json"
+HOPF_FAULTS = ("hopf-coproduct", "ncalg-rule")
+HOPF_GOLDEN = GOLDEN / "verify-hopf-orders34.json"
+
+
+def hopf_commands():
+    return [["verify", "hopf", "--order", order, "--format", "json"]
+            + (["--inject-fault", fault] if fault else [])
+            for order in VERB_ORDERS for fault in (None, *HOPF_FAULTS)]
 
 
 WEIGHTS_GOLDEN = GOLDEN / "contraction-weights-order2.json"
@@ -208,6 +225,8 @@ def _write():
     GOLDEN.mkdir(exist_ok=True)
     BASIS_GOLDEN.write_text(json.dumps(basis_doc()) + "\n")
     for path, doc in ((VERB_GOLDEN, verb_outputs()),
+                      (HOPF_GOLDEN, verb_outputs(hopf_commands())),
+                      (DEFAULT_GOLDEN, strip_seconds(json.loads(run_in_process(DEFAULT_ARGV)[1]))),
                       (WEIGHTS_GOLDEN, weight_change_reports())):
         path.write_text(json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False) + "\n")
     for subject, commands in _split(corpus_commands()).items():
@@ -237,6 +256,20 @@ def test_contraction_and_diffrep_verify_are_golden():
     assert sorted(got) == sorted(want)
     for line, out in got.items():
         assert out == want[line], line
+
+
+def test_hopf_verify_at_orders_3_and_4_is_golden():
+    want = json.loads(HOPF_GOLDEN.read_text())
+    got = verb_outputs(hopf_commands())
+    assert sorted(got) == sorted(want)
+    for line, out in got.items():
+        assert out == want[line], line
+
+
+def test_default_verify_plan_is_golden():
+    code, text = run_in_process(DEFAULT_ARGV)
+    assert code == 0
+    assert strip_seconds(json.loads(text)) == json.loads(DEFAULT_GOLDEN.read_text())
 
 
 def test_contraction_under_weight_changes_is_golden():
