@@ -6,7 +6,9 @@
   stores terms as ``(word, k) -> FieldElem``, the coefficient of
   ``param**k * word``.  The contraction of so(2,2) onto the null-plane
   algebra introduces 1/sqrt(2) scale factors, so plain rationals are not
-  enough, and ``sqrt2`` is a literal of the expression language.
+  enough, and ``sqrt2`` is a literal of the expression language.  A sum,
+  product or negation builds its result in one frame, setting the canonical
+  triple on a new object itself (a gcd only when the denominator is not 1).
 * :class:`DeformationSeries` -- power series in a named formal parameter,
   truncated at a fixed order, over any coefficient with ring operations,
   ``is_zero`` and ``inverse``.  Its one use is a quotient: the w-series of
@@ -106,12 +108,18 @@ class FieldElem:
             p, q = self.p + p2, self.q + q2
         else:
             p, q, d = self.p * d2 + p2 * d, self.q * d2 + q2 * d, d * d2
-        return _make(p, q, d) if d == 1 else _canon(p, q, d)
+        if d != 1 and (g := gcd(p, q, d)) != 1:
+            p, q, d = p // g, q // g, d // g
+        e = object.__new__(FieldElem)
+        e.p, e.q, e.d = p, q, d
+        return e
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.p, -self.q, self.d)
+        e = object.__new__(FieldElem)
+        e.p, e.q, e.d = -self.p, -self.q, self.d
+        return e
 
     def __sub__(self, other):
         return self + -other if isinstance(other, (FieldElem, *_RATIONAL)) else NotImplemented
@@ -122,10 +130,11 @@ class FieldElem:
     def __mul__(self, other):
         if type(other) is FieldElem:
             p1, q1, p2, q2 = self.p, self.q, other.p, other.q
+            # a factor 1 gives the other factor itself, x * FE_ONE and FE_ONE * x alike
+            if p2 == 1 and not q2 and other.d == 1 and self is not FE_ONE:
+                return self
             if p1 == 1 and not q1 and self.d == 1:
                 return other
-            if p2 == 1 and not q2 and other.d == 1:
-                return self
             if q1 or q2:
                 p, q = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2
             else:
@@ -136,7 +145,11 @@ class FieldElem:
             p, q, d = self.p * n, self.q * n, self.d * other.denominator
         else:
             return NotImplemented
-        return _make(p, q, d) if d == 1 else _canon(p, q, d)
+        if d != 1 and (g := gcd(p, q, d)) != 1:
+            p, q, d = p // g, q // g, d // g
+        e = object.__new__(FieldElem)
+        e.p, e.q, e.d = p, q, d
+        return e
 
     __rmul__ = __mul__
 
@@ -180,9 +193,11 @@ class FieldElem:
         return f"{a}+{sq}" if b > 0 else f"{a}{sq}"
 
     def as_quad(self):
-        """[a_num, a_den, b_num, b_den] for serialization."""
-        a, b = self.a, self.b
-        return [a.numerator, a.denominator, b.numerator, b.denominator]
+        """[a_num, a_den, b_num, b_den] for serialization: p/d and q/d in
+        lowest terms, read off the triple (d > 0, so each gcd is too)."""
+        p, q, d = self.p, self.q, self.d
+        g, h = gcd(p, d), gcd(q, d)
+        return [p // g, d // g, q // h, d // h]
 
     @classmethod
     def from_quad(cls, quad):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .coeff import DeformationSeries, FieldElem, rat
-from .ncalg import WordMap, _by_word, _scaled_terms, _sum_terms, add_term
+from .ncalg import WordMap, _by_word, _diff_terms, _scaled_terms, _sum_terms, add_term
 from .ratfunc import Laurent, PolyRing
 from .report import CheckReport, timed_reports
 from .algebras import preset
@@ -100,10 +100,7 @@ class WeylOperator:
         return WeylOperator(self.order, _sum_terms(self.terms, other.terms))
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            add_term(out, key, -c)
-        return WeylOperator(self.order, out)
+        return WeylOperator(self.order, _diff_terms(self.terms, other.terms))
 
     def __neg__(self):
         return WeylOperator(self.order, {key: -c for key, c in self.terms.items()})

@@ -65,11 +65,13 @@ class HopfMaps:
         """Counit of an element, as a scalar element of the algebra."""
         return self._counit(x)
 
-    def delta_on_slot(self, t, slot):
-        """Apply the coproduct to one slot of an arity-2 tensor (-> arity 3)."""
+    def delta_on_slot(self, t, slot, out=None):
+        """Apply the coproduct to one slot of an arity-2 tensor (-> arity 3),
+        summed into the arity-3 tensor ``out`` in place when one is given."""
         alg = self.algebra
         top = alg.order
-        acc = {}
+        out = TensorElement(alg, 3, {}) if out is None else out
+        acc = out.terms
         for (ws, k), c in t.terms.items():
             dt = self.coproduct_word(ws[slot])
             for (dws, dk), dc in dt.terms.items():
@@ -79,8 +81,8 @@ class HopfMaps:
                     key = (dws[0], dws[1], ws[1])
                 else:
                     key = (ws[0], dws[0], dws[1])
-                add_term(acc, (key, k + dk), c * dc)
-        return TensorElement(alg, 3, acc)
+                add_term(acc, (key, k + dk), c if dc is FE_ONE else dc if c is FE_ONE else c * dc)
+        return out
 
     # -- default test set ----------------------------------------------------
 
@@ -104,8 +106,9 @@ class HopfMaps:
                           order=self.algebra.order)
         for w in test_words or self.default_test_words():
             t = self.coproduct_word(w)
+            # (id (x) Delta)(-t) summed into (Delta (x) id)(t): one 3-tensor is built
             rep.expect_zero(self._label(w),
-                            self.delta_on_slot(t, 0) - self.delta_on_slot(t, 1))
+                            self.delta_on_slot(-t, 1, out=self.delta_on_slot(t, 0)))
         return rep
 
     def contract_slot(self, t, f, slot):
@@ -120,7 +123,8 @@ class HopfMaps:
             for (u, uk), uc in f(ws[slot]).terms.items():
                 if k + uk <= top:
                     w1, w2 = (u, ws[1]) if slot == 0 else (ws[0], u)
-                    add_term(by_right.setdefault(w2, {}), (w1, k + uk), c * uc)
+                    add_term(by_right.setdefault(w2, {}), (w1, k + uk),
+                             c if uc is FE_ONE else uc if c is FE_ONE else c * uc)
         out = {}
         for w2, left in by_right.items():
             for key, c in alg.fold(left, w2, start=True).items():

@@ -41,9 +41,11 @@ so an abort leaves them consistent; every entry of either is in ascending
 power of the parameter, so a fold or ``normalize`` stops at the first term
 above the order, and every stored scalar is interned under its integer triple
 (the caches hold many copies of few distinct values; a stored 1 is ``FE_ONE``
-itself, which a product skips).  The step bound counts the table entries
-filled for one product, one flat word or one parsed product term, power-pair
-entries included.
+itself, and wherever two graded terms multiply a factor that *is* ``FE_ONE`` is
+skipped by identity).  The step bound counts the table entries filled for one
+product, one flat word or one parsed product term, power-pair entries
+included.  A difference is one pass: the subtrahend's terms are subtracted
+into a copy of the minuend, with no negated copy in between.
 
 An entry holds ``u*g`` for any power of the parameter, so a rewriting of
 ``u*g`` that needs ``u*g`` again is a :class:`NonTerminating` cycle, even if
@@ -57,7 +59,9 @@ is fetched once per distinct (left word, right word) pair of one product, in a
 dict that ends with the product; the flat-word cache is the only memo that
 outlives it.  A pair whose joined word is already normal (a slot word empty,
 or the left word's last generator not above the right word's first) is that
-word, with no lookup.
+word, with no lookup.  When every slot of a pair joins to one unit term at
+power 0, the pair's key is added at once; only the slots whose normal form
+rewrites go through a list of ``(words, k, scalar)`` partial terms.
 
 A map given on generators (a coproduct, counit or antipode, a substitution, a
 representation) is extended to words and elements by one :class:`WordMap`.
@@ -147,8 +151,25 @@ def _sum_terms(a, b):
     return out
 
 
+def _diff_terms(a, b):
+    """``a - b`` in one pass: a copy of ``a`` with each term of ``b``
+    subtracted, a key dropped when its scalars are equal."""
+    out = dict(a)
+    for key, c in b.items():
+        s = out.get(key)
+        if s is None:
+            out[key] = -c
+        elif s == c:
+            del out[key]
+        else:
+            out[key] = s - c
+    return out
+
+
 def _scaled_terms(terms, c, k, top):
     """Every term times the scalar ``c`` and ``param**k``, up to degree ``top``."""
+    if c is FE_ONE:
+        return {(w, j + k): v for (w, j), v in terms.items() if j + k <= top}
     out = {}
     for (w, j), v in terms.items():
         if j + k <= top:
@@ -159,19 +180,21 @@ def _scaled_terms(terms, c, k, top):
 
 
 def _by_word(terms, sort_key):
-    """Graded terms back to one coefficient series per word: a sorted list of
-    ``(word, ((k, scalar), ...))`` with ascending ``k``."""
+    """Graded terms back to one coefficient series per word: a list of
+    ``(word, ((k, scalar), ...))`` in ``sort_key`` order of the words, with
+    ascending ``k``."""
     grouped = {}
     for (w, k), c in terms.items():
         grouped.setdefault(w, []).append((k, c))
-    return sorted(((w, tuple(sorted(s, key=lambda t: t[0]))) for w, s in grouped.items()),
-                  key=lambda t: sort_key(t[0]))
+    for s in grouped.values():
+        s.sort()  # k is unique per word, so no two scalars are ever compared
+    return [(w, tuple(grouped[w])) for w in sorted(grouped, key=sort_key)]
 
 
 def _dense_quads(series, order):
     """The serialized coefficient list of one word: ``order + 1`` quads."""
     coeffs = dict(series)
-    return [coeffs.get(k, FE_ZERO).as_quad() for k in range(order + 1)]
+    return [coeffs[k].as_quad() if k in coeffs else [0, 1, 0, 1] for k in range(order + 1)]
 
 
 class AlgebraPresentation:
@@ -328,7 +351,7 @@ class AlgebraPresentation:
                 s = dst.get(key)
                 if s is not None:
                     v = s + v
-                    if v.is_zero():
+                    if not (v.p or v.q):
                         del dst[key]
                         continue
                 dst[key] = v
@@ -517,9 +540,12 @@ class NCElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (NCElement, *_SCALARS)):
+        if isinstance(other, _SCALARS):
+            other = self.algebra.unit().scaled(other)
+        elif not isinstance(other, NCElement):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        return NCElement(self.algebra, _diff_terms(self.terms, other.terms))
 
     def __rsub__(self, other):
         return (-self) + other if isinstance(other, _SCALARS) else NotImplemented
@@ -645,7 +671,8 @@ class TensorElement:
     def __sub__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        return TensorElement(self.algebra, self.arity, _diff_terms(self.terms, other.terms))
 
     def __neg__(self):
         return TensorElement(self.algebra, self.arity,
@@ -660,7 +687,9 @@ class TensorElement:
             one = FE_ONE
             right = list(other.terms.items())
             fitting = {}  # room n - k1 -> the right terms with k2 <= room, in their order
-            slot_nf = {}  # (left word, right word) -> normal form of their product
+            # (left word, right word) -> their product: the joined word when it is one
+            # unit term at power 0, else a list of its (word, k, scalar) entries
+            slot_nf = {}
             out = {}
             for (ws1, k1), c1 in self.terms.items():
                 room = n - k1
@@ -668,31 +697,46 @@ class TensorElement:
                 if pairs is None:
                     pairs = fitting[room] = [t for t in right if t[0][1] <= room]
                 for (ws2, k2), c2 in pairs:
-                    # slot-wise normal forms, then distribute; entries ascend in power
-                    partial = [((), k1 + k2, c1 * c2)]
-                    for u, v in zip(ws1, ws2):
-                        nfs = slot_nf.get((u, v))
+                    # slot-wise normal forms, then distribute; entries ascend in power.
+                    # Joined words extend the key; the first slot that rewrites starts
+                    # the list of (words, k, scalar) partial terms
+                    cc = c1 if c2 is one else c2 if c1 is one else c1 * c2
+                    words, partial = (), None
+                    for uv in zip(ws1, ws2):
+                        nfs = slot_nf.get(uv)
                         if nfs is None:
+                            u, v = uv
                             if not u or not v or u[-1][0] < v[0][0]:  # already normal
-                                nfs = ((u + v, 0, one),)
+                                nfs = u + v
                             elif u[-1][0] == v[0][0]:
                                 (g, e1), (_, e2) = u[-1], v[0]
-                                nfs = ((u[:-1] + ((g, e1 + e2),) + v[1:], 0, one),)
+                                nfs = u[:-1] + ((g, e1 + e2),) + v[1:]
                             else:
                                 nfs = nf(flatten(u) + flatten(v))
-                            slot_nf[(u, v)] = nfs
+                                nfs = (nfs[0][0] if len(nfs) == 1 and not nfs[0][1]
+                                       and nfs[0][2] is one else list(nfs))
+                            slot_nf[uv] = nfs
+                        if type(nfs) is tuple:
+                            if partial is None:
+                                words += (nfs,)
+                                continue
+                            nfs = ((nfs, 0, one),)
+                        elif partial is None:
+                            partial = [(words, k1 + k2, cc)]
                         grown = []
-                        for words, k, cc in partial:
+                        for ws, k, c in partial:
                             for w, rk, rc in nfs:
                                 if k + rk > n:
                                     break
-                                grown.append((words + (w,), k + rk,
-                                              cc if rc is one else cc * rc))
+                                grown.append((ws + (w,), k + rk, c if rc is one else c * rc))
                         partial = grown
                         if not partial:
                             break
-                    for words, k, cc in partial:
-                        add_term(out, (words, k), cc)
+                    if partial is None:
+                        add_term(out, (words, k1 + k2), cc)
+                    else:
+                        for ws, k, c in partial:
+                            add_term(out, (ws, k), c)
             return TensorElement(alg, self.arity, out)
         if isinstance(other, _SCALARS):
             return self.scaled(other)

@@ -229,7 +229,7 @@ class Polynomial:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 s = out.get(e)
-                p = c1 * c2
+                p = c1 if c2 is FE_ONE else c2 if c1 is FE_ONE else c1 * c2
                 out[e] = p if s is None else s + p
         return Polynomial(self.ring, out)
 

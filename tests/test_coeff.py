@@ -306,6 +306,52 @@ class TestTripleAgainstPair:
             1 / FE_ZERO
 
 
+class TestOneFrameResults:
+    """Sums, products and negations set their canonical triple themselves."""
+
+    @staticmethod
+    def operands(seed, n):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(n):
+            x, px = random_operand(rng)
+            x = x if isinstance(x, FieldElem) else FieldElem(x)
+            out.append((x, px))
+            if rng.random() < 0.3:  # its negation and its reciprocal: sums and products to 0 and 1
+                out.append((-x, Pair(0) - px))
+                if px.a or px.b:
+                    out.append((x.inverse(), px.inverse()))
+        return out
+
+    @pytest.mark.parametrize("seed", [81, 82, 83])
+    def test_sums_products_and_negations_are_canonical(self, seed):
+        ops = self.operands(seed, 60)
+        cancelled = 0
+        for x, px in ops:
+            assert_matches(-x, Pair(0) - px)
+            for y, py in ops:
+                s, m = x + y, x * y
+                assert_matches(s, px + py)
+                assert_matches(m, px * py)
+                cancelled += s.is_zero()
+                for r in (3, Fraction(-5, 6)):  # rational operands too
+                    assert_matches(x + r, px + Pair(r))
+                    assert_matches(x * r, px * Pair(r))
+        assert cancelled  # the sweep reaches sums that cancel to 0
+
+    @pytest.mark.parametrize("seed", [84, 85])
+    def test_a_unit_factor_returns_the_other_factor(self, seed):
+        for x, _ in self.operands(seed, 80):
+            assert x * FE_ONE is x and FE_ONE * x is x
+
+    @pytest.mark.parametrize("seed", [86, 87])
+    def test_quad_equals_the_fraction_quad(self, seed):
+        for x, _ in self.operands(seed, 200):
+            a, b = Fraction(x.p, x.d), Fraction(x.q, x.d)
+            assert x.as_quad() == [a.numerator, a.denominator, b.numerator, b.denominator]
+        assert FE_ZERO.as_quad() == [0, 1, 0, 1]
+
+
 def test_triple_against_sympy_sqrt2():
     sympy = pytest.importorskip("sympy")
     root = sympy.sqrt(2)

@@ -125,6 +125,36 @@ class TestContraction:
         assert all(alg._table[key] == full[key] for key in alg._table)
 
 
+class TestCoassociativityResidual:
+    def broken_sl2(self):
+        """sl2 with Delta(A_plus) = A_plus (x) A, which is not coassociative."""
+        b = preset("sl2", 3)
+        alg = b.presentation
+        delta = {**b.hopf.delta, 0: tensor_pair(alg.gen("A_plus"), alg.gen("A"))}
+        return HopfMaps(alg, delta, b.hopf.counit, b.hopf.antipode)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_summed_into_one_tensor_equals_the_difference(self, name):
+        hopf = preset(name, 3).hopf
+        for maps in (hopf, self.broken_sl2()):
+            for w in maps.default_test_words():
+                t = maps.coproduct_word(w)
+                before = dict(t.terms)
+                left, right = maps.delta_on_slot(t, 0), maps.delta_on_slot(t, 1)
+                want = (left - right).terms
+                out = maps.delta_on_slot(t, 0)
+                assert maps.delta_on_slot(-t, 1, out=out) is out
+                assert out.terms == want
+                assert t.terms == before
+
+    def test_failures_carry_the_residual(self):
+        maps = self.broken_sl2()
+        rep = maps.check_coassociativity([((0, 1),)])
+        assert [f["input"] for f in rep.failures] == ["A_plus"]
+        t = maps.coproduct_word(((0, 1),))
+        assert not (maps.delta_on_slot(t, 0) - maps.delta_on_slot(t, 1)).is_zero()
+
+
 class TestPrimitiveGenerators:
     def test_tables(self):
         assert preset("so22", 2).hopf.primitive_generators() == ["P", "P0_hat"]

@@ -636,6 +636,167 @@ def random_tensor(alg, rng, arity, max_terms=6, max_len=2):
     return TensorElement(alg, arity, terms)
 
 
+def slotwise_tensor_product(x, y):
+    """``x * y`` for tensors by the product loop that builds a ``(words, k,
+    scalar)`` list through every slot of every pair, the slots that join to
+    one unit term included: the reference for the direct keys of
+    ``TensorElement.__mul__``, which must give the same terms in the same
+    insertion order."""
+    alg = x.algebra
+    n = alg.order
+    nf = alg.normal_form_of_word
+    one = FE_ONE
+    right = list(y.terms.items())
+    fitting = {}
+    slot_nf = {}
+    out = {}
+    for (ws1, k1), c1 in x.terms.items():
+        room = n - k1
+        pairs = fitting.get(room)
+        if pairs is None:
+            pairs = fitting[room] = [t for t in right if t[0][1] <= room]
+        for (ws2, k2), c2 in pairs:
+            partial = [((), k1 + k2, c1 * c2)]
+            for u, v in zip(ws1, ws2):
+                nfs = slot_nf.get((u, v))
+                if nfs is None:
+                    if not u or not v or u[-1][0] < v[0][0]:
+                        nfs = ((u + v, 0, one),)
+                    elif u[-1][0] == v[0][0]:
+                        (g, e1), (_, e2) = u[-1], v[0]
+                        nfs = ((u[:-1] + ((g, e1 + e2),) + v[1:], 0, one),)
+                    else:
+                        nfs = nf(flatten(u) + flatten(v))
+                    slot_nf[(u, v)] = nfs
+                grown = []
+                for words, k, cc in partial:
+                    for w, rk, rc in nfs:
+                        if k + rk > n:
+                            break
+                        grown.append((words + (w,), k + rk, cc if rc is one else cc * rc))
+                partial = grown
+                if not partial:
+                    break
+            for words, k, cc in partial:
+                ncalg.add_term(out, (words, k), cc)
+    return out
+
+
+def cancelling_pair(alg, arity):
+    """Two tensors whose product has pairs that cancel: with g in the first
+    slot and h in the last, (g(x)1 + 1(x)h)(1(x)h - g(x)1) = 1(x)h^2 - g^2(x)1,
+    the two g(x)h pairs cancelling (the slots commute)."""
+    n = len(alg.generators)
+    g, h = ((0, 1),), ((n - 1, 1),)
+    first = ((g,) + ((),) * (arity - 1), 0)
+    last = (((),) * (arity - 1) + (h,), 0)
+    x = TensorElement(alg, arity, {first: FE_ONE, last: FE_ONE})
+    y = TensorElement(alg, arity, {last: FE_ONE, first: fe(-1)})
+    return x, y
+
+
+class TestDirectTensorKeys:
+    @pytest.mark.parametrize("name", ["sl2", "nullplane", "so22"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_the_slotwise_loop(self, name, order):
+        alg = build_preset(name, order).presentation
+        rng = random.Random(f"direct-{name}-{order}")
+        for arity in (2, 3):
+            ts = [random_tensor(alg, rng, arity, max_len=3) for _ in range(5)]
+            ts += [TensorElement.unit(alg, arity), *cancelling_pair(alg, arity)]
+            for x in ts:
+                for y in ts:
+                    got = (x * y).terms
+                    want = slotwise_tensor_product(x, y)
+                    assert got == want, (x, y)
+                    assert list(got) == list(want), (x, y)
+
+    def test_cancelling_pairs_leave_no_key(self):
+        alg = build_preset("so22", 2).presentation
+        x, y = cancelling_pair(alg, 2)
+        got = (x * y).terms
+        n = len(alg.generators)
+        assert got == {(((), ((n - 1, 2),)), 0): FE_ONE, ((((0, 2),), ()), 0): fe(-1)}
+        assert list(got) == list(slotwise_tensor_product(x, y))
+
+    def test_truncation_cuts_rewritten_slots(self):
+        # at order 1 a slot whose normal form has a param^1 term meets a
+        # pair at power 1: that term is cut, the power-0 one kept
+        alg = build_preset("sl2", 1).presentation
+        a, m = ((1, 1),), ((2, 1),)  # A and A_minus
+        nfs = alg.normal_form_of_word((2, 1))
+        assert any(k == 1 for _, k, _ in nfs) and any(k == 0 for _, k, _ in nfs)
+        x = TensorElement(alg, 2, {((m, ()), 1): fe(2), ((m, a), 0): fe(3)})
+        y = TensorElement(alg, 2, {((a, m), 0): fe((1, 2)), (((), a), 1): FE_ONE})
+        got = (x * y).terms
+        assert got == slotwise_tensor_product(x, y) == reference_tensor_product(x, y)
+        assert list(got) == list(slotwise_tensor_product(x, y))
+        assert max(k for _, k in got) == 1
+
+
+class TestDifference:
+    def test_self_difference_is_zero(self):
+        alg = build_preset("nullplane", 3).presentation
+        rng = random.Random(3)
+        for _ in range(10):
+            x = random_element(alg, rng)
+            t = random_tensor(alg, rng, rng.choice((2, 3)))
+            assert (x - x).is_zero() and (x - x).terms == {}
+            assert (t - t).is_zero() and (t - t).terms == {}
+
+    def test_difference_is_the_sum_with_the_negation(self):
+        alg = build_preset("so22", 3).presentation
+        rng = random.Random(4)
+        for _ in range(20):
+            x, y = random_element(alg, rng), random_element(alg, rng)
+            assert (x - y).terms == (x + -y).terms
+            t, u = random_tensor(alg, rng, 2), random_tensor(alg, rng, 2)
+            assert (t - u).terms == (t + -u).terms
+            assert (t - u) + u == t
+
+    def test_operands_are_not_mutated(self):
+        alg = build_preset("sl2", 2).presentation
+        rng = random.Random(5)
+        x, y = random_element(alg, rng), random_element(alg, rng)
+        t, u = random_tensor(alg, rng, 3), random_tensor(alg, rng, 3)
+        before = [dict(v.terms) for v in (x, y, t, u)]
+        x - y, y - x, x - 2, t - u, u - t
+        assert [v.terms for v in (x, y, t, u)] == before
+
+    def test_mismatches_still_raise(self):
+        sl2, so22 = preset("sl2", 2).presentation, preset("so22", 2).presentation
+        with pytest.raises(AlgebraMismatch):
+            sl2.gen("A") - so22.gen(so22.generators[0])
+        with pytest.raises(AlgebraMismatch):
+            TensorElement.unit(sl2, 2) - TensorElement.unit(so22, 2)
+        with pytest.raises(ArityMismatch):
+            TensorElement.unit(sl2, 2) - TensorElement.unit(sl2, 3)
+
+
+def lambda_keyed_by_word(terms, sort_key):
+    """``_by_word`` sorting through lambda keys: the reference for the plain sorts."""
+    grouped = {}
+    for (w, k), c in terms.items():
+        grouped.setdefault(w, []).append((k, c))
+    return sorted(((w, tuple(sorted(s, key=lambda t: t[0]))) for w, s in grouped.items()),
+                  key=lambda t: sort_key(t[0]))
+
+
+class TestByWord:
+    @pytest.mark.parametrize("name", ["sl2", "nullplane", "so22"])
+    def test_matches_lambda_keyed_sorts(self, name):
+        alg = build_preset(name, 4).presentation
+        rng = random.Random(f"by-word-{name}")
+        for _ in range(15):
+            x = random_element(alg, rng, max_terms=8, max_len=3)
+            x = x * random_element(alg, rng) + x
+            assert x.by_word() == lambda_keyed_by_word(x.terms, ncalg.word_sort_key)
+            t = random_tensor(alg, rng, rng.choice((2, 3)), max_terms=10)
+            want = lambda_keyed_by_word(
+                t.terms, lambda ws: tuple(ncalg.word_sort_key(w) for w in ws))
+            assert t.by_word() == want
+
+
 TENSOR_CASES = [(name, order, None) for name in ("sl2", "so22", "nullplane", "sl2-jbasis")
                 for order in (2, 3, 4, 5)] + [("nullplane", n, "ncalg-rule") for n in (2, 3, 4, 5)]
 
