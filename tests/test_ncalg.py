@@ -760,8 +760,9 @@ class TestDifference:
         x, y = random_element(alg, rng), random_element(alg, rng)
         t, u = random_tensor(alg, rng, 3), random_tensor(alg, rng, 3)
         before = [dict(v.terms) for v in (x, y, t, u)]
-        x - y, y - x, x - 2, t - u, u - t
+        results = [x - y, y - x, x - 2, t - u, u - t]
         assert [v.terms for v in (x, y, t, u)] == before
+        assert not any(r.terms is v.terms for r in results for v in (x, y, t, u))
 
     def test_mismatches_still_raise(self):
         sl2, so22 = preset("sl2", 2).presentation, preset("so22", 2).presentation
