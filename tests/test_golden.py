@@ -2,7 +2,7 @@
 fixed corpus, `verify all --order 2 --format json` with and without each
 fault hook, `verify contraction` and `verify diffrep --format json` at orders
 3 and 4 (with no fault and with each fault that changes their output),
-`verify hopf --format json` at orders 3 and 4 (with no fault and under the
+`verify hopf --format json` at orders 3, 4 and 6 (with no fault and under the
 ``hopf-coproduct`` and ``ncalg-rule`` faults), the default-plan
 `verify all --format json` (orders 4/3/2, no fault), the
 contraction reports at order 2 under each single-generator change of an eps
@@ -12,9 +12,13 @@ ideal must stay byte-identical to the files under ``tests/golden/``.
 
 The corpus, the contraction, diffrep, Hopf and default-plan verify runs and
 the weight changes run in-process; the `verify all` goldens are compared by acceptance
-criterion 14, which runs those subprocesses anyway.  ``--write`` rewrites
-every one of these files from the code on ``PYTHONPATH`` (only when a change
-of output is intended)::
+criterion 14, which runs those subprocesses anyway.  The order-6 Hopf runs
+(about 1.5 s each) are compared by CI, not by the test suite::
+
+    PYTHONPATH=src python tests/test_golden.py --check-hopf-order6
+
+``--write`` rewrites every one of these files from the code on ``PYTHONPATH``
+(only when a change of output is intended)::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -176,12 +180,13 @@ DEFAULT_ARGV = ["verify", "all", "--format", "json"]
 DEFAULT_GOLDEN = GOLDEN / "verify-default-nofault.json"
 HOPF_FAULTS = ("hopf-coproduct", "ncalg-rule")
 HOPF_GOLDEN = GOLDEN / "verify-hopf-orders34.json"
+HOPF6_GOLDEN = GOLDEN / "verify-hopf-order6.json"
 
 
-def hopf_commands():
+def hopf_commands(orders=VERB_ORDERS):
     return [["verify", "hopf", "--order", order, "--format", "json"]
             + (["--inject-fault", fault] if fault else [])
-            for order in VERB_ORDERS for fault in (None, *HOPF_FAULTS)]
+            for order in orders for fault in (None, *HOPF_FAULTS)]
 
 
 WEIGHTS_GOLDEN = GOLDEN / "contraction-weights-order2.json"
@@ -226,6 +231,7 @@ def _write():
     BASIS_GOLDEN.write_text(json.dumps(basis_doc()) + "\n")
     for path, doc in ((VERB_GOLDEN, verb_outputs()),
                       (HOPF_GOLDEN, verb_outputs(hopf_commands())),
+                      (HOPF6_GOLDEN, verb_outputs(hopf_commands(("6",)))),
                       (DEFAULT_GOLDEN, strip_seconds(json.loads(run_in_process(DEFAULT_ARGV)[1]))),
                       (WEIGHTS_GOLDEN, weight_change_reports())):
         path.write_text(json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False) + "\n")
@@ -286,6 +292,10 @@ def test_orthogonality_groebner_is_golden():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    if sys.argv[1:] == ["--write"]:
+        _write()
+    elif sys.argv[1:] == ["--check-hopf-order6"]:
+        if verb_outputs(hopf_commands(("6",))) != json.loads(HOPF6_GOLDEN.read_text()):
+            sys.exit("verify hopf at order 6 differs from tests/golden/verify-hopf-order6.json")
+    else:
         sys.exit(__doc__)
-    _write()
