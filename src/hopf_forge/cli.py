@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import replace
 from functools import partial
+from importlib import import_module
 from typing import Callable, NamedTuple
 
 from .algebras import (FAULTS, PRESET_NAMES, PresetConstructionError,
@@ -65,10 +66,25 @@ def _consistency(name, order):
     return replace(rep, failures=list(rep.failures))
 
 
+class _LazyModule:
+    """A check module as the verify table names it: ``m.f`` is a function that
+    imports the module and calls its ``f`` when a runner runs, so building the
+    table (the ``verify`` help too) imports no check module."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        def call(*args, **kwargs):
+            return getattr(import_module(f"{__package__}.{self._name}"), attr)(*args, **kwargs)
+        return call
+
+
 def _check_table(fault=None):
     """Verify verb -> its rows, in plan order; ``fault`` goes to the checks
     that build their own structures: rtt, weyl, group-coproduct and diffrep."""
-    from . import contraction, diffrep, repfrt, rmat
+    contraction, diffrep, repfrt, rmat = map(
+        _LazyModule, ("contraction", "diffrep", "repfrt", "rmat"))
 
     every = PRESET_NAMES
     r_recipe = ("sl2", "so22", "nullplane")
@@ -243,10 +259,10 @@ def _order_part(elem, k):
 
 
 def cmd_show(args):
-    from . import diffrep, repfrt, rmat
     what = args.subject
     fmt = args.format
     if what == "hamiltonian":
+        from . import diffrep
         order = args.order if args.order is not None else DEFAULT_ORDER_2FOLD
         coeffs = diffrep.hamiltonian_series(order)
         if fmt == "json":
@@ -261,6 +277,7 @@ def cmd_show(args):
                 print(f"w^{k}: {c!r}")
         return 0
     if what == "brackets":
+        from . import repfrt
         table = repfrt.bracket_table_json()
         if fmt == "json":
             print(json.dumps(table, indent=2, sort_keys=True))
@@ -293,6 +310,7 @@ def cmd_show(args):
     elif what == "rmatrix":
         if bundle.rfactors is None:
             raise UsageError(f"preset {args.algebra!r} carries no R-matrix recipe")
+        from . import rmat
         r = rmat.preset_r(args.algebra, alg.order)
         print(render_tensor(r, fmt))
     else:

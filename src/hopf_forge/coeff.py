@@ -163,7 +163,8 @@ class FieldElem:
 
     def __truediv__(self, other):
         if type(other) is FieldElem:
-            return self * other.inverse()
+            out = self * other.inverse()
+            return FE_ONE if out == FE_ONE else out  # x / x is the canonical 1 too
         if not isinstance(other, _RATIONAL):
             return NotImplemented
         if not other:
@@ -212,9 +213,11 @@ def _make(p, q, d):
 
 
 def _canon(p, q, d):
-    """FieldElem of (p + q*sqrt2)/d for any d != 0."""
+    """FieldElem of (p + q*sqrt2)/d for any d != 0; a 1 is ``FE_ONE`` itself, so
+    the ``is FE_ONE`` tests skip the unit that an inverse or a quotient gives."""
     g = gcd(p, q, d) if d > 0 else -gcd(p, q, d)
-    return _make(p, q, d) if g == 1 else _make(p // g, q // g, d // g)
+    p, q, d = p // g, q // g, d // g
+    return FE_ONE if p == d == 1 and not q else _make(p, q, d)
 
 
 FE_ZERO = FieldElem(0)

@@ -4,10 +4,13 @@ The three maps are given on generators and extended multiplicatively
 (anti-multiplicatively for the antipode) by :class:`~hopf_forge.ncalg.WordMap`;
 every check below re-verifies the axioms mechanically on generators plus all
 degree-2 normal words, which also exercises the rewriting kernel on both
-tensor slots.  Without an antipode the same class holds a bialgebra: repfrt
-checks the coassociativity and counit of the FRT quantum group's coproduct
-with it, on the generators only, since that coordinate algebra is Hopf only
-modulo an ideal the checks here do not reduce by.
+tensor slots.  A counit or antipode contraction m((f(x)id)t) is one
+:meth:`~hopf_forge.ncalg.AlgebraPresentation.fold_sum`, so each shared
+right-hand suffix is folded once and the step bound counts per contraction.
+Without an antipode the same class holds a bialgebra: repfrt checks the
+coassociativity and counit of the FRT quantum group's coproduct with it, on
+the generators only, since that coordinate algebra is Hopf only modulo an
+ideal the checks here do not reduce by.
 """
 
 from __future__ import annotations
@@ -115,7 +118,8 @@ class HopfMaps:
         """m((f (x) id) t) for ``slot`` 0, m((id (x) f) t) for 1, ``f`` a map of
         normal words.  The left factors are summed, scaled, into one dict per
         right-hand word (the slot-1 word, or each word of its image under f),
-        and each dict is folded by its word once, with a new step count."""
+        and the dicts go to one ``fold_sum``, which folds each shared suffix of
+        those words once; the step bound counts per contraction."""
         alg = self.algebra
         top = alg.order
         by_right = {}
@@ -125,11 +129,7 @@ class HopfMaps:
                     w1, w2 = (u, ws[1]) if slot == 0 else (ws[0], u)
                     add_term(by_right.setdefault(w2, {}), (w1, k + uk),
                              c if uc is FE_ONE else uc if c is FE_ONE else c * uc)
-        out = {}
-        for w2, left in by_right.items():
-            for key, c in alg.fold(left, w2, start=True).items():
-                add_term(out, key, c)
-        return NCElement(alg, out)
+        return NCElement(alg, alg.fold_sum(by_right))
 
     def check_counit(self, test_words=None):
         alg = self.algebra

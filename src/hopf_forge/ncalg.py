@@ -32,7 +32,9 @@ An element product ``x * y`` folds through that table directly
 scaled and shifted by it (truncated to the order), take the term's blocks
 one at a time, and like terms merge after every step.  Both factors are
 already normal, so no concatenated flat word is built and the table is the
-only memo.  The expression parser folds each product term the same way.
+only memo.  The expression parser folds each product term the same way.  A
+sum of folds by many words (:meth:`AlgebraPresentation.fold_sum`) folds each
+shared suffix once, on the merged terms of every word that ends with it.
 Flat words from outside (the slots of a tensor product,
 :meth:`AlgebraPresentation.normalize`) go through
 :meth:`AlgebraPresentation.normal_form_of_word`, whose cache keeps each flat
@@ -43,9 +45,10 @@ above the order, and every stored scalar is interned under its integer triple
 (the caches hold many copies of few distinct values; a stored 1 is ``FE_ONE``
 itself, and wherever two graded terms multiply a factor that *is* ``FE_ONE`` is
 skipped by identity).  The step bound counts the table entries filled for one
-product, one flat word or one parsed product term, power-pair entries
-included.  A difference is one pass: the subtrahend's terms are subtracted
-into a copy of the minuend, with no negated copy in between.
+product, one flat word, one parsed product term or one ``fold_sum``,
+power-pair entries included.  A difference is one pass: the subtrahend's
+terms are subtracted into a copy of the minuend, with no negated copy in
+between.
 
 An entry holds ``u*g`` for any power of the parameter, so a rewriting of
 ``u*g`` that needs ``u*g`` again is a :class:`NonTerminating` cycle, even if
@@ -304,6 +307,31 @@ class AlgebraPresentation:
         for g, e in word:
             terms = self._times(terms, g, e)
         return terms
+
+    def fold_sum(self, groups):
+        """The sum of ``fold(terms, word)`` over ``groups = {word: terms}`` as one
+        product (one step count), by Horner's rule over the words' suffixes: all
+        that ends with a suffix ``g*s`` is merged into one dict, which takes ``g``
+        once and is merged into the dict of ``s``.  Each term still takes its own
+        word's generators left to right, so the sum is that of the separate folds,
+        confluent rules or not.  The dicts of ``groups`` are merged into in place."""
+        self._misses = 0
+        by_len = {}  # suffix length -> {suffix: terms that still have to take it}
+        for w, terms in groups.items():
+            by_len.setdefault(sum(e for _, e in w), {})[w] = terms
+        for n in range(max(by_len, default=0), 0, -1):
+            into = by_len.setdefault(n - 1, {})
+            for s, terms in by_len.pop(n, {}).items():
+                g, e = s[0]
+                s = ((g, e - 1),) + s[1:] if e > 1 else s[1:]
+                acc, have = self._times(terms, g), into.get(s)
+                if have is not None:
+                    if len(have) > len(acc):  # sum the smaller into the larger
+                        acc, have = have, acc
+                    for key, c in have.items():
+                        add_term(acc, key, c)
+                into[s] = acc
+        return by_len.get(0, {}).get((), {})
 
     def _stored(self, terms):
         """``terms`` as ``(word, k, scalar)`` entries in ascending ``k`` (a stable

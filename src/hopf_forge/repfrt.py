@@ -194,21 +194,28 @@ def lvar(m, n):
     return RING12.var(f"L{m}{n}")
 
 
-def orthogonality_quadrics():
-    """The six L eta L^T = eta quadrics (mu <= rho)."""
+def orthogonality_quadrics(transposed=False):
+    """The six L eta L^T = eta quadrics (mu <= rho); the six L^T eta L = eta
+    ones when ``transposed``."""
     out = []
     for mu in range(3):
         for rho in range(mu, 3):
             q = RING12.constant(FieldElem(-ETA[mu] if mu == rho else 0))
             for nu in range(3):
-                q = q + lvar(mu, nu) * lvar(rho, nu) * FieldElem(ETA[nu])
+                pair = lvar(nu, mu) * lvar(nu, rho) if transposed else lvar(mu, nu) * lvar(rho, nu)
+                q = q + pair * FieldElem(ETA[nu])
             out.append(q)
     return out
 
 
 @lru_cache(maxsize=None)
 def orthogonality_groebner():
-    return tuple(groebner(orthogonality_quadrics()))
+    # The ideal of L eta L^T = eta, seeded with the L^T eta L = eta quadrics too,
+    # which spares Buchberger deriving them.  They add nothing to the ideal: as
+    # eta^2 = 1, L eta L^T eta = 1 makes eta L^T eta a right inverse of L; over
+    # the commutative quotient ring it is a left inverse as well, so
+    # L^T eta L - eta lies in the ideal.
+    return tuple(groebner(orthogonality_quadrics() + orthogonality_quadrics(transposed=True)))
 
 
 @lru_cache(maxsize=None)

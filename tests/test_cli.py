@@ -382,3 +382,36 @@ class TestEnvironment:
         assert r.returncode == 2
         assert "HOPF_FORGE_ORDER" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+CHECK_MODULES = {"contraction", "diffrep", "ratfunc", "repfrt", "rmat"}
+
+
+def modules_after(argv):
+    """The hopf_forge modules that a fresh process has loaded after ``cli.main(argv)``."""
+    code = ("import contextlib, io, sys\n"
+            "from hopf_forge import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('hopf_forge.')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return {m.split(".", 1)[1] for m in r.stdout.split()}
+
+
+class TestImports:
+    def test_normalize_imports_no_check_module(self):
+        loaded = modules_after(["normalize", "A_plus*A", "--algebra", "sl2"])
+        assert "ncalg" in loaded
+        assert not loaded & CHECK_MODULES
+
+    def test_verify_imports_the_modules_its_rows_run(self):
+        loaded = modules_after(["verify", "poisson"])
+        assert "repfrt" in loaded
+        assert "contraction" not in loaded
+
+    def test_verify_help_names_every_verb(self, capsys):
+        from hopf_forge.cli import _check_table
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"all or one of: {', '.join(_check_table())}" in text

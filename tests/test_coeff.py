@@ -344,6 +344,20 @@ class TestOneFrameResults:
         for x, _ in self.operands(seed, 80):
             assert x * FE_ONE is x and FE_ONE * x is x
 
+    def test_a_quotient_equal_to_one_is_fe_one(self):
+        x = FieldElem(Fraction(-3, 7), Fraction(5, 2))
+        assert FE_ONE / 1 is FE_ONE
+        assert FieldElem(3) / 3 is FE_ONE
+        assert FieldElem(1).inverse() is FE_ONE
+        assert x / x is FE_ONE
+        assert FieldElem(-1).inverse() == -1 and FE_SQRT2 / 2 != 1
+
+    @pytest.mark.parametrize("seed", [88, 89])
+    def test_every_unit_quotient_is_fe_one(self, seed):
+        for x, _ in self.operands(seed, 80):
+            if x:
+                assert x / x is FE_ONE and x * x.inverse() == 1
+
     @pytest.mark.parametrize("seed", [86, 87])
     def test_quad_equals_the_fraction_quad(self, seed):
         for x, _ in self.operands(seed, 200):

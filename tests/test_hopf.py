@@ -6,7 +6,7 @@ from hopf_forge import ncalg
 from hopf_forge.algebras import PRESET_NAMES, build_preset, preset
 from hopf_forge.coeff import DeformationSeries, FE_ONE, FieldElem
 from hopf_forge.hopf import HopfMaps
-from hopf_forge.ncalg import NCElement, NonTerminating, UnmappedGenerator, tensor_pair
+from hopf_forge.ncalg import NCElement, NonTerminating, UnmappedGenerator, add_term, tensor_pair
 
 
 class TestCoproduct:
@@ -87,6 +87,23 @@ def contract_by_mapped_word(hopf, t, f, slot):
     return out
 
 
+def contract_per_right_word(hopf, t, f, slot):
+    """Reference ``contract_slot`` terms: the same dict per right-hand word,
+    each folded by its word on its own and the results summed."""
+    alg = hopf.algebra
+    by_right = {}
+    for (ws, k), c in t.terms.items():
+        for (u, uk), uc in f(ws[slot]).terms.items():
+            if k + uk <= alg.order:
+                w1, w2 = (u, ws[1]) if slot == 0 else (ws[0], u)
+                add_term(by_right.setdefault(w2, {}), (w1, k + uk), c * uc)
+    out = {}
+    for w2, left in by_right.items():
+        for key, c in alg.fold(left, w2, start=True).items():
+            add_term(out, key, c)
+    return out
+
+
 class TestContraction:
     # the hopf-coproduct fault touches the nullplane coproduct only
     @pytest.mark.parametrize("order", [2, 3, 4])
@@ -105,23 +122,53 @@ class TestContraction:
                         residual = True
         assert residual == (fault is not None)
 
-    def test_step_bound_counts_per_fold(self, monkeypatch):
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name,fault", [(name, None) for name in PRESET_NAMES]
+                             + [("nullplane", "hopf-coproduct"), ("nullplane", "ncalg-rule")])
+    def test_one_fold_sum_equals_a_fold_per_right_word(self, name, fault, order):
+        hopf = (build_preset(name, order, fault) if fault else preset(name, order)).hopf
+        residual = False
+        for w in hopf.default_test_words():
+            t = hopf.coproduct_word(w)
+            for f in (hopf.counit_word, hopf.antipode_word):
+                for slot in (0, 1):
+                    got = hopf.contract_slot(t, f, slot)
+                    assert got.terms == contract_per_right_word(hopf, t, f, slot), (w, slot)
+                    if f == hopf.antipode_word and got != hopf.counit_word(w):
+                        residual = True
+        assert residual == (fault is not None)
+
+    def test_step_bound_counts_per_contraction(self, monkeypatch):
         b = build_preset("so22", 2)
         hopf, alg = b.hopf, b.presentation
         assert hopf.check_antipode().passed  # word images cached: only folds rewrite
         full = dict(alg._table)
+        # the entries each contraction fills, from an empty table
+        fills = []
+        contract = hopf.contract_slot
+
+        def counted(*args):
+            out = contract(*args)
+            fills.append(alg._misses)
+            return out
+
+        monkeypatch.setattr(hopf, "contract_slot", counted)
         alg._table.clear()
-        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 3)
+        assert hopf.check_antipode().passed
+        monkeypatch.undo()
+        most = max(fills)
+        # one count per contraction, not per check: no contraction fills them all
+        assert sum(fills) == len(alg._table) > most
+        alg._table.clear()
+        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", most)
+        assert hopf.check_antipode().passed
+        assert all(alg._table[key] == full[key] for key in alg._table)
+        alg._table.clear()
+        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", most - 1)
         with pytest.raises(NonTerminating, match="exceeded") as err:
             hopf.check_antipode()
         assert any(entry.name == "contract_slot" for entry in err.traceback)
         # only complete entries were stored, each as the unbounded run made it
-        assert all(alg._table[key] == full[key] for key in alg._table)
-        # no fold fills more than 8 entries, the check fills 168 in all
-        alg._table.clear()
-        monkeypatch.setattr(ncalg, "REWRITE_STEP_LIMIT", 8)
-        assert hopf.check_antipode().passed
-        assert len(alg._table) > 8
         assert all(alg._table[key] == full[key] for key in alg._table)
 
 

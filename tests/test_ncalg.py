@@ -10,7 +10,7 @@ from hopf_forge.coeff import FE_ONE, FieldElem, rat
 from hopf_forge.contraction import Contraction
 from hopf_forge.ncalg import (AlgebraMismatch, AlgebraPresentation, ArityMismatch,
                               MissingRule, NCElement, NonTerminating,
-                              TensorElement, UnmappedGenerator, flatten,
+                              TensorElement, UnmappedGenerator, add_term, flatten,
                               tensor_pair)
 from hopf_forge.algebras import PRESET_NAMES, build_preset, preset
 
@@ -514,6 +514,31 @@ class TestProductOracle:
                 got = alg.fold(terms, word)
                 assert terms == x.terms  # the input dict is left as it was
                 assert NCElement(alg, got) == x * alg.element({(word, 0): FE_ONE})
+
+    @pytest.mark.parametrize("name", ["sl2", "nullplane", "so22"])
+    def test_fold_sum_is_the_sum_of_folds(self, name):
+        alg = fresh_presentation(name, 3)
+        rng = random.Random(11)
+        g = len(alg.generators)
+        # words that share suffixes, at letter level too (a*b^2 and b), and the empty word
+        words = [(), ((g - 1, 1),), ((g - 1, 2),), ((0, 1), (g - 1, 2)),
+                 ((1, 1), (g - 1, 1)), ((0, 2), (1, 1), (g - 1, 1)), ((0, 1),)]
+        for _ in range(4):
+            groups = {w: random_element(alg, rng).terms for w in words}
+            want = {}
+            for w, terms in groups.items():
+                for key, c in alg.fold(dict(terms), w).items():
+                    add_term(want, key, c)
+            assert alg.fold_sum({w: dict(t) for w, t in groups.items()}) == want
+        # x*a*b against -(x*a)*b: the two groups cancel where their suffixes meet
+        x = random_element(alg, rng)
+        xa = alg.fold(dict(x.terms), ((0, 1),))
+        groups = {((0, 1), (g - 1, 1)): dict(x.terms),
+                  ((g - 1, 1),): {key: -c for key, c in xa.items()}}
+        assert alg.fold_sum(groups) == {}
+        one = {((), 0): FE_ONE}
+        assert alg.fold_sum({(): dict(one)}) == one
+        assert alg.fold_sum({}) == {}
 
     def test_product_whose_terms_cancel(self):
         alg = fresh_presentation("sl2", 4)
