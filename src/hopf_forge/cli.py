@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from dataclasses import replace
-from functools import partial
+from functools import partial, wraps
 from importlib import import_module
 from typing import Callable, NamedTuple
 
@@ -67,16 +67,17 @@ def _consistency(name, order):
 
 
 class _LazyModule:
-    """A check module as the verify table names it: ``m.f`` is a function that
-    imports the module and calls its ``f`` when a runner runs, so building the
-    table (the ``verify`` help too) imports no check module."""
+    """A check module as the verify table names it: ``m.f`` calls the module's
+    ``f``, and its ``module`` names the module for the plan to import.  So
+    building the table (the ``verify`` help too) imports no check module."""
 
     def __init__(self, name):
-        self._name = name
+        self.module = f"{__package__}.{name}"
 
     def __getattr__(self, attr):
         def call(*args, **kwargs):
-            return getattr(import_module(f"{__package__}.{self._name}"), attr)(*args, **kwargs)
+            return getattr(import_module(self.module), attr)(*args, **kwargs)
+        call.module = self.module
         return call
 
 
@@ -93,11 +94,11 @@ def _check_table(fault=None):
 
     def at(check):
         """A runner for a check that takes the order only."""
-        return lambda p, order: check(order)
+        return wraps(check)(lambda p, order: check(order))
 
     def faulted(check):
         """A runner for a check that takes the order and the fault."""
-        return lambda p, order: check(order, fault=fault)
+        return wraps(check)(lambda p, order: check(order, fault=fault))
 
     def stability_subalgebra(p, order):
         bundle = preset(p, order)
@@ -178,6 +179,9 @@ def _verify_plan(check, algebra, args):
         presets = row.defaults or row.accepts
         if algebra:
             presets = (algebra,) if algebra in row.accepts else ()
+        if presets and hasattr(row.run, "module"):
+            # before any row runs: compiled later, on a grown heap, it raises peak memory
+            import_module(row.run.module)
         for p in presets:
             plan.append(((row.label, p), order, partial(row.run, p, order)))
     if not plan:

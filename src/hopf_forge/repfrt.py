@@ -210,11 +210,10 @@ def orthogonality_quadrics(transposed=False):
 
 @lru_cache(maxsize=None)
 def orthogonality_groebner():
-    # The ideal of L eta L^T = eta, seeded with the L^T eta L = eta quadrics too,
-    # which spares Buchberger deriving them.  They add nothing to the ideal: as
-    # eta^2 = 1, L eta L^T eta = 1 makes eta L^T eta a right inverse of L; over
-    # the commutative quotient ring it is a left inverse as well, so
-    # L^T eta L - eta lies in the ideal.
+    # Seeded with the L^T eta L = eta quadrics too, which spares Buchberger deriving
+    # them: as eta^2 = 1, L eta L^T eta = 1 makes eta L^T eta a right inverse of L,
+    # over the commutative quotient ring a left inverse as well, so L^T eta L - eta
+    # already lies in the ideal of L eta L^T = eta.
     return tuple(groebner(orthogonality_quadrics() + orthogonality_quadrics(transposed=True)))
 
 
