@@ -270,7 +270,7 @@ def _product(factors, alg):
     """Fold a product term's factors into the unit, left to right."""
     one = {((), 0): FE_ONE}
     acc = one
-    start = True  # the step bound counts per product term
+    alg._misses = 0  # the step bound counts per product term
     index = alg.index
     for f in factors:
         kind, e = f[0], 1
@@ -282,8 +282,7 @@ def _product(factors, alg):
             g = index.get(name)
             if g is not None:
                 if e:  # g^0 is the unit
-                    acc = alg.fold(acc, ((g, e),), start)
-                    start = False
+                    acc = alg.fold(acc, ((g, e),))
                 continue
             if name == alg.param:
                 top = alg.order

@@ -294,16 +294,15 @@ class AlgebraPresentation:
     def _rewrite(self, flat):
         """Left fold of ``flat``, one run of equal generators at a time."""
         word = [(g, sum(1 for _ in run)) for g, run in groupby(flat)]
-        return self._stored(self.fold({((), 0): FE_ONE}, word, start=True))
+        self._misses = 0
+        return self._stored(self.fold({((), 0): FE_ONE}, word))
 
-    def fold(self, terms, word, start=False):
+    def fold(self, terms, word):
         """``terms`` times the compressed ``word``: the {(normal word, k): scalar}
         dict takes the word's blocks ``g**e`` one at a time, left to right, and a
         new dict is returned (``terms`` itself when ``word`` is empty).  The
-        table entries filled count toward the step bound; ``start`` begins a
-        new product, with the count at zero."""
-        if start:
-            self._misses = 0
+        table entries filled count toward the step bound; a caller that begins
+        a new product sets ``_misses`` to zero first."""
         for g, e in word:
             terms = self._times(terms, g, e)
         return terms

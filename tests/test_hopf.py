@@ -99,7 +99,8 @@ def contract_per_right_word(hopf, t, f, slot):
                 add_term(by_right.setdefault(w2, {}), (w1, k + uk), c * uc)
     out = {}
     for w2, left in by_right.items():
-        for key, c in alg.fold(left, w2, start=True).items():
+        alg._misses = 0
+        for key, c in alg.fold(left, w2).items():
             add_term(out, key, c)
     return out
 
