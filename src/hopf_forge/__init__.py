@@ -15,7 +15,6 @@ from .coeff import (  # noqa: F401
     FieldElem,
     NonInvertible,
     NonzeroConstantTerm,
-    PoleDetected,
     ZeroDivisor,
     rat,
 )

@@ -10,20 +10,16 @@
   product or negation builds its result in one frame, setting the canonical
   triple on a new object itself (a gcd only when the denominator is not 1).
 * :class:`DeformationSeries` -- power series in a named formal parameter,
-  truncated at a fixed order, over any coefficient with ring operations,
-  ``is_zero`` and ``inverse``.  Its one use is a quotient: the w-series of
-  the differential representation's F_1 and Hamiltonian coefficients
-  (Laurent polynomials in p_plus, :class:`hopf_forge.ratfunc.Laurent`).  Algebra
-  elements, operators and matrices hold graded terms instead.
-  :meth:`DeformationSeries.quotient` divides the divisor's power of the
-  parameter out of both sides first, and raises :class:`PoleDetected` when
-  the quotient would have a pole.
+  truncated at a fixed order, over any coefficient with ring operations and
+  ``is_zero``.  No module of the program builds one: algebra elements,
+  operators and matrices hold graded terms, and the differential
+  representation's w-series are closed forms.  Its ring part (``zero``, ``+``,
+  ``*``) stays only because the benchmark tracer counts those three methods;
+  it goes with the benchmark change that drops the counters.
 
 A series stores ``terms``, the (degree, coefficient) pairs of its nonzero
 coefficients in ascending degree.  Its arithmetic is plain accumulation into
-a {degree: coefficient} dict, which :func:`series` turns back into terms; a
-run makes a few dozen series, all for the F_1 quotient, so no operation has a
-fast path.
+a {degree: coefficient} dict, which :func:`series` turns back into terms.
 """
 
 from __future__ import annotations
@@ -49,15 +45,11 @@ class NonzeroConstantTerm(CoeffError):
 
 
 class NonInvertible(CoeffError):
-    """Inverse of a series whose constant term is not invertible."""
+    """Inverse of the zero element of Q(sqrt 2)."""
 
 
 class ZeroDivisor(CoeffError):
-    """Division by a series that is zero to the tracked order."""
-
-
-class PoleDetected(CoeffError):
-    """A quotient that must be a power series has a pole."""
+    """Exact polynomial division by zero, or by a polynomial that does not divide."""
 
 
 class FieldElem:
@@ -240,9 +232,9 @@ class DeformationSeries:
     """Power series in one named parameter, truncated beyond a fixed order.
 
     Built from the dense list of ``order + 1`` coefficients; only the nonzero
-    ones are stored, as ``terms``.  A coefficient needs ring operations (an int
-    scalar among them), ``is_zero``, ``inverse`` and no zero divisors: a
-    FieldElem, or the differential representation's Laurent coefficient.
+    ones are stored, as ``terms``.  A coefficient needs ring operations and
+    ``is_zero``: a FieldElem, or the differential representation's Laurent
+    coefficient.
     """
 
     __slots__ = ("param", "order", "terms")
@@ -303,35 +295,3 @@ class DeformationSeries:
                     break
                 acc[d] = acc[d] + c1 * c2 if d in acc else c1 * c2
         return series(self.param, self.order, acc)
-
-    def inverse(self):
-        """Multiplicative inverse; constant term must be invertible."""
-        if not self.terms or self.terms[0][0] != 0:
-            raise NonInvertible("series with zero constant term")
-        r0 = self.terms[0][1].inverse()
-        inv = {0: r0}
-        for n in range(1, self.order + 1):
-            acc = sum((c * inv[n - d] for d, c in self.terms[1:] if d <= n), r0 * 0)
-            inv[n] = -(r0 * acc)
-        return series(self.param, self.order, inv)
-
-    def quotient(self, other, order):
-        """``self / other`` to degree ``order``, both known to degree ``self.order``.
-
-        The divisor's valuation v is divided out of both first, which leaves
-        the quotient known to degree ``self.order - v`` only.  Raises
-        :class:`ZeroDivisor` for a zero divisor, :class:`PoleDetected` when
-        the dividend's valuation is below v (the quotient has a pole), and
-        ValueError when ``order`` exceeds the precision left.
-        """
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisor("division by a series that is zero to tracked order")
-        v = other.terms[0][0]
-        if self.terms and self.terms[0][0] < v:
-            raise PoleDetected(f"pole of degree {v - self.terms[0][0]} in {self.param}")
-        if order > self.order - v:
-            raise ValueError("requested order exceeds tracked precision")
-        num, den = (series(self.param, order, {d - v: c for d, c in s.terms})
-                    for s in (self, other))
-        return num * den.inverse()

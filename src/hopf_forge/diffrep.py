@@ -7,9 +7,11 @@ times partial derivatives, stored as graded terms
 element's ``{(word, k): scalar}``; a function is a derivative-free operator.
 The canonical form keeps all derivatives rightmost, and composition applies
 the Leibniz rule exactly, skipping a pair of terms above the truncation order.
-Poles in p_plus are expected (the light-cone Hamiltonian has them); poles in
-w are forbidden, and the one w-series quotient (the F_1 coefficient) raises
-PoleDetected on one.
+Poles in p_plus are expected (the light-cone Hamiltonian has them); no w-series
+is ever divided.  Every w-series is a closed form in q = (e^{2wp_+} - 1)/(2w),
+the value of Q on a momentum eigenstate: q itself multiplies K_2 and E_1, and
+1/(2q) = w/(e^{2wp_+} - 1), read off the Bernoulli numbers, gives the F_1
+coefficient and the Hamiltonian (m_q^2 + p_1^2)/(2q) + w m_q^2.
 
 The published dynamical generator F_1 admits two plausible readings of its
 derivative coefficient (with or without an extra exp(-2 w p_plus) next to
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .coeff import DeformationSeries, FieldElem, rat
+from .coeff import FieldElem, rat
 from .ncalg import WordMap, _by_word, _diff_terms, _scaled_terms, _sum_terms, add_term
 from .ratfunc import Laurent, PolyRing
 from .report import CheckReport, timed_reports
@@ -36,15 +38,6 @@ rf = Laurent  # rf(num, shift=0) is num / p_plus**shift
 
 def pvar(name):
     return MOMENTUM_RING.var(name)
-
-
-def rf_const(c):
-    return Laurent(MOMENTUM_RING.constant(c))
-
-
-def rf_series(terms, order):
-    """w-series over Laurent coefficients from {degree: Laurent}."""
-    return DeformationSeries("w", order, [terms.get(k, RF_ZERO) for k in range(order + 1)])
 
 
 def _partial(memo, i, j):
@@ -169,23 +162,32 @@ class WeylOperator:
 
 # -- the representation ----------------------------------------------------------
 
-def _exp_multiplier(order, c, shift=0, top=None):
-    """(d/dw-free) multiplier sum_k (c*p_plus)^k/k! w^(k+shift) as {k + shift: function}."""
-    terms = {}
-    k = 0
-    while k + shift <= (top if top is not None else order):
-        if k + shift >= 0:
-            val = rf(MOMENTUM_RING.constant(FieldElem(rat(c, 1)) ** k / factorial(k))
-                     * (pvar("p_plus") ** k))
-            terms[k + shift] = terms.get(k + shift, RF_ZERO) + val
-        k += 1
-    return terms
+def _bernoulli(n):
+    """B_0..B_n, with B_1 = -1/2, from sum_{j <= m} C(m+1, j) B_j = 0."""
+    b = [rat(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def q_series(order):
+    """q = (e^{2wp_+} - 1)/(2w) = sum_k 2^k p_+^(k+1)/(k+1)! w^k as {k: Laurent}."""
+    p_plus = pvar("p_plus")
+    return {k: rf(p_plus ** (k + 1) * FieldElem(rat(2 ** k, factorial(k + 1))))
+            for k in range(order + 1)}
+
+
+def half_inverse_q_series(order):
+    """1/(2q) = w/(e^{2wp_+} - 1) = sum_k B_k 2^(k-1) p_+^(k-1)/k! w^k as
+    {k: Laurent}; the odd B_k past B_1 vanish, and so do their terms."""
+    p_plus = pvar("p_plus")
+    return {k: rf(p_plus ** k * FieldElem(b * rat(2 ** k, 2 * factorial(k))), 1)
+            for k, b in enumerate(_bernoulli(order)) if b}
 
 
 def build_stability_rep(order):
-    """P_+ = p_+, P_1 = p_1, K_2 and E_1 with the (e^{2wp_+}-1)/(2w) multiplier."""
-    half = rf_const(FieldElem(rat(1, 2)))
-    mult = {k: v * half for k, v in _exp_multiplier(order, 2, shift=-1).items()}
+    """P_+ = p_+, P_1 = p_1, K_2 and E_1 with the multiplier q."""
+    mult = q_series(order)
     return {
         "P_plus": WeylOperator.multiplication(order, {0: rf(pvar("p_plus"))}),
         "P_1": WeylOperator.multiplication(order, {0: rf(pvar("p_1"))}),
@@ -195,31 +197,28 @@ def build_stability_rep(order):
 
 
 def hamiltonian_multiplier(order):
-    """w(m_q^2 + p_1^2 e^{-2wp_+}) / (1 - e^{-2wp_+}), asserted w-regular."""
+    """P_- = w(m_q^2 + p_1^2 e^{-2wp_+}) / (1 - e^{-2wp_+}) = (m_q^2 + p_1^2)/(2q) + w m_q^2."""
     return f1_derivative_coefficient(order, "exponential")
 
 
 def f1_derivative_coefficient(order, reading="plain"):
-    """w(m_q^2 + p_1^2 [e^{-2wp_+}]) / (1 - e^{-2wp_+}), asserted w-regular
-    (a w-pole raises PoleDetected); the bracketed factor is present only in
-    the 'exponential' reading.  Both sides are taken one degree past
-    ``order``, which the common factor w uses up.  Returns the w-series as
-    ``{k: Laurent}``."""
-    top = order + 1
-    num_terms = {1: rf(MOMENTUM_RING.var("m_q2"))}
-    p1sq = rf(pvar("p_1") ** 2)
+    """w(m_q^2 + p_1^2 [e^{-2wp_+}]) / (1 - e^{-2wp_+}) as the w-series
+    ``{k: Laurent}``; the bracketed factor is present only in the
+    'exponential' reading.  As w/(1 - e^{-2wp_+}) = 1/(2q) + w and
+    w e^{-2wp_+}/(1 - e^{-2wp_+}) = 1/(2q), it is (m_q^2 + p_1^2)/(2q) plus
+    w(m_q^2 + p_1^2) in the plain reading and w m_q^2 in the exponential one."""
+    m2 = rf(pvar("m_q2"))
+    mass = m2 + rf(pvar("p_1") ** 2)
     if reading == "plain":
-        num_terms[1] = num_terms[1] + p1sq
+        extra = mass
     elif reading == "exponential":
-        for k, v in _exp_multiplier(order, -2, shift=1, top=top).items():
-            num_terms[k] = num_terms.get(k, RF_ZERO) + p1sq * v
+        extra = m2
     else:
         raise ValueError(f"unknown F_1 reading {reading!r}")
-    den_terms = {}
-    for k, v in _exp_multiplier(order, -2, shift=0, top=top).items():
-        den_terms[k] = den_terms.get(k, RF_ZERO) - v
-    den_terms[0] = den_terms.get(0, RF_ZERO) + RF_ONE
-    return dict(rf_series(num_terms, top).quotient(rf_series(den_terms, top), order).terms)
+    out = {k: c * mass for k, c in half_inverse_q_series(order).items()}
+    if order:
+        out[1] = out[1] + extra
+    return out
 
 
 def build_dynamical_rep(order, reading="plain"):

@@ -1,4 +1,4 @@
-"""Exact scalar layer: field arithmetic, truncated series and their quotients."""
+"""Exact scalar layer: field arithmetic and truncated series."""
 
 import random
 from fractions import Fraction
@@ -9,18 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopf_forge.coeff import (DeformationSeries, FE_ONE, FE_SQRT2, FE_ZERO, FieldElem,
-                              NonInvertible, PoleDetected, ZeroDivisor, rat)
+                              NonInvertible, rat)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 field_elems = st.builds(lambda a, b: FieldElem(rat(a.numerator, a.denominator),
                                                rat(b.numerator, b.denominator)),
                         rationals, rationals)
-
-
-def ds(coeffs, param="z", order=None):
-    order = order if order is not None else len(coeffs) - 1
-    values = [FieldElem(rat(c) if not isinstance(c, tuple) else rat(*c)) for c in coeffs]
-    return DeformationSeries(param, order, (values + [FE_ZERO] * order)[: order + 1])
 
 
 def dense_coeffs(series):
@@ -44,38 +38,6 @@ def brute_shift(coeffs, k, order):
     """Dense param**k * series; k < 0 drops the lowest |k| coefficients."""
     out = [Fraction(0)] * max(k, 0) + list(coeffs[max(-k, 0):])
     return (out + [Fraction(0)] * (order + 1))[: order + 1]
-
-
-# Series with a tracked order as ({degree: Fraction}, order), reduced naively.
-
-def brute_laurent(terms, order):
-    return {d: c for d, c in terms.items() if c and d <= order}, order
-
-
-def brute_laurent_mul(a, b):
-    (ta, oa), (tb, ob) = a, b
-    if not ta or not tb:
-        return {}, min(oa, ob)
-    order = min(oa + min(tb), ob + min(ta))
-    out = {}
-    for d1, c1 in ta.items():
-        for d2, c2 in tb.items():
-            out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + c1 * c2
-    return brute_laurent(out, order)
-
-
-def brute_laurent_divide(a, b):
-    """a / b: b's unit part inverted by dense back-substitution, then a product."""
-    (ta, oa), (tb, ob) = a, b
-    vb = min(tb)
-    rel = ob - vb
-    unit = [tb.get(vb + k, Fraction(0)) for k in range(rel + 1)]
-    inv = []
-    for n in range(rel + 1):
-        acc = sum((unit[k] * inv[n - k] for k in range(1, n + 1)), Fraction(0))
-        inv.append(((1 if n == 0 else 0) - acc) / unit[0])
-    shifted = ({d - vb: c for d, c in ta.items()}, oa - vb)
-    return brute_laurent_mul(shifted, brute_laurent(dict(enumerate(inv)), rel))
 
 
 class TestFieldElem:
@@ -393,84 +355,6 @@ def test_triple_against_sympy_sqrt2():
         assert str(sym(x)) == str(sympy.sympify(str(x).replace("sqrt2", "sqrt(2)")))
 
 
-class TestSeriesInverse:
-    def test_geometric(self):
-        assert ds([1, -1, 0, 0]).inverse() == ds([1, 1, 1, 1])
-
-    def test_one(self):
-        one = ds([1, 0, 0])
-        assert one.inverse() == one
-
-    def test_solves_convolution(self):
-        s = ds([1, 2, 2])
-        inv = s.inverse()
-        assert inv == ds([1, -2, 2])
-        assert s * inv == ds([1, 0, 0])
-
-    def test_zero_constant_term_rejected(self):
-        with pytest.raises(NonInvertible):
-            ds([0, 1]).inverse()
-
-    @given(st.lists(rationals, min_size=2, max_size=5))
-    @settings(max_examples=40, deadline=None)
-    def test_random_inverses(self, coeffs):
-        if coeffs[0] == 0:
-            coeffs[0] = Fraction(1)
-        s = ds([(c.numerator, c.denominator) for c in coeffs])
-        assert s * s.inverse() == ds([1] + [0] * s.order)
-
-
-class TestLaurent:
-    """Quotients whose divisor has a positive valuation (a Laurent division
-    in general): the common power of the parameter is divided out first."""
-
-    def ls(self, terms, order):
-        return ds([terms.get(k, 0) for k in range(order + 1)], "w")
-
-    def test_divide_multiplies_back(self):
-        a = self.ls({1: 1}, 3)
-        b = self.ls({1: 2, 2: -2}, 3)
-        q = a.quotient(b, 2)
-        assert [c.a for c in dense_coeffs(q)] == [rat(1, 2)] * 3
-        assert q * self.ls({0: 2, 1: -2}, 2) == self.ls({0: 1}, 2)
-
-    def test_one_over_w(self):
-        with pytest.raises(PoleDetected):
-            self.ls({0: 1}, 2).quotient(self.ls({1: 1}, 2), 1)
-
-    def test_cancellation(self):
-        q = self.ls({1: 1, 2: 1}, 3).quotient(self.ls({1: 1}, 3), 2)
-        assert dense_coeffs(q) == [FE_ONE, FE_ONE, FE_ZERO]
-
-    def test_zero_divisor(self):
-        with pytest.raises(ZeroDivisor):
-            self.ls({0: 1}, 2).quotient(self.ls({}, 2), 1)
-
-    def test_regularity_after_exact_cancellation(self):
-        # a dividend whose low terms cancel exactly has the divisor's valuation
-        s = self.ls({1: 1, 2: 2}, 3) + self.ls({1: -1}, 3)
-        q = s.quotient(self.ls({2: 1}, 3), 1)
-        assert q == self.ls({0: 2}, 1)
-        with pytest.raises(PoleDetected):
-            self.ls({1: 1, 2: 2}, 3).quotient(self.ls({2: 1}, 3), 1)
-
-    def test_precision_is_the_order_less_the_valuation(self):
-        a, b = self.ls({1: 1}, 3), self.ls({1: 1, 2: 1}, 3)
-        assert a.quotient(b, 2) == self.ls({0: 1, 1: -1, 2: 1}, 2)
-        with pytest.raises(ValueError, match="precision"):
-            a.quotient(b, 3)
-
-
-def test_sympy_oracle_agreement():
-    sympy = pytest.importorskip("sympy")
-    z = sympy.Symbol("z")
-    expr = (1 / (1 - z - 2 * z ** 2 / 3)).series(z, 0, 4).removeO()
-    want = [expr.coeff(z, k) for k in range(4)]
-    got = ds([1, -1, (-2, 3), 0], order=3).inverse()
-    assert all(sympy.Rational(int(c.a.numerator), int(c.a.denominator)) == w
-               for c, w in zip(dense_coeffs(got), want))
-
-
 # -- sparse inputs: mostly-zero lists, monomials, exact cancellation -----------
 
 ORDER = 4
@@ -553,27 +437,3 @@ class TestSparseSeries:
             fs([1]) * fs([1], order=ORDER + 1)
         with pytest.raises(ValueError):
             fs([1]) + fs([1], param="w")
-
-
-class TestLaurentBrute:
-    @given(sparse_inputs, sparse_inputs)
-    @settings(max_examples=80, deadline=None)
-    def test_divide_matches_brute(self, x, y):
-        a, b = fs(x), fs(y)
-        if b.is_zero():
-            with pytest.raises(ZeroDivisor):
-                a.quotient(b, 0)
-            return
-        v = b.terms[0][0]
-        if a.terms and a.terms[0][0] < v:
-            with pytest.raises(PoleDetected):
-                a.quotient(b, 0)
-            return
-        got = a.quotient(b, ORDER - v)
-        assert_canonical(got)
-        terms, order = brute_laurent_divide(
-            *(({d: v for d, v in enumerate(dense(z)) if v}, ORDER) for z in (x, y)))
-        assert order == ORDER - v
-        same(got, fs([terms.get(d, Fraction(0)) for d in range(order + 1)], order))
-        with pytest.raises(ValueError):
-            a.quotient(b, ORDER - v + 1)

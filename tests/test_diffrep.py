@@ -5,16 +5,19 @@ from math import factorial
 import pytest
 
 from hopf_forge import diffrep
-from hopf_forge.coeff import (DeformationSeries, FieldElem, NonInvertible, PoleDetected,
-                              ZeroDivisor, rat)
+from hopf_forge.coeff import DeformationSeries, FieldElem, rat
 from hopf_forge.diffrep import (MOMENTUM_RING, RF_ONE, RF_ZERO, WeylOperator,
                                 build_dynamical_rep, build_stability_rep,
                                 check_casimir_action, check_hamiltonian,
                                 check_rep_relations, check_two_evaluation_paths,
                                 expected_hamiltonian_terms,
                                 f1_derivative_coefficient, full_rep,
-                                hamiltonian_series, resolve_f1_reading, rf,
-                                rf_const, rf_series, pvar)
+                                half_inverse_q_series, hamiltonian_series, q_series,
+                                resolve_f1_reading, rf, pvar)
+
+
+def rf_const(c):
+    return rf(MOMENTUM_RING.constant(c))
 
 
 def mult_op(order, poly):
@@ -159,49 +162,52 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("reading", ["plain", "exponential"])
     def test_f1_coefficient_times_denominator_is_the_numerator(self, reading):
-        # q = w(m_q^2 + p_1^2 [e^{-2wp_+}]) / (1 - e^{-2wp_+}) to order N:
-        # q * (1 - e^{-2wp_+}) is the numerator to order N + 1, since the
+        # c = w(m_q^2 + p_1^2 [e^{-2wp_+}]) / (1 - e^{-2wp_+}) to order N:
+        # c * (1 - e^{-2wp_+}) is the numerator to order N + 1, since the
         # denominator has no constant term
-        order = 3
-        top = order + 1
         p_plus, p_1, m2 = (pvar(n) for n in MOMENTUM_RING.vars)
-        expo = [rf(p_plus ** k * FieldElem(rat((-2) ** k, factorial(k))))
-                for k in range(top + 1)]
-        den = [rf_const(1) - expo[0]] + [-e for e in expo[1:]]
-        bracket = expo if reading == "exponential" else [rf_const(1)] + [rf_const(0)] * top
-        num = [rf_const(0)] + [rf(p_1 ** 2) * bracket[k] for k in range(top)]
-        num[1] = num[1] + rf(m2)
-        q = f1_derivative_coefficient(order, reading)
-        series = [DeformationSeries("w", top, c)
-                  for c in ([q.get(k, rf_const(0)) for k in range(top + 1)], den, num)]
-        assert series[0] * series[1] == series[2]
+        for order in range(9):
+            top = order + 1
+            expo = [rf(p_plus ** k * FieldElem(rat((-2) ** k, factorial(k))))
+                    for k in range(top + 1)]
+            den = [rf_const(1) - expo[0]] + [-e for e in expo[1:]]
+            bracket = expo if reading == "exponential" else [rf_const(1)] + [RF_ZERO] * top
+            num = [RF_ZERO] + [rf(p_1 ** 2) * bracket[k] for k in range(top)]
+            num[1] = num[1] + rf(m2)
+            c = f1_derivative_coefficient(order, reading)
+            series = [DeformationSeries("w", top, s)
+                      for s in ([c.get(k, RF_ZERO) for k in range(top + 1)], den, num)]
+            assert series[0] * series[1] == series[2], order
+
+    @pytest.mark.parametrize("order", range(9))
+    def test_q_times_its_half_inverse_is_a_half(self, order):
+        q, h = q_series(order), half_inverse_q_series(order)
+        product = [sum((q[i] * h[k - i] for i in range(k + 1) if k - i in h), RF_ZERO)
+                   for k in range(order + 1)]
+        assert product == [rf_const(FieldElem(rat(1, 2)))] + [RF_ZERO] * order
 
 
-class TestLaurentSeriesQuotient:
-    """``DeformationSeries.quotient`` over Laurent coefficients keeps its errors."""
+def test_closed_forms_match_sympy_series():
+    sympy = pytest.importorskip("sympy")
+    w = sympy.Symbol("w")
+    xs = sympy.symbols(MOMENTUM_RING.vars)
+    p, p1, m2 = xs
+    order = 8
 
-    p_plus = rf(pvar("p_plus"))
+    def to_sympy(f):
+        num = sum((sympy.Rational(c.p, c.d) + sympy.Rational(c.q, c.d) * sympy.sqrt(2))
+                  * sympy.Mul(*(x ** e for x, e in zip(xs, MOMENTUM_RING.unpack(m))))
+                  for m, c in f.num.terms.items())
+        return num / p ** f.shift
 
-    def test_divides_out_the_valuation(self):
-        # (p_1 w + p_1 p_plus w^2) / (p_plus w) = p_1/p_plus + p_1 w
-        p_1 = rf(pvar("p_1"))
-        num = rf_series({1: p_1, 2: p_1 * self.p_plus}, 2)
-        got = num.quotient(rf_series({1: self.p_plus}, 2), 1)
-        assert got == rf_series({0: rf(pvar("p_1"), 1), 1: p_1}, 1)
-
-    def test_pole_in_w(self):
-        with pytest.raises(PoleDetected):
-            rf_series({0: RF_ONE}, 2).quotient(rf_series({1: self.p_plus}, 2), 1)
-
-    def test_zero_divisor(self):
-        with pytest.raises(ZeroDivisor):
-            rf_series({0: RF_ONE}, 2).quotient(rf_series({}, 2), 1)
-
-    def test_order_beyond_the_precision_left(self):
-        with pytest.raises(ValueError, match="precision"):
-            rf_series({1: RF_ONE}, 2).quotient(rf_series({1: self.p_plus}, 2), 2)
-
-    def test_leading_coefficient_must_be_a_monomial_in_p_plus(self):
-        divisor = rf_series({1: rf(pvar("p_1"))}, 2)
-        with pytest.raises(NonInvertible):
-            rf_series({1: RF_ONE}, 2).quotient(divisor, 1)
+    e = sympy.exp(2 * w * p)
+    cases = [(q_series(order), (e - 1) / (2 * w)),
+             (half_inverse_q_series(order), w / (e - 1)),
+             (f1_derivative_coefficient(order, "plain"), w * (m2 + p1 ** 2) / (1 - 1 / e)),
+             (f1_derivative_coefficient(order, "exponential"),
+              w * (m2 + p1 ** 2 / e) / (1 - 1 / e))]
+    for got, expr in cases:
+        want = sympy.series(expr, w, 0, order + 1).removeO()
+        for k in range(order + 1):
+            diff = (to_sympy(got[k]) if k in got else 0) - want.coeff(w, k)
+            assert sympy.simplify(diff) == 0, (expr, k)

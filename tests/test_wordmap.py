@@ -211,7 +211,8 @@ def test_rep_of_element_is_the_product_of_operator_images():
     want = diffrep.WeylOperator.zero(order)
     for (w, k), c in x.terms.items():
         op = product(diffrep.WeylOperator.identity(order), images, w)
-        want = want + op * diffrep.WeylOperator.multiplication(order, {k: diffrep.rf_const(c)})
+        want = want + op * diffrep.WeylOperator.multiplication(
+            order, {k: diffrep.rf(diffrep.MOMENTUM_RING.constant(c))})
     assert diffrep.rep_of_element(rep, x, order) == want
 
 
