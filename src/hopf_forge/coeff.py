@@ -11,11 +11,11 @@
   triple on a new object itself (a gcd only when the denominator is not 1).
 * :class:`DeformationSeries` -- power series in a named formal parameter,
   truncated at a fixed order, over any coefficient with ring operations and
-  ``is_zero``.  No module of the program builds one: algebra elements,
-  operators and matrices hold graded terms, and the differential
-  representation's w-series are closed forms.  Its ring part (``zero``, ``+``,
-  ``*``) stays only because the benchmark tracer counts those three methods;
-  it goes with the benchmark change that drops the counters.
+  ``is_zero``.  Algebra elements, operators and matrices hold graded terms,
+  and the differential representation's w-series are closed forms; its one
+  user is the Hamiltonian check of :mod:`hopf_forge.diffrep`, which
+  multiplies P_- back by its denominator.  ``zero`` and ``+`` have no caller
+  in the program and stay only because the benchmark tracer counts them.
 
 A series stores ``terms``, the (degree, coefficient) pairs of its nonzero
 coefficients in ascending degree.  Its arithmetic is plain accumulation into

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .coeff import FieldElem, rat
+from .coeff import FieldElem, rat, series
 from .ncalg import WordMap, _by_word, _diff_terms, _scaled_terms, _sum_terms, add_term
 from .ratfunc import Laurent, PolyRing
 from .report import CheckReport, timed_reports
@@ -307,13 +307,21 @@ def check_hamiltonian(order):
     out = CheckReport(check="diffrep-hamiltonian", algebra="nullplane", order=order)
     got = hamiltonian_series(order)
     want = expected_hamiltonian_terms()
-    # only the displayed coefficients within the truncation order are known
+    # the paper displays the coefficients up to w^2 (the w^1 one is nonzero)
     for k, w in enumerate(want[: order + 1]):
         if got[k] != w:
             out.add_failure(f"w^{k} coefficient", f"{got[k]!r} != {w!r}")
-    # the first-order term is genuinely nonzero in this deformation scheme
-    if got[1].is_zero():
-        out.add_failure("w^1 coefficient", "vanishes, but must not")
+    # every coefficient obeys P_- (1 - e^{-2wp_+}) = w(m_q^2 + p_1^2 e^{-2wp_+}),
+    # checked to w^(order+1) as the denominator has no constant term
+    top = order + 1
+    expo = {k: rf(pvar("p_plus") ** k * FieldElem(rat((-2) ** k, factorial(k))))
+            for k in range(top + 1)}
+    num = {k + 1: rf(pvar("p_1") ** 2) * e for k, e in expo.items()}
+    num[1] = num[1] + rf(pvar("m_q2"))
+    product = (series("w", top, dict(enumerate(got)))
+               * series("w", top, {k: -e for k, e in expo.items() if k}))
+    if product != series("w", top, num):
+        out.add_failure("P_minus * (1 - e^{-2wp_+})", f"{product!r} != {series('w', top, num)!r}")
     # all coefficients are multiplication operators by construction; check the
     # operator as a whole for derivative parts anyway
     rep = build_dynamical_rep(order)

@@ -151,6 +151,16 @@ class TestHamiltonian:
     def test_report(self):
         assert check_hamiltonian(3).passed
 
+    def test_report_checks_coefficients_past_the_displayed_ones(self, monkeypatch):
+        # B_4 first enters P_- at w^4, past the three displayed coefficients
+        bernoulli = diffrep._bernoulli
+        monkeypatch.setattr(diffrep, "_bernoulli",
+                            lambda n: [b * 2 if k == 4 else b
+                                       for k, b in enumerate(bernoulli(n))])
+        assert check_hamiltonian(3).passed
+        report = check_hamiltonian(4)
+        assert [f["input"] for f in report.failures] == ["P_minus * (1 - e^{-2wp_+})"]
+
     def test_p_minus_applied_to_one_is_the_series(self):
         rep = build_dynamical_rep(3)
         got = rep["P_minus"].apply_to_monomial(0, 0)
