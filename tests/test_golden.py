@@ -58,6 +58,7 @@ EXPRESSIONS = (
 )
 CORPUS_ORDERS = (2, 4)
 SHOW_SUBJECTS = ("relations", "coproducts", "antipodes", "casimirs", "rmatrix")
+SHOW_FORMATS = ("text", "json", "latex")
 SHOW_ORDER = 3
 HAMILTONIAN_ORDERS = (1, 2, 3, 4, 5, 6)
 # the J-basis structure and the so(2,2) Casimirs at the orders no verify
@@ -88,7 +89,7 @@ def corpus_commands():
                         out.append([verb, "--algebra", name, "--order", str(order),
                                     "--format", fmt, "--", text])
         for subject in SHOW_SUBJECTS:
-            for fmt in ("text", "json"):
+            for fmt in SHOW_FORMATS:
                 out.append(["show", subject, "--algebra", name,
                             "--order", str(SHOW_ORDER), "--format", fmt])
     # the preset-free subjects: the diffrep Hamiltonian and the Sklyanin brackets
@@ -100,7 +101,7 @@ def corpus_commands():
     for name, subjects in DEEP_SHOWS:
         for subject in subjects:
             for order in DEEP_SHOW_ORDERS:
-                for fmt in ("text", "json"):
+                for fmt in SHOW_FORMATS:
                     out.append(["show", subject, "--algebra", name,
                                 "--order", str(order), "--format", fmt])
     return out
