@@ -196,8 +196,8 @@ def preset(name, order):
 
 
 def _build_sl2(order):
-    alg = AlgebraPresentation("sl2", ("A_plus", "A", "A_minus"), "z", order)
-    alg.latex_names = {"A_plus": "A_+", "A": "A", "A_minus": "A_-"}
+    alg = AlgebraPresentation("sl2", ("A_plus", "A", "A_minus"), "z", order,
+                              {"A_plus": "A_+", "A": "A", "A_minus": "A_-"})
     ap, a, am = 0, 1, 2
     alg.set_commutators(sl2_commutators(alg, ap, a, am, 1))
     delta, antipode = sl2_hopf(alg, ap, a, am, 1)
@@ -240,9 +240,9 @@ def _so22_commutators(alg):
 
 
 def _build_so22(order):
-    alg = AlgebraPresentation("so22", SO22_GENERATORS, "z", order)
-    alg.latex_names = {"P": "P", "P0_hat": r"\hat{P}_0", "J_hat": r"\hat{J}",
-                       "D": "D", "C_1": "C_1", "C_2": "C_2"}
+    alg = AlgebraPresentation("so22", SO22_GENERATORS, "z", order,
+                              {"P": "P", "P0_hat": r"\hat{P}_0", "J_hat": r"\hat{J}",
+                               "D": "D", "C_1": "C_1", "C_2": "C_2"})
     comm = _so22_commutators(alg)
     alg.set_commutators(comm)
 
@@ -287,9 +287,9 @@ def _build_so22(order):
 
 
 def _build_nullplane(order, fault=None):
-    alg = AlgebraPresentation("nullplane", NP_GENERATORS, "w", order)
-    alg.latex_names = {"P_plus": "P_+", "P_1": "P_1", "P_minus": "P_-",
-                       "E_1": "E_1", "K_2": "K_2", "F_1": "F_1"}
+    alg = AlgebraPresentation("nullplane", NP_GENERATORS, "w", order,
+                              {"P_plus": "P_+", "P_1": "P_1", "P_minus": "P_-",
+                               "E_1": "E_1", "K_2": "K_2", "F_1": "F_1"})
     Pp, P1, Pm, E1, K2, F1 = range(6)
     gen = alg.gen
     half = FieldElem(rat(1, 2))
@@ -384,8 +384,7 @@ def transport(source, name, generators, images, inverse_images, latex_names):
     inverse = [inverse_images[g] for g in generators]
     comm = {(j, i): inverse[j].commutator(inverse[i]).substitute(bare, to_bare).terms
             for j in range(len(generators)) for i in range(j)}
-    alg = AlgebraPresentation(name, generators, src.param, src.order)
-    alg.latex_names = latex_names
+    alg = AlgebraPresentation(name, generators, src.param, src.order, latex_names)
     alg.set_commutators({key: alg.element(terms) for key, terms in comm.items()})
     alpha = images(alg)
 
@@ -554,8 +553,8 @@ def classical_presentation(name, order):
     """The order-0 limit of a preset's rewriting system (same generators)."""
     bundle = preset(name, order)
     src = bundle.presentation
-    alg = AlgebraPresentation(f"{name}-classical", src.generators, src.param, order)
-    alg.latex_names = getattr(src, "latex_names", {})
+    alg = AlgebraPresentation(f"{name}-classical", src.generators, src.param, order,
+                              src.latex_names)
     rules = {k: NCElement(alg, dict(r.classical_limit().terms))
              for k, r in src.rules.items()}
     alg.set_rules(rules)

@@ -358,62 +358,59 @@ def _scalar_str(c, latex):
     return f"({_rational_str(p, d, latex)}{'+' if q > 0 else ''}{bs})"
 
 
-def _series_str(param, series, fmt):
-    """Render one word's coefficient series, ``((k, scalar), ...)``;
-    parenthesized when it is a true sum."""
-    bits = []
-    latex = fmt == "latex"
-    for k, c in series:
-        try:  # every text and latex coefficient is written here
-            cs = _scalar_str(c, latex)
-        except ValueError:  # an int longer than the conversion limit
-            raise _too_long() from None
-        if k == 0:
-            bits.append(cs)
-        else:
-            p = param if k == 1 else (f"{param}^{{{k}}}" if latex else f"{param}^{k}")
-            if cs == "1":
-                bits.append(p)
-            elif cs == "-1":
-                bits.append(f"-{p}")
-            else:
-                bits.append(f"{cs}{' ' if latex else '*'}{p}")
-    if not bits:
-        return "0"
-    if len(bits) == 1:
-        return bits[0]
+def _power_str(param, k, c, latex):
+    """One coefficient ``c * param**k``."""
+    try:  # every text and latex coefficient is written here
+        cs = _scalar_str(c, latex)
+    except ValueError:  # an int longer than the conversion limit
+        raise _too_long() from None
+    if k == 0:
+        return cs
+    p = param if k == 1 else (f"{param}^{{{k}}}" if latex else f"{param}^{k}")
+    if cs == "1":
+        return p
+    if cs == "-1":
+        return f"-{p}"
+    return f"{cs}{' ' if latex else '*'}{p}"
+
+
+def _series_str(param, series, latex):
+    """A word's coefficient series of more than one power, ``((k, scalar),
+    ...)``, as a parenthesized sum."""
+    bits = [_power_str(param, k, c, latex) for k, c in series]
     joined = bits[0]
     for b in bits[1:]:
         joined += f"-{b[1:]}" if b.startswith("-") else f"+{b}"
     return f"({joined})"
 
 
-def _names(algebra, fmt):
-    """The generator names ``fmt`` writes, by generator index."""
-    if fmt != "latex":
-        return algebra.generators
-    latex = getattr(algebra, "latex_names", {})
-    return [latex.get(name, name) for name in algebra.generators]
-
-
-def _word_str(names, word, fmt):
-    if fmt == "latex":
-        return " ".join(names[g] if e == 1 else f"{names[g]}^{{{e}}}" for g, e in word)
-    return "*".join(names[g] if e == 1 else f"{names[g]}^{e}" for g, e in word)
-
-
-def _term_str(param, ws, coeff, fmt):
-    """One term: the coefficient series ``coeff`` in front of the rendered
-    word ``ws`` (a tensor's joined slots)."""
-    cs = _series_str(param, coeff, fmt)
-    if not ws:
-        return cs
-    if cs == "1":
-        return ws
-    if cs == "-1":
-        return f"-{ws}"
-    sep = "*" if fmt != "latex" else r" \, "
-    return f"{cs}{sep}{ws}"
+def _render_rows(param, rows, fmt):
+    """The terms ``rows``, one ``(sort key, k, spelled word, scalar)`` each, in
+    key order; the terms of one word share its coefficient series."""
+    rows.sort()  # (key, k) is unique per term, so no word or scalar is compared
+    latex = fmt == "latex"
+    sep = r" \, " if latex else "*"
+    parts = []
+    i, n = 0, len(rows)
+    while i < n:
+        key, k, ws, c = rows[i]
+        j = i + 1
+        while j < n and rows[j][0] == key:
+            j += 1
+        if j == i + 1:
+            cs = _power_str(param, k, c, latex)
+        else:
+            cs = _series_str(param, [(r[1], r[3]) for r in rows[i:j]], latex)
+        i = j
+        if not ws:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(ws)
+        elif cs == "-1":
+            parts.append(f"-{ws}")
+        else:
+            parts.append(f"{cs}{sep}{ws}")
+    return _join_terms(parts)
 
 
 def _join_terms(parts):
@@ -441,9 +438,13 @@ def render_element(elem, fmt="text"):
     if fmt == "json":
         return to_json(elem.to_dict())
     alg = elem.algebra
-    names = _names(alg, fmt)
-    parts = [_term_str(alg.param, _word_str(names, w, fmt), s, fmt) for w, s in elem.by_word()]
-    return _join_terms(parts)
+    at = 2 if fmt == "latex" else 1  # the spelling's place in a word entry
+    entry = alg.word_entry
+    rows = []
+    for (w, k), c in elem.terms.items():
+        e = entry(w)
+        rows.append((e[0], k, e[at], c))
+    return _render_rows(alg.param, rows, fmt)
 
 
 def render_tensor(t, fmt="text"):
@@ -451,7 +452,10 @@ def render_tensor(t, fmt="text"):
         return to_json(t.to_dict())
     otimes = r" \otimes " if fmt == "latex" else "⊗"
     alg = t.algebra
-    names = _names(alg, fmt)
-    parts = [_term_str(alg.param, otimes.join(_word_str(names, w, fmt) or "1" for w in ws), s, fmt)
-             for ws, s in t.by_word()]
-    return _join_terms(parts)
+    at = 2 if fmt == "latex" else 1
+    entry = alg.word_entry
+    rows = []
+    for (ws, k), c in t.terms.items():
+        es = [entry(w) for w in ws]
+        rows.append((tuple(e[0] for e in es), k, otimes.join(e[at] or "1" for e in es), c))
+    return _render_rows(alg.param, rows, fmt)

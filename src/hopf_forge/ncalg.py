@@ -32,9 +32,10 @@ An element product ``x * y`` folds through that table directly
 scaled and shifted by it (truncated to the order), take the term's blocks
 one at a time, and like terms merge after every step.  Both factors are
 already normal, so no concatenated flat word is built and the table is the
-only memo.  The expression parser folds each product term the same way.  A
-sum of folds by many words (:meth:`AlgebraPresentation.fold_sum`) folds each
-shared suffix once, on the merged terms of every word that ends with it.
+only memo a product reads.  The expression parser folds each product term the
+same way.  A sum of folds by many words (:meth:`AlgebraPresentation.fold_sum`)
+folds each shared suffix once, on the merged terms of every word that ends
+with it.
 Flat words from outside (the slots of a tensor product,
 :meth:`AlgebraPresentation.normalize`) go through
 :meth:`AlgebraPresentation.normal_form_of_word`, whose cache keeps each flat
@@ -59,12 +60,21 @@ A tensor product visits only the pairs of terms that fit under the order: for
 each power of a left term it walks the right terms with room for it, one list
 per distinct room, in the right factor's own order.  Each slot's normal form
 is fetched once per distinct (left word, right word) pair of one product, in a
-dict that ends with the product; the flat-word cache is the only memo that
-outlives it.  A pair whose joined word is already normal (a slot word empty,
-or the left word's last generator not above the right word's first) is that
-word, with no lookup.  When every slot of a pair joins to one unit term at
+dict that ends with the product; the flat-word cache is the only memo of
+normal forms that outlives it.  A pair whose joined word is already normal (a
+slot word empty, or the left word's last generator not above the right word's
+first) is that word, with no lookup.  When every slot of a pair joins to one unit term at
 power 0, the pair's key is added at once; only the slots whose normal form
 rewrites go through a list of ``(words, k, scalar)`` partial terms.
+
+A presentation keeps one more memo, for output: each normal word's
+graded-lex sort key and its text and latex spelling (``A^2*B``, ``A^{2} B``,
+from the ``latex_names`` given to the constructor), made the first time
+:meth:`AlgebraPresentation.word_entry` sees the word.  ``by_word`` and
+``to_dict`` sort by those keys and the renderers of :mod:`hopf_forge.expr`
+read the spellings, so no word is flattened or joined again.  The memo holds
+only tuples and strings, no element, so the presentation is still freed by
+reference counting.
 
 A map given on generators (a coproduct, counit or antipode, a substitution, a
 representation) is extended to words and elements by one :class:`WordMap`.
@@ -203,11 +213,12 @@ def _dense_quads(series, order):
 class AlgebraPresentation:
     """Generators with a fixed total order plus pairwise rewrite rules."""
 
-    def __init__(self, name, generators, param, order):
+    def __init__(self, name, generators, param, order, latex_names=None):
         self.name = name
         self.generators = tuple(generators)
         self.param = param
         self.order = order
+        self.latex_names = dict(latex_names or {})  # generator -> latex name, if not itself
         self.index = {g: i for i, g in enumerate(self.generators)}
         self._rules = {}  # (j, i) -> graded terms of g_j*g_i, or None for no rule
         self._frozen = False
@@ -215,9 +226,30 @@ class AlgebraPresentation:
         self._table = {}  # (normal word u, generator g) -> normal form of u*g
         self._interned = {(1, 0, 1): FE_ONE}  # scalar's (p, q, d) -> stored copy
         self._misses = 0
+        self._words = {}  # normal word -> (graded-lex key, text spelling, latex spelling)
 
     def __repr__(self):
         return f"<algebra {self.name}: {' < '.join(self.generators)}; order {self.order}>"
+
+    # -- the word memo -------------------------------------------------------
+
+    def word_entry(self, word):
+        """``(graded-lex key, text spelling, latex spelling)`` of a normal word,
+        made on its first use and kept; the spellings read like ``A^2*B`` and
+        ``A^{2} B``."""
+        entry = self._words.get(word)
+        if entry is None:
+            names = self.generators
+            latex = [self.latex_names.get(n, n) for n in names]
+            entry = self._words[word] = (
+                word_sort_key(word),
+                "*".join(names[g] if e == 1 else f"{names[g]}^{e}" for g, e in word),
+                " ".join(latex[g] if e == 1 else f"{latex[g]}^{{{e}}}" for g, e in word))
+        return entry
+
+    def word_key(self, word):
+        """Graded-lex sort key of a normal word, from :meth:`word_entry`."""
+        return self.word_entry(word)[0]
 
     # -- construction ------------------------------------------------------
 
@@ -641,7 +673,7 @@ class NCElement:
 
     def by_word(self):
         """``(word, ((k, scalar), ...))`` per word, words in graded-lex order."""
-        return _by_word(self.terms, word_sort_key)
+        return _by_word(self.terms, self.algebra.word_key)
 
     def __repr__(self):
         from .expr import render_element
@@ -827,7 +859,8 @@ class TensorElement:
 
     def by_word(self):
         """``(words, ((k, scalar), ...))`` per slot-word tuple, in sorted order."""
-        return _by_word(self.terms, lambda ws: tuple(word_sort_key(w) for w in ws))
+        key = self.algebra.word_key
+        return _by_word(self.terms, lambda ws: tuple(map(key, ws)))
 
     def to_dict(self):
         alg = self.algebra

@@ -1,7 +1,10 @@
 """Noncommutative kernel: normal ordering, products, tensors, serialization."""
 
+import gc
+import json
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -821,6 +824,81 @@ class TestByWord:
             want = lambda_keyed_by_word(
                 t.terms, lambda ws: tuple(ncalg.word_sort_key(w) for w in ws))
             assert t.by_word() == want
+
+
+    def test_warm_memo_matches_lambda_keyed_sorts(self):
+        alg = build_preset("nullplane", 3).presentation
+        rng = random.Random("by-word-warm")
+        xs = [random_element(alg, rng, max_terms=8, max_len=3) for _ in range(10)]
+        ts = [random_tensor(alg, rng, rng.choice((2, 3)), max_terms=10) for _ in range(10)]
+        for y in xs + ts:  # every word of the loop below is in the memo first
+            repr(y)
+        for x, t in zip(xs, ts):
+            assert x.by_word() == lambda_keyed_by_word(x.terms, ncalg.word_sort_key)
+            want = lambda_keyed_by_word(
+                t.terms, lambda ws: tuple(ncalg.word_sort_key(w) for w in ws))
+            assert t.by_word() == want
+
+
+FORMATS = ("text", "latex", "json")
+
+
+def render_in(y, fmt):
+    from hopf_forge.expr import render_element, render_tensor
+    return (render_tensor if isinstance(y, TensorElement) else render_element)(y, fmt)
+
+
+def render_all(y):
+    """``y`` rendered in every format."""
+    return [render_in(y, fmt) for fmt in FORMATS]
+
+
+class TestWordMemo:
+    """The per-presentation memo of each normal word's sort key and spellings."""
+
+    @pytest.mark.parametrize("name", ["sl2", "so22", "nullplane-eps"])
+    def test_cold_and_warm_renders_agree(self, name):
+        alg = fresh_presentation(name, 3)
+        rng = random.Random(f"memo-{name}")
+        ys = [random_element(alg, rng, max_terms=8, max_len=3) for _ in range(8)]
+        ys += [random_tensor(alg, rng, arity, max_terms=8) for arity in (2, 3) for _ in range(4)]
+        cold = []
+        for y in ys:
+            cold.append([])
+            for fmt in FORMATS:
+                alg._words.clear()
+                cold[-1].append(render_in(y, fmt))
+            assert render_all(y) == cold[-1]  # warm with y's own words
+        assert [render_all(y) for y in ys] == cold  # warm with every word
+
+    def test_same_words_spelled_in_each_presentations_names(self):
+        sl2 = build_preset("sl2", 2).presentation
+        jb = build_preset("sl2-jbasis", 2).presentation
+        want = {sl2: ["z*A_plus*A_minus^2", "A_plus⊗A_minus^2",
+                      r"z \, A_+ A_-^{2}", r"A_+ \otimes A_-^{2}"],
+                jb: ["z*J_plus*J_minus^2", "J_plus⊗J_minus^2",
+                     r"z \, J_+ J_-^{2}", r"J_+ \otimes J_-^{2}"]}
+        for alg in (sl2, jb, sl2):  # the second sl2 pass reads a warm memo
+            x = alg.element({(((0, 1), (2, 2)), 1): FE_ONE})
+            t = TensorElement(alg, 2, {((((0, 1),), ((2, 2),)), 0): FE_ONE})
+            assert [render_in(y, fmt) for fmt in ("text", "latex") for y in (x, t)] == want[alg]
+            doc = json.loads(render_in(t, "json"))
+            assert doc["terms"][0]["word"] == [[[alg.generators[0], 1]], [[alg.generators[2], 2]]]
+
+    def test_presentation_with_a_filled_memo_is_freed(self):
+        alg = AlgebraPresentation("memo", ("a", "b"), "z", 2, {"a": r"\alpha"})
+        alg.set_commutators({(0, 1): alg.gen("a") * FieldElem(2)})
+        x = (alg.gen("b") + alg.gen("a")) ** 3
+        for y in (x, tensor_pair(x, alg.gen("b"))):
+            render_all(y)
+        assert alg._words
+        gc.disable()  # the last reference, not a collection, must free it
+        try:
+            ref = weakref.ref(alg)
+            del alg, x, y
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 TENSOR_CASES = [(name, order, None) for name in ("sl2", "so22", "nullplane", "sl2-jbasis")
