@@ -63,9 +63,10 @@ is fetched once per distinct (left word, right word) pair of one product, in a
 dict that ends with the product; the flat-word cache is the only memo of
 normal forms that outlives it.  A pair whose joined word is already normal (a
 slot word empty, or the left word's last generator not above the right word's
-first) is that word, with no lookup.  When every slot of a pair joins to one unit term at
-power 0, the pair's key is added at once; only the slots whose normal form
-rewrites go through a list of ``(words, k, scalar)`` partial terms.
+first) is that word, with no lookup.  When every slot of a pair joins to one
+unit term at power 0, the pair's key is added at once; only the slots whose
+normal form rewrites go through a list of ``(words, k, scalar)`` partial
+terms.
 
 A presentation keeps one more memo, for output: each normal word's
 graded-lex sort key and its text and latex spelling (``A^2*B``, ``A^{2} B``,
