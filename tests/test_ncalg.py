@@ -825,7 +825,6 @@ class TestByWord:
                 t.terms, lambda ws: tuple(ncalg.word_sort_key(w) for w in ws))
             assert t.by_word() == want
 
-
     def test_warm_memo_matches_lambda_keyed_sorts(self):
         alg = build_preset("nullplane", 3).presentation
         rng = random.Random("by-word-warm")
