@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .coeff import FieldElem, rat, series
-from .ncalg import WordMap, _by_word, _diff_terms, _scaled_terms, _sum_terms, add_term
+from .coeff import FieldElem, rat
+from .ncalg import (WordMap, _by_word, _diff_terms, _scaled_terms, _sum_terms, add_term,
+                    rule_images)
 from .ratfunc import Laurent, PolyRing
 from .report import CheckReport, timed_reports
 from .algebras import preset
@@ -240,37 +241,33 @@ def full_rep(order, reading="plain"):
 def rep_of_element(rep, element, order):
     """Image of a null-plane algebra element under the representation (its
     Q(sqrt2) scalars scale the Laurent coefficients directly)."""
-    return WordMap(element.algebra, rep, WeylOperator.identity(order),
-                   WeylOperator.zero(order))(element)
+    return WordMap(element.algebra, rep, WeylOperator.identity(order))(element)
 
 
 # -- checks -----------------------------------------------------------------------
 
 def check_rep_relations(order, reading="plain"):
     """Every preset commutation rule holds at the operator level, exactly."""
-    bundle = preset("nullplane", order)
-    alg = bundle.presentation
-    rep = full_rep(order, reading)
+    alg = preset("nullplane", order).presentation
+    rep = WordMap(alg, full_rep(order, reading), WeylOperator.identity(order))
     out = CheckReport(check="diffrep-relations", algebra="nullplane", order=order,
                       details={"f1_reading": reading})
-    for j in range(6):
-        for i in range(j):
-            x, y = alg.generators[j], alg.generators[i]
-            rhs = rep_of_element(rep, alg.gen(j).commutator(alg.gen(i)), order)
-            out.expect_zero(f"[{x},{y}]", rep[x].commutator(rep[y]) - rhs)
+    for (j, i), comm, image in rule_images(alg, rep.images, rep):
+        out.expect_zero(f"[{alg.generators[j]},{alg.generators[i]}]", comm - image)
     return out
 
 
 def resolve_f1_reading(order, plain=None):
-    """Accept whichever F_1 reading closes the operator relations; ``plain`` is
-    the plain-reading report when it is already made."""
+    """The relations report of the F_1 reading that closes, the printed (plain)
+    one when neither does, marked ``accepted``; ``plain`` may be given made."""
     plain = plain or check_rep_relations(order, "plain")
-    if plain.passed:
-        plain.details["accepted"] = "plain (as printed)"
-        return plain
-    expo = check_rep_relations(order, "exponential")
-    expo.details["accepted"] = "exponential (printed form rejected)"
-    return expo
+    if not plain.passed:
+        expo = check_rep_relations(order, "exponential")
+        if expo.passed:
+            expo.details["accepted"] = "exponential (printed form rejected)"
+            return expo
+    plain.details["accepted"] = "plain (as printed)"
+    return plain
 
 
 def check_casimir_action(order, reading="plain"):
@@ -312,19 +309,21 @@ def check_hamiltonian(order):
         if got[k] != w:
             out.add_failure(f"w^{k} coefficient", f"{got[k]!r} != {w!r}")
     # every coefficient obeys P_- (1 - e^{-2wp_+}) = w(m_q^2 + p_1^2 e^{-2wp_+}),
-    # checked to w^(order+1) as the denominator has no constant term
+    # checked to w^(order+1), as multiplication operators, since the
+    # denominator has no constant term
     top = order + 1
     expo = {k: rf(pvar("p_plus") ** k * FieldElem(rat((-2) ** k, factorial(k))))
             for k in range(top + 1)}
     num = {k + 1: rf(pvar("p_1") ** 2) * e for k, e in expo.items()}
     num[1] = num[1] + rf(pvar("m_q2"))
-    mult = dict(enumerate(got))
-    product = series("w", top, mult) * series("w", top, {k: -e for k, e in expo.items() if k})
-    if product != series("w", top, num):
-        out.add_failure("P_minus * (1 - e^{-2wp_+})", f"{product!r} != {series('w', top, num)!r}")
+    p_minus = WeylOperator.multiplication(top, dict(enumerate(got)))
+    product = p_minus * WeylOperator.multiplication(top, {k: -e for k, e in expo.items() if k})
+    want = WeylOperator.multiplication(top, num)
+    if product != want:
+        out.add_failure("P_minus * (1 - e^{-2wp_+})", f"{product!r} != {want!r}")
     # all coefficients are multiplication operators by construction; check the
     # operator P_- they make for derivative parts anyway
-    if not WeylOperator.multiplication(order, mult).derivative_free():
+    if not p_minus.derivative_free():
         out.add_failure("P_minus", "carries derivative terms")
     return out
 
@@ -356,14 +355,17 @@ def check_two_evaluation_paths(order, max_degree=4, reading="plain"):
 
 
 def run_diffrep_checks(order, fault=None):
-    """The four diffrep reports, each carrying its own measured time."""
+    """The four diffrep reports, each carrying its own measured time; without
+    a fault all but the Hamiltonian's use the resolved F_1 reading."""
     reading = "exponential" if fault == "diffrep-op" else "plain"
 
     def relations():
+        nonlocal reading
         rep = check_rep_relations(order, reading)
         if fault is None:
-            # a passing ``rep`` comes back marked ``accepted``; pop keeps that key out of it
-            rep.details["f1_reading"] = resolve_f1_reading(order, rep).details.pop("accepted")
+            rep = resolve_f1_reading(order, rep)
+            reading = rep.details["f1_reading"]
+            rep.details["f1_reading"] = rep.details.pop("accepted")
         return rep
 
     return timed_reports(relations, lambda: check_casimir_action(order, reading),

@@ -2,11 +2,13 @@
 
 The three maps are given on generators and extended multiplicatively
 (anti-multiplicatively for the antipode) by :class:`~hopf_forge.ncalg.WordMap`;
-every check below re-verifies the axioms mechanically on generators plus all
-degree-2 normal words, which also exercises the rewriting kernel on both
-tensor slots.  A counit or antipode contraction m((f(x)id)t) is one
-:meth:`~hopf_forge.ncalg.AlgebraPresentation.fold_sum`, so each shared
-right-hand suffix is folded once and the step bound counts per contraction.
+the axioms are re-verified mechanically on generators plus all degree-2
+normal words, which also exercises the rewriting kernel on both tensor slots.
+The counit and antipode checks are one driver over the slot contraction
+m((f(x)id)t), one :meth:`~hopf_forge.ncalg.AlgebraPresentation.fold_sum` that
+folds each shared right-hand suffix once (the step bound counts per
+contraction); the two rule checks read both sides of each commutation rule
+off :func:`~hopf_forge.ncalg.rule_images`.
 Without an antipode the same class holds a bialgebra: repfrt checks the
 coassociativity and counit of the FRT quantum group's coproduct with it, on
 the generators only, since that coordinate algebra is Hopf only modulo an
@@ -16,7 +18,7 @@ ideal the checks here do not reduce by.
 from __future__ import annotations
 
 from .coeff import FE_ONE
-from .ncalg import NCElement, TensorElement, WordMap, add_term
+from .ncalg import NCElement, TensorElement, WordMap, add_term, rule_images
 from .report import CheckReport, timed_reports
 
 
@@ -31,12 +33,10 @@ class HopfMaps:
 
     def __init__(self, algebra, delta, counit, antipode=None):
         self.algebra = algebra
-        self._delta = WordMap(algebra, delta, TensorElement.unit(algebra, 2),
-                              TensorElement.zero(algebra, 2))
+        self._delta = WordMap(algebra, delta, TensorElement.unit(algebra, 2))
         self._counit = WordMap(algebra, {g: algebra.scalar(c) for g, c in counit.items()},
-                               algebra.unit(), algebra.zero())
-        self._antipode = WordMap(algebra, antipode or {}, algebra.unit(), algebra.zero(),
-                                 reverse=True)
+                               algebra.unit())
+        self._antipode = WordMap(algebra, antipode or {}, algebra.unit(), reverse=True)
         # generator index -> image (the counit's as the given scalar)
         self.delta, self.antipode = self._delta.images, self._antipode.images
         self.counit = {algebra.index.get(g, g): c for g, c in counit.items()}
@@ -99,8 +99,7 @@ class HopfMaps:
         return words
 
     def _label(self, word):
-        return "*".join(f"{self.algebra.generators[g]}^{e}" if e > 1
-                        else self.algebra.generators[g] for g, e in word) or "1"
+        return self.algebra.word_entry(word)[1] or "1"
 
     # -- axiom checks ----------------------------------------------------------
 
@@ -131,50 +130,41 @@ class HopfMaps:
                              c if uc is FE_ONE else uc if c is FE_ONE else c * uc)
         return NCElement(alg, alg.fold_sum(by_right))
 
-    def check_counit(self, test_words=None):
+    def _check_contractions(self, check, f, letter, target, test_words):
+        """m((f (x) id)Delta(w)) and m((id (x) f)Delta(w)) against ``target(w)``."""
         alg = self.algebra
-        rep = CheckReport(check="counit", algebra=alg.name, order=alg.order)
+        rep = CheckReport(check=check, algebra=alg.name, order=alg.order)
         for w in test_words or self.default_test_words():
-            x = NCElement(alg, {(w, 0): FE_ONE})
             t = self.coproduct_word(w)
-            rep.expect_zero(self._label(w) + " (eps(x1)x2)",
-                            self.contract_slot(t, self.counit_word, 0) - x)
-            rep.expect_zero(self._label(w) + " (x1 eps(x2))",
-                            self.contract_slot(t, self.counit_word, 1) - x)
+            want = target(w)
+            label = self._label(w)
+            rep.expect_zero(f"{label} ({letter}(x1)x2)", self.contract_slot(t, f, 0) - want)
+            rep.expect_zero(f"{label} (x1 {letter}(x2))", self.contract_slot(t, f, 1) - want)
         return rep
 
+    def check_counit(self, test_words=None):
+        return self._check_contractions(
+            "counit", self.counit_word, "eps",
+            lambda w: NCElement(self.algebra, {(w, 0): FE_ONE}), test_words)
+
     def check_antipode(self, test_words=None):
-        alg = self.algebra
-        rep = CheckReport(check="antipode", algebra=alg.name, order=alg.order)
-        for w in test_words or self.default_test_words():
-            t = self.coproduct_word(w)
-            target = self.counit_word(w)
-            rep.expect_zero(self._label(w) + " (gamma(x1)x2)",
-                            self.contract_slot(t, self.antipode_word, 0) - target)
-            rep.expect_zero(self._label(w) + " (x1 gamma(x2))",
-                            self.contract_slot(t, self.antipode_word, 1) - target)
-        return rep
+        return self._check_contractions("antipode", self.antipode_word, "gamma",
+                                         self.counit_word, test_words)
 
     def check_coproduct_hom(self):
         """Delta([X,Y]) = [Delta(X), Delta(Y)] for every generator pair."""
         alg = self.algebra
         rep = CheckReport(check="coproduct-hom", algebra=alg.name, order=alg.order)
-        n = len(alg.generators)
-        for j in range(n):
-            for i in range(j):
-                lhs = self.coproduct(alg.gen(j).commutator(alg.gen(i)))
-                rep.expect_zero(f"[{alg.generators[j]},{alg.generators[i]}]",
-                                lhs - self.delta[j].commutator(self.delta[i]))
+        for (j, i), comm, image in rule_images(alg, self.delta, self.coproduct):
+            rep.expect_zero(f"[{alg.generators[j]},{alg.generators[i]}]", image - comm)
         return rep
 
     def check_antipode_antihom(self):
-        """gamma applied to both sides of each rewrite rule agrees."""
+        """gamma([X,Y]) = [gamma(Y), gamma(X)] for every generator pair."""
         alg = self.algebra
         rep = CheckReport(check="antipode-antihom", algebra=alg.name, order=alg.order)
-        for (j, i), rhs in alg.rules.items():
-            lhs = self.antipode_word(((j, 1), (i, 1)))   # gamma(g_j g_i) = gamma(g_i) gamma(g_j)
-            rep.expect_zero(f"{alg.generators[j]}*{alg.generators[i]}",
-                            lhs - self.antipode_of(rhs))
+        for (j, i), comm, image in rule_images(alg, self.antipode, self.antipode_of):
+            rep.expect_zero(f"{alg.generators[j]}*{alg.generators[i]}", -comm - image)
         return rep
 
     def primitive_generators(self):

@@ -81,7 +81,8 @@ A map given on generators (a coproduct, counit or antipode, a substitution, a
 representation) is extended to words and elements by one :class:`WordMap`.
 Each word image is built from the cached image of its prefix (its suffix for
 an anti-homomorphism) times one generator image; an element's scaled word
-images are summed in place.
+images are summed in place.  Every check that such a map respects the
+commutation rules reads each rule's two sides off one :func:`rule_images`.
 
 Every truncated exponential -- the exp(c*param*X(x)Y) factors of a universal
 R, the e^{2zA_+}, (e^{2wP_+}-1)/2w and e^{zP}cosh(zP_0) structure functions,
@@ -517,19 +518,19 @@ class WordMap:
 
     ``images`` maps generator names (or indices) of ``algebra`` to values in
     any target with ``*``, ``+`` and ``scaled(c, k)`` (times the scalar ``c``
-    and ``param**k``), whose ``unit`` and ``zero`` are given.  A normal word
-    goes to the product of its generator images, left to right (right to left
-    when ``reverse``, for an anti-homomorphism): the cached image of the word
-    less its last generator (its first when ``reverse``) times that generator's
-    image, each shorter word on the way cached too.  An element goes to the
-    sum of its word images, each scaled by its graded scalar.
+    and ``param**k``), whose ``unit`` is given (``zero`` is it scaled by 0).
+    A normal word goes to the product of its generator images, left to right
+    (right to left when ``reverse``, for an anti-homomorphism): the cached
+    image of the word less its last generator (its first when ``reverse``)
+    times that generator's image, each shorter word on the way cached too.
+    An element goes to the sum of its word images, each scaled by its scalar.
     """
 
-    def __init__(self, algebra, images, unit, zero, reverse=False):
+    def __init__(self, algebra, images, unit, reverse=False):
         self.algebra = algebra
         self.images = {algebra.index.get(g, g): v for g, v in images.items()}
         self.unit = unit
-        self.zero = zero
+        self.zero = unit.scaled(FE_ZERO)
         self.reverse = reverse
         self._cache = {}
 
@@ -565,6 +566,17 @@ class WordMap:
                 for key, v in img.terms.items():
                     add_term(out.terms, key, v)
         return self.zero if out is None else out
+
+
+def rule_images(algebra, images, apply):
+    """``((j, i), [images[j], images[i]], apply([g_j, g_i]))`` for each rule
+    ``g_j*g_i``, ``j`` ascending, then ``i < j``; ``images`` is keyed by index.
+    ``apply`` runs first, so a map missing a generator raises its own error."""
+    gen = algebra.gen
+    for j in range(len(algebra.generators)):
+        for i in range(j):
+            image = apply(gen(j).commutator(gen(i)))
+            yield (j, i), images[j].commutator(images[i]), image
 
 
 class NCElement:
@@ -670,7 +682,7 @@ class NCElement:
         NCElements of the target; scalars pass unchanged, so both algebras
         must share param and order.
         """
-        return WordMap(self.algebra, images, target.unit(), target.zero())(self)
+        return WordMap(self.algebra, images, target.unit())(self)
 
     def by_word(self):
         """``(word, ((k, scalar), ...))`` per word, words in graded-lex order."""
@@ -845,7 +857,7 @@ class TensorElement:
     def substitute(self, target, images):
         """Slot-wise substitution homomorphism into a tensor over ``target``:
         the outer product of the slot images, which are already normal."""
-        sub = WordMap(self.algebra, images, target.unit(), target.zero())
+        sub = WordMap(self.algebra, images, target.unit())
         top = target.order
         out = {}
         for (ws, k), c in self.terms.items():

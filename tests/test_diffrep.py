@@ -130,6 +130,27 @@ class TestDynamicalRep:
         assert relations.details == {"f1_reading": "plain (as printed)"}
 
 
+    def test_swapped_readings_report_and_use_the_reading_that_closes(self, monkeypatch):
+        # with the printed reading built as the other one, the exponential
+        # reading closes: the relations report, its label and the Casimir and
+        # action checks all come from it
+        real = diffrep.build_dynamical_rep
+        swap = {"plain": "exponential", "exponential": "plain"}
+        monkeypatch.setattr(diffrep, "build_dynamical_rep",
+                            lambda order, reading="plain": real(order, swap[reading]))
+        reports = diffrep.run_diffrep_checks(3)
+        assert [r.check for r in reports if not r.passed] == []
+        assert reports[0].details == {"f1_reading": "exponential (printed form rejected)"}
+
+    def test_printed_reading_reported_when_neither_closes(self, monkeypatch):
+        real = diffrep.build_dynamical_rep
+        monkeypatch.setattr(diffrep, "build_dynamical_rep",
+                            lambda order, reading="plain": real(order, "exponential"))
+        relations = diffrep.run_diffrep_checks(3)[0]
+        assert len(relations.failures) == len(check_rep_relations(3, "exponential").failures)
+        assert relations.details == {"f1_reading": "plain (as printed)"}
+
+
 class TestHamiltonian:
     def test_displayed_coefficients(self):
         got = hamiltonian_series(3)

@@ -13,7 +13,8 @@ from hopf_forge import diffrep, repfrt
 from hopf_forge.algebras import preset
 from hopf_forge.coeff import FE_ONE, FieldElem
 from hopf_forge.hopf import HopfMaps
-from hopf_forge.ncalg import TensorElement, UnmappedGenerator, WordMap, flatten, tensor_pair
+from hopf_forge.ncalg import (TensorElement, UnmappedGenerator, WordMap, flatten, rule_images,
+                              tensor_pair)
 
 PRESETS = ("sl2", "so22", "nullplane")
 
@@ -143,10 +144,10 @@ def test_word_image_is_the_same_whichever_prefix_came_first(name, reverse):
     shorter = [compressed(flat[i:] if reverse else flat[:-i]) for i in range(1, len(flat))]
     rng.shuffle(shorter)
     want = {w: product(alg.unit(), images, w, reverse) for w in [long] + shorter}
-    long_first = WordMap(alg, images, alg.unit(), alg.zero(), reverse=reverse)
+    long_first = WordMap(alg, images, alg.unit(), reverse=reverse)
     assert long_first.word(long) == want[long]
     assert all(long_first.word(w) == want[w] for w in shorter)
-    long_last = WordMap(alg, images, alg.unit(), alg.zero(), reverse=reverse)
+    long_last = WordMap(alg, images, alg.unit(), reverse=reverse)
     assert all(long_last.word(w) == want[w] for w in shorter[:2])
     assert long_last.word(long) == want[long]
     assert all(long_last.word(w) == want[w] for w in shorter)
@@ -155,7 +156,7 @@ def test_word_image_is_the_same_whichever_prefix_came_first(name, reverse):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_long_word_image_needs_no_recursion(reverse):
     alg = preset("sl2", 2).presentation
-    m = WordMap(alg, {0: alg.gen(0)}, alg.unit(), alg.zero(), reverse=reverse)
+    m = WordMap(alg, {0: alg.gen(0)}, alg.unit(), reverse=reverse)
     assert m.word(((0, 5000),)) == alg.element({(((0, 5000),), 0): FE_ONE})
 
 
@@ -165,7 +166,7 @@ def test_map_leaves_its_word_images_and_zero_alone(name):
     second call sees the same cached images and zero and gives the same."""
     rng = random.Random(f"in-place-{name}")
     alg = preset(name, 2).presentation
-    m = WordMap(alg, random_images(alg, rng), alg.unit(), alg.zero())
+    m = WordMap(alg, random_images(alg, rng), alg.unit())
     # the first term is a bare word, whose image a careless sum would take as is
     x = alg.gen(0) + random_element(alg, rng, 3)
     images = {w: dict(m.word(w).terms) for w, _ in x.terms}
@@ -247,3 +248,22 @@ def test_group_coproduct_check_catches_a_dropped_term(monkeypatch):
     # a_plus (x) 1 is the only term that x1 eps(x2) reads off Delta(a_plus)
     assert "counit(a_plus (x1 eps(x2)))" in labels
     assert "counit(a_plus (eps(x1)x2))" not in labels
+
+
+@pytest.mark.parametrize("bad", range(6))
+def test_rule_oracle_flags_exactly_the_pairs_of_a_corrupted_image(bad):
+    """Coproduct images with one generator's image shifted by y (x) 1, y not
+    commuting with any generator: the two sides differ on exactly the rules
+    that involve that generator, reported in plan order."""
+    hopf = preset("nullplane", 2).hopf
+    alg = hopf.algebra
+    y = alg.gen("E_1") + alg.gen("K_2") + alg.gen("F_1")
+    images = dict(hopf.delta)
+    images[bad] = images[bad] + tensor_pair(y, alg.unit())
+    plan = [(j, i) for j in range(6) for i in range(j)]
+    sides = list(rule_images(alg, images, hopf.coproduct))
+    assert [pair for pair, _, _ in sides] == plan
+    assert [pair for pair, comm, image in sides if not (comm - image).is_zero()] == [
+        pair for pair in plan if bad in pair]
+    assert all((comm - image).is_zero()
+               for _, comm, image in rule_images(alg, hopf.delta, hopf.coproduct))
