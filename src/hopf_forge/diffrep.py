@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .coeff import FieldElem, rat
+from .coeff import FieldElem, rat, series
 from .ncalg import (WordMap, _by_word, _diff_terms, _scaled_terms, _sum_terms, add_term,
                     rule_images)
 from .ratfunc import Laurent, PolyRing
@@ -252,15 +252,15 @@ def check_rep_relations(order, reading="plain"):
     rep = WordMap(alg, full_rep(order, reading), WeylOperator.identity(order))
     out = CheckReport(check="diffrep-relations", algebra="nullplane", order=order,
                       details={"f1_reading": reading})
-    for (j, i), comm, image in rule_images(alg, rep.images, rep):
+    for (j, i), comm, image in rule_images(rep):
         out.expect_zero(f"[{alg.generators[j]},{alg.generators[i]}]", comm - image)
     return out
 
 
-def resolve_f1_reading(order, plain=None):
+def resolve_f1_reading(order):
     """The relations report of the F_1 reading that closes, the printed (plain)
-    one when neither does, marked ``accepted``; ``plain`` may be given made."""
-    plain = plain or check_rep_relations(order, "plain")
+    one when neither does, with the verdict in ``details["accepted"]``."""
+    plain = check_rep_relations(order, "plain")
     if not plain.passed:
         expo = check_rep_relations(order, "exponential")
         if expo.passed:
@@ -309,21 +309,19 @@ def check_hamiltonian(order):
         if got[k] != w:
             out.add_failure(f"w^{k} coefficient", f"{got[k]!r} != {w!r}")
     # every coefficient obeys P_- (1 - e^{-2wp_+}) = w(m_q^2 + p_1^2 e^{-2wp_+}),
-    # checked to w^(order+1), as multiplication operators, since the
-    # denominator has no constant term
+    # checked to w^(order+1) as the denominator has no constant term
     top = order + 1
     expo = {k: rf(pvar("p_plus") ** k * FieldElem(rat((-2) ** k, factorial(k))))
             for k in range(top + 1)}
     num = {k + 1: rf(pvar("p_1") ** 2) * e for k, e in expo.items()}
     num[1] = num[1] + rf(pvar("m_q2"))
-    p_minus = WeylOperator.multiplication(top, dict(enumerate(got)))
-    product = p_minus * WeylOperator.multiplication(top, {k: -e for k, e in expo.items() if k})
-    want = WeylOperator.multiplication(top, num)
-    if product != want:
-        out.add_failure("P_minus * (1 - e^{-2wp_+})", f"{product!r} != {want!r}")
+    mult = dict(enumerate(got))
+    product = series("w", top, mult) * series("w", top, {k: -e for k, e in expo.items() if k})
+    if product != series("w", top, num):
+        out.add_failure("P_minus * (1 - e^{-2wp_+})", f"{product!r} != {series('w', top, num)!r}")
     # all coefficients are multiplication operators by construction; check the
     # operator P_- they make for derivative parts anyway
-    if not p_minus.derivative_free():
+    if not WeylOperator.multiplication(order, mult).derivative_free():
         out.add_failure("P_minus", "carries derivative terms")
     return out
 
@@ -355,19 +353,16 @@ def check_two_evaluation_paths(order, max_degree=4, reading="plain"):
 
 
 def run_diffrep_checks(order, fault=None):
-    """The four diffrep reports, each carrying its own measured time; without
-    a fault all but the Hamiltonian's use the resolved F_1 reading."""
-    reading = "exponential" if fault == "diffrep-op" else "plain"
-
-    def relations():
-        nonlocal reading
-        rep = check_rep_relations(order, reading)
-        if fault is None:
-            rep = resolve_f1_reading(order, rep)
-            reading = rep.details["f1_reading"]
-            rep.details["f1_reading"] = rep.details.pop("accepted")
-        return rep
-
-    return timed_reports(relations, lambda: check_casimir_action(order, reading),
-                         lambda: check_hamiltonian(order),
-                         lambda: check_two_evaluation_paths(order, reading=reading))
+    """The four diffrep reports, each carrying its own measured time.  Without
+    a fault the relations check runs first and settles the F_1 reading; the
+    Casimir and action checks run on the reading its report was made on."""
+    if fault is None:
+        [relations] = timed_reports(lambda: resolve_f1_reading(order))
+        reading = relations.details["f1_reading"]
+        relations.details["f1_reading"] = relations.details.pop("accepted")
+    else:
+        reading = "exponential" if fault == "diffrep-op" else "plain"
+        [relations] = timed_reports(lambda: check_rep_relations(order, reading))
+    return [relations] + timed_reports(
+        lambda: check_casimir_action(order, reading), lambda: check_hamiltonian(order),
+        lambda: check_two_evaluation_paths(order, reading=reading))

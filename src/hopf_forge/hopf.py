@@ -28,17 +28,19 @@ class HopfMaps:
     ``counit`` gives a scalar per generator; the counit of an element is a
     scalar element of the algebra.  ``antipode`` may be None for a bialgebra:
     the antipode maps, the antipode checks and :meth:`subalgebra_check` then
-    raise :class:`~hopf_forge.ncalg.UnmappedGenerator`.
+    raise :class:`~hopf_forge.ncalg.UnmappedGenerator`.  ``delta_map``,
+    ``counit_map`` and ``antipode_map`` are the three maps, each a
+    :class:`~hopf_forge.ncalg.WordMap`.
     """
 
     def __init__(self, algebra, delta, counit, antipode=None):
         self.algebra = algebra
-        self._delta = WordMap(algebra, delta, TensorElement.unit(algebra, 2))
-        self._counit = WordMap(algebra, {g: algebra.scalar(c) for g, c in counit.items()},
-                               algebra.unit())
-        self._antipode = WordMap(algebra, antipode or {}, algebra.unit(), reverse=True)
+        self.delta_map = WordMap(algebra, delta, TensorElement.unit(algebra, 2))
+        self.counit_map = WordMap(algebra, {g: algebra.scalar(c) for g, c in counit.items()},
+                                  algebra.unit())
+        self.antipode_map = WordMap(algebra, antipode or {}, algebra.unit(), reverse=True)
         # generator index -> image (the counit's as the given scalar)
-        self.delta, self.antipode = self._delta.images, self._antipode.images
+        self.delta, self.antipode = self.delta_map.images, self.antipode_map.images
         self.counit = {algebra.index.get(g, g): c for g, c in counit.items()}
         for i in range(len(algebra.generators)):
             if (i not in self.delta or i not in self.counit
@@ -49,24 +51,24 @@ class HopfMaps:
 
     def coproduct_word(self, word):
         """Coproduct of a normal word (multiplicative extension), cached."""
-        return self._delta.word(word)
+        return self.delta_map.word(word)
 
     def coproduct(self, x):
-        return self._delta(x)
+        return self.delta_map(x)
 
     def antipode_word(self, word):
         """Antipode of a normal word: reversed product of generator images."""
-        return self._antipode.word(word)
+        return self.antipode_map.word(word)
 
     def antipode_of(self, x):
-        return self._antipode(x)
+        return self.antipode_map(x)
 
     def counit_word(self, word):
-        return self._counit.word(word)
+        return self.counit_map.word(word)
 
     def counit_of(self, x):
         """Counit of an element, as a scalar element of the algebra."""
-        return self._counit(x)
+        return self.counit_map(x)
 
     def delta_on_slot(self, t, slot, out=None):
         """Apply the coproduct to one slot of an arity-2 tensor (-> arity 3),
@@ -155,7 +157,7 @@ class HopfMaps:
         """Delta([X,Y]) = [Delta(X), Delta(Y)] for every generator pair."""
         alg = self.algebra
         rep = CheckReport(check="coproduct-hom", algebra=alg.name, order=alg.order)
-        for (j, i), comm, image in rule_images(alg, self.delta, self.coproduct):
+        for (j, i), comm, image in rule_images(self.delta_map):
             rep.expect_zero(f"[{alg.generators[j]},{alg.generators[i]}]", image - comm)
         return rep
 
@@ -163,7 +165,7 @@ class HopfMaps:
         """gamma([X,Y]) = [gamma(Y), gamma(X)] for every generator pair."""
         alg = self.algebra
         rep = CheckReport(check="antipode-antihom", algebra=alg.name, order=alg.order)
-        for (j, i), comm, image in rule_images(alg, self.antipode, self.antipode_of):
+        for (j, i), comm, image in rule_images(self.antipode_map):
             rep.expect_zero(f"{alg.generators[j]}*{alg.generators[i]}", -comm - image)
         return rep
 

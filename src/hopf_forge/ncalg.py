@@ -568,15 +568,15 @@ class WordMap:
         return self.zero if out is None else out
 
 
-def rule_images(algebra, images, apply):
-    """``((j, i), [images[j], images[i]], apply([g_j, g_i]))`` for each rule
-    ``g_j*g_i``, ``j`` ascending, then ``i < j``; ``images`` is keyed by index.
-    ``apply`` runs first, so a map missing a generator raises its own error."""
-    gen = algebra.gen
-    for j in range(len(algebra.generators)):
+def rule_images(m):
+    """``((j, i), [m(g_j), m(g_i)], m([g_j, g_i]))`` for each rule ``g_j*g_i``
+    of the :class:`WordMap` ``m``'s algebra, ``j`` ascending, then ``i < j``;
+    a generator with no image raises :class:`UnmappedGenerator`."""
+    gen = m.algebra.gen
+    for j in range(len(m.algebra.generators)):
         for i in range(j):
-            image = apply(gen(j).commutator(gen(i)))
-            yield (j, i), images[j].commutator(images[i]), image
+            comm = m.word(((j, 1),)).commutator(m.word(((i, 1),)))
+            yield (j, i), comm, m(gen(j).commutator(gen(i)))
 
 
 class NCElement:

@@ -30,8 +30,8 @@ remainders) skip the constructor's filtering copy (``Polynomial._zero_free``).
 
 :func:`poly_gcd` (a primitive remainder sequence) has no caller in the
 program: a Laurent coefficient's denominator is a power of one variable, so
-no arithmetic of this module takes a gcd.  It stays, with its helpers (like
-coeff's ``DeformationSeries``), only because the benchmark tracer counts it.
+no arithmetic of this module takes a gcd.  It stays, with its helpers, only
+because the benchmark tracer counts it.
 """
 from __future__ import annotations
 

@@ -603,7 +603,7 @@ def check_group_coproduct(order=2, fault=None):
             rep.add_failure(f"{sub.check}({f['input']})", f["residual"])
 
     # Delta respects the commutation rules and the constraint ideal
-    for (j, i), comm, image in rule_images(alg, hopf.delta, hopf.coproduct):
+    for (j, i), comm, image in rule_images(hopf.delta_map):
         rep.expect_zero(f"Delta respects [{COORD_NAMES[j]},{COORD_NAMES[i]}]",
                         _ideal_reduce_slots(comm - image))
     for q in orthogonality_quadrics():

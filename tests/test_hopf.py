@@ -231,8 +231,8 @@ class TestBialgebraWithoutAntipode:
     """HopfMaps built without an antipode: every antipode use raises the
     documented error, not a KeyError from the empty antipode map."""
 
-    def bialgebra(self):
-        hopf = preset("sl2", 2).hopf
+    def bialgebra(self, name="sl2"):
+        hopf = preset(name, 2).hopf
         return HopfMaps(hopf.algebra, hopf.delta, hopf.counit)
 
     def test_axioms_without_the_antipode_still_run(self):
@@ -243,6 +243,14 @@ class TestBialgebraWithoutAntipode:
     def test_antipode_antihom_raises_unmapped_generator(self):
         with pytest.raises(UnmappedGenerator):
             self.bialgebra().check_antipode_antihom()
+
+    def test_antipode_antihom_raises_unmapped_generator_on_a_commuting_first_pair(self):
+        # the first rule of nullplane, P_1*P_plus, commutes, so its image of
+        # [g_j, g_i] is zero and looks up no generator image
+        b = self.bialgebra("nullplane")
+        assert b.algebra.gen(1).commutator(b.algebra.gen(0)).is_zero()
+        with pytest.raises(UnmappedGenerator):
+            b.check_antipode_antihom()
 
     def test_subalgebra_check_raises_unmapped_generator(self):
         with pytest.raises(UnmappedGenerator):
