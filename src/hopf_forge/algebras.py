@@ -33,7 +33,9 @@ from .report import CheckReport, timed_reports
 
 PRESET_NAMES = ("sl2", "so22", "nullplane", "sl2-jbasis")
 
-# faults deliberately corrupt one structure each; used by the CLI test hook
+# faults deliberately corrupt one structure each (the CLI's --inject-fault):
+# the verify plan passes the fault to preset(name, order, fault), and to the
+# rtt, weyl, group-coproduct and diffrep checks, which build their own structures
 FAULTS = {
     "ncalg-rule": "corrupt the [E_1,F_1]=K_2 rewrite rule of the nullplane preset",
     "hopf-coproduct": "drop the P_minus term from the nullplane coproduct of F_1",
@@ -44,9 +46,10 @@ FAULTS = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class PresetBundle:
-    """One quantum algebra with its Hopf maps, Casimirs and R-matrix recipe."""
+    """One quantum algebra with its Hopf maps, Casimirs and R-matrix recipe;
+    compared and hashed by identity, as caches key on it."""
 
     name: str
     presentation: AlgebraPresentation
@@ -54,6 +57,10 @@ class PresetBundle:
     casimirs: dict
     rfactors: tuple | None
     aux: dict = field(default_factory=dict)
+
+    @property
+    def order(self):
+        return self.presentation.order
 
 
 # -- series-element builders -------------------------------------------------
@@ -164,29 +171,21 @@ class PresetConstructionError(RuntimeError):
         self.report = report
 
 
-_ACTIVE_FAULT = None
-
-
-def set_active_fault(name):
-    """Install a named fault (or None); a testing hook used by the CLI."""
-    global _ACTIVE_FAULT
-    if name is not None and name not in FAULTS:
-        raise ValueError(f"unknown fault {name!r}")
-    _ACTIVE_FAULT = name
-
-
 @lru_cache(maxsize=None)
 def _built_cached(name, order, fault):
     return build_preset(name, order, fault)
 
 
-def preset(name, order):
-    """Preset bundle whose construction-time consistency check passed.
+def preset(name, order, fault=None):
+    """Preset bundle whose construction-time consistency check passed, with
+    the named fault of :data:`FAULTS` built in (a testing hook).
 
-    The cache is keyed by the active fault so corrupted structures never
-    leak into fault-free runs (and vice versa).
+    The cache is keyed by the fault so corrupted structures never leak into
+    fault-free runs (and vice versa).
     """
-    bundle = _built_cached(name, order, _ACTIVE_FAULT)
+    if fault is not None and fault not in FAULTS:
+        raise ValueError(f"unknown fault {fault!r}")
+    bundle = _built_cached(name, order, fault)
     rep = bundle.aux.get("_consistency")
     if rep is None:
         rep = bundle.presentation.consistency_check()
@@ -443,14 +442,13 @@ def _build_jbasis(order):
                      beta(sl2.presentation), {"J_plus": "J_+", "J_3": "J_3", "J_minus": "J_-"})
 
 
-def check_basis_change(order):
-    """The A-basis relations hold for the transported generators, and the
-    change of basis is invertible (round trips on generators)."""
-    jb = preset("sl2-jbasis", order)
-    sl2 = preset("sl2", order)
-    jalg, aalg = jb.presentation, sl2.presentation
+def check_basis_change(jb):
+    """The A-basis relations hold for the transported generators of the
+    J-basis bundle ``jb``, and the change of basis is invertible (round trips
+    on generators)."""
+    jalg, aalg = jb.presentation, preset("sl2", jb.order).presentation
     alpha, beta = jb.aux["alpha"], jb.aux["beta"]
-    rep = CheckReport(check="basis-change", algebra="sl2-jbasis", order=order)
+    rep = CheckReport(check="basis-change", algebra=jb.name, order=jb.order)
 
     a_p, a_3, a_m = alpha["A_plus"], alpha["A"], alpha["A_minus"]
     # the three A-basis commutators, rebuilt inside the J algebra
@@ -515,9 +513,9 @@ def build_twocopy(order):
     return alg, hopf, tau, cas1, cas2
 
 
-def cross_check_two_copy(order):
-    """The so(2,2) preset equals the two-copy construction under the map tau."""
-    so22 = preset("so22", order)
+def cross_check_two_copy(so22):
+    """The so(2,2) bundle equals the two-copy construction under the map tau."""
+    order = so22.order
     alg2, hopf2, tau, cas1, cas2 = build_twocopy(order)
     salg = so22.presentation
 
@@ -547,23 +545,21 @@ def cross_check_two_copy(order):
 # -- classical limits -----------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def classical_presentation(name, order):
-    """The order-0 limit of a preset's rewriting system (same generators)."""
-    bundle = preset(name, order)
+def classical_presentation(bundle):
+    """The order-0 limit of a bundle's rewriting system (same generators)."""
     src = bundle.presentation
-    alg = AlgebraPresentation(f"{name}-classical", src.generators, src.param, order,
-                              src.latex_names)
+    alg = AlgebraPresentation(f"{bundle.name}-classical", src.generators, src.param,
+                              src.order, src.latex_names)
     rules = {k: NCElement(alg, dict(r.classical_limit().terms))
              for k, r in src.rules.items()}
     alg.set_rules(rules)
     return alg
 
 
-def check_classical_limits(order):
-    """w -> 0 of the nullplane preset: brackets and both Casimirs."""
-    bundle = preset("nullplane", order)
+def check_classical_limits(bundle):
+    """w -> 0 of the nullplane bundle: brackets and both Casimirs."""
     alg = bundle.presentation
-    rep = CheckReport(check="classical-limit", algebra="nullplane", order=order)
+    rep = CheckReport(check="classical-limit", algebra=bundle.name, order=bundle.order)
     names = alg.generators
     for j in range(6):
         for i in range(j):
@@ -584,10 +580,9 @@ def check_classical_limits(order):
     return rep
 
 
-def check_casimir_centrality(name, order):
-    bundle = preset(name, order)
+def check_casimir_centrality(bundle):
     alg = bundle.presentation
-    rep = CheckReport(check="casimir-centrality", algebra=name, order=order)
+    rep = CheckReport(check="casimir-centrality", algebra=bundle.name, order=bundle.order)
     for label, cas in bundle.casimirs.items():
         for g in alg.generators:
             rep.expect_zero(f"[{label},{g}]", cas.commutator(alg.gen(g)))

@@ -21,8 +21,7 @@ from typing import Callable, NamedTuple
 
 from .algebras import (FAULTS, PRESET_NAMES, PresetConstructionError,
                        check_basis_change, check_casimir_centrality,
-                       check_classical_limits, cross_check_two_copy, preset,
-                       set_active_fault)
+                       check_classical_limits, cross_check_two_copy, preset)
 from .expr import (ExpressionError, ExpressionSyntaxError, UnknownSymbol,
                    parse_to_element, render_element, render_tensor, to_json)
 from .ncalg import AlgebraError, NCElement
@@ -56,11 +55,11 @@ class _Row(NamedTuple):
     min_order: int = 1
 
 
-def _consistency(name, order):
+def _consistency(name, order, fault):
     """A copy of the consistency report cached when the preset was built; a
     copy, so that its timing or a budget failure never reaches the cache."""
     try:
-        rep = preset(name, order).aux["_consistency"]
+        rep = preset(name, order, fault).aux["_consistency"]
     except PresetConstructionError as e:
         rep = e.report
     return replace(rep, failures=list(rep.failures))
@@ -82,8 +81,9 @@ class _LazyModule:
 
 
 def _check_table(fault=None):
-    """Verify verb -> its rows, in plan order; ``fault`` goes to the checks
-    that build their own structures: rtt, weyl, group-coproduct and diffrep."""
+    """Verify verb -> its rows, in plan order.  ``fault`` goes into every
+    preset a row checks, and to the checks that build their own structures:
+    rtt, weyl, group-coproduct and diffrep."""
     contraction, diffrep, repfrt, rmat = map(
         _LazyModule, ("contraction", "diffrep", "repfrt", "rmat"))
 
@@ -91,6 +91,10 @@ def _check_table(fault=None):
     r_recipe = ("sl2", "so22", "nullplane")
     null = ("nullplane",)
     o2, o3 = DEFAULT_ORDER_2FOLD, DEFAULT_ORDER_3FOLD
+
+    def on(check, *args):
+        """A runner for a check of the preset bundle, built with the fault."""
+        return wraps(check)(lambda p, order: check(preset(p, order, fault), *args))
 
     def at(check):
         """A runner for a check that takes the order only."""
@@ -100,34 +104,35 @@ def _check_table(fault=None):
         """A runner for a check that takes the order and the fault."""
         return wraps(check)(lambda p, order: check(order, fault=fault))
 
-    def stability_subalgebra(p, order):
-        bundle = preset(p, order)
+    def hopf_axioms(bundle):
+        return bundle.hopf.run_all_checks()
+
+    def stability_subalgebra(bundle):
         return bundle.hopf.subalgebra_check(bundle.aux["stability_subalgebra"])
 
     return {
-        "consistency": [_Row("consistency", every, o2, _consistency)],
-        "hopf": [_Row("hopf", every, o2,
-                      lambda p, order: preset(p, order).hopf.run_all_checks())],
-        "casimir": [_Row("casimir-centrality", every, o2, check_casimir_centrality)],
-        "classical": [_Row("classical-limit", null, o2, at(check_classical_limits))],
-        "subalgebra": [_Row("hopf-subalgebra", null, o2, stability_subalgebra)],
-        "qybe": [_Row("qybe", ("sl2", "nullplane"), o3, rmat.check_qybe),
-                 _Row("qybe", ("so22",), 2, rmat.check_qybe)],
-        "intertwine": [_Row("intertwine", r_recipe, o3, rmat.check_intertwiner,
+        "consistency": [_Row("consistency", every, o2, partial(_consistency, fault=fault))],
+        "hopf": [_Row("hopf", every, o2, on(hopf_axioms))],
+        "casimir": [_Row("casimir-centrality", every, o2, on(check_casimir_centrality))],
+        "classical": [_Row("classical-limit", null, o2, on(check_classical_limits))],
+        "subalgebra": [_Row("hopf-subalgebra", null, o2, on(stability_subalgebra))],
+        "qybe": [_Row("qybe", ("sl2", "nullplane"), o3, on(rmat.check_qybe)),
+                 _Row("qybe", ("so22",), 2, on(rmat.check_qybe))],
+        "intertwine": [_Row("intertwine", r_recipe, o3, on(rmat.check_intertwiner),
                             ("sl2", "nullplane"))],
-        "triangular": [_Row("triangular", r_recipe, o2, rmat.check_triangularity)],
-        "cybe": [_Row("cybe", r_recipe, o2, rmat.check_cybe, ("so22", "nullplane"))],
+        "triangular": [_Row("triangular", r_recipe, o2, on(rmat.check_triangularity))],
+        "cybe": [_Row("cybe", r_recipe, o2, on(rmat.check_cybe), ("so22", "nullplane"))],
         "cocommutator": [
-            _Row("cocommutator", r_recipe, o2, rmat.check_cocommutator_link,
+            _Row("cocommutator", r_recipe, o2, on(rmat.check_cocommutator_link),
                  ("so22", "nullplane")),
-            _Row("cocommutator-table", null, o2, at(rmat.check_np_cocommutator_table)),
-            _Row("classical-r", r_recipe, o2, rmat.check_classical_r)],
-        "rfactor": [_Row("r-factorization", ("so22",), o2, at(rmat.check_factorization))],
-        "twocopy": [_Row("twocopy", ("so22",), o2, at(cross_check_two_copy))],
-        "basischange": [_Row("basis-change", ("sl2-jbasis",), o2, at(check_basis_change))],
-        "contraction": [_Row("contraction", null, o2, at(contraction.contract_so22))],
+            _Row("cocommutator-table", null, o2, on(rmat.check_np_cocommutator_table)),
+            _Row("classical-r", r_recipe, o2, on(rmat.check_classical_r))],
+        "rfactor": [_Row("r-factorization", ("so22",), o2, on(rmat.check_factorization))],
+        "twocopy": [_Row("twocopy", ("so22",), o2, on(cross_check_two_copy))],
+        "basischange": [_Row("basis-change", ("sl2-jbasis",), o2, on(check_basis_change))],
+        "contraction": [_Row("contraction", null, o2, on(contraction.contract_so22))],
         "matrixrep": [_Row("matrixrep", null, o2, at(repfrt.check_matrix_rep))],
-        "matrixr": [_Row("matrix-r", null, o2, at(repfrt.check_matrix_r), min_order=3)],
+        "matrixr": [_Row("matrix-r", null, o2, on(repfrt.check_matrix_r), min_order=3)],
         "poisson": [_Row("poisson-table", null, o2, at(repfrt.check_poisson_table)),
                     _Row("poisson-jacobi", null, o2, at(repfrt.check_poisson_jacobi))],
         "rtt": [_Row("rtt", null, o2, faulted(repfrt.check_rtt))],
@@ -135,7 +140,7 @@ def _check_table(fault=None):
         "groupcoproduct": [_Row("group-coproduct", null, o2,
                                 faulted(repfrt.check_group_coproduct))],
         "qplane": [_Row("qplane", null, o2, at(repfrt.check_quantum_plane))],
-        "diffrep": [_Row("diffrep", null, o2, faulted(diffrep.run_diffrep_checks))],
+        "diffrep": [_Row("diffrep", null, o2, on(diffrep.run_diffrep_checks, fault))],
     }
 
 
@@ -195,14 +200,10 @@ def _verify_plan(check, algebra, args):
 
 
 def cmd_verify(args):
-    set_active_fault(args.inject_fault)
-    try:
-        plan = _verify_plan(args.check, args.algebra, args)
-        reports = []
-        for label, order, fn in plan:
-            _run_timed(label, fn, reports, args.timeout_secs, order)
-    finally:
-        set_active_fault(None)
+    plan = _verify_plan(args.check, args.algebra, args)
+    reports = []
+    for label, order, fn in plan:
+        _run_timed(label, fn, reports, args.timeout_secs, order)
 
     reports.sort(key=lambda r: (r.check, r.algebra or ""))
     ok = all(r.passed for r in reports)
@@ -315,7 +316,7 @@ def cmd_show(args):
         if bundle.rfactors is None:
             raise UsageError(f"preset {args.algebra!r} carries no R-matrix recipe")
         from . import rmat
-        r = rmat.preset_r(args.algebra, alg.order)
+        r = rmat.preset_r(bundle)
         print(render_tensor(r, fmt))
     else:
         raise UsageError(f"unknown subject {what!r}")
@@ -385,7 +386,8 @@ def build_parser():
     def add_common(sp, formats=("text", "json"), order_help="default 4"):
         sp.add_argument("--order", type=_order_arg, default=default_order,
                         help=f"truncation order (1..6; {order_help})")
-        sp.add_argument("--format", choices=formats, default="text")
+        if formats:
+            sp.add_argument("--format", choices=formats, default="text")
 
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -423,7 +425,7 @@ def build_parser():
 
     sp = sub.add_parser("preset", help="list presets or describe one")
     sp.add_argument("name", nargs="?")
-    add_common(sp)
+    add_common(sp, formats=())
     sp.set_defaults(fn=cmd_preset)
     return p
 

@@ -47,12 +47,12 @@ CONTRACTION_MAP = {
 
 
 class Contraction:
-    """Finite-eps image of the so(2,2) preset in null-plane variables."""
+    """Finite-eps image of the so(2,2) preset in the nullplane bundle's variables."""
 
-    def __init__(self, order):
-        self.order = order
+    def __init__(self, np):
+        self.order = order = np.order
         self.so22 = preset("so22", order)
-        self.np = preset("nullplane", order)
+        self.np = np
         so_alg = self.so22.presentation
         np_alg = self.np.presentation
         self.scale = {np_alg.index[n]: (so_alg.index[s], d, c)
@@ -167,12 +167,12 @@ class Contraction:
         return rep
 
 
-def contract_so22(order):
-    """Run the full contraction suite; returns the list of reports, each with
-    its own measured time.  Building the eps presentation counts towards the
-    first report, the first check that needs it."""
+def contract_so22(np):
+    """Run the full contraction suite onto the nullplane bundle ``np``; returns
+    the list of reports, each with its own measured time.  Building the eps
+    presentation counts towards the first report, the first check that needs it."""
     t0 = time.monotonic()
-    c = Contraction(order)
+    c = Contraction(np)
     build = time.monotonic() - t0
     reports = timed_reports(c.check_commutators, c.check_coproducts, c.check_casimirs,
                             c.check_classical_compatibility)

@@ -28,7 +28,6 @@ from .ncalg import (WordMap, _by_word, _diff_terms, _scaled_terms, _sum_terms, a
                     rule_images)
 from .ratfunc import Laurent, PolyRing
 from .report import CheckReport, timed_reports
-from .algebras import preset
 
 MOMENTUM_RING = PolyRing(("p_plus", "p_1", "m_q2"))
 
@@ -246,23 +245,23 @@ def rep_of_element(rep, element, order):
 
 # -- checks -----------------------------------------------------------------------
 
-def check_rep_relations(order, reading="plain"):
-    """Every preset commutation rule holds at the operator level, exactly."""
-    alg = preset("nullplane", order).presentation
+def check_rep_relations(bundle, reading="plain"):
+    """Every rule of the nullplane bundle holds at the operator level, exactly."""
+    alg, order = bundle.presentation, bundle.order
     rep = WordMap(alg, full_rep(order, reading), WeylOperator.identity(order))
-    out = CheckReport(check="diffrep-relations", algebra="nullplane", order=order,
+    out = CheckReport(check="diffrep-relations", algebra=bundle.name, order=order,
                       details={"f1_reading": reading})
     for (j, i), comm, image in rule_images(rep):
         out.expect_zero(f"[{alg.generators[j]},{alg.generators[i]}]", comm - image)
     return out
 
 
-def resolve_f1_reading(order):
+def resolve_f1_reading(bundle):
     """The relations report of the F_1 reading that closes, the printed (plain)
     one when neither does, with the verdict in ``details["accepted"]``."""
-    plain = check_rep_relations(order, "plain")
+    plain = check_rep_relations(bundle, "plain")
     if not plain.passed:
-        expo = check_rep_relations(order, "exponential")
+        expo = check_rep_relations(bundle, "exponential")
         if expo.passed:
             expo.details["accepted"] = "exponential (printed form rejected)"
             return expo
@@ -270,11 +269,11 @@ def resolve_f1_reading(order):
     return plain
 
 
-def check_casimir_action(order, reading="plain"):
+def check_casimir_action(bundle, reading="plain"):
     """rep(M_q^2) = m_q^2 * 1 and rep(L_q) = 0."""
-    bundle = preset("nullplane", order)
+    order = bundle.order
     rep = full_rep(order, reading)
-    out = CheckReport(check="diffrep-casimirs", algebra="nullplane", order=order)
+    out = CheckReport(check="diffrep-casimirs", algebra=bundle.name, order=order)
     target = WeylOperator.multiplication(order, {0: rf(MOMENTUM_RING.var("m_q2"))})
     out.expect_zero("rep(M_q2) - m_q2*1",
                     rep_of_element(rep, bundle.casimirs["M_q2"], order) - target)
@@ -326,12 +325,11 @@ def check_hamiltonian(order):
     return out
 
 
-def check_two_evaluation_paths(order, max_degree=4, reading="plain"):
+def check_two_evaluation_paths(bundle, max_degree=4, reading="plain"):
     """Composed commutators agree with repeated action on the monomial basis."""
-    bundle = preset("nullplane", order)
-    alg = bundle.presentation
+    alg, order = bundle.presentation, bundle.order
     rep = full_rep(order, reading)
-    out = CheckReport(check="diffrep-action", algebra="nullplane", order=order)
+    out = CheckReport(check="diffrep-action", algebra=bundle.name, order=order)
     monomials = [(a, b) for a in range(max_degree + 1)
                  for b in range(max_degree + 1 - a)]
     # each generator's action on each monomial, shared by every pair
@@ -352,17 +350,17 @@ def check_two_evaluation_paths(order, max_degree=4, reading="plain"):
     return out
 
 
-def run_diffrep_checks(order, fault=None):
+def run_diffrep_checks(bundle, fault=None):
     """The four diffrep reports, each carrying its own measured time.  Without
     a fault the relations check runs first and settles the F_1 reading; the
     Casimir and action checks run on the reading its report was made on."""
     if fault is None:
-        [relations] = timed_reports(lambda: resolve_f1_reading(order))
+        [relations] = timed_reports(lambda: resolve_f1_reading(bundle))
         reading = relations.details["f1_reading"]
         relations.details["f1_reading"] = relations.details.pop("accepted")
     else:
         reading = "exponential" if fault == "diffrep-op" else "plain"
-        [relations] = timed_reports(lambda: check_rep_relations(order, reading))
+        [relations] = timed_reports(lambda: check_rep_relations(bundle, reading))
     return [relations] + timed_reports(
-        lambda: check_casimir_action(order, reading), lambda: check_hamiltonian(order),
-        lambda: check_two_evaluation_paths(order, reading=reading))
+        lambda: check_casimir_action(bundle, reading), lambda: check_hamiltonian(bundle.order),
+        lambda: check_two_evaluation_paths(bundle, reading=reading))

@@ -41,7 +41,7 @@ from .ncalg import (AlgebraPresentation, NCElement, TensorElement, add_term, rul
 from .ratfunc import PolyRing, Polynomial, groebner, leads, reduce_poly
 from .hopf import HopfMaps
 from .report import CheckReport
-from .algebras import NP_GENERATORS, classical_bracket, preset
+from .algebras import NP_GENERATORS, classical_bracket
 from .rmat import classical_r_of_preset
 
 HALF = FieldElem(rat(1, 2))
@@ -87,10 +87,24 @@ def mat_add(a, b, c=1):
     return out
 
 
-def kron(a, b):
-    """Kronecker product of two graded 4x4 matrices (row-major, powers add)."""
-    return {(4 * i + k, 4 * j + l, ka + kb): x * y
+def kron(a, b, d=4):
+    """Kronecker product of graded matrices, ``b`` being d x d (row-major,
+    powers add)."""
+    return {(d * i + k, d * j + l, ka + kb): x * y
             for (i, j, ka), x in a.items() for (k, l, kb), y in b.items()}
+
+
+def identity(n):
+    return {(i, i, 0): FE_ONE for i in range(n)}
+
+
+def swap(m, d=4):
+    """``m`` with the last two sites of every index exchanged, each site
+    ranging over d values: d*d*h + d*a + b becomes d*d*h + d*b + a."""
+    def site_swap(i):
+        h, a, b = i // (d * d), i // d % d, i % d
+        return d * d * h + d * b + a
+    return {(site_swap(i), site_swap(j), k): e for (i, j, k), e in m.items()}
 
 
 def check_matrix_rep(order=0):
@@ -121,49 +135,32 @@ def _wedge16():
     return mat_add(w, kron(rep["P_1"], rep["E_1"]), -1)
 
 
-# the index of (B (x) A) at the index of (A (x) B): swaps the two sites
-FLIP16 = tuple(4 * (i % 4) + i // 4 for i in range(16))
-
-
-def _identity16():
-    return {(i, i, 0): FE_ONE for i in range(16)}
-
-
 def matrix_r(order=3):
     """16x16 R = I (x) I + 2w * wedge as a sparse graded matrix; the w term
     is dropped at order 0."""
-    r = _identity16()
+    r = identity(16)
     if order >= 1:
         r.update({(i, j, 1): c * 2 for (i, j, _), c in _wedge16().items()})
     return r
 
 
-def _embed64(r, slots):
-    """Place a 16x16 two-site matrix on the given pair of three sites."""
-    other = ({0, 1, 2} - set(slots)).pop()
-
-    def site_index(pair, t):
-        digits = [t, t, t]
-        digits[slots[0]], digits[slots[1]] = divmod(pair, 4)
-        return 16 * digits[0] + 4 * digits[1] + digits[2]
-
-    return {(site_index(i, t), site_index(j, t), k): e
-            for (i, j, k), e in r.items() for t in range(4)}
+def site_pairs(r):
+    """R12, R13 and R23: the 16x16 two-site matrix ``r`` on the sites (0, 1),
+    (0, 2) and (1, 2) of three."""
+    r12 = kron(r, identity(4))
+    return r12, swap(r12), kron(identity(4), r, 16)
 
 
-def check_matrix_r(order=3):
+def check_matrix_r(bundle):
     """Matrix QYBE and triangularity hold exactly (R is linear in w)."""
-    out = CheckReport(check="matrix-r", algebra="nullplane", order=order)
+    order = bundle.order
+    out = CheckReport(check="matrix-r", algebra=bundle.name, order=order)
     r = matrix_r(order)
-    r12 = _embed64(r, (0, 1))
-    r13 = _embed64(r, (0, 2))
-    r23 = _embed64(r, (1, 2))
+    r12, r13, r23 = site_pairs(r)
     if (mat_mul(mat_mul(r12, r13, order), r23, order)
             != mat_mul(mat_mul(r23, r13, order), r12, order)):
         out.add_failure("matrix QYBE", "nonzero residual")
-    # R21 R = identity
-    r21 = {(FLIP16[i], FLIP16[j], k): e for (i, j, k), e in r.items()}
-    if mat_mul(r21, r, order) != _identity16():
+    if mat_mul(swap(r), r, order) != identity(16):
         out.add_failure("matrix triangularity", "R21 R != I")
     # w = 0 gives the identity
     for i in range(16):
@@ -171,10 +168,10 @@ def check_matrix_r(order=3):
             if r.get((i, j, 0), FE_ZERO) != (FE_ONE if i == j else FE_ZERO):
                 out.add_failure("w=0 specialization", f"entry {(i, j)}")
     # the first-order block is the representation of the classical r
-    np_alg = preset("nullplane", max(order, 1)).presentation
+    np_alg = bundle.presentation
     rep = matrix_rep()
     acc = {}
-    for (i, j), c in classical_r_of_preset("nullplane", max(order, 1)).items():
+    for (i, j), c in classical_r_of_preset(bundle).items():
         gi, gj = np_alg.generators[i], np_alg.generators[j]
         acc = mat_add(acc, kron(rep[gi], rep[gj]), c)
         acc = mat_add(acc, kron(rep[gj], rep[gi]), -c)
@@ -497,9 +494,9 @@ def check_rtt(order=2, fault=None):
     rep = CheckReport(check="rtt", algebra="qpoincare", order=order)
     r = matrix_r(order)
     t = quantum_t(alg)
-    # T1 T2 = T (x) T, and T2 T1 at (a, b) is T1 T2 at (FLIP16[a], FLIP16[b])
+    # T1 T2 = T (x) T, and T2 T1 is it with the two sites swapped
     t1t2 = kron(t, t)
-    t2t1 = {(FLIP16[i], FLIP16[j], k): x for (i, j, k), x in t1t2.items()}
+    t2t1 = swap(t1t2)
     res = {}
     for (i, j, k), x in mat_add(mat_mul(r, t1t2, order), mat_mul(t2t1, r, order), -1).items():
         add_term(res, (i, j), x.scaled(FE_ONE, k))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .coeff import FE_ONE, FieldElem
 from .ncalg import TensorElement, exp_series, tensor_pair
-from .algebras import classical_presentation, preset
+from .algebras import classical_presentation
 from .report import CheckReport
 
 
@@ -32,10 +32,9 @@ def build_universal_r(algebra, rfactors):
     return out
 
 
-def preset_r(name, order):
-    bundle = preset(name, order)
+def preset_r(bundle):
     if bundle.rfactors is None:
-        raise ValueError(f"preset {name} has no R-matrix recipe")
+        raise ValueError(f"preset {bundle.name} has no R-matrix recipe")
     return build_universal_r(bundle.presentation, bundle.rfactors)
 
 
@@ -93,13 +92,12 @@ def extract_classical_r(r):
     return out
 
 
-def classical_r_of_preset(name, order):
-    """The wedge data of the preset's R recipe, read off the factor list.
+def classical_r_of_preset(bundle):
+    """The wedge data of the bundle's R recipe, read off the factor list.
 
     Each factor exp{c * param * L (x) R} contributes c * L (x) R at first
     order; the sum must be antisymmetric and is returned in wedge form.
     """
-    bundle = preset(name, order)
     alg = bundle.presentation
     pair = {}
     for c, left, right in bundle.rfactors:
@@ -112,7 +110,7 @@ def classical_r_of_preset(name, order):
         mirror = pair.get((j, i), FieldElem(0))
         if not (mirror + c).is_zero():
             raise NotAntisymmetric(
-                f"factor recipe of {name} is not antisymmetric at first order")
+                f"factor recipe of {bundle.name} is not antisymmetric at first order")
         if i < j:
             out[(i, j)] = c
     return out
@@ -160,60 +158,57 @@ def skew_first_order(t, classical_alg):
 
 # -- check drivers -------------------------------------------------------------
 
-def check_qybe(name, order):
-    r = preset_r(name, order)
-    rep = CheckReport(check="qybe", algebra=name, order=order)
+def check_qybe(bundle):
+    r = preset_r(bundle)
+    rep = CheckReport(check="qybe", algebra=bundle.name, order=bundle.order)
     rep.expect_zero("R12 R13 R23 - R23 R13 R12", qybe_residual(r))
     return rep
 
 
-def check_intertwiner(name, order):
-    bundle = preset(name, order)
-    r = preset_r(name, order)
-    rep = CheckReport(check="intertwine", algebra=name, order=order)
+def check_intertwiner(bundle):
+    r = preset_r(bundle)
+    rep = CheckReport(check="intertwine", algebra=bundle.name, order=bundle.order)
     for g in bundle.presentation.generators:
         rep.expect_zero(f"sigma.Delta({g}).R - R.Delta({g})",
                         intertwiner_residual(r, bundle.hopf, g))
     return rep
 
 
-def check_triangularity(name, order):
-    r = preset_r(name, order)
-    rep = CheckReport(check="triangular", algebra=name, order=order)
+def check_triangularity(bundle):
+    r = preset_r(bundle)
+    rep = CheckReport(check="triangular", algebra=bundle.name, order=bundle.order)
     rep.expect_zero("flip(R).R - 1(x)1", triangularity_residual(r))
     return rep
 
 
-def check_classical_r(name, order):
+def check_classical_r(bundle):
     """extract_classical_r(R) agrees with the factor-level wedge reading."""
-    rep = CheckReport(check="classical-r", algebra=name, order=order)
-    r = preset_r(name, order)
+    rep = CheckReport(check="classical-r", algebra=bundle.name, order=bundle.order)
     try:
-        got = extract_classical_r(r)
+        got = extract_classical_r(preset_r(bundle))
     except NotAntisymmetric as e:
         rep.add_failure("antisymmetry", str(e))
         return rep
-    want = classical_r_of_preset(name, order)
+    want = classical_r_of_preset(bundle)
     if got != want:
-        alg = preset(name, order).presentation
+        alg = bundle.presentation
         rep.add_failure("wedge data", f"got {_wedge_str(alg, got)}, "
                                       f"expected {_wedge_str(alg, want)}")
     return rep
 
 
-def check_cybe(name, order):
-    rep = CheckReport(check="cybe", algebra=name, order=order)
-    calg = classical_presentation(name, order)
-    rep.expect_zero("[[r,r]]", cybe_residual(classical_r_of_preset(name, order), calg))
+def check_cybe(bundle):
+    rep = CheckReport(check="cybe", algebra=bundle.name, order=bundle.order)
+    calg = classical_presentation(bundle)
+    rep.expect_zero("[[r,r]]", cybe_residual(classical_r_of_preset(bundle), calg))
     return rep
 
 
-def check_cocommutator_link(name, order):
+def check_cocommutator_link(bundle):
     """delta(X) from the classical r equals Delta_(1) - flip(Delta_(1))."""
-    bundle = preset(name, order)
-    calg = classical_presentation(name, order)
-    wedges = classical_r_of_preset(name, order)
-    rep = CheckReport(check="cocommutator", algebra=name, order=order)
+    calg = classical_presentation(bundle)
+    wedges = classical_r_of_preset(bundle)
+    rep = CheckReport(check="cocommutator", algebra=bundle.name, order=bundle.order)
     for g in bundle.presentation.generators:
         d = bundle.hopf.delta[bundle.presentation.index[g]]
         rep.expect_zero(f"delta({g})",
@@ -221,12 +216,11 @@ def check_cocommutator_link(name, order):
     return rep
 
 
-def check_factorization(order):
+def check_factorization(bundle):
     """The four-factor so(2,2) R equals the merged two-factor form."""
-    bundle = preset("so22", order)
     alg = bundle.presentation
-    rep = CheckReport(check="r-factorization", algebra="so22", order=order)
-    four = preset_r("so22", order)
+    rep = CheckReport(check="r-factorization", algebra=bundle.name, order=bundle.order)
+    four = preset_r(bundle)
 
     def leg(c, left, right):
         return TensorElement(alg, 2, {((((alg.index[left], 1),),
@@ -257,11 +251,11 @@ NP_EXPECTED_COCOMMUTATORS = {
 }
 
 
-def check_np_cocommutator_table(order):
+def check_np_cocommutator_table(bundle):
     """The engine's cocommutators equal the published null-plane table."""
-    calg = classical_presentation("nullplane", order)
-    wedges = classical_r_of_preset("nullplane", order)
-    rep = CheckReport(check="cocommutator-table", algebra="nullplane", order=order)
+    calg = classical_presentation(bundle)
+    wedges = classical_r_of_preset(bundle)
+    rep = CheckReport(check="cocommutator-table", algebra=bundle.name, order=bundle.order)
     for g, table in NP_EXPECTED_COCOMMUTATORS.items():
         want_wedges = {}
         for (x, y), c in table.items():

@@ -63,53 +63,53 @@ def test_criterion_02_hopf_axioms():
 def test_criterion_03_casimir_centrality():
     reports = []
     for name in PRESETS:
-        reports += _timed(check_casimir_centrality, name, 4)
+        reports += _timed(check_casimir_centrality, preset(name, 4))
     _criterion(3, "Casimir centrality at N=4", 300, reports)
 
 
 def test_criterion_04_classical_limits():
-    reports = _timed(check_classical_limits, 4)
+    reports = _timed(check_classical_limits, preset("nullplane", 4))
     _criterion(4, "w->0 limits of brackets and Casimirs", 10, reports)
 
 
 def test_criterion_05_qybe():
-    reports = _timed(rmat.check_qybe, "sl2", 3)
-    reports += _timed(rmat.check_qybe, "nullplane", 3)
-    reports += _timed(rmat.check_qybe, "so22", 2)
+    reports = _timed(rmat.check_qybe, preset("sl2", 3))
+    reports += _timed(rmat.check_qybe, preset("nullplane", 3))
+    reports += _timed(rmat.check_qybe, preset("so22", 2))
     _criterion(5, "quantum Yang-Baxter residuals", 900, reports)
 
 
 def test_criterion_06_intertwining():
-    reports = _timed(rmat.check_intertwiner, "sl2", 3)
-    reports += _timed(rmat.check_intertwiner, "nullplane", 3)
+    reports = _timed(rmat.check_intertwiner, preset("sl2", 3))
+    reports += _timed(rmat.check_intertwiner, preset("nullplane", 3))
     _criterion(6, "coproduct intertwining at N=3", 600, reports)
 
 
 def test_criterion_07_triangularity():
     reports = []
     for name in ("sl2", "so22", "nullplane"):
-        reports += _timed(rmat.check_triangularity, name, 4)
+        reports += _timed(rmat.check_triangularity, preset(name, 4))
     _criterion(7, "triangularity flip(R)R = 1 at N=4", 300, reports)
 
 
 def test_criterion_08_classical_r_cybe_cocommutators():
     reports = []
     for name in ("so22", "nullplane"):
-        reports += _timed(rmat.check_classical_r, name, 4)
-        reports += _timed(rmat.check_cybe, name, 4)
-        reports += _timed(rmat.check_cocommutator_link, name, 4)
-    reports += _timed(rmat.check_np_cocommutator_table, 4)
+        reports += _timed(rmat.check_classical_r, preset(name, 4))
+        reports += _timed(rmat.check_cybe, preset(name, 4))
+        reports += _timed(rmat.check_cocommutator_link, preset(name, 4))
+    reports += _timed(rmat.check_np_cocommutator_table, preset("nullplane", 4))
     _criterion(8, "classical r, CYBE and cocommutator tables", 30, reports)
 
 
 def test_criterion_09_contraction():
-    reports = _timed(contract_so22, 4)
+    reports = _timed(contract_so22, preset("nullplane", 4))
     _criterion(9, "so(2,2) -> null-plane contraction at N=4", 300, reports)
 
 
 def test_criterion_10_matrix_sector():
     reports = _timed(repfrt.check_matrix_rep, 4)
-    reports += _timed(repfrt.check_matrix_r, 4)
+    reports += _timed(repfrt.check_matrix_r, preset("nullplane", 4))
     _criterion(10, "matrix representation and matrix Yang-Baxter", 10, reports)
 
 
@@ -129,7 +129,7 @@ def test_criterion_12_frt_sector():
 
 
 def test_criterion_13_differential_representation():
-    reports = _timed(diffrep.run_diffrep_checks, 4)
+    reports = _timed(diffrep.run_diffrep_checks, preset("nullplane", 4))
     _criterion(13, "differential representation at N=4", 300, reports)
 
 

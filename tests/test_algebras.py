@@ -9,7 +9,7 @@ from hopf_forge.algebras import (SO22_GENERATORS, build_preset, build_twocopy,
                                  check_basis_change, check_casimir_centrality,
                                  check_classical_limits, cross_check_two_copy, exp_gen,
                                  preset, PresetConstructionError,
-                                 set_active_fault, transport)
+                                 transport)
 from hopf_forge.coeff import FieldElem, rat
 from hopf_forge.contraction import Contraction
 from hopf_forge.ncalg import MissingRule, tensor_pair
@@ -74,7 +74,7 @@ class TestSo22Table:
 class TestCasimirs:
     @pytest.mark.parametrize("name", ["sl2", "so22", "nullplane", "sl2-jbasis"])
     def test_centrality(self, name):
-        assert check_casimir_centrality(name, 3).passed
+        assert check_casimir_centrality(preset(name, 3)).passed
 
     def test_classical_mass_casimir(self):
         b = preset("nullplane", 3)
@@ -93,7 +93,7 @@ class TestCasimirs:
         assert cl == want
 
     def test_classical_limits_report(self):
-        assert check_classical_limits(3).passed
+        assert check_classical_limits(preset("nullplane", 3)).passed
 
     def test_sl2_classical_bracket(self):
         alg = preset("sl2", 2).presentation
@@ -103,13 +103,13 @@ class TestCasimirs:
 
 class TestTwoCopy:
     def test_cross_check(self):
-        for rep in cross_check_two_copy(3):
+        for rep in cross_check_two_copy(preset("so22", 3)):
             assert rep.passed, rep
 
 
 class TestBasisChange:
     def test_report(self):
-        assert check_basis_change(3).passed
+        assert check_basis_change(preset("sl2-jbasis", 3)).passed
 
     def test_jbasis_boost_relation_is_sinh(self):
         # [J_3, J_+] = 2 sinh(z J_+)/z, derived mechanically
@@ -132,7 +132,7 @@ class TestBasisChange:
 
 class TestTransport:
     def test_rules_belong_to_their_presentation(self):
-        for alg in (preset("sl2-jbasis", 3).presentation, Contraction(2).alg):
+        for alg in (preset("sl2-jbasis", 3).presentation, Contraction(preset("nullplane", 2)).alg):
             assert all(rhs.algebra is alg for rhs in alg.rules.values()), alg
 
     def test_derived_presentations_die_with_their_last_reference(self):
@@ -140,7 +140,7 @@ class TestTransport:
         # keeps the eps or two-copy presentation alive until a collection
         gc.disable()
         try:
-            contraction = Contraction(2)
+            contraction = Contraction(preset("nullplane", 2))
             eps = weakref.ref(contraction.alg)
             twocopy = build_twocopy(2)
             two = weakref.ref(twocopy[0])
@@ -175,12 +175,8 @@ class TestTransport:
 
 class TestFaultInjection:
     def test_corrupted_rule_aborts_construction(self):
-        set_active_fault("ncalg-rule")
-        try:
-            with pytest.raises(PresetConstructionError):
-                preset("nullplane", 2)
-        finally:
-            set_active_fault(None)
+        with pytest.raises(PresetConstructionError):
+            preset("nullplane", 2, fault="ncalg-rule")
 
     def test_corrupted_casimir_detected(self):
         bad = build_preset("nullplane", 2, fault="algebras-casimir")
@@ -190,7 +186,7 @@ class TestFaultInjection:
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError):
-            set_active_fault("no-such-fault")
+            preset("nullplane", 2, fault="no-such-fault")
 
 
 class TestPresetHygiene:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hopf_forge.algebras import PRESET_NAMES, set_active_fault
+from hopf_forge.algebras import PRESET_NAMES
 from hopf_forge.cli import UsageError, _run_timed, _verify_plan, build_parser
 
 CLI = [sys.executable, "-m", "hopf_forge"]
@@ -34,6 +34,11 @@ class TestExitCodes:
     def test_unknown_check_is_usage_error(self):
         r = run("verify", "nonsense")
         assert r.returncode == 2
+
+    def test_preset_takes_no_format(self):
+        r = run("preset", "nullplane", "--format", "json")
+        assert r.returncode == 2
+        assert "unrecognized arguments: --format json" in r.stderr
 
     def test_bad_expression_is_usage_error(self):
         r = run("normalize", "A*Q", "--algebra", "sl2")
@@ -243,13 +248,9 @@ class TestVerifyPlan:
     def test_blocked_check_reports_under_its_own_label(self):
         args = build_parser().parse_args(["verify", "qybe", "--algebra", "nullplane",
                                           "--order", "2", "--inject-fault", "ncalg-rule"])
-        set_active_fault("ncalg-rule")
-        try:
-            out = []
-            for label, order, fn in _verify_plan("qybe", "nullplane", args):
-                _run_timed(label, fn, out, 900, order)
-        finally:
-            set_active_fault(None)
+        out = []
+        for label, order, fn in _verify_plan("qybe", "nullplane", args):
+            _run_timed(label, fn, out, 900, order)
         assert [(r.check, r.algebra, r.order, r.passed) for r in out] == \
             [("qybe", "nullplane", 2, False)]
         assert out[0].failures[0]["input"] == "PresetConstructionError"

@@ -20,7 +20,7 @@ def _sample_words(count=40):
 
 class TestEpsPower:
     def test_power_read_off_the_key(self):
-        c = Contraction(2)
+        c = Contraction(preset("nullplane", 2))
         idx = c.np.presentation.index
         # d(P_plus) = d(P_1) = 1, d(K_2) = 0
         word = ((idx["P_plus"], 2), (idx["P_1"], 1), (idx["K_2"], 3))
@@ -31,7 +31,7 @@ class TestEpsPower:
     def test_normal_forms_have_no_eps_poles(self):
         # a product of generators has eps offset d(word); rewriting it by the
         # contracted rules never takes a term's eps power below zero
-        c = Contraction(2)
+        c = Contraction(preset("nullplane", 2))
         for flat in _sample_words():
             offset = sum(c.scale[g][1] for g in flat)
             assert all(c.eps_power(offset, w, k) >= 0
@@ -42,7 +42,7 @@ class TestEpsPower:
         # homomorphism onto so(2,2): a normal form of the contracted algebra,
         # mapped and normalized in so(2,2), is the so(2,2) normal form of the
         # image word
-        c = Contraction(2)
+        c = Contraction(preset("nullplane", 2))
         so_alg = c.so22.presentation
         for flat in _sample_words():
             factor = FE_ONE
@@ -58,7 +58,7 @@ class TestEpsPower:
             assert so_alg.normalize(raw) == want, flat
 
     def test_rule_offsets(self):
-        c = Contraction(2)
+        c = Contraction(preset("nullplane", 2))
         np_alg = c.np.presentation
         j, i = np_alg.index["P_minus"], np_alg.index["P_plus"]
         assert c.rule_offset(j, i) == 2
@@ -67,7 +67,7 @@ class TestEpsPower:
 
 class TestContractionSuite:
     def test_all_reports_pass(self):
-        for rep in contract_so22(3):
+        for rep in contract_so22(preset("nullplane", 3)):
             assert rep.passed, rep
 
     def test_build_time_counts_in_the_first_report(self, monkeypatch):
@@ -78,13 +78,13 @@ class TestContractionSuite:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(ctr, "transport", slow)
-        reports = contract_so22(2)
+        reports = contract_so22(preset("nullplane", 2))
         assert reports[0].check == "contraction-commutators"
         assert reports[0].seconds >= 0.2
 
     def test_k2_pminus_rule(self):
         # the contracted [K_2, P_minus] is exactly -P_minus - w P_1^2
-        c = Contraction(3)
+        c = Contraction(preset("nullplane", 3))
         np_alg = c.np.presentation
         j, i = np_alg.index["K_2"], np_alg.index["P_minus"]
         poles, got = c.limit(c.commutator(j, i), c.rule_offset(j, i))
@@ -96,11 +96,11 @@ class TestContractionSuite:
         assert got == explicit
 
     def test_contracted_coproduct_k2(self):
-        c = Contraction(3)
+        c = Contraction(preset("nullplane", 3))
         assert c.check_coproducts().passed
 
     def test_casimir_prefactors_as_stated(self):
-        rep = Contraction(3).check_casimirs()
+        rep = Contraction(preset("nullplane", 3)).check_casimirs()
         assert rep.passed, rep
 
 
@@ -111,7 +111,7 @@ class TestPoleDetection:
         so_name, d, c = bad["P_minus"]
         bad["P_minus"] = (so_name, 0, c)
         monkeypatch.setattr(ctr, "CONTRACTION_MAP", bad)
-        con = Contraction(2)
+        con = Contraction(preset("nullplane", 2))
         rep = con.check_commutators()
         assert not rep.passed
         assert any("pole" in f["residual"] for f in rep.failures)
@@ -127,7 +127,7 @@ class TestScaleData:
     def test_series_map_tracks_sqrt2_powers(self):
         # z = sqrt2 eps w: the eps-algebra scalar z^k carries eps^k, so
         # eps^-k z^k (offset -k) is 2 w^2 for k = 2 and 2 sqrt2 w^3 for k = 3
-        c = Contraction(3)
+        c = Contraction(preset("nullplane", 3))
         np_alg = c.np.presentation
         for k, scalar in ((2, FieldElem(2)), (3, FieldElem(0, 2))):
             poles, got = c.limit(c.alg.scalar(FE_ONE, k), -k)
@@ -142,11 +142,11 @@ class TestContractedUniversalR:
         # the so(2,2) universal R, mapped into the eps algebra (where its
         # image words are normal ordered by the contracted rules), has no eps
         # pole at offset 0, and its eps^0 part is the null-plane universal R
-        c = Contraction(n)
-        r = rmat.preset_r("so22", n).substitute(c.alg, c.eps.aux["alpha"])
+        c = Contraction(preset("nullplane", n))
+        r = rmat.preset_r(preset("so22", n)).substitute(c.alg, c.eps.aux["alpha"])
         poles, got = c.limit(r, 0)
         assert poles == []
-        assert got == rmat.preset_r("nullplane", n)
+        assert got == rmat.preset_r(preset("nullplane", n))
 
 
 class TestContractedAntipodeAndCounit:
@@ -154,7 +154,7 @@ class TestContractedAntipodeAndCounit:
     def test_antipode_contracts_to_nullplane_antipode(self, n):
         # the eps antipode of a generator of weight d has eps offset d, like
         # its coproduct; its eps^0 part is the null-plane antipode
-        c = Contraction(n)
+        c = Contraction(preset("nullplane", n))
         for g in range(6):
             poles, got = c.limit(c.eps.hopf.antipode[g], c.scale[g][1])
             assert poles == []
@@ -162,7 +162,7 @@ class TestContractedAntipodeAndCounit:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_counit_contracts_to_nullplane_counit(self, n):
-        c = Contraction(n)
+        c = Contraction(preset("nullplane", n))
         for g in range(6):
             poles, got = c.limit(c.alg.scalar(c.eps.hopf.counit[g]), c.scale[g][1])
             assert poles == []

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from hopf_forge import diffrep
+from hopf_forge.algebras import preset
 from hopf_forge.coeff import DeformationSeries, FieldElem, rat
 from hopf_forge.diffrep import (MOMENTUM_RING, RF_ONE, RF_ZERO, WeylOperator,
                                 build_dynamical_rep, build_stability_rep,
@@ -99,21 +100,21 @@ class TestStabilityRep:
 
 class TestDynamicalRep:
     def test_relations_close_with_printed_reading(self):
-        rep = resolve_f1_reading(3)
+        rep = resolve_f1_reading(preset("nullplane", 3))
         assert rep.passed
         assert rep.details["accepted"].startswith("plain")
 
     def test_exponential_reading_fails(self):
-        assert not check_rep_relations(3, "exponential").passed
+        assert not check_rep_relations(preset("nullplane", 3), "exponential").passed
 
     def test_relations_at_order_4(self):
-        assert check_rep_relations(4).passed
+        assert check_rep_relations(preset("nullplane", 4)).passed
 
     def test_casimir_action(self):
-        assert check_casimir_action(4).passed
+        assert check_casimir_action(preset("nullplane", 4)).passed
 
     def test_two_evaluation_paths(self):
-        assert check_two_evaluation_paths(3, max_degree=3).passed
+        assert check_two_evaluation_paths(preset("nullplane", 3), max_degree=3).passed
 
     def test_plain_relations_checked_once(self, monkeypatch):
         calls = []
@@ -124,8 +125,9 @@ class TestDynamicalRep:
             return real(*args)
 
         monkeypatch.setattr(diffrep, "check_rep_relations", counted)
-        relations = diffrep.run_diffrep_checks(3)[0]
-        assert calls == [(3, "plain")]
+        bundle = preset("nullplane", 3)
+        relations = diffrep.run_diffrep_checks(bundle)[0]
+        assert calls == [(bundle, "plain")]
         # the accepted reading is reported, and no ``accepted`` key besides
         assert relations.details == {"f1_reading": "plain (as printed)"}
 
@@ -138,7 +140,7 @@ class TestDynamicalRep:
         swap = {"plain": "exponential", "exponential": "plain"}
         monkeypatch.setattr(diffrep, "build_dynamical_rep",
                             lambda order, reading="plain": real(order, swap[reading]))
-        reports = diffrep.run_diffrep_checks(3)
+        reports = diffrep.run_diffrep_checks(preset("nullplane", 3))
         assert [r.check for r in reports if not r.passed] == []
         assert reports[0].details == {"f1_reading": "exponential (printed form rejected)"}
 
@@ -146,8 +148,9 @@ class TestDynamicalRep:
         real = diffrep.build_dynamical_rep
         monkeypatch.setattr(diffrep, "build_dynamical_rep",
                             lambda order, reading="plain": real(order, "exponential"))
-        relations = diffrep.run_diffrep_checks(3)[0]
-        assert len(relations.failures) == len(check_rep_relations(3, "exponential").failures)
+        bundle = preset("nullplane", 3)
+        relations = diffrep.run_diffrep_checks(bundle)[0]
+        assert len(relations.failures) == len(check_rep_relations(bundle, "exponential").failures)
         assert relations.details == {"f1_reading": "plain (as printed)"}
 
 

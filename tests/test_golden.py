@@ -12,7 +12,8 @@ ideal must stay byte-identical to the files under ``tests/golden/``.
 
 The corpus, the contraction, diffrep, Hopf and default-plan verify runs and
 the weight changes run in-process; the `verify all` goldens are compared by acceptance
-criterion 14, which runs those subprocesses anyway.  The order-6 Hopf runs
+criterion 14, which runs those subprocesses anyway, and once more in one process,
+each faulted run followed by a fault-free one, so that no fault leaks into a later run.  The order-6 Hopf runs
 (about 1.5 s each) are compared by CI, not by the test suite::
 
     PYTHONPATH=src python tests/test_golden.py --check-hopf-order6
@@ -33,7 +34,7 @@ from pathlib import Path
 import pytest
 
 from hopf_forge import cli
-from hopf_forge.algebras import FAULTS, PRESET_NAMES
+from hopf_forge.algebras import FAULTS, PRESET_NAMES, preset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -203,7 +204,7 @@ def weight_change_reports():
         for name, (so_name, d, c) in original.items():
             for step in (-1, 1):
                 contraction.CONTRACTION_MAP = {**original, name: (so_name, d + step, c)}
-                reports = [r.to_dict() for r in contraction.contract_so22(2)]
+                reports = [r.to_dict() for r in contraction.contract_so22(preset("nullplane", 2))]
                 for r in reports:
                     r.pop("seconds", None)
                 out[f"{name} {d + step:+d}"] = reports
@@ -277,6 +278,16 @@ def test_default_verify_plan_is_golden():
     code, text = run_in_process(DEFAULT_ARGV)
     assert code == 0
     assert strip_seconds(json.loads(text)) == json.loads(DEFAULT_GOLDEN.read_text())
+
+
+def test_no_fault_leaks_into_the_next_run_in_one_process():
+    clean = json.loads((GOLDEN / verify_golden_name(None)).read_text())
+    for fault in sorted(FAULTS):
+        code, text = run_in_process(verify_argv(fault))
+        want = json.loads((GOLDEN / verify_golden_name(fault)).read_text())
+        assert (code, strip_seconds(json.loads(text))) == (1, want), fault
+        code, text = run_in_process(verify_argv(None))
+        assert (code, strip_seconds(json.loads(text))) == (0, clean), f"after {fault}"
 
 
 def test_contraction_under_weight_changes_is_golden():

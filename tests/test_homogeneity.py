@@ -72,7 +72,7 @@ def test_casimirs_are_homogeneous(name):
 def test_universal_r_is_homogeneous(name):
     alg = preset(name, ORDER).presentation
     _, of_words = weight_of(alg, name)
-    assert graded_weights(preset_r(name, ORDER), of_words, 2) == {0}
+    assert graded_weights(preset_r(preset(name, ORDER)), of_words, 2) == {0}
 
 
 def test_inhomogeneous_input_keeps_every_term():

@@ -137,7 +137,7 @@ ORACLE_CASES = [(name, order) for name in ("sl2", "so22", "nullplane", "sl2-jbas
 
 def fresh_presentation(name, order):
     if name == "nullplane-eps":
-        return Contraction(order).alg
+        return Contraction(preset("nullplane", order)).alg
     return build_preset(name, order).presentation
 
 

@@ -10,7 +10,7 @@ from hopf_forge.coeff import FE_ONE, FE_SQRT2, FE_ZERO, FieldElem, rat
 from hopf_forge.ncalg import NCElement, add_term, tensor_pair
 from hopf_forge.ratfunc import PolyRing, Polynomial, leads, reduce_poly
 from hopf_forge.repfrt import (COORD_NAMES, L_NAMES, RING12, T_COORDS, T_ENTRIES,
-                               InconsistentBivector, _embed64, _ideal_reduce_slots,
+                               InconsistentBivector, _ideal_reduce_slots,
                                _poly_to_element, _reduce_blocks, check_group_coproduct,
                                check_matrix_r, check_matrix_rep,
                                check_poisson_jacobi, check_poisson_table,
@@ -20,7 +20,7 @@ from hopf_forge.repfrt import (COORD_NAMES, L_NAMES, RING12, T_COORDS, T_ENTRIES
                                mat_add, mat_mul, matrix_r, matrix_rep,
                                orthogonality_groebner, orthogonality_quadrics,
                                poisson_bracket, quantum_presentation, quantum_t,
-                               sklyanin_table)
+                               site_pairs, sklyanin_table)
 from hopf_forge.rmat import preset_r
 
 HALF = FieldElem(rat(1, 2))
@@ -149,7 +149,7 @@ class TestKernelAgainstRepresentation:
             return out
 
         got = {}
-        for ((w1, w2), k), c in preset_r("nullplane", order).terms.items():
+        for ((w1, w2), k), c in preset_r(preset("nullplane", order)).terms.items():
             piece = {(i, j, k): v for (i, j, _), v in kron(rho(w1), rho(w2)).items()}
             got = mat_add(got, piece, c)
         assert got == matrix_r(order)
@@ -157,7 +157,7 @@ class TestKernelAgainstRepresentation:
 
 class TestMatrixR:
     def test_qybe_triangularity_exact(self):
-        assert check_matrix_r(3).passed
+        assert check_matrix_r(preset("nullplane", 3)).passed
 
     @pytest.mark.parametrize("slots", [(0, 1), (0, 2), (1, 2)])
     def test_embedding_matches_a_scan_of_all_index_pairs(self, slots):
@@ -172,7 +172,8 @@ class TestMatrixR:
                     for k in (0, 1):
                         if (row, col, k) in r:
                             want[(a, b, k)] = r[(row, col, k)]
-        assert _embed64(r, slots) == want
+        embedded = dict(zip([(0, 1), (0, 2), (1, 2)], site_pairs(r)))
+        assert embedded[slots] == want
 
 
 class TestSklyanin:

@@ -18,7 +18,7 @@ from hopf_forge.rmat import (NotAntisymmetric, build_universal_r,
 
 class TestConstruction:
     def test_sl2_first_order(self):
-        r = preset_r("sl2", 1)
+        r = preset_r(preset("sl2", 1))
         alg = preset("sl2", 1).presentation
         ap, a = ((alg.index["A_plus"], 1),), ((alg.index["A"], 1),)
         want = TensorElement.unit(alg, 2) \
@@ -26,7 +26,7 @@ class TestConstruction:
         assert r == want
 
     def test_nullplane_first_order(self):
-        r = preset_r("nullplane", 1)
+        r = preset_r(preset("nullplane", 1))
         alg = preset("nullplane", 1).presentation
 
         def w(g):
@@ -48,13 +48,13 @@ class TestConstruction:
 
 class TestQYBE:
     def test_sl2_order3(self):
-        assert check_qybe("sl2", 3).passed
+        assert check_qybe(preset("sl2", 3)).passed
 
     def test_nullplane_order3(self):
-        assert check_qybe("nullplane", 3).passed
+        assert check_qybe(preset("nullplane", 3)).passed
 
     def test_so22_order2(self):
-        assert check_qybe("so22", 2).passed
+        assert check_qybe(preset("so22", 2)).passed
 
     def test_unit_r_trivially_solves(self):
         alg = preset("sl2", 2).presentation
@@ -74,16 +74,16 @@ class TestQYBE:
 class TestIntertwining:
     @pytest.mark.parametrize("name", ["sl2", "nullplane"])
     def test_presets(self, name):
-        assert check_intertwiner(name, 3).passed
+        assert check_intertwiner(preset(name, 3)).passed
 
     def test_so22_low_order(self):
-        assert check_intertwiner("so22", 2).passed
+        assert check_intertwiner(preset("so22", 2)).passed
 
 
 class TestTriangularity:
     @pytest.mark.parametrize("name", ["sl2", "so22", "nullplane"])
     def test_presets(self, name):
-        assert check_triangularity(name, 3).passed
+        assert check_triangularity(preset(name, 3)).passed
 
     def test_unit_r(self):
         alg = preset("sl2", 2).presentation
@@ -93,7 +93,7 @@ class TestTriangularity:
 class TestClassicalR:
     def test_so22_wedges(self):
         alg = preset("so22", 2).presentation
-        got = extract_classical_r(preset_r("so22", 2))
+        got = extract_classical_r(preset_r(preset("so22", 2)))
         i = alg.index
         # z (J ^ P0 + D ^ P), stored with ordered index pairs
         want = {(i["P0_hat"], i["J_hat"]): FieldElem(-1),
@@ -102,7 +102,7 @@ class TestClassicalR:
 
     def test_nullplane_wedges(self):
         alg = preset("nullplane", 2).presentation
-        got = extract_classical_r(preset_r("nullplane", 2))
+        got = extract_classical_r(preset_r(preset("nullplane", 2)))
         i = alg.index
         want = {(i["P_plus"], i["K_2"]): FieldElem(-2),
                 (i["P_1"], i["E_1"]): FieldElem(-2)}
@@ -110,7 +110,7 @@ class TestClassicalR:
 
     def test_matches_factor_reading(self):
         for name in ("sl2", "so22", "nullplane"):
-            assert check_classical_r(name, 2).passed
+            assert check_classical_r(preset(name, 2)).passed
 
     def test_symmetric_part_rejected(self):
         alg = preset("sl2", 2).presentation
@@ -130,28 +130,28 @@ class TestClassicalR:
 class TestCYBE:
     @pytest.mark.parametrize("name", ["so22", "nullplane"])
     def test_presets(self, name):
-        assert check_cybe(name, 2).passed
+        assert check_cybe(preset(name, 2)).passed
 
     def test_zero_r(self):
-        calg = classical_presentation("nullplane", 2)
+        calg = classical_presentation(preset("nullplane", 2))
         assert cybe_residual({}, calg).is_zero()
 
 
 class TestCocommutators:
     def test_table(self):
-        assert check_np_cocommutator_table(2).passed
+        assert check_np_cocommutator_table(preset("nullplane", 2)).passed
 
     def test_link_reports(self):
-        assert check_cocommutator_link("so22", 2).passed
-        assert check_cocommutator_link("nullplane", 2).passed
+        assert check_cocommutator_link(preset("so22", 2)).passed
+        assert check_cocommutator_link(preset("nullplane", 2)).passed
 
     def test_primitive_generators_have_zero_cocommutator(self):
-        calg = classical_presentation("nullplane", 2)
-        wedges = classical_r_of_preset("nullplane", 2)
+        calg = classical_presentation(preset("nullplane", 2))
+        wedges = classical_r_of_preset(preset("nullplane", 2))
         assert cocommutator(wedges, "P_plus", calg).is_zero()
         assert cocommutator(wedges, "E_1", calg).is_zero()
 
 
 class TestFactorization:
     def test_four_vs_merged(self):
-        assert check_factorization(3).passed
+        assert check_factorization(preset("so22", 3)).passed
