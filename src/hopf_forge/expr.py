@@ -32,16 +32,26 @@ from the text only when a syntax error is raised.  Each number becomes a
 The parser builds flat nodes: a sum is one list of signed terms and a
 product one list of factors, so neither the parser nor the evaluator recurses
 per summand or per factor.  The evaluator sums the terms of every summand
-into one dict of graded terms.  A product term is a left fold that starts from
-the unit: a number or ``sqrt2`` scales the accumulator, ``param^e`` shifts
-it (dropping powers above the order), and a generator ``g^e`` takes ``g``
-``e`` times through the presentation's word-times-generator table
-(:meth:`~hopf_forge.ncalg.AlgebraPresentation.fold`), which for a term
-already in normal order is a plain append.  Only a compound factor -- a
-parenthesized sum or product, ``exp(...)``, or a power of one -- is evaluated
-as an element and multiplied in by the element product.  Shifting and
-truncating at any point is exact, as every rule term has a power 0 or more.
-The step bound counts per product term.
+into one dict of graded terms.  A product term is read left to right as one
+scalar, one power of the parameter and one normal word for as long as it is
+one term: a number or ``sqrt2`` multiplies the scalar, ``param^e`` adds ``e``
+to the power, and a generator ``g^e`` at or above the word's last generator
+appends to the word (or raises its last exponent).  The first generator below
+the word's last one turns the term into a dict of graded terms -- empty when
+the scalar is 0 or the power is above the order -- and the rest of the term
+is a left fold of that dict: ``g^e`` takes ``g`` ``e`` times through the
+presentation's word-times-generator table
+(:meth:`~hopf_forge.ncalg.AlgebraPresentation.fold`), a scalar scales it and
+``param^e`` shifts it, dropping powers above the order.  A compound factor --
+a parenthesized sum or product, ``exp(...)``, or a power of one -- also turns
+the term into a dict; it is evaluated as an element and multiplied in by the
+element product.  Shifting and truncating at any point is exact, as every
+rule term has a power 0 or more.  The step bound counts per product term.
+
+A term of canonical text with one coefficient is a single-term product, and
+one with a coefficient series is the series times a normal word, which the
+fold only appends to; so re-reading rendered output never consults the
+rewriting table.
 
 The text renderer emits exactly this language (graded-lex term order), which
 is what makes parse/render a round trip on canonical forms.  It writes each
@@ -266,12 +276,21 @@ def _terms(node, alg):
     raise ExpressionError(f"bad AST node {kind!r}")
 
 
+def _single(c, k, word, top):
+    """The graded dict of the one term ``c * param**k * word``: empty when
+    ``c`` is zero or ``k`` is above ``top``."""
+    return {(word, k): c} if c and k <= top else {}
+
+
 def _product(factors, alg):
-    """Fold a product term's factors into the unit, left to right."""
-    one = {((), 0): FE_ONE}
-    acc = one
+    """A product term's graded terms, its factors taken left to right.
+
+    While it is one term the product is a scalar ``c``, a power ``k`` and a
+    normal ``word``; ``acc``, its graded dict, takes over at the first
+    generator below the word's last one or the first compound factor."""
+    c, k, word, acc = FE_ONE, 0, (), None
     alg._misses = 0  # the step bound counts per product term
-    index = alg.index
+    index, top = alg.index, alg.order
     for f in factors:
         kind, e = f[0], 1
         if kind == "pow" and f[1][0] in _ATOMS:
@@ -281,28 +300,46 @@ def _product(factors, alg):
             name = f[1]
             g = index.get(name)
             if g is not None:
-                if e:  # g^0 is the unit
-                    acc = alg.fold(acc, ((g, e),))
+                if not e:  # g^0 is the unit
+                    continue
+                if acc is None:
+                    if not word or word[-1][0] < g:
+                        word += ((g, e),)
+                        continue
+                    if word[-1][0] == g:
+                        word = word[:-1] + ((g, word[-1][1] + e),)
+                        continue
+                    acc = _single(c, k, word, top)
+                acc = alg.fold(acc, ((g, e),))
                 continue
             if name == alg.param:
-                top = alg.order
-                acc = {(w, k + e): c for (w, k), c in acc.items() if k + e <= top}
+                if acc is None:
+                    k += e
+                else:
+                    acc = {(w, j + e): v for (w, j), v in acc.items() if j + e <= top}
                 continue
             if name != "sqrt2":
                 raise UnknownSymbol(name)
-            c = FE_SQRT2 if e == 1 else FE_SQRT2 ** e
+            s = FE_SQRT2 if e == 1 else FE_SQRT2 ** e
         elif kind == "num":
-            c = f[1] if e == 1 else f[1] ** e
+            s = f[1] if e == 1 else f[1] ** e
         else:
             # the factor and the product by it are bounded on their own
             misses = alg._misses
             x = eval_expression(f, alg)
-            acc = x.terms if acc is one else (NCElement(alg, acc) * x).terms
+            if acc is None and not k and not word and c == 1:
+                acc = x.terms  # the unit times x
+            else:
+                if acc is None:
+                    acc = _single(c, k, word, top)
+                acc = (NCElement(alg, acc) * x).terms
             alg._misses = misses
             continue
-        if c != 1:  # a nonzero scalar leaves every term nonzero
-            acc = {key: v * c for key, v in acc.items()} if c else {}
-    return acc
+        if acc is None:
+            c = c * s
+        elif s != 1:  # a nonzero scalar leaves every term nonzero
+            acc = {key: v * s for key, v in acc.items()} if s else {}
+    return _single(c, k, word, top) if acc is None else acc
 
 
 def exp_element(arg):

@@ -65,6 +65,30 @@ class TestWeylCalculus:
                                 ((0, 0), 0): rf_const(2)})
         assert d2 * mult_op(2, p_plus ** 2) == want
 
+    @pytest.mark.parametrize("case", ["d_+^2 after p_+^2 + w p_+^3", "d_+ d_1 after p_+ p_1",
+                                      "d_+^2 d_1 after p_+^2 p_1"])
+    def test_second_order_leibniz_sums(self, case):
+        # each composition against its Leibniz sum
+        # sum_{i,j} C(a,i) C(b,j) (d_+^i d_1^j g) d_+^(a-i) d_1^(b-j), expanded by hand
+        pp, p1 = pvar("p_plus"), pvar("p_1")
+        one = MOMENTUM_RING.one()
+        if case == "d_+^2 after p_+^2 + w p_+^3":
+            left, right = (2, 0), {0: rf(pp ** 2), 1: rf(pp ** 3)}
+            want = {((2, 0), 0): pp ** 2, ((2, 0), 1): pp ** 3,
+                    ((1, 0), 0): pp * 4, ((1, 0), 1): pp ** 2 * 6,
+                    ((0, 0), 0): one * 2, ((0, 0), 1): pp * 6}
+        elif case == "d_+ d_1 after p_+ p_1":
+            left, right = (1, 1), {0: rf(pp * p1)}
+            want = {((1, 1), 0): pp * p1, ((1, 0), 0): pp, ((0, 1), 0): p1,
+                    ((0, 0), 0): one}
+        else:
+            left, right = (2, 1), {0: rf(pp ** 2 * p1)}
+            want = {((2, 1), 0): pp ** 2 * p1, ((1, 1), 0): pp * p1 * 4,
+                    ((0, 1), 0): p1 * 2, ((2, 0), 0): pp ** 2, ((1, 0), 0): pp * 4,
+                    ((0, 0), 0): one * 2}
+        got = WeylOperator(1, {(left, 0): RF_ONE}) * WeylOperator.multiplication(1, right)
+        assert got == WeylOperator(1, {key: rf(f) for key, f in want.items()})
+
     def test_composition_agrees_with_successive_action(self):
         # second-order left factors, w-dependent coefficients on both sides
         rep = full_rep(2)

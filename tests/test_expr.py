@@ -309,6 +309,51 @@ class TestFoldOracle:
         assert parse_expression("A^2^3") == ("pow", ("sym", "A"), 6)
 
 
+def heisenberg(order):
+    """A < B < C with [A, B] = z*C and C central: B*A is out of order."""
+    alg = AlgebraPresentation("heisenberg", ("A", "B", "C"), "z", order)
+    alg.set_commutators({(0, 1): alg.gen("C").scaled(FE_ONE, 1),
+                         (0, 2): alg.zero(), (1, 2): alg.zero()})
+    return alg
+
+
+class TestSingleTerm:
+    """A product term stays one scalar, one power and one word until a
+    generator below the word's last one or a compound factor comes."""
+
+    @pytest.mark.parametrize("algebra, text", [
+        ("heisenberg", "0*A*(B+C)"),  # a zero scalar before a compound factor
+        ("heisenberg", "0*B*A"),  # a zero scalar before a descent
+        ("heisenberg", "z^5*A*(B)"),  # a power above the order
+        ("heisenberg", "z^4*B*A"),  # at the order, the descent's z*C drops
+        ("heisenberg", "A^0*z^0*(B)"),  # the unit before a compound factor
+        ("heisenberg", "1*(A)"),
+        ("heisenberg", "2*z*B*C*A*B"),
+        ("sl2", "sqrt2^2*A*A_plus"),
+        ("sl2", "A_plus*A*A_plus"),  # a descent after a run
+        ("sl2", "A*A^2*z*A"),  # equal generators merge
+        ("sl2", "1/2*A_plus^2*z*A*sqrt2*A_minus*A_plus"),
+    ])
+    def test_against_element_arithmetic(self, algebra, text):
+        alg = heisenberg(4) if algebra == "heisenberg" else preset(algebra, 4).presentation
+        assert parse_to_element(text, alg) == reference_eval(parse_expression(text), alg)
+
+    def test_canonical_text_never_reaches_the_table(self, monkeypatch):
+        texts = []
+        for name in ("sl2", "so22", "nullplane", "sl2-jbasis"):
+            b = preset(name, 4)
+            alg = b.presentation
+            elements = list(b.casimirs.values()) + list(b.hopf.antipode.values())
+            texts += [(alg, render_element(x), x) for x in elements]
+
+        def no_fold(self, terms, word):
+            raise AssertionError(f"fold by {word} in {self.name}")
+
+        monkeypatch.setattr(AlgebraPresentation, "fold", no_fold)
+        for alg, text, x in texts:
+            assert parse_to_element(text, alg) == x, text
+
+
 class TestRobustness:
     """Long sums and products are flat nodes; nesting has a fixed limit."""
 
