@@ -266,6 +266,11 @@ def _order_part(elem, k):
 def cmd_show(args):
     what = args.subject
     fmt = args.format
+    if what in ("hamiltonian", "brackets") and args.algebra not in (None, "nullplane"):
+        raise UsageError(f"show {what} is a null-plane structure; "
+                         f"--algebra {args.algebra!r} does not apply")
+    if what == "brackets" and fmt == "latex":
+        raise UsageError("show brackets prints text or json, not latex")
     if what == "hamiltonian":
         from . import diffrep
         order = args.order if args.order is not None else DEFAULT_ORDER_2FOLD

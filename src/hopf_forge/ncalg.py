@@ -45,8 +45,12 @@ power of the parameter, so a fold or ``normalize`` stops at the first term
 above the order, and every stored scalar is interned under its integer triple
 (the caches hold many copies of few distinct values; a stored 1 is ``FE_ONE``
 itself, and wherever two graded terms multiply a factor that *is* ``FE_ONE`` is
-skipped by identity).  The step bound counts the table entries filled for one
-product, one flat word, one parsed product term or one ``fold_sum``,
+skipped by identity).  Every stored word is interned too: a per-presentation
+dict maps each normal word to the one tuple that entries keep, so a fold's
+fresh copy of a word is freed once its entry is stored.  The words that a fold
+only passes through are not interned, as that dict lookup would cost more time
+than the copies cost memory.  The step bound counts the table entries filled
+for one product, one flat word, one parsed product term or one ``fold_sum``,
 power-pair entries included.  A difference is one pass: the subtrahend's
 terms are subtracted into a copy of the minuend, with no negated copy in
 between.
@@ -63,10 +67,11 @@ is fetched once per distinct (left word, right word) pair of one product, in a
 dict that ends with the product; the flat-word cache is the only memo of
 normal forms that outlives it.  A pair whose joined word is already normal (a
 slot word empty, or the left word's last generator not above the right word's
-first) is that word, with no lookup.  When every slot of a pair joins to one
-unit term at power 0, the pair's key is added at once; only the slots whose
-normal form rewrites go through a list of ``(words, k, scalar)`` partial
-terms.
+first) is that word, with no normal-form lookup; it is interned in the same
+dict as the stored words, so every term of the product that joins it keeps one
+tuple.  When every slot of a pair joins to one unit term at power 0, the
+pair's key is added at once; only the slots whose normal form rewrites go
+through a list of ``(words, k, scalar)`` partial terms.
 
 A presentation keeps one more memo, for output: each normal word's
 graded-lex sort key and its text and latex spelling (``A^2*B``, ``A^{2} B``,
@@ -75,9 +80,9 @@ from the ``latex_names`` given to the constructor), made the first time
 ``to_dict`` sort by those keys and the renderers of :mod:`hopf_forge.expr`
 read the spellings, so no word is flattened or joined again.  ``to_dict``
 takes each word's ``[[name, e], ...]`` list from a second memo,
-:meth:`AlgebraPresentation.json_word`, filled only by JSON output.  The memos
-hold only tuples, lists, strings and ints, no element, so the presentation is
-still freed by reference counting.
+:meth:`AlgebraPresentation.json_word`, filled only by JSON output.  These memos
+and the dict of interned words hold only tuples, lists, strings and ints, no
+element, so the presentation is still freed by reference counting.
 
 A map given on generators (a coproduct, counit or antipode, a substitution, a
 representation) is extended to words and elements by one :class:`WordMap`.
@@ -232,6 +237,7 @@ class AlgebraPresentation:
         self._nf_cache = {}
         self._table = {}  # (normal word u, generator g) -> normal form of u*g
         self._interned = {(1, 0, 1): FE_ONE}  # scalar's (p, q, d) -> stored copy
+        self._shared = {}  # normal word -> the one tuple of it that entries keep
         self._misses = 0
         self._words = {}  # normal word -> (graded-lex key, text spelling, latex spelling)
         self._json_words = {}  # normal word -> [[name, e], ...]
@@ -383,10 +389,11 @@ class AlgebraPresentation:
 
     def _stored(self, terms):
         """``terms`` as ``(word, k, scalar)`` entries in ascending ``k`` (a stable
-        sort, so like powers keep their order), each scalar interned."""
+        sort, so like powers keep their order), each word and scalar interned."""
         intern = self._interned.setdefault
-        return tuple(sorted(((w, k, intern((c.p, c.q, c.d), c)) for (w, k), c in terms.items()),
-                            key=itemgetter(1)))
+        share = self._shared.setdefault
+        return tuple(sorted(((share(w, w), k, intern((c.p, c.q, c.d), c))
+                             for (w, k), c in terms.items()), key=itemgetter(1)))
 
     def _times(self, acc, g, e=1):
         """``acc * g**e`` for ``acc`` a {(normal word, k): scalar} dict."""
@@ -774,6 +781,7 @@ class TensorElement:
             alg = self.algebra
             n = alg.order
             nf = alg.normal_form_of_word
+            share = alg._shared.setdefault
             one = FE_ONE
             right = list(other.terms.items())
             fitting = {}  # room n - k1 -> the right terms with k2 <= room, in their order
@@ -796,15 +804,17 @@ class TensorElement:
                         nfs = slot_nf.get(uv)
                         if nfs is None:
                             u, v = uv
-                            if not u or not v or u[-1][0] < v[0][0]:  # already normal
-                                nfs = u + v
-                            elif u[-1][0] == v[0][0]:
-                                (g, e1), (_, e2) = u[-1], v[0]
-                                nfs = u[:-1] + ((g, e1 + e2),) + v[1:]
-                            else:
+                            if u and v and u[-1][0] > v[0][0]:
                                 nfs = nf(flatten(u) + flatten(v))
                                 nfs = (nfs[0][0] if len(nfs) == 1 and not nfs[0][1]
                                        and nfs[0][2] is one else list(nfs))
+                            else:  # already normal: the presentation's one tuple of it
+                                if u and v and u[-1][0] == v[0][0]:
+                                    (g, e1), (_, e2) = u[-1], v[0]
+                                    nfs = u[:-1] + ((g, e1 + e2),) + v[1:]
+                                else:
+                                    nfs = u + v
+                                nfs = share(nfs, nfs)
                             slot_nf[uv] = nfs
                         if type(nfs) is tuple:
                             if partial is None:

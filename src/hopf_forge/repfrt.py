@@ -42,7 +42,6 @@ from .ratfunc import PolyRing, Polynomial, groebner, leads, reduce_poly
 from .hopf import HopfMaps
 from .report import CheckReport
 from .algebras import NP_GENERATORS, classical_bracket
-from .rmat import classical_r_of_preset
 
 HALF = FieldElem(rat(1, 2))
 ETA = (1, -1, -1)
@@ -153,6 +152,7 @@ def site_pairs(r):
 
 def check_matrix_r(bundle):
     """Matrix QYBE and triangularity hold exactly (R is linear in w)."""
+    from .rmat import classical_r_of_preset  # here, so no other FRT check loads rmat
     order = bundle.order
     out = CheckReport(check="matrix-r", algebra=bundle.name, order=order)
     r = matrix_r(order)

@@ -363,6 +363,25 @@ class TestOutputs:
         doc = json.loads(r.stdout)
         assert doc["{a_plus,a_1}"] == "(-2)*a_1"
 
+    @pytest.mark.parametrize("subject", ["hamiltonian", "brackets"])
+    def test_show_null_plane_subject_refuses_another_algebra(self, subject):
+        r = run("show", subject, "--algebra", "sl2")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "--algebra 'sl2' does not apply" in r.stderr
+
+    @pytest.mark.parametrize("subject", ["hamiltonian", "brackets"])
+    def test_show_null_plane_subject_accepts_nullplane(self, subject):
+        r = run("show", subject, "--algebra", "nullplane")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == run("show", subject).stdout
+
+    def test_show_brackets_has_no_latex(self):
+        r = run("show", "brackets", "--format", "latex")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "not latex" in r.stderr
+
 
 class TestEnvironment:
     def test_order_env_override(self):

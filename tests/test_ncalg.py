@@ -888,16 +888,36 @@ class TestWordMemo:
         alg = AlgebraPresentation("memo", ("a", "b"), "z", 2, {"a": r"\alpha"})
         alg.set_commutators({(0, 1): alg.gen("a") * FieldElem(2)})
         x = (alg.gen("b") + alg.gen("a")) ** 3
-        for y in (x, tensor_pair(x, alg.gen("b"))):
+        t = tensor_pair(x, alg.gen("b"))
+        assert t * t.flip()  # a tensor product fills the shared words too
+        for y in (x, t):
             render_all(y)
-        assert alg._words
+        assert alg._words and alg._shared and alg._nf_cache
         gc.disable()  # the last reference, not a collection, must free it
         try:
             ref = weakref.ref(alg)
-            del alg, x, y
+            del alg, x, t, y
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestSharedWords:
+    """Stored normal forms and joined tensor slots keep one tuple per normal word."""
+
+    def test_equal_words_are_one_object(self):
+        bundle = build_preset("so22", 3)
+        alg = bundle.presentation
+        assert bundle.hopf.check_antipode().passed
+        delta = bundle.hopf.delta
+        t = delta[1] * delta[3] * delta[0]  # slots that join in order and that rewrite
+        assert alg._table and alg._nf_cache
+        words = [w for entry in alg._table.values() for w, _, _ in entry]
+        words += [w for entry in alg._nf_cache.values() for w, _, _ in entry]
+        words += [w for ws, _ in t.terms for w in ws]
+        one = {}
+        assert len(words) > 2 * len(set(words))  # many repeats, so sharing is tested
+        assert all(one.setdefault(w, w) is w for w in words)
 
 
 TENSOR_CASES = [(name, order, None) for name in ("sl2", "so22", "nullplane", "sl2-jbasis")
