@@ -425,7 +425,9 @@ def build_parser():
                     choices=("generators", "relations", "coproducts", "antipodes",
                              "casimirs", "rmatrix", "hamiltonian", "brackets"))
     sp.add_argument("--algebra")
-    add_common(sp, ("text", "json", "latex"))
+    add_common(sp, ("text", "json", "latex"),
+               order_help="default 4; brackets ignores it, as the Sklyanin table "
+                          "is linear in w")
     sp.set_defaults(fn=cmd_show)
 
     sp = sub.add_parser("preset", help="list presets or describe one")

@@ -8,7 +8,9 @@
   algebra introduces 1/sqrt(2) scale factors, so plain rationals are not
   enough, and ``sqrt2`` is a literal of the expression language.  A sum,
   product or negation builds its result in one frame, setting the canonical
-  triple on a new object itself (a gcd only when the denominator is not 1).
+  triple on a new object itself (a gcd only when the denominator is not 1);
+  a result equal to 1 is ``FE_ONE`` itself, so the kernel's ``is FE_ONE``
+  skips catch every unit that arithmetic makes.
 * :class:`DeformationSeries` -- power series in a named formal parameter,
   truncated at a fixed order, over any coefficient with ring operations and
   ``is_zero``.  Algebra elements, operators and matrices hold graded terms,
@@ -57,7 +59,9 @@ class FieldElem:
     equal triples.  ``FieldElem(a, b)`` is a + b*sqrt(2) for rationals a, b, which the ``a``
     and ``b`` properties return as Fractions.  Operations are int arithmetic and a gcd; a
     product with a factor exactly 1 (the triple ``(1, 0, 1)``) returns the other factor
-    itself, with no new triple and no gcd, as no operation changes an element in place."""
+    itself, with no new triple and no gcd, as no operation changes an element in place;
+    any other product, and any sum of two nonzero terms, negation or quotient equal to 1
+    is ``FE_ONE``."""
 
     __slots__ = ("p", "q", "d")
 
@@ -102,6 +106,8 @@ class FieldElem:
             p, q, d = self.p * d2 + p2 * d, self.q * d2 + q2 * d, d * d2
         if d != 1 and (g := gcd(p, q, d)) != 1:
             p, q, d = p // g, q // g, d // g
+        if p == d == 1 and not q and (p2 or q2) and (self.p or self.q):
+            return FE_ONE  # x + 0 stays a new copy of x
         e = object.__new__(FieldElem)
         e.p, e.q, e.d = p, q, d
         return e
@@ -109,6 +115,8 @@ class FieldElem:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.p == -1 and self.d == 1 and not self.q:
+            return FE_ONE
         e = object.__new__(FieldElem)
         e.p, e.q, e.d = -self.p, -self.q, self.d
         return e
@@ -122,9 +130,12 @@ class FieldElem:
     def __mul__(self, other):
         if type(other) is FieldElem:
             p1, q1, p2, q2 = self.p, self.q, other.p, other.q
-            # a factor 1 gives the other factor itself, x * FE_ONE and FE_ONE * x alike
-            if p2 == 1 and not q2 and other.d == 1 and self is not FE_ONE:
-                return self
+            # a factor 1 gives the other factor itself, x * FE_ONE and FE_ONE * x
+            # alike; two factors 1 give FE_ONE unless one of them is FE_ONE
+            if p2 == 1 and not q2 and other.d == 1:
+                if self is FE_ONE or other is FE_ONE:
+                    return other if self is FE_ONE else self
+                return FE_ONE if p1 == 1 and not q1 and self.d == 1 else self
             if p1 == 1 and not q1 and self.d == 1:
                 return other
             if q1 or q2:
@@ -139,6 +150,8 @@ class FieldElem:
             return NotImplemented
         if d != 1 and (g := gcd(p, q, d)) != 1:
             p, q, d = p // g, q // g, d // g
+        if p == d == 1 and not q:
+            return FE_ONE
         e = object.__new__(FieldElem)
         e.p, e.q, e.d = p, q, d
         return e
@@ -156,7 +169,8 @@ class FieldElem:
     def __truediv__(self, other):
         if type(other) is FieldElem:
             out = self * other.inverse()
-            return FE_ONE if out == FE_ONE else out  # x / x is the canonical 1 too
+            # x / x is the canonical 1 too, x a 1 that the constructor built
+            return FE_ONE if out == FE_ONE else out
         if not isinstance(other, _RATIONAL):
             return NotImplemented
         if not other:

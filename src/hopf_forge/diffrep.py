@@ -106,9 +106,13 @@ class WeylOperator:
         """Operator composition (self applied after acting with other)."""
         if not isinstance(other, WeylOperator):
             return self.scaled(other)
+        return WeylOperator(self.order, self._mul_into(other, {}))
+
+    def _mul_into(self, other, out):
+        """Sum the composition ``self * other`` into the graded terms ``out``
+        and return them."""
         # the derivatives of each right-hand coefficient, shared by every left-hand term
         right = [(d, k, {(0, 0): g}) for (d, k), g in other.terms.items()]
-        out = {}
         for ((a, b), k1), f in self.terms.items():
             for (c, d), k2, memo in right:
                 if k1 + k2 > self.order:
@@ -121,12 +125,14 @@ class WeylOperator:
                             n = comb(a, i) * comb(b, j)
                             add_term(out, ((a - i + c, b - j + d), k1 + k2),
                                      f * gij if n == 1 else f * gij * n)
-        return WeylOperator(self.order, out)
+        return out
 
     __rmul__ = scaled
 
     def commutator(self, other):
-        return self * other - other * self
+        """``self*other - other*self``, ``(-other)*self`` summed into the dict
+        of the first composition."""
+        return WeylOperator(self.order, (-other)._mul_into(self, self._mul_into(other, {})))
 
     def derivative_free(self):
         return all(d == (0, 0) for d, _ in self.terms)

@@ -53,7 +53,11 @@ than the copies cost memory.  The step bound counts the table entries filled
 for one product, one flat word, one parsed product term or one ``fold_sum``,
 power-pair entries included.  A difference is one pass: the subtrahend's
 terms are subtracted into a copy of the minuend, with no negated copy in
-between.
+between.  A difference of products (a commutator, and the residuals of
+:mod:`hopf_forge.rmat`) builds no second product and no copy: the second
+product, one factor negated once, is summed into the dict of the freshly
+built first one.  Only a dict that the difference itself built is summed
+into, as a :class:`WordMap` hands out its cached images.
 
 An entry holds ``u*g`` for any power of the parameter, so a rewriting of
 ``u*g`` that needs ``u*g`` again is a :class:`NonTerminating` cycle, even if
@@ -650,23 +654,27 @@ class NCElement:
     def __mul__(self, other):
         if isinstance(other, NCElement):
             self._check(other)
-            alg = self.algebra
-            top = alg.order
-            alg._misses = 0  # the step bound is per product
-            out = {}
-            # both factors are normal: each right term scales and shifts the
-            # left factor, which then takes the term's generators one by one
-            for (w2, k2), c2 in other.terms.items():
-                acc = alg.fold(_scaled_terms(self.terms, c2, k2, top), w2)
-                if not out:
-                    out = acc
-                else:
-                    for key, c in acc.items():
-                        add_term(out, key, c)
-            return NCElement(alg, out)
+            return NCElement(self.algebra, self._mul_into(other, {}))
         if isinstance(other, _SCALARS):
             return self.scaled(other)
         return NotImplemented
+
+    def _mul_into(self, other, out):
+        """Sum ``self * other`` into the graded terms ``out`` and return them:
+        ``out`` itself, or the first fold's own dict when ``out`` is empty."""
+        alg = self.algebra
+        top = alg.order
+        alg._misses = 0  # the step bound is per product
+        # both factors are normal: each right term scales and shifts the
+        # left factor, which then takes the term's generators one by one
+        for (w2, k2), c2 in other.terms.items():
+            acc = alg.fold(_scaled_terms(self.terms, c2, k2, top), w2)
+            if not out:
+                out = acc
+            else:
+                for key, c in acc.items():
+                    add_term(out, key, c)
+        return out
 
     def __rmul__(self, other):
         # scalars commute with everything; true element products use __mul__
@@ -686,7 +694,11 @@ class NCElement:
         return out
 
     def commutator(self, other):
-        return self * other - other * self
+        """``self*other - other*self``: ``(-other)*self`` is summed into the dict
+        of the first product (negating the left factor keeps the ``is FE_ONE``
+        skip of each right-hand scalar)."""
+        self._check(other)
+        return NCElement(self.algebra, (-other)._mul_into(self, self._mul_into(other, {})))
 
     def scaled(self, c, k=0):
         """This element times the scalar ``c`` and ``param**k``."""
@@ -778,74 +790,81 @@ class TensorElement:
     def __mul__(self, other):
         if isinstance(other, TensorElement):
             self._check(other)
-            alg = self.algebra
-            n = alg.order
-            nf = alg.normal_form_of_word
-            share = alg._shared.setdefault
-            one = FE_ONE
-            right = list(other.terms.items())
-            fitting = {}  # room n - k1 -> the right terms with k2 <= room, in their order
-            # (left word, right word) -> their product: the joined word when it is one
-            # unit term at power 0, else a list of its (word, k, scalar) entries
-            slot_nf = {}
-            out = {}
-            for (ws1, k1), c1 in self.terms.items():
-                room = n - k1
-                pairs = fitting.get(room)
-                if pairs is None:
-                    pairs = fitting[room] = [t for t in right if t[0][1] <= room]
-                for (ws2, k2), c2 in pairs:
-                    # slot-wise normal forms, then distribute; entries ascend in power.
-                    # Joined words extend the key; the first slot that rewrites starts
-                    # the list of (words, k, scalar) partial terms
-                    cc = c1 if c2 is one else c2 if c1 is one else c1 * c2
-                    words, partial = (), None
-                    for uv in zip(ws1, ws2):
-                        nfs = slot_nf.get(uv)
-                        if nfs is None:
-                            u, v = uv
-                            if u and v and u[-1][0] > v[0][0]:
-                                nfs = nf(flatten(u) + flatten(v))
-                                nfs = (nfs[0][0] if len(nfs) == 1 and not nfs[0][1]
-                                       and nfs[0][2] is one else list(nfs))
-                            else:  # already normal: the presentation's one tuple of it
-                                if u and v and u[-1][0] == v[0][0]:
-                                    (g, e1), (_, e2) = u[-1], v[0]
-                                    nfs = u[:-1] + ((g, e1 + e2),) + v[1:]
-                                else:
-                                    nfs = u + v
-                                nfs = share(nfs, nfs)
-                            slot_nf[uv] = nfs
-                        if type(nfs) is tuple:
-                            if partial is None:
-                                words += (nfs,)
-                                continue
-                            nfs = ((nfs, 0, one),)
-                        elif partial is None:
-                            partial = [(words, k1 + k2, cc)]
-                        grown = []
-                        for ws, k, c in partial:
-                            for w, rk, rc in nfs:
-                                if k + rk > n:
-                                    break
-                                grown.append((ws + (w,), k + rk, c if rc is one else c * rc))
-                        partial = grown
-                        if not partial:
-                            break
-                    if partial is None:
-                        add_term(out, (words, k1 + k2), cc)
-                    else:
-                        for ws, k, c in partial:
-                            add_term(out, (ws, k), c)
-            return TensorElement(alg, self.arity, out)
+            return TensorElement(self.algebra, self.arity, self._mul_into(other, {}))
         if isinstance(other, _SCALARS):
             return self.scaled(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
+    def _mul_into(self, other, out):
+        """Sum ``self * other`` into the graded terms ``out`` and return them."""
+        alg = self.algebra
+        n = alg.order
+        nf = alg.normal_form_of_word
+        share = alg._shared.setdefault
+        one = FE_ONE
+        right = list(other.terms.items())
+        fitting = {}  # room n - k1 -> the right terms with k2 <= room, in their order
+        # (left word, right word) -> their product: the joined word when it is one
+        # unit term at power 0, else a list of its (word, k, scalar) entries
+        slot_nf = {}
+        for (ws1, k1), c1 in self.terms.items():
+            room = n - k1
+            pairs = fitting.get(room)
+            if pairs is None:
+                pairs = fitting[room] = [t for t in right if t[0][1] <= room]
+            for (ws2, k2), c2 in pairs:
+                # slot-wise normal forms, then distribute; entries ascend in power.
+                # Joined words extend the key; the first slot that rewrites starts
+                # the list of (words, k, scalar) partial terms
+                cc = c1 if c2 is one else c2 if c1 is one else c1 * c2
+                words, partial = (), None
+                for uv in zip(ws1, ws2):
+                    nfs = slot_nf.get(uv)
+                    if nfs is None:
+                        u, v = uv
+                        if u and v and u[-1][0] > v[0][0]:
+                            nfs = nf(flatten(u) + flatten(v))
+                            nfs = (nfs[0][0] if len(nfs) == 1 and not nfs[0][1]
+                                   and nfs[0][2] is one else list(nfs))
+                        else:  # already normal: the presentation's one tuple of it
+                            if u and v and u[-1][0] == v[0][0]:
+                                (g, e1), (_, e2) = u[-1], v[0]
+                                nfs = u[:-1] + ((g, e1 + e2),) + v[1:]
+                            else:
+                                nfs = u + v
+                            nfs = share(nfs, nfs)
+                        slot_nf[uv] = nfs
+                    if type(nfs) is tuple:
+                        if partial is None:
+                            words += (nfs,)
+                            continue
+                        nfs = ((nfs, 0, one),)
+                    elif partial is None:
+                        partial = [(words, k1 + k2, cc)]
+                    grown = []
+                    for ws, k, c in partial:
+                        for w, rk, rc in nfs:
+                            if k + rk > n:
+                                break
+                            grown.append((ws + (w,), k + rk, c if rc is one else c * rc))
+                    partial = grown
+                    if not partial:
+                        break
+                if partial is None:
+                    add_term(out, (words, k1 + k2), cc)
+                else:
+                    for ws, k, c in partial:
+                        add_term(out, (ws, k), c)
+        return out
+
     def commutator(self, other):
-        return self * other - other * self
+        """``self*other - other*self``: ``(-other)*self`` is summed into the dict
+        of the first product."""
+        self._check(other)
+        return TensorElement(self.algebra, self.arity,
+                             (-other)._mul_into(self, self._mul_into(other, {})))
 
     def flip(self):
         """Swap the two slots of an arity-2 tensor."""

@@ -14,7 +14,7 @@ tensor algebra is ever needed.
 from __future__ import annotations
 
 from .coeff import FE_ONE, FieldElem
-from .ncalg import TensorElement, exp_series, tensor_pair
+from .ncalg import TensorElement, add_term, exp_series, tensor_pair
 from .algebras import classical_presentation
 from .report import CheckReport
 
@@ -39,22 +39,28 @@ def preset_r(bundle):
 
 
 def qybe_residual(r):
-    """R12 R13 R23 - R23 R13 R12 in the three-fold tensor algebra."""
+    """R12 R13 R23 - R23 R13 R12 in the three-fold tensor algebra.  (R12 R13) R23
+    is built first, so R12 R13 is freed before R23 R13 is; then ((-R23) R13) R12
+    is summed into it, so the second triple product is never held."""
     r12 = r.embed((0, 1), 3)
     r13 = r.embed((0, 2), 3)
     r23 = r.embed((1, 2), 3)
-    return (r12 * r13) * r23 - (r23 * r13) * r12
+    out = ((r12 * r13) * r23).terms
+    return TensorElement(r.algebra, 3, ((-r23) * r13)._mul_into(r12, out))
 
 
 def intertwiner_residual(r, hopf, gen):
-    """sigma(Delta(X)) * R - R * Delta(X); zero iff R intertwines."""
+    """sigma(Delta(X)) * R - R * Delta(X); zero iff R intertwines.  (-R) * Delta(X)
+    is summed into the first product, so Delta(X) keeps its unit scalars."""
     d = hopf.delta[hopf.algebra.index[gen] if isinstance(gen, str) else gen]
-    return d.flip() * r - r * d
+    return TensorElement(r.algebra, 2, (-r)._mul_into(d, (d.flip() * r).terms))
 
 
 def triangularity_residual(r):
-    """flip(R) * R - 1 (x) 1."""
-    return r.flip() * r - TensorElement.unit(r.algebra, 2)
+    """flip(R) * R - 1 (x) 1, the unit subtracted from the product's own terms."""
+    out = r.flip() * r
+    add_term(out.terms, (((), ()), 0), -FE_ONE)
+    return out
 
 
 def extract_classical_r(r):

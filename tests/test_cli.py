@@ -376,6 +376,11 @@ class TestOutputs:
         assert r.returncode == 0, r.stderr
         assert r.stdout == run("show", subject).stdout
 
+    def test_show_brackets_ignores_the_order(self):
+        # the Sklyanin table is linear in w, so no truncation order changes it
+        assert run("show", "brackets", "--order", "1").stdout == run("show", "brackets").stdout
+        assert "brackets ignores it" in " ".join(run("show", "--help").stdout.split())
+
     def test_show_brackets_has_no_latex(self):
         r = run("show", "brackets", "--format", "latex")
         assert r.returncode == 2

@@ -314,6 +314,15 @@ class TestOneFrameResults:
         assert x / x is FE_ONE
         assert FieldElem(-1).inverse() == -1 and FE_SQRT2 / 2 != 1
 
+    def test_a_sum_product_or_quotient_equal_to_one_is_fe_one(self):
+        half, r = FieldElem(Fraction(1, 2)), FieldElem(Fraction(-3, 7), Fraction(5, 2))
+        assert half + half is FE_ONE
+        assert FieldElem(3) + FieldElem(-2) is FE_ONE
+        assert FE_SQRT2 * (FE_SQRT2 / 2) is FE_ONE
+        assert r * r.inverse() is FE_ONE and FieldElem(2) * Fraction(1, 2) is FE_ONE
+        assert (-r) / (-r) is FE_ONE and FieldElem(-1) * FieldElem(-1) is FE_ONE
+        assert -FieldElem(-1) is FE_ONE and FieldElem(1) * FieldElem(1) is FE_ONE
+
     @pytest.mark.parametrize("seed", [88, 89])
     def test_every_unit_quotient_is_fe_one(self, seed):
         for x, _ in self.operands(seed, 80):

@@ -42,7 +42,7 @@ class TestWeylCalculus:
         b = WeylOperator(2, {((0, 1), 0): rf(pvar("p_plus"))})
         want = WeylOperator(2, {((0, 1), 0): rf(pvar("p_1")),
                                 ((1, 0), 0): -rf(pvar("p_plus"))})
-        assert a.commutator(b) == want
+        assert a.commutator(b) == want == a * b - b * a
         # independent check by action on monomials
         for alpha in range(3):
             for beta in range(3):

@@ -50,6 +50,17 @@ class TestAxiomChecks:
         for rep in b.hopf.run_all_checks():
             assert rep.passed, rep
 
+    def test_axiom_run_leaves_the_word_memos_as_they_were(self):
+        b = build_preset("nullplane", 3)
+        hopf = b.hopf
+        hopf.coproduct_word(((0, 1), (1, 1)))  # a memo that holds something already
+        memos = (hopf.delta_map._cache, hopf.counit_map._cache, hopf.antipode_map._cache)
+        before = [dict(m) for m in memos]
+        assert all(rep.passed for rep in hopf.run_all_checks())
+        assert [len(m) for m in memos] == [len(m) for m in before]
+        for m, old in zip(memos, before):
+            assert m.keys() == old.keys() and all(m[w] is old[w] for w in old)
+
     def test_antipode_is_antihomomorphism_on_rules(self):
         b = preset("nullplane", 3)
         assert b.hopf.check_antipode_antihom().passed

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from hopf_forge import cli, ncalg
+from hopf_forge import cli, ncalg, rmat
 from hopf_forge.coeff import FE_ONE, FieldElem, rat
 from hopf_forge.contraction import Contraction
 from hopf_forge.ncalg import (AlgebraMismatch, AlgebraPresentation, ArityMismatch,
@@ -1032,3 +1032,67 @@ class TestSerialization:
         t = tensor_pair(alg.gen("A"), alg.gen("A_plus")).to_dict()
         assert t["arity"] == 2
         assert t["terms"][0]["word"] == [[["A", 1]], [["A_plus", 1]]]
+
+
+def plain_commutator(x, y):
+    """``x*y - y*x`` through ``__mul__`` and ``__sub__``: two products and a copy."""
+    return x * y - y * x
+
+
+def snapshot(*xs):
+    return [(x, dict(x.terms)) for x in xs]
+
+
+def unchanged(snap):
+    return all(x.terms == terms for x, terms in snap)
+
+
+class TestDifferenceOfProducts:
+    """A commutator or residual that sums its second product into the first
+    one's dict equals the plain difference, and leaves its operands alone."""
+
+    @pytest.mark.parametrize("name", ["sl2", "nullplane", "so22"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_commutators_match_the_plain_difference(self, name, order):
+        alg = build_preset(name, order).presentation
+        rng = random.Random(f"commutator-{name}-{order}")
+        elems = [random_element(alg, rng) for _ in range(5)]
+        elems += [alg.unit(), alg.zero(), alg.gen(0), alg.gen(len(alg.generators) - 1)]
+        for x in elems:
+            for y in elems:
+                snap = snapshot(x, y)
+                assert x.commutator(y) == plain_commutator(x, y), (x, y)
+                assert unchanged(snap)
+        for arity in (2, 3):
+            ts = [random_tensor(alg, rng, arity) for _ in range(4)]
+            ts += [TensorElement.unit(alg, arity), *cancelling_pair(alg, arity)]
+            for x in ts:
+                for y in ts:
+                    snap = snapshot(x, y)
+                    assert x.commutator(y) == plain_commutator(x, y), (x, y)
+                    assert unchanged(snap)
+
+    @pytest.mark.parametrize("name", ["sl2", "nullplane", "so22"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_rmat_residuals_match_the_plain_difference(self, name, order):
+        bundle = build_preset(name, order)
+        alg, hopf = bundle.presentation, bundle.hopf
+        rng = random.Random(f"residual-{name}-{order}")
+        unit = TensorElement.unit(alg, 2)
+        rs = [random_tensor(alg, rng, 2) for _ in range(3)]
+        rs += [unit, *cancelling_pair(alg, 2), rmat.preset_r(bundle)]
+        for r in rs:
+            snap = snapshot(r, *hopf.delta.values())
+            r12, r13, r23 = r.embed((0, 1), 3), r.embed((0, 2), 3), r.embed((1, 2), 3)
+            assert rmat.qybe_residual(r) == (r12 * r13) * r23 - (r23 * r13) * r12
+            assert rmat.triangularity_residual(r) == r.flip() * r - unit
+            for i, g in enumerate(alg.generators):
+                d = hopf.delta[i]
+                assert rmat.intertwiner_residual(r, hopf, g) == d.flip() * r - r * d
+            assert unchanged(snap)
+        # the preset R passes all three, so each residual cancels to nothing
+        r = rmat.preset_r(bundle)
+        assert rmat.triangularity_residual(r).is_zero()
+        assert all(rmat.intertwiner_residual(r, hopf, g).is_zero() for g in alg.generators)
+        if order <= 2:
+            assert rmat.qybe_residual(r).is_zero()

@@ -56,6 +56,29 @@ class TestQYBE:
     def test_so22_order2(self):
         assert check_qybe(preset("so22", 2)).passed
 
+    def test_residual_holds_one_triple_product_at_a_time(self):
+        # (R12 R13) R23 is built first and its factor R12 R13 freed; the second
+        # triple product is summed into it, so the peak is about that of one
+        import tracemalloc
+        from hopf_forge.algebras import build_preset
+        r = preset_r(build_preset("so22", 4))
+        qybe_residual(r)  # fill the normal-form cache outside the measured runs
+
+        def one_side():
+            r12, r13, r23 = r.embed((0, 1), 3), r.embed((0, 2), 3), r.embed((1, 2), 3)
+            return (r12 * r13) * r23
+
+        peaks = []
+        tracemalloc.start()
+        try:
+            for f in (one_side, lambda: qybe_residual(r)):
+                tracemalloc.reset_peak()
+                f()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
     def test_unit_r_trivially_solves(self):
         alg = preset("sl2", 2).presentation
         assert qybe_residual(TensorElement.unit(alg, 2)).is_zero()
