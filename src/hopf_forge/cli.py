@@ -24,7 +24,7 @@ from .algebras import (FAULTS, PRESET_NAMES, PresetConstructionError,
                        check_classical_limits, cross_check_two_copy, preset)
 from .expr import (ExpressionError, ExpressionSyntaxError, UnknownSymbol,
                    parse_to_element, render_element, render_tensor, to_json)
-from .ncalg import AlgebraError, NCElement
+from .ncalg import AlgebraError, NCElement, TensorElement
 from .report import CheckReport
 
 REPORT_VERSION = 1
@@ -298,33 +298,42 @@ def cmd_show(args):
 
     bundle = _algebra_for(args)
     alg = bundle.presentation
+    gens = alg.generators
     if what == "generators":
-        print(" < ".join(alg.generators))
+        primitive = bundle.hopf.primitive_generators()
+        if fmt == "json":
+            print(to_json({"param": alg.param, "order": alg.order, "generators": list(gens),
+                           "primitive_generators": primitive}))
+            return 0
+        print(" < ".join(gens))
         print(f"deformation parameter: {alg.param}; truncation order: {alg.order}")
-        print("primitive generators:", ", ".join(bundle.hopf.primitive_generators()))
-    elif what == "relations":
-        for j in range(len(alg.generators)):
-            for i in range(j):
-                comm = alg.gen(j).commutator(alg.gen(i))
-                print(f"[{alg.generators[j]},{alg.generators[i]}] = "
-                      f"{render_element(comm, fmt)}")
-    elif what == "coproducts":
-        for i, g in enumerate(alg.generators):
-            print(f"Delta({g}) = {render_tensor(bundle.hopf.delta[i], fmt)}")
-    elif what == "antipodes":
-        for i, g in enumerate(alg.generators):
-            print(f"gamma({g}) = {render_element(bundle.hopf.antipode[i], fmt)}")
-    elif what == "casimirs":
-        for name, cas in bundle.casimirs.items():
-            print(f"{name} = {render_element(cas, fmt)}")
-    elif what == "rmatrix":
+        print("primitive generators:", ", ".join(primitive))
+        return 0
+    if what == "rmatrix":
         if bundle.rfactors is None:
             raise UsageError(f"preset {args.algebra!r} carries no R-matrix recipe")
         from . import rmat
-        r = rmat.preset_r(bundle)
-        print(render_tensor(r, fmt))
+        print(render_tensor(rmat.preset_r(bundle), fmt))
+        return 0
+    # the element and tensor subjects: one (label, value) list, printed one way
+    if what == "relations":
+        entries = [(f"[{gens[j]},{gens[i]}]", alg.gen(j).commutator(alg.gen(i)))
+                   for j in range(len(gens)) for i in range(j)]
+    elif what == "coproducts":
+        entries = [(f"Delta({g})", bundle.hopf.delta[i]) for i, g in enumerate(gens)]
+    elif what == "antipodes":
+        entries = [(f"gamma({g})", bundle.hopf.antipode[i]) for i, g in enumerate(gens)]
+    elif what == "casimirs":
+        entries = list(bundle.casimirs.items())
     else:
         raise UsageError(f"unknown subject {what!r}")
+    if fmt == "json":
+        print(to_json({"param": alg.param, "order": alg.order,
+                       "entries": {label: x.to_dict() for label, x in entries}}))
+        return 0
+    for label, x in entries:
+        render = render_tensor if isinstance(x, TensorElement) else render_element
+        print(f"{label} = {render(x, fmt)}")
     return 0
 
 

@@ -8,9 +8,9 @@
   algebra introduces 1/sqrt(2) scale factors, so plain rationals are not
   enough, and ``sqrt2`` is a literal of the expression language.  A sum,
   product or negation builds its result in one frame, setting the canonical
-  triple on a new object itself (a gcd only when the denominator is not 1);
-  a result equal to 1 is ``FE_ONE`` itself, so the kernel's ``is FE_ONE``
-  skips catch every unit that arithmetic makes.
+  triple on a new object itself (a gcd only when the denominator is not 1).
+  Every element equal to 1 is ``FE_ONE`` itself, however it was made, so an
+  ``is FE_ONE`` test catches every unit.
 * :class:`DeformationSeries` -- power series in a named formal parameter,
   truncated at a fixed order, over any coefficient with ring operations and
   ``is_zero``.  Algebra elements, operators and matrices hold graded terms,
@@ -57,19 +57,17 @@ class ZeroDivisor(CoeffError):
 class FieldElem:
     """(p + q*sqrt(2))/d in Q(sqrt 2): ints, d > 0, gcd(p, q, d) == 1, so equal elements have
     equal triples.  ``FieldElem(a, b)`` is a + b*sqrt(2) for rationals a, b, which the ``a``
-    and ``b`` properties return as Fractions.  Operations are int arithmetic and a gcd; a
-    product with a factor exactly 1 (the triple ``(1, 0, 1)``) returns the other factor
-    itself, with no new triple and no gcd, as no operation changes an element in place;
-    any other product, and any sum of two nonzero terms, negation or quotient equal to 1
-    is ``FE_ONE``."""
+    and ``b`` properties return as Fractions.  Operations are int arithmetic and a gcd.
+    Every element equal to 1 is ``FE_ONE``, so a product with the factor ``FE_ONE``
+    returns the other factor itself, with no new triple and no gcd, as no operation
+    changes an element in place."""
 
     __slots__ = ("p", "q", "d")
 
-    def __init__(self, a=0, b=0):
+    def __new__(cls, a=0, b=0):
         a, b = Fraction(a), Fraction(b)
         d = lcm(a.denominator, b.denominator)  # the triple over it is coprime
-        self.p, self.q, self.d = (a.numerator * (d // a.denominator),
-                                  b.numerator * (d // b.denominator), d)
+        return _make(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
 
     a = property(lambda self: Fraction(self.p, self.d))
     b = property(lambda self: Fraction(self.q, self.d))
@@ -106,8 +104,8 @@ class FieldElem:
             p, q, d = self.p * d2 + p2 * d, self.q * d2 + q2 * d, d * d2
         if d != 1 and (g := gcd(p, q, d)) != 1:
             p, q, d = p // g, q // g, d // g
-        if p == d == 1 and not q and (p2 or q2) and (self.p or self.q):
-            return FE_ONE  # x + 0 stays a new copy of x
+        if p == d == 1 and not q:
+            return FE_ONE
         e = object.__new__(FieldElem)
         e.p, e.q, e.d = p, q, d
         return e
@@ -129,15 +127,11 @@ class FieldElem:
 
     def __mul__(self, other):
         if type(other) is FieldElem:
-            p1, q1, p2, q2 = self.p, self.q, other.p, other.q
-            # a factor 1 gives the other factor itself, x * FE_ONE and FE_ONE * x
-            # alike; two factors 1 give FE_ONE unless one of them is FE_ONE
-            if p2 == 1 and not q2 and other.d == 1:
-                if self is FE_ONE or other is FE_ONE:
-                    return other if self is FE_ONE else self
-                return FE_ONE if p1 == 1 and not q1 and self.d == 1 else self
-            if p1 == 1 and not q1 and self.d == 1:
+            if other is FE_ONE:
+                return self
+            if self is FE_ONE:
                 return other
+            p1, q1, p2, q2 = self.p, self.q, other.p, other.q
             if q1 or q2:
                 p, q = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2
             else:
@@ -168,9 +162,7 @@ class FieldElem:
 
     def __truediv__(self, other):
         if type(other) is FieldElem:
-            out = self * other.inverse()
-            # x / x is the canonical 1 too, x a 1 that the constructor built
-            return FE_ONE if out == FE_ONE else out
+            return self * other.inverse()
         if not isinstance(other, _RATIONAL):
             return NotImplemented
         if not other:
@@ -211,23 +203,26 @@ class FieldElem:
         return cls(rat(*quad[:2]), rat(*quad[2:]))
 
 
+FE_ONE = object.__new__(FieldElem)  # the one 1, built before _make returns it
+FE_ONE.p, FE_ONE.q, FE_ONE.d = 1, 0, 1
+
+
 def _make(p, q, d):
-    """FieldElem of a triple already in canonical form."""
-    e = FieldElem.__new__(FieldElem)
+    """FieldElem of a triple already in canonical form; a 1 is ``FE_ONE``."""
+    if p == d == 1 and not q:
+        return FE_ONE
+    e = object.__new__(FieldElem)
     e.p, e.q, e.d = p, q, d
     return e
 
 
 def _canon(p, q, d):
-    """FieldElem of (p + q*sqrt2)/d for any d != 0; a 1 is ``FE_ONE`` itself, so
-    the ``is FE_ONE`` tests skip the unit that an inverse or a quotient gives."""
+    """FieldElem of (p + q*sqrt2)/d for any d != 0."""
     g = gcd(p, q, d) if d > 0 else -gcd(p, q, d)
-    p, q, d = p // g, q // g, d // g
-    return FE_ONE if p == d == 1 and not q else _make(p, q, d)
+    return _make(p // g, q // g, d // g)
 
 
 FE_ZERO = FieldElem(0)
-FE_ONE = FieldElem(1)
 FE_SQRT2 = FieldElem(0, 1)
 _SCALARS = (*_RATIONAL, FieldElem)  # what an element, tensor or polynomial is scaled by
 

@@ -5,8 +5,10 @@ in (p_plus, p_1, m_q2) over a power of p_plus, :class:`ratfunc.Laurent`)
 times partial derivatives, stored as graded terms
 ``{((a, b), k): f}`` for w^k f d_+^a d_1^b, the same shape as an algebra
 element's ``{(word, k): scalar}``; a function is a derivative-free operator.
-The canonical form keeps all derivatives rightmost, and composition applies
-the Leibniz rule exactly, skipping a pair of terms above the truncation order.
+An operator is a :class:`~hopf_forge.ncalg.Graded` value, so its sums,
+differences, scaling and commutator are an algebra element's.  The canonical
+form keeps all derivatives rightmost, and composition applies the Leibniz
+rule exactly, skipping a pair of terms above the truncation order.
 Poles in p_plus are expected (the light-cone Hamiltonian has them); no w-series
 is ever divided.  Every w-series is a closed form in q = (e^{2wp_+} - 1)/(2w),
 the value of Q on a momentum eigenstate: q itself multiplies K_2 and E_1, and
@@ -24,8 +26,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .coeff import FieldElem, rat, series
-from .ncalg import (WordMap, _by_word, _diff_terms, _scaled_terms, _sum_terms, add_term,
-                    rule_images)
+from .ncalg import Graded, WordMap, _by_word, add_term, rule_images
 from .ratfunc import Laurent, PolyRing
 from .report import CheckReport, timed_reports
 
@@ -56,10 +57,11 @@ def _times_partials(series, d):
     return {(d, k): f for k, f in series.items()}
 
 
-class WeylOperator:
+class WeylOperator(Graded):
     """Finite sum of w^k * f * d_+^a d_1^b for Laurent coefficients f, stored
     like an algebra element's graded terms: ``{((a, b), k): f}``, nonzero f
-    and k up to the order only.  A function is a derivative-free operator."""
+    and k up to the order only.  The product is composition (self applied
+    after acting with other); operators of different orders do not combine."""
 
     __slots__ = ("order", "terms")
 
@@ -81,32 +83,13 @@ class WeylOperator:
         """Multiplication by the w-series ``{k: Laurent}``."""
         return cls(order, _times_partials(series, (0, 0)))
 
-    def is_zero(self):
-        return not self.terms
+    def _new(self, terms):
+        return WeylOperator(self.order, terms)
 
-    def __eq__(self, other):
-        if not isinstance(other, WeylOperator):
-            return NotImplemented
-        return self.order == other.order and self.terms == other.terms
-
-    def __add__(self, other):
-        return WeylOperator(self.order, _sum_terms(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return WeylOperator(self.order, _diff_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return WeylOperator(self.order, {key: -c for key, c in self.terms.items()})
-
-    def scaled(self, c, k=0):
-        """This operator times the scalar ``c`` and ``w**k``."""
-        return WeylOperator(self.order, _scaled_terms(self.terms, c, k, self.order))
-
-    def __mul__(self, other):
-        """Operator composition (self applied after acting with other)."""
-        if not isinstance(other, WeylOperator):
-            return self.scaled(other)
-        return WeylOperator(self.order, self._mul_into(other, {}))
+    def _mismatch(self, other):
+        if self.order != other.order:
+            return ValueError(f"operators of orders {self.order} and {other.order} combined")
+        return None
 
     def _mul_into(self, other, out):
         """Sum the composition ``self * other`` into the graded terms ``out``
@@ -126,13 +109,6 @@ class WeylOperator:
                             add_term(out, ((a - i + c, b - j + d), k1 + k2),
                                      f * gij if n == 1 else f * gij * n)
         return out
-
-    __rmul__ = scaled
-
-    def commutator(self, other):
-        """``self*other - other*self``, ``(-other)*self`` summed into the dict
-        of the first composition."""
-        return WeylOperator(self.order, (-other)._mul_into(self, self._mul_into(other, {})))
 
     def derivative_free(self):
         return all(d == (0, 0) for d, _ in self.terms)

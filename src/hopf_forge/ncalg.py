@@ -43,21 +43,20 @@ word's normal form.  The table and that cache receive only complete results,
 so an abort leaves them consistent; every entry of either is in ascending
 power of the parameter, so a fold or ``normalize`` stops at the first term
 above the order, and every stored scalar is interned under its integer triple
-(the caches hold many copies of few distinct values; a stored 1 is ``FE_ONE``
-itself, and wherever two graded terms multiply a factor that *is* ``FE_ONE`` is
-skipped by identity).  Every stored word is interned too: a per-presentation
-dict maps each normal word to the one tuple that entries keep, so a fold's
-fresh copy of a word is freed once its entry is stored.  The words that a fold
-only passes through are not interned, as that dict lookup would cost more time
-than the copies cost memory.  The step bound counts the table entries filled
-for one product, one flat word, one parsed product term or one ``fold_sum``,
-power-pair entries included.  A difference is one pass: the subtrahend's
-terms are subtracted into a copy of the minuend, with no negated copy in
-between.  A difference of products (a commutator, and the residuals of
-:mod:`hopf_forge.rmat`) builds no second product and no copy: the second
-product, one factor negated once, is summed into the dict of the freshly
-built first one.  Only a dict that the difference itself built is summed
-into, as a :class:`WordMap` hands out its cached images.
+(the caches hold many copies of few distinct values; wherever two graded terms
+multiply, a factor that *is* ``FE_ONE`` is skipped by identity).  Every stored
+word is interned too: a per-presentation dict maps each normal word to the one
+tuple that entries keep, so a fold's fresh copy of a word is freed once its
+entry is stored.  The words that a fold only passes through are not interned,
+as that dict lookup would cost more time than the copies cost memory.  The
+step bound counts the table entries filled for one product, one flat word, one
+parsed product term or one ``fold_sum``, power-pair entries included.
+
+Elements, tensors and the operators of :mod:`hopf_forge.diffrep` share one
+arithmetic, :class:`Graded`: equality, sums, one-pass differences, negation,
+scaling and the one-dict commutator are written once over the graded terms,
+and each kind adds its own product.  The residuals of :mod:`hopf_forge.rmat`
+sum a difference of products into one dict the same way.
 
 An entry holds ``u*g`` for any power of the parameter, so a rewriting of
 ``u*g`` that needs ``u*g`` again is a :class:`NonTerminating` cycle, even if
@@ -170,28 +169,6 @@ def add_term(out, key, v):
             out[key] = s
 
 
-def _sum_terms(a, b):
-    out = dict(a)
-    for key, c in b.items():
-        add_term(out, key, c)
-    return out
-
-
-def _diff_terms(a, b):
-    """``a - b`` in one pass: a copy of ``a`` with each term of ``b``
-    subtracted, a key dropped when its scalars are equal."""
-    out = dict(a)
-    for key, c in b.items():
-        s = out.get(key)
-        if s is None:
-            out[key] = -c
-        elif s == c:
-            del out[key]
-        else:
-            out[key] = s - c
-    return out
-
-
 def _scaled_terms(terms, c, k, top):
     """Every term times the scalar ``c`` and ``param**k``, up to degree ``top``."""
     if c is FE_ONE:
@@ -240,7 +217,7 @@ class AlgebraPresentation:
         self._frozen = False
         self._nf_cache = {}
         self._table = {}  # (normal word u, generator g) -> normal form of u*g
-        self._interned = {(1, 0, 1): FE_ONE}  # scalar's (p, q, d) -> stored copy
+        self._interned = {}  # scalar's (p, q, d) -> stored copy
         self._shared = {}  # normal word -> the one tuple of it that entries keep
         self._misses = 0
         self._words = {}  # normal word -> (graded-lex key, text spelling, latex spelling)
@@ -605,7 +582,93 @@ def rule_images(m):
             yield (j, i), comm, m(gen(j).commutator(gen(i)))
 
 
-class NCElement:
+class Graded:
+    """The arithmetic of every value stored as graded terms ``{(key, k): c}``,
+    ``c`` the nonzero coefficient of ``param**k`` times ``key``: an element, a
+    tensor, a differential operator (:class:`hopf_forge.diffrep.WeylOperator`).
+
+    A kind supplies ``terms``, ``order`` (its truncation order), ``_new(terms)``
+    (a value of its own kind, algebra, arity and order), ``_mismatch(other)``
+    (the error that combining it with ``other``, a value of its kind, raises,
+    or None) and ``_mul_into(other, out)``, which sums the product into the
+    graded terms ``out`` and returns them (``out`` itself, or the product's own
+    dict when ``out`` is empty).  Values of one kind are equal when they can be
+    combined and have the same terms; ``+``, ``-`` and ``*`` take another value
+    of the kind, and ``*`` a scalar too.
+
+    A difference is one pass: the subtrahend's terms are subtracted into a copy
+    of the minuend, with no negated copy in between.  A commutator builds no
+    second product and no copy: the second product, its left factor negated
+    once, is summed into the dict of the freshly built first one (negating the
+    left factor keeps the ``is FE_ONE`` skip of each right-hand scalar).  Only a
+    dict that the operation itself built is summed into, as a :class:`WordMap`
+    hands out its cached images."""
+
+    __slots__ = ()
+
+    def _check(self, other):
+        err = self._mismatch(other)
+        if err is not None:
+            raise err
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._mismatch(other) is None and self.terms == other.terms
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            add_term(out, key, c)
+        return self._new(out)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key)
+            if s is None:
+                out[key] = -c
+            elif s == c:
+                del out[key]
+            else:
+                out[key] = s - c
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            self._check(other)
+            return self._new(self._mul_into(other, {}))
+        if isinstance(other, _SCALARS):
+            return self.scaled(other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        # scalars commute with everything; products of two values use __mul__
+        return self.scaled(other) if isinstance(other, _SCALARS) else NotImplemented
+
+    def scaled(self, c, k=0):
+        """This value times the scalar ``c`` and ``param**k``."""
+        return self._new(_scaled_terms(self.terms, c, k, self.order))
+
+    def commutator(self, other):
+        """``self*other - other*self``, in one dict."""
+        self._check(other)
+        return self._new((-other)._mul_into(self, self._mul_into(other, {})))
+
+
+class NCElement(Graded):
     """Linear combination of normal-ordered words times graded scalars."""
 
     __slots__ = ("algebra", "terms")
@@ -614,50 +677,31 @@ class NCElement:
         self.algebra = algebra
         self.terms = terms
 
-    def _check(self, other):
+    order = property(lambda self: self.algebra.order)
+
+    def _new(self, terms):
+        return NCElement(self.algebra, terms)
+
+    def _mismatch(self, other):
         if self.algebra is not other.algebra:
-            raise AlgebraMismatch(
+            return AlgebraMismatch(
                 f"{self.algebra.name} element combined with {other.algebra.name} element")
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, NCElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
+        return None
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):  # a scalar adds as that multiple of the unit
             other = self.algebra.unit().scaled(other)
-        elif not isinstance(other, NCElement):
-            return NotImplemented
-        self._check(other)
-        return NCElement(self.algebra, _sum_terms(self.terms, other.terms))
+        return Graded.__add__(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
             other = self.algebra.unit().scaled(other)
-        elif not isinstance(other, NCElement):
-            return NotImplemented
-        self._check(other)
-        return NCElement(self.algebra, _diff_terms(self.terms, other.terms))
+        return Graded.__sub__(self, other)
 
     def __rsub__(self, other):
         return (-self) + other if isinstance(other, _SCALARS) else NotImplemented
-
-    def __neg__(self):
-        return NCElement(self.algebra, {key: -c for key, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, NCElement):
-            self._check(other)
-            return NCElement(self.algebra, self._mul_into(other, {}))
-        if isinstance(other, _SCALARS):
-            return self.scaled(other)
-        return NotImplemented
 
     def _mul_into(self, other, out):
         """Sum ``self * other`` into the graded terms ``out`` and return them:
@@ -676,10 +720,6 @@ class NCElement:
                     add_term(out, key, c)
         return out
 
-    def __rmul__(self, other):
-        # scalars commute with everything; true element products use __mul__
-        return self.scaled(other) if isinstance(other, _SCALARS) else NotImplemented
-
     def __pow__(self, n):
         """``self**n`` by repeated squaring."""
         if n < 0:
@@ -692,17 +732,6 @@ class NCElement:
             if n:
                 base = base * base
         return out
-
-    def commutator(self, other):
-        """``self*other - other*self``: ``(-other)*self`` is summed into the dict
-        of the first product (negating the left factor keeps the ``is FE_ONE``
-        skip of each right-hand scalar)."""
-        self._check(other)
-        return NCElement(self.algebra, (-other)._mul_into(self, self._mul_into(other, {})))
-
-    def scaled(self, c, k=0):
-        """This element times the scalar ``c`` and ``param**k``."""
-        return NCElement(self.algebra, _scaled_terms(self.terms, c, k, self.algebra.order))
 
     def classical_limit(self):
         """Keep only the order-0 terms."""
@@ -738,7 +767,7 @@ class NCElement:
                           for w, s in self.by_word()]}
 
 
-class TensorElement:
+class TensorElement(Graded):
     """k-fold tensor products of normal-ordered words (k = 2 or 3)."""
 
     __slots__ = ("algebra", "arity", "terms")
@@ -748,6 +777,8 @@ class TensorElement:
         self.arity = arity
         self.terms = terms
 
+    order = property(lambda self: self.algebra.order)
+
     @classmethod
     def unit(cls, algebra, arity):
         return cls(algebra, arity, {(((),) * arity, 0): FE_ONE})
@@ -756,46 +787,17 @@ class TensorElement:
     def zero(cls, algebra, arity):
         return cls(algebra, arity, {})
 
-    def _check(self, other):
+    def _new(self, terms):
+        return TensorElement(self.algebra, self.arity, terms)
+
+    def _mismatch(self, other):
         if self.algebra is not other.algebra:
-            raise AlgebraMismatch("tensor operands from different algebras")
+            return AlgebraMismatch("tensor operands from different algebras")
         if self.arity != other.arity:
-            raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
+            return ArityMismatch(f"arity {self.arity} vs {other.arity}")
+        return None
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.algebra is other.algebra and self.arity == other.arity
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check(other)
-        return TensorElement(self.algebra, self.arity, _sum_terms(self.terms, other.terms))
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check(other)
-        return TensorElement(self.algebra, self.arity, _diff_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return TensorElement(self.algebra, self.arity,
-                             {key: -c for key, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TensorElement):
-            self._check(other)
-            return TensorElement(self.algebra, self.arity, self._mul_into(other, {}))
-        if isinstance(other, _SCALARS):
-            return self.scaled(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    __mul__ = Graded.__mul__  # here too, so that a tracer can wrap the tensor product alone
 
     def _mul_into(self, other, out):
         """Sum ``self * other`` into the graded terms ``out`` and return them."""
@@ -859,13 +861,6 @@ class TensorElement:
                         add_term(out, (ws, k), c)
         return out
 
-    def commutator(self, other):
-        """``self*other - other*self``: ``(-other)*self`` is summed into the dict
-        of the first product."""
-        self._check(other)
-        return TensorElement(self.algebra, self.arity,
-                             (-other)._mul_into(self, self._mul_into(other, {})))
-
     def flip(self):
         """Swap the two slots of an arity-2 tensor."""
         if self.arity != 2:
@@ -895,11 +890,6 @@ class TensorElement:
         if any(k == 0 for _, k in self.terms):
             raise NonzeroConstantTerm("tensor exp with nonzero constant term")
         return exp_series(self.scaled(FE_ONE, -1), TensorElement.unit(self.algebra, self.arity))
-
-    def scaled(self, c, k=0):
-        """This tensor times the scalar ``c`` and ``param**k``."""
-        return TensorElement(self.algebra, self.arity,
-                             _scaled_terms(self.terms, c, k, self.algebra.order))
 
     def substitute(self, target, images):
         """Slot-wise substitution homomorphism into a tensor over ``target``:

@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, formats, environment overrides."""
 
+import contextlib
 import fcntl
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,8 @@ import sys
 
 import pytest
 
-from hopf_forge.algebras import PRESET_NAMES
-from hopf_forge.cli import UsageError, _run_timed, _verify_plan, build_parser
+from hopf_forge.algebras import PRESET_NAMES, preset
+from hopf_forge.cli import UsageError, _run_timed, _verify_plan, build_parser, main
 
 CLI = [sys.executable, "-m", "hopf_forge"]
 
@@ -386,6 +388,36 @@ class TestOutputs:
         assert r.returncode == 2
         assert r.stdout == ""
         assert "not latex" in r.stderr
+
+
+def show_in_process(*argv):
+    """(exit code, stdout) of ``show`` with ``argv``, run in this process."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["show", *argv])
+    return code, buf.getvalue()
+
+
+class TestShowJson:
+    """Every preset subject writes one JSON document under --format json."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("subject", ["generators", "relations", "coproducts",
+                                         "antipodes", "casimirs"])
+    def test_one_document(self, subject, name):
+        code, out = show_in_process(subject, "--algebra", name, "--order", "2",
+                                    "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        alg = preset(name, 2).presentation
+        assert doc["param"] == alg.param and doc["order"] == 2
+        if subject == "generators":
+            assert doc["generators"] == list(alg.generators)
+            assert set(doc["primitive_generators"]) <= set(alg.generators)
+        else:  # one entry per line of the text output, under the same label
+            _, text = show_in_process(subject, "--algebra", name, "--order", "2")
+            assert sorted(doc["entries"]) == sorted(
+                line.split(" = ")[0] for line in text.splitlines())
 
 
 class TestEnvironment:

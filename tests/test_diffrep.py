@@ -1,5 +1,6 @@
 """Differential representation: Weyl calculus, relations, Casimir action."""
 
+import random
 from math import factorial
 
 import pytest
@@ -100,6 +101,48 @@ class TestWeylCalculus:
                 for beta in range(3):
                     assert xy.apply_to_monomial(alpha, beta) \
                         == x.apply_to(y.apply_to_monomial(alpha, beta)), (alpha, beta)
+
+
+def random_operator(order, rng):
+    """A few terms w^k f d_+^a d_1^b, f a monomial over a power of p_plus."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = (pvar("p_plus") ** rng.randint(0, 2) * pvar("p_1") ** rng.randint(0, 2)
+                * FieldElem(rat(rng.randint(-3, 3) or 1, rng.randint(1, 2)), rng.randint(-1, 1)))
+        terms[((rng.randint(0, 2), rng.randint(0, 1)), rng.randint(0, order))] = \
+            rf(mono, rng.randint(0, 1))
+    return WeylOperator(order, terms)
+
+
+class TestGradedOperators:
+    """An operator's arithmetic is an algebra element's (``ncalg.Graded``)."""
+
+    def test_laws_on_random_operators(self):
+        rng = random.Random("weyl-graded")
+        ops = [random_operator(2, rng) for _ in range(5)] + [WeylOperator.zero(2)]
+        for x in ops:
+            assert -(-x) == x and (x - x).is_zero()
+            for c in (2, rat(-1, 3), FieldElem(rat(1, 2), 1)):
+                assert c * x == x * c == x.scaled(c)
+            for y in ops:
+                assert x - y == x + (-y)
+                assert x.commutator(y) == x * y - y * x
+
+    def test_other_kinds_and_orders_are_not_equal(self):
+        alg = preset("nullplane", 2).presentation
+        assert WeylOperator.zero(2) != WeylOperator.zero(3)
+        assert WeylOperator.zero(2) != alg.zero() and alg.zero() != WeylOperator.zero(2)
+        with pytest.raises(ValueError, match="orders 2 and 3"):
+            WeylOperator.identity(2) + WeylOperator.identity(3)
+
+    def test_an_operator_plus_an_element_is_a_type_error(self):
+        alg = preset("nullplane", 2).presentation
+        op = WeylOperator.identity(2)
+        for left, right in ((op, alg.gen(0)), (alg.gen(0), op)):
+            with pytest.raises(TypeError):
+                left + right
+            with pytest.raises(TypeError):
+                left - right
 
 
 class TestStabilityRep:

@@ -382,7 +382,10 @@ class TestKernelErrors:
         for c in stored:
             assert alg._interned[(c.p, c.q, c.d)] is c
             fresh = c + FieldElem(0)
-            assert fresh is not c
+            if c == 1:  # every 1 is the one FE_ONE, stored or fresh
+                assert c is FE_ONE and fresh is FE_ONE
+            else:
+                assert fresh is not c
             assert fresh == c and hash(fresh) == hash(c)
 
     @pytest.mark.parametrize("name", ["sl2", "so22", "nullplane", "sl2-jbasis"])
@@ -990,6 +993,53 @@ class TestScalarAddition:
                 left + right
             with pytest.raises(TypeError):
                 left - right
+
+
+SCALARS = (3, rat(-2, 5), FieldElem(rat(1, 3), -1), FE_ONE, FieldElem(0))
+
+
+class TestGradedArithmetic:
+    """Elements and tensors share one arithmetic (``ncalg.Graded``)."""
+
+    @pytest.mark.parametrize("name", ["sl2", "nullplane", "so22"])
+    def test_laws_on_random_values(self, name):
+        alg = build_preset(name, 3).presentation
+        rng = random.Random(f"graded-{name}")
+        kinds = [[random_element(alg, rng) for _ in range(4)] + [alg.zero()]]
+        kinds += [[random_tensor(alg, rng, arity) for _ in range(3)]
+                  + [TensorElement.zero(alg, arity)] for arity in (2, 3)]
+        for values in kinds:
+            for x in values:
+                assert -(-x) == x and (x - x).is_zero()
+                for c in SCALARS:
+                    assert c * x == x * c == x.scaled(c)
+                for y in values:
+                    snap = snapshot(x, y)
+                    assert x - y == x + (-y)
+                    assert x.commutator(y) == x * y - y * x
+                    assert unchanged(snap)
+
+    def test_other_kinds_algebras_arities_and_orders_are_not_equal(self):
+        sl2, so22 = preset("sl2", 2).presentation, preset("so22", 2).presentation
+        sl2_3 = preset("sl2", 3).presentation
+        assert sl2.zero() != TensorElement.zero(sl2, 2)
+        assert sl2.zero() != so22.zero() and sl2.zero() != sl2_3.zero()
+        assert TensorElement.zero(sl2, 2) != TensorElement.zero(sl2, 3)
+        assert TensorElement.zero(sl2, 2) != TensorElement.zero(sl2_3, 2)
+        assert sl2.zero() == sl2.zero() and sl2.unit() != 1
+        with pytest.raises(AlgebraMismatch):
+            sl2.zero() + sl2_3.zero()
+        with pytest.raises(ArityMismatch):
+            TensorElement.zero(sl2, 2).commutator(TensorElement.zero(sl2, 3))
+
+    def test_a_tensor_plus_an_element_is_a_type_error(self):
+        alg = preset("sl2", 2).presentation
+        t, x = TensorElement.unit(alg, 2), alg.gen(0)
+        for left, right in ((t, x), (x, t)):
+            with pytest.raises(TypeError):
+                left + right
+            with pytest.raises(TypeError):
+                left * right
 
 
 class TestSubstitution:
