@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .coeff import FE_ONE, FieldElem, rat
+from .coeff import FieldElem, rat
 from .hopf import HopfMaps
 from .ncalg import (AlgebraPresentation, NCElement, WordMap, exp_series, rule_images,
                     tensor_of, tensor_pair)
@@ -34,8 +34,9 @@ from .report import CheckReport, timed_reports
 PRESET_NAMES = ("sl2", "so22", "nullplane", "sl2-jbasis")
 
 # faults deliberately corrupt one structure each (the CLI's --inject-fault):
-# the verify plan passes the fault to preset(name, order, fault), and to the
-# rtt, weyl, group-coproduct and diffrep checks, which build their own structures
+# the verify plan passes the fault to preset(name, order, fault), whose bundle
+# carries it (diffrep reads it there), and to the rtt, weyl and group-coproduct
+# checks, which build the FRT presentation themselves
 FAULTS = {
     "ncalg-rule": "corrupt the [E_1,F_1]=K_2 rewrite rule of the nullplane preset",
     "hopf-coproduct": "drop the P_minus term from the nullplane coproduct of F_1",
@@ -49,7 +50,9 @@ FAULTS = {
 @dataclass(eq=False)
 class PresetBundle:
     """One quantum algebra with its Hopf maps, Casimirs and R-matrix recipe;
-    compared and hashed by identity, as caches key on it."""
+    compared and hashed by identity, as caches key on it.  The build behind
+    :func:`preset` sets ``fault`` (the :data:`FAULTS` key built in, or None)
+    and ``consistency`` (the presentation's consistency report) once."""
 
     name: str
     presentation: AlgebraPresentation
@@ -57,6 +60,8 @@ class PresetBundle:
     casimirs: dict
     rfactors: tuple | None
     aux: dict = field(default_factory=dict)
+    fault: str | None = None
+    consistency: CheckReport | None = None
 
     @property
     def order(self):
@@ -173,12 +178,16 @@ class PresetConstructionError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _built_cached(name, order, fault):
-    return build_preset(name, order, fault)
+    bundle = build_preset(name, order, fault)
+    bundle.fault = fault
+    bundle.consistency = bundle.presentation.consistency_check()
+    return bundle
 
 
 def preset(name, order, fault=None):
     """Preset bundle whose construction-time consistency check passed, with
-    the named fault of :data:`FAULTS` built in (a testing hook).
+    the named fault of :data:`FAULTS` built in (a testing hook) and carried
+    as ``bundle.fault``.
 
     The cache is keyed by the fault so corrupted structures never leak into
     fault-free runs (and vice versa).
@@ -186,12 +195,8 @@ def preset(name, order, fault=None):
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}")
     bundle = _built_cached(name, order, fault)
-    rep = bundle.aux.get("_consistency")
-    if rep is None:
-        rep = bundle.presentation.consistency_check()
-        bundle.aux["_consistency"] = rep
-    if not rep.passed:
-        raise PresetConstructionError(rep)
+    if not bundle.consistency.passed:
+        raise PresetConstructionError(bundle.consistency)
     return bundle
 
 
@@ -443,21 +448,17 @@ def _build_jbasis(order):
 
 
 def check_basis_change(jb):
-    """The A-basis relations hold for the transported generators of the
-    J-basis bundle ``jb``, and the change of basis is invertible (round trips
-    on generators)."""
+    """The rules of the sl2 preset hold for the transported generators of the
+    J-basis bundle ``jb`` (:func:`~hopf_forge.ncalg.rule_images` of ``alpha``),
+    and the change of basis is invertible (round trips on generators)."""
     jalg, aalg = jb.presentation, preset("sl2", jb.order).presentation
     alpha, beta = jb.aux["alpha"], jb.aux["beta"]
     rep = CheckReport(check="basis-change", algebra=jb.name, order=jb.order)
+    names = aalg.generators
+    for (j, i), comm, image in rule_images(WordMap(aalg, alpha, jalg.unit())):
+        rep.expect_zero(f"[{names[j]},{names[i]}]", comm - image)
 
-    a_p, a_3, a_m = alpha["A_plus"], alpha["A"], alpha["A_minus"]
-    # the three A-basis commutators, rebuilt inside the J algebra
-    rep.expect_zero("[A,A_plus]", a_3.commutator(a_p)
-                    - exp_gen(jalg, 2, "J_plus", shift=-1))
-    rep.expect_zero("[A,A_minus]", a_3.commutator(a_m) - a_m * FieldElem(-2)
-                    - jalg.scalar(FE_ONE, 1) * a_3 * a_3)
-    rep.expect_zero("[A_plus,A_minus]", a_p.commutator(a_m) - a_3)
-
+    a_3, a_m = alpha["A"], alpha["A_minus"]
     # z -> 0 the map is the identity relabeling
     if not (a_3.classical_limit() - jalg.gen("J_3")).is_zero():
         rep.add_failure("classical limit of A", repr(a_3.classical_limit()))

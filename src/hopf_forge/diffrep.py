@@ -332,16 +332,18 @@ def check_two_evaluation_paths(bundle, max_degree=4, reading="plain"):
     return out
 
 
-def run_diffrep_checks(bundle, fault=None):
+def run_diffrep_checks(bundle):
     """The four diffrep reports, each carrying its own measured time.  Without
-    a fault the relations check runs first and settles the F_1 reading; the
-    Casimir and action checks run on the reading its report was made on."""
-    if fault is None:
+    a fault in the bundle the relations check runs first and settles the F_1
+    reading; under one, the reading is fixed (``diffrep-op`` builds the other
+    one).  The Casimir and action checks run on the reading of the relations
+    report."""
+    if bundle.fault is None:
         [relations] = timed_reports(lambda: resolve_f1_reading(bundle))
         reading = relations.details["f1_reading"]
         relations.details["f1_reading"] = relations.details.pop("accepted")
     else:
-        reading = "exponential" if fault == "diffrep-op" else "plain"
+        reading = "exponential" if bundle.fault == "diffrep-op" else "plain"
         [relations] = timed_reports(lambda: check_rep_relations(bundle, reading))
     return [relations] + timed_reports(
         lambda: check_casimir_action(bundle, reading), lambda: check_hamiltonian(bundle.order),

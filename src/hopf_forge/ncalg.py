@@ -81,11 +81,11 @@ graded-lex sort key and its text and latex spelling (``A^2*B``, ``A^{2} B``,
 from the ``latex_names`` given to the constructor), made the first time
 :meth:`AlgebraPresentation.word_entry` sees the word.  ``by_word`` and
 ``to_dict`` sort by those keys and the renderers of :mod:`hopf_forge.expr`
-read the spellings, so no word is flattened or joined again.  ``to_dict``
-takes each word's ``[[name, e], ...]`` list from a second memo,
-:meth:`AlgebraPresentation.json_word`, filled only by JSON output.  These memos
-and the dict of interned words hold only tuples, lists, strings and ints, no
-element, so the presentation is still freed by reference counting.
+read the spellings, so no word is flattened or joined again; ``to_dict``
+builds each word's ``[[name, e], ...]`` list anew, so a document shares no
+list with the presentation or with another document.  This memo and the dict
+of interned words hold only tuples, strings and ints, no element, so the
+presentation is still freed by reference counting.
 
 A map given on generators (a coproduct, counit or antipode, a substitution, a
 representation) is extended to words and elements by one :class:`WordMap`.
@@ -194,10 +194,10 @@ def _by_word(terms, sort_key):
     return [(w, tuple(grouped[w])) for w in sorted(grouped, key=sort_key)]
 
 
-def _dense_quads(series, order, zero):
-    """The serialized coefficient list of one word: ``order + 1`` quads, each
-    absent power the one list ``zero``."""
-    quads = [zero] * (order + 1)
+def _dense_quads(series, order):
+    """The serialized coefficient list of one word: ``order + 1`` quads, a
+    zero quad at each absent power."""
+    quads = [[0, 1, 0, 1] for _ in range(order + 1)]
     for k, c in series:
         quads[k] = c.as_quad()
     return quads
@@ -221,7 +221,6 @@ class AlgebraPresentation:
         self._shared = {}  # normal word -> the one tuple of it that entries keep
         self._misses = 0
         self._words = {}  # normal word -> (graded-lex key, text spelling, latex spelling)
-        self._json_words = {}  # normal word -> [[name, e], ...]
 
     def __repr__(self):
         return f"<algebra {self.name}: {' < '.join(self.generators)}; order {self.order}>"
@@ -245,15 +244,6 @@ class AlgebraPresentation:
     def word_key(self, word):
         """Graded-lex sort key of a normal word, from :meth:`word_entry`."""
         return self.word_entry(word)[0]
-
-    def json_word(self, word):
-        """A normal word as ``[[name, e], ...]``, made on its first use and
-        kept: every document that serializes the word shares the one list."""
-        out = self._json_words.get(word)
-        if out is None:
-            names = self.generators
-            out = self._json_words[word] = [[names[g], e] for g, e in word]
-        return out
 
     # -- construction ------------------------------------------------------
 
@@ -758,13 +748,10 @@ class NCElement(Graded):
     # -- serialization -------------------------------------------------------
 
     def to_dict(self):
-        """The JSON document of this element.  Its word lists are the
-        presentation's (:meth:`AlgebraPresentation.json_word`) and its zero
-        quads one list, so the document is for reading, not for changing."""
-        alg, zero = self.algebra, [0, 1, 0, 1]
-        word = alg.json_word
-        return {"terms": [{"word": word(w), "coeff": _dense_quads(s, alg.order, zero)}
-                          for w, s in self.by_word()]}
+        """The JSON document of this element."""
+        names, order = self.algebra.generators, self.order
+        return {"terms": [{"word": [[names[g], e] for g, e in w],
+                           "coeff": _dense_quads(s, order)} for w, s in self.by_word()]}
 
 
 class TensorElement(Graded):
@@ -913,14 +900,11 @@ class TensorElement(Graded):
         return _by_word(self.terms, lambda ws: tuple(map(key, ws)))
 
     def to_dict(self):
-        """The JSON document of this tensor, shared lists as in
-        :meth:`NCElement.to_dict`."""
-        alg, zero = self.algebra, [0, 1, 0, 1]
-        word = alg.json_word
+        """The JSON document of this tensor, one word list per slot."""
+        names, order = self.algebra.generators, self.order
         return {"arity": self.arity,
-                "terms": [{"word": [word(w) for w in ws],
-                           "coeff": _dense_quads(s, alg.order, zero)}
-                          for ws, s in self.by_word()]}
+                "terms": [{"word": [[[names[g], e] for g, e in w] for w in ws],
+                           "coeff": _dense_quads(s, order)} for ws, s in self.by_word()]}
 
     def __repr__(self):
         from .expr import render_tensor

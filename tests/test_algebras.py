@@ -1,11 +1,12 @@
 """Preset catalog: relation tables, Casimirs, limits, two-copy, basis change."""
 
+import dataclasses
 import gc
 import weakref
 
 import pytest
 
-from hopf_forge.algebras import (SO22_GENERATORS, build_preset, build_twocopy,
+from hopf_forge.algebras import (PRESET_NAMES, SO22_GENERATORS, build_preset, build_twocopy,
                                  check_basis_change, check_casimir_centrality,
                                  check_classical_limits, cross_check_two_copy, exp_gen,
                                  preset, PresetConstructionError,
@@ -122,6 +123,17 @@ class TestBasisChange:
         alg = preset("sl2-jbasis", 4).presentation
         assert alg.gen("J_plus").commutator(alg.gen("J_minus")) == alg.gen("J_3")
 
+    def test_a_wrong_image_fails_the_rules_it_enters(self):
+        # the check reads the sl2 rules off ncalg.rule_images: an extra z^2
+        # term in the image of A_minus breaks the rules that hold A_minus
+        jb = preset("sl2-jbasis", 3)
+        jalg = jb.presentation
+        alpha = dict(jb.aux["alpha"])
+        alpha["A_minus"] = alpha["A_minus"] + jalg.scalar(FieldElem(1), 2) * jalg.gen("J_3")
+        rep = check_basis_change(dataclasses.replace(jb, aux={**jb.aux, "alpha": alpha}))
+        labels = [f["input"] for f in rep.failures]
+        assert "[A_minus,A]" in labels and "[A,A_plus]" not in labels
+
     def test_alpha_classical_limit_is_relabeling(self):
         jb = preset("sl2-jbasis", 3)
         alpha = jb.aux["alpha"]
@@ -187,6 +199,14 @@ class TestFaultInjection:
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError):
             preset("nullplane", 2, fault="no-such-fault")
+
+    def test_bundle_carries_its_fault_and_consistency_report(self):
+        for name in PRESET_NAMES:
+            bundle = preset(name, 2)
+            assert bundle.fault is None and bundle.consistency.passed
+            assert "_consistency" not in bundle.aux
+        faulted = preset("nullplane", 2, fault="diffrep-op")
+        assert faulted.fault == "diffrep-op" and faulted is not preset("nullplane", 2)
 
 
 class TestPresetHygiene:

@@ -308,7 +308,7 @@ class TestVerifyPlan:
         from hopf_forge.algebras import preset
         args = build_parser().parse_args(["verify", "consistency", "--algebra", "sl2",
                                           "--order", "2"])
-        cached = preset("sl2", 2).aux["_consistency"]
+        cached = preset("sl2", 2).consistency
         out = []
         for label, order, fn in _verify_plan("consistency", "sl2", args):
             _run_timed(label, fn, out, 1e-9, order)
@@ -418,6 +418,81 @@ class TestShowJson:
             _, text = show_in_process(subject, "--algebra", name, "--order", "2")
             assert sorted(doc["entries"]) == sorted(
                 line.split(" = ")[0] for line in text.splitlines())
+
+
+def cli_in_process(argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` in this process; an
+    argparse refusal gives its SystemExit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+SUBJECTS = ("generators", "relations", "coproducts", "antipodes", "casimirs",
+            "rmatrix", "hamiltonian", "brackets")
+MALFORMED = ("A + -2", "3*-2", "(", "exp(A)", "A^99999", "A§")
+
+
+def sweep(command, order):
+    """Every argv of ``command`` at ``order``: no --algebra, then each preset,
+    under each format the command accepts; the expression verbs take one
+    well-formed product of the preset's first two generators and each of
+    :data:`MALFORMED`."""
+    for name in (None, *PRESET_NAMES):
+        common = (["--algebra", name] if name else []) + ["--order", order]
+        if command == "preset":
+            yield ["preset", *([name] if name else []), "--order", order]
+        elif command == "show":
+            for subject in SUBJECTS:
+                for fmt in ("text", "json", "latex"):
+                    yield ["show", subject, *common, "--format", fmt]
+        elif command == "verify":
+            from hopf_forge.cli import _check_table
+            for check in ("all", *_check_table()):
+                for fmt in ("text", "json"):
+                    yield ["verify", check, *common, "--format", fmt]
+        else:
+            gens = preset(name, 2).presentation.generators if name else ("A_plus", "A")
+            for text in (f"{gens[1]}*{gens[0]}", *MALFORMED):
+                for fmt in ("text", "json", "latex"):
+                    yield [command, text, *common, "--format", fmt]
+
+
+class TestContractSweep:
+    """Every CLI surface ends in a report or a usage error (ROADMAP item 19):
+    exit 0 under json is one JSON document and under latex not the text
+    output, exit 2 writes nothing to stdout and an ``error:`` or usage line
+    to stderr, and no exception escapes."""
+
+    @pytest.mark.parametrize("order", ["1", "2"])
+    @pytest.mark.parametrize("command", ["show", "preset", "normalize", "expand", "verify"])
+    def test_contract(self, command, order):
+        broken, text = [], {}  # argv without its format -> the text output
+        for argv in sweep(command, order):
+            fmt = argv[-1] if argv[-2] == "--format" else "text"
+            try:
+                code, out, err = cli_in_process(argv)
+            except Exception as e:  # an escaping exception is what the sweep looks for
+                broken.append((argv, f"raised {type(e).__name__}: {e}"))
+                continue
+            if fmt == "text":
+                text[tuple(argv[:-1])] = out
+            if code not in (0, 1, 2):
+                broken.append((argv, f"exit {code}"))
+            elif code == 0 and fmt == "json":
+                try:
+                    json.loads(out)
+                except ValueError:
+                    broken.append((argv, "exit 0 without one JSON document"))
+            elif code == 0 and fmt == "latex" and out == text.get(tuple(argv[:-1])):
+                broken.append((argv, "exit 0 with the text output"))
+            elif code == 2 and (out or not err.startswith(("error:", "usage:"))):
+                broken.append((argv, f"usage error wrote {out[:60]!r}, {err[:60]!r}"))
+        assert broken == []
 
 
 class TestEnvironment:

@@ -211,6 +211,13 @@ class TestDynamicalRep:
         assert [r.check for r in reports if not r.passed] == []
         assert reports[0].details == {"f1_reading": "exponential (printed form rejected)"}
 
+    def test_the_fault_reaches_the_checks_through_the_bundle(self):
+        bundle = preset("nullplane", 4, "diffrep-op")
+        assert bundle.fault == "diffrep-op"
+        failing = {r.check: len(r.failures)
+                   for r in diffrep.run_diffrep_checks(bundle) if not r.passed}
+        assert failing == {"diffrep-relations": 4, "diffrep-casimirs": 1}
+
     def test_printed_reading_reported_when_neither_closes(self, monkeypatch):
         real = diffrep.build_dynamical_rep
         monkeypatch.setattr(diffrep, "build_dynamical_rep",

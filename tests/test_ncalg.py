@@ -1083,6 +1083,23 @@ class TestSerialization:
         assert t["arity"] == 2
         assert t["terms"][0]["word"] == [[["A", 1]], [["A_plus", 1]]]
 
+    def test_editing_a_document_leaves_later_renders_unchanged(self):
+        bundle = preset("nullplane", 3)
+        alg = bundle.presentation
+        x = (alg.gen("F_1") + alg.gen("P_plus")) ** 2 * alg.gen("E_1")
+        t = bundle.hopf.delta[alg.index["F_1"]]
+        for y in (x, t):
+            before = render_in(y, "json")
+            for term in y.to_dict()["terms"]:
+                words = term["word"] if isinstance(y, TensorElement) else [term["word"]]
+                for w in words:
+                    w.append(["P_1", 99])
+                    for pair in w:
+                        pair[1] = 99
+                for quad in term["coeff"]:
+                    quad[0] = 7
+            assert render_in(y, "json") == before
+
 
 def plain_commutator(x, y):
     """``x*y - y*x`` through ``__mul__`` and ``__sub__``: two products and a copy."""

@@ -325,6 +325,19 @@ class TestQuantumPlane:
     def test_relations_and_consistency(self):
         assert check_quantum_plane(2).passed
 
+    def test_a_changed_rule_fails_under_its_label(self, monkeypatch):
+        # x_1*x_plus = x_plus*x_1 + 2w*x_1; a w coefficient of 3 no longer
+        # matches the bracket of the translations a_1 and a_plus
+        good = repfrt.quantum_plane(2)
+        rules = good.rules
+        terms = dict(rules[(1, 0)].terms)
+        terms[(((1, 1),), 1)] = FieldElem(3)
+        bad = repfrt.AlgebraPresentation("qplane", good.generators, "w", 2)
+        bad.set_rules({**rules, (1, 0): bad.element(terms)})
+        monkeypatch.setattr(repfrt, "quantum_plane", lambda order=2: bad)
+        labels = [f["input"] for f in check_quantum_plane(2).failures]
+        assert "[x_1,x_plus]" in labels and "[x_minus,x_1]" not in labels
+
     def test_xplus_xminus_rule(self):
         from hopf_forge.repfrt import quantum_plane
         alg = quantum_plane(2)
