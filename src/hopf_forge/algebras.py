@@ -116,6 +116,11 @@ def classical_bracket(x, y):
     return {g: FieldElem(sign * c) for g, c in table.items()}
 
 
+def classical_bracket_element(alg, x, y):
+    """:func:`classical_bracket` of ``x`` and ``y`` as an element of ``alg``."""
+    return sum((alg.gen(g) * c for g, c in classical_bracket(x, y).items()), alg.zero())
+
+
 def sl2_commutators(alg, ap, a, am, s):
     """[g_i, g_j] of one non-standard sl(2,R) copy with parameter s*z, keyed by
     the generator indices ap < a < am."""
@@ -566,10 +571,7 @@ def check_classical_limits(bundle):
         for i in range(j):
             x, y = names[j], names[i]
             got = alg.gen(j).commutator(alg.gen(i)).classical_limit()
-            want = alg.zero()
-            for g, c in classical_bracket(x, y).items():
-                want = want + alg.gen(g) * c
-            rep.expect_zero(f"[{x},{y}]", got - want)
+            rep.expect_zero(f"[{x},{y}]", got - classical_bracket_element(alg, x, y))
 
     g = alg.gen
     m_cl = (g("P_minus") * g("P_plus")) * FieldElem(2) - g("P_1") * g("P_1")

@@ -412,13 +412,13 @@ def build_parser():
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("normalize", help="normal-order an expression")
-    sp.add_argument("expression")
+    sp.add_argument("expression", nargs="?")
     sp.add_argument("--algebra", required=True)
     add_common(sp, ("text", "json", "latex"))
     sp.set_defaults(fn=cmd_normalize)
 
     sp = sub.add_parser("expand", help="normal-order and display order by order")
-    sp.add_argument("expression")
+    sp.add_argument("expression", nargs="?")
     sp.add_argument("--algebra", required=True)
     add_common(sp, ("text", "json", "latex"))
     sp.set_defaults(fn=cmd_expand)
@@ -442,7 +442,14 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if getattr(args, "expression", "") is None and len(extra) == 1:
+        # argparse reads a space-free expression that starts with "-" as an option
+        args.expression, extra = extra[0], []
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if getattr(args, "expression", "") is None:
+        parser.error("the following arguments are required: expression")
     try:
         code = args.fn(args)
         sys.stdout.flush()

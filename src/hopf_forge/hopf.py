@@ -21,7 +21,7 @@ ideal the checks here do not reduce by.
 from __future__ import annotations
 
 from .coeff import FE_ONE
-from .ncalg import NCElement, TensorElement, WordMap, add_term, rule_images
+from .ncalg import NCElement, TensorElement, WordMap, add_term, rule_images, tensor_of
 from .report import CheckReport, timed_reports
 
 
@@ -175,12 +175,11 @@ class HopfMaps:
     def primitive_generators(self):
         """Generators X with Delta(X) = 1(x)X + X(x)1."""
         alg = self.algebra
+        one = alg.unit()
         out = []
         for i, name in enumerate(alg.generators):
-            g = ((i, 1),)
-            prim = TensorElement(alg, 2, {(((), g), 0): FE_ONE,
-                                          ((g, ()), 0): FE_ONE})
-            if (self.delta[i] - prim).is_zero():
+            x = alg.gen(i)
+            if (self.delta[i] - tensor_of(alg, [(one, x), (x, one)])).is_zero():
                 out.append(name)
         return out
 

@@ -14,7 +14,7 @@ tensor algebra is ever needed.
 from __future__ import annotations
 
 from .coeff import FE_ONE, FieldElem
-from .ncalg import TensorElement, add_term, exp_series, tensor_pair
+from .ncalg import TensorElement, add_term, exp_series, tensor_of, tensor_pair
 from .algebras import classical_presentation
 from .report import CheckReport
 
@@ -38,13 +38,16 @@ def preset_r(bundle):
     return build_universal_r(bundle.presentation, bundle.rfactors)
 
 
+def _legs(r):
+    """R12, R13 and R23 of a two-fold tensor, in the three-fold tensor algebra."""
+    return r.embed((0, 1), 3), r.embed((0, 2), 3), r.embed((1, 2), 3)
+
+
 def qybe_residual(r):
     """R12 R13 R23 - R23 R13 R12 in the three-fold tensor algebra.  (R12 R13) R23
     is built first, so R12 R13 is freed before R23 R13 is; then ((-R23) R13) R12
     is summed into it, so the second triple product is never held."""
-    r12 = r.embed((0, 1), 3)
-    r13 = r.embed((0, 2), 3)
-    r23 = r.embed((1, 2), 3)
+    r12, r13, r23 = _legs(r)
     out = ((r12 * r13) * r23).terms
     return TensorElement(r.algebra, 3, ((-r23) * r13)._mul_into(r12, out))
 
@@ -63,13 +66,27 @@ def triangularity_residual(r):
     return out
 
 
+def _antisymmetric(pairs, error):
+    """``{(i, j): c}`` for ``i < j`` of the pair data ``{(i, j): c}``, after
+    checking that each ``(j, i)`` carries ``-c``; the first pair (in ``pairs``
+    order) that does not raises ``error(i, j)``."""
+    out = {}
+    for (i, j), c in pairs.items():
+        mirror = pairs.get((j, i))
+        if i == j or mirror is None or not (mirror + c).is_zero():
+            raise error(i, j)
+        if i < j:
+            out[(i, j)] = c
+    return out
+
+
 def extract_classical_r(r):
     """First-order part of R as an antisymmetric wedge combination.
 
     Returns {(i, j): c} with i < j meaning sum_{ij} c * X_i ^ X_j (the
     deformation parameter stripped); raises NotAntisymmetric otherwise.
     """
-    alg = r.algebra
+    names = r.algebra.generators
     first = {}
     for ((w1, w2), k), v in r.terms.items():
         if k != 1:
@@ -77,25 +94,9 @@ def extract_classical_r(r):
         if sum(e for _, e in w1) != 1 or sum(e for _, e in w2) != 1:
             raise NotAntisymmetric("first-order term is not generator (x) generator")
         first[(w1[0][0], w2[0][0])] = v
-    out = {}
-    seen = set()
-    for (i, j), c in first.items():
-        if (i, j) in seen:
-            continue
-        if i == j:
-            raise NotAntisymmetric(f"diagonal first-order term at {alg.generators[i]}")
-        mirror = first.get((j, i))
-        if mirror is None or not (mirror + c).is_zero():
-            raise NotAntisymmetric(
-                f"first-order term at ({alg.generators[i]},{alg.generators[j]}) "
-                "has a symmetric part")
-        seen.add((i, j))
-        seen.add((j, i))
-        if i < j:
-            out[(i, j)] = c
-        else:
-            out[(j, i)] = -c
-    return out
+    return _antisymmetric(first, lambda i, j: NotAntisymmetric(
+        f"diagonal first-order term at {names[i]}" if i == j
+        else f"first-order term at ({names[i]},{names[j]}) has a symmetric part"))
 
 
 def classical_r_of_preset(bundle):
@@ -105,61 +106,39 @@ def classical_r_of_preset(bundle):
     order; the sum must be antisymmetric and is returned in wedge form.
     """
     alg = bundle.presentation
-    pair = {}
+    pairs = {}
     for c, left, right in bundle.rfactors:
-        i, j = alg.index[left], alg.index[right]
-        pair[(i, j)] = pair.get((i, j), FieldElem(0)) + c
-    out = {}
-    for (i, j), c in pair.items():
-        if c.is_zero():
-            continue
-        mirror = pair.get((j, i), FieldElem(0))
-        if not (mirror + c).is_zero():
-            raise NotAntisymmetric(
-                f"factor recipe of {bundle.name} is not antisymmetric at first order")
-        if i < j:
-            out[(i, j)] = c
-    return out
+        if not c.is_zero():  # a zero factor is the unit, as in build_universal_r
+            add_term(pairs, (alg.index[left], alg.index[right]), c)
+    return _antisymmetric(pairs, lambda i, j: NotAntisymmetric(
+        f"factor recipe of {bundle.name} is not antisymmetric at first order"))
 
 
 def _wedge_tensor(alg, wedges):
-    """sum c * (X (x) Y - Y (x) X) as an order-0 tensor element."""
-    t = TensorElement.zero(alg, 2)
-    for (i, j), c in wedges.items():
-        wi, wj = ((i, 1),), ((j, 1),)
-        t = t + TensorElement(alg, 2, {((wi, wj), 0): c, ((wj, wi), 0): -c})
-    return t
+    """``t - t.flip()`` for ``t = sum c * X (x) Y`` over the ``{(X, Y): c}`` of
+    ``wedges`` (generator names or indices, in either orientation)."""
+    t = tensor_of(alg, [(alg.gen(x) * c, alg.gen(y)) for (x, y), c in wedges.items()])
+    return t - t.flip()
 
 
 def cybe_residual(wedges, classical_alg):
     """[[r, r]] = [r12, r13] + [r12, r23] + [r13, r23] in the classical envelope."""
-    r = _wedge_tensor(classical_alg, wedges)
-    r12 = r.embed((0, 1), 3)
-    r13 = r.embed((0, 2), 3)
-    r23 = r.embed((1, 2), 3)
+    r12, r13, r23 = _legs(_wedge_tensor(classical_alg, wedges))
     return (r12.commutator(r13) + r12.commutator(r23) + r13.commutator(r23))
 
 
 def cocommutator(wedges, gen, classical_alg):
     """delta(X) = [1 (x) X + X (x) 1, r] at the classical level."""
     alg = classical_alg
-    i = alg.index[gen] if isinstance(gen, str) else gen
-    one = FE_ONE
-    x = TensorElement(alg, 2, {(((), ((i, 1),)), 0): one, ((((i, 1),), ()), 0): one})
-    return x.commutator(_wedge_tensor(alg, wedges))
+    one, x = alg.unit(), alg.gen(gen)
+    return tensor_of(alg, [(one, x), (x, one)]).commutator(_wedge_tensor(alg, wedges))
 
 
 def skew_first_order(t, classical_alg):
     """(first-order part of a coproduct) minus its flip, as an order-0 tensor."""
-    out = {}
-    for (ws, k), v in t.terms.items():
-        if k != 1:
-            continue
-        out[ws] = out.get(ws, FieldElem(0)) + v
-        key = (ws[1], ws[0])
-        out[key] = out.get(key, FieldElem(0)) - v
-    return TensorElement(classical_alg, 2,
-                         {(w, 0): c for w, c in out.items() if not c.is_zero()})
+    first = TensorElement(classical_alg, 2,
+                          {(ws, 0): v for (ws, k), v in t.terms.items() if k == 1})
+    return first - first.flip()
 
 
 # -- check drivers -------------------------------------------------------------
@@ -240,10 +219,8 @@ def check_factorization(bundle):
 
 
 def _wedge_str(alg, wedges):
-    bits = []
-    for (i, j), c in sorted(wedges.items()):
-        bits.append(f"{c}*{alg.generators[i]}^{alg.generators[j]}")
-    return " + ".join(bits) or "0"
+    names = alg.generators
+    return " + ".join(f"{c}*{names[i]}^{names[j]}" for (i, j), c in sorted(wedges.items())) or "0"
 
 
 NP_EXPECTED_COCOMMUTATORS = {
@@ -263,11 +240,6 @@ def check_np_cocommutator_table(bundle):
     wedges = classical_r_of_preset(bundle)
     rep = CheckReport(check="cocommutator-table", algebra=bundle.name, order=bundle.order)
     for g, table in NP_EXPECTED_COCOMMUTATORS.items():
-        want_wedges = {}
-        for (x, y), c in table.items():
-            i, j = calg.index[x], calg.index[y]
-            key, v = ((i, j), FieldElem(c)) if i < j else ((j, i), FieldElem(-c))
-            want_wedges[key] = v
         rep.expect_zero(f"delta({g})",
-                        cocommutator(wedges, g, calg) - _wedge_tensor(calg, want_wedges))
+                        cocommutator(wedges, g, calg) - _wedge_tensor(calg, table))
     return rep

@@ -9,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopf_forge.algebras import PRESET_NAMES, preset
 from hopf_forge.cli import UsageError, _run_timed, _verify_plan, build_parser, main
@@ -547,3 +549,67 @@ class TestImports:
             build_parser().parse_args(["verify", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert f"all or one of: {', '.join(_check_table())}" in text
+
+
+class TestLeadingMinus:
+    """An expression may start with "-": argparse would read a space-free one
+    as an unknown option."""
+
+    @pytest.mark.parametrize("command", ["normalize", "expand"])
+    def test_negative_output_round_trips(self, command):
+        code, out, err = cli_in_process(["normalize", "P_1*P_plus - 3*P_plus*P_1",
+                                         "--algebra", "nullplane"])
+        assert (code, out) == (0, "-2*P_plus*P_1\n"), err
+        code, again, err = cli_in_process([command, out.strip(), "--algebra", "nullplane"])
+        assert code == 0, err
+        assert again == (out if command == "normalize" else "w^0: " + out)
+
+    def test_second_leftover_is_still_refused(self):
+        code, out, err = cli_in_process(["normalize", "P_1", "-P_1", "--algebra", "nullplane"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: -P_1" in err
+
+    def test_missing_expression_is_refused(self):
+        code, out, err = cli_in_process(["expand", "--algebra", "nullplane"])
+        assert (code, out) == (2, "")
+        assert "the following arguments are required: expression" in err
+
+
+# the expression alphabet: numbers, operators, every preset's generators, both
+# parameters, sqrt2, exp( and a few characters outside it
+ATOMS = ("0", "1", "2", "10", "(", ")", "w", "z", "sqrt2", "exp(", "§", "é", "⊗",
+         *(g for name in ("sl2", "nullplane", "so22")
+           for g in preset(name, 2).presentation.generators))
+OPERATORS = ("", "+", "-", "*", "*", "*", "/", "^", " - ", "(", ")")
+
+
+def expressions(algebra):
+    """``(text, algebra)``: an operator and an atom of the alphabet in turn (an
+    empty operator juxtaposes two atoms; a leading ``*``, ``/`` or ``^`` is
+    dropped), the preset's own generators and parameter, 2 and sqrt2 drawn more
+    often than the other atoms."""
+    alg = preset(algebra, 2).presentation
+    atoms = ATOMS + (*alg.generators, alg.param, "2", "sqrt2") * 6
+    pairs = st.tuples(st.sampled_from(OPERATORS), st.sampled_from(atoms))
+    text = st.lists(pairs, max_size=6).map(lambda ps: "".join(o + a for o, a in ps))
+    return st.tuples(text.map(lambda t: t[1:] if t[:1] in "*/^" else t), st.just(algebra))
+
+
+class TestNormalizeFuzz:
+    """Generated input to ``normalize`` ends in a report or an error line, and
+    every normal form it prints normalizes to itself."""
+
+    @given(st.sampled_from(["sl2", "nullplane", "so22"]).flatmap(expressions))
+    @example(("0-P_1", "nullplane"))
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    def test_normalize(self, case):
+        text, algebra = case
+        argv = ["normalize", text, "--algebra", algebra, "--order", "2"]
+        code, out, err = cli_in_process(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert "error:" in err
+            assert code == 1 or out == ""
+        else:
+            argv[1] = out.rstrip("\n")
+            assert cli_in_process(argv)[:2] == (0, out)

@@ -1,5 +1,7 @@
 """R-matrices: construction, Yang-Baxter checks, classical limit, cocommutators."""
 
+from dataclasses import replace
+
 import pytest
 
 from hopf_forge.algebras import classical_presentation, preset
@@ -12,6 +14,7 @@ from hopf_forge.rmat import (NotAntisymmetric, build_universal_r,
                              check_triangularity, classical_r_of_preset,
                              cocommutator, cybe_residual, extract_classical_r,
                              preset_r, qybe_residual, triangularity_residual)
+from hopf_forge.rmat import NP_EXPECTED_COCOMMUTATORS, _wedge_tensor, skew_first_order
 
 
 
@@ -178,3 +181,53 @@ class TestCocommutators:
 class TestFactorization:
     def test_four_vs_merged(self):
         assert check_factorization(preset("so22", 3)).passed
+
+
+class TestOneAntisymmetricReader:
+    """extract_classical_r and classical_r_of_preset share one reader of pair
+    data; the order-0 wedge tensors are t - flip(t)."""
+
+    def test_extract_messages(self):
+        alg = preset("sl2", 2).presentation
+
+        def w(*names):
+            return tuple((alg.index[g], 1) for g in names)
+
+        def first_order(left, right):
+            return TensorElement(alg, 2, {((w(*left), w(*right)), 1): FE_ONE})
+
+        for r, message in (
+                (first_order(("A",), ("A_plus", "A")),
+                 "first-order term is not generator (x) generator"),
+                (first_order(("A",), ("A",)), "diagonal first-order term at A"),
+                (build_universal_r(alg, ((FE_ONE, "A", "A_plus"),)),
+                 "first-order term at (A,A_plus) has a symmetric part")):
+            with pytest.raises(NotAntisymmetric) as e:
+                extract_classical_r(r)
+            assert str(e.value) == message
+
+    def test_symmetric_recipe_rejected(self):
+        bundle = replace(preset("sl2", 2), rfactors=((FE_ONE, "A", "A_plus"),))
+        with pytest.raises(NotAntisymmetric) as e:
+            classical_r_of_preset(bundle)
+        assert str(e.value) == "factor recipe of sl2 is not antisymmetric at first order"
+
+    def test_zero_factor_reads_as_no_wedge(self):
+        base = preset("sl2", 2)
+        bundle = replace(base, rfactors=((FieldElem(0), "A_plus", "A"), *base.rfactors))
+        assert classical_r_of_preset(bundle) == classical_r_of_preset(base)
+
+    def test_wedge_orientation(self):
+        calg = classical_presentation(preset("nullplane", 2))
+        i, j, c = calg.index["P_1"], calg.index["E_1"], FieldElem(3, 2)
+        assert _wedge_tensor(calg, {(j, i): -c}) == _wedge_tensor(calg, {(i, j): c})
+        assert not _wedge_tensor(calg, {(i, j): c}).is_zero()
+
+    @pytest.mark.parametrize("g", ["F_1", "K_2"])
+    def test_skew_first_order_is_the_table(self, g):
+        bundle = preset("nullplane", 2)
+        calg = classical_presentation(bundle)
+        d = bundle.hopf.delta[bundle.presentation.index[g]]
+        want = _wedge_tensor(calg, NP_EXPECTED_COCOMMUTATORS[g])
+        assert not want.is_zero()
+        assert skew_first_order(d, calg) == want
