@@ -91,14 +91,15 @@ class WeylOperator(Graded):
             return ValueError(f"operators of orders {self.order} and {other.order} combined")
         return None
 
-    def _mul_into(self, other, out):
-        """Sum the composition ``self * other`` into the graded terms ``out``
-        and return them."""
+    def _mul_into(self, other, out, top=None):
+        """Sum the composition ``self * other`` up to ``w**top`` into the graded
+        terms ``out`` and return them."""
+        top = self.order if top is None else top
         # the derivatives of each right-hand coefficient, shared by every left-hand term
         right = [(d, k, {(0, 0): g}) for (d, k), g in other.terms.items()]
         for ((a, b), k1), f in self.terms.items():
             for (c, d), k2, memo in right:
-                if k1 + k2 > self.order:
+                if k1 + k2 > top:
                     continue
                 # move d_+^a d_1^b through the multiplication part of g
                 for i in range(a + 1):

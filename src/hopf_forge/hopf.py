@@ -9,6 +9,9 @@ m((f(x)id)t), one :meth:`~hopf_forge.ncalg.AlgebraPresentation.fold_sum` that
 folds each shared right-hand suffix once (the step bound counts per
 contraction); the two rule checks read both sides of each commutation rule
 off :func:`~hopf_forge.ncalg.rule_images`.
+A check needs the image of a slot word of z^k*u(x)v only to the order less
+k: it builds each to the order its lowest power leaves, highest order first,
+so no image is built twice.
 The word images that one run of the four axioms builds (:meth:`HopfMaps.run_all_checks`)
 are memoised for that run only: no later check reads them, and at order 6 they
 are megabytes.
@@ -21,8 +24,19 @@ ideal the checks here do not reduce by.
 from __future__ import annotations
 
 from .coeff import FE_ONE
-from .ncalg import NCElement, TensorElement, WordMap, add_term, rule_images, tensor_of
+from .ncalg import NCElement, TensorElement, WordMap, add_term, rule_images, sub_term, tensor_of
 from .report import CheckReport, timed_reports
+
+
+def slot_budgets(ts, slots, top):
+    """{slot word: ``top`` less the lowest power it carries in ``slots`` of ``ts``}."""
+    need = {}
+    for t in ts:
+        for ws, k in t.terms:
+            for s in slots:
+                if need.get(ws[s], -1) < top - k:
+                    need[ws[s]] = top - k
+    return need
 
 
 class HopfMaps:
@@ -52,44 +66,45 @@ class HopfMaps:
 
     # -- structure maps ------------------------------------------------------
 
-    def coproduct_word(self, word):
-        """Coproduct of a normal word (multiplicative extension), cached."""
-        return self.delta_map.word(word)
+    def coproduct_word(self, word, top=None):
+        """Coproduct of a normal word (multiplicative extension) to ``param**top``, cached."""
+        return self.delta_map.word(word, top)
 
     def coproduct(self, x):
         return self.delta_map(x)
 
-    def antipode_word(self, word):
+    def antipode_word(self, word, top=None):
         """Antipode of a normal word: reversed product of generator images."""
-        return self.antipode_map.word(word)
+        return self.antipode_map.word(word, top)
 
     def antipode_of(self, x):
         return self.antipode_map(x)
 
-    def counit_word(self, word):
-        return self.counit_map.word(word)
+    def counit_word(self, word, top=None):
+        return self.counit_map.word(word, top)
 
     def counit_of(self, x):
         """Counit of an element, as a scalar element of the algebra."""
         return self.counit_map(x)
 
-    def delta_on_slot(self, t, slot, out=None):
+    def delta_on_slot(self, t, slot, out=None, subtract=False):
         """Apply the coproduct to one slot of an arity-2 tensor (-> arity 3),
-        summed into the arity-3 tensor ``out`` in place when one is given."""
+        summed into (``subtract``: subtracted from) the arity-3 tensor ``out``
+        in place when one is given, each slot word's image to the order less k."""
         alg = self.algebra
         top = alg.order
         out = TensorElement(alg, 3, {}) if out is None else out
         acc = out.terms
+        merge = sub_term if subtract else add_term
         for (ws, k), c in t.terms.items():
-            dt = self.coproduct_word(ws[slot])
-            for (dws, dk), dc in dt.terms.items():
+            for (dws, dk), dc in self.coproduct_word(ws[slot], top - k).terms.items():
                 if k + dk > top:
                     continue
                 if slot == 0:
                     key = (dws[0], dws[1], ws[1])
                 else:
                     key = (ws[0], dws[0], dws[1])
-                add_term(acc, (key, k + dk), c if dc is FE_ONE else dc if c is FE_ONE else c * dc)
+                merge(acc, (key, k + dk), c if dc is FE_ONE else dc if c is FE_ONE else c * dc)
         return out
 
     # -- default test set ----------------------------------------------------
@@ -97,11 +112,8 @@ class HopfMaps:
     def default_test_words(self):
         """All generators plus all degree-2 normal words."""
         n = len(self.algebra.generators)
-        words = [((i, 1),) for i in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                words.append(((i, 2),) if i == j else ((i, 1), (j, 1)))
-        return words
+        return [((i, 1),) for i in range(n)] + [((i, 2),) if i == j else ((i, 1), (j, 1))
+                                                for i in range(n) for j in range(i, n)]
 
     def _label(self, word):
         return self.algebra.word_entry(word)[1] or "1"
@@ -111,49 +123,65 @@ class HopfMaps:
     def check_coassociativity(self, test_words=None):
         rep = CheckReport(check="coassociativity", algebra=self.algebra.name,
                           order=self.algebra.order)
-        for w in test_words or self.default_test_words():
-            t = self.coproduct_word(w)
-            # (id (x) Delta)(-t) summed into (Delta (x) id)(t): one 3-tensor is built
-            rep.expect_zero(self._label(w),
-                            self.delta_on_slot(-t, 1, out=self.delta_on_slot(t, 0)))
+        for w, t in self._coproducts(self.delta_map, test_words):
+            # (id (x) Delta)(t) subtracted from (Delta (x) id)(t): one 3-tensor is built
+            rep.expect_zero(self._label(w), self.delta_on_slot(
+                t, 1, out=self.delta_on_slot(t, 0), subtract=True))
         return rep
 
+    def _coproducts(self, m, test_words):
+        """``(w, Delta(w))`` per test word, once ``m`` holds each slot word's image,
+        built highest order first, so that no later request rebuilds one."""
+        words = test_words or self.default_test_words()
+        ts = [self.coproduct_word(w) for w in words]
+        need = slot_budgets(ts, (0, 1), self.algebra.order)
+        for w in sorted(need, key=need.get, reverse=True):
+            m.word(w, need[w])
+        return zip(words, ts)
+
     def contract_slot(self, t, f, slot):
-        """m((f (x) id) t) for ``slot`` 0, m((id (x) f) t) for 1, ``f`` a map of
-        normal words.  The left factors are summed, scaled, into one dict per
-        right-hand word (the slot-1 word, or each word of its image under f),
-        and the dicts go to one ``fold_sum``, which folds each shared suffix of
-        those words once; the step bound counts per contraction."""
+        """m((f (x) id) t) for ``slot`` 0, m((id (x) f) t) for 1, ``f(word, top)``
+        a map of normal words.  The left factors are summed, scaled, into one
+        dict per right-hand word (the slot-1 word, or each word of its image
+        under f), and the dicts go to one ``fold_sum``, which folds each shared
+        suffix of those words once; the step bound counts per contraction.  Each
+        slot word's image is fetched once, to the order its lowest power leaves."""
         alg = self.algebra
         top = alg.order
+        images = {w: f(w, b).terms.items() for w, b in slot_budgets([t], (slot,), top).items()}
         by_right = {}
         for (ws, k), c in t.terms.items():
-            for (u, uk), uc in f(ws[slot]).terms.items():
+            image = images[ws[slot]]
+            if slot == 0 and image:
+                acc = by_right.setdefault(ws[1], {})
+            for (u, uk), uc in image:
                 if k + uk <= top:
-                    w1, w2 = (u, ws[1]) if slot == 0 else (ws[0], u)
-                    add_term(by_right.setdefault(w2, {}), (w1, k + uk),
-                             c if uc is FE_ONE else uc if c is FE_ONE else c * uc)
+                    v = c if uc is FE_ONE else uc if c is FE_ONE else c * uc
+                    if slot:
+                        add_term(by_right.setdefault(u, {}), (ws[0], k + uk), v)
+                    else:
+                        add_term(acc, (u, k + uk), v)
         return NCElement(alg, alg.fold_sum(by_right))
 
-    def _check_contractions(self, check, f, letter, target, test_words):
-        """m((f (x) id)Delta(w)) and m((id (x) f)Delta(w)) against ``target(w)``."""
+    def _check_contractions(self, check, m, letter, target, test_words):
+        """m((f (x) id)Delta(w)) and m((id (x) f)Delta(w)) against ``target(w)``,
+        ``f`` the word images of the ``WordMap`` ``m``."""
         alg = self.algebra
         rep = CheckReport(check=check, algebra=alg.name, order=alg.order)
-        for w in test_words or self.default_test_words():
-            t = self.coproduct_word(w)
-            want = target(w)
-            label = self._label(w)
+        f = m.word
+        for w, t in self._coproducts(m, test_words):
+            want, label = target(w), self._label(w)
             rep.expect_zero(f"{label} ({letter}(x1)x2)", self.contract_slot(t, f, 0) - want)
             rep.expect_zero(f"{label} (x1 {letter}(x2))", self.contract_slot(t, f, 1) - want)
         return rep
 
     def check_counit(self, test_words=None):
         return self._check_contractions(
-            "counit", self.counit_word, "eps",
+            "counit", self.counit_map, "eps",
             lambda w: NCElement(self.algebra, {(w, 0): FE_ONE}), test_words)
 
     def check_antipode(self, test_words=None):
-        return self._check_contractions("antipode", self.antipode_word, "gamma",
+        return self._check_contractions("antipode", self.antipode_map, "gamma",
                                          self.counit_word, test_words)
 
     def check_coproduct_hom(self):

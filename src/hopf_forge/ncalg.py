@@ -91,7 +91,10 @@ A map given on generators (a coproduct, counit or antipode, a substitution, a
 representation) is extended to words and elements by one :class:`WordMap`.
 Each word image is built from the cached image of its prefix (its suffix for
 an anti-homomorphism) times one generator image; an element's scaled word
-images are summed in place.  Every check that such a map respects the
+images are summed in place.  A product takes an order budget ``top`` (the
+order when None) and drops every power above it, and an image is built only
+to the order its caller can use and kept with that order: ``param**k * w``
+needs ``w``'s image to the order less ``k``, as no stored power is negative.  Every check that such a map respects the
 commutation rules reads each rule's two sides off one :func:`rule_images`.
 
 Every truncated exponential -- the exp(c*param*X(x)Y) factors of a universal
@@ -167,6 +170,17 @@ def add_term(out, key, v):
             del out[key]
         else:
             out[key] = s
+
+
+def sub_term(out, key, v):
+    """``out[key] -= v``, dropping the key when the difference cancels."""
+    s = out.get(key)
+    if s is None:
+        out[key] = -v
+    elif s == v:
+        del out[key]
+    else:
+        out[key] = s - v
 
 
 def _scaled_terms(terms, c, k, top):
@@ -323,14 +337,14 @@ class AlgebraPresentation:
         self._misses = 0
         return self._stored(self.fold({((), 0): FE_ONE}, word))
 
-    def fold(self, terms, word):
-        """``terms`` times the compressed ``word``: the {(normal word, k): scalar}
-        dict takes the word's blocks ``g**e`` one at a time, left to right, and a
-        new dict is returned (``terms`` itself when ``word`` is empty).  The
-        table entries filled count toward the step bound; a caller that begins
-        a new product sets ``_misses`` to zero first."""
+    def fold(self, terms, word, top=None):
+        """``terms`` times the compressed ``word`` up to ``param**top``: the
+        {(normal word, k): scalar} dict takes the word's blocks ``g**e`` one at a
+        time, left to right, and a new dict is returned (``terms`` itself when
+        ``word`` is empty).  The table entries filled count toward the step
+        bound; a caller that begins a new product sets ``_misses`` to zero first."""
         for g, e in word:
-            terms = self._times(terms, g, e)
+            terms = self._times(terms, g, e, top)
         return terms
 
     def fold_sum(self, groups):
@@ -366,21 +380,21 @@ class AlgebraPresentation:
         return tuple(sorted(((share(w, w), k, intern((c.p, c.q, c.d), c))
                              for (w, k), c in terms.items()), key=itemgetter(1)))
 
-    def _times(self, acc, g, e=1):
-        """``acc * g**e`` for ``acc`` a {(normal word, k): scalar} dict."""
+    def _times(self, acc, g, e=1, top=None):
+        """``acc * g**e`` up to ``param**top``, ``acc`` a {(normal word, k): scalar} dict."""
         out = {}
         while acc:
-            acc = self._step(acc, g, e, out)
+            acc = self._step(acc, g, e, out, top)
             e -= 1
         return out
 
-    def _step(self, acc, g, e, out):
-        """Sum ``acc * g**e`` into ``out`` as far as one step goes.  A term whose
-        word does not end above ``g`` takes the whole block at once; any other
-        term moves past one ``g`` through the table.  Returns the terms that
-        still have to take ``g**(e-1)`` (none when ``e`` is 1)."""
+    def _step(self, acc, g, e, out, top=None):
+        """Sum ``acc * g**e`` up to ``param**top`` into ``out`` as far as one step
+        goes.  A term whose word does not end above ``g`` takes the whole block
+        at once; any other term moves past one ``g`` through the (full) table.
+        Returns the terms that still have to take ``g**(e-1)`` (none at e = 1)."""
         one = FE_ONE
-        top = self.order
+        top = self.order if top is None else top
         table = self._table
         carry = {} if e > 1 else out
         for (u, k), c in acc.items():
@@ -509,15 +523,18 @@ class AlgebraPresentation:
 class WordMap:
     """A map given by the images of generators, extended to words and elements.
 
-    ``images`` maps generator names (or indices) of ``algebra`` to values in
-    any target with ``*``, ``+`` and ``scaled(c, k)`` (times the scalar ``c``
-    and ``param**k``), whose ``unit`` is given (``zero`` is it scaled by 0).
-    A normal word goes to the product of its generator images, left to right
-    (right to left when ``reverse``, for an anti-homomorphism): the cached
-    image of the word less its last generator (its first when ``reverse``)
-    times that generator's image, each shorter word on the way cached too.
-    An element goes to the sum of its word images, each scaled by its scalar.
-    """
+    ``images`` maps generator names (or indices) of ``algebra`` to values of
+    one :class:`Graded` kind, whose ``unit`` is given (``zero`` is it scaled
+    by 0).  A normal word goes to the product of its generator images, left to
+    right (right to left when ``reverse``, for an anti-homomorphism): the
+    cached image of the word less its last generator (its first when
+    ``reverse``) times that generator's image, each shorter word on the way
+    cached too.  An element goes to the sum of its word images, each scaled by
+    its scalar, the image of ``param**k * w`` built to the order less ``k``.
+
+    ``word(w, top)`` is built by products truncated at ``param**top`` and kept
+    with that order: a request up to it reuses the image, a higher one rebuilds
+    from the longest prefix cached high enough."""
 
     def __init__(self, algebra, images, unit, reverse=False):
         self.algebra = algebra
@@ -525,40 +542,39 @@ class WordMap:
         self.unit = unit
         self.zero = unit.scaled(FE_ZERO)
         self.reverse = reverse
-        self._cache = {}
+        self._cache = {}  # normal word -> (image, the order it is exact to)
 
-    def word(self, word):
-        # walk back to the longest cached prefix, then multiply forward; loops,
-        # so a word of any degree needs no deeper Python stack
+    def word(self, word, top=None):
+        """The image of a normal word, exact up to ``param**top`` (the order if None)."""
+        top = self.unit.order if top is None else top
+        # walk back to the longest prefix cached to ``top``, then multiply
+        # forward; loops, so a word of any degree needs no deeper Python stack
         pending = []
-        out = self._cache.get(word)
-        while out is None and word:
+        hit = self._cache.get(word)
+        while (hit is None or hit[1] < top) and word:
             g, e = word[0] if self.reverse else word[-1]
             rest = ((g, e - 1),) if e > 1 else ()
             pending.append((word, g))
             word = rest + word[1:] if self.reverse else word[:-1] + rest
-            out = self._cache.get(word)
-        out = self.unit if out is None else out
+            hit = self._cache.get(word)
+        out = self.unit if hit is None else hit[0]  # the empty word is never cached
         for word, g in reversed(pending):
             img = self.images.get(g)
             if img is None:
                 raise UnmappedGenerator(
                     f"no image for generator {self.algebra.generators[g]}")
-            out = self._cache[word] = out * img
+            out._check(img)
+            out = out._new(out._mul_into(img, {}, top))
+            self._cache[word] = (out, top)
         return out
 
     def __call__(self, x):
-        # the first scaled image is a new value of the target, so the others
-        # are summed into its terms in place
-        out = None
+        out = self.zero._new({})  # a new value of the target, summed into in place
+        order = out.order
         for (w, k), c in x.terms.items():
-            img = self.word(w).scaled(c, k)
-            if out is None:
-                out = img
-            else:
-                for key, v in img.terms.items():
-                    add_term(out.terms, key, v)
-        return self.zero if out is None else out
+            for key, v in self.word(w, order - k).scaled(c, k).terms.items():
+                add_term(out.terms, key, v)
+        return out
 
 
 def rule_images(m):
@@ -580,11 +596,12 @@ class Graded:
     A kind supplies ``terms``, ``order`` (its truncation order), ``_new(terms)``
     (a value of its own kind, algebra, arity and order), ``_mismatch(other)``
     (the error that combining it with ``other``, a value of its kind, raises,
-    or None) and ``_mul_into(other, out)``, which sums the product into the
-    graded terms ``out`` and returns them (``out`` itself, or the product's own
-    dict when ``out`` is empty).  Values of one kind are equal when they can be
-    combined and have the same terms; ``+``, ``-`` and ``*`` take another value
-    of the kind, and ``*`` a scalar too.
+    or None) and ``_mul_into(other, out, top=None)``, which sums the product up
+    to ``param**top`` (its order when None) into the graded terms ``out`` and
+    returns them (``out`` itself, or the product's own dict when ``out`` is
+    empty).  Values of one kind are equal when they can be combined and have
+    the same terms; ``+``, ``-`` and ``*`` take another value of the kind, and
+    ``*`` a scalar too.
 
     A difference is one pass: the subtrahend's terms are subtracted into a copy
     of the minuend, with no negated copy in between.  A commutator builds no
@@ -624,13 +641,7 @@ class Graded:
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key)
-            if s is None:
-                out[key] = -c
-            elif s == c:
-                del out[key]
-            else:
-                out[key] = s - c
+            sub_term(out, key, c)
         return self._new(out)
 
     def __neg__(self):
@@ -693,16 +704,16 @@ class NCElement(Graded):
     def __rsub__(self, other):
         return (-self) + other if isinstance(other, _SCALARS) else NotImplemented
 
-    def _mul_into(self, other, out):
-        """Sum ``self * other`` into the graded terms ``out`` and return them:
-        ``out`` itself, or the first fold's own dict when ``out`` is empty."""
+    def _mul_into(self, other, out, top=None):
+        """Sum ``self * other`` up to ``param**top`` into the graded terms ``out``
+        and return them: ``out`` itself, or the first fold's own dict if empty."""
         alg = self.algebra
-        top = alg.order
+        top = alg.order if top is None else top
         alg._misses = 0  # the step bound is per product
         # both factors are normal: each right term scales and shifts the
         # left factor, which then takes the term's generators one by one
         for (w2, k2), c2 in other.terms.items():
-            acc = alg.fold(_scaled_terms(self.terms, c2, k2, top), w2)
+            acc = alg.fold(_scaled_terms(self.terms, c2, k2, top), w2, top)
             if not out:
                 out = acc
             else:
@@ -786,10 +797,10 @@ class TensorElement(Graded):
 
     __mul__ = Graded.__mul__  # here too, so that a tracer can wrap the tensor product alone
 
-    def _mul_into(self, other, out):
-        """Sum ``self * other`` into the graded terms ``out`` and return them."""
+    def _mul_into(self, other, out, top=None):
+        """Sum ``self * other`` up to ``param**top`` into the graded terms ``out``."""
         alg = self.algebra
-        n = alg.order
+        n = alg.order if top is None else top
         nf = alg.normal_form_of_word
         share = alg._shared.setdefault
         one = FE_ONE
@@ -889,7 +900,7 @@ class TensorElement(Graded):
             for w in ws:
                 piece = [(key + (u,), pk + uk, pc * uc)
                          for key, pk, pc in piece
-                         for (u, uk), uc in sub.word(w).terms.items() if pk + uk <= top]
+                         for (u, uk), uc in sub.word(w, top - k).terms.items() if pk + uk <= top]
             for key, pk, pc in piece:
                 add_term(out, (key, pk), pc)
         return TensorElement(target, self.arity, out)
