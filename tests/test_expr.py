@@ -714,3 +714,39 @@ class TestIntStringLimit:
         assert r.returncode == 2, r.stderr
         assert r.stdout == "" and "Traceback" not in r.stderr
         assert f"limit of {LIMIT} digits" in r.stderr
+
+
+def expression_trees(names, param):
+    """Expression text built from sums, products, powers up to 3 and exp of
+    param-scaled generator sums."""
+    from hypothesis import strategies as st
+    gen_sum = st.lists(st.sampled_from(names), min_size=1, max_size=3).map("+".join)
+    leaf = st.one_of(st.sampled_from(names), st.sampled_from(("2", "1/3", param)),
+                     gen_sum.map(lambda s: f"exp({param}*({s}))"))
+
+    def grow(inner):
+        return st.one_of(
+            st.lists(inner, min_size=2, max_size=3).map(lambda xs: "(" + " + ".join(xs) + ")"),
+            st.lists(inner, min_size=2, max_size=3).map("*".join),
+            st.tuples(inner, st.integers(1, 3)).map(lambda p: f"({p[0]})^{p[1]}"))
+    return st.recursive(leaf, grow, max_leaves=5)
+
+
+class TestGeneratedTrees:
+    """Generated trees over sl2, nullplane and so22 at orders 2 and 3."""
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("name", ["sl2", "nullplane", "so22"])
+    def test_render_parse_fixed_point_and_reference_value(self, name, order):
+        from hypothesis import given, settings
+        alg = preset(name, order).presentation
+
+        @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+        @given(expression_trees(list(alg.generators), alg.param))
+        def check(text):
+            got = parse_to_element(text, alg)
+            assert got == reference_eval(parse_expression(text), alg), text
+            once = render_element(got)
+            assert render_element(parse_to_element(once, alg)) == once, text
+
+        check()
