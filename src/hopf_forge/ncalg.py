@@ -91,11 +91,12 @@ A map given on generators (a coproduct, counit or antipode, a substitution, a
 representation) is extended to words and elements by one :class:`WordMap`.
 Each word image is built from the cached image of its prefix (its suffix for
 an anti-homomorphism) times one generator image; an element's scaled word
-images are summed in place.  A product takes an order budget ``top`` (the
-order when None) and drops every power above it, and an image is built only
-to the order its caller can use and kept with that order: ``param**k * w``
-needs ``w``'s image to the order less ``k``, as no stored power is negative.  Every check that such a map respects the
-commutation rules reads each rule's two sides off one :func:`rule_images`.
+images are summed in place.  A product takes an order budget ``top`` (the order
+when None) and drops every power above it, and an image is built only to the
+order its caller can use and kept with that order: ``param**k * w`` needs
+``w``'s image to the order less ``k``, as no stored power is negative.  Every
+check that such a map respects the commutation rules reads each rule's two
+sides off one :func:`rule_images`.
 
 Every truncated exponential -- the exp(c*param*X(x)Y) factors of a universal
 R, the e^{2zA_+}, (e^{2wP_+}-1)/2w and e^{zP}cosh(zP_0) structure functions,
