@@ -158,9 +158,8 @@ class Contraction:
                 if poles:
                     rep.add_failure(f"[{x},{y}]", "eps poles")
                     continue
-                got = got.classical_limit()
-                if not (got - classical_bracket_element(np_alg, x, y)).is_zero():
-                    rep.add_failure(f"[{x},{y}]", repr(got))
+                rep.expect_zero(f"[{x},{y}]", got.classical_limit()
+                                - classical_bracket_element(np_alg, x, y))
         return rep
 
 

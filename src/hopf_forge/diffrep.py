@@ -288,8 +288,7 @@ def check_hamiltonian(order):
     want = expected_hamiltonian_terms()
     # the paper displays the coefficients up to w^2 (the w^1 one is nonzero)
     for k, w in enumerate(want[: order + 1]):
-        if got[k] != w:
-            out.add_failure(f"w^{k} coefficient", f"{got[k]!r} != {w!r}")
+        out.expect_zero(f"w^{k} coefficient", got[k] - w)
     # every coefficient obeys P_- (1 - e^{-2wp_+}) = w(m_q^2 + p_1^2 e^{-2wp_+}),
     # checked to w^(order+1) as the denominator has no constant term
     top = order + 1

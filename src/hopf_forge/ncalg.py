@@ -52,11 +52,12 @@ as that dict lookup would cost more time than the copies cost memory.  The
 step bound counts the table entries filled for one product, one flat word, one
 parsed product term or one ``fold_sum``, power-pair entries included.
 
-Elements, tensors and the operators of :mod:`hopf_forge.diffrep` share one
-arithmetic, :class:`Graded`: equality, sums, one-pass differences, negation,
-scaling and the one-dict commutator are written once over the graded terms,
-and each kind adds its own product.  The residuals of :mod:`hopf_forge.rmat`
-sum a difference of products into one dict the same way.
+Elements, tensors, the operators of :mod:`hopf_forge.diffrep` and the
+matrices of :mod:`hopf_forge.repfrt` share one arithmetic, :class:`Graded`:
+equality, sums, one-pass differences, negation, scaling and the one-dict
+commutator are written once over the graded terms, and each kind adds its
+own product.  The residuals of :mod:`hopf_forge.rmat` sum a difference of
+products into one dict the same way.
 
 An entry holds ``u*g`` for any power of the parameter, so a rewriting of
 ``u*g`` that needs ``u*g`` again is a :class:`NonTerminating` cycle, even if
@@ -592,10 +593,11 @@ def rule_images(m):
 class Graded:
     """The arithmetic of every value stored as graded terms ``{(key, k): c}``,
     ``c`` the nonzero coefficient of ``param**k`` times ``key``: an element, a
-    tensor, a differential operator (:class:`hopf_forge.diffrep.WeylOperator`).
+    tensor, a differential operator (:class:`hopf_forge.diffrep.WeylOperator`),
+    a matrix (:class:`hopf_forge.repfrt.Matrix`, ``key`` its (row, col)).
 
     A kind supplies ``terms``, ``order`` (its truncation order), ``_new(terms)``
-    (a value of its own kind, algebra, arity and order), ``_mismatch(other)``
+    (a value of its own kind, algebra, arity, size and order), ``_mismatch(other)``
     (the error that combining it with ``other``, a value of its kind, raises,
     or None) and ``_mul_into(other, out, top=None)``, which sums the product up
     to ``param**top`` (its order when None) into the graded terms ``out`` and

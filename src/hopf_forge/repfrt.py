@@ -8,10 +8,10 @@ algebra and RTT residuals, the Weyl-correspondence check, the quantum group
 coproduct, and the quantum plane quotient.
 
 Every matrix here (the representation, the symbolic group element, the 16x16
-R, its 64x64 embeddings) is one sparse graded matrix ``{(row, col, k): entry}``:
-the coefficient of w**k at (row, col), nonzero entries only (``k = 0`` for a
-constant matrix), the same graded form as the algebra kernel's terms.  So two
-matrices are equal exactly when their dicts are.
+R, its 64x64 embeddings, T (x) 1 and 1 (x) T) is one :class:`Matrix`: graded
+terms ``{((row, col), k): entry}`` with the kernel's one arithmetic
+(:class:`~hopf_forge.ncalg.Graded`).  Every matrix identity is one residual
+matrix, recorded by :meth:`~hopf_forge.report.CheckReport.expect_zero`.
 
 Where each coordinate sits in the group element T is one table,
 :data:`T_ENTRIES`, with its inverse :data:`T_COORDS` next to it.  The
@@ -36,8 +36,8 @@ from functools import lru_cache
 from itertools import product
 
 from .coeff import FE_ONE, FE_ZERO, FieldElem, rat
-from .ncalg import (AlgebraPresentation, NCElement, TensorElement, WordMap, add_term,
-                    rule_images, tensor_pair)
+from .ncalg import (AlgebraPresentation, Graded, NCElement, TensorElement, WordMap,
+                    add_term, rule_images, tensor_pair)
 from .ratfunc import PolyRing, Polynomial, groebner, leads, reduce_poly
 from .hopf import HopfMaps
 from .report import CheckReport
@@ -58,43 +58,61 @@ _REP_ENTRIES = {
 }
 
 
+class Matrix(Graded):
+    """A dim x dim matrix over w: ``{((row, col), k): entry}``, the nonzero
+    coefficient of w**k at (row, col), k up to the order.  An entry is a scalar,
+    a polynomial, an element or a tensor; matrices of two sizes do not combine."""
+
+    __slots__ = ("dim", "order", "terms")
+
+    def __init__(self, dim, order, terms):
+        self.dim = dim
+        self.order = order
+        self.terms = terms
+
+    def _new(self, terms):
+        return Matrix(self.dim, self.order, terms)
+
+    def _mismatch(self, other):
+        if self.dim != other.dim:
+            return ValueError(f"matrices of sizes {self.dim} and {other.dim} combined")
+        return None
+
+    def _mul_into(self, other, out, top=None):
+        """Sum ``self * other`` up to ``w**top`` into the graded terms ``out``;
+        a pair above ``top`` is skipped before its entries are multiplied."""
+        top = self.order if top is None else top
+        rows = {}
+        for ((m, j), k), y in other.terms.items():
+            rows.setdefault(m, []).append((j, k, y))
+        for ((i, m), k1), x in self.terms.items():
+            for j, k2, y in rows.get(m, ()):
+                if k1 + k2 <= top:
+                    add_term(out, ((i, j), k1 + k2), x * y)
+        return out
+
+    def __repr__(self):  # keys are unique, so the sort never compares two entries
+        return "; ".join(f"({i},{j}){f' w^{k}' if k else ''}: {c}"
+                         for ((i, j), k), c in sorted(self.terms.items())) or "0"
+
+
 def matrix_rep():
-    """Generator -> 4x4 sparse graded matrix over FieldElem."""
-    return {name: {(i, j, 0): c for (i, j), c in entries.items()}
+    """Generator -> constant 4x4 matrix over FieldElem."""
+    return {name: Matrix(4, 0, {(ij, 0): c for ij, c in entries.items()})
             for name, entries in _REP_ENTRIES.items()}
 
 
-def mat_mul(a, b, top=0):
-    """Product of sparse graded matrices, keeping the powers of w up to ``top``;
-    a pair above ``top`` is skipped before its entries are multiplied."""
-    rows = {}
-    for (m, j, k), y in b.items():
-        rows.setdefault(m, []).append((j, k, y))
-    out = {}
-    for (i, m, k1), x in a.items():
-        for j, k2, y in rows.get(m, ()):
-            if k1 + k2 <= top:
-                add_term(out, (i, j, k1 + k2), x * y)
-    return out
+def kron(a, b):
+    """Kronecker product of graded matrices (row-major, powers add)."""
+    d, order = b.dim, max(a.order, b.order)
+    return Matrix(a.dim * d, order, {
+        ((d * i + k, d * j + l), ka + kb): x * y
+        for ((i, j), ka), x in a.terms.items() for ((k, l), kb), y in b.terms.items()
+        if ka + kb <= order})
 
 
-def mat_add(a, b, c=1):
-    """``a + c*b`` for sparse graded matrices."""
-    out = dict(a)
-    for key, v in b.items():
-        add_term(out, key, v * c)
-    return out
-
-
-def kron(a, b, d=4):
-    """Kronecker product of graded matrices, ``b`` being d x d (row-major,
-    powers add)."""
-    return {(d * i + k, d * j + l, ka + kb): x * y
-            for (i, j, ka), x in a.items() for (k, l, kb), y in b.items()}
-
-
-def identity(n):
-    return {(i, i, 0): FE_ONE for i in range(n)}
+def identity(n, order=0):
+    return Matrix(n, order, {((i, i), 0): FE_ONE for i in range(n)})
 
 
 def swap(m):
@@ -103,7 +121,7 @@ def swap(m):
     def site_swap(i):
         h, a, b = i // 16, i // 4 % 4, i % 4
         return 16 * h + 4 * b + a
-    return {(site_swap(i), site_swap(j), k): e for (i, j, k), e in m.items()}
+    return m._new({((site_swap(i), site_swap(j)), k): e for ((i, j), k), e in m.terms.items()})
 
 
 def check_matrix_rep(order=0):
@@ -114,14 +132,11 @@ def check_matrix_rep(order=0):
     for a in range(6):
         for b in range(a + 1, 6):
             x, y = names[a], names[b]
-            comm = mat_add(mat_mul(rep[x], rep[y]), mat_mul(rep[y], rep[x]), -1)
-            want = {}
+            res = rep[x].commutator(rep[y])
             for g, c in classical_bracket(x, y).items():
-                want = mat_add(want, rep[g], c)
-            if comm != want:
-                out.add_failure(f"[D({x}),D({y})]", "mismatch with structure constants")
-    if mat_mul(rep["P_plus"], rep["P_plus"]):
-        out.add_failure("D(P_plus)^2", "not nilpotent")
+                res = res - rep[g] * c
+            out.expect_zero(f"[D({x}),D({y})]", res)
+    out.expect_zero("D(P_plus)^2", rep["P_plus"] * rep["P_plus"])
     return out
 
 
@@ -129,54 +144,44 @@ def check_matrix_rep(order=0):
 
 def _wedge16():
     rep = matrix_rep()
-    w = mat_add(kron(rep["K_2"], rep["P_plus"]), kron(rep["P_plus"], rep["K_2"]), -1)
-    w = mat_add(w, kron(rep["E_1"], rep["P_1"]))
-    return mat_add(w, kron(rep["P_1"], rep["E_1"]), -1)
+    return (kron(rep["K_2"], rep["P_plus"]) - kron(rep["P_plus"], rep["K_2"])
+            + kron(rep["E_1"], rep["P_1"]) - kron(rep["P_1"], rep["E_1"]))
 
 
 def matrix_r(order=3):
-    """16x16 R = I (x) I + 2w * wedge as a sparse graded matrix; the w term
-    is dropped at order 0."""
-    r = identity(16)
-    if order >= 1:
-        r.update({(i, j, 1): c * 2 for (i, j, _), c in _wedge16().items()})
-    return r
+    """16x16 R = I (x) I + 2w * wedge, of truncation order ``order``; the w
+    term is dropped at order 0."""
+    r = identity(16, order)
+    return r + r._new(_wedge16().terms).scaled(FieldElem(2), 1)
 
 
 def site_pairs(r):
     """R12, R13 and R23: the 16x16 two-site matrix ``r`` on the sites (0, 1),
     (0, 2) and (1, 2) of three."""
     r12 = kron(r, identity(4))
-    return r12, swap(r12), kron(identity(4), r, 16)
+    return r12, swap(r12), kron(identity(4), r)
 
 
 def check_matrix_r(bundle):
-    """Matrix QYBE and triangularity hold exactly (R is linear in w)."""
+    """Matrix QYBE and triangularity hold exactly (R is linear in w); its w^0
+    part is the identity and its w^1 part the representation of the classical r."""
     from .rmat import classical_r_of_preset  # here, so no other FRT check loads rmat
     order = bundle.order
     out = CheckReport(check="matrix-r", algebra=bundle.name, order=order)
     r = matrix_r(order)
     r12, r13, r23 = site_pairs(r)
-    if (mat_mul(mat_mul(r12, r13, order), r23, order)
-            != mat_mul(mat_mul(r23, r13, order), r12, order)):
-        out.add_failure("matrix QYBE", "nonzero residual")
-    if mat_mul(swap(r), r, order) != identity(16):
-        out.add_failure("matrix triangularity", "R21 R != I")
-    # w = 0 gives the identity
-    for i in range(16):
-        for j in range(16):
-            if r.get((i, j, 0), FE_ZERO) != (FE_ONE if i == j else FE_ZERO):
-                out.add_failure("w=0 specialization", f"entry {(i, j)}")
-    # the first-order block is the representation of the classical r
+    out.expect_zero("matrix QYBE", r12 * r13 * r23 - r23 * r13 * r12)
+    one = identity(16)
+    out.expect_zero("matrix triangularity", swap(r) * r - one)
     np_alg = bundle.presentation
     rep = matrix_rep()
-    acc = {}
+    rho_r = Matrix(16, 0, {})
     for (i, j), c in classical_r_of_preset(bundle).items():
         gi, gj = np_alg.generators[i], np_alg.generators[j]
-        acc = mat_add(acc, kron(rep[gi], rep[gj]), c)
-        acc = mat_add(acc, kron(rep[gj], rep[gi]), -c)
-    if {(i, j, 0): e for (i, j, k), e in r.items() if k == 1} != acc:
-        out.add_failure("first-order block", "does not represent the classical r")
+        rho_r = rho_r + (kron(rep[gi], rep[gj]) - kron(rep[gj], rep[gi])) * c
+    for k, label, want in ((0, "w=0 specialization", one), (1, "first-order block", rho_r)):
+        part = Matrix(16, 0, {(ij, 0): e for (ij, p), e in r.terms.items() if p == k})
+        out.expect_zero(label, part - want)
     return out
 
 
@@ -253,13 +258,13 @@ T_COORDS = {
 
 def group_matrix():
     """D(g) with symbolic entries, laid out by :data:`T_ENTRIES`."""
-    t = {(0, 0, 0): RING12.one()}
-    for (i, j), coords in T_ENTRIES.items():
+    t = {((0, 0), 0): RING12.one()}
+    for ij, coords in T_ENTRIES.items():
         p = RING12.zero()
         for x, c in coords.items():
             p = p + RING12.var(COORD_NAMES[x]) * c
-        t[(i, j, 0)] = p
-    return t
+        t[(ij, 0)] = p
+    return Matrix(4, 0, t)
 
 
 class InconsistentBivector(Exception):
@@ -281,12 +286,11 @@ def sklyanin_table():
     """
     t = group_matrix()
     zero = RING12.zero()
-    tt = kron(t, t)
-    r2 = {key: RING12.constant(c * 2) for key, c in _wedge16().items()}
-    rhs = mat_add(mat_mul(tt, r2), mat_mul(r2, tt), -1)
+    r2 = Matrix(16, 0, {key: RING12.constant(c * 2) for key, c in _wedge16().terms.items()})
+    rhs = kron(t, t).commutator(r2).terms
 
     def entry_bracket(i, j, k, l):
-        return rhs.get((4 * i + k, 4 * j + l, 0), zero)
+        return rhs.get(((4 * i + k, 4 * j + l), 0), zero)
 
     n = len(COORD_NAMES)
     table = {}
@@ -483,9 +487,10 @@ def _ideal_reduce_slots(x):
 
 
 def quantum_t(alg):
-    """The group element over the quantum algebra: each :func:`group_matrix`
-    entry as a normal-ordered element, in the same sparse graded layout."""
-    return {key: _poly_to_element(alg, p) for key, p in group_matrix().items()}
+    """The group element over the quantum algebra, of the algebra's order: each
+    :func:`group_matrix` entry as a normal-ordered element."""
+    return Matrix(4, alg.order, {key: _poly_to_element(alg, p)
+                                 for key, p in group_matrix().terms.items()})
 
 
 def check_rtt(order=2, fault=None):
@@ -494,12 +499,12 @@ def check_rtt(order=2, fault=None):
     rep = CheckReport(check="rtt", algebra="qpoincare", order=order)
     r = matrix_r(order)
     t = quantum_t(alg)
-    # T1 T2 = T (x) T, and T2 T1 is it with the two sites swapped
+    # T1 T2 = T (x) T, and T2 T1 is it with the two sites swapped; the w of
+    # a matrix entry is the algebra's w
     t1t2 = kron(t, t)
-    t2t1 = swap(t1t2)
     res = {}
-    for (i, j, k), x in mat_add(mat_mul(r, t1t2, order), mat_mul(t2t1, r, order), -1).items():
-        add_term(res, (i, j), x.scaled(FE_ONE, k))
+    for (ij, k), x in (r * t1t2 - swap(t1t2) * r).terms.items():
+        add_term(res, ij, x.scaled(FE_ONE, k))
     for row, colm in product(range(16), repeat=2):
         rep.expect_zero(f"entry ({row},{colm})",
                         _ideal_reduce_slots(res.get((row, colm), alg.zero())))
@@ -524,23 +529,14 @@ def check_weyl_correspondence(order=2, fault=None):
 # -- group coproduct --------------------------------------------------------------
 
 def group_coproduct(alg):
-    """Delta on coordinate generators, read off Delta(T) = T (x,) T through
-    :data:`T_COORDS`."""
-    t = quantum_t(alg)
-
-    def dmat(i, j):
-        out = TensorElement.zero(alg, 2)
-        for k in range(4):
-            if (i, k, 0) in t and (k, j, 0) in t:
-                out = out + tensor_pair(t[(i, k, 0)], t[(k, j, 0)])
-        return out
-
-    delta = {}
-    for x, entries in T_COORDS.items():
-        delta[x] = TensorElement.zero(alg, 2)
-        for (i, j), c in entries.items():
-            delta[x] = delta[x] + dmat(i, j) * c
-    return delta
+    """Delta on coordinate generators, read off Delta(T) = T (x,) T, the
+    product of T (x) 1 and 1 (x) T, through :data:`T_COORDS`."""
+    t, one = quantum_t(alg), alg.unit()
+    dt = (t._new({key: tensor_pair(x, one) for key, x in t.terms.items()})
+          * t._new({key: tensor_pair(one, x) for key, x in t.terms.items()})).terms
+    zero = TensorElement.zero(alg, 2)
+    return {x: sum((dt.get((ij, 0), zero) * c for ij, c in entries.items()), zero)
+            for x, entries in T_COORDS.items()}
 
 
 def expected_group_coproduct(alg):
@@ -641,9 +637,7 @@ def check_quantum_plane(order=2):
     if not (alg.consistency_check()).passed:
         rep.add_failure("consistency", "quantum plane rewriting inconsistent")
     # w = 0: the plane is commutative
-    for r in ((1, 0), (2, 0), (2, 1)):
-        cls = alg.rules[r].classical_limit()
-        i, j = r[1], r[0]
-        if cls != alg.element({(((i, 1), (j, 1)), 0): FE_ONE}).classical_limit():
-            rep.add_failure("classical limit", f"rule {r} not commutative at w=0")
+    for j, i in ((1, 0), (2, 0), (2, 1)):
+        rep.expect_zero("classical limit",
+                        (alg.rules[(j, i)] - alg.gen(i) * alg.gen(j)).classical_limit())
     return rep

@@ -118,16 +118,20 @@ class TestOneGenerator:
 class TestSo22Series:
     @pytest.mark.parametrize("order", ORDERS)
     def test_matches_closed_form(self, order):
-        # P0-series x P-series keeps the closed form's key order; the rule
-        # series put e^{czP} first, which needs no rule, and differ in order only
+        # the series puts e^{czP} first, which needs no rule; P and P0
+        # commute, so the other product order, P0-series x P-series, is the
+        # same element, and it keeps the closed form's key order
         alg = commuting_pair(order)
         for c in CS:
             for parity in (0, 1):
+                x = exp_gen(alg, 1, 1, parity=parity)
                 for shift in SHIFTS:
                     want = two_gen_series(alg, 0, c, 1, 1, parity, shift)
-                    got = _so22_series(alg, c, parity, shift)
-                    assert same_terms_and_order(got, want), (c, parity, shift)
-                    assert _so22_series(alg, c, parity, shift, p_first=True) == want
+                    assert _so22_series(alg, c, parity, shift) == want, (c, parity, shift)
+                    e = exp_gen(alg, c, 0, shift=shift)
+                    assert e * x == x * e, (c, parity, shift)
+                assert same_terms_and_order(x * exp_gen(alg, c, 0),
+                                            two_gen_series(alg, 0, c, 1, 1, parity)), (c, parity)
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_shift_is_one_order_up_shifted_down(self, order):

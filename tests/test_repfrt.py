@@ -7,17 +7,17 @@ import pytest
 from hopf_forge import repfrt
 from hopf_forge.algebras import preset
 from hopf_forge.coeff import FE_ONE, FE_SQRT2, FE_ZERO, FieldElem, rat
-from hopf_forge.ncalg import NCElement, add_term, tensor_pair
+from hopf_forge.ncalg import NCElement, WordMap, add_term, rule_images, tensor_pair
 from hopf_forge.ratfunc import PolyRing, Polynomial, leads, reduce_poly
 from hopf_forge.repfrt import (COORD_NAMES, L_NAMES, RING12, T_COORDS, T_ENTRIES,
-                               InconsistentBivector, _ideal_reduce_slots,
+                               InconsistentBivector, Matrix, _ideal_reduce_slots,
                                _poly_to_element, _reduce_blocks, check_group_coproduct,
                                check_matrix_r, check_matrix_rep,
                                check_poisson_jacobi, check_poisson_table,
                                check_quantum_plane, check_rtt,
                                check_weyl_correspondence, expected_poisson_table,
-                               group_coproduct, group_matrix, ideal_reduce, kron, lvar,
-                               mat_add, mat_mul, matrix_r, matrix_rep,
+                               group_coproduct, group_matrix, identity, ideal_reduce,
+                               kron, lvar, matrix_r, matrix_rep,
                                orthogonality_groebner, orthogonality_quadrics,
                                poisson_bracket, quantum_presentation, quantum_t,
                                site_pairs, sklyanin_table)
@@ -38,30 +38,64 @@ class TestMatrixRep:
 
     def test_e1_f1_bracket(self):
         rep = matrix_rep()
-        got = mat_mul(rep["E_1"], rep["F_1"])
-        back = mat_mul(rep["F_1"], rep["E_1"])
-        comm = mat_add(got, back, -1)
-        assert comm == rep["K_2"]
+        got = rep["E_1"] * rep["F_1"]
+        back = rep["F_1"] * rep["E_1"]
+        assert got - back == rep["K_2"]
+        assert rep["E_1"].commutator(rep["F_1"]) == rep["K_2"]
 
     def test_pplus_squared_vanishes(self):
         rep = matrix_rep()
-        sq = mat_mul(rep["P_plus"], rep["P_plus"])
-        assert sq == {}
+        sq = rep["P_plus"] * rep["P_plus"]
+        assert sq.terms == {} and sq.is_zero()
 
     def test_pplus_p1_commute(self):
         rep = matrix_rep()
-        ab = mat_mul(rep["P_plus"], rep["P_1"])
-        ba = mat_mul(rep["P_1"], rep["P_plus"])
+        ab = rep["P_plus"] * rep["P_1"]
+        ba = rep["P_1"] * rep["P_plus"]
         assert ab == ba
 
     def test_displayed_entries(self):
-        rep = matrix_rep()
-        assert rep["P_plus"][1, 0, 0] == HALF and rep["P_plus"][3, 0, 0] == HALF
-        assert rep["P_minus"][1, 0, 0] == FE_ONE and rep["P_minus"][3, 0, 0] == FieldElem(-1)
-        assert rep["P_1"][2, 0, 0] == FE_ONE
-        assert rep["E_1"][2, 3, 0] == -HALF
-        assert rep["F_1"][3, 2, 0] == FieldElem(-1)
-        assert rep["K_2"][1, 3, 0] == FE_ONE and rep["K_2"][3, 1, 0] == FE_ONE
+        rep = {g: m.terms for g, m in matrix_rep().items()}
+        assert rep["P_plus"][(1, 0), 0] == HALF and rep["P_plus"][(3, 0), 0] == HALF
+        assert rep["P_minus"][(1, 0), 0] == FE_ONE and rep["P_minus"][(3, 0), 0] == FieldElem(-1)
+        assert rep["P_1"][(2, 0), 0] == FE_ONE
+        assert rep["E_1"][(2, 3), 0] == -HALF
+        assert rep["F_1"][(3, 2), 0] == FieldElem(-1)
+        assert rep["K_2"][(1, 3), 0] == FE_ONE and rep["K_2"][(3, 1), 0] == FE_ONE
+
+    def test_a_corrupted_generator_fails_with_its_residual(self, monkeypatch):
+        # D(E_1) with its (2,3) entry flipped: [D(K_2), D(E_1)] is then no
+        # longer D(E_1), and the failure records the nonzero residual matrix
+        real = matrix_rep
+        bad = real()
+        bad["E_1"] = bad["E_1"] - Matrix(4, 0, {((2, 3), 0): -HALF * 2})
+        monkeypatch.setattr(repfrt, "matrix_rep", lambda: dict(bad))
+        rep = check_matrix_rep()
+        fails = {f["input"]: f["residual"] for f in rep.failures}
+        assert "[D(E_1),D(K_2)]" in fails
+        assert "D(P_plus)^2" not in fails and "[D(P_plus),D(P_1)]" not in fails
+        want = bad["E_1"].commutator(bad["K_2"]) + bad["E_1"]  # [E_1, K_2] = -E_1
+        assert not want.is_zero() and fails["[D(E_1),D(K_2)]"] == repr(want)
+        monkeypatch.undo()
+        assert check_matrix_rep().passed
+
+    def test_rho_respects_every_deformed_rule(self):
+        # the 4x4 rho as a WordMap whose unit, and so every image, has the
+        # algebra's order: every deformed nullplane rule, all its powers of w,
+        # holds for the images
+        for order in range(2, 7):
+            bundle = preset("nullplane", order)
+            rho = WordMap(bundle.presentation, matrix_rep(), identity(4, order))
+            rules = 0
+            for pair, comm, image in rule_images(rho):
+                assert (comm - image).is_zero(), (order, pair)
+                rules += 1
+            assert rules == 15
+            # some rule has a w term that rho must kill, so the check is not
+            # only the classical one
+            assert any(k for x in bundle.presentation.rules.values() for _, k in x.terms)
+            for name in ("M_q2", "L_q"):
+                assert rho(bundle.casimirs[name]).is_zero(), (order, name)
 
 
 # -- the sparse graded product against a dense one -------------------------------
@@ -70,10 +104,10 @@ SIZE = 4
 ENTRIES = (FieldElem(1), FieldElem(-1), FieldElem(2), HALF, FE_SQRT2)
 
 
-def random_graded(rng, density=0.4, top=3):
-    return {(i, j, k): rng.choice(ENTRIES)
-            for i in range(SIZE) for j in range(SIZE) for k in range(top + 1)
-            if rng.random() < density}
+def random_graded(rng, density=0.4, top=3, order=3):
+    return Matrix(SIZE, order, {((i, j), k): rng.choice(ENTRIES)
+                                for i in range(SIZE) for j in range(SIZE)
+                                for k in range(top + 1) if rng.random() < density})
 
 
 def dense_product(a, b, top):
@@ -85,11 +119,19 @@ def dense_product(a, b, top):
                 acc = FE_ZERO
                 for m in range(SIZE):
                     for k1 in range(k + 1):
-                        acc = acc + (a.get((i, m, k1), FE_ZERO)
-                                     * b.get((m, j, k - k1), FE_ZERO))
+                        acc = acc + (a.terms.get(((i, m), k1), FE_ZERO)
+                                     * b.terms.get(((m, j), k - k1), FE_ZERO))
                 if not acc.is_zero():
-                    out[(i, j, k)] = acc
+                    out[((i, j), k)] = acc
     return out
+
+
+def blocks(n, parts):
+    """The 2n x 2n matrix of the four n x n blocks ``parts[(row, col)]``."""
+    some = next(iter(parts.values()))
+    return Matrix(2 * n, some.order, {((i + n * bi, j + n * bj), k): v
+                                      for (bi, bj), m in parts.items()
+                                      for ((i, j), k), v in m.terms.items()})
 
 
 class Unmultipliable:
@@ -104,31 +146,49 @@ class Unmultipliable:
 class TestSparseMatMul:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_dense_product(self, seed):
+        # the product truncates at its left factor's order
         rng = random.Random(f"mat-mul-{seed}")
-        a, b = random_graded(rng), random_graded(rng)
         top = rng.randint(0, 4)
-        got = mat_mul(a, b, top)
-        assert got == dense_product(a, b, top)
-        assert all(k <= top and not v.is_zero() for (_, _, k), v in got.items())
+        a, b = random_graded(rng, order=top), random_graded(rng)
+        got = a * b
+        assert got.terms == dense_product(a, b, top)
+        assert got.order == top and got.dim == SIZE
+        assert all(k <= top and not v.is_zero() for (_, k), v in got.terms.items())
+        assert a._mul_into(b, {}, top) == got.terms
 
     @pytest.mark.parametrize("seed", range(5))
     def test_exact_cancellation_stores_nothing(self, seed):
-        # [a | a] times [b ; -b] is a*b - a*b: every entry cancels
+        # [a | a ; 0 | 0] times [b | 0 ; -b | 0] is a*b - a*b in its top left
+        # block and zero elsewhere: every entry cancels
         rng = random.Random(f"mat-cancel-{seed}")
         a, b = random_graded(rng), random_graded(rng)
-        wide = {**a, **{(i, j + SIZE, k): v for (i, j, k), v in a.items()}}
-        tall = {**b, **{(i + SIZE, j, k): -v for (i, j, k), v in b.items()}}
-        assert mat_mul(a, b, 3)
-        assert mat_mul(wide, tall, 3) == {}
+        wide = blocks(SIZE, {(0, 0): a, (0, 1): a})
+        tall = blocks(SIZE, {(0, 0): b, (1, 0): -b})
+        assert not (a * b).is_zero()
+        got = wide * tall
+        assert got.terms == {} and got.is_zero()
+        assert (a * b - a * b).terms == {}
 
     @pytest.mark.parametrize("top", range(3))
     def test_pairs_above_top_are_not_multiplied(self, top):
         rng = random.Random(f"mat-top-{top}")
-        a, b = random_graded(rng, top=top), random_graded(rng, top=top)
-        want = mat_mul(a, b, top)
-        a[(0, 1, top + 1)] = Unmultipliable()
-        b[(1, 0, top + 1)] = Unmultipliable()
-        assert mat_mul(a, b, top) == want
+        a = random_graded(rng, top=top, order=top)
+        b = random_graded(rng, top=top, order=top)
+        want = a * b
+        a.terms[((0, 1), top + 1)] = Unmultipliable()
+        b.terms[((1, 0), top + 1)] = Unmultipliable()
+        assert a * b == want
+        assert a._mul_into(b, {}, top - 1) == dense_product(a, b, top - 1)
+
+    def test_sizes_do_not_combine(self):
+        small, big = identity(4), identity(16)
+        for combine in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+                        lambda x, y: x.commutator(y)):
+            with pytest.raises(ValueError):
+                combine(small, big)
+            with pytest.raises(ValueError):
+                combine(big, small)
+        assert small != big
 
 
 class TestKernelAgainstRepresentation:
@@ -138,25 +198,37 @@ class TestKernelAgainstRepresentation:
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_rho_rho_of_universal_r_is_matrix_r(self, order):
         alg = preset("nullplane", order).presentation
-        rep = matrix_rep()
-        identity = {(i, i, 0): FE_ONE for i in range(4)}
-
-        def rho(word):
-            out = identity
-            for g, e in word:
-                for _ in range(e):
-                    out = mat_mul(out, rep[alg.generators[g]])
-            return out
-
-        got = {}
+        rho = WordMap(alg, matrix_rep(), identity(4, order))
+        got = Matrix(16, order, {})
         for ((w1, w2), k), c in preset_r(preset("nullplane", order)).terms.items():
-            piece = {(i, j, k): v for (i, j, _), v in kron(rho(w1), rho(w2)).items()}
-            got = mat_add(got, piece, c)
+            got = got + kron(rho.word(w1), rho.word(w2)).scaled(c, k)
         assert got == matrix_r(order)
+        assert any(k for _, k in got.terms)
 
 
 class TestMatrixR:
     def test_qybe_triangularity_exact(self):
+        assert check_matrix_r(preset("nullplane", 3)).passed
+
+    def test_a_corrupted_entry_is_named_by_the_residual(self, monkeypatch):
+        # one w^1 entry of R doubled: the first-order block records a residual
+        # that is exactly that entry, and QYBE and triangularity break too
+        real = matrix_r
+
+        def bad_r(order=3):
+            r = real(order)
+            r.terms[((6, 8), 1)] = r.terms[((6, 8), 1)] * 2
+            return r
+
+        entry = real(3).terms[((6, 8), 1)]
+        monkeypatch.setattr(repfrt, "matrix_r", bad_r)
+        rep = check_matrix_r(preset("nullplane", 3))
+        fails = {f["input"]: f["residual"] for f in rep.failures}
+        assert fails["first-order block"] == repr(Matrix(16, 0, {((6, 8), 0): entry}))
+        assert fails["first-order block"] == f"(6,8): {entry}"
+        assert "w=0 specialization" not in fails
+        assert {"matrix QYBE", "matrix triangularity"} <= set(fails)
+        monkeypatch.undo()
         assert check_matrix_r(preset("nullplane", 3)).passed
 
     @pytest.mark.parametrize("slots", [(0, 1), (0, 2), (1, 2)])
@@ -170,10 +242,10 @@ class TestMatrixR:
                 if ia[other] == ib[other]:
                     row, col = 4 * ia[slots[0]] + ia[slots[1]], 4 * ib[slots[0]] + ib[slots[1]]
                     for k in (0, 1):
-                        if (row, col, k) in r:
-                            want[(a, b, k)] = r[(row, col, k)]
+                        if ((row, col), k) in r.terms:
+                            want[((a, b), k)] = r.terms[(row, col), k]
         embedded = dict(zip([(0, 1), (0, 2), (1, 2)], site_pairs(r)))
-        assert embedded[slots] == want
+        assert embedded[slots].terms == want and embedded[slots].dim == 64
 
 
 class TestSklyanin:
@@ -226,7 +298,7 @@ class TestSklyanin:
         real = repfrt._wedge16
         rep = matrix_rep()
         monkeypatch.setattr(repfrt, "_wedge16",
-                            lambda: mat_add(real(), kron(rep["P_1"], rep["P_1"])))
+                            lambda: real() + kron(rep["P_1"], rep["P_1"]))
         with pytest.raises(InconsistentBivector):
             sklyanin_table.__wrapped__()
 
@@ -370,20 +442,22 @@ class TestLayout:
         assert sorted(T_COORDS) == list(range(len(COORD_NAMES)))
 
     def test_group_element(self):
-        t = group_matrix()
+        t = group_matrix().terms
         ap, am = RING12.var("a_plus"), RING12.var("a_minus")
-        assert t[(0, 0, 0)] == RING12.one()
-        assert t[(1, 0, 0)] == ap * HALF + am and t[(3, 0, 0)] == ap * HALF - am
-        assert t[(2, 0, 0)] == RING12.var("a_1")
-        assert all(t[(m + 1, n + 1, 0)] == lvar(m, n) for m in range(3) for n in range(3))
+        assert t[(0, 0), 0] == RING12.one()
+        assert t[(1, 0), 0] == ap * HALF + am and t[(3, 0), 0] == ap * HALF - am
+        assert t[(2, 0), 0] == RING12.var("a_1")
+        assert all(t[(m + 1, n + 1), 0] == lvar(m, n) for m in range(3) for n in range(3))
         assert len(t) == 13
 
     def test_quantum_t_is_the_group_element_entrywise(self):
         alg = quantum_presentation(2)
         qt = quantum_t(alg)
-        assert qt.keys() == group_matrix().keys()
-        assert qt[(0, 0, 0)] == alg.unit()
-        assert qt[(1, 0, 0)] == alg.gen("a_plus") * HALF + alg.gen("a_minus")
+        assert qt.order == alg.order and qt.dim == 4
+        qt = qt.terms
+        assert qt.keys() == group_matrix().terms.keys()
+        assert qt[(0, 0), 0] == alg.unit()
+        assert qt[(1, 0), 0] == alg.gen("a_plus") * HALF + alg.gen("a_minus")
 
 
 # -- slot-wise ideal reduction against the lifted union of the slot bases -------
