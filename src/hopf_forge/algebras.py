@@ -27,8 +27,8 @@ from functools import lru_cache
 
 from .coeff import FieldElem, rat
 from .hopf import HopfMaps
-from .ncalg import (AlgebraPresentation, NCElement, WordMap, exp_series, rule_images,
-                    tensor_of, tensor_pair)
+from .ncalg import (AlgebraPresentation, NCElement, TensorElement, WordMap, exp_series,
+                    rule_images, tensor_of, tensor_pair)
 from .report import CheckReport, timed_reports
 
 PRESET_NAMES = ("sl2", "so22", "nullplane", "sl2-jbasis")
@@ -107,17 +107,12 @@ NP_GENERATORS = ("P_plus", "P_1", "P_minus", "E_1", "K_2", "F_1")
 SO22_GENERATORS = ("P", "P0_hat", "J_hat", "D", "C_1", "C_2")
 
 
-def classical_bracket(x, y):
-    """The classical null-plane bracket [x, y] as a signed {generator: coefficient}."""
+def classical_bracket_element(alg, x, y):
+    """The classical null-plane bracket [x, y] as an element of ``alg``."""
     table, sign = NP_CLASSICAL_BRACKETS.get((x, y)), 1
     if table is None:
         table, sign = NP_CLASSICAL_BRACKETS.get((y, x), {}), -1
-    return {g: FieldElem(sign * c) for g, c in table.items()}
-
-
-def classical_bracket_element(alg, x, y):
-    """:func:`classical_bracket` of ``x`` and ``y`` as an element of ``alg``."""
-    return sum((alg.gen(g) * c for g, c in classical_bracket(x, y).items()), alg.zero())
+    return sum((alg.gen(g) * FieldElem(sign * c) for g, c in table.items()), alg.zero())
 
 
 def sl2_commutators(alg, ap, a, am, s):
@@ -483,7 +478,8 @@ TWOCOPY_GENERATORS = ("A1_plus", "A2_plus", "A1", "A2", "A1_minus", "A2_minus")
 
 
 def build_twocopy(order):
-    """Two commuting copies of the sl(2,R) preset, parameters z and -z."""
+    """Two commuting copies of the sl(2,R) preset, parameters z and -z: their
+    presentation, coproduct map, the map tau from so(2,2) and the two Casimirs."""
     alg = AlgebraPresentation("sl2-twocopy", TWOCOPY_GENERATORS, "z", order)
     idx = alg.index
     copies = (("A1_plus", "A1", "A1_minus", 1), ("A2_plus", "A2", "A2_minus", -1))
@@ -494,13 +490,8 @@ def build_twocopy(order):
     alg.set_commutators(comm)
 
     delta = {}
-    antipode = {}
     for ap_n, a_n, am_n, s in copies:
-        d, gamma = sl2_hopf(alg, idx[ap_n], idx[a_n], idx[am_n], s)
-        delta.update(d)
-        antipode.update(gamma)
-    counit = {i: FieldElem(0) for i in range(6)}
-    hopf = HopfMaps(alg, delta, counit, antipode)
+        delta.update(sl2_hopf(alg, idx[ap_n], idx[a_n], idx[am_n], s)[0])
 
     half = FieldElem(rat(1, 2))
     g = alg.gen
@@ -514,13 +505,13 @@ def build_twocopy(order):
     }
     cas1 = sl2_casimir(alg, idx["A1_plus"], idx["A1"], idx["A1_minus"], 1)
     cas2 = sl2_casimir(alg, idx["A2_plus"], idx["A2"], idx["A2_minus"], -1)
-    return alg, hopf, tau, cas1, cas2
+    return alg, WordMap(alg, delta, TensorElement.unit(alg, 2)), tau, cas1, cas2
 
 
 def cross_check_two_copy(so22):
     """The so(2,2) bundle equals the two-copy construction under the map tau."""
     order = so22.order
-    alg2, hopf2, tau, cas1, cas2 = build_twocopy(order)
+    alg2, delta2, tau, cas1, cas2 = build_twocopy(order)
     salg = so22.presentation
 
     def commutators():
@@ -533,7 +524,7 @@ def cross_check_two_copy(so22):
         rep = CheckReport(check="twocopy-coproducts", algebra="so22", order=order)
         for name in salg.generators:
             rhs = so22.hopf.delta[salg.index[name]].substitute(alg2, tau)
-            rep.expect_zero(f"Delta({name})", hopf2.coproduct(tau[name]) - rhs)
+            rep.expect_zero(f"Delta({name})", delta2(tau[name]) - rhs)
         return rep
 
     def casimirs():

@@ -220,10 +220,10 @@ def full_rep(order, reading="plain"):
     return rep
 
 
-def rep_of_element(rep, element, order):
-    """Image of a null-plane algebra element under the representation (its
-    Q(sqrt2) scalars scale the Laurent coefficients directly)."""
-    return WordMap(element.algebra, rep, WeylOperator.identity(order))(element)
+def rep_of_element(rep, element):
+    """Image of a null-plane algebra element under the representation, of the
+    element's order (its Q(sqrt2) scalars scale the Laurent coefficients directly)."""
+    return WordMap(element.algebra, rep, WeylOperator.identity(element.order))(element)
 
 
 # -- checks -----------------------------------------------------------------------
@@ -259,8 +259,8 @@ def check_casimir_action(bundle, reading="plain"):
     out = CheckReport(check="diffrep-casimirs", algebra=bundle.name, order=order)
     target = WeylOperator.multiplication(order, {0: rf(MOMENTUM_RING.var("m_q2"))})
     out.expect_zero("rep(M_q2) - m_q2*1",
-                    rep_of_element(rep, bundle.casimirs["M_q2"], order) - target)
-    out.expect_zero("rep(L_q)", rep_of_element(rep, bundle.casimirs["L_q"], order))
+                    rep_of_element(rep, bundle.casimirs["M_q2"]) - target)
+    out.expect_zero("rep(L_q)", rep_of_element(rep, bundle.casimirs["L_q"]))
     return out
 
 

@@ -527,18 +527,22 @@ class WordMap:
 
     ``images`` maps generator names (or indices) of ``algebra`` to values of
     one :class:`Graded` kind, whose ``unit`` is given (``zero`` is it scaled
-    by 0).  A normal word goes to the product of its generator images, left to
-    right (right to left when ``reverse``, for an anti-homomorphism): the
-    cached image of the word less its last generator (its first when
-    ``reverse``) times that generator's image, each shorter word on the way
-    cached too.  An element goes to the sum of its word images, each scaled by
-    its scalar, the image of ``param**k * w`` built to the order less ``k``.
+    by 0); the unit has the algebra's order, else a ``ValueError``, as a lower
+    one would drop the images' higher powers of the parameter.  A normal word
+    goes to the product of its generator images, left to right (right to left
+    when ``reverse``, for an anti-homomorphism): the cached image of the word
+    less its last generator (its first when ``reverse``) times that
+    generator's image, each shorter word on the way cached too.  An element
+    goes to the sum of its word images, each scaled by its scalar, the image
+    of ``param**k * w`` built to the order less ``k``.
 
     ``word(w, top)`` is built by products truncated at ``param**top`` and kept
     with that order: a request up to it reuses the image, a higher one rebuilds
     from the longest prefix cached high enough."""
 
     def __init__(self, algebra, images, unit, reverse=False):
+        if unit.order != algebra.order:
+            raise ValueError(f"order-{unit.order} images for order-{algebra.order} {algebra.name}")
         self.algebra = algebra
         self.images = {algebra.index.get(g, g): v for g, v in images.items()}
         self.unit = unit

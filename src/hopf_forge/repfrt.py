@@ -41,7 +41,7 @@ from .ncalg import (AlgebraPresentation, Graded, NCElement, TensorElement, WordM
 from .ratfunc import PolyRing, Polynomial, groebner, leads, reduce_poly
 from .hopf import HopfMaps
 from .report import CheckReport
-from .algebras import NP_GENERATORS, classical_bracket
+from .algebras import preset
 
 HALF = FieldElem(rat(1, 2))
 ETA = (1, -1, -1)
@@ -125,34 +125,38 @@ def swap(m):
 
 
 def check_matrix_rep(order=0):
-    """Lie-homomorphism on all 15 pairs plus nilpotency of D(P_+)."""
+    """rho respects every rule of the fault-free nullplane preset, each power of
+    w (:func:`~hopf_forge.ncalg.rule_images`; at order 0 the classical
+    brackets), and D(P_+) is nilpotent."""
+    alg = preset("nullplane", order).presentation
     rep = matrix_rep()
     out = CheckReport(check="matrixrep", algebra="nullplane", order=order)
-    names = NP_GENERATORS
-    for a in range(6):
-        for b in range(a + 1, 6):
-            x, y = names[a], names[b]
-            res = rep[x].commutator(rep[y])
-            for g, c in classical_bracket(x, y).items():
-                res = res - rep[g] * c
-            out.expect_zero(f"[D({x}),D({y})]", res)
+    names = alg.generators
+    for (j, i), comm, image in rule_images(WordMap(alg, rep, identity(4, order))):
+        out.expect_zero(f"[D({names[j]}),D({names[i]})]", comm - image)
     out.expect_zero("D(P_plus)^2", rep["P_plus"] * rep["P_plus"])
     return out
 
 
 # -- matrix R and the matrix Yang-Baxter equation --------------------------------
 
-def _wedge16():
+# the classical r of the FRT sector, 2(K_2 ^ P_+ + E_1 ^ P_1), as {(X, Y): c}
+CLASSICAL_R = {("K_2", "P_plus"): 2, ("E_1", "P_1"): 2}
+
+
+def _rho_wedge(wedges):
+    """``t - swap(t)`` for ``t = sum c * D(X) (x) D(Y)`` over the ``{(X, Y): c}``
+    of ``wedges`` (generator names), as rmat's ``_wedge_tensor`` is for tensors."""
     rep = matrix_rep()
-    return (kron(rep["K_2"], rep["P_plus"]) - kron(rep["P_plus"], rep["K_2"])
-            + kron(rep["E_1"], rep["P_1"]) - kron(rep["P_1"], rep["E_1"]))
+    t = sum((kron(rep[x], rep[y]) * c for (x, y), c in wedges.items()), Matrix(16, 0, {}))
+    return t - swap(t)
 
 
 def matrix_r(order=3):
-    """16x16 R = I (x) I + 2w * wedge, of truncation order ``order``; the w
-    term is dropped at order 0."""
+    """16x16 R = I (x) I + w * rho(r) for r = :data:`CLASSICAL_R`, of truncation
+    order ``order``; the w term is dropped at order 0."""
     r = identity(16, order)
-    return r + r._new(_wedge16().terms).scaled(FieldElem(2), 1)
+    return r + r._new(_rho_wedge(CLASSICAL_R).terms).scaled(FE_ONE, 1)
 
 
 def site_pairs(r):
@@ -164,21 +168,17 @@ def site_pairs(r):
 
 def check_matrix_r(bundle):
     """Matrix QYBE and triangularity hold exactly (R is linear in w); its w^0
-    part is the identity and its w^1 part the representation of the classical r."""
-    from .rmat import classical_r_of_preset  # here, so no other FRT check loads rmat
+    part is the identity and its w^1 part rho of the preset's classical r."""
+    from . import rmat  # here, so no other FRT check loads rmat
     order = bundle.order
     out = CheckReport(check="matrix-r", algebra=bundle.name, order=order)
     r = matrix_r(order)
-    r12, r13, r23 = site_pairs(r)
-    out.expect_zero("matrix QYBE", r12 * r13 * r23 - r23 * r13 * r12)
+    out.expect_zero("matrix QYBE", rmat.qybe_residual(*site_pairs(r)))
     one = identity(16)
-    out.expect_zero("matrix triangularity", swap(r) * r - one)
-    np_alg = bundle.presentation
-    rep = matrix_rep()
-    rho_r = Matrix(16, 0, {})
-    for (i, j), c in classical_r_of_preset(bundle).items():
-        gi, gj = np_alg.generators[i], np_alg.generators[j]
-        rho_r = rho_r + (kron(rep[gi], rep[gj]) - kron(rep[gj], rep[gi])) * c
+    out.expect_zero("matrix triangularity", rmat.triangularity_residual(swap(r), r, one))
+    names = bundle.presentation.generators
+    rho_r = _rho_wedge({(names[i], names[j]): c
+                        for (i, j), c in rmat.classical_r_of_preset(bundle).items()})
     for k, label, want in ((0, "w=0 specialization", one), (1, "first-order block", rho_r)):
         part = Matrix(16, 0, {(ij, 0): e for (ij, p), e in r.terms.items() if p == k})
         out.expect_zero(label, part - want)
@@ -286,8 +286,7 @@ def sklyanin_table():
     """
     t = group_matrix()
     zero = RING12.zero()
-    r2 = Matrix(16, 0, {key: RING12.constant(c * 2) for key, c in _wedge16().terms.items()})
-    rhs = kron(t, t).commutator(r2).terms
+    rhs = kron(t, t).commutator(_rho_wedge(CLASSICAL_R)).terms
 
     def entry_bracket(i, j, k, l):
         return rhs.get(((4 * i + k, 4 * j + l), 0), zero)

@@ -14,7 +14,7 @@ tensor algebra is ever needed.
 from __future__ import annotations
 
 from .coeff import FE_ONE, FieldElem
-from .ncalg import TensorElement, add_term, exp_series, tensor_of, tensor_pair
+from .ncalg import TensorElement, add_term, exp_series, sub_term, tensor_of, tensor_pair
 from .algebras import classical_presentation
 from .report import CheckReport
 
@@ -43,13 +43,13 @@ def _legs(r):
     return r.embed((0, 1), 3), r.embed((0, 2), 3), r.embed((1, 2), 3)
 
 
-def qybe_residual(r):
-    """R12 R13 R23 - R23 R13 R12 in the three-fold tensor algebra.  (R12 R13) R23
-    is built first, so R12 R13 is freed before R23 R13 is; then ((-R23) R13) R12
-    is summed into it, so the second triple product is never held."""
-    r12, r13, r23 = _legs(r)
+def qybe_residual(r12, r13, r23):
+    """R12 R13 R23 - R23 R13 R12 of the three legs of an R (:func:`_legs` of a
+    tensor, ``repfrt.site_pairs`` of a matrix).  (R12 R13) R23 is built first,
+    so R12 R13 is freed before R23 R13 is; then ((-R23) R13) R12 is summed into
+    it, so the second triple product is never held."""
     out = ((r12 * r13) * r23).terms
-    return TensorElement(r.algebra, 3, ((-r23) * r13)._mul_into(r12, out))
+    return r12._new(((-r23) * r13)._mul_into(r12, out))
 
 
 def intertwiner_residual(r, hopf, gen):
@@ -59,10 +59,12 @@ def intertwiner_residual(r, hopf, gen):
     return TensorElement(r.algebra, 2, (-r)._mul_into(d, (d.flip() * r).terms))
 
 
-def triangularity_residual(r):
-    """flip(R) * R - 1 (x) 1, the unit subtracted from the product's own terms."""
-    out = r.flip() * r
-    add_term(out.terms, (((), ()), 0), -FE_ONE)
+def triangularity_residual(r21, r, one):
+    """R21 R - 1 for the flipped R ``r21`` and the unit ``one``, the unit
+    subtracted inside the product's own terms."""
+    out = r21 * r
+    for key, c in one.terms.items():
+        sub_term(out.terms, key, c)
     return out
 
 
@@ -146,7 +148,7 @@ def skew_first_order(t, classical_alg):
 def check_qybe(bundle):
     r = preset_r(bundle)
     rep = CheckReport(check="qybe", algebra=bundle.name, order=bundle.order)
-    rep.expect_zero("R12 R13 R23 - R23 R13 R12", qybe_residual(r))
+    rep.expect_zero("R12 R13 R23 - R23 R13 R12", qybe_residual(*_legs(r)))
     return rep
 
 
@@ -161,8 +163,9 @@ def check_intertwiner(bundle):
 
 def check_triangularity(bundle):
     r = preset_r(bundle)
+    one = TensorElement.unit(bundle.presentation, 2)
     rep = CheckReport(check="triangular", algebra=bundle.name, order=bundle.order)
-    rep.expect_zero("flip(R).R - 1(x)1", triangularity_residual(r))
+    rep.expect_zero("flip(R).R - 1(x)1", triangularity_residual(r.flip(), r, one))
     return rep
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hopf_forge.algebras import PRESET_NAMES, preset
 from hopf_forge.cli import UsageError, _run_timed, _verify_plan, build_parser, main
+from hopf_forge.report import CheckReport
 
 CLI = [sys.executable, "-m", "hopf_forge"]
 
@@ -305,6 +306,48 @@ class TestVerifyPlan:
         assert [r.check for r in out] == names
         assert all(t > 0 for t in seconds) and sum(seconds) <= batch
         assert len(set(seconds)) == len(names), seconds
+
+    def test_budget_is_per_report(self, monkeypatch):
+        # a batch whose reports took 0 s and 2 s against a 1 s budget: only the
+        # second is over it, though the batch as a whole is too
+        from types import SimpleNamespace
+
+        from hopf_forge import cli
+        now = [100.0]
+        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+        def batch():
+            now[0] += 2.0
+            return [CheckReport(check="fast", algebra="so22", order=2, seconds=0.0),
+                    CheckReport(check="slow", algebra="so22", order=2, seconds=2.0)]
+
+        out = []
+        _run_timed(("hopf", "so22"), batch, out, 1.0, 2)
+        assert [(r.check, r.passed, r.seconds) for r in out] == \
+            [("fast", True, 0.0), ("slow", False, 2.0)]
+        assert out[1].failures == [{"input": "wall clock",
+                                    "residual": "exceeded the 1.0s budget (2.0s)"}]
+
+    def test_build_time_counts_in_the_first_report(self, monkeypatch):
+        # building the eps presentation is outside every contraction report;
+        # the entry's time outside its reports counts in the first one
+        import time
+
+        import hopf_forge.contraction as ctr
+        real = ctr.transport
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ctr, "transport", slow)
+        args = build_parser().parse_args(["verify", "contraction", "--order", "2"])
+        ((label, order, fn),) = _verify_plan("contraction", "nullplane", args)
+        out = []
+        _run_timed(label, fn, out, 900, order)
+        assert out[0].check == "contraction-commutators"
+        assert out[0].seconds >= 0.2
+        assert all(r.seconds < 0.2 for r in out[1:])
 
     def test_consistency_row_reports_a_copy_of_the_cached_report(self):
         from hopf_forge.algebras import preset

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from hopf_forge import cli, ncalg, rmat
+from hopf_forge import cli, ncalg, repfrt, rmat
 from hopf_forge.coeff import FE_ONE, FieldElem, rat
 from hopf_forge.contraction import Contraction
 from hopf_forge.ncalg import (AlgebraMismatch, AlgebraPresentation, ArityMismatch,
@@ -1151,15 +1151,39 @@ class TestDifferenceOfProducts:
         for r in rs:
             snap = snapshot(r, *hopf.delta.values())
             r12, r13, r23 = r.embed((0, 1), 3), r.embed((0, 2), 3), r.embed((1, 2), 3)
-            assert rmat.qybe_residual(r) == (r12 * r13) * r23 - (r23 * r13) * r12
-            assert rmat.triangularity_residual(r) == r.flip() * r - unit
+            assert rmat.qybe_residual(r12, r13, r23) == (r12 * r13) * r23 - (r23 * r13) * r12
+            assert rmat.triangularity_residual(r.flip(), r, unit) == r.flip() * r - unit
             for i, g in enumerate(alg.generators):
                 d = hopf.delta[i]
                 assert rmat.intertwiner_residual(r, hopf, g) == d.flip() * r - r * d
             assert unchanged(snap)
         # the preset R passes all three, so each residual cancels to nothing
         r = rmat.preset_r(bundle)
-        assert rmat.triangularity_residual(r).is_zero()
+        assert rmat.triangularity_residual(r.flip(), r, unit).is_zero()
         assert all(rmat.intertwiner_residual(r, hopf, g).is_zero() for g in alg.generators)
         if order <= 2:
-            assert rmat.qybe_residual(r).is_zero()
+            assert rmat.qybe_residual(*rmat._legs(r)).is_zero()
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_rmat_residuals_of_matrices_match_the_plain_difference(self, order):
+        # the same residual builders on 16x16 matrices, legs by site_pairs and
+        # the flip by swap: random Rs, the unit, and the FRT sector's matrix R
+        rng = random.Random(f"matrix-residual-{order}")
+        entries = (FieldElem(1), FieldElem(-1), FieldElem(2), FieldElem(rat(1, 2)),
+                   FieldElem(0, 1))
+        one = repfrt.identity(16)
+        rs = [repfrt.Matrix(16, order, {((i, j), k): rng.choice(entries)
+                                        for i in range(16) for j in range(16)
+                                        for k in range(order + 1) if rng.random() < 0.04})
+              for _ in range(3)]
+        rs += [repfrt.identity(16, order), repfrt.matrix_r(order)]
+        for r in rs:
+            snap = snapshot(r)
+            r12, r13, r23 = repfrt.site_pairs(r)
+            assert rmat.qybe_residual(r12, r13, r23) == (r12 * r13) * r23 - (r23 * r13) * r12
+            flip = repfrt.swap(r)
+            assert rmat.triangularity_residual(flip, r, one) == flip * r - one
+            assert unchanged(snap)
+        r = repfrt.matrix_r(order)
+        assert rmat.qybe_residual(*repfrt.site_pairs(r)).is_zero()
+        assert rmat.triangularity_residual(repfrt.swap(r), r, one).is_zero()

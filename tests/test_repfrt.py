@@ -1,6 +1,7 @@
 """Matrix representation, Sklyanin brackets, RTT quantization, quantum plane."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -66,18 +67,39 @@ class TestMatrixRep:
     def test_a_corrupted_generator_fails_with_its_residual(self, monkeypatch):
         # D(E_1) with its (2,3) entry flipped: [D(K_2), D(E_1)] is then no
         # longer D(E_1), and the failure records the nonzero residual matrix
+        # under the rule's orientation, later generator first
         real = matrix_rep
         bad = real()
         bad["E_1"] = bad["E_1"] - Matrix(4, 0, {((2, 3), 0): -HALF * 2})
         monkeypatch.setattr(repfrt, "matrix_rep", lambda: dict(bad))
         rep = check_matrix_rep()
         fails = {f["input"]: f["residual"] for f in rep.failures}
-        assert "[D(E_1),D(K_2)]" in fails
-        assert "D(P_plus)^2" not in fails and "[D(P_plus),D(P_1)]" not in fails
-        want = bad["E_1"].commutator(bad["K_2"]) + bad["E_1"]  # [E_1, K_2] = -E_1
-        assert not want.is_zero() and fails["[D(E_1),D(K_2)]"] == repr(want)
+        assert "[D(K_2),D(E_1)]" in fails
+        assert "D(P_plus)^2" not in fails and "[D(P_1),D(P_plus)]" not in fails
+        want = bad["K_2"].commutator(bad["E_1"]) - bad["E_1"]  # [K_2, E_1] = E_1
+        assert not want.is_zero() and fails["[D(K_2),D(E_1)]"] == repr(want)
         monkeypatch.undo()
         assert check_matrix_rep().passed
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_a_w_term_rho_does_not_kill_fails(self, monkeypatch, order):
+        # the nullplane rules with w*E_1 added to [E_1, F_1]: rho satisfies the
+        # classical bracket but not the w term, and the check reads the rules
+        good = preset("nullplane", order).presentation
+        bad = repfrt.AlgebraPresentation("nullplane", good.generators, "w", order)
+        rules = {key: bad.element(dict(rhs.terms)) for key, rhs in good.rules.items()}
+        f1, e1 = good.index["F_1"], good.index["E_1"]
+        # F_1*E_1 = E_1*F_1 - [E_1, F_1]
+        rules[(f1, e1)] = rules[(f1, e1)] - bad.gen("E_1").scaled(FE_ONE, 1)
+        bad.set_rules(rules)
+        monkeypatch.setattr(repfrt, "preset",
+                            lambda name, order: SimpleNamespace(presentation=bad))
+        fails = {f["input"]: f["residual"] for f in check_matrix_rep(order).failures}
+        # [D(F_1), D(E_1)] = -D(K_2), the rule's image -D(K_2) - w D(E_1)
+        want = identity(4, order)._new(matrix_rep()["E_1"].terms).scaled(FE_ONE, 1)
+        assert fails == {"[D(F_1),D(E_1)]": repr(want)}
+        monkeypatch.undo()
+        assert check_matrix_rep(order).passed
 
     def test_rho_respects_every_deformed_rule(self):
         # the 4x4 rho as a WordMap whose unit, and so every image, has the
@@ -210,6 +232,15 @@ class TestMatrixR:
     def test_qybe_triangularity_exact(self):
         assert check_matrix_r(preset("nullplane", 3)).passed
 
+    def test_rho_wedge_of_the_classical_r(self):
+        # rho(r) for r = 2(K_2 ^ P_+ + E_1 ^ P_1), against four explicit krons
+        rep = matrix_rep()
+        wedge = (kron(rep["K_2"], rep["P_plus"]) - kron(rep["P_plus"], rep["K_2"])
+                 + kron(rep["E_1"], rep["P_1"]) - kron(rep["P_1"], rep["E_1"]))
+        assert repfrt._rho_wedge(repfrt.CLASSICAL_R) == wedge * 2
+        assert matrix_r(2) == identity(16, 2) + identity(16, 2)._new(
+            (wedge * 2).terms).scaled(FE_ONE, 1)
+
     def test_a_corrupted_entry_is_named_by_the_residual(self, monkeypatch):
         # one w^1 entry of R doubled: the first-order block records a residual
         # that is exactly that entry, and QYBE and triangularity break too
@@ -295,10 +326,11 @@ class TestSklyanin:
     def test_symmetric_part_of_r_is_inconsistent(self, monkeypatch):
         # a symmetric P_1 (x) P_1 term breaks the antisymmetry of [T (x) T, r],
         # so the read-off brackets cannot satisfy every one of the 256 equations
-        real = repfrt._wedge16
+        # (patched into the wedge, as a symmetric pair cancels in t - swap(t))
+        real = repfrt._rho_wedge
         rep = matrix_rep()
-        monkeypatch.setattr(repfrt, "_wedge16",
-                            lambda: real() + kron(rep["P_1"], rep["P_1"]))
+        monkeypatch.setattr(repfrt, "_rho_wedge",
+                            lambda wedges: real(wedges) + kron(rep["P_1"], rep["P_1"]))
         with pytest.raises(InconsistentBivector):
             sklyanin_table.__wrapped__()
 

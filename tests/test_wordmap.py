@@ -214,7 +214,20 @@ def test_rep_of_element_is_the_product_of_operator_images():
         op = product(diffrep.WeylOperator.identity(order), images, w)
         want = want + op * diffrep.WeylOperator.multiplication(
             order, {k: diffrep.rf(diffrep.MOMENTUM_RING.constant(c))})
-    assert diffrep.rep_of_element(rep, x, order) == want
+    assert diffrep.rep_of_element(rep, x) == want
+
+
+@pytest.mark.parametrize("unit_order", [2, 4])
+def test_images_of_another_order_raise(unit_order):
+    # images of order 2 or 4 for the order-3 nullplane, whose rules carry w
+    # terms: a lower order would drop the top power from every image
+    alg = preset("nullplane", 3).presentation
+    assert any(k for x in alg.rules.values() for _, k in x.terms)
+    with pytest.raises(ValueError):
+        WordMap(alg, repfrt.matrix_rep(), repfrt.identity(4, unit_order))
+    with pytest.raises(ValueError):
+        WordMap(alg, {}, preset("nullplane", unit_order).presentation.unit())
+    assert WordMap(alg, repfrt.matrix_rep(), repfrt.identity(4, 3)).unit.order == 3
 
 
 def test_missing_image_raises():
